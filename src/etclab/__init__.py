@@ -37,6 +37,7 @@ from .costs import (
     j_tt_broadcast,
     j_tt_broadcast_local,
     local_to_global_period,
+    mean_exit_time,
     merge_accumulators,
 )
 from .driver import (

@@ -1,16 +1,16 @@
 """Threshold tuning so a level scheme hits a target mean inter-event time.
 
-For the broadcast-only scheme the mean single-agent exit time is exactly
-``delta^2``, so the threshold is closed form.  For the global level
-scheme the mean exit time of the fastest of ``n`` motions has no simple
-expression; the primary method estimates the unit-threshold mean exit
-time ``m_n`` once by Monte Carlo and applies the exact Brownian scaling
-``E[T(delta)] = delta^2 * m_n``.  A bisection fallback on the monotone
-map ``delta -> mean exit time`` (with common random numbers across
-iterates) covers the case where the scaling estimate fails its
-verification run.  Sampling defaults to the bridge-corrected sampler:
-accuracy here dominates the bias of every rate-matched experiment
-downstream.
+Both thresholds are closed form.  For the broadcast-only scheme the mean
+single-agent exit time is exactly ``delta^2``, so the threshold is
+``sqrt(T)``.  For the global level scheme the mean exit time of the
+fastest of ``n`` motions is ``delta^2 * m_n`` by Brownian scaling, where
+``m_n`` is the closed-form unit-threshold mean of
+:func:`etclab.costs.mean_exit_time`, so the threshold is
+``sqrt(T / m_n)``.  A Monte-Carlo verification run on the caller's grid
+then measures the achieved mean and its confidence interval; for the
+global scheme a miss beyond tolerance raises.  Sampling defaults to the
+bridge-corrected sampler: accuracy here dominates the bias of every
+rate-matched experiment downstream.
 """
 
 from dataclasses import dataclass
@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .costs import mean_exit_time
 from .sde import NoiseStream
 from .triggering import sample_first_passage_batch
 
@@ -107,10 +108,9 @@ def calibrate_global_threshold(
     dt: float = DEFAULT_DT,
     tolerance: float = DEFAULT_TOLERANCE,
     samples: int = DEFAULT_SAMPLES,
-    method: str = "scaling",
     bridge_correction: bool = True,
 ) -> CalibrationResult:
-    """Tune the global level threshold for ``n`` agents.
+    """Global level threshold for ``n`` agents: ``sqrt(target / m_n)``.
 
     Parameters
     ----------
@@ -119,19 +119,19 @@ def calibrate_global_threshold(
     target_global_period : float
         Desired mean global inter-event time, seconds.
     stream : NoiseStream, optional
-        Sampling stream; defaults to seed 0.  Identical streams give
+        Verification stream; defaults to seed 0.  Identical streams give
         bit-identical results.
     tolerance : float
         Relative acceptance band on the verified mean, in (0, 0.2].
-    method : str
-        ``"scaling"`` (default, with bisection fallback) or
-        ``"bisection"`` to force the fallback path.
+    samples : int
+        Verification budget: a fifth of it, at least 5 000 exit times,
+        is drawn.
 
     Raises
     ------
     CalibrationError
-        If the verification run still misses the target after the
-        fallback, carrying the diagnostics.
+        If the verification run misses the target beyond tolerance,
+        carrying the diagnostics.
     """
     if n < 1:
         raise ValueError(f"agent count must be >= 1, got {n}")
@@ -139,53 +139,13 @@ def calibrate_global_threshold(
         raise ValueError(f"target period must be positive, got {target_global_period}")
     if not 0 < tolerance <= 0.2:
         raise ValueError(f"tolerance must be in (0, 0.2], got {tolerance}")
-    if method not in ("scaling", "bisection"):
-        raise ValueError(f"unknown method {method!r}")
     stream = stream if stream is not None else NoiseStream(0)
 
-    used = 0
+    delta = float(np.sqrt(target_global_period / mean_exit_time(n)))
     # verification only needs the mean pinned to ~1/10 of the tolerance
     verify_samples = max(samples // 5, 5_000)
-    if method == "scaling":
-        m_n, _ = _mean_exit(stream.child(1), n, 1.0, dt, samples, bridge_correction)
-        used += samples
-        delta = float(np.sqrt(target_global_period / m_n))
-        achieved, ci = _mean_exit(stream.child(2), n, delta, dt, verify_samples,
-                                  bridge_correction)
-        used += verify_samples
-        if abs(achieved - target_global_period) <= tolerance * target_global_period:
-            return CalibrationResult(
-                delta_star=delta,
-                target_period=target_global_period,
-                achieved_period=achieved,
-                ci_halfwidth=ci,
-                samples_used=used,
-                method="scaling-law",
-            )
-        guess = delta
-    else:
-        guess = float(np.sqrt(target_global_period))  # crude bracket seed
-
-    # Bisection on the monotone map delta -> mean exit time, evaluated
-    # with common random numbers (same substream restarted per iterate).
-    iterate_samples = max(samples // 5, 2_000)
-    lo, hi = 0.25 * guess, 4.0 * guess
-    crn = stream.child(3)
-    delta = guess
-    for _ in range(60):
-        delta = 0.5 * (lo + hi)
-        mean, _ = _mean_exit(crn.restarted(), n, delta, dt, iterate_samples,
-                             bridge_correction)
-        used += iterate_samples
-        if abs(mean - target_global_period) <= 0.5 * tolerance * target_global_period:
-            break
-        if mean < target_global_period:
-            lo = delta
-        else:
-            hi = delta
-    achieved, ci = _mean_exit(stream.child(4), n, delta, dt, verify_samples,
+    achieved, ci = _mean_exit(stream.child(2), n, delta, dt, verify_samples,
                               bridge_correction)
-    used += verify_samples
     if abs(achieved - target_global_period) > tolerance * target_global_period:
         raise CalibrationError(
             f"calibration missed target {target_global_period} "
@@ -194,13 +154,13 @@ def calibrate_global_threshold(
             target=target_global_period,
             achieved=achieved,
             tolerance=tolerance,
-            samples=used,
+            samples=verify_samples,
         )
     return CalibrationResult(
-        delta_star=float(delta),
+        delta_star=delta,
         target_period=target_global_period,
         achieved_period=achieved,
         ci_halfwidth=ci,
-        samples_used=used,
-        method="bisection",
+        samples_used=verify_samples,
+        method="scaling-law",
     )

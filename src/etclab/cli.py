@@ -35,6 +35,7 @@ from .costs import (
     j_tt_broadcast,
     j_tt_broadcast_local,
     local_to_global_period,
+    mean_exit_time,
 )
 from .driver import ScenarioConfig, run_batch, run_trial
 from .sde import NoiseStream
@@ -48,6 +49,8 @@ from .triggering import (
 )
 
 TABLE1_ROWS = [(3, 0.25), (3, 0.5), (10, 0.5), (50, 0.5)]
+SAMPLES_HELP = ("calibration verification budget: a fifth of it, "
+                "at least 5000 exit times, is drawn")
 
 
 def _workers() -> int:
@@ -185,7 +188,6 @@ def cmd_calibrate(args, parser) -> int:
             dt=args.dt,
             tolerance=args.tolerance,
             samples=args.samples,
-            method=args.method,
             bridge_correction=args.bridge_correction == "on",
         )
     except CalibrationError as exc:
@@ -357,6 +359,9 @@ def cmd_selftest(args, parser) -> int:
     check("occupation oracle scaling",
           abs(expected_occupation_integral(2.0) - 16 / 6) < 1e-12)
     check("rate conversion", local_to_global_period(4, 2.0) == 0.5)
+    m1, m3 = mean_exit_time(1), mean_exit_time(3)
+    check("closed-form mean exit time", abs(m1 - 1.0) < 1e-9 and m3 < m1,
+          f"(m1={m1:.9f}, m3={m3:.6f})")
 
     times = sample_first_passage_batch(NoiseStream(args.seed), 20_000, 1.0, 1e-3)
     mean = float(times.mean())
@@ -400,9 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-t", type=float, required=True)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=1729)
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=int, default=100_000, help=SAMPLES_HELP)
     p.add_argument("--tolerance", type=float, default=0.03)
-    p.add_argument("--method", choices=["scaling", "bisection"], default="scaling")
     p.add_argument("--bridge-correction", choices=["on", "off"], default="on",
                    help="within-step crossing correction for the samplers")
     p.add_argument("--out", default="calibrate.csv")
@@ -413,8 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--dt", type=float, default=2e-3)
     p.add_argument("--horizon", type=float, default=2000.0)
-    p.add_argument("--samples", type=int, default=100_000,
-                   help="calibration sample budget")
+    p.add_argument("--samples", type=int, default=100_000, help=SAMPLES_HELP)
     p.add_argument("--out", default="table1.csv")
     p.set_defaults(func=cmd_table1)
 
@@ -425,8 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--dt", type=float, default=2e-3)
     p.add_argument("--horizon", type=float, default=2000.0)
-    p.add_argument("--samples", type=int, default=100_000,
-                   help="calibration sample budget")
+    p.add_argument("--samples", type=int, default=100_000, help=SAMPLES_HELP)
     p.add_argument("--out", default="sweep_n.csv")
     p.set_defaults(func=cmd_sweep_n)
 
@@ -437,8 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--dt", type=float, default=2e-3)
     p.add_argument("--horizon", type=float, default=2000.0)
-    p.add_argument("--samples", type=int, default=100_000,
-                   help="calibration sample budget")
+    p.add_argument("--samples", type=int, default=100_000, help=SAMPLES_HELP)
     p.add_argument("--out", default="ratio_curve.csv")
     p.set_defaults(func=cmd_ratio_curve)
 

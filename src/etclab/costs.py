@@ -14,14 +14,17 @@ maintained side by side:
 The closed-form oracles cover the periodic schemes in both scenarios,
 the level scheme in the broadcast-only scenario, the local-to-global
 rate conversion and the factor-``n`` information gap between the two
-periodic schemes at equal global rates.
+periodic schemes at equal global rates.  The Brownian exit laws behind
+the level scheme are closed form too: the occupation integral up to exit
+and the mean exit time of the first of ``n`` motions.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy import integrate, stats
 
 __all__ = [
     "CostAccumulator",
@@ -35,6 +38,7 @@ __all__ = [
     "local_to_global_period",
     "information_gap",
     "expected_occupation_integral",
+    "mean_exit_time",
 ]
 
 
@@ -222,3 +226,46 @@ def expected_occupation_integral(delta: float) -> float:
     if delta <= 0:
         raise ValueError(f"threshold must be positive, got {delta}")
     return delta**4 / 6.0
+
+
+# The band survival law has two series: the erfc image series converges
+# fast for small t, the eigenfunction series for large t.  Split at t = 0.5,
+# where six terms of either are exact to double precision (the seventh
+# terms are below 1e-60).
+_SERIES_SPLIT = 0.5
+_SERIES_TERMS = 6
+
+
+def _band_survival(t: float) -> float:
+    """``P(sup_{s <= t} |B_s| < 1)`` for a standard Brownian motion from 0
+    (Borodin & Salminen, *Handbook of Brownian Motion*, 2002)."""
+    if t < _SERIES_SPLIT:
+        r = 1.0 / math.sqrt(2.0 * t)
+        return 1.0 - 2.0 * sum(
+            (-1) ** k * math.erfc((2 * k + 1) * r) for k in range(_SERIES_TERMS)
+        )
+    c = -math.pi**2 * t / 8.0
+    return 4.0 / math.pi * sum(
+        (-1) ** k / (2 * k + 1) * math.exp(c * (2 * k + 1) ** 2)
+        for k in range(_SERIES_TERMS)
+    )
+
+
+def mean_exit_time(n: int) -> float:
+    """Mean time for the first of ``n`` independent standard Brownian
+    motions to leave ``[-1, 1]``: ``m_n = int_0^inf S(t)^n dt`` with ``S``
+    the single-motion survival law.
+
+    ``m_1 = 1``; by Brownian scaling the band ``[-delta, delta]`` gives
+    ``delta^2 * m_n``.
+    """
+    if n < 1:
+        raise ValueError(f"agent count must be >= 1, got {n}")
+
+    def integrand(t):
+        return _band_survival(t) ** n
+
+    quad = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
+    head, _ = integrate.quad(integrand, 0.0, _SERIES_SPLIT, **quad)
+    tail, _ = integrate.quad(integrand, _SERIES_SPLIT, math.inf, **quad)
+    return head + tail

@@ -36,6 +36,7 @@ from .costs import CostAccumulator, CostReport, accumulate, finalize
 from .graph import CompleteGraph, consensus_cost, consensus_cost_rows
 from .sde import NoiseStream, SimState, apply_impulse, drift_step, initial_state, wiener_increments
 from .triggering import (
+    EPS_REL,
     LevelBroadcast,
     LevelGlobal,
     PeriodicAsync,
@@ -201,7 +202,7 @@ def _run_trial_fast(config: ScenarioConfig, trial_index: int, noise_scale: float
             offsets = np.zeros(n)
         else:
             offsets = np.asarray(scheme.offsets, dtype=float)
-        eps = 1e-9 * dt
+        eps = EPS_REL * dt
         fire_counts = np.where(offsets <= eps, 1, 0).astype(np.int64)
         fire_steps = np.array(
             [periodic_fire_step(offsets[i] + fire_counts[i] * period, dt) for i in range(n)],
@@ -215,7 +216,6 @@ def _run_trial_fast(config: ScenarioConfig, trial_index: int, noise_scale: float
     xhat = np.zeros(n)
     snapshot = np.zeros(n)
     c_prev = 0.0
-    last_local = np.zeros(n)
 
     acc = CostAccumulator(n)
     cycle_reward = 0.0
@@ -302,7 +302,6 @@ def _run_trial_fast(config: ScenarioConfig, trial_index: int, noise_scale: float
                     snapshot = x.copy()
                 c_prev = c
                 thr_center = c_prev if level else float("nan")
-                last_local[initiators] = t_ev
                 acc.local_event_counts[initiators] += 1
                 acc.global_event_count += 1
                 if not broadcast_only or initiators[0] == 0:

@@ -62,10 +62,6 @@ class NoiseStream:
         """Uniform(0,1) draws, advancing the stream.  Not scaled."""
         return self._gen.random(shape)
 
-    def restarted(self) -> "NoiseStream":
-        """Fresh stream with the same key, rewound to the start."""
-        return NoiseStream(self.seed, self.trial_index, self.scale, self.subkey)
-
     def child(self, key: int) -> "NoiseStream":
         """Independent derived stream (calibration/verification runs)."""
         return NoiseStream(self.seed, self.trial_index, self.scale, (*self.subkey, key))
