@@ -21,15 +21,11 @@ from .control import (
     Fixed,
     InfoScenario,
     Leader,
-    consensus_point,
-    impulse_broadcast,
-    impulse_local,
-    refresh_estimates,
+    consensus_value,
 )
 from .costs import (
     CostAccumulator,
     CostReport,
-    accumulate,
     expected_occupation_integral,
     finalize,
     information_gap,
@@ -49,14 +45,7 @@ from .driver import (
     run_trials,
 )
 from .graph import CompleteGraph, consensus_cost, laplacian_dense
-from .sde import (
-    NoiseStream,
-    SimState,
-    apply_impulse,
-    drift_step,
-    initial_state,
-    wiener_increments,
-)
+from .sde import NoiseStream
 from .triggering import (
     LevelBroadcast,
     LevelGlobal,
@@ -64,12 +53,7 @@ from .triggering import (
     PeriodicSync,
     TriggerEvent,
     TriggerScheme,
-    check_level_broadcast,
-    check_level_global,
-    check_periodic,
     sample_first_passage_batch,
-    sample_first_passage_min,
-    sample_first_passage_single,
     staggered_offsets,
 )
 

@@ -5,15 +5,17 @@ Subcommands
 simulate     one scheme/scenario batch, reporting both cost estimators
 calibrate    tune the global level threshold for a target rate
 table1       the 4x4 grid of schemes x scenarios at reference rates
-sweep-n      ET vs TT comparison under broadcast-plus-local info across n
-ratio-curve  ET/TT cost ratios at equal global rates across n
+sweep-n      ET vs TT under broadcast-plus-local info across n, with the
+             ET/TT cost ratios at equal global rates (alias: ratio-curve)
 trajectory   short trajectory dump for plotting
 selftest     fast internal consistency checks (exit 4 on failure)
 
 Every command writes a CSV (comma separators, '.' decimals) plus a
 ``<out>.manifest.txt`` sidecar holding the resolved parameters, seed and
-library versions needed to reproduce it.  Exit codes: 0 success, 2 usage
-error, 3 calibration failure, 4 selftest failure.
+library versions needed to reproduce it.  ``THREADS`` (a positive
+integer, default 1) fans the trials of a batch out over processes.  Exit
+codes: 0 success, 2 usage error, 3 calibration failure, 4 selftest
+failure.
 """
 
 import argparse
@@ -53,11 +55,15 @@ SAMPLES_HELP = ("calibration verification budget: a fifth of it, "
                 "at least 5000 exit times, is drawn")
 
 
-def _workers() -> int:
+def _workers(parser) -> int:
+    text = os.environ.get("THREADS", "1")
     try:
-        return max(1, int(os.environ.get("THREADS", "1")))
+        workers = int(text)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        parser.error(f"THREADS must be a positive integer, got {text!r}")
+    return workers
 
 
 def _fmt(value) -> str:
@@ -152,7 +158,7 @@ def _config_from(args, parser, **overrides) -> ScenarioConfig:
         parser.error(str(exc))
 
 
-def _params_of(args, skip=("func", "out")) -> dict:
+def _params_of(args, skip=("func", "out", "workers")) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
@@ -162,7 +168,7 @@ def _params_of(args, skip=("func", "out")) -> dict:
 
 def cmd_simulate(args, parser) -> int:
     config = _config_from(args, parser)
-    report = run_batch(config, workers=_workers())
+    report = run_batch(config, workers=args.workers)
     param = args.delta if args.trigger == "level" else args.period
     header = ["n", "scenario", "trigger", "rule", "param", "dt", "horizon", "trials",
               "seed", "j_time_avg", "j_renewal", "ci", "mean_local_T", "mean_global_T"]
@@ -203,10 +209,11 @@ def cmd_calibrate(args, parser) -> int:
     return 0
 
 
-def _batch(n, scenario, scheme, dt, horizon, trials, seed):
+def _batch(args, n, scenario, scheme):
     config = ScenarioConfig(n=n, scenario=scenario, scheme=scheme, rule=Average(),
-                            dt=dt, horizon=horizon, trials=trials, seed=seed)
-    return run_batch(config, workers=_workers())
+                            dt=args.dt, horizon=args.horizon, trials=args.trials,
+                            seed=args.seed)
+    return run_batch(config, workers=args.workers)
 
 
 def cmd_table1(args, parser) -> int:
@@ -216,21 +223,18 @@ def cmd_table1(args, parser) -> int:
     stream = NoiseStream(args.seed)
     for n, target in TABLE1_ROWS:
         local_period = n * target
-        rep = _batch(n, InfoScenario.BROADCAST, PeriodicSync(local_period),
-                     args.dt, args.horizon, args.trials, args.seed)
+        rep = _batch(args, n, InfoScenario.BROADCAST, PeriodicSync(local_period))
         rows.append([n, target, "TT", "b", None, rep.j_time_avg,
                      j_tt_broadcast(n, local_period),
                      rep.mean_local_interevent / n, rep.ci_halfwidth, None])
 
         delta_b = float(np.sqrt(local_period))
-        rep = _batch(n, InfoScenario.BROADCAST, LevelBroadcast(delta_b),
-                     args.dt, args.horizon, args.trials, args.seed)
+        rep = _batch(args, n, InfoScenario.BROADCAST, LevelBroadcast(delta_b))
         rows.append([n, target, "ET", "b", delta_b, rep.j_time_avg,
                      j_et_broadcast(n, delta_b),
                      rep.mean_local_interevent / n, rep.ci_halfwidth, None])
 
-        rep = _batch(n, InfoScenario.BROADCAST_LOCAL, PeriodicSync(target),
-                     args.dt, args.horizon, args.trials, args.seed)
+        rep = _batch(args, n, InfoScenario.BROADCAST_LOCAL, PeriodicSync(target))
         rows.append([n, target, "TT", "bl", None, rep.j_time_avg,
                      j_tt_broadcast_local(n, target),
                      rep.mean_global_interevent, rep.ci_halfwidth, None])
@@ -242,8 +246,7 @@ def cmd_table1(args, parser) -> int:
             rows.append([n, target, "ET", "bl", None, None, None, None, None,
                          f"calibration failed: {exc}"])
             continue
-        rep = _batch(n, InfoScenario.BROADCAST_LOCAL, LevelGlobal(cal.delta_star),
-                     args.dt, args.horizon, args.trials, args.seed)
+        rep = _batch(args, n, InfoScenario.BROADCAST_LOCAL, LevelGlobal(cal.delta_star))
         rows.append([n, target, "ET", "bl", cal.delta_star, rep.j_time_avg,
                      None, rep.mean_global_interevent, rep.ci_halfwidth, None])
     _write_csv(args.out, header, rows)
@@ -266,7 +269,8 @@ def cmd_sweep_n(args, parser) -> int:
     n_list = _parse_n_list(args.n_list, parser)
     target = args.target_t
     header = ["n", "target_global_T", "delta", "j_tt_bl_sim", "j_et_bl_sim",
-              "j_tt_bl_analytic", "diff", "ci_diff", "mean_global_T_et", "consistent"]
+              "j_tt_bl_analytic", "diff", "ci_diff", "mean_global_T_et", "consistent",
+              "ratio_b_analytic", "ratio_bl_mc"]
     rows = []
     stream = NoiseStream(args.seed)
     for n in n_list:
@@ -276,10 +280,8 @@ def cmd_sweep_n(args, parser) -> int:
         except CalibrationError as exc:
             print(f"n={n}: calibration failed: {exc}", file=sys.stderr)
             return 3
-        rep_tt = _batch(n, InfoScenario.BROADCAST_LOCAL, PeriodicSync(target),
-                        args.dt, args.horizon, args.trials, args.seed)
-        rep_et = _batch(n, InfoScenario.BROADCAST_LOCAL, LevelGlobal(cal.delta_star),
-                        args.dt, args.horizon, args.trials, args.seed)
+        rep_tt = _batch(args, n, InfoScenario.BROADCAST_LOCAL, PeriodicSync(target))
+        rep_et = _batch(args, n, InfoScenario.BROADCAST_LOCAL, LevelGlobal(cal.delta_star))
         diff = rep_et.j_time_avg - rep_tt.j_time_avg
         ci_diff = 1.96 * float(
             np.sqrt(np.var(rep_et.j_trials, ddof=1) / len(rep_et.j_trials)
@@ -288,35 +290,10 @@ def cmd_sweep_n(args, parser) -> int:
         rows.append([n, target, cal.delta_star, rep_tt.j_time_avg, rep_et.j_time_avg,
                      j_tt_broadcast_local(n, target), diff, ci_diff,
                      rep_et.mean_global_interevent,
-                     "yes" if diff < 0 else "no"])
+                     "yes" if diff < 0 else "no",
+                     n / 3.0, rep_et.j_time_avg / rep_tt.j_time_avg])
     _write_csv(args.out, header, rows)
-    _write_manifest(args.out, "sweep-n", _params_of(args))
-    print(f"wrote {args.out}: {len(rows)} rows")
-    return 0
-
-
-def cmd_ratio_curve(args, parser) -> int:
-    n_list = _parse_n_list(args.n_list, parser)
-    target = args.target_t
-    header = ["n", "target_global_T", "ratio_b_analytic", "j_et_bl_sim",
-              "j_tt_bl_sim", "ratio_bl_mc"]
-    rows = []
-    stream = NoiseStream(args.seed)
-    for n in n_list:
-        try:
-            cal = calibrate_global_threshold(n, target, stream=stream.child(n),
-                                             samples=args.samples)
-        except CalibrationError as exc:
-            print(f"n={n}: calibration failed: {exc}", file=sys.stderr)
-            return 3
-        rep_tt = _batch(n, InfoScenario.BROADCAST_LOCAL, PeriodicSync(target),
-                        args.dt, args.horizon, args.trials, args.seed)
-        rep_et = _batch(n, InfoScenario.BROADCAST_LOCAL, LevelGlobal(cal.delta_star),
-                        args.dt, args.horizon, args.trials, args.seed)
-        rows.append([n, target, n / 3.0, rep_et.j_time_avg, rep_tt.j_time_avg,
-                     rep_et.j_time_avg / rep_tt.j_time_avg])
-    _write_csv(args.out, header, rows)
-    _write_manifest(args.out, "ratio-curve", _params_of(args))
+    _write_manifest(args.out, args.command, _params_of(args))
     print(f"wrote {args.out}: {len(rows)} rows")
     return 0
 
@@ -421,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="table1.csv")
     p.set_defaults(func=cmd_table1)
 
-    p = sub.add_parser("sweep-n", help="ET vs TT (broadcast+local) across n")
+    p = sub.add_parser("sweep-n", aliases=["ratio-curve"],
+                       help="ET vs TT (broadcast+local) across n, with cost ratios")
     p.add_argument("--n-list", default="3,10,50")
     p.add_argument("--target-t", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=1729)
@@ -431,17 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000, help=SAMPLES_HELP)
     p.add_argument("--out", default="sweep_n.csv")
     p.set_defaults(func=cmd_sweep_n)
-
-    p = sub.add_parser("ratio-curve", help="ET/TT cost ratios at equal global rates")
-    p.add_argument("--n-list", default="3,10,50")
-    p.add_argument("--target-t", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=1729)
-    p.add_argument("--trials", type=int, default=8)
-    p.add_argument("--dt", type=float, default=2e-3)
-    p.add_argument("--horizon", type=float, default=2000.0)
-    p.add_argument("--samples", type=int, default=100_000, help=SAMPLES_HELP)
-    p.add_argument("--out", default="ratio_curve.csv")
-    p.set_defaults(func=cmd_ratio_curve)
 
     p = sub.add_parser("trajectory", help="dump a short trajectory for plotting")
     _add_common(p)
@@ -460,6 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.workers = _workers(parser)
     return args.func(args, parser)
 
 

@@ -1,4 +1,4 @@
-"""Optimal impulsive controllers for the two information scenarios.
+"""Consensus rules and the two information scenarios of the controllers.
 
 At a triggering instant every agent receives an impulse that moves it
 toward a common consensus point ``c``.  What the impulse can subtract
@@ -16,19 +16,17 @@ The consensus point itself is free within the optimal class; the
 average and leader (minimum-index initiator) rules are the two
 practical choices, and a fixed-point rule exists for diagnostics only.
 
-Event protocol used by the simulation driver, in order: refresh the
-estimates of the initiators to their true states, compute the consensus
-point, form the jump vector, apply it, then set every estimate to ``c``
-and record ``c`` as the new last consensus point.
+The event protocol itself (refresh the initiators' estimates, pick the
+consensus point, apply the jump or the reset, then set every estimate
+to ``c``) is implemented once, in ``driver._apply_event``, and shared by
+both integrators.
 """
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-
-from .sde import SimState
 
 __all__ = [
     "Average",
@@ -36,10 +34,7 @@ __all__ = [
     "Fixed",
     "ConsensusRule",
     "InfoScenario",
-    "consensus_point",
-    "impulse_broadcast",
-    "impulse_local",
-    "refresh_estimates",
+    "consensus_value",
 ]
 
 
@@ -78,7 +73,14 @@ def consensus_value(
     rule: ConsensusRule,
     scenario: InfoScenario,
 ) -> float:
-    """Consensus point from raw arrays; see :func:`consensus_point`."""
+    """Common consensus point announced at an event.
+
+    ``x`` are the true states at the event and ``last_consensus_point``
+    the estimate every non-initiator holds.  With a single broadcast-only
+    initiator ``i`` the average rule reduces to
+    ``((n-1) * c_prev + x_i) / n``; when all agents initiate (synchronous
+    periodic firing) both scenarios use the true mean.
+    """
     initiators = np.asarray(initiators, dtype=int)
     if initiators.size == 0:
         raise ValueError("initiator set must be nonempty")
@@ -96,45 +98,3 @@ def consensus_value(
     k = initiators.size
     return float(((n - k) * last_consensus_point + x[initiators].sum()) / n)
 
-
-def consensus_point(
-    state: SimState,
-    initiators: np.ndarray,
-    rule: ConsensusRule,
-    scenario: InfoScenario,
-) -> float:
-    """Common consensus point announced at the event.
-
-    With a single broadcast-only initiator ``i`` the average rule
-    reduces to ``((n-1) * c_prev + x_i) / n``; when all agents initiate
-    (synchronous periodic firing) both scenarios use the true mean.
-    """
-    return consensus_value(
-        state.x, state.last_consensus_point, initiators, rule, scenario
-    )
-
-
-def refresh_estimates(state: SimState, initiators: np.ndarray) -> SimState:
-    """Set the initiators' estimates to their true states (their own
-    triggering makes the local state broadcast knowledge)."""
-    xhat = state.xhat.copy()
-    xhat[initiators] = state.x[initiators]
-    return replace(state, xhat=xhat)
-
-
-def impulse_broadcast(state: SimState, c: float) -> np.ndarray:
-    """Jump vector ``c - xhat`` for the broadcast-only scenario.
-
-    Assumes initiator estimates were refreshed first; afterwards the
-    caller sets every estimate and the last consensus point to ``c``.
-    """
-    return c - state.xhat
-
-
-def impulse_local(state: SimState, c: float) -> np.ndarray:
-    """Jump vector ``c - x`` for the broadcast-plus-local scenario.
-
-    The post-jump fleet is exactly ``c`` everywhere, so the deviation
-    snapshot must be refreshed to the reset state by the caller.
-    """
-    return c - state.x

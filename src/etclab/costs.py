@@ -29,7 +29,6 @@ from scipy import integrate, stats
 __all__ = [
     "CostAccumulator",
     "CostReport",
-    "accumulate",
     "merge_accumulators",
     "finalize",
     "j_tt_broadcast",
@@ -58,16 +57,12 @@ class CostAccumulator:
         if self.local_event_counts is None:
             self.local_event_counts = np.zeros(self.n, dtype=np.int64)
 
-    def add(self, cost_value: float, dt: float) -> None:
-        self.integral_sum += cost_value * dt
-        self.elapsed += dt
-
     def close_cycle(self, reward: float, length: float) -> None:
         self.per_renewal_costs.append(reward)
         self.per_renewal_lengths.append(length)
 
     def renewal_estimate(self) -> float:
-        """Renewal-reward cost estimate from this trial's cycles alone."""
+        """Renewal-reward cost estimate from these cycles (NaN if none)."""
         if not self.per_renewal_lengths:
             return float("nan")
         mean_reward = float(np.mean(self.per_renewal_costs))
@@ -86,16 +81,6 @@ class CostReport:
     trials: int
     ci_halfwidth: float
     j_trials: Tuple[float, ...] = ()
-
-
-def accumulate(acc: CostAccumulator, cost_value: float, dt: float) -> CostAccumulator:
-    """Add one left-endpoint rectangle ``cost_value * dt`` to the integral."""
-    if cost_value < 0:
-        raise ValueError(f"cost must be nonnegative, got {cost_value}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    acc.add(cost_value, dt)
-    return acc
 
 
 def merge_accumulators(accs: Sequence[CostAccumulator]) -> CostAccumulator:
@@ -141,16 +126,7 @@ def finalize(accumulators: Sequence[CostAccumulator]) -> CostReport:
         ci = 0.0
 
     merged = merge_accumulators(accumulators)
-    if merged.per_renewal_lengths:
-        j_renewal = (
-            n
-            * (n - 1)
-            * float(np.mean(merged.per_renewal_costs))
-            / float(np.mean(merged.per_renewal_lengths))
-        )
-    else:
-        j_renewal = float("nan")
-
+    j_renewal = merged.renewal_estimate()
     total_local = int(merged.local_event_counts.sum())
     mean_local = n * merged.elapsed / total_local if total_local else float("nan")
     mean_global = (
@@ -191,12 +167,9 @@ def j_et_broadcast(n: int, delta: float) -> float:
 
 def j_tt_broadcast_local(n: int, global_period: float) -> float:
     """Long-run cost of the periodic scheme under broadcast-plus-local
-    information: ``n (n - 1) * T / 2`` with ``T`` the global period."""
-    if n < 1:
-        raise ValueError(f"agent count must be >= 1, got {n}")
-    if global_period <= 0:
-        raise ValueError(f"period must be positive, got {global_period}")
-    return n * (n - 1) * global_period / 2.0
+    information: ``n (n - 1) * T / 2`` with ``T`` the global period, the
+    same form as :func:`j_tt_broadcast` with the per-agent period."""
+    return j_tt_broadcast(n, global_period)
 
 
 def local_to_global_period(n: int, local_period: float) -> float:

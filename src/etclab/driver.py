@@ -9,12 +9,15 @@ in which it fires.
 
 The production path processes steps in vectorized chunks, locating the
 first trigger inside each chunk from the cumulative-sum path (level
-rules) or from per-agent deadline counters (periodic rules).  It
-consumes the noise stream in exactly the same order as the plain
-per-step loop, which is kept as ``run_trial_reference`` and checked
-against the fast path in the test suite.  Trials are embarrassingly
-parallel: each owns a counter-based substream keyed by its index, and
-batches merge per-trial results in fixed index order.
+rules) or from per-agent deadline counters (periodic rules).  Chunks are
+sized from a memory budget, so the noise block stays bounded at any
+fleet size.  The path consumes the noise stream in exactly the same
+order as the plain per-step loop kept as ``run_trial_reference``; both
+integrators hand every event to one ``_apply_event``, so they differ
+only in stepping, trigger detection and cost summation, which the test
+suite compares.  Trials are embarrassingly parallel: each owns a
+counter-based substream keyed by its index, and batches merge per-trial
+results in fixed index order.
 """
 
 import warnings
@@ -23,18 +26,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from .control import (
-    Average,
-    ConsensusRule,
-    InfoScenario,
-    consensus_point,
-    consensus_value,
-    impulse_broadcast,
-    refresh_estimates,
-)
-from .costs import CostAccumulator, CostReport, accumulate, finalize
+from .control import Average, ConsensusRule, InfoScenario, consensus_value
+from .costs import CostAccumulator, CostReport, finalize
 from .graph import CompleteGraph, consensus_cost, consensus_cost_rows
-from .sde import NoiseStream, SimState, apply_impulse, drift_step, initial_state, wiener_increments
+from .sde import NoiseStream
 from .triggering import (
     EPS_REL,
     LevelBroadcast,
@@ -43,9 +38,6 @@ from .triggering import (
     PeriodicSync,
     TriggerEvent,
     TriggerScheme,
-    check_level_broadcast,
-    check_level_global,
-    check_periodic,
     periodic_fire_step,
 )
 
@@ -59,6 +51,9 @@ __all__ = [
 ]
 
 CHUNK_STEPS = 2048
+# the noise block of a chunk holds at most this many bytes (8 per draw), so
+# fleets beyond CHUNK_BYTES / (8 * CHUNK_STEPS) = 512 agents get fewer rows
+CHUNK_BYTES = 8 << 20
 # level rules search for crossings in bounded windows so that a hit early
 # in a chunk does not force recomputing the whole remainder
 LEVEL_LOOKAHEAD = 256
@@ -150,15 +145,6 @@ class TrialResult:
     trajectory: Optional[List[tuple]] = None
 
 
-def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0) -> TrialResult:
-    """Simulate one trial, deterministic in ``(config, trial_index)``.
-
-    ``noise_scale`` is a diagnostic multiplier on the driving noise
-    (-1 flips its sign, 0 silences it).
-    """
-    return _run_trial_fast(config, trial_index, noise_scale)
-
-
 def run_trials(config: ScenarioConfig, workers: int = 1) -> List[TrialResult]:
     """All trials of a batch, in trial-index order."""
     indices = range(config.trials)
@@ -182,28 +168,115 @@ def run_batch(config: ScenarioConfig, workers: int = 1) -> CostReport:
 
 
 # ---------------------------------------------------------------------------
+# the event protocol, shared by both integrators
+
+
+@dataclass
+class _Fleet:
+    """Closed-loop state of one trial; ``_apply_event`` updates it in place.
+
+    ``snapshot`` holds the states at the last global event (read by the
+    broadcast-plus-local level rule); ``cycle_reward`` and ``cycle_start``
+    describe the open renewal cycle.
+    """
+
+    config: ScenarioConfig
+    x: np.ndarray
+    xhat: np.ndarray
+    snapshot: np.ndarray
+    acc: CostAccumulator
+    events: Optional[List[TriggerEvent]]
+    c_prev: float = 0.0
+    cycle_reward: float = 0.0
+    cycle_start: int = 0
+
+    @classmethod
+    def start(cls, config: ScenarioConfig) -> "_Fleet":
+        """All agents in consensus at zero; t = 0 counts as a trigger."""
+        n = config.n
+        events = [] if config.record_events else None
+        return cls(config, np.zeros(n), np.zeros(n), np.zeros(n), CostAccumulator(n), events)
+
+
+def _apply_event(fleet: _Fleet, initiators: np.ndarray, step: int) -> None:
+    """Handle the event that ``initiators`` fire at the end of grid ``step``.
+
+    Broadcast-only: the initiators' estimates become their true states,
+    the consensus point ``c`` is announced, and every agent jumps by
+    ``c - xhat``, which lands the initiators exactly on ``c`` and keeps
+    everyone else's estimate error.  Broadcast-plus-local: the fleet
+    resets exactly to ``c``, which also becomes the deviation snapshot.
+    Then every estimate and the last consensus point become ``c``, the
+    event is counted, the renewal cycle closes (on every global event, or
+    on agent 0's own events under broadcast-only) and the event is logged.
+    """
+    config = fleet.config
+    n, scenario = config.n, config.scenario
+    broadcast_only = scenario is InfoScenario.BROADCAST
+    x_pre, xhat_pre = fleet.x, fleet.xhat  # replaced below, never mutated
+    c = consensus_value(x_pre, fleet.c_prev, initiators, config.rule, scenario)
+    if broadcast_only:
+        xhat = xhat_pre.copy()
+        xhat[initiators] = x_pre[initiators]
+        x = x_pre + (c - xhat)
+        x[initiators] = c  # the impulse lands initiators exactly on c
+    else:
+        x = np.full(n, c)
+        fleet.snapshot = x.copy()
+    fleet.x = x
+    fleet.xhat = np.full(n, c)
+    fleet.c_prev = c
+
+    acc = fleet.acc
+    acc.local_event_counts[initiators] += 1
+    acc.global_event_count += 1
+    if not broadcast_only or initiators[0] == 0:
+        acc.close_cycle(fleet.cycle_reward, (step - fleet.cycle_start) * config.dt)
+        fleet.cycle_reward = 0.0
+        fleet.cycle_start = step
+    if fleet.events is not None:
+        fleet.events.append(
+            TriggerEvent(
+                time=step * config.dt,
+                initiators=tuple(int(i) for i in initiators),
+                consensus_point=c,
+                is_global=not broadcast_only,
+                x_pre=x_pre.copy(),
+                x_post=x.copy(),
+                xhat_pre=xhat_pre.copy(),
+                xhat_post=fleet.xhat.copy(),
+            )
+        )
+
+
+def _phase_offsets(scheme: TriggerScheme, n: int) -> np.ndarray:
+    if isinstance(scheme, PeriodicSync):
+        return np.zeros(n)
+    return np.asarray(scheme.offsets, dtype=float)
+
+
+# ---------------------------------------------------------------------------
 # fast chunked integrator
 
 
-def _run_trial_fast(config: ScenarioConfig, trial_index: int, noise_scale: float) -> TrialResult:
+def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0) -> TrialResult:
+    """Simulate one trial, deterministic in ``(config, trial_index)``.
+
+    ``noise_scale`` is a diagnostic multiplier on the driving noise
+    (-1 flips its sign, 0 silences it).
+    """
     n = config.n
     dt = config.dt
     steps_total = config.steps
     scheme = config.scheme
-    scenario = config.scenario
-    rule = config.rule
-    broadcast_only = scenario is InfoScenario.BROADCAST
+    broadcast_only = config.scenario is InfoScenario.BROADCAST
     level = isinstance(scheme, (LevelBroadcast, LevelGlobal))
     if level:
         delta = scheme.delta
     else:
         period = scheme.period
-        if isinstance(scheme, PeriodicSync):
-            offsets = np.zeros(n)
-        else:
-            offsets = np.asarray(scheme.offsets, dtype=float)
-        eps = EPS_REL * dt
-        fire_counts = np.where(offsets <= eps, 1, 0).astype(np.int64)
+        offsets = _phase_offsets(scheme, n)
+        fire_counts = np.where(offsets <= EPS_REL * dt, 1, 0).astype(np.int64)
         fire_steps = np.array(
             [periodic_fire_step(offsets[i] + fire_counts[i] * period, dt) for i in range(n)],
             dtype=np.int64,
@@ -211,34 +284,28 @@ def _run_trial_fast(config: ScenarioConfig, trial_index: int, noise_scale: float
 
     stream = NoiseStream(config.seed, trial_index, noise_scale)
     sqrt_dt = np.sqrt(dt)
+    chunk = min(CHUNK_STEPS, max(1, CHUNK_BYTES // (8 * n)))
+    fleet = _Fleet.start(config)
+    acc = fleet.acc
 
-    x = np.zeros(n)
-    xhat = np.zeros(n)
-    snapshot = np.zeros(n)
-    c_prev = 0.0
-
-    acc = CostAccumulator(n)
-    cycle_reward = 0.0
-    cycle_start_step = 0
-
-    events: Optional[List[TriggerEvent]] = [] if config.record_events else None
     trajectory: Optional[List[tuple]] = [] if config.record_trajectory else None
     stride = config.trajectory_stride
-    thr_center = c_prev if level else float("nan")
+    no_center = float("nan")
     if trajectory is not None:
-        trajectory.append((0.0, x.copy(), xhat.copy(), 0, thr_center))
+        trajectory.append((0.0, fleet.x.copy(), fleet.xhat.copy(), 0, 0.0 if level else no_center))
 
-    done = 0  # completed steps; state x holds the value at time done*dt
+    done = 0  # completed steps; fleet.x holds the state at time done*dt
     while done < steps_total:
-        span = min(CHUNK_STEPS, steps_total - done)
+        span = min(chunk, steps_total - done)
         dw = stream.normals((span, n)) * sqrt_dt
         used = 0  # rows of this chunk already consumed
         while used < span:
             rem = span - used
+            x = fleet.x
+            ref = fleet.xhat if broadcast_only else fleet.snapshot
             if level:
                 look = min(rem, LEVEL_LOOKAHEAD)
                 path = x + np.cumsum(dw[used : used + look], axis=0)
-                ref = xhat if broadcast_only else snapshot
                 hit = np.abs(path - ref) >= delta
                 hit_rows = hit.any(axis=1)
                 if hit_rows.any():
@@ -266,73 +333,41 @@ def _run_trial_fast(config: ScenarioConfig, trial_index: int, noise_scale: float
             cost_vals = consensus_cost_rows(n, lefts)
             acc.integral_sum += float(cost_vals.sum()) * dt
             acc.elapsed += length * dt
-            ref1 = xhat[0] if broadcast_only else snapshot[0]
-            dev1 = lefts[:, 0] - ref1
-            cycle_reward += float((dev1 * dev1).sum()) * dt
+            dev1 = lefts[:, 0] - ref[0]
+            fleet.cycle_reward += float((dev1 * dev1).sum()) * dt
 
             if trajectory is not None:
                 # the event row carries the event step, so stride rows stop
                 # just short of it
+                center = fleet.c_prev if level else no_center
                 first_step = done + used + 1
                 last = length - 1 if has_event else length
                 for k in range((-first_step) % stride, last, stride):
                     step_abs = first_step + k
                     trajectory.append(
-                        (step_abs * dt, path[k].copy(), xhat.copy(), 0, thr_center)
+                        (step_abs * dt, path[k].copy(), fleet.xhat.copy(), 0, center)
                     )
 
-            x = path[length - 1]
+            fleet.x = path[length - 1]
             step_now = done + used + length
 
             if has_event:
-                t_ev = step_now * dt
-                x_pre = x.copy() if events is not None else None
-                xhat_pre = xhat.copy() if events is not None else None
-                if broadcast_only:
-                    xhat = xhat.copy()
-                    xhat[initiators] = x[initiators]
-                    c = consensus_value(x, c_prev, initiators, rule, scenario)
-                    x = x + (c - xhat)
-                    x[initiators] = c  # impulse lands initiators exactly on c
-                    xhat = np.full(n, c)
-                else:
-                    c = consensus_value(x, c_prev, initiators, rule, scenario)
-                    x = np.full(n, c)
-                    xhat = np.full(n, c)
-                    snapshot = x.copy()
-                c_prev = c
-                thr_center = c_prev if level else float("nan")
-                acc.local_event_counts[initiators] += 1
-                acc.global_event_count += 1
-                if not broadcast_only or initiators[0] == 0:
-                    acc.close_cycle(cycle_reward, (step_now - cycle_start_step) * dt)
-                    cycle_reward = 0.0
-                    cycle_start_step = step_now
+                _apply_event(fleet, initiators, step_now)
                 if not level:
                     fire_counts[initiators] += 1
                     for i in initiators:
                         fire_steps[i] = periodic_fire_step(
                             offsets[i] + fire_counts[i] * period, dt
                         )
-                if events is not None:
-                    events.append(
-                        TriggerEvent(
-                            time=t_ev,
-                            initiators=tuple(int(i) for i in initiators),
-                            consensus_point=c,
-                            is_global=not broadcast_only,
-                            x_pre=x_pre,
-                            x_post=x.copy(),
-                            xhat_pre=xhat_pre,
-                            xhat_post=xhat.copy(),
-                        )
-                    )
                 if trajectory is not None:
-                    trajectory.append((t_ev, x.copy(), xhat.copy(), 1, thr_center))
+                    center = fleet.c_prev if level else no_center
+                    trajectory.append(
+                        (step_now * dt, fleet.x.copy(), fleet.xhat.copy(), 1, center)
+                    )
             used += length
         done += span
 
-    return TrialResult(accumulator=acc, events=events, trajectory=trajectory)
+    return TrialResult(accumulator=acc, events=fleet.events, trajectory=trajectory)
 
 
 # ---------------------------------------------------------------------------
@@ -342,90 +377,54 @@ def _run_trial_fast(config: ScenarioConfig, trial_index: int, noise_scale: float
 def run_trial_reference(
     config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
 ) -> TrialResult:
-    """Straightforward per-step integrator over the public operations.
+    """Per-step integrator that validates ``run_trial``.
 
-    Slow (pure Python loop); produces trigger instants identical to
-    ``run_trial`` and cost tallies equal up to summation order.  Meant
-    for validation on short horizons.
+    It shares the event protocol with the fast path but does its own
+    stepping (one draw per agent per step), trigger detection and scalar
+    cost, so comparing the two checks the chunked stepping, the trigger
+    search and the deadline counters.  Trigger instants come out
+    identical, cost tallies equal up to summation order.  Slow (pure
+    Python loop); meant for short horizons.  Records no trajectory.
     """
     n = config.n
     dt = config.dt
     scheme = config.scheme
-    scenario = config.scenario
-    rule = config.rule
-    broadcast_only = scenario is InfoScenario.BROADCAST
+    broadcast_only = config.scenario is InfoScenario.BROADCAST
     level = isinstance(scheme, (LevelBroadcast, LevelGlobal))
     graph = CompleteGraph(n)
     stream = NoiseStream(config.seed, trial_index, noise_scale)
-
-    state = initial_state(n)
-    acc = CostAccumulator(n)
-    cycle_reward = 0.0
-    cycle_start_step = 0
-    events: Optional[List[TriggerEvent]] = [] if config.record_events else None
+    sqrt_dt = np.sqrt(dt)
+    fleet = _Fleet.start(config)
+    acc = fleet.acc
 
     for step in range(1, config.steps + 1):
-        cost_left = consensus_cost(graph, state.x)
-        ref1 = state.xhat[0] if broadcast_only else state.x_at_last_global[0]
-        dev1 = state.x[0] - ref1
-        dw = wiener_increments(stream, n, dt)
-        state = drift_step(state, dw, dt)
-        accumulate(acc, cost_left, dt)
-        cycle_reward += dev1 * dev1 * dt
-
-        t_now = step * dt
-        if isinstance(scheme, LevelBroadcast):
-            initiators = check_level_broadcast(state, scheme.delta)
-        elif isinstance(scheme, LevelGlobal):
-            initiators = check_level_global(state, scheme.delta)
+        ref = fleet.xhat if broadcast_only else fleet.snapshot
+        acc.integral_sum += consensus_cost(graph, fleet.x) * dt
+        acc.elapsed += dt
+        dev1 = fleet.x[0] - ref[0]
+        fleet.cycle_reward += dev1 * dev1 * dt
+        fleet.x = fleet.x + stream.normals(n) * sqrt_dt
+        if level:
+            initiators = np.flatnonzero(np.abs(fleet.x - ref) >= scheme.delta)
         else:
-            initiators = check_periodic(t_now, scheme, dt, n)
-        if initiators.size == 0:
-            continue
+            initiators = _periodic_due(step * dt, scheme, dt, n)
+        if initiators.size:
+            _apply_event(fleet, initiators, step)
 
-        x_pre = state.x.copy() if events is not None else None
-        xhat_pre = state.xhat.copy() if events is not None else None
-        if broadcast_only:
-            state = refresh_estimates(state, initiators)
-            c = consensus_point(state, initiators, rule, scenario)
-            jumps = impulse_broadcast(state, c)
-            state = apply_impulse(state, jumps)
-            new_x = state.x.copy()
-            new_x[initiators] = c  # impulse lands initiators exactly on c
-            new_snapshot = state.x_at_last_global
-        else:
-            c = consensus_point(state, initiators, rule, scenario)
-            new_x = np.full(n, c)  # exact reset, per the impulse contract
-            new_snapshot = new_x.copy()
-        last_local = state.last_local_trigger.copy()
-        last_local[initiators] = t_now
-        state = SimState(
-            t=state.t,
-            x=new_x,
-            xhat=np.full(n, c),
-            last_local_trigger=last_local,
-            last_global_trigger=t_now,
-            last_consensus_point=c,
-            x_at_last_global=new_snapshot,
-        )
-        acc.local_event_counts[initiators] += 1
-        acc.global_event_count += 1
-        if not broadcast_only or initiators[0] == 0:
-            acc.close_cycle(cycle_reward, (step - cycle_start_step) * dt)
-            cycle_reward = 0.0
-            cycle_start_step = step
-        if events is not None:
-            events.append(
-                TriggerEvent(
-                    time=t_now,
-                    initiators=tuple(int(i) for i in initiators),
-                    consensus_point=c,
-                    is_global=not broadcast_only,
-                    x_pre=x_pre,
-                    x_post=state.x.copy(),
-                    xhat_pre=xhat_pre,
-                    xhat_post=state.xhat.copy(),
-                )
-            )
+    return TrialResult(accumulator=acc, events=fleet.events)
 
-    return TrialResult(accumulator=acc, events=events, trajectory=None)
+
+def _periodic_due(t: float, scheme: TriggerScheme, dt: float, n: int) -> np.ndarray:
+    """Agents with a deadline in the grid step ending at ``t``, stateless.
+
+    A deadline ``tau`` belongs to the first grid time ``>= tau`` (up to a
+    relative tolerance); agents with a zero phase do not fire at t = 0,
+    because every agent starts as having just triggered.  The fast path
+    counts deadlines per agent instead.
+    """
+    offsets = _phase_offsets(scheme, n)
+    eps = EPS_REL * dt
+    k = np.floor((t + eps - offsets) / scheme.period).astype(int)
+    k_min = np.where(offsets <= eps, 1, 0)
+    tau = offsets + k * scheme.period
+    return np.flatnonzero((k >= k_min) & (tau > t - dt + eps))

@@ -23,7 +23,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .sde import NoiseStream, SimState
+from .sde import NoiseStream
 
 __all__ = [
     "PeriodicSync",
@@ -33,12 +33,7 @@ __all__ = [
     "TriggerScheme",
     "TriggerEvent",
     "staggered_offsets",
-    "check_level_broadcast",
-    "check_level_global",
-    "check_periodic",
     "periodic_fire_step",
-    "sample_first_passage_single",
-    "sample_first_passage_min",
     "sample_first_passage_batch",
 ]
 
@@ -120,46 +115,6 @@ class TriggerEvent:
 def staggered_offsets(n: int, period: float) -> Tuple[float, ...]:
     """Evenly staggered phases ``i * period / n`` for an async schedule."""
     return tuple(period * i / n for i in range(n))
-
-
-def check_level_broadcast(state: SimState, delta: float) -> np.ndarray:
-    """Agents whose estimate error has reached the threshold (inclusive)."""
-    if delta <= 0:
-        raise ValueError(f"threshold must be positive, got {delta}")
-    return np.flatnonzero(np.abs(state.x - state.xhat) >= delta)
-
-
-def check_level_global(state: SimState, delta: float) -> np.ndarray:
-    """Agents deviating by >= delta from their state at the last global
-    trigger; any nonempty result constitutes one global event."""
-    if delta <= 0:
-        raise ValueError(f"threshold must be positive, got {delta}")
-    return np.flatnonzero(np.abs(state.x - state.x_at_last_global) >= delta)
-
-
-def check_periodic(t: float, scheme: TriggerScheme, dt: float, n: int) -> np.ndarray:
-    """Agents whose next deadline falls in the step ending at ``t``.
-
-    A deadline ``tau`` is attributed to the first grid time ``>= tau``
-    (up to a relative tolerance); the instant at t=0 never fires because
-    all agents are initialized as having just triggered.
-    """
-    if isinstance(scheme, PeriodicSync):
-        offsets = np.zeros(n)
-        period = scheme.period
-    elif isinstance(scheme, PeriodicAsync):
-        offsets = np.asarray(scheme.offsets, dtype=float)
-        if offsets.shape != (n,):
-            raise ValueError(f"scheme has {offsets.size} offsets, expected {n}")
-        period = scheme.period
-    else:
-        raise TypeError(f"not a periodic scheme: {scheme!r}")
-    eps = EPS_REL * dt
-    k = np.floor((t + eps - offsets) / period).astype(int)
-    k_min = np.where(offsets <= eps, 1, 0)
-    tau = offsets + k * period
-    fired = (k >= k_min) & (tau > t - dt + eps)
-    return np.flatnonzero(fired)
 
 
 def periodic_fire_step(tau: float, dt: float) -> int:
@@ -274,21 +229,3 @@ def sample_first_passage_batch(
         return times, occupation
     return times
 
-
-def sample_first_passage_single(
-    stream: NoiseStream, delta: float, dt: float, bridge_correction: bool = True
-) -> float:
-    """One exit time of a single Brownian motion from ``[-delta, delta]``."""
-    return float(
-        sample_first_passage_batch(stream, 1, delta, dt, 1, bridge_correction)[0]
-    )
-
-
-def sample_first_passage_min(
-    stream: NoiseStream, n: int, delta: float, dt: float, bridge_correction: bool = True
-) -> float:
-    """One exit time of the first of ``n`` independent motions to leave
-    ``[-delta, delta]`` (sampled jointly)."""
-    return float(
-        sample_first_passage_batch(stream, 1, delta, dt, n, bridge_correction)[0]
-    )

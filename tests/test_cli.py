@@ -55,6 +55,16 @@ def test_usage_errors_exit_2(tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+def test_invalid_threads_is_usage_error(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setenv("THREADS", threads)
+    with pytest.raises(SystemExit) as info:
+        run_cli(SIM_ARGS + ["--out", str(tmp_path / "x.csv")])
+    assert info.value.code == 2
+    assert "THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_incompatible_scheme_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as info:
         run_cli(["simulate", "--scenario", "bl", "--trigger", "periodic-async",

