@@ -277,10 +277,7 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
         period = scheme.period
         offsets = _phase_offsets(scheme, n)
         fire_counts = np.where(offsets <= EPS_REL * dt, 1, 0).astype(np.int64)
-        fire_steps = np.array(
-            [periodic_fire_step(offsets[i] + fire_counts[i] * period, dt) for i in range(n)],
-            dtype=np.int64,
-        )
+        fire_steps = periodic_fire_step(offsets + fire_counts * period, dt)
 
     stream = NoiseStream(config.seed, trial_index, noise_scale)
     sqrt_dt = np.sqrt(dt)
@@ -355,10 +352,9 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
                 _apply_event(fleet, initiators, step_now)
                 if not level:
                     fire_counts[initiators] += 1
-                    for i in initiators:
-                        fire_steps[i] = periodic_fire_step(
-                            offsets[i] + fire_counts[i] * period, dt
-                        )
+                    fire_steps[initiators] = periodic_fire_step(
+                        offsets[initiators] + fire_counts[initiators] * period, dt
+                    )
                 if trajectory is not None:
                     center = fleet.c_prev if level else no_center
                     trajectory.append(

@@ -117,9 +117,9 @@ def staggered_offsets(n: int, period: float) -> Tuple[float, ...]:
     return tuple(period * i / n for i in range(n))
 
 
-def periodic_fire_step(tau: float, dt: float) -> int:
-    """Grid step index at which the deadline ``tau`` is detected."""
-    return int(np.ceil(tau / dt - EPS_REL))
+def periodic_fire_step(tau, dt: float) -> np.ndarray:
+    """Grid step indices at which the deadlines ``tau`` (an array) are detected."""
+    return np.ceil(np.asarray(tau) / dt - EPS_REL).astype(np.int64)
 
 
 def sample_first_passage_batch(
@@ -181,7 +181,7 @@ def sample_first_passage_batch(
     near_band = delta - np.sqrt(20.0 * dt)
 
     x = np.zeros((n_samples, n_agents))
-    abs_x = np.zeros((n_samples, n_agents))
+    peak = np.zeros(n_samples)  # max_i |x_i| of each live row
     occ = np.zeros(n_samples)
     pos = np.arange(n_samples)
     step = 0
@@ -195,16 +195,19 @@ def sample_first_passage_batch(
         m = pos.size
         if return_occupation:
             occ += (x[:, 0] ** 2) * dt
-        x_new = x + stream.normals((m, n_agents)) * sqrt_dt
-        abs_new = np.abs(x_new)
-        crossed = (abs_new >= delta).any(axis=1)
+        z = stream.normals((m, n_agents))
+        z *= sqrt_dt
+        z += x  # z is now the post-step state
+        # column-major |z| turns the row maximum into n contiguous passes;
+        # a C-order reduction over a short row is many times slower
+        peak_new = np.abs(z, order="F").max(axis=1)
+        crossed = peak_new >= delta
         if bridge_correction:
             u = stream.uniforms(m)
-            near = ((abs_x > near_band) | (abs_new > near_band)).any(axis=1)
-            rows = np.flatnonzero(near & ~crossed)
+            rows = np.flatnonzero(((peak > near_band) | (peak_new > near_band)) & ~crossed)
             if rows.size:
                 a = x[rows]
-                b = x_new[rows]
+                b = z[rows]
                 # both endpoints are strictly inside the band on these rows
                 p = np.exp(-2.0 * (delta - a) * (delta - b) / dt)
                 p += np.exp(-2.0 * (delta + a) * (delta + b) / dt)
@@ -219,12 +222,12 @@ def sample_first_passage_batch(
                 occupation[done] = occ[crossed]
             keep = ~crossed
             pos = pos[keep]
-            x = x_new[keep]
-            abs_x = abs_new[keep]
+            x = z[keep]
+            peak = peak_new[keep]
             occ = occ[keep]
         else:
-            x = x_new
-            abs_x = abs_new
+            x = z
+            peak = peak_new
     if return_occupation:
         return times, occupation
     return times
