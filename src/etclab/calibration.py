@@ -139,6 +139,8 @@ def calibrate_global_threshold(
         raise ValueError(f"target period must be positive, got {target_global_period}")
     if not 0 < tolerance <= 0.2:
         raise ValueError(f"tolerance must be in (0, 0.2], got {tolerance}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     stream = stream if stream is not None else NoiseStream(0)
 
     delta = float(np.sqrt(target_global_period / mean_exit_time(n)))

@@ -11,18 +11,20 @@ trajectory   short trajectory dump for plotting
 selftest     fast internal consistency checks (exit 4 on failure)
 
 Every command writes a CSV (comma separators, '.' decimals) plus a
-``<out>.manifest.txt`` sidecar holding the resolved parameters, seed and
-library versions needed to reproduce it.  ``THREADS`` (a positive
-integer, default 1) fans the trials of a batch out over processes.  Exit
-codes: 0 success, 2 usage error, 3 calibration failure, 4 selftest
-failure.
+``<out>.manifest.txt`` sidecar holding the resolved parameters, seed,
+library versions, bit generator and code revision needed to reproduce
+it.  ``THREADS`` (a positive integer, default 1) fans the trials of a
+batch out over processes.  Exit codes: 0 success, 2 usage error, 3
+calibration failure, 4 selftest failure.
 """
 
 import argparse
 import csv
 import datetime
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import scipy
@@ -40,7 +42,7 @@ from .costs import (
     mean_exit_time,
 )
 from .driver import ScenarioConfig, run_batch, run_trial
-from .sde import NoiseStream
+from .sde import BIT_GENERATOR, NoiseStream
 from .triggering import (
     LevelBroadcast,
     LevelGlobal,
@@ -64,6 +66,28 @@ def _workers(parser) -> int:
     if workers < 1:
         parser.error(f"THREADS must be a positive integer, got {text!r}")
     return workers
+
+
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: a non-negative integer."""
+    message = f"seed must be a non-negative integer, got {text!r}"
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(message)
+    return value
+
+
+def _git_revision() -> str:
+    """Commit of the checkout this package runs from, or ``unknown``."""
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=Path(__file__).parent,
+                              capture_output=True, text=True, timeout=10, check=True)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return done.stdout.strip() or "unknown"
 
 
 def _fmt(value) -> str:
@@ -92,6 +116,8 @@ def _write_manifest(path: str, command: str, params: dict) -> None:
         f"numpy_version={np.__version__}",
         f"scipy_version={scipy.__version__}",
         f"python={sys.version.split()[0]}",
+        f"bitgen={BIT_GENERATOR.__name__}",
+        f"git_revision={_git_revision()}",
     ]
     for key in sorted(params):
         lines.append(f"arg.{key}={params[key]}")
@@ -109,7 +135,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dt", type=float, default=2e-3)
     p.add_argument("--horizon", type=float, default=2000.0)
     p.add_argument("--trials", type=int, default=8)
-    p.add_argument("--seed", type=int, default=1729)
+    p.add_argument("--seed", type=_seed, default=1729)
     p.add_argument("--delta", type=float, default=None, help="level threshold")
     p.add_argument("--period", type=float, default=None, help="periodic inter-event time")
     p.add_argument("--offsets", type=str, default=None,
@@ -340,6 +366,11 @@ def cmd_selftest(args, parser) -> int:
     check("closed-form mean exit time", abs(m1 - 1.0) < 1e-9 and m3 < m1,
           f"(m1={m1:.9f}, m3={m3:.6f})")
 
+    stepwise, chunked = NoiseStream(args.seed), NoiseStream(args.seed)
+    same = np.array_equal(np.concatenate([stepwise.normals(3) for _ in range(40)]),
+                          chunked.normals((40, 3)).ravel())
+    check("chunked draws match stepwise draws", same, f"({BIT_GENERATOR.__name__})")
+
     times = sample_first_passage_batch(NoiseStream(args.seed), 20_000, 1.0, 1e-3)
     mean = float(times.mean())
     check("first-passage mean (delta=1)", abs(mean - 1.0) < 0.03, f"(mean={mean:.4f})")
@@ -381,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--target-t", type=float, required=True)
     p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=1729)
+    p.add_argument("--seed", type=_seed, default=1729)
     p.add_argument("--samples", type=int, default=100_000, help=SAMPLES_HELP)
     p.add_argument("--tolerance", type=float, default=0.03)
     p.add_argument("--bridge-correction", choices=["on", "off"], default="on",
@@ -390,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("table1", help="4 schemes x 4 reference scenarios")
-    p.add_argument("--seed", type=int, default=1729)
+    p.add_argument("--seed", type=_seed, default=1729)
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--dt", type=float, default=2e-3)
     p.add_argument("--horizon", type=float, default=2000.0)
@@ -402,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ET vs TT (broadcast+local) across n, with cost ratios")
     p.add_argument("--n-list", default="3,10,50")
     p.add_argument("--target-t", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=1729)
+    p.add_argument("--seed", type=_seed, default=1729)
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--dt", type=float, default=2e-3)
     p.add_argument("--horizon", type=float, default=2000.0)
@@ -418,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trajectory)
 
     p = sub.add_parser("selftest", help="fast internal consistency checks")
-    p.add_argument("--seed", type=int, default=1729)
+    p.add_argument("--seed", type=_seed, default=1729)
     p.set_defaults(func=cmd_selftest)
 
     return parser

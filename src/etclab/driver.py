@@ -16,8 +16,8 @@ order as the plain per-step loop kept as ``run_trial_reference``; both
 integrators hand every event to one ``_apply_event``, so they differ
 only in stepping, trigger detection and cost summation, which the test
 suite compares.  Trials are embarrassingly parallel: each owns a
-counter-based substream keyed by its index, and batches merge per-trial
-results in fixed index order.
+substream keyed by its index, and batches merge per-trial results in
+fixed index order.
 """
 
 import warnings
@@ -90,6 +90,8 @@ class ScenarioConfig:
             raise ValueError("horizon must cover at least one step")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.trajectory_stride < 1:
             raise ValueError("trajectory_stride must be >= 1")
         scheme, scenario = self.scheme, self.scenario

@@ -5,9 +5,11 @@ Wiener processes ``v_i`` and impulsive control, so between impulses the
 Euler-Maruyama update is exact: ``x <- x + dw`` with ``dw`` drawn from
 Normal(0, dt).  Impulses act as instantaneous jumps at step boundaries.
 
-Noise comes from a counter-based (Philox) generator keyed by
-``(seed, trial_index)``, so every trial owns an independent, bit-for-bit
-reproducible substream regardless of how many trials run in parallel.
+Noise comes from an SFC64 generator seeded through ``SeedSequence``
+spawn keys ``(trial_index, *subkey)`` under the experiment seed, so
+every trial owns an independent, bit-for-bit reproducible substream
+regardless of how many trials run in parallel.  Draws come out in one
+sequence: a ``(k, n)`` block equals ``k`` successive draws of ``n``.
 """
 
 from dataclasses import dataclass, field
@@ -15,6 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["NoiseStream"]
+
+# the bit generator behind every stream; the CLI manifest records its name
+BIT_GENERATOR = np.random.SFC64
 
 
 @dataclass
@@ -24,7 +29,7 @@ class NoiseStream:
     Parameters
     ----------
     seed : int
-        Experiment-level seed (64-bit).
+        Experiment-level seed, a non-negative integer.
     trial_index : int
         Substream key; identical ``(seed, trial_index)`` pairs reproduce
         identical sequences bit for bit.
@@ -41,8 +46,10 @@ class NoiseStream:
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.trial_index, *self.subkey))
-        self._gen = np.random.Generator(np.random.Philox(ss))
+        self._gen = np.random.Generator(BIT_GENERATOR(ss))
 
     def normals(self, shape) -> np.ndarray:
         """Standard normal draws (times ``scale``), advancing the stream."""

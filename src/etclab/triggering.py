@@ -137,11 +137,18 @@ def sample_first_passage_batch(
 
     Every path is stepped on the ``dt`` grid until some agent leaves the
     band; the reported exit time is the end of the detecting step.  With
-    ``bridge_correction`` the per-step probability that the continuous
-    path crossed either boundary between grid points is computed from
-    the Brownian-bridge law and resolved with one uniform draw per path
-    per step, which removes nearly all of the O(sqrt(dt)) discrete
-    monitoring bias.
+    ``bridge_correction`` the probability that the continuous path
+    crossed either boundary between grid points is computed from the
+    Brownian-bridge law for every path that stayed inside the band but
+    has an endpoint within ``sqrt(20 dt)`` of a boundary (elsewhere it is
+    below 4e-18), and resolved with one uniform draw per such path, which
+    removes nearly all of the O(sqrt(dt)) discrete monitoring bias.
+
+    Each step draws ``normals((m, n_agents))`` for the ``m`` live paths,
+    then, when some of them get the bridge test, one uniform per tested
+    path in path order; one path therefore consumes its stream exactly
+    as a scalar loop drawing ``normals(n_agents)`` and, when tested,
+    ``uniforms(1)`` per step.
 
     Parameters
     ----------
@@ -203,7 +210,6 @@ def sample_first_passage_batch(
         peak_new = np.abs(z, order="F").max(axis=1)
         crossed = peak_new >= delta
         if bridge_correction:
-            u = stream.uniforms(m)
             rows = np.flatnonzero(((peak > near_band) | (peak_new > near_band)) & ~crossed)
             if rows.size:
                 a = x[rows]
@@ -213,7 +219,7 @@ def sample_first_passage_batch(
                 p += np.exp(-2.0 * (delta + a) * (delta + b) / dt)
                 np.clip(p, 0.0, 1.0, out=p)
                 survive = np.prod(1.0 - p, axis=1)
-                hit = u[rows] < 1.0 - survive
+                hit = stream.uniforms(rows.size) < 1.0 - survive
                 crossed[rows[hit]] = True
         if crossed.any():
             done = pos[crossed]

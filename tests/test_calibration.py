@@ -112,3 +112,5 @@ def test_argument_validation():
         calibrate_global_threshold(3, -0.5)
     with pytest.raises(ValueError):
         calibrate_global_threshold(3, 0.5, tolerance=0.5)
+    with pytest.raises(ValueError, match="samples"):
+        calibrate_global_threshold(3, 0.5, samples=0)

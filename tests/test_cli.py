@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import warnings
 
 import pytest
@@ -33,6 +34,8 @@ def test_simulate_writes_csv_and_manifest(tmp_path):
     assert "command=simulate" in manifest
     assert "arg.seed=7" in manifest
     assert "numpy_version=" in manifest
+    assert "bitgen=SFC64" in manifest
+    assert re.search(r"^git_revision=([0-9a-f]{40}|unknown)$", manifest, re.MULTILINE)
 
 
 def test_simulate_repeats_byte_identically(tmp_path):
@@ -63,6 +66,18 @@ def test_invalid_threads_is_usage_error(tmp_path, monkeypatch, capsys, threads):
     assert info.value.code == 2
     assert "THREADS" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["simulate", "calibrate", "table1", "sweep-n", "trajectory", "selftest"]
+)
+def test_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)  # where a default --out would land
+    with pytest.raises(SystemExit) as info:
+        run_cli([command, "--seed", "-1"])
+    assert info.value.code == 2
+    assert "seed must be a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_incompatible_scheme_is_usage_error(tmp_path):

@@ -81,6 +81,13 @@ def test_child_streams_are_independent():
     assert np.array_equal(a, NoiseStream(12).child(1).normals(64))
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        NoiseStream(-1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -5"):
+        quiet_config(n=3, scenario=B, scheme=LevelBroadcast(1.0), seed=-5)
+
+
 def test_nonpositive_dt_rejected():
     for dt in (0.0, -1.0):
         with pytest.raises(ValueError):

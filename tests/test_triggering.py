@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from etclab import (
     InfoScenario,
@@ -282,3 +284,46 @@ def test_passage_zero_noise_raises_instead_of_hanging():
         sample_first_passage_batch(
             NoiseStream(0, scale=0.0), 10, 1.0, 1e-3, max_steps=500
         )
+
+
+def scalar_first_passage(stream, delta, dt, n, bridge):
+    """One exit time, stepped one grid step at a time: ``normals(n)`` per
+    step, then one ``uniforms(1)`` only when the bridge test runs."""
+    sqrt_dt = math.sqrt(dt)
+    near_band = delta - math.sqrt(20.0 * dt)
+    x = np.zeros(n)
+    step = 0
+    while True:
+        step += 1
+        x_new = x + stream.normals(n) * sqrt_dt
+        peak, peak_new = np.abs(x).max(), np.abs(x_new).max()
+        if peak_new >= delta:
+            return step * dt
+        if bridge and (peak > near_band or peak_new > near_band):
+            p = np.exp(-2.0 * (delta - x) * (delta - x_new) / dt)
+            p += np.exp(-2.0 * (delta + x) * (delta + x_new) / dt)
+            survive = np.prod(1.0 - np.clip(p, 0.0, 1.0))
+            if stream.uniforms(1)[0] < 1.0 - survive:
+                return step * dt
+        x = x_new
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    delta=st.floats(0.05, 1.2),
+    dt=st.floats(5e-4, 1e-2),
+    n=st.integers(1, 12),
+    sign=st.sampled_from([1.0, -1.0]),
+    bridge=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+@example(delta=1.0, dt=1e-3, n=12, sign=1.0, bridge=True, seed=0)
+@example(delta=0.1, dt=1e-2, n=3, sign=-1.0, bridge=True, seed=1)  # every step tested
+def test_passage_batch_matches_scalar_oracle(delta, dt, n, sign, bridge, seed):
+    # exact equality pins the crossing rule and the order of the draws;
+    # three exit times in a row also check where each call leaves the stream
+    batch, scalar = NoiseStream(seed, scale=sign), NoiseStream(seed, scale=sign)
+    for _ in range(3):
+        got = sample_first_passage_batch(batch, 1, delta, dt, n_agents=n,
+                                         bridge_correction=bridge)
+        assert got[0] == scalar_first_passage(scalar, delta, dt, n, bridge)
