@@ -117,9 +117,9 @@ def staggered_offsets(n: int, period: float) -> Tuple[float, ...]:
     return tuple(period * i / n for i in range(n))
 
 
-def periodic_fire_step(tau, dt: float) -> np.ndarray:
-    """Grid step indices at which the deadlines ``tau`` (an array) are detected."""
-    return np.ceil(np.asarray(tau) / dt - EPS_REL).astype(np.int64)
+def periodic_fire_step(tau: np.ndarray, dt: float) -> np.ndarray:
+    """Grid step indices at which the deadlines ``tau`` are detected."""
+    return np.ceil(tau / dt - EPS_REL).astype(np.int64)
 
 
 def sample_first_passage_batch(
@@ -140,9 +140,9 @@ def sample_first_passage_batch(
     ``bridge_correction`` the probability that the continuous path
     crossed either boundary between grid points is computed from the
     Brownian-bridge law for every path that stayed inside the band but
-    has an endpoint within ``sqrt(20 dt)`` of a boundary (elsewhere it is
-    below 4e-18), and resolved with one uniform draw per such path, which
-    removes nearly all of the O(sqrt(dt)) discrete monitoring bias.
+    has an endpoint within ``sqrt(20 dt)`` of a boundary, and resolved
+    with one uniform draw per such path, which removes nearly all of the
+    O(sqrt(dt)) discrete monitoring bias.
 
     Each step draws ``normals((m, n_agents))`` for the ``m`` live paths,
     then, when some of them get the bridge test, one uniform per tested
@@ -199,10 +199,9 @@ def sample_first_passage_batch(
                 f"{pos.size} of {n_samples} paths not exited after {max_steps} steps "
                 f"(delta={delta}, dt={dt}); check the noise stream"
             )
-        m = pos.size
         if return_occupation:
             occ += (x[:, 0] ** 2) * dt
-        z = stream.normals((m, n_agents))
+        z = stream.normals((pos.size, n_agents))
         z *= sqrt_dt
         z += x  # z is now the post-step state
         # column-major |z| turns the row maximum into n contiguous passes;
