@@ -12,7 +12,6 @@ to hit target triggering rates.
 from .calibration import (
     CalibrationError,
     CalibrationResult,
-    calibrate_broadcast_threshold,
     calibrate_global_threshold,
 )
 from .control import (
@@ -44,7 +43,7 @@ from .driver import (
     run_trial_reference,
     run_trials,
 )
-from .graph import CompleteGraph, consensus_cost, laplacian_dense
+from .graph import consensus_cost_rows, laplacian_dense
 from .sde import NoiseStream
 from .triggering import (
     LevelBroadcast,

@@ -1,16 +1,15 @@
 """Threshold tuning so a level scheme hits a target mean inter-event time.
 
-Both thresholds are closed form.  For the broadcast-only scheme the mean
-single-agent exit time is exactly ``delta^2``, so the threshold is
-``sqrt(T)``.  For the global level scheme the mean exit time of the
-fastest of ``n`` motions is ``delta^2 * m_n`` by Brownian scaling, where
-``m_n`` is the closed-form unit-threshold mean of
+The threshold is closed form.  The mean exit time of the fastest of
+``n`` motions from ``[-delta, delta]`` is ``delta^2 * m_n`` by Brownian
+scaling, where ``m_n`` is the closed-form unit-threshold mean of
 :func:`etclab.costs.mean_exit_time`, so the threshold is
-``sqrt(T / m_n)``.  A Monte-Carlo verification run on the caller's grid
-then measures the achieved mean and its confidence interval; for the
-global scheme a miss beyond tolerance raises.  Sampling defaults to the
-bridge-corrected sampler: accuracy here dominates the bias of every
-rate-matched experiment downstream.
+``sqrt(T / m_n)``.  With ``n = 1`` (``m_1 = 1``) this is the
+broadcast-only threshold ``sqrt(T)`` for a target local period ``T``.
+A Monte-Carlo verification run with the bridge-corrected sampler on the
+caller's grid then measures the achieved mean and its confidence
+interval, and a miss beyond tolerance raises: accuracy here dominates
+the bias of every rate-matched experiment downstream.
 """
 
 from dataclasses import dataclass
@@ -25,8 +24,8 @@ from .triggering import sample_first_passage_batch
 __all__ = [
     "CalibrationResult",
     "CalibrationError",
-    "calibrate_broadcast_threshold",
     "calibrate_global_threshold",
+    "check_calibration_args",
 ]
 
 DEFAULT_SAMPLES = 100_000
@@ -43,7 +42,6 @@ class CalibrationResult:
     achieved_period: float
     ci_halfwidth: float
     samples_used: int
-    method: str
 
 
 class CalibrationError(RuntimeError):
@@ -59,46 +57,18 @@ class CalibrationError(RuntimeError):
         self.samples = samples
 
 
-def _mean_exit(stream: NoiseStream, n: int, delta: float, dt: float, samples: int,
-               bridge_correction: bool = True):
-    times = sample_first_passage_batch(
-        stream, samples, delta, dt, n_agents=n, bridge_correction=bridge_correction
-    )
-    mean = float(times.mean())
-    ci = float(1.96 * times.std(ddof=1) / np.sqrt(samples))
-    return mean, ci
-
-
-def calibrate_broadcast_threshold(
-    target_local_period: float,
-    stream: Optional[NoiseStream] = None,
-    dt: float = DEFAULT_DT,
-    samples: int = 20_000,
-    verify: bool = True,
-    bridge_correction: bool = True,
-) -> CalibrationResult:
-    """Threshold for the broadcast-only level rule: ``sqrt(target)``.
-
-    The mean exit law makes this exact; the optional Monte-Carlo run
-    only fills in the achieved value and its confidence interval.
-    """
-    if target_local_period <= 0:
-        raise ValueError(f"target period must be positive, got {target_local_period}")
-    delta = float(np.sqrt(target_local_period))
-    if verify:
-        stream = stream if stream is not None else NoiseStream(0)
-        achieved, ci = _mean_exit(stream.child(2), 1, delta, dt, samples,
-                                  bridge_correction)
-    else:
-        achieved, ci, samples = float("nan"), float("nan"), 0
-    return CalibrationResult(
-        delta_star=delta,
-        target_period=target_local_period,
-        achieved_period=achieved,
-        ci_halfwidth=ci,
-        samples_used=samples,
-        method="scaling-law",
-    )
+def check_calibration_args(n: int, target_global_period: float,
+                           tolerance: float = DEFAULT_TOLERANCE,
+                           samples: int = DEFAULT_SAMPLES) -> None:
+    """Raise ``ValueError`` unless ``calibrate_global_threshold`` accepts these."""
+    if n < 1:
+        raise ValueError(f"agent count must be >= 1, got {n}")
+    if target_global_period <= 0:
+        raise ValueError(f"target period must be positive, got {target_global_period}")
+    if not 0 < tolerance <= 0.2:
+        raise ValueError(f"tolerance must be in (0, 0.2], got {tolerance}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
 
 
 def calibrate_global_threshold(
@@ -108,9 +78,11 @@ def calibrate_global_threshold(
     dt: float = DEFAULT_DT,
     tolerance: float = DEFAULT_TOLERANCE,
     samples: int = DEFAULT_SAMPLES,
-    bridge_correction: bool = True,
 ) -> CalibrationResult:
     """Global level threshold for ``n`` agents: ``sqrt(target / m_n)``.
+
+    ``n = 1`` gives the broadcast-only threshold ``sqrt(target)``, whose
+    target is the local inter-event time of one agent.
 
     Parameters
     ----------
@@ -133,24 +105,18 @@ def calibrate_global_threshold(
         If the verification run misses the target beyond tolerance,
         carrying the diagnostics.
     """
-    if n < 1:
-        raise ValueError(f"agent count must be >= 1, got {n}")
-    if target_global_period <= 0:
-        raise ValueError(f"target period must be positive, got {target_global_period}")
-    if not 0 < tolerance <= 0.2:
-        raise ValueError(f"tolerance must be in (0, 0.2], got {tolerance}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    check_calibration_args(n, target_global_period, tolerance, samples)
     stream = stream if stream is not None else NoiseStream(0)
 
     delta = float(np.sqrt(target_global_period / mean_exit_time(n)))
     # verification only needs the mean pinned to ~1/10 of the tolerance
     verify_samples = max(samples // 5, 5_000)
-    achieved, ci = _mean_exit(stream.child(2), n, delta, dt, verify_samples,
-                              bridge_correction)
+    times = sample_first_passage_batch(stream.child(2), verify_samples, delta, dt, n_agents=n)
+    achieved = float(times.mean())
+    ci = float(1.96 * times.std(ddof=1) / np.sqrt(verify_samples))
     if abs(achieved - target_global_period) > tolerance * target_global_period:
         raise CalibrationError(
-            f"calibration missed target {target_global_period} "
+            f"calibration missed target {target_global_period} for n={n} "
             f"(achieved {achieved:.6g} at delta={delta:.6g}, tolerance {tolerance:.1%})",
             delta=delta,
             target=target_global_period,
@@ -164,5 +130,4 @@ def calibrate_global_threshold(
         achieved_period=achieved,
         ci_halfwidth=ci,
         samples_used=verify_samples,
-        method="scaling-law",
     )

@@ -14,8 +14,11 @@ Every command writes a CSV (comma separators, '.' decimals) plus a
 ``<out>.manifest.txt`` sidecar holding the resolved parameters, seed,
 library versions, bit generator and code revision needed to reproduce
 it.  ``THREADS`` (a positive integer, default 1) fans the trials of a
-batch out over processes.  Exit codes: 0 success, 2 usage error, 3
-calibration failure, 4 selftest failure.
+batch out over processes.  ``table1`` and ``sweep-n`` calibrate and run
+their broadcast-plus-local ET/TT pairs through one loop.  Exit codes: 0
+success, 2 usage error (any input the library rejects, caught before
+work starts), 3 calibration failure (no CSV is written), 4 selftest
+failure.
 """
 
 import argparse
@@ -24,13 +27,21 @@ import datetime
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .calibration import CalibrationError, calibrate_global_threshold
+from .calibration import (
+    DEFAULT_DT,
+    DEFAULT_SAMPLES,
+    DEFAULT_TOLERANCE,
+    CalibrationError,
+    calibrate_global_threshold,
+    check_calibration_args,
+)
 from .control import Average, Fixed, InfoScenario, Leader
 from .costs import (
     expected_occupation_integral,
@@ -53,6 +64,7 @@ from .triggering import (
 )
 
 TABLE1_ROWS = [(3, 0.25), (3, 0.5), (10, 0.5), (50, 0.5)]
+B, BL = InfoScenario.BROADCAST, InfoScenario.BROADCAST_LOCAL
 SAMPLES_HELP = ("calibration verification budget: a fifth of it, "
                 "at least 5000 exit times, is drawn")
 
@@ -142,6 +154,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="comma list of async phases; default evenly staggered")
 
 
+def _usage_checked(parser, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, with a ``ValueError`` turned into a usage error."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _rule_from(args):
     return {"average": Average(), "leader": Leader(), "fixed": Fixed(0.0)}[args.rule]
 
@@ -151,11 +171,7 @@ def _config_from(args, parser, **overrides) -> ScenarioConfig:
     if args.trigger == "level":
         if args.delta is None:
             parser.error("--trigger level requires --delta")
-        scheme = (
-            LevelBroadcast(args.delta)
-            if scenario is InfoScenario.BROADCAST
-            else LevelGlobal(args.delta)
-        )
+        scheme = LevelBroadcast(args.delta) if scenario is B else LevelGlobal(args.delta)
     else:
         if args.period is None:
             parser.error(f"--trigger {args.trigger} requires --period")
@@ -178,10 +194,7 @@ def _config_from(args, parser, **overrides) -> ScenarioConfig:
         seed=args.seed,
     )
     kwargs.update(overrides)
-    try:
-        return ScenarioConfig(**kwargs)
-    except ValueError as exc:
-        parser.error(str(exc))
+    return _usage_checked(parser, ScenarioConfig, **kwargs)
 
 
 def _params_of(args, skip=("func", "out", "workers")) -> dict:
@@ -209,25 +222,14 @@ def cmd_simulate(args, parser) -> int:
 
 
 def cmd_calibrate(args, parser) -> int:
-    if args.target_t is None or args.target_t <= 0:
-        parser.error("--target-t must be a positive time")
-    stream = NoiseStream(args.seed)
-    try:
-        result = calibrate_global_threshold(
-            args.n,
-            args.target_t,
-            stream=stream,
-            dt=args.dt,
-            tolerance=args.tolerance,
-            samples=args.samples,
-            bridge_correction=args.bridge_correction == "on",
-        )
-    except CalibrationError as exc:
-        print(f"calibration failed: {exc}", file=sys.stderr)
-        return 3
-    header = ["n", "target_T", "delta", "achieved_T", "ci", "samples", "method"]
+    _usage_checked(parser, check_calibration_args, args.n, args.target_t,
+                   args.tolerance, args.samples)
+    result = calibrate_global_threshold(args.n, args.target_t, stream=NoiseStream(args.seed),
+                                        dt=args.dt, tolerance=args.tolerance,
+                                        samples=args.samples)
+    header = ["n", "target_T", "delta", "achieved_T", "ci", "samples"]
     row = [args.n, args.target_t, result.delta_star, result.achieved_period,
-           result.ci_halfwidth, result.samples_used, result.method]
+           result.ci_halfwidth, result.samples_used]
     _write_csv(args.out, header, [row])
     _write_manifest(args.out, "calibrate", _params_of(args))
     print(f"wrote {args.out}: delta = {result.delta_star:.6g} "
@@ -235,46 +237,62 @@ def cmd_calibrate(args, parser) -> int:
     return 0
 
 
+def _batch_config(args, n, scenario, scheme) -> ScenarioConfig:
+    return ScenarioConfig(n=n, scenario=scenario, scheme=scheme, rule=Average(),
+                          dt=args.dt, horizon=args.horizon, trials=args.trials,
+                          seed=args.seed)
+
+
 def _batch(args, n, scenario, scheme):
-    config = ScenarioConfig(n=n, scenario=scenario, scheme=scheme, rule=Average(),
-                            dt=args.dt, horizon=args.horizon, trials=args.trials,
-                            seed=args.seed)
-    return run_batch(config, workers=args.workers)
+    return run_batch(_batch_config(args, n, scenario, scheme), workers=args.workers)
+
+
+def _check_bl_pairs(args, parser, pairs) -> None:
+    """Usage-check every ``(n, target)`` of the bl pairs before any work starts."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the batches warn when they run
+        for n, target in pairs:
+            _usage_checked(parser, check_calibration_args, n, target, samples=args.samples)
+            _usage_checked(parser, _batch_config, args, n, BL, PeriodicSync(target))
+
+
+def _bl_pair(args, n, target, stream):
+    """Calibrate the global level threshold, then run TT-bl and ET-bl at ``target``.
+
+    Returns ``(delta, tt_report, et_report)``; a calibration miss raises
+    ``CalibrationError``, which ``main`` turns into exit code 3.
+    """
+    cal = calibrate_global_threshold(n, target, stream=stream.child(n), samples=args.samples)
+    tt = _batch(args, n, BL, PeriodicSync(target))
+    et = _batch(args, n, BL, LevelGlobal(cal.delta_star))
+    return cal.delta_star, tt, et
 
 
 def cmd_table1(args, parser) -> int:
+    _check_bl_pairs(args, parser, TABLE1_ROWS)
     header = ["n", "target_global_T", "scheme", "scenario", "delta", "j_sim",
-              "j_analytic", "mean_global_T", "ci", "note"]
+              "j_analytic", "mean_global_T", "ci"]
     rows = []
     stream = NoiseStream(args.seed)
     for n, target in TABLE1_ROWS:
         local_period = n * target
-        rep = _batch(args, n, InfoScenario.BROADCAST, PeriodicSync(local_period))
+        rep = _batch(args, n, B, PeriodicSync(local_period))
         rows.append([n, target, "TT", "b", None, rep.j_time_avg,
                      j_tt_broadcast(n, local_period),
-                     rep.mean_local_interevent / n, rep.ci_halfwidth, None])
+                     rep.mean_local_interevent / n, rep.ci_halfwidth])
 
         delta_b = float(np.sqrt(local_period))
-        rep = _batch(args, n, InfoScenario.BROADCAST, LevelBroadcast(delta_b))
+        rep = _batch(args, n, B, LevelBroadcast(delta_b))
         rows.append([n, target, "ET", "b", delta_b, rep.j_time_avg,
                      j_et_broadcast(n, delta_b),
-                     rep.mean_local_interevent / n, rep.ci_halfwidth, None])
+                     rep.mean_local_interevent / n, rep.ci_halfwidth])
 
-        rep = _batch(args, n, InfoScenario.BROADCAST_LOCAL, PeriodicSync(target))
-        rows.append([n, target, "TT", "bl", None, rep.j_time_avg,
+        delta, tt, et = _bl_pair(args, n, target, stream)
+        rows.append([n, target, "TT", "bl", None, tt.j_time_avg,
                      j_tt_broadcast_local(n, target),
-                     rep.mean_global_interevent, rep.ci_halfwidth, None])
-
-        try:
-            cal = calibrate_global_threshold(n, target, stream=stream.child(n),
-                                             samples=args.samples)
-        except CalibrationError as exc:
-            rows.append([n, target, "ET", "bl", None, None, None, None, None,
-                         f"calibration failed: {exc}"])
-            continue
-        rep = _batch(args, n, InfoScenario.BROADCAST_LOCAL, LevelGlobal(cal.delta_star))
-        rows.append([n, target, "ET", "bl", cal.delta_star, rep.j_time_avg,
-                     None, rep.mean_global_interevent, rep.ci_halfwidth, None])
+                     tt.mean_global_interevent, tt.ci_halfwidth])
+        rows.append([n, target, "ET", "bl", delta, et.j_time_avg,
+                     None, et.mean_global_interevent, et.ci_halfwidth])
     _write_csv(args.out, header, rows)
     _write_manifest(args.out, "table1", _params_of(args))
     print(f"wrote {args.out}: {len(rows)} rows")
@@ -294,26 +312,20 @@ def _parse_n_list(text, parser):
 def cmd_sweep_n(args, parser) -> int:
     n_list = _parse_n_list(args.n_list, parser)
     target = args.target_t
+    _check_bl_pairs(args, parser, [(n, target) for n in n_list])
     header = ["n", "target_global_T", "delta", "j_tt_bl_sim", "j_et_bl_sim",
               "j_tt_bl_analytic", "diff", "ci_diff", "mean_global_T_et", "consistent",
               "ratio_b_analytic", "ratio_bl_mc"]
     rows = []
     stream = NoiseStream(args.seed)
     for n in n_list:
-        try:
-            cal = calibrate_global_threshold(n, target, stream=stream.child(n),
-                                             samples=args.samples)
-        except CalibrationError as exc:
-            print(f"n={n}: calibration failed: {exc}", file=sys.stderr)
-            return 3
-        rep_tt = _batch(args, n, InfoScenario.BROADCAST_LOCAL, PeriodicSync(target))
-        rep_et = _batch(args, n, InfoScenario.BROADCAST_LOCAL, LevelGlobal(cal.delta_star))
+        delta, rep_tt, rep_et = _bl_pair(args, n, target, stream)
         diff = rep_et.j_time_avg - rep_tt.j_time_avg
         ci_diff = 1.96 * float(
             np.sqrt(np.var(rep_et.j_trials, ddof=1) / len(rep_et.j_trials)
                     + np.var(rep_tt.j_trials, ddof=1) / len(rep_tt.j_trials))
         )
-        rows.append([n, target, cal.delta_star, rep_tt.j_time_avg, rep_et.j_time_avg,
+        rows.append([n, target, delta, rep_tt.j_time_avg, rep_et.j_time_avg,
                      j_tt_broadcast_local(n, target), diff, ci_diff,
                      rep_et.mean_global_interevent,
                      "yes" if diff < 0 else "no",
@@ -376,7 +388,7 @@ def cmd_selftest(args, parser) -> int:
     check("first-passage mean (delta=1)", abs(mean - 1.0) < 0.03, f"(mean={mean:.4f})")
 
     config = ScenarioConfig(
-        n=3, scenario=InfoScenario.BROADCAST, scheme=LevelBroadcast(float(np.sqrt(1.5))),
+        n=3, scenario=B, scheme=LevelBroadcast(float(np.sqrt(1.5))),
         dt=2e-3, horizon=250.0, trials=2, seed=args.seed)
     rep1 = run_batch(config)
     rep2 = run_batch(config)
@@ -411,12 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="tune the global level threshold")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--target-t", type=float, required=True)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=float, default=DEFAULT_DT)
     p.add_argument("--seed", type=_seed, default=1729)
-    p.add_argument("--samples", type=int, default=100_000, help=SAMPLES_HELP)
-    p.add_argument("--tolerance", type=float, default=0.03)
-    p.add_argument("--bridge-correction", choices=["on", "off"], default="on",
-                   help="within-step crossing correction for the samplers")
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help=SAMPLES_HELP)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--out", default="calibrate.csv")
     p.set_defaults(func=cmd_calibrate)
 
@@ -425,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--dt", type=float, default=2e-3)
     p.add_argument("--horizon", type=float, default=2000.0)
-    p.add_argument("--samples", type=int, default=100_000, help=SAMPLES_HELP)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help=SAMPLES_HELP)
     p.add_argument("--out", default="table1.csv")
     p.set_defaults(func=cmd_table1)
 
@@ -437,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--dt", type=float, default=2e-3)
     p.add_argument("--horizon", type=float, default=2000.0)
-    p.add_argument("--samples", type=int, default=100_000, help=SAMPLES_HELP)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help=SAMPLES_HELP)
     p.add_argument("--out", default="sweep_n.csv")
     p.set_defaults(func=cmd_sweep_n)
 
@@ -459,7 +469,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.workers = _workers(parser)
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except CalibrationError as exc:
+        print(f"calibration failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

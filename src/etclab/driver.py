@@ -22,13 +22,14 @@ fixed index order.
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional
 
 import numpy as np
 
 from .control import Average, ConsensusRule, InfoScenario, consensus_value
 from .costs import CostAccumulator, CostReport, finalize
-from .graph import CompleteGraph, consensus_cost, consensus_cost_rows
+from .graph import consensus_cost_rows
 from .sde import NoiseStream
 from .triggering import (
     EPS_REL,
@@ -154,13 +155,8 @@ def run_trials(config: ScenarioConfig, workers: int = 1) -> List[TrialResult]:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_trial_task, ((config, i) for i in indices)))
+            return list(pool.map(partial(run_trial, config), indices))
     return [run_trial(config, i) for i in indices]
-
-
-def _trial_task(args) -> TrialResult:
-    config, index = args
-    return run_trial(config, index)
 
 
 def run_batch(config: ScenarioConfig, workers: int = 1) -> CostReport:
@@ -329,7 +325,7 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
 
             # left-endpoint rectangles over the accepted rows
             lefts = np.concatenate((x[None, :], path[:-1]), axis=0)
-            cost_vals = consensus_cost_rows(n, lefts)
+            cost_vals = consensus_cost_rows(lefts)
             acc.integral_sum += float(cost_vals.sum()) * dt
             acc.elapsed += length * dt
             dev1 = lefts[:, 0] - ref[0]
@@ -377,19 +373,19 @@ def run_trial_reference(
 ) -> TrialResult:
     """Per-step integrator that validates ``run_trial``.
 
-    It shares the event protocol with the fast path but does its own
-    stepping (one draw per agent per step), trigger detection and scalar
-    cost, so comparing the two checks the chunked stepping, the trigger
-    search and the deadline counters.  Trigger instants come out
-    identical, cost tallies equal up to summation order.  Slow (pure
-    Python loop); meant for short horizons.  Records no trajectory.
+    It shares the event protocol and the cost form with the fast path
+    but does its own stepping (one draw per agent per step), trigger
+    detection and per-step cost summation, so comparing the two checks
+    the chunked stepping, the trigger search and the deadline counters.
+    Trigger instants come out identical, cost tallies equal up to
+    summation order.  Slow (pure Python loop); meant for short horizons.
+    Records no trajectory.
     """
     n = config.n
     dt = config.dt
     scheme = config.scheme
     broadcast_only = config.scenario is InfoScenario.BROADCAST
     level = isinstance(scheme, (LevelBroadcast, LevelGlobal))
-    graph = CompleteGraph(n)
     stream = NoiseStream(config.seed, trial_index, noise_scale)
     sqrt_dt = np.sqrt(dt)
     fleet = _Fleet.start(config)
@@ -397,7 +393,7 @@ def run_trial_reference(
 
     for step in range(1, config.steps + 1):
         ref = fleet.xhat if broadcast_only else fleet.snapshot
-        acc.integral_sum += consensus_cost(graph, fleet.x) * dt
+        acc.integral_sum += float(consensus_cost_rows(fleet.x)) * dt
         acc.elapsed += dt
         dev1 = fleet.x[0] - ref[0]
         fleet.cycle_reward += dev1 * dev1 * dt

@@ -6,50 +6,29 @@ is evaluated through the algebraic identity
 
     x' L x = n * sum(x_i^2) - (sum(x_i))^2
 
-which is O(n) and never materializes the matrix.  ``laplacian_dense`` is
-provided for testing and debugging only.
+which is O(n) and never materializes the matrix; ``consensus_cost_rows``
+is its one implementation, for a single state or a stack of state rows.
+``laplacian_dense`` is provided for testing and debugging only.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CompleteGraph", "consensus_cost", "laplacian_dense"]
+__all__ = ["consensus_cost_rows", "laplacian_dense"]
 
 
-@dataclass(frozen=True)
-class CompleteGraph:
-    """Complete communication graph on ``n`` agents."""
+def consensus_cost_rows(states) -> np.ndarray:
+    """``x' L x`` along the last axis, whose length is the agent count ``n``.
 
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"agent count must be >= 1, got {self.n}")
-
-
-def consensus_cost(graph: CompleteGraph, x) -> float:
-    """Quadratic deviation from consensus, ``x' L x``.
-
-    Equals half the sum of ``(x_i - x_j)^2`` over ordered agent pairs.
-    Zero exactly when all entries of ``x`` are equal.
+    Equals half the sum of ``(x_i - x_j)^2`` over ordered agent pairs and
+    is zero exactly when all entries of a row are equal.  A single state
+    vector gives a 0-d array.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (graph.n,):
-        raise ValueError(f"state vector has shape {x.shape}, expected ({graph.n},)")
-    s = x.sum()
-    # cancellation near consensus can round a hair below zero
-    return max(0.0, float(graph.n * np.dot(x, x) - s * s))
-
-
-def consensus_cost_rows(n: int, states) -> np.ndarray:
-    """Vectorized ``x' L x`` along the last axis of an array of state rows."""
     states = np.asarray(states, dtype=float)
     s = states.sum(axis=-1)
-    return np.maximum(n * (states * states).sum(axis=-1) - s * s, 0.0)
+    # cancellation near consensus can round a hair below zero
+    return np.maximum(states.shape[-1] * (states * states).sum(axis=-1) - s * s, 0.0)
 
 
-def laplacian_dense(graph: CompleteGraph) -> np.ndarray:
+def laplacian_dense(n: int) -> np.ndarray:
     """Dense ``n x n`` Laplacian ``n*I - ones*ones^T`` (debug/testing aid)."""
-    n = graph.n
     return n * np.eye(n) - np.ones((n, n))

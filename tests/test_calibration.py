@@ -6,7 +6,6 @@ import pytest
 from etclab import (
     CalibrationError,
     NoiseStream,
-    calibrate_broadcast_threshold,
     calibrate_global_threshold,
     mean_exit_time,
     sample_first_passage_batch,
@@ -14,24 +13,25 @@ from etclab import (
 
 
 def test_broadcast_threshold_closed_form():
-    assert calibrate_broadcast_threshold(1.5, verify=False).delta_star == pytest.approx(
-        math.sqrt(1.5)
-    )
-    assert calibrate_broadcast_threshold(0.75, verify=False).delta_star == pytest.approx(
-        0.8660, abs=1e-4
-    )
-    assert calibrate_broadcast_threshold(1.0, verify=False).delta_star == 1.0
+    # n = 1 is the broadcast-only rule: m_1 = 1, so delta = sqrt(T) exactly
+    def delta(target):
+        return calibrate_global_threshold(1, target, stream=NoiseStream(2), samples=1,
+                                          tolerance=0.2).delta_star
+
+    assert delta(1.5) == pytest.approx(math.sqrt(1.5))
+    assert delta(0.75) == pytest.approx(0.8660, abs=1e-4)
+    assert delta(1.0) == 1.0
 
 
 def test_broadcast_threshold_verified_mean():
-    result = calibrate_broadcast_threshold(1.5, stream=NoiseStream(3), samples=20_000)
+    result = calibrate_global_threshold(1, 1.5, stream=NoiseStream(3), samples=100_000)
     assert result.achieved_period == pytest.approx(1.5, rel=0.03)
-    assert result.method == "scaling-law"
+    assert result.samples_used == 20_000
 
 
 def test_broadcast_threshold_rejects_bad_target():
     with pytest.raises(ValueError):
-        calibrate_broadcast_threshold(0.0)
+        calibrate_global_threshold(1, 0.0)
 
 
 def test_single_agent_global_threshold_is_sqrt_target():

@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from etclab import CalibrationError, cli
 from etclab.cli import main
 
 
@@ -45,17 +46,43 @@ def test_simulate_repeats_byte_identically(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_usage_errors_exit_2(tmp_path):
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["simulate", "--trigger", "level"], "--trigger level requires --delta",
+                 id="simulate-level-without-delta"),
+    pytest.param(["simulate", "--trigger", "warp"], "invalid choice", id="simulate-trigger"),
+    pytest.param(["simulate", "--trigger", "level", "--delta", "1", "--scenario", "bl",
+                  "--rule", "nope"], "invalid choice", id="simulate-rule"),
+    pytest.param(["calibrate", "--target-t", "0.5", "--samples", "0"],
+                 "samples must be >= 1, got 0", id="calibrate-samples"),
+    pytest.param(["calibrate", "--target-t", "0.5", "--tolerance", "0.5"],
+                 "tolerance must be in (0, 0.2], got 0.5", id="calibrate-tolerance"),
+    pytest.param(["calibrate", "--target-t", "0.5", "--n", "0"],
+                 "agent count must be >= 1, got 0", id="calibrate-n"),
+    pytest.param(["table1", "--trials", "0"], "trials must be >= 1, got 0",
+                 id="table1-trials"),
+    pytest.param(["table1", "--horizon", "0.001"], "horizon must cover at least one step",
+                 id="table1-horizon"),
+    pytest.param(["sweep-n", "--samples", "0"], "samples must be >= 1, got 0",
+                 id="sweep-n-samples"),
+    pytest.param(["sweep-n", "--n-list", "0"], "agent count must be >= 1, got 0",
+                 id="sweep-n-n-list"),
+    pytest.param(["sweep-n", "--n-list", "3,0"], "agent count must be >= 1, got 0",
+                 id="sweep-n-n-list-late"),
+    pytest.param(["sweep-n", "--target-t", "-1"], "target period must be positive, got -1.0",
+                 id="sweep-n-target-t"),
+])
+def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the inputs were checked")
+
+    monkeypatch.chdir(tmp_path)  # where a default --out would land
+    monkeypatch.setattr(cli, "run_batch", no_work)
+    monkeypatch.setattr(cli, "calibrate_global_threshold", no_work)
     with pytest.raises(SystemExit) as info:
-        run_cli(["simulate", "--trigger", "level"])  # missing --delta
+        run_cli(argv)
     assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        run_cli(["simulate", "--trigger", "warp"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        run_cli(["simulate", "--trigger", "level", "--delta", "1", "--scenario", "bl",
-                 "--rule", "nope"])
-    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
@@ -107,12 +134,19 @@ def test_calibrate_failure_exits_3(tmp_path, capsys):
     assert "calibration failed" in capsys.readouterr().err
 
 
-def test_table1_structure(tmp_path):
-    out = tmp_path / "t1.csv"
-    code = run_cli(["table1", "--horizon", "40", "--trials", "2", "--seed", "5",
-                    "--samples", "4000", "--out", str(out)])
-    assert code == 0
-    header, rows = read_csv(out)
+BL_LOOP_ARGS = ["--horizon", "40", "--trials", "2", "--seed", "5", "--samples", "4000"]
+
+
+@pytest.fixture(scope="module")
+def table1_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("table1") / "t1.csv"
+    assert run_cli(["table1", *BL_LOOP_ARGS, "--out", str(out)]) == 0
+    return read_csv(out)
+
+
+def test_table1_structure(table1_csv):
+    header, rows = table1_csv
+    assert "note" not in header
     assert len(rows) == 16
     i_n = header.index("n")
     i_scheme, i_scen = header.index("scheme"), header.index("scenario")
@@ -133,6 +167,34 @@ def test_table1_structure(tmp_path):
             assert float(row[i_analytic]) == n * (n - 1) * target / 2
         else:
             assert row[i_analytic] == ""  # no closed form for ET bl
+
+
+def test_table1_and_sweep_n_share_the_bl_loop(table1_csv, tmp_path):
+    header, rows = table1_csv
+    bl = {row[header.index("scheme")]: row for row in rows
+          if (row[header.index("n")], row[header.index("target_global_T")],
+              row[header.index("scenario")]) == ("3", "0.5", "bl")}
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep-n", "--n-list", "3", *BL_LOOP_ARGS, "--out", str(out)]) == 0
+    sweep_header, (sweep,) = read_csv(out)
+    assert sweep[sweep_header.index("target_global_T")] == "0.5"
+    assert sweep[sweep_header.index("delta")] == bl["ET"][header.index("delta")]
+    assert sweep[sweep_header.index("j_tt_bl_sim")] == bl["TT"][header.index("j_sim")]
+    assert sweep[sweep_header.index("j_et_bl_sim")] == bl["ET"][header.index("j_sim")]
+
+
+@pytest.mark.parametrize("command", ["table1", "sweep-n"])
+def test_calibration_miss_exits_3_without_csv(tmp_path, monkeypatch, capsys, command):
+    def miss(n, target, **kwargs):
+        raise CalibrationError("calibration missed target", delta=1.0, target=target,
+                               achieved=2 * target, tolerance=0.03, samples=5000)
+
+    monkeypatch.setattr(cli, "calibrate_global_threshold", miss)
+    out = tmp_path / "x.csv"
+    code = run_cli([command, "--horizon", "20", "--trials", "2", "--out", str(out)])
+    assert code == 3
+    assert "calibration failed: calibration missed target" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_n_row_per_agent_count(tmp_path):

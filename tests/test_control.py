@@ -11,7 +11,7 @@ from etclab import (
     consensus_value,
 )
 from etclab.driver import _apply_event, _Fleet
-from etclab.graph import CompleteGraph, consensus_cost
+from etclab.graph import consensus_cost_rows
 
 B = InfoScenario.BROADCAST
 BL = InfoScenario.BROADCAST_LOCAL
@@ -126,7 +126,7 @@ def test_local_impulse_leader_reset():
 
 def test_local_impulse_kills_consensus_cost():
     event = fire([0.3, -1.2, 0.8, 0.05], [2], BL)
-    assert consensus_cost(CompleteGraph(4), event.x_post) == 0.0
+    assert consensus_cost_rows(event.x_post) == 0.0
 
 
 def test_renewal_cycles_close_on_agent_zero_or_global_events():

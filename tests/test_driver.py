@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from etclab import (
     Average,
-    CompleteGraph,
     Fixed,
     InfoScenario,
     Leader,
@@ -18,7 +17,7 @@ from etclab import (
     PeriodicAsync,
     PeriodicSync,
     ScenarioConfig,
-    consensus_cost,
+    consensus_cost_rows,
     finalize,
     run_batch,
     run_trial,
@@ -229,6 +228,22 @@ def test_trial_identical_alone_or_in_batch():
     assert alone == batched
 
 
+def test_process_pool_matches_serial_trials():
+    config = quiet_config(n=3, scenario=BL, scheme=LevelGlobal(1.0),
+                          horizon=50.0, trials=3, seed=13)
+    serial = [r.accumulator for r in run_trials(config, workers=1)]
+    pooled = [r.accumulator for r in run_trials(config, workers=2)]
+    assert len(pooled) == len(serial) == 3
+    for a, b in zip(pooled, serial):
+        assert a.integral_sum == b.integral_sum
+        assert a.elapsed == b.elapsed
+        assert a.per_renewal_costs == b.per_renewal_costs
+        assert a.per_renewal_lengths == b.per_renewal_lengths
+        assert np.array_equal(a.local_event_counts, b.local_event_counts)
+        assert a.global_event_count == b.global_event_count
+    assert finalize(pooled) == finalize(serial)
+
+
 def test_ci_shrinks_with_more_trials():
     base = dict(n=3, scenario=B, scheme=LevelBroadcast(1.0), horizon=150.0, seed=12)
     ci8 = run_batch(quiet_config(trials=8, **base)).ci_halfwidth
@@ -295,11 +310,10 @@ def test_every_global_event_resets_consensus_exactly():
     config = quiet_config(n=3, scenario=BL, scheme=LevelGlobal(1.0),
                           horizon=150.0, trials=1, seed=7, record_events=True)
     run = run_trial(config, 0)
-    g = CompleteGraph(3)
     assert len(run.events) > 50
     for event in run.events:
         assert np.all(event.x_post == event.x_post[0])
-        assert consensus_cost(g, event.x_post) <= 1e-12
+        assert consensus_cost_rows(event.x_post) <= 1e-12
         assert event.is_global
 
 
