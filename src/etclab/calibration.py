@@ -42,6 +42,9 @@ class CalibrationResult:
     achieved_period: float
     ci_halfwidth: float
     samples_used: int
+    # always "scaling-law"; perfbench/run.py counts "bisection" values as
+    # calibration.fallbacks, so the field goes when that metric does
+    method: str = "scaling-law"
 
 
 class CalibrationError(RuntimeError):

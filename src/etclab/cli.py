@@ -64,7 +64,6 @@ from .triggering import (
 )
 
 TABLE1_ROWS = [(3, 0.25), (3, 0.5), (10, 0.5), (50, 0.5)]
-B, BL = InfoScenario.BROADCAST, InfoScenario.BROADCAST_LOCAL
 SAMPLES_HELP = ("calibration verification budget: a fifth of it, "
                 "at least 5000 exit times, is drawn")
 
@@ -171,7 +170,11 @@ def _config_from(args, parser, **overrides) -> ScenarioConfig:
     if args.trigger == "level":
         if args.delta is None:
             parser.error("--trigger level requires --delta")
-        scheme = LevelBroadcast(args.delta) if scenario is B else LevelGlobal(args.delta)
+        scheme = (
+            LevelBroadcast(args.delta)
+            if scenario is InfoScenario.BROADCAST
+            else LevelGlobal(args.delta)
+        )
     else:
         if args.period is None:
             parser.error(f"--trigger {args.trigger} requires --period")
@@ -194,7 +197,10 @@ def _config_from(args, parser, **overrides) -> ScenarioConfig:
         seed=args.seed,
     )
     kwargs.update(overrides)
-    return _usage_checked(parser, ScenarioConfig, **kwargs)
+    try:
+        return ScenarioConfig(**kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _params_of(args, skip=("func", "out", "workers")) -> dict:
@@ -253,7 +259,8 @@ def _check_bl_pairs(args, parser, pairs) -> None:
         warnings.simplefilter("ignore")  # the batches warn when they run
         for n, target in pairs:
             _usage_checked(parser, check_calibration_args, n, target, samples=args.samples)
-            _usage_checked(parser, _batch_config, args, n, BL, PeriodicSync(target))
+            _usage_checked(parser, _batch_config, args, n, InfoScenario.BROADCAST_LOCAL,
+                           PeriodicSync(target))
 
 
 def _bl_pair(args, n, target, stream):
@@ -263,8 +270,8 @@ def _bl_pair(args, n, target, stream):
     ``CalibrationError``, which ``main`` turns into exit code 3.
     """
     cal = calibrate_global_threshold(n, target, stream=stream.child(n), samples=args.samples)
-    tt = _batch(args, n, BL, PeriodicSync(target))
-    et = _batch(args, n, BL, LevelGlobal(cal.delta_star))
+    tt = _batch(args, n, InfoScenario.BROADCAST_LOCAL, PeriodicSync(target))
+    et = _batch(args, n, InfoScenario.BROADCAST_LOCAL, LevelGlobal(cal.delta_star))
     return cal.delta_star, tt, et
 
 
@@ -276,13 +283,13 @@ def cmd_table1(args, parser) -> int:
     stream = NoiseStream(args.seed)
     for n, target in TABLE1_ROWS:
         local_period = n * target
-        rep = _batch(args, n, B, PeriodicSync(local_period))
+        rep = _batch(args, n, InfoScenario.BROADCAST, PeriodicSync(local_period))
         rows.append([n, target, "TT", "b", None, rep.j_time_avg,
                      j_tt_broadcast(n, local_period),
                      rep.mean_local_interevent / n, rep.ci_halfwidth])
 
         delta_b = float(np.sqrt(local_period))
-        rep = _batch(args, n, B, LevelBroadcast(delta_b))
+        rep = _batch(args, n, InfoScenario.BROADCAST, LevelBroadcast(delta_b))
         rows.append([n, target, "ET", "b", delta_b, rep.j_time_avg,
                      j_et_broadcast(n, delta_b),
                      rep.mean_local_interevent / n, rep.ci_halfwidth])
@@ -388,7 +395,7 @@ def cmd_selftest(args, parser) -> int:
     check("first-passage mean (delta=1)", abs(mean - 1.0) < 0.03, f"(mean={mean:.4f})")
 
     config = ScenarioConfig(
-        n=3, scenario=B, scheme=LevelBroadcast(float(np.sqrt(1.5))),
+        n=3, scenario=InfoScenario.BROADCAST, scheme=LevelBroadcast(float(np.sqrt(1.5))),
         dt=2e-3, horizon=250.0, trials=2, seed=args.seed)
     rep1 = run_batch(config)
     rep2 = run_batch(config)

@@ -13,10 +13,11 @@ from etclab import (
 
 
 def test_broadcast_threshold_closed_form():
-    # n = 1 is the broadcast-only rule: m_1 = 1, so delta = sqrt(T) exactly
+    # n = 1 is the broadcast-only rule: m_1 = 1, so delta = sqrt(T / m_1) = sqrt(T)
+    assert mean_exit_time(1) == 1.0
+
     def delta(target):
-        return calibrate_global_threshold(1, target, stream=NoiseStream(2), samples=1,
-                                          tolerance=0.2).delta_star
+        return math.sqrt(target / mean_exit_time(1))
 
     assert delta(1.5) == pytest.approx(math.sqrt(1.5))
     assert delta(0.75) == pytest.approx(0.8660, abs=1e-4)
@@ -25,8 +26,10 @@ def test_broadcast_threshold_closed_form():
 
 def test_broadcast_threshold_verified_mean():
     result = calibrate_global_threshold(1, 1.5, stream=NoiseStream(3), samples=100_000)
+    assert result.delta_star == math.sqrt(1.5)
     assert result.achieved_period == pytest.approx(1.5, rel=0.03)
     assert result.samples_used == 20_000
+    assert result.method == "scaling-law"
 
 
 def test_broadcast_threshold_rejects_bad_target():
