@@ -27,7 +27,6 @@ from .costs import (
     CostReport,
     expected_occupation_integral,
     finalize,
-    information_gap,
     j_et_broadcast,
     j_tt_broadcast,
     j_tt_broadcast_local,

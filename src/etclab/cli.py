@@ -14,24 +14,27 @@ Every command writes a CSV (comma separators, '.' decimals) plus a
 ``<out>.manifest.txt`` sidecar holding the resolved parameters, seed,
 library versions, bit generator and code revision needed to reproduce
 it.  ``THREADS`` (a positive integer, default 1) fans the trials of a
-batch out over processes.  ``table1`` and ``sweep-n`` calibrate and run
-their broadcast-plus-local ET/TT pairs through one loop.  Exit codes: 0
-success, 2 usage error (any input the library rejects, caught before
-work starts), 3 calibration failure (no CSV is written), 4 selftest
-failure.
+batch out over processes.  Every batch config is made and usage-checked
+in one place, and ``table1`` and ``sweep-n`` calibrate and run their
+broadcast-plus-local ET/TT pairs through one loop that builds all of
+its configs before the first calibration and calibrates every pair
+before the first batch runs.  Exit codes: 0 success, 2 usage error (any
+input the library rejects, scheme flags included, caught before work
+starts), 3 calibration failure (no CSV is written), 4 selftest failure.
 """
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 import scipy
+from scipy import stats
 
 from . import __version__
 from .calibration import (
@@ -45,7 +48,6 @@ from .calibration import (
 from .control import Average, Fixed, InfoScenario, Leader
 from .costs import (
     expected_occupation_integral,
-    information_gap,
     j_et_broadcast,
     j_tt_broadcast,
     j_tt_broadcast_local,
@@ -136,21 +138,27 @@ def _write_manifest(path: str, command: str, params: dict) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_scheme_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=3, help="agent count")
     p.add_argument("--scenario", choices=["b", "bl"], default="b",
                    help="information scenario: broadcast-only or broadcast+local")
     p.add_argument("--trigger", choices=["periodic-sync", "periodic-async", "level"],
                    default="level")
     p.add_argument("--rule", choices=["average", "leader", "fixed"], default="average")
-    p.add_argument("--dt", type=float, default=2e-3)
-    p.add_argument("--horizon", type=float, default=2000.0)
-    p.add_argument("--trials", type=int, default=8)
-    p.add_argument("--seed", type=_seed, default=1729)
     p.add_argument("--delta", type=float, default=None, help="level threshold")
     p.add_argument("--period", type=float, default=None, help="periodic inter-event time")
     p.add_argument("--offsets", type=str, default=None,
                    help="comma list of async phases; default evenly staggered")
+
+
+def _add_batch_flags(p: argparse.ArgumentParser, out: str, samples: bool = False) -> None:
+    p.add_argument("--dt", type=float, default=2e-3)
+    p.add_argument("--horizon", type=float, default=2000.0)
+    p.add_argument("--trials", type=int, default=8)
+    p.add_argument("--seed", type=_seed, default=1729)
+    if samples:
+        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help=SAMPLES_HELP)
+    p.add_argument("--out", default=out)
 
 
 def _usage_checked(parser, check, *args, **kwargs):
@@ -161,44 +169,36 @@ def _usage_checked(parser, check, *args, **kwargs):
         parser.error(str(exc))
 
 
-def _rule_from(args):
-    return {"average": Average(), "leader": Leader(), "fixed": Fixed(0.0)}[args.rule]
-
-
-def _config_from(args, parser, **overrides) -> ScenarioConfig:
-    scenario = InfoScenario(args.scenario)
+def _scheme_from(args, parser, scenario):
     if args.trigger == "level":
         if args.delta is None:
             parser.error("--trigger level requires --delta")
-        scheme = (
-            LevelBroadcast(args.delta)
-            if scenario is InfoScenario.BROADCAST
-            else LevelGlobal(args.delta)
-        )
-    else:
-        if args.period is None:
-            parser.error(f"--trigger {args.trigger} requires --period")
-        if args.trigger == "periodic-sync":
-            scheme = PeriodicSync(args.period)
-        else:
-            if args.offsets is not None:
-                offsets = tuple(float(v) for v in args.offsets.split(","))
-            else:
-                offsets = staggered_offsets(args.n, args.period)
-            scheme = PeriodicAsync(args.period, offsets)
-    kwargs = dict(
-        n=args.n,
-        scenario=scenario,
-        scheme=scheme,
-        rule=_rule_from(args),
-        dt=args.dt,
-        horizon=args.horizon,
-        trials=args.trials,
-        seed=args.seed,
-    )
-    kwargs.update(overrides)
+        level = LevelBroadcast if scenario is InfoScenario.BROADCAST else LevelGlobal
+        return level(args.delta)
+    if args.period is None:
+        parser.error(f"--trigger {args.trigger} requires --period")
+    if args.trigger == "periodic-sync":
+        return PeriodicSync(args.period)
+    if args.offsets is None:
+        return PeriodicAsync(args.period, staggered_offsets(args.n, args.period))
+    return PeriodicAsync(args.period, tuple(float(v) for v in args.offsets.split(",")))
+
+
+def _config(args, parser, **fields) -> ScenarioConfig:
+    """The batch flags, overridden by ``fields``, as a ``ScenarioConfig``.
+
+    Without a ``scheme`` field, the agent count, scenario, rule and scheme
+    come from the scheme flags.  Any ``ValueError`` from building the
+    scheme or the config is a usage error.
+    """
+    config = dict(dt=args.dt, horizon=args.horizon, trials=args.trials, seed=args.seed)
     try:
-        return ScenarioConfig(**kwargs)
+        if "scheme" not in fields:
+            scenario = InfoScenario(args.scenario)
+            rule = {"average": Average(), "leader": Leader(), "fixed": Fixed(0.0)}[args.rule]
+            config.update(n=args.n, scenario=scenario, rule=rule,
+                          scheme=_scheme_from(args, parser, scenario))
+        return ScenarioConfig(**{**config, **fields})
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -212,7 +212,7 @@ def _params_of(args, skip=("func", "out", "workers")) -> dict:
 
 
 def cmd_simulate(args, parser) -> int:
-    config = _config_from(args, parser)
+    config = _config(args, parser)
     report = run_batch(config, workers=args.workers)
     param = args.delta if args.trigger == "level" else args.period
     header = ["n", "scenario", "trigger", "rule", "param", "dt", "horizon", "trials",
@@ -243,58 +243,54 @@ def cmd_calibrate(args, parser) -> int:
     return 0
 
 
-def _batch_config(args, n, scenario, scheme) -> ScenarioConfig:
-    return ScenarioConfig(n=n, scenario=scenario, scheme=scheme, rule=Average(),
-                          dt=args.dt, horizon=args.horizon, trials=args.trials,
-                          seed=args.seed)
+def _bl_loop(args, parser, pairs):
+    """Calibrate the global level threshold, then run TT-bl and ET-bl, at
+    each ``(n, target)`` of ``pairs``.
 
-
-def _batch(args, n, scenario, scheme):
-    return run_batch(_batch_config(args, n, scenario, scheme), workers=args.workers)
-
-
-def _check_bl_pairs(args, parser, pairs) -> None:
-    """Usage-check every ``(n, target)`` of the bl pairs before any work starts."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the batches warn when they run
-        for n, target in pairs:
-            _usage_checked(parser, check_calibration_args, n, target, samples=args.samples)
-            _usage_checked(parser, _batch_config, args, n, InfoScenario.BROADCAST_LOCAL,
-                           PeriodicSync(target))
-
-
-def _bl_pair(args, n, target, stream):
-    """Calibrate the global level threshold, then run TT-bl and ET-bl at ``target``.
-
-    Returns ``(delta, tt_report, et_report)``; a calibration miss raises
-    ``CalibrationError``, which ``main`` turns into exit code 3.
+    Every pair is usage-checked and its TT-bl config built before the
+    first calibration starts, and every pair is calibrated before the
+    first batch runs; ET-bl is the TT-bl config with the calibrated level
+    scheme.  Returns one ``(delta, tt_report, et_report)`` per pair; a
+    calibration miss raises ``CalibrationError``, which ``main`` turns
+    into exit code 3.
     """
-    cal = calibrate_global_threshold(n, target, stream=stream.child(n), samples=args.samples)
-    tt = _batch(args, n, InfoScenario.BROADCAST_LOCAL, PeriodicSync(target))
-    et = _batch(args, n, InfoScenario.BROADCAST_LOCAL, LevelGlobal(cal.delta_star))
-    return cal.delta_star, tt, et
+    plan = []
+    for n, target in pairs:
+        _usage_checked(parser, check_calibration_args, n, target, samples=args.samples)
+        tt_config = _config(args, parser, n=n, scenario=InfoScenario.BROADCAST_LOCAL,
+                            scheme=PeriodicSync(target))
+        plan.append((n, target, tt_config))
+    stream = NoiseStream(args.seed)
+    deltas = [calibrate_global_threshold(n, target, stream=stream.child(n),
+                                         samples=args.samples).delta_star
+              for n, target, _ in plan]
+    return [(delta, run_batch(tt_config, workers=args.workers),
+             run_batch(dataclasses.replace(tt_config, scheme=LevelGlobal(delta)),
+                       workers=args.workers))
+            for (_, _, tt_config), delta in zip(plan, deltas)]
 
 
 def cmd_table1(args, parser) -> int:
-    _check_bl_pairs(args, parser, TABLE1_ROWS)
+    b_configs = [
+        (_config(args, parser, n=n, scenario=InfoScenario.BROADCAST,
+                 scheme=PeriodicSync(n * target)),
+         _config(args, parser, n=n, scenario=InfoScenario.BROADCAST,
+                 scheme=LevelBroadcast(float(np.sqrt(n * target)))))
+        for n, target in TABLE1_ROWS
+    ]
+    bl_results = _bl_loop(args, parser, TABLE1_ROWS)
     header = ["n", "target_global_T", "scheme", "scenario", "delta", "j_sim",
               "j_analytic", "mean_global_T", "ci"]
     rows = []
-    stream = NoiseStream(args.seed)
-    for n, target in TABLE1_ROWS:
-        local_period = n * target
-        rep = _batch(args, n, InfoScenario.BROADCAST, PeriodicSync(local_period))
+    for (n, target), (tt_b, et_b), (delta, tt, et) in zip(TABLE1_ROWS, b_configs, bl_results):
+        rep = run_batch(tt_b, workers=args.workers)
         rows.append([n, target, "TT", "b", None, rep.j_time_avg,
-                     j_tt_broadcast(n, local_period),
+                     j_tt_broadcast(n, tt_b.scheme.period),
                      rep.mean_local_interevent / n, rep.ci_halfwidth])
-
-        delta_b = float(np.sqrt(local_period))
-        rep = _batch(args, n, InfoScenario.BROADCAST, LevelBroadcast(delta_b))
-        rows.append([n, target, "ET", "b", delta_b, rep.j_time_avg,
-                     j_et_broadcast(n, delta_b),
+        rep = run_batch(et_b, workers=args.workers)
+        rows.append([n, target, "ET", "b", et_b.scheme.delta, rep.j_time_avg,
+                     j_et_broadcast(n, et_b.scheme.delta),
                      rep.mean_local_interevent / n, rep.ci_halfwidth])
-
-        delta, tt, et = _bl_pair(args, n, target, stream)
         rows.append([n, target, "TT", "bl", None, tt.j_time_avg,
                      j_tt_broadcast_local(n, target),
                      tt.mean_global_interevent, tt.ci_halfwidth])
@@ -316,24 +312,28 @@ def _parse_n_list(text, parser):
     return values
 
 
+def _welch_ci95(a, b) -> float:
+    """95% half-width of ``mean(a) - mean(b)``, with the Welch-Satterthwaite
+    degrees of freedom for the Student-t quantile."""
+    a, b = np.asarray(a), np.asarray(b)
+    va, vb = a.var(ddof=1) / a.size, b.var(ddof=1) / b.size
+    dof = (va + vb) ** 2 / (va**2 / (a.size - 1) + vb**2 / (b.size - 1))
+    return float(stats.t.ppf(0.975, dof) * np.sqrt(va + vb))
+
+
 def cmd_sweep_n(args, parser) -> int:
     n_list = _parse_n_list(args.n_list, parser)
     target = args.target_t
-    _check_bl_pairs(args, parser, [(n, target) for n in n_list])
+    results = _bl_loop(args, parser, [(n, target) for n in n_list])
     header = ["n", "target_global_T", "delta", "j_tt_bl_sim", "j_et_bl_sim",
               "j_tt_bl_analytic", "diff", "ci_diff", "mean_global_T_et", "consistent",
               "ratio_b_analytic", "ratio_bl_mc"]
     rows = []
-    stream = NoiseStream(args.seed)
-    for n in n_list:
-        delta, rep_tt, rep_et = _bl_pair(args, n, target, stream)
+    for n, (delta, rep_tt, rep_et) in zip(n_list, results):
         diff = rep_et.j_time_avg - rep_tt.j_time_avg
-        ci_diff = 1.96 * float(
-            np.sqrt(np.var(rep_et.j_trials, ddof=1) / len(rep_et.j_trials)
-                    + np.var(rep_tt.j_trials, ddof=1) / len(rep_tt.j_trials))
-        )
         rows.append([n, target, delta, rep_tt.j_time_avg, rep_et.j_time_avg,
-                     j_tt_broadcast_local(n, target), diff, ci_diff,
+                     j_tt_broadcast_local(n, target), diff,
+                     _welch_ci95(rep_et.j_trials, rep_tt.j_trials),
                      rep_et.mean_global_interevent,
                      "yes" if diff < 0 else "no",
                      n / 3.0, rep_et.j_time_avg / rep_tt.j_time_avg])
@@ -344,7 +344,7 @@ def cmd_sweep_n(args, parser) -> int:
 
 
 def cmd_trajectory(args, parser) -> int:
-    config = _config_from(
+    config = _config(
         args, parser,
         horizon=args.duration,
         trials=1,
@@ -375,7 +375,7 @@ def cmd_selftest(args, parser) -> int:
         print(f"[selftest] {name}: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
 
     gap = j_tt_broadcast(10, 10 * 0.5) / j_tt_broadcast_local(10, 0.5)
-    check("information gap identity", gap == information_gap(10), f"(gap={gap})")
+    check("information gap identity", gap == 10, f"(gap={gap})")
     ratio = j_et_broadcast(7, 1.3) / j_tt_broadcast(7, 1.3**2)
     check("consistency ratio identity", abs(ratio - 1 / 3) < 1e-12, f"(ratio={ratio})")
     check("occupation oracle scaling",
@@ -423,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run one scheme/scenario batch")
-    _add_common(p)
-    p.add_argument("--out", default="simulate.csv")
+    _add_scheme_flags(p)
+    _add_batch_flags(p, "simulate.csv")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("calibrate", help="tune the global level threshold")
@@ -438,31 +438,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("table1", help="4 schemes x 4 reference scenarios")
-    p.add_argument("--seed", type=_seed, default=1729)
-    p.add_argument("--trials", type=int, default=8)
-    p.add_argument("--dt", type=float, default=2e-3)
-    p.add_argument("--horizon", type=float, default=2000.0)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help=SAMPLES_HELP)
-    p.add_argument("--out", default="table1.csv")
+    _add_batch_flags(p, "table1.csv", samples=True)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("sweep-n", aliases=["ratio-curve"],
                        help="ET vs TT (broadcast+local) across n, with cost ratios")
     p.add_argument("--n-list", default="3,10,50")
     p.add_argument("--target-t", type=float, default=0.5)
-    p.add_argument("--seed", type=_seed, default=1729)
-    p.add_argument("--trials", type=int, default=8)
-    p.add_argument("--dt", type=float, default=2e-3)
-    p.add_argument("--horizon", type=float, default=2000.0)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help=SAMPLES_HELP)
-    p.add_argument("--out", default="sweep_n.csv")
+    _add_batch_flags(p, "sweep_n.csv", samples=True)
     p.set_defaults(func=cmd_sweep_n)
 
     p = sub.add_parser("trajectory", help="dump a short trajectory for plotting")
-    _add_common(p)
+    _add_scheme_flags(p)
+    _add_batch_flags(p, "trajectory.csv")
     p.add_argument("--duration", type=float, default=2.5)
     p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--out", default="trajectory.csv")
     p.set_defaults(func=cmd_trajectory)
 
     p = sub.add_parser("selftest", help="fast internal consistency checks")

@@ -12,13 +12,15 @@ maintained side by side:
   and the final incomplete cycle is discarded.
 
 The closed-form oracles cover the periodic schemes in both scenarios,
-the level scheme in the broadcast-only scenario, the local-to-global
-rate conversion and the factor-``n`` information gap between the two
-periodic schemes at equal global rates.  The Brownian exit laws behind
-the level scheme are closed form too: the occupation integral up to exit
-and the mean exit time of the first of ``n`` motions.
+the level scheme in the broadcast-only scenario and the local-to-global
+rate conversion; at equal global rates the two periodic oracles differ
+by exactly the factor ``n`` that richer local information buys.  The
+Brownian exit laws behind the level scheme are closed form too: the
+occupation integral up to exit and the mean exit time of the first of
+``n`` motions.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
@@ -35,7 +37,6 @@ __all__ = [
     "j_et_broadcast",
     "j_tt_broadcast_local",
     "local_to_global_period",
-    "information_gap",
     "expected_occupation_integral",
     "mean_exit_time",
 ]
@@ -181,18 +182,6 @@ def local_to_global_period(n: int, local_period: float) -> float:
     return local_period / n
 
 
-def information_gap(n: int) -> float:
-    """Cost ratio of the two periodic schemes at equal global rates.
-
-    Equals ``j_tt_broadcast(n, n * T) / j_tt_broadcast_local(n, T)`` for
-    any ``T``, i.e. exactly ``n``: richer local information buys a
-    factor-``n`` improvement for periodic triggering.
-    """
-    if n < 1:
-        raise ValueError(f"agent count must be >= 1, got {n}")
-    return float(n)
-
-
 def expected_occupation_integral(delta: float) -> float:
     """``E[int_0^T B(t)^2 dt]`` for Brownian exit from ``[-delta, delta]``,
     in closed form ``delta^4 / 6``."""
@@ -224,6 +213,7 @@ def _band_survival(t: float) -> float:
     )
 
 
+@functools.lru_cache(maxsize=None)  # pure in n, and a quadrature costs ~1 ms
 def mean_exit_time(n: int) -> float:
     """Mean time for the first of ``n`` independent standard Brownian
     motions to leave ``[-1, 1]``: ``m_n = int_0^inf S(t)^n dt`` with ``S``

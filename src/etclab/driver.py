@@ -28,7 +28,7 @@ from typing import List, Optional
 import numpy as np
 
 from .control import Average, ConsensusRule, InfoScenario, consensus_value
-from .costs import CostAccumulator, CostReport, finalize
+from .costs import CostAccumulator, CostReport, finalize, mean_exit_time
 from .graph import consensus_cost_rows
 from .sde import NoiseStream
 from .triggering import (
@@ -114,7 +114,7 @@ class ScenarioConfig:
             warnings.warn(
                 f"horizon {self.horizon} s is under 100 expected inter-event times "
                 f"(~{expected:.3g} s each); estimates will be noisy",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to its caller
             )
 
     @property
@@ -129,7 +129,7 @@ def _expected_interevent(config: "ScenarioConfig") -> Optional[float]:
     if isinstance(scheme, LevelBroadcast):
         return scheme.delta**2
     if isinstance(scheme, LevelGlobal):
-        return scheme.delta**2 / config.n  # crude lower-bound scale
+        return scheme.delta**2 * mean_exit_time(config.n)
     return None
 
 

@@ -130,7 +130,6 @@ def sample_first_passage_batch(
     n_agents: int = 1,
     bridge_correction: bool = True,
     return_occupation: bool = False,
-    max_steps: Optional[int] = None,
 ):
     """Sample first exit times of ``n_agents`` independent Brownian motions
     from the band ``[-delta, delta]``, started at 0.
@@ -175,9 +174,8 @@ def sample_first_passage_batch(
         raise ValueError(f"dt must be positive, got {dt}")
     if n_samples < 1 or n_agents < 1:
         raise ValueError("n_samples and n_agents must be >= 1")
-    if max_steps is None:
-        # P(exit later than ~60 delta^2) is astronomically small
-        max_steps = int(np.ceil(60.0 * delta * delta / dt)) + 1000
+    # P(exit later than ~60 delta^2) is astronomically small
+    max_steps = int(np.ceil(60.0 * delta * delta / dt)) + 1000
 
     sqrt_dt = np.sqrt(dt)
     times = np.empty(n_samples)

@@ -1,8 +1,10 @@
 """The demos and the benchmark import only names the package still has.
 
 Neither is run by this suite, so a removed or renamed public name would
-otherwise break them unnoticed.  The check parses their sources and
-imports nothing from them.
+otherwise break them unnoticed.  The benchmark's tracer also wraps
+functions by ``(module, attribute path)``, and skips a path that no
+longer resolves, so its metrics would read as absent.  The checks parse
+these sources and import nothing from them.
 """
 
 import ast
@@ -34,4 +36,26 @@ def test_callers_are_found():
 def test_caller_imports_exist(path):
     missing = [f"{module}.{name}" for module, name in etclab_imports(path)
                if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+
+
+def trace_points(path):
+    """``(module, attribute path)`` of every entry in ``path``'s ``BOUNDARIES`` dict."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (table,) = [node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["BOUNDARIES"]]
+    return [tuple(ast.literal_eval(part) for part in entry.elts[:2]) for entry in table.values]
+
+
+def test_benchmark_trace_points_resolve():
+    points = trace_points(ROOT / "perfbench" / "tracing.py")
+    assert ("etclab.driver", "consensus_value") in points
+    missing = []
+    for module, attribute_path in points:
+        owner = importlib.import_module(module)
+        for part in attribute_path.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module}:{attribute_path}")
     assert missing == []

@@ -3,9 +3,18 @@ import math
 import re
 import warnings
 
+import numpy as np
 import pytest
+from scipy import stats
 
-from etclab import CalibrationError, cli
+from etclab import (
+    CalibrationError,
+    CalibrationResult,
+    CostReport,
+    LevelGlobal,
+    PeriodicSync,
+    cli,
+)
 from etclab.cli import main
 
 
@@ -70,6 +79,18 @@ def test_simulate_repeats_byte_identically(tmp_path):
                  id="sweep-n-n-list-late"),
     pytest.param(["sweep-n", "--target-t", "-1"], "target period must be positive, got -1.0",
                  id="sweep-n-target-t"),
+    pytest.param(["simulate", "--trigger", "level", "--delta", "-1"],
+                 "threshold must be positive, got -1.0", id="simulate-delta"),
+    pytest.param(["simulate", "--trigger", "periodic-sync", "--period", "-1"],
+                 "period must be positive, got -1.0", id="simulate-period"),
+    pytest.param(["simulate", "--trigger", "periodic-async", "--period", "1",
+                  "--offsets", "a,b,c"], "could not convert string to float: 'a'",
+                 id="simulate-offsets-not-numbers"),
+    pytest.param(["simulate", "--trigger", "periodic-async", "--period", "1",
+                  "--offsets", "0,0.5,2"], "offsets must lie in [0, 1.0)",
+                 id="simulate-offsets-out-of-period"),
+    pytest.param(["trajectory", "--trigger", "level", "--delta", "-1"],
+                 "threshold must be positive, got -1.0", id="trajectory-delta"),
 ])
 def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     def no_work(*args, **kwargs):
@@ -189,12 +210,39 @@ def test_calibration_miss_exits_3_without_csv(tmp_path, monkeypatch, capsys, com
         raise CalibrationError("calibration missed target", delta=1.0, target=target,
                                achieved=2 * target, tolerance=0.03, samples=5000)
 
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a batch ran before every pair was calibrated")
+
     monkeypatch.setattr(cli, "calibrate_global_threshold", miss)
+    monkeypatch.setattr(cli, "run_batch", no_batch)
     out = tmp_path / "x.csv"
     code = run_cli([command, "--horizon", "20", "--trials", "2", "--out", str(out)])
     assert code == 3
     assert "calibration failed: calibration missed target" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_n_ci_diff_is_welch_t(tmp_path, monkeypatch):
+    j_trials = {PeriodicSync: (1.0, 1.5, 1.25, 2.0), LevelGlobal: (0.5, 0.75, 0.5, 0.625)}
+
+    def fixed_batch(config, workers=1):
+        j = j_trials[type(config.scheme)]
+        return CostReport(j_time_avg=sum(j) / len(j), j_renewal=float("nan"),
+                          mean_local_interevent=1.5, mean_global_interevent=0.5,
+                          trials=len(j), ci_halfwidth=0.0, j_trials=j)
+
+    monkeypatch.setattr(cli, "run_batch", fixed_batch)
+    monkeypatch.setattr(cli, "calibrate_global_threshold",
+                        lambda n, target, **kw: CalibrationResult(1.0, target, target, 0.0, 1))
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep-n", "--n-list", "3", "--out", str(out)]) == 0
+    header, (row,) = read_csv(out)
+    et, tt = np.array(j_trials[LevelGlobal]), np.array(j_trials[PeriodicSync])
+    va, vb = et.var(ddof=1) / et.size, tt.var(ddof=1) / tt.size
+    dof = (va + vb) ** 2 / (va**2 / (et.size - 1) + vb**2 / (tt.size - 1))
+    expected = stats.t.ppf(0.975, dof) * math.sqrt(va + vb)
+    assert float(row[header.index("ci_diff")]) == pytest.approx(expected, rel=1e-12)
+    assert float(row[header.index("diff")]) == pytest.approx(et.mean() - tt.mean())
 
 
 def test_sweep_n_row_per_agent_count(tmp_path):

@@ -8,7 +8,6 @@ from etclab import (
     NoiseStream,
     expected_occupation_integral,
     finalize,
-    information_gap,
     j_et_broadcast,
     j_tt_broadcast,
     j_tt_broadcast_local,
@@ -112,9 +111,7 @@ def test_rate_conversion():
 
 
 def test_information_gap_is_agent_count():
-    assert information_gap(1) == 1
     for n in (2, 3, 10, 50):
-        assert information_gap(n) == n
         for period in (0.25, 0.5, 2.0):
             # both costs vanish at n=1, so the checked identity needs n >= 2
             quotient = j_tt_broadcast(n, n * period) / j_tt_broadcast_local(n, period)

@@ -52,8 +52,15 @@ def test_scheme_scenario_compatibility_enforced():
 
 
 def test_short_horizon_warns():
-    with pytest.warns(UserWarning, match="inter-event"):
-        ScenarioConfig(n=2, scenario=B, scheme=LevelBroadcast(1.0), horizon=5.0)
+    cases = [
+        (2, B, LevelBroadcast(1.0), 5.0),
+        # 60 events: the exact exit law gives 0.5 s at n=50 (delta^2 / n gives 0.07 s)
+        (50, BL, LevelGlobal(1.8869), 30.0),
+    ]
+    for n, scenario, scheme, horizon in cases:
+        with pytest.warns(UserWarning, match="inter-event") as record:
+            ScenarioConfig(n=n, scenario=scenario, scheme=scheme, horizon=horizon)
+        assert record[0].filename == __file__
 
 
 def test_period_below_step_rejected():

@@ -280,10 +280,11 @@ def test_passage_invalid_arguments():
 
 
 def test_passage_zero_noise_raises_instead_of_hanging():
-    with pytest.raises(RuntimeError):
-        sample_first_passage_batch(
-            NoiseStream(0, scale=0.0), 10, 1.0, 1e-3, max_steps=500
-        )
+    # the guard stops after ceil(60 delta^2 / dt) + 1000 = 2500 steps; the
+    # paths stay at 0, beyond sqrt(20 dt) of the band, so no bridge test
+    # can end them either
+    with pytest.raises(RuntimeError, match="not exited after 2500 steps"):
+        sample_first_passage_batch(NoiseStream(0, scale=0.0), 10, 0.5, 1e-2)
 
 
 def scalar_first_passage(stream, delta, dt, n, bridge):
