@@ -7,7 +7,7 @@ calibrate    tune the global level threshold for a target rate
 table1       the 4x4 grid of schemes x scenarios at reference rates
 sweep-n      ET vs TT under broadcast-plus-local info across n, with the
              ET/TT cost ratios at equal global rates (alias: ratio-curve)
-trajectory   short trajectory dump for plotting
+trajectory   one trial over --duration, dumped for plotting
 selftest     fast internal consistency checks (exit 4 on failure)
 
 Every command writes a CSV (comma separators, '.' decimals) plus a
@@ -151,10 +151,12 @@ def _add_scheme_flags(p: argparse.ArgumentParser) -> None:
                    help="comma list of async phases; default evenly staggered")
 
 
-def _add_batch_flags(p: argparse.ArgumentParser, out: str, samples: bool = False) -> None:
+def _add_batch_flags(p: argparse.ArgumentParser, out: str, samples: bool = False,
+                     horizon: bool = True) -> None:
     p.add_argument("--dt", type=float, default=2e-3)
-    p.add_argument("--horizon", type=float, default=2000.0)
-    p.add_argument("--trials", type=int, default=8)
+    if horizon:
+        p.add_argument("--horizon", type=float, default=2000.0)
+        p.add_argument("--trials", type=int, default=8)
     p.add_argument("--seed", type=_seed, default=1729)
     if samples:
         p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help=SAMPLES_HELP)
@@ -181,7 +183,12 @@ def _scheme_from(args, parser, scenario):
         return PeriodicSync(args.period)
     if args.offsets is None:
         return PeriodicAsync(args.period, staggered_offsets(args.n, args.period))
-    return PeriodicAsync(args.period, tuple(float(v) for v in args.offsets.split(",")))
+    try:
+        offsets = tuple(float(v) for v in args.offsets.split(","))
+    except ValueError:
+        parser.error(f"--offsets must be a comma list of phases in [0, {args.period}), "
+                     f"got {args.offsets!r}")
+    return PeriodicAsync(args.period, offsets)
 
 
 def _config(args, parser, **fields) -> ScenarioConfig:
@@ -191,7 +198,7 @@ def _config(args, parser, **fields) -> ScenarioConfig:
     come from the scheme flags.  Any ``ValueError`` from building the
     scheme or the config is a usage error.
     """
-    config = dict(dt=args.dt, horizon=args.horizon, trials=args.trials, seed=args.seed)
+    config = {k: v for k, v in vars(args).items() if k in ("dt", "horizon", "trials", "seed")}
     try:
         if "scheme" not in fields:
             scenario = InfoScenario(args.scenario)
@@ -450,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trajectory", help="dump a short trajectory for plotting")
     _add_scheme_flags(p)
-    _add_batch_flags(p, "trajectory.csv")
+    _add_batch_flags(p, "trajectory.csv", horizon=False)  # one trial of --duration
     p.add_argument("--duration", type=float, default=2.5)
     p.add_argument("--stride", type=int, default=1)
     p.set_defaults(func=cmd_trajectory)

@@ -16,10 +16,15 @@ The consensus point itself is free within the optimal class; the
 average and leader (minimum-index initiator) rules are the two
 practical choices, and a fixed-point rule exists for diagnostics only.
 
+Both impulses leave every estimate at ``c``, and an agent's estimate
+error ``x_i - xhat_i`` is unchanged unless the event resets it to zero
+(the initiators' under broadcast-only, everyone's under
+broadcast-plus-local).  So the simulation carries the last consensus
+point and the error vector ``e = x - c`` instead of ``x`` and ``xhat``.
 The event protocol itself (refresh the initiators' estimates, pick the
-consensus point, apply the jump or the reset, then set every estimate
-to ``c``) is implemented once, in ``driver._apply_event``, and shared by
-both integrators.
+consensus point from ``c + e``, zero the reset errors, make ``c`` the
+new consensus point) is implemented once, in ``driver._apply_event``,
+and shared by both integrators.
 """
 
 import enum

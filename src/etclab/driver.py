@@ -7,15 +7,27 @@ trigger apply the impulse at the step boundary; the cost integral uses
 left-endpoint rectangles, so an impulse never contributes to the step
 in which it fires.
 
-The production path processes steps in vectorized chunks, locating the
-first trigger inside each chunk from the cumulative-sum path (level
-rules) or from per-agent deadline counters (periodic rules).  Chunks are
-sized from a memory budget, so the noise block stays bounded at any
-fleet size.  The path consumes the noise stream in exactly the same
-order as the plain per-step loop kept as ``run_trial_reference``; both
-integrators hand every event to one ``_apply_event``, so they differ
-only in stepping, trigger detection and cost summation, which the test
-suite compares.  Trials are embarrassingly parallel: each owns a
+The optimal impulses keep every estimate, and the broadcast-plus-local
+snapshot, at the last consensus point ``c``, so a trial's state is the
+scalar ``c`` plus the error vector ``e = x - c``.  The cost is
+``x'Lx = e'Le``, agent 0's renewal reward is ``e_0^2``, a level rule
+fires when ``|e_i| >= delta``, and an event zeroes the errors it resets
+(the initiators' under broadcast-only, everyone's under
+broadcast-plus-local).  The true states ``c + e`` and estimates ``c``
+are rebuilt only for event logs and trajectories.
+
+The production path takes the noise in chunks sized from a memory
+budget, so the noise block stays bounded at any fleet size.  Per chunk
+it forms one running sum of the errors, finds the events in it (a level
+search in bounded windows against each agent's running sum at its last
+reset, or the per-agent periodic deadline counters), turns each segment
+between events into errors with one subtraction, and then makes one
+cost pass over the chunk's left endpoints.  Only chunk boundaries move
+its rounding; the search window does not.  The path consumes the noise
+stream in exactly the same order as the plain per-step loop kept as
+``run_trial_reference``, which steps, detects triggers and sums costs on
+its own; both hand every event to one ``_apply_event``, and the test
+suite compares them.  Trials are embarrassingly parallel: each owns a
 substream keyed by its index, and batches merge per-trial results in
 fixed index order.
 """
@@ -56,7 +68,7 @@ CHUNK_STEPS = 2048
 # fleets beyond CHUNK_BYTES / (8 * CHUNK_STEPS) = 512 agents get fewer rows
 CHUNK_BYTES = 8 << 20
 # level rules search for crossings in bounded windows so that a hit early
-# in a chunk does not force recomputing the whole remainder
+# in a chunk does not scan the whole remainder
 LEVEL_LOOKAHEAD = 256
 
 
@@ -173,15 +185,16 @@ def run_batch(config: ScenarioConfig, workers: int = 1) -> CostReport:
 class _Fleet:
     """Closed-loop state of one trial; ``_apply_event`` updates it in place.
 
-    ``snapshot`` holds the states at the last global event (read by the
-    broadcast-plus-local level rule); ``cycle_reward`` and ``cycle_start``
+    After every event each estimate, and under broadcast-plus-local the
+    snapshot the level rule measures against, equals the last consensus
+    point ``c_prev``, so the state is ``c_prev`` plus the error vector
+    ``e = x - c_prev``: the true states are ``c_prev + e`` and every
+    estimate is ``c_prev``.  ``cycle_reward`` and ``cycle_start``
     describe the open renewal cycle.
     """
 
     config: ScenarioConfig
-    x: np.ndarray
-    xhat: np.ndarray
-    snapshot: np.ndarray
+    e: np.ndarray
     acc: CostAccumulator
     events: Optional[List[TriggerEvent]]
     c_prev: float = 0.0
@@ -193,36 +206,31 @@ class _Fleet:
         """All agents in consensus at zero; t = 0 counts as a trigger."""
         n = config.n
         events = [] if config.record_events else None
-        return cls(config, np.zeros(n), np.zeros(n), np.zeros(n), CostAccumulator(n), events)
+        return cls(config, np.zeros(n), CostAccumulator(n), events)
 
 
-def _apply_event(fleet: _Fleet, initiators: np.ndarray, step: int) -> None:
+def _apply_event(fleet: _Fleet, initiators: np.ndarray, step: int):
     """Handle the event that ``initiators`` fire at the end of grid ``step``.
 
     Broadcast-only: the initiators' estimates become their true states,
     the consensus point ``c`` is announced, and every agent jumps by
     ``c - xhat``, which lands the initiators exactly on ``c`` and keeps
     everyone else's estimate error.  Broadcast-plus-local: the fleet
-    resets exactly to ``c``, which also becomes the deviation snapshot.
-    Then every estimate and the last consensus point become ``c``, the
-    event is counted, the renewal cycle closes (on every global event, or
-    on agent 0's own events under broadcast-only) and the event is logged.
+    resets exactly to ``c``.  In error coordinates both zero, in place in
+    ``fleet.e``, the errors of the agents they reset (the initiators, or
+    everyone) and make ``c`` the new ``c_prev``.  Then the event is
+    counted, the renewal cycle closes (on every global event, or on agent
+    0's own events under broadcast-only) and the event is logged with
+    ``x = c + e`` and ``xhat = c``.  Returns the index of the reset agents.
     """
     config = fleet.config
-    n, scenario = config.n, config.scenario
+    scenario = config.scenario
     broadcast_only = scenario is InfoScenario.BROADCAST
-    x_pre, xhat_pre = fleet.x, fleet.xhat  # replaced below, never mutated
-    c = consensus_value(x_pre, fleet.c_prev, initiators, config.rule, scenario)
-    if broadcast_only:
-        xhat = xhat_pre.copy()
-        xhat[initiators] = x_pre[initiators]
-        x = x_pre + (c - xhat)
-        x[initiators] = c  # the impulse lands initiators exactly on c
-    else:
-        x = np.full(n, c)
-        fleet.snapshot = x.copy()
-    fleet.x = x
-    fleet.xhat = np.full(n, c)
+    e, c_prev = fleet.e, fleet.c_prev
+    x_pre = c_prev + e
+    c = consensus_value(x_pre, c_prev, initiators, config.rule, scenario)
+    reset = initiators if broadcast_only else slice(None)
+    e[reset] = 0.0
     fleet.c_prev = c
 
     acc = fleet.acc
@@ -233,18 +241,20 @@ def _apply_event(fleet: _Fleet, initiators: np.ndarray, step: int) -> None:
         fleet.cycle_reward = 0.0
         fleet.cycle_start = step
     if fleet.events is not None:
+        n = config.n
         fleet.events.append(
             TriggerEvent(
                 time=step * config.dt,
                 initiators=tuple(int(i) for i in initiators),
                 consensus_point=c,
                 is_global=not broadcast_only,
-                x_pre=x_pre.copy(),
-                x_post=x.copy(),
-                xhat_pre=xhat_pre.copy(),
-                xhat_post=fleet.xhat.copy(),
+                x_pre=x_pre,
+                x_post=c + e,
+                xhat_pre=np.full(n, c_prev),
+                xhat_post=np.full(n, c),
             )
         )
+    return reset
 
 
 def _phase_offsets(scheme: TriggerScheme, n: int) -> np.ndarray:
@@ -257,6 +267,28 @@ def _phase_offsets(scheme: TriggerScheme, n: int) -> np.ndarray:
 # fast chunked integrator
 
 
+def _first_crossing(rows: np.ndarray, base: np.ndarray, start: int, delta: float):
+    """First row ``k >= start`` with some ``|rows[k] - base| >= delta`` and the
+    agents that reach it there, or ``(None, None)``.  The rows are searched in
+    ``LEVEL_LOOKAHEAD`` slices, so an early hit stops the search early."""
+    while start < len(rows):
+        hit = np.abs(rows[start : start + LEVEL_LOOKAHEAD] - base) >= delta
+        k = int(np.argmax(hit.any(axis=1)))
+        if hit[k].any():
+            return start + k, np.flatnonzero(hit[k])
+        start += LEVEL_LOOKAHEAD
+    return None, None
+
+
+def _next_deadline(fire_steps: np.ndarray, done: int, span: int):
+    """Row of the chunk of ``span`` steps after step ``done`` that the next
+    periodic deadline falls in and the agents it fires, or ``(None, None)``."""
+    next_fire = int(fire_steps.min())
+    if next_fire > done + span:
+        return None, None
+    return next_fire - done, np.flatnonzero(fire_steps == next_fire)
+
+
 def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0) -> TrialResult:
     """Simulate one trial, deterministic in ``(config, trial_index)``.
 
@@ -267,7 +299,6 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     dt = config.dt
     steps_total = config.steps
     scheme = config.scheme
-    broadcast_only = config.scenario is InfoScenario.BROADCAST
     level = isinstance(scheme, (LevelBroadcast, LevelGlobal))
     if level:
         delta = scheme.delta
@@ -286,79 +317,63 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     trajectory: Optional[List[tuple]] = [] if config.record_trajectory else None
     stride = config.trajectory_stride
     no_center = float("nan")
-    if trajectory is not None:
-        trajectory.append((0.0, fleet.x.copy(), fleet.xhat.copy(), 0, 0.0 if level else no_center))
 
-    done = 0  # completed steps; fleet.x holds the state at time done*dt
+    def log_state(step, e, flag):
+        c = fleet.c_prev
+        trajectory.append((step * dt, c + e, np.full(n, c), flag, c if level else no_center))
+
+    if trajectory is not None:
+        log_state(0, fleet.e, 0)
+
+    done = 0  # completed steps; fleet.e holds the errors at time done*dt
     while done < steps_total:
         span = min(chunk, steps_total - done)
-        dw = stream.normals((span, n)) * sqrt_dt
-        used = 0  # rows of this chunk already consumed
-        while used < span:
-            rem = span - used
-            x = fleet.x
-            ref = fleet.xhat if broadcast_only else fleet.snapshot
+        # rows[k] follows the errors to the end of step done + k without
+        # resets: row 0 holds the current errors, each later row adds a step
+        rows = np.empty((span + 1, n))
+        rows[0] = fleet.e
+        np.multiply(stream.normals((span, n)), sqrt_dt, out=rows[1:])
+        np.cumsum(rows, axis=0, out=rows)
+        # the rows from ``seg`` on, minus ``base`` (each agent's running sum
+        # at its last reset), are the errors; rows before ``seg`` already are
+        base = np.zeros(n)
+        seg = 1
+        while True:
             if level:
-                look = min(rem, LEVEL_LOOKAHEAD)
-                path = x + np.cumsum(dw[used : used + look], axis=0)
-                hit = np.abs(path - ref) >= delta
-                hit_rows = hit.any(axis=1)
-                if hit_rows.any():
-                    row = int(np.argmax(hit_rows))
-                    length = row + 1
-                    has_event = True
-                    initiators = np.flatnonzero(hit[row])
-                    path = path[:length]
-                else:
-                    length = look
-                    has_event = False
+                row, initiators = _first_crossing(rows, base, seg, delta)
             else:
-                next_fire = int(fire_steps.min())
-                if next_fire <= done + span:
-                    length = next_fire - (done + used)
-                    has_event = True
-                    initiators = np.flatnonzero(fire_steps == next_fire)
-                else:
-                    length = rem
-                    has_event = False
-                path = x + np.cumsum(dw[used : used + length], axis=0)
-
-            # left-endpoint rectangles over the accepted rows
-            lefts = np.concatenate((x[None, :], path[:-1]), axis=0)
-            cost_vals = consensus_cost_rows(lefts)
-            acc.integral_sum += float(cost_vals.sum()) * dt
-            acc.elapsed += length * dt
-            dev1 = lefts[:, 0] - ref[0]
-            fleet.cycle_reward += float((dev1 * dev1).sum()) * dt
-
+                row, initiators = _next_deadline(fire_steps, done, span)
+            # turn the rows up to the event, or to the chunk's end, into errors
+            end = span if row is None else row
+            running = rows[end].copy()
+            rows[seg : end + 1] -= base
+            # agent 0's renewal reward over the left endpoints of steps
+            # done + seg .. done + end
+            dev0 = rows[seg - 1 : end, 0]
+            fleet.cycle_reward += float(dev0 @ dev0) * dt
             if trajectory is not None:
-                # the event row carries the event step, so stride rows stop
-                # just short of it
-                center = fleet.c_prev if level else no_center
-                first_step = done + used + 1
-                last = length - 1 if has_event else length
-                for k in range((-first_step) % stride, last, stride):
-                    step_abs = first_step + k
-                    trajectory.append(
-                        (step_abs * dt, path[k].copy(), fleet.xhat.copy(), 0, center)
-                    )
+                # an event row takes the place of its step's stride row
+                stop = end + 1 if row is None else end
+                for k in range(seg + (-(done + seg)) % stride, stop, stride):
+                    log_state(done + k, rows[k], 0)
+            if row is None:
+                break
+            fleet.e = rows[row]
+            reset = _apply_event(fleet, initiators, done + row)
+            base[reset] = running[reset]
+            if not level:
+                fire_counts[initiators] += 1
+                fire_steps[initiators] = periodic_fire_step(
+                    offsets[initiators] + fire_counts[initiators] * period, dt
+                )
+            if trajectory is not None:
+                log_state(done + row, rows[row], 1)
+            seg = row + 1
 
-            fleet.x = path[length - 1]
-            step_now = done + used + length
-
-            if has_event:
-                _apply_event(fleet, initiators, step_now)
-                if not level:
-                    fire_counts[initiators] += 1
-                    fire_steps[initiators] = periodic_fire_step(
-                        offsets[initiators] + fire_counts[initiators] * period, dt
-                    )
-                if trajectory is not None:
-                    center = fleet.c_prev if level else no_center
-                    trajectory.append(
-                        (step_now * dt, fleet.x.copy(), fleet.xhat.copy(), 1, center)
-                    )
-            used += length
+        # left-endpoint rectangles: x'Lx = e'Le, since L annihilates c*1
+        acc.integral_sum += float(consensus_cost_rows(rows[:-1]).sum()) * dt
+        acc.elapsed += span * dt
+        fleet.e = rows[span].copy()
         done += span
 
     return TrialResult(accumulator=acc, events=fleet.events, trajectory=trajectory)
@@ -373,18 +388,17 @@ def run_trial_reference(
 ) -> TrialResult:
     """Per-step integrator that validates ``run_trial``.
 
-    It shares the event protocol and the cost form with the fast path
-    but does its own stepping (one draw per agent per step), trigger
-    detection and per-step cost summation, so comparing the two checks
-    the chunked stepping, the trigger search and the deadline counters.
-    Trigger instants come out identical, cost tallies equal up to
-    summation order.  Slow (pure Python loop); meant for short horizons.
-    Records no trajectory.
+    It shares the event protocol, the error coordinates and the cost form
+    with the fast path but does its own stepping (one draw per agent per
+    step), trigger detection and per-step cost summation, so comparing
+    the two checks the chunked running sums and their resets, the trigger
+    search and the deadline counters.  Trigger instants come out
+    identical, cost tallies equal up to summation order.  Slow (pure
+    Python loop); meant for short horizons.  Records no trajectory.
     """
     n = config.n
     dt = config.dt
     scheme = config.scheme
-    broadcast_only = config.scenario is InfoScenario.BROADCAST
     level = isinstance(scheme, (LevelBroadcast, LevelGlobal))
     stream = NoiseStream(config.seed, trial_index, noise_scale)
     sqrt_dt = np.sqrt(dt)
@@ -392,14 +406,13 @@ def run_trial_reference(
     acc = fleet.acc
 
     for step in range(1, config.steps + 1):
-        ref = fleet.xhat if broadcast_only else fleet.snapshot
-        acc.integral_sum += float(consensus_cost_rows(fleet.x)) * dt
+        e = fleet.e
+        acc.integral_sum += float(consensus_cost_rows(e)) * dt
         acc.elapsed += dt
-        dev1 = fleet.x[0] - ref[0]
-        fleet.cycle_reward += dev1 * dev1 * dt
-        fleet.x = fleet.x + stream.normals(n) * sqrt_dt
+        fleet.cycle_reward += e[0] * e[0] * dt
+        fleet.e = e + stream.normals(n) * sqrt_dt
         if level:
-            initiators = np.flatnonzero(np.abs(fleet.x - ref) >= scheme.delta)
+            initiators = np.flatnonzero(np.abs(fleet.e) >= scheme.delta)
         else:
             initiators = _periodic_due(step * dt, scheme, dt, n)
         if initiators.size:

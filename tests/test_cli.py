@@ -84,13 +84,19 @@ def test_simulate_repeats_byte_identically(tmp_path):
     pytest.param(["simulate", "--trigger", "periodic-sync", "--period", "-1"],
                  "period must be positive, got -1.0", id="simulate-period"),
     pytest.param(["simulate", "--trigger", "periodic-async", "--period", "1",
-                  "--offsets", "a,b,c"], "could not convert string to float: 'a'",
+                  "--offsets", "a,b,c"],
+                 "--offsets must be a comma list of phases in [0, 1.0), got 'a,b,c'",
                  id="simulate-offsets-not-numbers"),
     pytest.param(["simulate", "--trigger", "periodic-async", "--period", "1",
                   "--offsets", "0,0.5,2"], "offsets must lie in [0, 1.0)",
                  id="simulate-offsets-out-of-period"),
     pytest.param(["trajectory", "--trigger", "level", "--delta", "-1"],
                  "threshold must be positive, got -1.0", id="trajectory-delta"),
+    # trajectory runs one trial over --duration, so it takes neither flag
+    pytest.param(["trajectory", "--horizon", "5"], "unrecognized arguments: --horizon 5",
+                 id="trajectory-horizon"),
+    pytest.param(["trajectory", "--trials", "2"], "unrecognized arguments: --trials 2",
+                 id="trajectory-trials"),
 ])
 def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     def no_work(*args, **kwargs):
@@ -280,6 +286,9 @@ def test_trajectory_global_resets_visible(tmp_path):
     for row in events:
         values = {row[i] for i in xi}
         assert len(values) == 1
+    manifest = (tmp_path / "traj.csv.manifest.txt").read_text().splitlines()
+    assert "arg.duration=2.5" in manifest
+    assert not [line for line in manifest if line.startswith(("arg.horizon", "arg.trials"))]
 
 
 def test_trajectory_errors_stay_inside_band(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etclab import (
     Average,
@@ -22,15 +24,19 @@ def point(x, initiators, rule, scenario, c_prev=0.0):
                            rule, scenario)
 
 
-def fire(x, initiators, scenario, rule=Average(), xhat=None, c_prev=0.0):
-    """The logged event after ``initiators`` fire with the fleet at ``x``."""
-    n = len(x)
-    config = ScenarioConfig(n=n, scenario=scenario, scheme=PeriodicSync(1.0), rule=rule,
+def start(x, scenario, rule=Average(), c_prev=0.0):
+    """A fleet at true states ``x`` whose estimates all hold ``c_prev``."""
+    config = ScenarioConfig(n=len(x), scenario=scenario, scheme=PeriodicSync(1.0), rule=rule,
                             record_events=True)
     fleet = _Fleet.start(config)
-    fleet.x = np.asarray(x, dtype=float)
-    fleet.xhat = np.full(n, c_prev) if xhat is None else np.asarray(xhat, dtype=float)
     fleet.c_prev = c_prev
+    fleet.e = np.asarray(x, dtype=float) - c_prev
+    return fleet
+
+
+def fire(x, initiators, scenario, rule=Average(), c_prev=0.0):
+    """The logged event after ``initiators`` fire with the fleet at ``x``."""
+    fleet = start(x, scenario, rule, c_prev)
     _apply_event(fleet, np.array(initiators), 1)
     return fleet.events[0]
 
@@ -83,7 +89,7 @@ def test_empty_initiators_rejected():
 
 
 def test_broadcast_impulse_zero_when_estimates_match():
-    event = fire([0.3, 0.3], [0], B, xhat=[0.3, 0.3], c_prev=0.3)
+    event = fire([0.3, 0.3], [0], B, c_prev=0.3)
     assert np.array_equal(event.x_post, event.x_pre)
 
 
@@ -91,7 +97,7 @@ def test_broadcast_impulse_worked_example():
     # previous consensus point 0, initiator 0 holds 0.9: c = 0.3, the
     # initiator jumps by -0.6, the others by +0.3, and the initiator's
     # error is wiped while the others' errors are untouched
-    event = fire([0.9, 0.55, -0.1], [0], B, xhat=[0.0, 0.0, 0.0], c_prev=0.0)
+    event = fire([0.9, 0.55, -0.1], [0], B, c_prev=0.0)
     assert event.consensus_point == pytest.approx(0.3)
     assert event.x_post - event.x_pre == pytest.approx([-0.6, 0.3, 0.3])
     assert np.all(event.xhat_post == event.consensus_point)
@@ -105,7 +111,7 @@ def test_refresh_estimates_only_touches_initiators():
     # only initiator 1's estimate becomes its true state: the consensus
     # point averages 2.0 with the others' stale 0.5, and the others jump
     # by c minus their stale estimate
-    event = fire([1.0, 2.0, 3.0], [1], B, xhat=[0.5, 0.5, 0.5], c_prev=0.5)
+    event = fire([1.0, 2.0, 3.0], [1], B, c_prev=0.5)
     c = event.consensus_point
     assert c == pytest.approx((0.5 + 2.0 + 0.5) / 3)
     assert event.x_post == pytest.approx([1.0 + c - 0.5, c, 3.0 + c - 0.5])
@@ -143,3 +149,55 @@ def test_renewal_cycles_close_on_agent_zero_or_global_events():
     assert closed[B, (1,)] == ([], [])
     assert closed[B, (0, 2)] == ([0.5], [7 * config.dt])
     assert closed[BL, (1,)] == ([0.5], [7 * config.dt])
+
+
+@st.composite
+def protocol_cases(draw):
+    n = draw(st.integers(1, 8))
+    finite = st.floats(-3.0, 3.0, allow_nan=False)
+    initiators = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return dict(
+        n=n,
+        c_prev=draw(finite),
+        e=np.array(draw(st.lists(finite, min_size=n, max_size=n))),
+        initiators=np.array(sorted(initiators)),
+        rule=draw(st.sampled_from([Average(), Leader(), Fixed(0.0), Fixed(-1.25)])),
+        scenario=draw(st.sampled_from([B, BL])),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=protocol_cases())
+def test_error_form_matches_state_form_protocol(case):
+    # the paper's protocol on the true states: refresh the initiators'
+    # estimates, pick c from the information the scenario provides, then
+    # jump every agent by c - xhat (broadcast-only) or reset it to c
+    n, c_prev, initiators = case["n"], case["c_prev"], case["initiators"]
+    rule, scenario = case["rule"], case["scenario"]
+    x = c_prev + case["e"]
+    xhat = np.full(n, c_prev)
+    xhat[initiators] = x[initiators]
+    if isinstance(rule, Fixed):
+        c = rule.value
+    elif isinstance(rule, Leader):
+        c = x[initiators.min()]
+    else:
+        c = (xhat if scenario is B else x).mean()
+    if scenario is B:
+        x_post = x + (c - xhat)
+        x_post[initiators] = c
+    else:
+        x_post = np.full(n, c)
+
+    fleet = start(x, scenario, rule, c_prev)
+    fleet.e = case["e"].copy()
+    reset = _apply_event(fleet, initiators, 1)
+    event = fleet.events[0]
+    assert event.consensus_point == pytest.approx(c, rel=1e-12, abs=1e-12)
+    assert fleet.c_prev == event.consensus_point
+    assert event.x_pre == pytest.approx(x, rel=1e-12, abs=1e-12)
+    assert np.array_equal(event.xhat_pre, np.full(n, c_prev))
+    assert event.x_post == pytest.approx(x_post, rel=1e-12, abs=1e-12)
+    assert np.array_equal(event.x_post, fleet.c_prev + fleet.e)
+    assert np.array_equal(event.xhat_post, np.full(n, fleet.c_prev))
+    assert np.all(fleet.e[reset] == 0.0)

@@ -169,7 +169,8 @@ def test_fast_path_matches_reference(case, k):
 @pytest.mark.parametrize("n", [3, 20])
 def test_chunk_budget_changes_only_rounding(monkeypatch, n):
     # a budget of five noise rows per chunk draws the same noise in smaller
-    # blocks; trigger instants and tallies stay, up to partial-sum rounding
+    # blocks; each chunk restarts its running sums from the current errors,
+    # so chunk boundaries move rounding only: trigger instants stay
     cases = [(B, LevelBroadcast(1.0)), (BL, LevelGlobal(1.5)), (BL, PeriodicSync(0.25)),
              (B, PeriodicAsync(0.8, staggered_offsets(n, 0.8)))]
     blocks = []
@@ -200,6 +201,33 @@ def test_chunk_budget_changes_only_rounding(monkeypatch, n):
         a, b = small.accumulator, default.accumulator
         assert a.integral_sum == pytest.approx(b.integral_sum, rel=1e-12)
         assert a.per_renewal_costs == pytest.approx(b.per_renewal_costs, rel=1e-9, abs=1e-12)
+        assert a.per_renewal_lengths == b.per_renewal_lengths
+        assert np.array_equal(a.local_event_counts, b.local_event_counts)
+
+
+@pytest.mark.parametrize("n", [3, 20])
+def test_search_window_changes_nothing(monkeypatch, n):
+    # the level search only reads the chunk's running sums, so its window
+    # length moves no bit of the events or the tallies
+    def run(scenario, scheme):
+        config = quiet_config(n=n, scenario=scenario, scheme=scheme, horizon=20.0,
+                              trials=1, seed=19, record_events=True)
+        return run_trial(config, 0)
+
+    for scenario, scheme in ((B, LevelBroadcast(1.0)), (BL, LevelGlobal(1.5))):
+        default = run(scenario, scheme)
+        with monkeypatch.context() as patch:
+            patch.setattr(driver, "LEVEL_LOOKAHEAD", 7)
+            small = run(scenario, scheme)
+        assert len(default.events) > 20
+        for a, b in zip(small.events, default.events, strict=True):
+            assert (a.time, a.initiators, a.consensus_point) == (
+                b.time, b.initiators, b.consensus_point)
+            assert np.array_equal(a.x_pre, b.x_pre) and np.array_equal(a.x_post, b.x_post)
+        a, b = small.accumulator, default.accumulator
+        assert (a.integral_sum, a.elapsed, a.global_event_count) == (
+            b.integral_sum, b.elapsed, b.global_event_count)
+        assert a.per_renewal_costs == b.per_renewal_costs
         assert a.per_renewal_lengths == b.per_renewal_lengths
         assert np.array_equal(a.local_event_counts, b.local_event_counts)
 

@@ -24,14 +24,14 @@ def quiet_config(**kw):
         return ScenarioConfig(**kw)
 
 
-def fire(x, initiators, scenario, xhat):
-    """The logged event after ``initiators`` fire with the fleet at ``x``."""
+def fire(x, initiators, scenario, c_prev):
+    """The logged event after ``initiators`` fire with the fleet at ``x`` and
+    every estimate at the last consensus point ``c_prev``."""
     config = quiet_config(n=len(x), scenario=scenario, scheme=PeriodicSync(1.0),
                           record_events=True)
     fleet = _Fleet.start(config)
-    fleet.x = np.asarray(x, dtype=float)
-    fleet.xhat = np.asarray(xhat, dtype=float)
-    fleet.c_prev = float(fleet.xhat[0])
+    fleet.c_prev = c_prev
+    fleet.e = np.asarray(x, dtype=float) - c_prev
     _apply_event(fleet, np.array(initiators), 1)
     return fleet.events[0]
 
@@ -121,19 +121,19 @@ def test_drift_telescopes_exactly():
 
 def test_impulse_zero_is_identity():
     # a fleet already in consensus at an exact reset does not move
-    event = fire([0.5, 0.5, 0.5], [1], BL, xhat=[0.0, 0.0, 0.0])
+    event = fire([0.5, 0.5, 0.5], [1], BL, c_prev=0.0)
     assert np.array_equal(event.x_post, event.x_pre)
 
 
 def test_impulse_adds_jumps():
     # broadcast-only: every agent moves by c minus its (refreshed) estimate
-    event = fire([1.0, 2.0, -0.5], [2], B, xhat=[0.25, 0.25, 0.25])
+    event = fire([1.0, 2.0, -0.5], [2], B, c_prev=0.25)
     c = event.consensus_point
     assert event.x_post - event.x_pre == pytest.approx([c - 0.25, c - 0.25, c + 0.5])
 
 
 def test_impulse_reset_to_mean():
-    event = fire([1.0, 0.0, -1.0], [0], BL, xhat=[0.0, 0.0, 0.0])
+    event = fire([1.0, 0.0, -1.0], [0], BL, c_prev=0.0)
     assert np.array_equal(event.x_post, [0.0, 0.0, 0.0])
 
 
