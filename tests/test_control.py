@@ -190,7 +190,7 @@ def test_error_form_matches_state_form_protocol(case):
         x_post = np.full(n, c)
 
     fleet = start(x, scenario, rule, c_prev)
-    fleet.e = case["e"].copy()
+    fleet.e = case["e"].copy()  # the drawn errors exactly, not x - c_prev rounded
     reset = _apply_event(fleet, initiators, 1)
     event = fleet.events[0]
     assert event.consensus_point == pytest.approx(c, rel=1e-12, abs=1e-12)
