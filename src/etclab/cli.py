@@ -14,7 +14,7 @@ Every command writes a CSV (comma separators, '.' decimals) plus a
 ``<out>.manifest.txt`` sidecar holding the resolved parameters, seed,
 library versions, bit generator and code revision needed to reproduce
 it.  ``THREADS`` (a positive integer, default 1) fans the trials of a
-batch out over processes.  Every batch config is made and usage-checked
+batch out over processes, at most one per trial and per usable CPU.  Every batch config is made and usage-checked
 in one place, and ``table1`` and ``sweep-n`` calibrate and run their
 broadcast-plus-local ET/TT pairs through one loop that builds all of
 its configs before the first calibration and calibrates every pair

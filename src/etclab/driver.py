@@ -13,25 +13,30 @@ scalar ``c`` plus the error vector ``e = x - c``.  The cost is
 ``x'Lx = e'Le``, agent 0's renewal reward is ``e_0^2``, a level rule
 fires when ``|e_i| >= delta``, and an event zeroes the errors it resets
 (the initiators' under broadcast-only, everyone's under
-broadcast-plus-local).  The true states ``c + e`` and estimates ``c``
-are rebuilt only for event logs and trajectories.
+broadcast-plus-local).  Costs and triggers read ``e`` alone, so the
+consensus point, the true states ``c + e`` and the estimates ``c`` are
+formed only in trials that log events or a trajectory.
 
 The production path takes the noise in chunks sized from a memory
 budget, so the noise block stays bounded at any fleet size.  Per chunk
-it forms one running sum of the errors, finds the events in it (a level
-search in bounded windows against each agent's running sum at its last
-reset, or the per-agent periodic deadline counters), turns each segment
-between events into errors with one subtraction, and then makes one
-cost pass over the chunk's left endpoints.  Only chunk boundaries move
-its rounding; the search window does not.  The path consumes the noise
-stream in exactly the same order as the plain per-step loop kept as
-``run_trial_reference``, which steps, detects triggers and sums costs on
-its own; both hand every event to one ``_apply_event``, and the test
-suite compares them.  Trials are embarrassingly parallel: each owns a
-substream keyed by its index, and batches merge per-trial results in
-fixed index order.
+it forms one running sum of the errors and finds the events in it: a
+level rule searches bounded windows against each agent's running sum
+at its last reset, one flat ``argmax`` per window; periodic schedules
+get every deadline of the chunk from one ``periodic_fire_step`` call
+over the agents' deadline counters.  Per event what is left is one
+subtraction that turns the segment before it into errors, agent 0's
+reward over that segment and the event protocol's counts; after the
+last event one cost pass covers the chunk's left endpoints.  Only chunk
+boundaries move its rounding; the search window does not.  The path
+consumes the noise stream in exactly the same order as the plain
+per-step loop kept as ``run_trial_reference``, which steps, detects
+triggers and sums costs on its own; both hand every event to one
+``_apply_event``, and the test suite compares them.  Trials are
+embarrassingly parallel: each owns a substream keyed by its index, and
+batches merge per-trial results in fixed index order.
 """
 
+import os
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -39,7 +44,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .control import Average, ConsensusRule, InfoScenario, consensus_value
+from .control import Average, ConsensusRule, Fixed, InfoScenario, Leader, consensus_value
 from .costs import CostAccumulator, CostReport, finalize, mean_exit_time
 from .graph import consensus_cost_rows
 from .sde import NoiseStream
@@ -107,6 +112,11 @@ class ScenarioConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.trajectory_stride < 1:
             raise ValueError("trajectory_stride must be >= 1")
+        if not isinstance(self.rule, (Average, Leader, Fixed)):
+            raise ValueError(
+                f"unknown consensus rule of type {type(self.rule).__name__}: "
+                "expected Average, Leader or Fixed"
+            )
         scheme, scenario = self.scheme, self.scenario
         if isinstance(scheme, LevelBroadcast) and scenario is not InfoScenario.BROADCAST:
             raise ValueError("broadcast level rule requires the broadcast-only scenario")
@@ -161,14 +171,28 @@ class TrialResult:
 
 
 def run_trials(config: ScenarioConfig, workers: int = 1) -> List[TrialResult]:
-    """All trials of a batch, in trial-index order."""
+    """All trials of a batch, in trial-index order.
+
+    ``workers > 1`` fans the trials out over a process pool of at most
+    ``workers`` processes, and never more than there are trials or CPUs
+    this process may run on: a forking pool starts all of its processes
+    at once.
+    """
     indices = range(config.trials)
+    workers = min(workers, config.trials, _usable_cpus())
     if workers > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(partial(run_trial, config), indices))
     return [run_trial(config, i) for i in indices]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
 
 
 def run_batch(config: ScenarioConfig, workers: int = 1) -> CostReport:
@@ -189,7 +213,9 @@ class _Fleet:
     snapshot the level rule measures against, equals the last consensus
     point ``c_prev``, so the state is ``c_prev`` plus the error vector
     ``e = x - c_prev``: the true states are ``c_prev + e`` and every
-    estimate is ``c_prev``.  ``cycle_reward`` and ``cycle_start``
+    estimate is ``c_prev``.  Costs and triggers read ``e`` alone, so
+    ``c_prev`` is tracked only when ``logged``: when the trial records
+    events or a trajectory.  ``cycle_reward`` and ``cycle_start``
     describe the open renewal cycle.
     """
 
@@ -197,6 +223,7 @@ class _Fleet:
     e: np.ndarray
     acc: CostAccumulator
     events: Optional[List[TriggerEvent]]
+    logged: bool
     c_prev: float = 0.0
     cycle_reward: float = 0.0
     cycle_start: int = 0
@@ -206,7 +233,8 @@ class _Fleet:
         """All agents in consensus at zero; t = 0 counts as a trigger."""
         n = config.n
         events = [] if config.record_events else None
-        return cls(config, np.zeros(n), CostAccumulator(n), events)
+        logged = config.record_events or config.record_trajectory
+        return cls(config, np.zeros(n), CostAccumulator(n), events, logged)
 
 
 def _apply_event(fleet: _Fleet, initiators: np.ndarray, step: int):
@@ -218,20 +246,22 @@ def _apply_event(fleet: _Fleet, initiators: np.ndarray, step: int):
     everyone else's estimate error.  Broadcast-plus-local: the fleet
     resets exactly to ``c``.  In error coordinates both zero, in place in
     ``fleet.e``, the errors of the agents they reset (the initiators, or
-    everyone) and make ``c`` the new ``c_prev``.  Then the event is
-    counted, the renewal cycle closes (on every global event, or on agent
-    0's own events under broadcast-only) and the event is logged with
-    ``x = c + e`` and ``xhat = c``.  Returns the index of the reset agents.
+    everyone) and, in a logged trial, make ``c`` the new ``c_prev``.  Then
+    the event is counted, the renewal cycle closes (on every global event,
+    or on agent 0's own events under broadcast-only) and the event is
+    logged with ``x = c + e`` and ``xhat = c``.  Returns the index of the
+    reset agents.
     """
     config = fleet.config
-    scenario = config.scenario
-    broadcast_only = scenario is InfoScenario.BROADCAST
-    e, c_prev = fleet.e, fleet.c_prev
-    x_pre = c_prev + e
-    c = consensus_value(x_pre, c_prev, initiators, config.rule, scenario)
+    broadcast_only = config.scenario is InfoScenario.BROADCAST
+    e = fleet.e
+    if fleet.logged:
+        c_prev = fleet.c_prev
+        x_pre = c_prev + e
+        c = consensus_value(x_pre, c_prev, initiators, config.rule, config.scenario)
+        fleet.c_prev = c
     reset = initiators if broadcast_only else slice(None)
     e[reset] = 0.0
-    fleet.c_prev = c
 
     acc = fleet.acc
     acc.local_event_counts[initiators] += 1
@@ -270,23 +300,42 @@ def _phase_offsets(scheme: TriggerScheme, n: int) -> np.ndarray:
 def _first_crossing(rows: np.ndarray, base: np.ndarray, start: int, delta: float):
     """First row ``k >= start`` with some ``|rows[k] - base| >= delta`` and the
     agents that reach it there, or ``(None, None)``.  The rows are searched in
-    ``LEVEL_LOOKAHEAD`` slices, so an early hit stops the search early."""
+    ``LEVEL_LOOKAHEAD`` slices, so an early hit stops the search early; the
+    first hit of a slice is one flat ``argmax`` over its row-major hit mask."""
+    n = rows.shape[1]
     while start < len(rows):
         hit = np.abs(rows[start : start + LEVEL_LOOKAHEAD] - base) >= delta
-        k = int(np.argmax(hit.any(axis=1)))
-        if hit[k].any():
+        k, agent = divmod(int(hit.argmax()), n)
+        if hit[k, agent]:
             return start + k, np.flatnonzero(hit[k])
         start += LEVEL_LOOKAHEAD
     return None, None
 
 
-def _next_deadline(fire_steps: np.ndarray, done: int, span: int):
-    """Row of the chunk of ``span`` steps after step ``done`` that the next
-    periodic deadline falls in and the agents it fires, or ``(None, None)``."""
-    next_fire = int(fire_steps.min())
-    if next_fire > done + span:
-        return None, None
-    return next_fire - done, np.flatnonzero(fire_steps == next_fire)
+def _chunk_deadlines(fire_counts, offsets, period, dt, done, span):
+    """``(row, initiators)`` of every periodic deadline in the chunk of ``span``
+    steps after step ``done``, in time order, initiators ascending.
+
+    ``fire_counts[i]`` numbers agent ``i``'s next deadline
+    ``offsets[i] + fire_counts[i] * period``.  One ``periodic_fire_step`` call
+    maps an ``(n, m)`` grid of counter values to grid steps, with ``m`` one
+    more than a chunk can hold; the counters then advance, in place, past
+    every deadline the chunk holds.
+    """
+    m = int(span * dt / period) + 2
+    counts = fire_counts[:, None] + np.arange(m)
+    fire_steps = periodic_fire_step(offsets[:, None] + counts * period, dt)
+    # each agent's steps increase along its row, so its deadlines in the
+    # chunk are a prefix of it
+    agents, k = np.nonzero(fire_steps <= done + span)
+    fire_counts += np.bincount(agents, minlength=len(fire_counts))
+    if not agents.size:
+        return []
+    rows = fire_steps[agents, k] - done
+    order = np.argsort(rows, kind="stable")
+    rows, agents = rows[order], agents[order]
+    cuts = np.flatnonzero(rows[1:] != rows[:-1]) + 1
+    return list(zip(rows[np.r_[0, cuts]].tolist(), np.split(agents, cuts)))
 
 
 def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0) -> TrialResult:
@@ -305,8 +354,9 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     else:
         period = scheme.period
         offsets = _phase_offsets(scheme, n)
+        # every agent starts as having just fired, so a zero phase's first
+        # deadline is one period in
         fire_counts = np.where(offsets <= EPS_REL * dt, 1, 0).astype(np.int64)
-        fire_steps = periodic_fire_step(offsets + fire_counts * period, dt)
 
     stream = NoiseStream(config.seed, trial_index, noise_scale)
     sqrt_dt = np.sqrt(dt)
@@ -338,11 +388,13 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
         # at its last reset), are the errors; rows before ``seg`` already are
         base = np.zeros(n)
         seg = 1
+        if not level:
+            deadlines = iter(_chunk_deadlines(fire_counts, offsets, period, dt, done, span))
         while True:
             if level:
                 row, initiators = _first_crossing(rows, base, seg, delta)
             else:
-                row, initiators = _next_deadline(fire_steps, done, span)
+                row, initiators = next(deadlines, (None, None))
             # turn the rows up to the event, or to the chunk's end, into errors
             end = span if row is None else row
             running = rows[end].copy()
@@ -361,11 +413,6 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
             fleet.e = rows[row]
             reset = _apply_event(fleet, initiators, done + row)
             base[reset] = running[reset]
-            if not level:
-                fire_counts[initiators] += 1
-                fire_steps[initiators] = periodic_fire_step(
-                    offsets[initiators] + fire_counts[initiators] * period, dt
-                )
             if trajectory is not None:
                 log_state(done + row, rows[row], 1)
             seg = row + 1

@@ -68,6 +68,18 @@ def test_period_below_step_rejected():
         quiet_config(n=2, scenario=BL, scheme=PeriodicSync(1e-4), dt=2e-3)
 
 
+class Median:
+    """A consensus rule the library does not know."""
+
+
+@pytest.mark.parametrize("rule", [Median(), "average", None])
+def test_unknown_rule_rejected_at_construction(rule):
+    # an unlogged trial never forms a consensus point, so a bad rule must
+    # fail before any trial runs
+    with pytest.raises(ValueError, match=type(rule).__name__):
+        quiet_config(n=2, scenario=B, scheme=LevelBroadcast(1.0), rule=rule)
+
+
 # --- fast integrator vs per-step reference ----------------------------------
 
 
@@ -136,6 +148,11 @@ def variant(case, k):
                         record_events=True)
 
 
+def tallies(acc):
+    return (acc.integral_sum, acc.elapsed, acc.per_renewal_costs, acc.per_renewal_lengths,
+            acc.local_event_counts.tolist(), acc.global_event_count)
+
+
 @pytest.mark.parametrize("case", list(REFERENCE_CASES))
 @settings(max_examples=7, deadline=None, derandomize=True, database=None)
 @given(k=knobs())
@@ -144,6 +161,17 @@ def test_fast_path_matches_reference(case, k):
     config = variant(case, k)
     fast = run_trial(config, 0)
     ref = run_trial_reference(config, 0)
+    # the unlogged path, which batches take, and a trajectory-only run form
+    # no event log, and the first forms no consensus point; neither may
+    # move a bit of the tallies
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # short horizons, as in variant()
+        unlogged = run_trial(replace(config, record_events=False), 0)
+        traced = run_trial(replace(config, record_events=False, record_trajectory=True), 0)
+    assert unlogged.events is None and unlogged.trajectory is None
+    assert traced.trajectory
+    assert tallies(unlogged.accumulator) == tallies(fast.accumulator)
+    assert tallies(traced.accumulator) == tallies(fast.accumulator)
     assert [e.time for e in fast.events] == [e.time for e in ref.events]
     assert [e.initiators for e in fast.events] == [e.initiators for e in ref.events]
     assert [e.consensus_point for e in fast.events] == pytest.approx(
@@ -161,6 +189,92 @@ def test_fast_path_matches_reference(case, k):
     assert np.array_equal(
         fast.accumulator.local_event_counts, ref.accumulator.local_event_counts
     )
+
+
+# --- periodic schedules at the edges ------------------------------------------
+
+DT = 2e-3
+CHUNK_T = driver.CHUNK_STEPS * DT
+NEAR = 0.5 * driver.EPS_REL * DT  # inside the deadline tolerance of a grid point
+
+
+def near_grid_offsets(period):
+    """Phases within ``NEAR`` of grid points: at 0, just after and before a
+    step, and just below the period."""
+    return (NEAR, 7 * DT - NEAR, 11 * DT + NEAR, period - NEAR)
+
+
+EDGE_SCHEDULES = {
+    "sync-every-step-b": (B, PeriodicSync(DT)),
+    "sync-every-step-bl": (BL, PeriodicSync(DT)),
+    "async-every-step": (B, PeriodicAsync(DT, (0.0, NEAR, DT - NEAR, 0.5 * DT))),
+    "sync-chunk": (BL, PeriodicSync(CHUNK_T)),
+    "sync-chunk-minus-step": (B, PeriodicSync(CHUNK_T - DT)),
+    "sync-chunk-plus-step": (BL, PeriodicSync(CHUNK_T + DT)),
+    "async-near-grid": (B, PeriodicAsync(0.75, near_grid_offsets(0.75))),
+    "async-chunk-near-grid": (B, PeriodicAsync(CHUNK_T - DT, near_grid_offsets(CHUNK_T - DT))),
+}
+
+
+@pytest.mark.parametrize("rows", [None, 5], ids=["default-chunk", "5-row-chunks"])
+@pytest.mark.parametrize("case", list(EDGE_SCHEDULES))
+def test_periodic_edges_match_reference(monkeypatch, case, rows):
+    # one deadline lookup per chunk must hold many deadlines per agent
+    # (a period of one step) or none (a period near a chunk, or 5-row chunks)
+    scenario, scheme = EDGE_SCHEDULES[case]
+    n = len(scheme.offsets) if isinstance(scheme, PeriodicAsync) else 3
+    config = quiet_config(n=n, scenario=scenario, scheme=scheme, dt=DT,
+                          horizon=2.5 * CHUNK_T, trials=1, seed=23, record_events=True)
+    if rows is not None:
+        monkeypatch.setattr(driver, "CHUNK_BYTES", rows * 8 * n)
+    fast = run_trial(config, 0)
+    ref = run_trial_reference(config, 0)
+    assert len(ref.events) >= 2
+    if scheme.period == DT:
+        assert len(ref.events) == config.steps
+    assert [(e.time, e.initiators) for e in fast.events] == [
+        (e.time, e.initiators) for e in ref.events]
+    a, b = fast.accumulator, ref.accumulator
+    assert a.per_renewal_lengths == b.per_renewal_lengths
+    assert np.array_equal(a.local_event_counts, b.local_event_counts)
+    assert a.integral_sum == pytest.approx(b.integral_sum, rel=1e-9)
+    assert a.per_renewal_costs == pytest.approx(b.per_renewal_costs, rel=1e-9, abs=1e-12)
+
+
+# --- fixed values below eight agents -------------------------------------------
+
+# repr of (integral_sum, per_renewal_costs[:5], global_event_count) for trial 0
+# of each table1 n = 3, T = 0.25 cell at horizon 20 s and seed 1729, as the
+# integrator produced them before the agent-major cost pass, the one-call
+# level search and the per-chunk deadline lookup; below eight agents those
+# sum in the same order, so every bit must stay
+GOLDEN_N3 = {
+    "tt-b": (B, PeriodicSync(0.75), "48.96162428391842", "[0.08996578479079387, "
+             "0.034121609437339655, 0.24442788309606459, 1.476732816436913, "
+             "0.36513737840240357]", 26),
+    "tt-async-b": (B, PeriodicAsync(0.75, staggered_offsets(3, 0.75)), "50.708645330814065",
+                   "[0.0899657847907939, 0.034121609437339655, 0.24442788309606456, "
+                   "1.4767328164369125, 0.36513737840240357]", 80),
+    "et-b": (B, LevelBroadcast(math.sqrt(0.75)), "16.118768618654148", "[0.2808054134643105, "
+             "0.08141362136248582, 0.06308258565270085, 0.1607178243286735, "
+             "0.05409070680041135]", 86),
+    "tt-bl": (BL, PeriodicSync(0.25), "16.363961270796985", "[0.05127641187601175, "
+              "0.03175523300849283, 0.00471909310996885, 0.005190378347547349, "
+              "0.039774546036706285]", 80),
+    "et-bl": (BL, LevelGlobal(0.7457396748327672), "9.65689229814993", "[0.02424939892193384, "
+              "0.008714783120161248, 0.034270466598227446, 0.09842116474845217, "
+              "0.02096393992039409]", 81),
+}
+
+
+@pytest.mark.parametrize("cell", list(GOLDEN_N3))
+def test_small_fleet_values_are_pinned(cell):
+    scenario, scheme, integral, costs, events = GOLDEN_N3[cell]
+    config = quiet_config(n=3, scenario=scenario, scheme=scheme, horizon=20.0,
+                          trials=1, seed=1729)
+    acc = run_trial(config, 0).accumulator
+    assert (repr(acc.integral_sum), repr(acc.per_renewal_costs[:5]),
+            acc.global_event_count) == (integral, costs, events)
 
 
 # --- chunk sizing -------------------------------------------------------------
@@ -277,6 +391,51 @@ def test_process_pool_matches_serial_trials():
         assert np.array_equal(a.local_event_counts, b.local_event_counts)
         assert a.global_event_count == b.global_event_count
     assert finalize(pooled) == finalize(serial)
+
+
+class RecordingPool:
+    """Stands in for ``ProcessPoolExecutor``: records its size, starts nothing."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "workers, trials, cpus, expected",
+    [(100_000, 3, 64, 3), (100_000, 8, 4, 4), (2, 8, 4, 2), (100_000, 8, 1, None),
+     (1, 8, 4, None), (100_000, 8, None, 3)],
+)
+def test_process_pool_is_bounded(monkeypatch, workers, trials, cpus, expected):
+    # a forking pool starts every process at once, so THREADS=100000 must not
+    # ask for 100000 of them; never start a real pool at such a value
+    import concurrent.futures
+    import os
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    if cpus is None:  # a platform without affinity masks falls back to cpu_count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+    config = quiet_config(n=2, scenario=B, scheme=LevelBroadcast(1.0),
+                          horizon=1.0, trials=trials, seed=4)
+    results = run_trials(config, workers=workers)
+    assert RecordingPool.sizes == ([] if expected is None else [expected])
+    assert [tallies(r.accumulator) for r in results] == [
+        tallies(run_trial(config, i).accumulator) for i in range(trials)]
 
 
 def test_ci_shrinks_with_more_trials():
