@@ -13,9 +13,10 @@ selftest     fast internal consistency checks (exit 4 on failure)
 Every command writes a CSV (comma separators, '.' decimals) plus a
 ``<out>.manifest.txt`` sidecar holding the resolved parameters, seed,
 library versions, bit generator and code revision needed to reproduce
-it.  ``THREADS`` (a positive integer, default 1) fans the trials of a
-batch out over processes, at most one per trial and per usable CPU.  Every batch config is made and usage-checked
-in one place, and ``table1`` and ``sweep-n`` calibrate and run their
+it, and the command's wall time.  ``THREADS`` (a positive integer,
+default 1) fans the trials of a batch out over processes, at most one
+per trial and per usable CPU.  Every batch config is made and
+usage-checked in one place, and ``table1`` and ``sweep-n`` calibrate and run their
 broadcast-plus-local ET/TT pairs through one loop that builds all of
 its configs before the first calibration and calibrates every pair
 before the first batch runs.  Exit codes: 0 success, 2 usage error (any
@@ -30,6 +31,7 @@ import datetime
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +56,7 @@ from .costs import (
     local_to_global_period,
     mean_exit_time,
 )
-from .driver import ScenarioConfig, run_batch, run_trial
+from .driver import ScenarioConfig, run_batch, run_trial, run_trial_reference
 from .sde import BIT_GENERATOR, NoiseStream
 from .triggering import (
     LevelBroadcast,
@@ -121,10 +123,15 @@ def _write_csv(path: str, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_manifest(path: str, command: str, params: dict) -> None:
+def _write_manifest(args, command: str) -> None:
+    """``<args.out>.manifest.txt``: the command, its wall time so far, the
+    versions and revision that ran it and every resolved argument."""
+    skip = ("func", "out", "workers", "started")
+    params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
     lines = [
         f"command={command}",
         f"created={datetime.datetime.now().isoformat(timespec='seconds')}",
+        f"wall_s={time.perf_counter() - args.started:.3f}",
         f"etclab_version={__version__}",
         f"numpy_version={np.__version__}",
         f"scipy_version={scipy.__version__}",
@@ -134,7 +141,7 @@ def _write_manifest(path: str, command: str, params: dict) -> None:
     ]
     for key in sorted(params):
         lines.append(f"arg.{key}={params[key]}")
-    with open(path + ".manifest.txt", "w") as fh:
+    with open(args.out + ".manifest.txt", "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -210,10 +217,6 @@ def _config(args, parser, **fields) -> ScenarioConfig:
         parser.error(str(exc))
 
 
-def _params_of(args, skip=("func", "out", "workers")) -> dict:
-    return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -229,7 +232,7 @@ def cmd_simulate(args, parser) -> int:
            report.ci_halfwidth, report.mean_local_interevent,
            report.mean_global_interevent]
     _write_csv(args.out, header, [row])
-    _write_manifest(args.out, "simulate", _params_of(args))
+    _write_manifest(args, "simulate")
     print(f"wrote {args.out}: J = {report.j_time_avg:.6g} +- {report.ci_halfwidth:.2g}")
     return 0
 
@@ -244,7 +247,7 @@ def cmd_calibrate(args, parser) -> int:
     row = [args.n, args.target_t, result.delta_star, result.achieved_period,
            result.ci_halfwidth, result.samples_used]
     _write_csv(args.out, header, [row])
-    _write_manifest(args.out, "calibrate", _params_of(args))
+    _write_manifest(args, "calibrate")
     print(f"wrote {args.out}: delta = {result.delta_star:.6g} "
           f"(achieved {result.achieved_period:.6g} s)")
     return 0
@@ -304,7 +307,7 @@ def cmd_table1(args, parser) -> int:
         rows.append([n, target, "ET", "bl", delta, et.j_time_avg,
                      None, et.mean_global_interevent, et.ci_halfwidth])
     _write_csv(args.out, header, rows)
-    _write_manifest(args.out, "table1", _params_of(args))
+    _write_manifest(args, "table1")
     print(f"wrote {args.out}: {len(rows)} rows")
     return 0
 
@@ -345,7 +348,7 @@ def cmd_sweep_n(args, parser) -> int:
                      "yes" if diff < 0 else "no",
                      n / 3.0, rep_et.j_time_avg / rep_tt.j_time_avg])
     _write_csv(args.out, header, rows)
-    _write_manifest(args.out, args.command, _params_of(args))
+    _write_manifest(args, args.command)
     print(f"wrote {args.out}: {len(rows)} rows")
     return 0
 
@@ -369,7 +372,7 @@ def cmd_trajectory(args, parser) -> int:
         thr_hi = center + delta if delta is not None else None
         rows.append([t, *x.tolist(), *xhat.tolist(), flag, thr_lo, thr_hi])
     _write_csv(args.out, header, rows)
-    _write_manifest(args.out, "trajectory", _params_of(args))
+    _write_manifest(args, "trajectory")
     print(f"wrote {args.out}: {len(rows)} rows")
     return 0
 
@@ -411,6 +414,14 @@ def cmd_selftest(args, parser) -> int:
     check("level-scheme cost vs oracle",
           abs(rep1.j_time_avg / oracle - 1.0) < 0.15,
           f"(sim={rep1.j_time_avg:.4g}, oracle={oracle:.4g})")
+
+    config = ScenarioConfig(
+        n=3, scenario=InfoScenario.BROADCAST, scheme=LevelBroadcast(0.2), dt=2e-3,
+        horizon=5.0, trials=1, seed=args.seed, record_events=True)
+    fast, ref = (run(config, 0).events for run in (run_trial, run_trial_reference))
+    same = [(e.time, e.initiators) for e in fast] == [(e.time, e.initiators) for e in ref]
+    check("chunked events match the per-step reference", same and len(fast) > 0,
+          f"({len(fast)} events)")
 
     if all(checks):
         print("[selftest] all checks passed")
@@ -473,6 +484,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.workers = _workers(parser)
+    args.started = time.perf_counter()
     try:
         return args.func(args, parser)
     except CalibrationError as exc:

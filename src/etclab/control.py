@@ -23,8 +23,9 @@ broadcast-plus-local).  So the simulation carries the last consensus
 point and the error vector ``e = x - c`` instead of ``x`` and ``xhat``.
 The event protocol itself (refresh the initiators' estimates, pick the
 consensus point from ``c + e``, zero the reset errors, make ``c`` the
-new consensus point) is implemented once, in ``driver._apply_event``,
-and shared by both integrators.  Costs and triggers read only ``e``, so
+new consensus point) is implemented once, in ``driver._settle``, which
+settles a chunk's events in order and serves both integrators.  Costs
+and triggers read only ``e``, so
 the consensus point is picked only in trials that log events or a
 trajectory, and ``driver.ScenarioConfig`` rejects an unknown rule
 before any trial runs.

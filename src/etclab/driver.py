@@ -18,22 +18,25 @@ consensus point, the true states ``c + e`` and the estimates ``c`` are
 formed only in trials that log events or a trajectory.
 
 The production path takes the noise in chunks sized from a memory
-budget, so the noise block stays bounded at any fleet size.  Per chunk
-it forms one running sum of the errors and finds the events in it: a
-level rule searches bounded windows against each agent's running sum
-at its last reset, one flat ``argmax`` per window; periodic schedules
-get every deadline of the chunk from one ``periodic_fire_step`` call
-over the agents' deadline counters.  Per event what is left is one
-subtraction that turns the segment before it into errors, agent 0's
-reward over that segment and the event protocol's counts; after the
-last event one cost pass covers the chunk's left endpoints.  Only chunk
+budget, drawn straight into one chunk buffer that the whole trial
+reuses, so memory stays bounded at any fleet size.  Per chunk the
+buffer becomes one running sum of the errors, and the chunk runs in two
+phases.  First its events are found on the raw running sums: a level
+rule searches bounded windows against each agent's running sum at its
+last reset, one flat ``argmax`` per window; periodic schedules get every
+deadline of the chunk from one ``periodic_fire_step`` call over the
+deadline counters (one counter for a synchronous schedule).  Then
+``_settle``, the one event protocol, settles them in order: one
+subtraction per segment between events turns the running sums into
+errors, agent 0's reward adds up per segment and the events are counted
+at once.  One cost pass covers the chunk's left endpoints.  Only chunk
 boundaries move its rounding; the search window does not.  The path
 consumes the noise stream in exactly the same order as the plain
 per-step loop kept as ``run_trial_reference``, which steps, detects
-triggers and sums costs on its own; both hand every event to one
-``_apply_event``, and the test suite compares them.  Trials are
-embarrassingly parallel: each owns a substream keyed by its index, and
-batches merge per-trial results in fixed index order.
+triggers and sums costs on its own and hands ``_settle`` one event at a
+time; the test suite compares the two.  Trials are embarrassingly
+parallel: each owns a substream keyed by its index, and batches merge
+per-trial results in fixed index order.
 """
 
 import os
@@ -207,7 +210,7 @@ def run_batch(config: ScenarioConfig, workers: int = 1) -> CostReport:
 
 @dataclass
 class _Fleet:
-    """Closed-loop state of one trial; ``_apply_event`` updates it in place.
+    """Closed-loop state of one trial; ``_settle`` updates it in place.
 
     After every event each estimate, and under broadcast-plus-local the
     snapshot the level rule measures against, equals the last consensus
@@ -223,68 +226,117 @@ class _Fleet:
     e: np.ndarray
     acc: CostAccumulator
     events: Optional[List[TriggerEvent]]
+    trajectory: Optional[List[tuple]]
     logged: bool
     c_prev: float = 0.0
     cycle_reward: float = 0.0
     cycle_start: int = 0
 
     @classmethod
-    def start(cls, config: ScenarioConfig) -> "_Fleet":
-        """All agents in consensus at zero; t = 0 counts as a trigger."""
+    def start(cls, config: ScenarioConfig, trajectory: bool = False) -> "_Fleet":
+        """All agents in consensus at zero; t = 0 counts as a trigger.  The
+        trajectory is recorded when ``trajectory`` is set."""
         n = config.n
         events = [] if config.record_events else None
-        logged = config.record_events or config.record_trajectory
-        return cls(config, np.zeros(n), CostAccumulator(n), events, logged)
+        log = [] if trajectory else None
+        logged = config.record_events or trajectory
+        return cls(config, np.zeros(n), CostAccumulator(n), events, log, logged)
+
+    def log_state(self, step: int, e: np.ndarray, flag: int) -> None:
+        """Trajectory row ``(t, x, xhat, flag, threshold center)`` at ``step``."""
+        c = self.c_prev
+        level = isinstance(self.config.scheme, (LevelBroadcast, LevelGlobal))
+        self.trajectory.append((step * self.config.dt, c + e, np.full(e.size, c), flag,
+                                c if level else float("nan")))
+
+    def log_event(self, e_pre: np.ndarray, mask: np.ndarray, step: int) -> None:
+        """Form the consensus point of the event that the agents in ``mask``
+        fire at the errors ``e_pre``, make it ``c_prev`` and log the event."""
+        config = self.config
+        broadcast_only = config.scenario is InfoScenario.BROADCAST
+        initiators = np.flatnonzero(mask)
+        c_prev = self.c_prev
+        x_pre = c_prev + e_pre
+        c = consensus_value(x_pre, c_prev, initiators, config.rule, config.scenario)
+        self.c_prev = c
+        if self.events is not None:
+            e_post = np.where(mask if broadcast_only else True, 0.0, e_pre)
+            self.events.append(
+                TriggerEvent(
+                    time=step * config.dt,
+                    initiators=tuple(initiators.tolist()),
+                    consensus_point=c,
+                    is_global=not broadcast_only,
+                    x_pre=x_pre,
+                    x_post=c + e_post,
+                    xhat_pre=np.full(config.n, c_prev),
+                    xhat_post=np.full(config.n, c),
+                )
+            )
 
 
-def _apply_event(fleet: _Fleet, initiators: np.ndarray, step: int):
-    """Handle the event that ``initiators`` fire at the end of grid ``step``.
+def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int) -> None:
+    """Settle, in event order, the events of a block of running sums.
+
+    ``rows[k]`` is the state at the end of step ``done + k`` as a running
+    sum from row 0, which holds the errors, with no reset applied; the
+    event at row ``stops[j]`` (ascending) has the initiators ``masks[j]``,
+    a boolean row per event.
 
     Broadcast-only: the initiators' estimates become their true states,
     the consensus point ``c`` is announced, and every agent jumps by
     ``c - xhat``, which lands the initiators exactly on ``c`` and keeps
     everyone else's estimate error.  Broadcast-plus-local: the fleet
-    resets exactly to ``c``.  In error coordinates both zero, in place in
-    ``fleet.e``, the errors of the agents they reset (the initiators, or
-    everyone) and, in a logged trial, make ``c`` the new ``c_prev``.  Then
-    the event is counted, the renewal cycle closes (on every global event,
-    or on agent 0's own events under broadcast-only) and the event is
-    logged with ``x = c + e`` and ``xhat = c``.  Returns the index of the
-    reset agents.
+    resets exactly to ``c``.  In error coordinates both zero the errors of
+    the agents they reset (the initiators, or everyone), so the rows from
+    one event up to the next are errors once each agent's running sum at
+    its last reset is subtracted: one subtraction per segment, in place,
+    which also zeroes the reset errors at the event row.  Per segment
+    agent 0's renewal reward adds up over its left endpoints (the last
+    row's step belongs to the next block); per event the renewal cycle
+    closes (on every global event, or on agent 0's own events under
+    broadcast-only).  The events are counted at once.  A logged trial
+    forms each event's consensus point from ``x = c_prev + e`` and logs
+    the event, and the trajectory rows, in order.
     """
     config = fleet.config
+    dt = config.dt
     broadcast_only = config.scenario is InfoScenario.BROADCAST
-    e = fleet.e
-    if fleet.logged:
-        c_prev = fleet.c_prev
-        x_pre = c_prev + e
-        c = consensus_value(x_pre, c_prev, initiators, config.rule, config.scenario)
-        fleet.c_prev = c
-    reset = initiators if broadcast_only else slice(None)
-    e[reset] = 0.0
-
     acc = fleet.acc
-    acc.local_event_counts[initiators] += 1
-    acc.global_event_count += 1
-    if not broadcast_only or initiators[0] == 0:
-        acc.close_cycle(fleet.cycle_reward, (step - fleet.cycle_start) * config.dt)
-        fleet.cycle_reward = 0.0
-        fleet.cycle_start = step
-    if fleet.events is not None:
-        n = config.n
-        fleet.events.append(
-            TriggerEvent(
-                time=step * config.dt,
-                initiators=tuple(int(i) for i in initiators),
-                consensus_point=c,
-                is_global=not broadcast_only,
-                x_pre=x_pre,
-                x_post=c + e,
-                xhat_pre=np.full(n, c_prev),
-                xhat_post=np.full(n, c),
-            )
-        )
-    return reset
+    count = len(stops)
+    if count:
+        masks = np.asarray(masks)
+        acc.local_event_counts += masks.sum(axis=0)
+        acc.global_event_count += count
+        closes = masks[:, 0].tolist() if broadcast_only else [True] * count
+    trajectory = fleet.trajectory
+    stride = config.trajectory_stride
+    span = len(rows) - 1
+    base = np.zeros(config.n)  # each agent's running sum at its last reset
+    start = 0
+    for k, stop in enumerate([*stops, span + 1]):
+        if k:
+            rows[start:stop] -= base
+        dev0 = rows[start : min(stop, span), 0]
+        fleet.cycle_reward += float(dev0 @ dev0) * dt
+        if trajectory is not None:
+            if k:
+                fleet.log_state(done + start, rows[start], 1)
+            # an event row takes the place of its step's stride row
+            for j in range(start + 1 + (-(done + start + 1)) % stride, stop, stride):
+                fleet.log_state(done + j, rows[j], 0)
+        if k == count:
+            return
+        step = done + stop
+        mask = masks[k]
+        if fleet.logged:
+            fleet.log_event(rows[stop] - base, mask, step)
+        np.copyto(base, rows[stop], where=mask if broadcast_only else True)
+        if closes[k]:
+            acc.close_cycle(fleet.cycle_reward, (step - fleet.cycle_start) * dt)
+            fleet.cycle_reward = 0.0
+            fleet.cycle_start = step
+        start = stop
 
 
 def _phase_offsets(scheme: TriggerScheme, n: int) -> np.ndarray:
@@ -297,45 +349,62 @@ def _phase_offsets(scheme: TriggerScheme, n: int) -> np.ndarray:
 # fast chunked integrator
 
 
-def _first_crossing(rows: np.ndarray, base: np.ndarray, start: int, delta: float):
-    """First row ``k >= start`` with some ``|rows[k] - base| >= delta`` and the
-    agents that reach it there, or ``(None, None)``.  The rows are searched in
-    ``LEVEL_LOOKAHEAD`` slices, so an early hit stops the search early; the
-    first hit of a slice is one flat ``argmax`` over its row-major hit mask."""
+def _level_events(rows: np.ndarray, delta: float, local: bool):
+    """``(stops, masks)`` of the level rule's events in a block of running
+    sums: the rows where some ``|rows[k] - base| >= delta``, ascending, and
+    per row the agents that reach it there.  ``base`` holds each agent's
+    running sum at its last reset: after an event, the whole event row
+    under broadcast-plus-local, the initiators' entries of it under
+    broadcast-only.  The rows are searched in ``LEVEL_LOOKAHEAD`` slices,
+    so an early hit stops a search early; the first hit of a slice is one
+    flat ``argmax`` over its row-major hit mask.
+    """
     n = rows.shape[1]
+    stops, masks = [], []
+    base = np.zeros(n)
+    start = 1
     while start < len(rows):
         hit = np.abs(rows[start : start + LEVEL_LOOKAHEAD] - base) >= delta
         k, agent = divmod(int(hit.argmax()), n)
-        if hit[k, agent]:
-            return start + k, np.flatnonzero(hit[k])
-        start += LEVEL_LOOKAHEAD
-    return None, None
+        if not hit[k, agent]:
+            start += LEVEL_LOOKAHEAD
+            continue
+        start += k
+        mask = hit[k].copy()  # not a view, which would keep the whole slice alive
+        stops.append(start)
+        masks.append(mask)
+        if local:
+            base = rows[start]
+        else:
+            np.copyto(base, rows[start], where=mask)
+        start += 1
+    return stops, masks
 
 
 def _chunk_deadlines(fire_counts, offsets, period, dt, done, span):
-    """``(row, initiators)`` of every periodic deadline in the chunk of ``span``
-    steps after step ``done``, in time order, initiators ascending.
+    """``(stops, masks)`` of every periodic deadline in the chunk of ``span``
+    steps after step ``done``: the rows that hold deadlines, ascending, and
+    per row a boolean mask of the phases due there.
 
-    ``fire_counts[i]`` numbers agent ``i``'s next deadline
-    ``offsets[i] + fire_counts[i] * period``.  One ``periodic_fire_step`` call
-    maps an ``(n, m)`` grid of counter values to grid steps, with ``m`` one
-    more than a chunk can hold; the counters then advance, in place, past
-    every deadline the chunk holds.
+    ``fire_counts[i]`` numbers phase ``i``'s next deadline
+    ``offsets[i] + fire_counts[i] * period``.  One ``periodic_fire_step``
+    call maps an ``(phases, m)`` grid of counter values to grid steps, with
+    ``m`` one more than a chunk can hold; the counters then advance, in
+    place, past every deadline the chunk holds.
     """
+    phases = len(fire_counts)
     m = int(span * dt / period) + 2
     counts = fire_counts[:, None] + np.arange(m)
-    fire_steps = periodic_fire_step(offsets[:, None] + counts * period, dt)
-    # each agent's steps increase along its row, so its deadlines in the
-    # chunk are a prefix of it
-    agents, k = np.nonzero(fire_steps <= done + span)
-    fire_counts += np.bincount(agents, minlength=len(fire_counts))
-    if not agents.size:
-        return []
-    rows = fire_steps[agents, k] - done
-    order = np.argsort(rows, kind="stable")
-    rows, agents = rows[order], agents[order]
-    cuts = np.flatnonzero(rows[1:] != rows[:-1]) + 1
-    return list(zip(rows[np.r_[0, cuts]].tolist(), np.split(agents, cuts)))
+    at = periodic_fire_step(offsets[:, None] + counts * period, dt)
+    at -= done  # chunk rows
+    # each phase's rows increase along its grid row, so its deadlines in the
+    # chunk are a prefix of it; later ones go to a sink row past the chunk
+    np.minimum(at, span + 1, out=at)
+    fire_counts += (at <= span).sum(axis=1)
+    due = np.zeros((span + 2, phases), dtype=bool)
+    due[at, np.arange(phases)[:, None]] = True
+    stops = np.flatnonzero(due[: span + 1].any(axis=1))
+    return stops.tolist(), due[stops]
 
 
 def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0) -> TrialResult:
@@ -350,10 +419,10 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     scheme = config.scheme
     level = isinstance(scheme, (LevelBroadcast, LevelGlobal))
     if level:
-        delta = scheme.delta
+        local = config.scenario is InfoScenario.BROADCAST_LOCAL
     else:
-        period = scheme.period
-        offsets = _phase_offsets(scheme, n)
+        # a synchronous schedule has one phase, which every agent shares
+        offsets = _phase_offsets(scheme, 1)
         # every agent starts as having just fired, so a zero phase's first
         # deadline is one period in
         fire_counts = np.where(offsets <= EPS_REL * dt, 1, 0).astype(np.int64)
@@ -361,69 +430,35 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     stream = NoiseStream(config.seed, trial_index, noise_scale)
     sqrt_dt = np.sqrt(dt)
     chunk = min(CHUNK_STEPS, max(1, CHUNK_BYTES // (8 * n)))
-    fleet = _Fleet.start(config)
+    fleet = _Fleet.start(config, trajectory=config.record_trajectory)
     acc = fleet.acc
+    if fleet.trajectory is not None:
+        fleet.log_state(0, fleet.e, 0)
 
-    trajectory: Optional[List[tuple]] = [] if config.record_trajectory else None
-    stride = config.trajectory_stride
-    no_center = float("nan")
-
-    def log_state(step, e, flag):
-        c = fleet.c_prev
-        trajectory.append((step * dt, c + e, np.full(n, c), flag, c if level else no_center))
-
-    if trajectory is not None:
-        log_state(0, fleet.e, 0)
-
+    # rows[k] follows the errors to the end of step done + k without resets:
+    # row 0 holds the current errors, each later row adds a step
+    buffer = np.empty((chunk + 1, n))
     done = 0  # completed steps; fleet.e holds the errors at time done*dt
     while done < steps_total:
         span = min(chunk, steps_total - done)
-        # rows[k] follows the errors to the end of step done + k without
-        # resets: row 0 holds the current errors, each later row adds a step
-        rows = np.empty((span + 1, n))
+        rows = buffer[: span + 1]
         rows[0] = fleet.e
-        np.multiply(stream.normals((span, n)), sqrt_dt, out=rows[1:])
+        noise = stream.normals((span, n), out=rows[1:])
+        noise *= sqrt_dt
         np.cumsum(rows, axis=0, out=rows)
-        # the rows from ``seg`` on, minus ``base`` (each agent's running sum
-        # at its last reset), are the errors; rows before ``seg`` already are
-        base = np.zeros(n)
-        seg = 1
-        if not level:
-            deadlines = iter(_chunk_deadlines(fire_counts, offsets, period, dt, done, span))
-        while True:
-            if level:
-                row, initiators = _first_crossing(rows, base, seg, delta)
-            else:
-                row, initiators = next(deadlines, (None, None))
-            # turn the rows up to the event, or to the chunk's end, into errors
-            end = span if row is None else row
-            running = rows[end].copy()
-            rows[seg : end + 1] -= base
-            # agent 0's renewal reward over the left endpoints of steps
-            # done + seg .. done + end
-            dev0 = rows[seg - 1 : end, 0]
-            fleet.cycle_reward += float(dev0 @ dev0) * dt
-            if trajectory is not None:
-                # an event row takes the place of its step's stride row
-                stop = end + 1 if row is None else end
-                for k in range(seg + (-(done + seg)) % stride, stop, stride):
-                    log_state(done + k, rows[k], 0)
-            if row is None:
-                break
-            fleet.e = rows[row]
-            reset = _apply_event(fleet, initiators, done + row)
-            base[reset] = running[reset]
-            if trajectory is not None:
-                log_state(done + row, rows[row], 1)
-            seg = row + 1
-
+        if level:
+            stops, masks = _level_events(rows, scheme.delta, local)
+        else:
+            stops, masks = _chunk_deadlines(fire_counts, offsets, scheme.period, dt, done, span)
+            masks = np.broadcast_to(masks, (len(stops), n))
+        _settle(fleet, rows, stops, masks, done)
         # left-endpoint rectangles: x'Lx = e'Le, since L annihilates c*1
         acc.integral_sum += float(consensus_cost_rows(rows[:-1]).sum()) * dt
         acc.elapsed += span * dt
-        fleet.e = rows[span].copy()
+        fleet.e = rows[span]
         done += span
 
-    return TrialResult(accumulator=acc, events=fleet.events, trajectory=trajectory)
+    return TrialResult(accumulator=acc, events=fleet.events, trajectory=fleet.trajectory)
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +472,13 @@ def run_trial_reference(
 
     It shares the event protocol, the error coordinates and the cost form
     with the fast path but does its own stepping (one draw per agent per
-    step), trigger detection and per-step cost summation, so comparing
-    the two checks the chunked running sums and their resets, the trigger
-    search and the deadline counters.  Trigger instants come out
-    identical, cost tallies equal up to summation order.  Slow (pure
-    Python loop); meant for short horizons.  Records no trajectory.
+    step), trigger detection and per-step cost and reward summation, and
+    hands ``_settle`` one event at a time, a block of the one row it fires
+    at; so comparing the two checks the chunked running sums and their
+    resets, the trigger search and the deadline counters.  Trigger
+    instants come out identical, cost tallies equal up to summation order.
+    Slow (pure Python loop); meant for short horizons.  Records no
+    trajectory.
     """
     n = config.n
     dt = config.dt
@@ -459,11 +496,14 @@ def run_trial_reference(
         fleet.cycle_reward += e[0] * e[0] * dt
         fleet.e = e + stream.normals(n) * sqrt_dt
         if level:
-            initiators = np.flatnonzero(np.abs(fleet.e) >= scheme.delta)
+            fired = np.abs(fleet.e) >= scheme.delta
         else:
-            initiators = _periodic_due(step * dt, scheme, dt, n)
-        if initiators.size:
-            _apply_event(fleet, initiators, step)
+            fired = np.zeros(n, dtype=bool)
+            fired[_periodic_due(step * dt, scheme, dt, n)] = True
+        if fired.any():
+            # the errors are the running sum of a one-row block: the row
+            # settles in place
+            _settle(fleet, fleet.e[None], [0], fired[None], step)
 
     return TrialResult(accumulator=acc, events=fleet.events)
 

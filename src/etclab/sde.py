@@ -51,9 +51,13 @@ class NoiseStream:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.trial_index, *self.subkey))
         self._gen = np.random.Generator(BIT_GENERATOR(ss))
 
-    def normals(self, shape) -> np.ndarray:
-        """Standard normal draws (times ``scale``), advancing the stream."""
-        draws = self._gen.standard_normal(shape)
+    def normals(self, shape, out=None) -> np.ndarray:
+        """Standard normal draws (times ``scale``), advancing the stream.
+
+        ``out``, a C-contiguous float64 array of ``shape``, receives the
+        draws in place of a new array and is returned.
+        """
+        draws = self._gen.standard_normal(shape, out=out)
         if self.scale != 1.0:
             draws *= self.scale
         return draws

@@ -46,6 +46,8 @@ def test_simulate_writes_csv_and_manifest(tmp_path):
     assert "numpy_version=" in manifest
     assert "bitgen=SFC64" in manifest
     assert re.search(r"^git_revision=([0-9a-f]{40}|unknown)$", manifest, re.MULTILINE)
+    wall = re.search(r"^wall_s=(\d+\.\d{3})$", manifest, re.MULTILINE)
+    assert wall and 0 < float(wall.group(1)) < 600
 
 
 def test_simulate_repeats_byte_identically(tmp_path):

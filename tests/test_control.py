@@ -12,7 +12,7 @@ from etclab import (
     ScenarioConfig,
     consensus_value,
 )
-from etclab.driver import _apply_event, _Fleet
+from etclab.driver import _Fleet, _settle
 from etclab.graph import consensus_cost_rows
 
 B = InfoScenario.BROADCAST
@@ -34,10 +34,20 @@ def start(x, scenario, rule=Average(), c_prev=0.0):
     return fleet
 
 
+def settle(fleet, initiators, step):
+    """Settle the one event that ``initiators`` fire at the end of ``step``, at
+    the fleet's current errors, as the reference integrator does; returns the
+    index of the agents it resets."""
+    mask = np.zeros(fleet.config.n, dtype=bool)
+    mask[initiators] = True
+    _settle(fleet, fleet.e[None], [0], mask[None], step)
+    return initiators if fleet.config.scenario is B else slice(None)
+
+
 def fire(x, initiators, scenario, rule=Average(), c_prev=0.0):
     """The logged event after ``initiators`` fire with the fleet at ``x``."""
     fleet = start(x, scenario, rule, c_prev)
-    _apply_event(fleet, np.array(initiators), 1)
+    settle(fleet, np.array(initiators), 1)
     return fleet.events[0]
 
 
@@ -143,7 +153,7 @@ def test_renewal_cycles_close_on_agent_zero_or_global_events():
         config = ScenarioConfig(n=3, scenario=scenario, scheme=PeriodicSync(1.0))
         fleet = _Fleet.start(config)
         fleet.cycle_reward = 0.5
-        _apply_event(fleet, np.array(initiators), 7)
+        settle(fleet, np.array(initiators), 7)
         closed[scenario, tuple(initiators)] = (fleet.acc.per_renewal_costs,
                                                fleet.acc.per_renewal_lengths)
     assert closed[B, (1,)] == ([], [])
@@ -191,7 +201,7 @@ def test_error_form_matches_state_form_protocol(case):
 
     fleet = start(x, scenario, rule, c_prev)
     fleet.e = case["e"].copy()  # the drawn errors exactly, not x - c_prev rounded
-    reset = _apply_event(fleet, initiators, 1)
+    reset = settle(fleet, initiators, 1)
     event = fleet.events[0]
     assert event.consensus_point == pytest.approx(c, rel=1e-12, abs=1e-12)
     assert fleet.c_prev == event.consensus_point

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -277,6 +278,38 @@ def test_small_fleet_values_are_pinned(cell):
             acc.global_event_count) == (integral, costs, events)
 
 
+# the same for n = 12, where the cost pass reduces rows with einsum; the b
+# cells keep the n = 3 schedules and the et-bl threshold is
+# sqrt(0.25 / mean_exit_time(12))
+GOLDEN_N12 = {
+    "tt-b": (B, PeriodicSync(0.75), "993.0571318905315", "[0.22711405245322072, "
+             "0.03221642691551233, 0.38791644754504434, 0.5913294043015526, "
+             "0.7560350511645872]", 26),
+    "tt-async-b": (B, PeriodicAsync(0.75, staggered_offsets(12, 0.75)), "1029.8204970048632",
+                   "[0.22711405245322075, 0.03221642691551233, 0.3879164475450444, "
+                   "0.5913294043015525, 0.7560350511645872]", 320),
+    "et-b": (B, LevelBroadcast(math.sqrt(0.75)), "338.4828365144528", "[0.07440207098933332, "
+             "0.07729026351013046, 0.12606799631990495, 0.026604806363531578, "
+             "0.04763508129961403]", 300),
+    "tt-bl": (BL, PeriodicSync(0.25), "330.0384129080214", "[0.011738146291506858, "
+              "0.016727982916915025, 0.1078544198736717, 0.007317552403995324, "
+              "0.02502623810163469]", 80),
+    "et-bl": (BL, LevelGlobal(1.0592486854593608), "329.21048995810844", "[0.014451331552291996, "
+              "0.045226483648262684, 0.004326624168625777, 0.006602289004866629, "
+              "0.030191503385297316]", 78),
+}
+
+
+@pytest.mark.parametrize("cell", list(GOLDEN_N12))
+def test_twelve_agent_values_are_pinned(cell):
+    scenario, scheme, integral, costs, events = GOLDEN_N12[cell]
+    config = quiet_config(n=12, scenario=scenario, scheme=scheme, horizon=20.0,
+                          trials=1, seed=1729)
+    acc = run_trial(config, 0).accumulator
+    assert (repr(acc.integral_sum), repr(acc.per_renewal_costs[:5]),
+            acc.global_event_count) == (integral, costs, events)
+
+
 # --- chunk sizing -------------------------------------------------------------
 
 
@@ -290,9 +323,9 @@ def test_chunk_budget_changes_only_rounding(monkeypatch, n):
     blocks = []
 
     class RecordingStream(driver.NoiseStream):
-        def normals(self, shape):
+        def normals(self, shape, out=None):
             blocks.append(shape)
-            return super().normals(shape)
+            return super().normals(shape, out=out)
 
     monkeypatch.setattr(driver, "NoiseStream", RecordingStream)
     for scenario, scheme in cases:
@@ -344,6 +377,29 @@ def test_search_window_changes_nothing(monkeypatch, n):
         assert a.per_renewal_costs == b.per_renewal_costs
         assert a.per_renewal_lengths == b.per_renewal_lengths
         assert np.array_equal(a.local_event_counts, b.local_event_counts)
+
+
+@pytest.mark.parametrize(
+    "scenario, scheme",
+    [(BL, LevelGlobal(1.0)), (B, LevelBroadcast(0.2)), (B, PeriodicSync(DT))],
+    ids=["level-global", "level-broadcast", "sync-every-step"],
+)
+def test_trial_memory_stays_near_the_chunk_budget(scenario, scheme):
+    # beyond the chunk buffer a trial holds a level search window and one
+    # mask row per event; a period of one step puts an event in every row,
+    # which must not cost a grid of deadlines per agent
+    n = 1024
+    rows = driver.CHUNK_BYTES // (8 * n)
+    config = quiet_config(n=n, scenario=scenario, scheme=scheme, dt=DT,
+                          horizon=1.5 * rows * DT, trials=1, seed=3)
+    tracemalloc.start()
+    try:
+        events = run_trial(config, 0).accumulator.global_event_count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert events > 10
+    assert peak <= 3 * driver.CHUNK_BYTES
 
 
 # --- contract trivia ---------------------------------------------------------

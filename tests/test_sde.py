@@ -12,7 +12,7 @@ from etclab import (
     ScenarioConfig,
     run_trial,
 )
-from etclab.driver import _apply_event, _Fleet
+from etclab.driver import _Fleet, _settle
 
 B = InfoScenario.BROADCAST
 BL = InfoScenario.BROADCAST_LOCAL
@@ -32,7 +32,9 @@ def fire(x, initiators, scenario, c_prev):
     fleet = _Fleet.start(config)
     fleet.c_prev = c_prev
     fleet.e = np.asarray(x, dtype=float) - c_prev
-    _apply_event(fleet, np.array(initiators), 1)
+    mask = np.zeros(len(x), dtype=bool)
+    mask[initiators] = True
+    _settle(fleet, fleet.e[None], [0], mask[None], 1)
     return fleet.events[0]
 
 

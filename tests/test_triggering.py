@@ -33,11 +33,14 @@ class ScriptedStream:
         self.flat = rows.ravel()
         self.pos = 0
 
-    def normals(self, shape):
+    def normals(self, shape, out=None):
         size = int(np.prod(shape))
-        out = self.flat[self.pos : self.pos + size].reshape(shape)
+        draws = self.flat[self.pos : self.pos + size].reshape(shape)
         self.pos += size
-        return out.copy()
+        if out is None:
+            return draws.copy()
+        out[...] = draws
+        return out
 
 
 def scripted_events(monkeypatch, scenario, scheme, increments):
