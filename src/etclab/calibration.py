@@ -62,12 +62,14 @@ class CalibrationError(RuntimeError):
 
 def check_calibration_args(n: int, target_global_period: float,
                            tolerance: float = DEFAULT_TOLERANCE,
-                           samples: int = DEFAULT_SAMPLES) -> None:
+                           samples: int = DEFAULT_SAMPLES, dt: float = DEFAULT_DT) -> None:
     """Raise ``ValueError`` unless ``calibrate_global_threshold`` accepts these."""
     if n < 1:
         raise ValueError(f"agent count must be >= 1, got {n}")
     if target_global_period <= 0:
         raise ValueError(f"target period must be positive, got {target_global_period}")
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     if not 0 < tolerance <= 0.2:
         raise ValueError(f"tolerance must be in (0, 0.2], got {tolerance}")
     if samples < 1:
@@ -108,7 +110,7 @@ def calibrate_global_threshold(
         If the verification run misses the target beyond tolerance,
         carrying the diagnostics.
     """
-    check_calibration_args(n, target_global_period, tolerance, samples)
+    check_calibration_args(n, target_global_period, tolerance, samples, dt)
     stream = stream if stream is not None else NoiseStream(0)
 
     delta = float(np.sqrt(target_global_period / mean_exit_time(n)))

@@ -239,7 +239,7 @@ def cmd_simulate(args, parser) -> int:
 
 def cmd_calibrate(args, parser) -> int:
     _usage_checked(parser, check_calibration_args, args.n, args.target_t,
-                   args.tolerance, args.samples)
+                   args.tolerance, args.samples, args.dt)
     result = calibrate_global_threshold(args.n, args.target_t, stream=NoiseStream(args.seed),
                                         dt=args.dt, tolerance=args.tolerance,
                                         samples=args.samples)
@@ -319,13 +319,21 @@ def _parse_n_list(text, parser):
         parser.error(f"bad n list: {text!r}")
     if not values:
         parser.error("n list must be nonempty")
+    if 1 in values:
+        # a lone agent is always at consensus, so both of its bl costs are 0
+        # and its cost ratio is undefined; counts below 1 fail the
+        # calibration check with the library's message
+        parser.error("sweep-n needs at least 2 agents per fleet, got 1")
     return values
 
 
 def _welch_ci95(a, b) -> float:
     """95% half-width of ``mean(a) - mean(b)``, with the Welch-Satterthwaite
-    degrees of freedom for the Student-t quantile."""
+    degrees of freedom for the Student-t quantile; NaN when either side has
+    fewer than two values, which give no variance."""
     a, b = np.asarray(a), np.asarray(b)
+    if min(a.size, b.size) < 2:
+        return float("nan")
     va, vb = a.var(ddof=1) / a.size, b.var(ddof=1) / b.size
     dof = (va + vb) ** 2 / (va**2 / (a.size - 1) + vb**2 / (b.size - 1))
     return float(stats.t.ppf(0.975, dof) * np.sqrt(va + vb))

@@ -5,11 +5,11 @@ maintained side by side:
 
 * time average: left-endpoint rectangle integration of ``x' L x``
   divided by elapsed time, averaged across trials;
-* renewal-reward: the per-cycle integral of one reference agent's
-  squared deviation divided by the mean cycle length, scaled by
-  ``n (n - 1)``.  Cycles are delimited by the reference agent's own
-  events (broadcast-only) or by global events (broadcast-plus-local),
-  and the final incomplete cycle is discarded.
+* renewal-reward: ``n (n - 1)`` times a ratio of two pooled sums, one
+  reference agent's per-cycle squared-deviation integrals over the cycle
+  lengths.  Cycles are delimited by its own events (broadcast-only) or
+  by global events (broadcast-plus-local); the final incomplete cycle is
+  discarded.  A trial keeps the cycle count and the two sums only.
 
 The closed-form oracles cover the periodic schemes in both scenarios,
 the level scheme in the broadcast-only scenario and the local-to-global
@@ -22,8 +22,8 @@ occupation integral up to exit and the mean exit time of the first of
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy import integrate, stats
@@ -44,13 +44,14 @@ __all__ = [
 
 @dataclass
 class CostAccumulator:
-    """Single-trial tallies: cost integral, renewal cycles, event counts."""
+    """Single-trial tallies: cost integral, renewal cycle sums, event counts."""
 
     n: int
     integral_sum: float = 0.0
     elapsed: float = 0.0
-    per_renewal_costs: List[float] = field(default_factory=list)
-    per_renewal_lengths: List[float] = field(default_factory=list)
+    cycles: int = 0
+    cycle_reward_sum: float = 0.0
+    cycle_length_sum: float = 0.0
     local_event_counts: np.ndarray = None
     global_event_count: int = 0
 
@@ -59,16 +60,15 @@ class CostAccumulator:
             self.local_event_counts = np.zeros(self.n, dtype=np.int64)
 
     def close_cycle(self, reward: float, length: float) -> None:
-        self.per_renewal_costs.append(reward)
-        self.per_renewal_lengths.append(length)
+        self.cycles += 1
+        self.cycle_reward_sum += reward
+        self.cycle_length_sum += length
 
     def renewal_estimate(self) -> float:
         """Renewal-reward cost estimate from these cycles (NaN if none)."""
-        if not self.per_renewal_lengths:
+        if not self.cycles:
             return float("nan")
-        mean_reward = float(np.mean(self.per_renewal_costs))
-        mean_length = float(np.mean(self.per_renewal_lengths))
-        return self.n * (self.n - 1) * mean_reward / mean_length
+        return self.n * (self.n - 1) * self.cycle_reward_sum / self.cycle_length_sum
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,7 @@ class CostReport:
 
 
 def merge_accumulators(accs: Sequence[CostAccumulator]) -> CostAccumulator:
-    """Combine per-trial accumulators; equivalent to accumulating the
-    concatenated data."""
+    """Combine per-trial accumulators by adding their tallies."""
     if not accs:
         raise ValueError("nothing to merge")
     n = accs[0].n
@@ -96,8 +95,9 @@ def merge_accumulators(accs: Sequence[CostAccumulator]) -> CostAccumulator:
             raise ValueError("accumulators disagree on agent count")
         merged.integral_sum += acc.integral_sum
         merged.elapsed += acc.elapsed
-        merged.per_renewal_costs.extend(acc.per_renewal_costs)
-        merged.per_renewal_lengths.extend(acc.per_renewal_lengths)
+        merged.cycles += acc.cycles
+        merged.cycle_reward_sum += acc.cycle_reward_sum
+        merged.cycle_length_sum += acc.cycle_length_sum
         merged.local_event_counts = merged.local_event_counts + acc.local_event_counts
         merged.global_event_count += acc.global_event_count
     return merged
@@ -107,8 +107,8 @@ def finalize(accumulators: Sequence[CostAccumulator]) -> CostReport:
     """Turn per-trial accumulators into a cost report.
 
     The time average is the across-trial mean of per-trial averages with
-    a Student-t 95% half-width; the renewal-reward estimate pools every
-    completed cycle.  Mean inter-event times use the per-transmission
+    a Student-t 95% half-width; the renewal-reward estimate is a ratio of
+    pooled cycle sums.  Mean inter-event times use the per-transmission
     convention for local events and merged instants for global ones.
     """
     if not accumulators:
@@ -130,11 +130,8 @@ def finalize(accumulators: Sequence[CostAccumulator]) -> CostReport:
     j_renewal = merged.renewal_estimate()
     total_local = int(merged.local_event_counts.sum())
     mean_local = n * merged.elapsed / total_local if total_local else float("nan")
-    mean_global = (
-        merged.elapsed / merged.global_event_count
-        if merged.global_event_count
-        else float("nan")
-    )
+    events = merged.global_event_count
+    mean_global = merged.elapsed / events if events else float("nan")
     return CostReport(
         j_time_avg=j_time_avg,
         j_renewal=j_renewal,

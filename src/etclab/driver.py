@@ -25,7 +25,9 @@ phases.  First its events are found on the raw running sums: a level
 rule searches bounded windows against each agent's running sum at its
 last reset, one flat ``argmax`` per window; periodic schedules get every
 deadline of the chunk from one ``periodic_fire_step`` call over the
-deadline counters (one counter for a synchronous schedule).  Then
+deadline counters (one counter for a synchronous schedule), or one call
+per slice of phases when short periods of many phases would make that
+grid outgrow a fixed share of the chunk budget.  Then
 ``_settle``, the one event protocol, settles them in order: one
 subtraction per segment between events turns the running sums into
 errors, agent 0's reward adds up per segment and the events are counted
@@ -387,22 +389,28 @@ def _chunk_deadlines(fire_counts, offsets, period, dt, done, span):
     per row a boolean mask of the phases due there.
 
     ``fire_counts[i]`` numbers phase ``i``'s next deadline
-    ``offsets[i] + fire_counts[i] * period``.  One ``periodic_fire_step``
-    call maps an ``(phases, m)`` grid of counter values to grid steps, with
+    ``offsets[i] + fire_counts[i] * period``.  Each ``periodic_fire_step``
+    call maps a ``(phases, m)`` grid of counter values to grid steps, with
     ``m`` one more than a chunk can hold; the counters then advance, in
-    place, past every deadline the chunk holds.
+    place, past every deadline the chunk holds.  A grid takes as many
+    phases as fit in ``CHUNK_BYTES / 64`` entries, at least one, so short
+    periods of many phases are looked up in slices of phases.
     """
     phases = len(fire_counts)
     m = int(span * dt / period) + 2
-    counts = fire_counts[:, None] + np.arange(m)
-    at = periodic_fire_step(offsets[:, None] + counts * period, dt)
-    at -= done  # chunk rows
-    # each phase's rows increase along its grid row, so its deadlines in the
-    # chunk are a prefix of it; later ones go to a sink row past the chunk
-    np.minimum(at, span + 1, out=at)
-    fire_counts += (at <= span).sum(axis=1)
+    width = max(1, CHUNK_BYTES // (64 * m))
     due = np.zeros((span + 2, phases), dtype=bool)
-    due[at, np.arange(phases)[:, None]] = True
+    for lo in range(0, phases, width):
+        part = slice(lo, lo + width)
+        counts = fire_counts[part, None] + np.arange(m)
+        at = periodic_fire_step(offsets[part, None] + counts * period, dt)
+        at -= done  # chunk rows
+        # each phase's rows increase along its grid row, so its deadlines in
+        # the chunk are a prefix of it; later ones go to a sink row past the
+        # chunk
+        np.minimum(at, span + 1, out=at)
+        fire_counts[part] += (at <= span).sum(axis=1)
+        due[at, np.arange(lo, lo + len(at))[:, None]] = True
     stops = np.flatnonzero(due[: span + 1].any(axis=1))
     return stops.tolist(), due[stops]
 

@@ -69,6 +69,10 @@ def test_simulate_repeats_byte_identically(tmp_path):
                  "tolerance must be in (0, 0.2], got 0.5", id="calibrate-tolerance"),
     pytest.param(["calibrate", "--target-t", "0.5", "--n", "0"],
                  "agent count must be >= 1, got 0", id="calibrate-n"),
+    pytest.param(["calibrate", "--target-t", "0.5", "--dt", "0"],
+                 "dt must be positive, got 0.0", id="calibrate-dt-zero"),
+    pytest.param(["calibrate", "--target-t", "0.5", "--dt", "-1"],
+                 "dt must be positive, got -1.0", id="calibrate-dt-negative"),
     pytest.param(["table1", "--trials", "0"], "trials must be >= 1, got 0",
                  id="table1-trials"),
     pytest.param(["table1", "--horizon", "0.001"], "horizon must cover at least one step",
@@ -79,6 +83,9 @@ def test_simulate_repeats_byte_identically(tmp_path):
                  id="sweep-n-n-list"),
     pytest.param(["sweep-n", "--n-list", "3,0"], "agent count must be >= 1, got 0",
                  id="sweep-n-n-list-late"),
+    # one agent has zero cost under both bl schemes, so no cost ratio
+    pytest.param(["sweep-n", "--n-list", "3,1"],
+                 "sweep-n needs at least 2 agents per fleet, got 1", id="sweep-n-one-agent"),
     pytest.param(["sweep-n", "--target-t", "-1"], "target period must be positive, got -1.0",
                  id="sweep-n-target-t"),
     pytest.param(["simulate", "--trigger", "level", "--delta", "-1"],
@@ -251,6 +258,16 @@ def test_sweep_n_ci_diff_is_welch_t(tmp_path, monkeypatch):
     expected = stats.t.ppf(0.975, dof) * math.sqrt(va + vb)
     assert float(row[header.index("ci_diff")]) == pytest.approx(expected, rel=1e-12)
     assert float(row[header.index("diff")]) == pytest.approx(et.mean() - tt.mean())
+
+
+def test_welch_ci_of_a_single_trial_is_nan():
+    # one trial gives no variance: NaN at once, which the CSV writes empty,
+    # without a numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(cli._welch_ci95([1.0], [2.0, 3.0]))
+        assert math.isnan(cli._welch_ci95([1.0, 1.5], [2.0]))
+        assert math.isnan(cli._welch_ci95([1.0], [2.0]))
 
 
 def test_sweep_n_row_per_agent_count(tmp_path):

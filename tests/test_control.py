@@ -154,11 +154,12 @@ def test_renewal_cycles_close_on_agent_zero_or_global_events():
         fleet = _Fleet.start(config)
         fleet.cycle_reward = 0.5
         settle(fleet, np.array(initiators), 7)
-        closed[scenario, tuple(initiators)] = (fleet.acc.per_renewal_costs,
-                                               fleet.acc.per_renewal_lengths)
-    assert closed[B, (1,)] == ([], [])
-    assert closed[B, (0, 2)] == ([0.5], [7 * config.dt])
-    assert closed[BL, (1,)] == ([0.5], [7 * config.dt])
+        acc = fleet.acc
+        closed[scenario, tuple(initiators)] = (acc.cycles, acc.cycle_reward_sum,
+                                               acc.cycle_length_sum)
+    assert closed[B, (1,)] == (0, 0.0, 0.0)
+    assert closed[B, (0, 2)] == (1, 0.5, 7 * config.dt)
+    assert closed[BL, (1,)] == (1, 0.5, 7 * config.dt)
 
 
 @st.composite

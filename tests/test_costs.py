@@ -60,8 +60,8 @@ def test_merge_equals_concatenated_accumulation():
     merged = merge_accumulators([first, second])
     assert merged.integral_sum == pytest.approx(one.integral_sum)
     assert merged.elapsed == pytest.approx(one.elapsed)
-    assert merged.per_renewal_costs == one.per_renewal_costs
-    assert merged.per_renewal_lengths == one.per_renewal_lengths
+    assert (merged.cycles, merged.cycle_reward_sum, merged.cycle_length_sum) == (
+        one.cycles, one.cycle_reward_sum, one.cycle_length_sum)
 
 
 def test_finalize_requires_elapsed_time():
@@ -73,7 +73,8 @@ def test_renewal_sums_bounded_by_elapsed():
     acc = constant_cost_acc(2, 1.0, 100, 0.01)
     acc.close_cycle(0.3, 0.5)
     acc.close_cycle(0.2, 0.4)
-    assert sum(acc.per_renewal_lengths) <= acc.elapsed
+    assert acc.cycles == 2
+    assert acc.cycle_length_sum <= acc.elapsed
 
 
 # --- closed-form oracles ---------------------------------------------------

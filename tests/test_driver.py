@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -150,8 +151,8 @@ def variant(case, k):
 
 
 def tallies(acc):
-    return (acc.integral_sum, acc.elapsed, acc.per_renewal_costs, acc.per_renewal_lengths,
-            acc.local_event_counts.tolist(), acc.global_event_count)
+    return (acc.integral_sum, acc.elapsed, acc.cycles, acc.cycle_reward_sum,
+            acc.cycle_length_sum, acc.local_event_counts.tolist(), acc.global_event_count)
 
 
 @pytest.mark.parametrize("case", list(REFERENCE_CASES))
@@ -181,11 +182,10 @@ def test_fast_path_matches_reference(case, k):
     assert fast.accumulator.integral_sum == pytest.approx(
         ref.accumulator.integral_sum, rel=1e-9
     )
-    assert fast.accumulator.per_renewal_lengths == pytest.approx(
-        ref.accumulator.per_renewal_lengths
-    )
-    assert fast.accumulator.per_renewal_costs == pytest.approx(
-        ref.accumulator.per_renewal_costs, rel=1e-9, abs=1e-12
+    assert fast.accumulator.cycles == ref.accumulator.cycles
+    assert fast.accumulator.cycle_length_sum == ref.accumulator.cycle_length_sum
+    assert fast.accumulator.cycle_reward_sum == pytest.approx(
+        ref.accumulator.cycle_reward_sum, rel=1e-9, abs=1e-12
     )
     assert np.array_equal(
         fast.accumulator.local_event_counts, ref.accumulator.local_event_counts
@@ -236,78 +236,65 @@ def test_periodic_edges_match_reference(monkeypatch, case, rows):
     assert [(e.time, e.initiators) for e in fast.events] == [
         (e.time, e.initiators) for e in ref.events]
     a, b = fast.accumulator, ref.accumulator
-    assert a.per_renewal_lengths == b.per_renewal_lengths
+    assert (a.cycles, a.cycle_length_sum) == (b.cycles, b.cycle_length_sum)
     assert np.array_equal(a.local_event_counts, b.local_event_counts)
     assert a.integral_sum == pytest.approx(b.integral_sum, rel=1e-9)
-    assert a.per_renewal_costs == pytest.approx(b.per_renewal_costs, rel=1e-9, abs=1e-12)
+    assert a.cycle_reward_sum == pytest.approx(b.cycle_reward_sum, rel=1e-9, abs=1e-12)
 
 
 # --- fixed values below eight agents -------------------------------------------
 
-# repr of (integral_sum, per_renewal_costs[:5], global_event_count) for trial 0
-# of each table1 n = 3, T = 0.25 cell at horizon 20 s and seed 1729, as the
-# integrator produced them before the agent-major cost pass, the one-call
-# level search and the per-chunk deadline lookup; below eight agents those
-# sum in the same order, so every bit must stay
+# (repr(integral_sum), (cycles, repr(cycle_reward_sum)), global_event_count)
+# for trial 0 of each table1 n = 3, T = 0.25 cell at horizon 20 s and seed
+# 1729; the integrals as the integrator produced them before the agent-major
+# cost pass, the one-call level search and the per-chunk deadline lookup, the
+# reward sums as the left-to-right sums, from 0.0, of the per-cycle rewards
+# that the accumulator once listed.  Below eight agents all of these sum in
+# the same order, so every bit must stay
 GOLDEN_N3 = {
-    "tt-b": (B, PeriodicSync(0.75), "48.96162428391842", "[0.08996578479079387, "
-             "0.034121609437339655, 0.24442788309606459, 1.476732816436913, "
-             "0.36513737840240357]", 26),
+    "tt-b": (B, PeriodicSync(0.75), "48.96162428391842", (26, "8.734712845872789"), 26),
     "tt-async-b": (B, PeriodicAsync(0.75, staggered_offsets(3, 0.75)), "50.708645330814065",
-                   "[0.0899657847907939, 0.034121609437339655, 0.24442788309606456, "
-                   "1.4767328164369125, 0.36513737840240357]", 80),
-    "et-b": (B, LevelBroadcast(math.sqrt(0.75)), "16.118768618654148", "[0.2808054134643105, "
-             "0.08141362136248582, 0.06308258565270085, 0.1607178243286735, "
-             "0.05409070680041135]", 86),
-    "tt-bl": (BL, PeriodicSync(0.25), "16.363961270796985", "[0.05127641187601175, "
-              "0.03175523300849283, 0.00471909310996885, 0.005190378347547349, "
-              "0.039774546036706285]", 80),
-    "et-bl": (BL, LevelGlobal(0.7457396748327672), "9.65689229814993", "[0.02424939892193384, "
-              "0.008714783120161248, 0.034270466598227446, 0.09842116474845217, "
-              "0.02096393992039409]", 81),
+                   (26, "8.734712845872787"), 80),
+    "et-b": (B, LevelBroadcast(math.sqrt(0.75)), "16.118768618654148",
+             (30, "3.11462536574877"), 86),
+    "tt-bl": (BL, PeriodicSync(0.25), "16.363961270796985", (80, "2.580125691452508"), 80),
+    "et-bl": (BL, LevelGlobal(0.7457396748327672), "9.65689229814993",
+              (81, "1.6440283739249801"), 81),
 }
+
+
+def pinned_values(n, cell, table):
+    scenario, scheme, integral, cycles, events = table[cell]
+    config = quiet_config(n=n, scenario=scenario, scheme=scheme, horizon=20.0,
+                          trials=1, seed=1729)
+    acc = run_trial(config, 0).accumulator
+    assert (repr(acc.integral_sum), (acc.cycles, repr(acc.cycle_reward_sum)),
+            acc.global_event_count) == (integral, cycles, events)
 
 
 @pytest.mark.parametrize("cell", list(GOLDEN_N3))
 def test_small_fleet_values_are_pinned(cell):
-    scenario, scheme, integral, costs, events = GOLDEN_N3[cell]
-    config = quiet_config(n=3, scenario=scenario, scheme=scheme, horizon=20.0,
-                          trials=1, seed=1729)
-    acc = run_trial(config, 0).accumulator
-    assert (repr(acc.integral_sum), repr(acc.per_renewal_costs[:5]),
-            acc.global_event_count) == (integral, costs, events)
+    pinned_values(3, cell, GOLDEN_N3)
 
 
 # the same for n = 12, where the cost pass reduces rows with einsum; the b
 # cells keep the n = 3 schedules and the et-bl threshold is
 # sqrt(0.25 / mean_exit_time(12))
 GOLDEN_N12 = {
-    "tt-b": (B, PeriodicSync(0.75), "993.0571318905315", "[0.22711405245322072, "
-             "0.03221642691551233, 0.38791644754504434, 0.5913294043015526, "
-             "0.7560350511645872]", 26),
+    "tt-b": (B, PeriodicSync(0.75), "993.0571318905315", (26, "7.35314529967996"), 26),
     "tt-async-b": (B, PeriodicAsync(0.75, staggered_offsets(12, 0.75)), "1029.8204970048632",
-                   "[0.22711405245322075, 0.03221642691551233, 0.3879164475450444, "
-                   "0.5913294043015525, 0.7560350511645872]", 320),
-    "et-b": (B, LevelBroadcast(math.sqrt(0.75)), "338.4828365144528", "[0.07440207098933332, "
-             "0.07729026351013046, 0.12606799631990495, 0.026604806363531578, "
-             "0.04763508129961403]", 300),
-    "tt-bl": (BL, PeriodicSync(0.25), "330.0384129080214", "[0.011738146291506858, "
-              "0.016727982916915025, 0.1078544198736717, 0.007317552403995324, "
-              "0.02502623810163469]", 80),
-    "et-bl": (BL, LevelGlobal(1.0592486854593608), "329.21048995810844", "[0.014451331552291996, "
-              "0.045226483648262684, 0.004326624168625777, 0.006602289004866629, "
-              "0.030191503385297316]", 78),
+                   (26, "7.35314529967996"), 320),
+    "et-b": (B, LevelBroadcast(math.sqrt(0.75)), "338.4828365144528",
+             (27, "2.60377932282761"), 300),
+    "tt-bl": (BL, PeriodicSync(0.25), "330.0384129080214", (80, "2.8911624021260036"), 80),
+    "et-bl": (BL, LevelGlobal(1.0592486854593608), "329.21048995810844",
+              (78, "2.5111881431187233"), 78),
 }
 
 
 @pytest.mark.parametrize("cell", list(GOLDEN_N12))
 def test_twelve_agent_values_are_pinned(cell):
-    scenario, scheme, integral, costs, events = GOLDEN_N12[cell]
-    config = quiet_config(n=12, scenario=scenario, scheme=scheme, horizon=20.0,
-                          trials=1, seed=1729)
-    acc = run_trial(config, 0).accumulator
-    assert (repr(acc.integral_sum), repr(acc.per_renewal_costs[:5]),
-            acc.global_event_count) == (integral, costs, events)
+    pinned_values(12, cell, GOLDEN_N12)
 
 
 # --- chunk sizing -------------------------------------------------------------
@@ -347,8 +334,8 @@ def test_chunk_budget_changes_only_rounding(monkeypatch, n):
         )
         a, b = small.accumulator, default.accumulator
         assert a.integral_sum == pytest.approx(b.integral_sum, rel=1e-12)
-        assert a.per_renewal_costs == pytest.approx(b.per_renewal_costs, rel=1e-9, abs=1e-12)
-        assert a.per_renewal_lengths == b.per_renewal_lengths
+        assert a.cycle_reward_sum == pytest.approx(b.cycle_reward_sum, rel=1e-9, abs=1e-12)
+        assert (a.cycles, a.cycle_length_sum) == (b.cycles, b.cycle_length_sum)
         assert np.array_equal(a.local_event_counts, b.local_event_counts)
 
 
@@ -374,20 +361,24 @@ def test_search_window_changes_nothing(monkeypatch, n):
         a, b = small.accumulator, default.accumulator
         assert (a.integral_sum, a.elapsed, a.global_event_count) == (
             b.integral_sum, b.elapsed, b.global_event_count)
-        assert a.per_renewal_costs == b.per_renewal_costs
-        assert a.per_renewal_lengths == b.per_renewal_lengths
+        assert (a.cycles, a.cycle_reward_sum, a.cycle_length_sum) == (
+            b.cycles, b.cycle_reward_sum, b.cycle_length_sum)
         assert np.array_equal(a.local_event_counts, b.local_event_counts)
 
 
 @pytest.mark.parametrize(
     "scenario, scheme",
-    [(BL, LevelGlobal(1.0)), (B, LevelBroadcast(0.2)), (B, PeriodicSync(DT))],
-    ids=["level-global", "level-broadcast", "sync-every-step"],
+    [(BL, LevelGlobal(1.0)), (B, LevelBroadcast(0.2)), (B, PeriodicSync(DT)),
+     (B, PeriodicAsync(DT, staggered_offsets(1024, DT))),
+     (B, PeriodicAsync(2 * DT, staggered_offsets(1024, 2 * DT)))],
+    ids=["level-global", "level-broadcast", "sync-every-step", "async-every-step",
+         "async-every-other-step"],
 )
 def test_trial_memory_stays_near_the_chunk_budget(scenario, scheme):
     # beyond the chunk buffer a trial holds a level search window and one
-    # mask row per event; a period of one step puts an event in every row,
-    # which must not cost a grid of deadlines per agent
+    # mask row per event; a period of one or two steps puts an event in every
+    # row or every other, which must not cost a grid of deadlines per agent
+    # and counter value at once
     n = 1024
     rows = driver.CHUNK_BYTES // (8 * n)
     config = quiet_config(n=n, scenario=scenario, scheme=scheme, dt=DT,
@@ -400,6 +391,21 @@ def test_trial_memory_stays_near_the_chunk_budget(scenario, scheme):
         tracemalloc.stop()
     assert events > 10
     assert peak <= 3 * driver.CHUNK_BYTES
+
+
+def test_renewal_state_does_not_grow_with_cycles():
+    # a period of one step closes a cycle at every step under
+    # broadcast-plus-local; a trial of 100 cycles and one of 10,000 must hold
+    # the same fixed-size tallies
+    def accumulator(steps):
+        config = quiet_config(n=3, scenario=BL, scheme=PeriodicSync(DT), dt=DT,
+                              horizon=steps * DT, trials=1, seed=29)
+        return run_trial(config, 0).accumulator
+
+    few, many = accumulator(100), accumulator(10_000)
+    # every broadcast-plus-local event closes a cycle
+    assert (few.global_event_count, many.global_event_count) == (100, 10_000)
+    assert abs(len(pickle.dumps(many)) - len(pickle.dumps(few))) <= 16
 
 
 # --- contract trivia ---------------------------------------------------------
@@ -442,8 +448,8 @@ def test_process_pool_matches_serial_trials():
     for a, b in zip(pooled, serial):
         assert a.integral_sum == b.integral_sum
         assert a.elapsed == b.elapsed
-        assert a.per_renewal_costs == b.per_renewal_costs
-        assert a.per_renewal_lengths == b.per_renewal_lengths
+        assert (a.cycles, a.cycle_reward_sum, a.cycle_length_sum) == (
+            b.cycles, b.cycle_reward_sum, b.cycle_length_sum)
         assert np.array_equal(a.local_event_counts, b.local_event_counts)
         assert a.global_event_count == b.global_event_count
     assert finalize(pooled) == finalize(serial)
