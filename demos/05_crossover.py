@@ -12,19 +12,18 @@ agents keeps growing between resets.  Past some fleet size the periodic
 scheme wins.
 
 This script sweeps n at a matched 0.5 s global rate and brackets the
-crossover.  Budgets are trimmed for a quick run; the acceptance suite
-pins the n in {3, 10, 50} anchors at full scale.
+crossover.  Each threshold is the closed form ``level_threshold(n, 0.5)``,
+so no calibration run precedes the batches.  Budgets are trimmed for a
+quick run; the acceptance suite pins the n in {3, 10, 50} anchors at
+full scale.
 """
-
-import numpy as np
 
 from etclab import (
     InfoScenario,
     LevelGlobal,
-    NoiseStream,
     PeriodicSync,
     ScenarioConfig,
-    calibrate_global_threshold,
+    level_threshold,
     run_batch,
 )
 
@@ -34,15 +33,14 @@ HORIZON, TRIALS, SEED = 800.0, 4, 33
 print(" n   delta    J periodic    J level    level/periodic")
 ratios = {}
 for n in (2, 5, 10, 20, 35, 50):
-    cal = calibrate_global_threshold(n, 0.5, stream=NoiseStream(SEED).child(n),
-                                     samples=20_000)
+    delta = level_threshold(n, 0.5)
     tt = run_batch(ScenarioConfig(n=n, scenario=BL, scheme=PeriodicSync(0.5),
                                   horizon=HORIZON, trials=TRIALS, seed=SEED))
-    et = run_batch(ScenarioConfig(n=n, scenario=BL, scheme=LevelGlobal(cal.delta_star),
+    et = run_batch(ScenarioConfig(n=n, scenario=BL, scheme=LevelGlobal(delta),
                                   horizon=HORIZON, trials=TRIALS, seed=SEED))
     ratio = et.j_time_avg / tt.j_time_avg
     ratios[n] = ratio
-    print(f"{n:3d}  {cal.delta_star:.3f}   {tt.j_time_avg:10.2f}  {et.j_time_avg:9.2f}"
+    print(f"{n:3d}  {delta:.3f}   {tt.j_time_avg:10.2f}  {et.j_time_avg:9.2f}"
           f"      {ratio:.3f}")
 
 crossed = [n for n, r in ratios.items() if r > 1.0]

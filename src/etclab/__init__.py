@@ -13,6 +13,7 @@ from .calibration import (
     CalibrationError,
     CalibrationResult,
     calibrate_global_threshold,
+    level_threshold,
 )
 from .control import (
     Average,

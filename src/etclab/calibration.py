@@ -1,15 +1,15 @@
-"""Threshold tuning so a level scheme hits a target mean inter-event time.
+"""Level thresholds that make a level scheme hit a target mean inter-event time.
 
 The threshold is closed form.  The mean exit time of the fastest of
 ``n`` motions from ``[-delta, delta]`` is ``delta^2 * m_n`` by Brownian
 scaling, where ``m_n`` is the closed-form unit-threshold mean of
-:func:`etclab.costs.mean_exit_time`, so the threshold is
-``sqrt(T / m_n)``.  With ``n = 1`` (``m_1 = 1``) this is the
-broadcast-only threshold ``sqrt(T)`` for a target local period ``T``.
-A Monte-Carlo verification run with the bridge-corrected sampler on the
-caller's grid then measures the achieved mean and its confidence
-interval, and a miss beyond tolerance raises: accuracy here dominates
-the bias of every rate-matched experiment downstream.
+:func:`etclab.costs.mean_exit_time`, so :func:`level_threshold`, the one
+threshold rule, is ``sqrt(T / m_n)``.  With ``n = 1`` (``m_1 = 1``) this
+is the broadcast-only threshold ``sqrt(T)`` for a target local period.
+:func:`calibrate_global_threshold` adds a Monte-Carlo verification run
+with the bridge-corrected sampler on the caller's grid, which measures
+the achieved mean and its confidence interval and raises on a miss
+beyond tolerance; of the commands, only ``calibrate`` runs it.
 """
 
 from dataclasses import dataclass
@@ -19,13 +19,14 @@ import numpy as np
 
 from .costs import mean_exit_time
 from .sde import NoiseStream
-from .triggering import sample_first_passage_batch
+from .triggering import check_positive, sample_first_passage_batch
 
 __all__ = [
     "CalibrationResult",
     "CalibrationError",
     "calibrate_global_threshold",
     "check_calibration_args",
+    "level_threshold",
 ]
 
 DEFAULT_SAMPLES = 100_000
@@ -60,16 +61,26 @@ class CalibrationError(RuntimeError):
         self.samples = samples
 
 
+def level_threshold(n: int, target_period: float) -> float:
+    """Threshold ``sqrt(target_period / m_n)`` at which the first of ``n``
+    agents leaves its band every ``target_period`` seconds on average.
+
+    Raises ``ValueError`` unless ``n >= 1`` and ``target_period`` is
+    positive and finite.
+    """
+    if n < 1:
+        raise ValueError(f"agent count must be >= 1, got {n}")
+    check_positive("target period", target_period)
+    return float(np.sqrt(target_period / mean_exit_time(n)))
+
+
 def check_calibration_args(n: int, target_global_period: float,
                            tolerance: float = DEFAULT_TOLERANCE,
                            samples: int = DEFAULT_SAMPLES, dt: float = DEFAULT_DT) -> None:
     """Raise ``ValueError`` unless ``calibrate_global_threshold`` accepts these."""
-    if n < 1:
-        raise ValueError(f"agent count must be >= 1, got {n}")
-    if target_global_period <= 0:
-        raise ValueError(f"target period must be positive, got {target_global_period}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    # checks n and the target, and that a huge target does not overflow
+    check_positive("threshold", level_threshold(n, target_global_period))
+    check_positive("dt", dt)
     if not 0 < tolerance <= 0.2:
         raise ValueError(f"tolerance must be in (0, 0.2], got {tolerance}")
     if samples < 1:
@@ -84,7 +95,7 @@ def calibrate_global_threshold(
     tolerance: float = DEFAULT_TOLERANCE,
     samples: int = DEFAULT_SAMPLES,
 ) -> CalibrationResult:
-    """Global level threshold for ``n`` agents: ``sqrt(target / m_n)``.
+    """:func:`level_threshold` for ``n`` agents, verified by Monte Carlo.
 
     ``n = 1`` gives the broadcast-only threshold ``sqrt(target)``, whose
     target is the local inter-event time of one agent.
@@ -113,7 +124,7 @@ def calibrate_global_threshold(
     check_calibration_args(n, target_global_period, tolerance, samples, dt)
     stream = stream if stream is not None else NoiseStream(0)
 
-    delta = float(np.sqrt(target_global_period / mean_exit_time(n)))
+    delta = level_threshold(n, target_global_period)
     # verification only needs the mean pinned to ~1/10 of the tolerance
     verify_samples = max(samples // 5, 5_000)
     times = sample_first_passage_batch(stream.child(2), verify_samples, delta, dt, n_agents=n)

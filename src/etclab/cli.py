@@ -3,7 +3,8 @@
 Subcommands
 -----------
 simulate     one scheme/scenario batch, reporting both cost estimators
-calibrate    tune the global level threshold for a target rate
+calibrate    the global level threshold for a target rate, verified by
+             Monte Carlo
 table1       the 4x4 grid of schemes x scenarios at reference rates
 sweep-n      ET vs TT under broadcast-plus-local info across n, with the
              ET/TT cost ratios at equal global rates (alias: ratio-curve)
@@ -16,17 +17,17 @@ library versions, bit generator and code revision needed to reproduce
 it, and the command's wall time.  ``THREADS`` (a positive integer,
 default 1) fans the trials of a batch out over processes, at most one
 per trial and per usable CPU.  Every batch config is made and
-usage-checked in one place, and ``table1`` and ``sweep-n`` calibrate and run their
-broadcast-plus-local ET/TT pairs through one loop that builds all of
-its configs before the first calibration and calibrates every pair
-before the first batch runs.  Exit codes: 0 success, 2 usage error (any
-input the library rejects, scheme flags included, caught before work
-starts), 3 calibration failure (no CSV is written), 4 selftest failure.
+usage-checked in one place, and ``table1`` and ``sweep-n`` build every
+config before the first batch runs.  Their level thresholds come from
+the closed form ``level_threshold``, and both build their
+broadcast-plus-local ET/TT pairs with one function.  Exit codes: 0
+success, 2 usage error (any input the library rejects, scheme flags
+included, caught before work starts), 3 calibration failure of
+``calibrate`` (no CSV is written), 4 selftest failure.
 """
 
 import argparse
 import csv
-import dataclasses
 import datetime
 import os
 import subprocess
@@ -46,6 +47,7 @@ from .calibration import (
     CalibrationError,
     calibrate_global_threshold,
     check_calibration_args,
+    level_threshold,
 )
 from .control import Average, Fixed, InfoScenario, Leader
 from .costs import (
@@ -68,8 +70,6 @@ from .triggering import (
 )
 
 TABLE1_ROWS = [(3, 0.25), (3, 0.5), (10, 0.5), (50, 0.5)]
-SAMPLES_HELP = ("calibration verification budget: a fifth of it, "
-                "at least 5000 exit times, is drawn")
 
 
 def _workers(parser) -> int:
@@ -158,15 +158,12 @@ def _add_scheme_flags(p: argparse.ArgumentParser) -> None:
                    help="comma list of async phases; default evenly staggered")
 
 
-def _add_batch_flags(p: argparse.ArgumentParser, out: str, samples: bool = False,
-                     horizon: bool = True) -> None:
+def _add_batch_flags(p: argparse.ArgumentParser, out: str, horizon: bool = True) -> None:
     p.add_argument("--dt", type=float, default=2e-3)
     if horizon:
         p.add_argument("--horizon", type=float, default=2000.0)
         p.add_argument("--trials", type=int, default=8)
     p.add_argument("--seed", type=_seed, default=1729)
-    if samples:
-        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help=SAMPLES_HELP)
     p.add_argument("--out", default=out)
 
 
@@ -253,59 +250,36 @@ def cmd_calibrate(args, parser) -> int:
     return 0
 
 
-def _bl_loop(args, parser, pairs):
-    """Calibrate the global level threshold, then run TT-bl and ET-bl, at
-    each ``(n, target)`` of ``pairs``.
-
-    Every pair is usage-checked and its TT-bl config built before the
-    first calibration starts, and every pair is calibrated before the
-    first batch runs; ET-bl is the TT-bl config with the calibrated level
-    scheme.  Returns one ``(delta, tt_report, et_report)`` per pair; a
-    calibration miss raises ``CalibrationError``, which ``main`` turns
-    into exit code 3.
-    """
-    plan = []
-    for n, target in pairs:
-        _usage_checked(parser, check_calibration_args, n, target, samples=args.samples)
-        tt_config = _config(args, parser, n=n, scenario=InfoScenario.BROADCAST_LOCAL,
-                            scheme=PeriodicSync(target))
-        plan.append((n, target, tt_config))
-    stream = NoiseStream(args.seed)
-    deltas = [calibrate_global_threshold(n, target, stream=stream.child(n),
-                                         samples=args.samples).delta_star
-              for n, target, _ in plan]
-    return [(delta, run_batch(tt_config, workers=args.workers),
-             run_batch(dataclasses.replace(tt_config, scheme=LevelGlobal(delta)),
-                       workers=args.workers))
-            for (_, _, tt_config), delta in zip(plan, deltas)]
+def _bl_pair(args, parser, n, target):
+    """The TT-bl and ET-bl configs of ``n`` agents at global period
+    ``target``: a synchronous schedule of that period, and the global level
+    rule at its closed-form threshold."""
+    level = _usage_checked(parser, lambda: LevelGlobal(level_threshold(n, target)))
+    return [_config(args, parser, n=n, scenario=InfoScenario.BROADCAST_LOCAL, scheme=scheme)
+            for scheme in (PeriodicSync(target), level)]
 
 
 def cmd_table1(args, parser) -> int:
-    b_configs = [
-        (_config(args, parser, n=n, scenario=InfoScenario.BROADCAST,
-                 scheme=PeriodicSync(n * target)),
-         _config(args, parser, n=n, scenario=InfoScenario.BROADCAST,
-                 scheme=LevelBroadcast(float(np.sqrt(n * target)))))
-        for n, target in TABLE1_ROWS
-    ]
-    bl_results = _bl_loop(args, parser, TABLE1_ROWS)
+    plan = []  # (n, target, scheme, scenario, config, j_analytic) per row
+    for n, target in TABLE1_ROWS:
+        # broadcast-only agents fire on their own: local period n * target
+        tt_b, et_b = (_config(args, parser, n=n, scenario=InfoScenario.BROADCAST, scheme=scheme)
+                      for scheme in (PeriodicSync(n * target),
+                                     LevelBroadcast(level_threshold(1, n * target))))
+        tt_bl, et_bl = _bl_pair(args, parser, n, target)
+        plan += [(n, target, "TT", "b", tt_b, j_tt_broadcast(n, n * target)),
+                 (n, target, "ET", "b", et_b, j_et_broadcast(n, et_b.scheme.delta)),
+                 (n, target, "TT", "bl", tt_bl, j_tt_broadcast_local(n, target)),
+                 (n, target, "ET", "bl", et_bl, None)]
     header = ["n", "target_global_T", "scheme", "scenario", "delta", "j_sim",
               "j_analytic", "mean_global_T", "ci"]
     rows = []
-    for (n, target), (tt_b, et_b), (delta, tt, et) in zip(TABLE1_ROWS, b_configs, bl_results):
-        rep = run_batch(tt_b, workers=args.workers)
-        rows.append([n, target, "TT", "b", None, rep.j_time_avg,
-                     j_tt_broadcast(n, tt_b.scheme.period),
-                     rep.mean_local_interevent / n, rep.ci_halfwidth])
-        rep = run_batch(et_b, workers=args.workers)
-        rows.append([n, target, "ET", "b", et_b.scheme.delta, rep.j_time_avg,
-                     j_et_broadcast(n, et_b.scheme.delta),
-                     rep.mean_local_interevent / n, rep.ci_halfwidth])
-        rows.append([n, target, "TT", "bl", None, tt.j_time_avg,
-                     j_tt_broadcast_local(n, target),
-                     tt.mean_global_interevent, tt.ci_halfwidth])
-        rows.append([n, target, "ET", "bl", delta, et.j_time_avg,
-                     None, et.mean_global_interevent, et.ci_halfwidth])
+    for n, target, scheme, scenario, config, analytic in plan:
+        rep = run_batch(config, workers=args.workers)
+        mean_global_t = (rep.mean_local_interevent / n if scenario == "b"
+                         else rep.mean_global_interevent)
+        rows.append([n, target, scheme, scenario, getattr(config.scheme, "delta", None),
+                     rep.j_time_avg, analytic, mean_global_t, rep.ci_halfwidth])
     _write_csv(args.out, header, rows)
     _write_manifest(args, "table1")
     print(f"wrote {args.out}: {len(rows)} rows")
@@ -322,7 +296,7 @@ def _parse_n_list(text, parser):
     if 1 in values:
         # a lone agent is always at consensus, so both of its bl costs are 0
         # and its cost ratio is undefined; counts below 1 fail the
-        # calibration check with the library's message
+        # threshold check with the library's message
         parser.error("sweep-n needs at least 2 agents per fleet, got 1")
     return values
 
@@ -342,14 +316,15 @@ def _welch_ci95(a, b) -> float:
 def cmd_sweep_n(args, parser) -> int:
     n_list = _parse_n_list(args.n_list, parser)
     target = args.target_t
-    results = _bl_loop(args, parser, [(n, target) for n in n_list])
+    pairs = [_bl_pair(args, parser, n, target) for n in n_list]
     header = ["n", "target_global_T", "delta", "j_tt_bl_sim", "j_et_bl_sim",
               "j_tt_bl_analytic", "diff", "ci_diff", "mean_global_T_et", "consistent",
               "ratio_b_analytic", "ratio_bl_mc"]
     rows = []
-    for n, (delta, rep_tt, rep_et) in zip(n_list, results):
+    for n, (tt, et) in zip(n_list, pairs):
+        rep_tt, rep_et = (run_batch(config, workers=args.workers) for config in (tt, et))
         diff = rep_et.j_time_avg - rep_tt.j_time_avg
-        rows.append([n, target, delta, rep_tt.j_time_avg, rep_et.j_time_avg,
+        rows.append([n, target, et.scheme.delta, rep_tt.j_time_avg, rep_et.j_time_avg,
                      j_tt_broadcast_local(n, target), diff,
                      _welch_ci95(rep_et.j_trials, rep_tt.j_trials),
                      rep_et.mean_global_interevent,
@@ -458,20 +433,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-t", type=float, required=True)
     p.add_argument("--dt", type=float, default=DEFAULT_DT)
     p.add_argument("--seed", type=_seed, default=1729)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help=SAMPLES_HELP)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                   help="verification budget: a fifth of it, at least 5000, is drawn")
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--out", default="calibrate.csv")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("table1", help="4 schemes x 4 reference scenarios")
-    _add_batch_flags(p, "table1.csv", samples=True)
+    _add_batch_flags(p, "table1.csv")
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("sweep-n", aliases=["ratio-curve"],
                        help="ET vs TT (broadcast+local) across n, with cost ratios")
     p.add_argument("--n-list", default="3,10,50")
     p.add_argument("--target-t", type=float, default=0.5)
-    _add_batch_flags(p, "sweep_n.csv", samples=True)
+    _add_batch_flags(p, "sweep_n.csv")
     p.set_defaults(func=cmd_sweep_n)
 
     p = sub.add_parser("trajectory", help="dump a short trajectory for plotting")

@@ -61,6 +61,7 @@ from .triggering import (
     PeriodicSync,
     TriggerEvent,
     TriggerScheme,
+    check_positive,
     periodic_fire_step,
 )
 
@@ -107,8 +108,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"agent count must be >= 1, got {self.n}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        check_positive("dt", self.dt)
+        check_positive("horizon", self.horizon)
         if self.horizon < self.dt:
             raise ValueError("horizon must cover at least one step")
         if self.trials < 1:
@@ -137,7 +138,7 @@ class ScenarioConfig:
         if isinstance(scheme, (PeriodicSync, PeriodicAsync)) and scheme.period < self.dt:
             raise ValueError("period must be at least one step")
         expected = _expected_interevent(self)
-        if expected is not None and self.horizon < 100 * expected:
+        if self.horizon < 100 * expected:
             warnings.warn(
                 f"horizon {self.horizon} s is under 100 expected inter-event times "
                 f"(~{expected:.3g} s each); estimates will be noisy",
@@ -149,15 +150,14 @@ class ScenarioConfig:
         return int(round(self.horizon / self.dt))
 
 
-def _expected_interevent(config: "ScenarioConfig") -> Optional[float]:
+def _expected_interevent(config: "ScenarioConfig") -> float:
+    """Mean inter-event time, per agent under the broadcast level rule; a
+    level rule waits for the first of ``W = 1`` (broadcast) or ``n`` agents."""
     scheme = config.scheme
     if isinstance(scheme, (PeriodicSync, PeriodicAsync)):
         return scheme.period
-    if isinstance(scheme, LevelBroadcast):
-        return scheme.delta**2
-    if isinstance(scheme, LevelGlobal):
-        return scheme.delta**2 * mean_exit_time(config.n)
-    return None
+    width = config.n if isinstance(scheme, LevelGlobal) else 1
+    return scheme.delta**2 * mean_exit_time(width)
 
 
 @dataclass

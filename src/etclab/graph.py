@@ -21,21 +21,18 @@ def consensus_cost_rows(states) -> np.ndarray:
 
     Equals half the sum of ``(x_i - x_j)^2`` over ordered agent pairs and
     is zero exactly when all entries of a row are equal.  A single state
-    vector gives a 0-d array.
+    vector gives a 0-d array, with the bits of the same row in a stack.
 
-    A stack of rows below eight agents is reduced over an agent-major
-    copy, so each sum is ``n - 1`` whole-array additions rather than one
-    short reduction per row; numpy sums fewer than eight elements in
-    order, so the bits equal a per-row reduction's.  From eight agents on
-    the rows are long enough for ``einsum`` to reduce each in place,
-    which skips the transposed copy and rounds differently.
+    Below eight agents the rows are reduced over an agent-major copy, so
+    each sum is ``n - 1`` whole-array additions rather than one short
+    reduction per row; numpy sums fewer than eight elements in order, so
+    the bits equal a per-row reduction's.  From eight agents on the rows
+    are long enough for ``einsum`` to reduce each in place, which skips
+    the transposed copy.
     """
     states = np.asarray(states, dtype=float)
     n = states.shape[-1]
-    if states.ndim == 1:
-        s = states.sum()
-        sq = (states * states).sum()
-    elif n < 8:
+    if n < 8:
         agents = np.moveaxis(states, -1, 0).copy()
         s = agents.sum(axis=0)
         sq = np.multiply(agents, agents, out=agents).sum(axis=0)

@@ -18,8 +18,9 @@ on a fixed grid, optionally compensating between-step boundary
 crossings with the Brownian-bridge crossing probability.
 """
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -41,6 +42,14 @@ __all__ = [
 EPS_REL = 1e-9
 
 
+def check_positive(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless ``value`` is positive and finite (NaN is not)."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 @dataclass(frozen=True)
 class PeriodicSync:
     """All agents fire together every ``period`` seconds."""
@@ -48,8 +57,7 @@ class PeriodicSync:
     period: float
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError(f"period must be positive, got {self.period}")
+        check_positive("period", self.period)
 
 
 @dataclass(frozen=True)
@@ -60,10 +68,9 @@ class PeriodicAsync:
     offsets: Tuple[float, ...]
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError(f"period must be positive, got {self.period}")
+        check_positive("period", self.period)
         offs = tuple(float(o) for o in self.offsets)
-        if any(o < 0 or o >= self.period for o in offs):
+        if not all(0 <= o < self.period for o in offs):
             raise ValueError(f"offsets must lie in [0, {self.period}), got {offs}")
         object.__setattr__(self, "offsets", offs)
 
@@ -75,8 +82,7 @@ class LevelBroadcast:
     delta: float
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError(f"threshold must be positive, got {self.delta}")
+        check_positive("threshold", self.delta)
 
 
 @dataclass(frozen=True)
@@ -87,8 +93,7 @@ class LevelGlobal:
     delta: float
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError(f"threshold must be positive, got {self.delta}")
+        check_positive("threshold", self.delta)
 
 
 TriggerScheme = Union[PeriodicSync, PeriodicAsync, LevelBroadcast, LevelGlobal]
@@ -98,18 +103,19 @@ TriggerScheme = Union[PeriodicSync, PeriodicAsync, LevelBroadcast, LevelGlobal]
 class TriggerEvent:
     """One triggering instant with the agents that initiated it.
 
-    Pre/post snapshots are filled only when event recording is on; they
-    support pathwise assertions (error invariance, exact resets).
+    Only trials that record events make them, so the true states and the
+    estimates just before and after are always filled; they support
+    pathwise assertions (error invariance, exact resets).
     """
 
     time: float
     initiators: Tuple[int, ...]
     consensus_point: float
     is_global: bool
-    x_pre: Optional[np.ndarray] = None
-    x_post: Optional[np.ndarray] = None
-    xhat_pre: Optional[np.ndarray] = None
-    xhat_post: Optional[np.ndarray] = None
+    x_pre: np.ndarray
+    x_post: np.ndarray
+    xhat_pre: np.ndarray
+    xhat_post: np.ndarray
 
 
 def staggered_offsets(n: int, period: float) -> Tuple[float, ...]:
@@ -135,13 +141,14 @@ def sample_first_passage_batch(
     from the band ``[-delta, delta]``, started at 0.
 
     Every path is stepped on the ``dt`` grid until some agent leaves the
-    band; the reported exit time is the end of the detecting step.  With
-    ``bridge_correction`` the probability that the continuous path
-    crossed either boundary between grid points is computed from the
+    band.  With ``bridge_correction`` the probability that the continuous
+    path crossed either boundary between grid points is computed from the
     Brownian-bridge law for every path that stayed inside the band but
     has an endpoint within ``sqrt(20 dt)`` of a boundary, and resolved
     with one uniform draw per such path, which removes nearly all of the
-    O(sqrt(dt)) discrete monitoring bias.
+    O(sqrt(dt)) discrete monitoring bias, and the reported exit time is
+    the midpoint of the detecting step.  Grid-only sampling reports the
+    end of the detecting step.
 
     Each step draws ``normals((m, n_agents))`` for the ``m`` live paths,
     then, when some of them get the bridge test, one uniform per tested
@@ -168,16 +175,15 @@ def sample_first_passage_batch(
     times : ndarray, shape (n_samples,)
     occupation : ndarray, shape (n_samples,), only if requested
     """
-    if delta <= 0:
-        raise ValueError(f"threshold must be positive, got {delta}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    check_positive("threshold", delta)
+    check_positive("dt", dt)
     if n_samples < 1 or n_agents < 1:
         raise ValueError("n_samples and n_agents must be >= 1")
     # P(exit later than ~60 delta^2) is astronomically small
     max_steps = int(np.ceil(60.0 * delta * delta / dt)) + 1000
 
     sqrt_dt = np.sqrt(dt)
+    lag = 0.5 if bridge_correction else 0.0  # exit time = (step - lag) * dt
     times = np.empty(n_samples)
     occupation = np.zeros(n_samples) if return_occupation else None
 
@@ -220,7 +226,7 @@ def sample_first_passage_batch(
                 crossed[rows[hit]] = True
         if crossed.any():
             done = pos[crossed]
-            times[done] = step * dt
+            times[done] = (step - lag) * dt
             if return_occupation:
                 occupation[done] = occ[crossed]
             keep = ~crossed

@@ -61,9 +61,7 @@ def test_mean_exit_time_inside_monte_carlo_ci(n):
     samples, dt = 20_000, 1e-3
     times = sample_first_passage_batch(NoiseStream(29), samples, 1.0, dt, n_agents=n)
     ci = 1.96 * times.std(ddof=1) / math.sqrt(samples)
-    # the sampler reports the end of the detecting step, half a step late on
-    # average; at n=50 that is about 1.6 standard errors
-    assert abs(mean_exit_time(n) - (times.mean() - dt / 2)) <= ci
+    assert abs(mean_exit_time(n) - times.mean()) <= ci
 
 
 def test_mean_exit_time_single_agent_is_one():

@@ -7,14 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from etclab import (
-    CalibrationError,
-    CalibrationResult,
-    CostReport,
-    LevelGlobal,
-    PeriodicSync,
-    cli,
-)
+import etclab.calibration
+from etclab import CostReport, LevelGlobal, PeriodicSync, cli, level_threshold
 from etclab.cli import main
 
 
@@ -77,7 +71,10 @@ def test_simulate_repeats_byte_identically(tmp_path):
                  id="table1-trials"),
     pytest.param(["table1", "--horizon", "0.001"], "horizon must cover at least one step",
                  id="table1-horizon"),
-    pytest.param(["sweep-n", "--samples", "0"], "samples must be >= 1, got 0",
+    # only calibrate runs a verification, so only it takes a budget for one
+    pytest.param(["table1", "--samples", "10"], "unrecognized arguments: --samples 10",
+                 id="table1-samples"),
+    pytest.param(["sweep-n", "--samples", "10"], "unrecognized arguments: --samples 10",
                  id="sweep-n-samples"),
     pytest.param(["sweep-n", "--n-list", "0"], "agent count must be >= 1, got 0",
                  id="sweep-n-n-list"),
@@ -101,6 +98,37 @@ def test_simulate_repeats_byte_identically(tmp_path):
                  id="simulate-offsets-out-of-period"),
     pytest.param(["trajectory", "--trigger", "level", "--delta", "-1"],
                  "threshold must be positive, got -1.0", id="trajectory-delta"),
+    # NaN fails every comparison, so each check rejects it as not finite
+    pytest.param(["simulate", "--trigger", "level", "--delta", "nan"],
+                 "threshold must be finite, got nan", id="simulate-delta-nan"),
+    pytest.param(["simulate", "--trigger", "periodic-sync", "--period", "nan"],
+                 "period must be finite, got nan", id="simulate-period-nan"),
+    pytest.param(["simulate", "--trigger", "periodic-async", "--period", "nan"],
+                 "period must be finite, got nan", id="simulate-async-period-nan"),
+    pytest.param(["simulate", "--trigger", "periodic-async", "--period", "1",
+                  "--offsets", "0,nan,0.5"], "offsets must lie in [0, 1.0)",
+                 id="simulate-offsets-nan"),
+    pytest.param(["simulate", "--trigger", "level", "--delta", "1", "--dt", "nan"],
+                 "dt must be finite, got nan", id="simulate-dt-nan"),
+    pytest.param(["simulate", "--trigger", "level", "--delta", "1", "--horizon", "nan"],
+                 "horizon must be finite, got nan", id="simulate-horizon-nan"),
+    pytest.param(["simulate", "--trigger", "level", "--delta", "1", "--horizon", "inf"],
+                 "horizon must be finite, got inf", id="simulate-horizon-inf"),
+    pytest.param(["trajectory", "--trigger", "level", "--delta", "1", "--duration", "nan"],
+                 "horizon must be finite, got nan", id="trajectory-duration-nan"),
+    pytest.param(["calibrate", "--target-t", "nan"], "target period must be finite, got nan",
+                 id="calibrate-target-t-nan"),
+    pytest.param(["calibrate", "--target-t", "inf"], "target period must be finite, got inf",
+                 id="calibrate-target-t-inf"),
+    pytest.param(["calibrate", "--target-t", "0.5", "--dt", "nan"], "dt must be finite, got nan",
+                 id="calibrate-dt-nan"),
+    pytest.param(["calibrate", "--target-t", "1e308"], "threshold must be finite, got inf",
+                 id="calibrate-threshold-overflow"),
+    pytest.param(["sweep-n", "--target-t", "1e308"], "threshold must be finite, got inf",
+                 id="sweep-n-threshold-overflow"),
+    pytest.param(["sweep-n", "--target-t", "nan"], "target period must be finite, got nan",
+                 id="sweep-n-target-t-nan"),
+    pytest.param(["table1", "--dt", "nan"], "dt must be finite, got nan", id="table1-dt-nan"),
     # trajectory runs one trial over --duration, so it takes neither flag
     pytest.param(["trajectory", "--horizon", "5"], "unrecognized arguments: --horizon 5",
                  id="trajectory-horizon"),
@@ -170,7 +198,7 @@ def test_calibrate_failure_exits_3(tmp_path, capsys):
     assert "calibration failed" in capsys.readouterr().err
 
 
-BL_LOOP_ARGS = ["--horizon", "40", "--trials", "2", "--seed", "5", "--samples", "4000"]
+BL_LOOP_ARGS = ["--horizon", "40", "--trials", "2", "--seed", "5"]
 
 
 @pytest.fixture(scope="module")
@@ -220,21 +248,28 @@ def test_table1_and_sweep_n_share_the_bl_loop(table1_csv, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["table1", "sweep-n"])
-def test_calibration_miss_exits_3_without_csv(tmp_path, monkeypatch, capsys, command):
-    def miss(n, target, **kwargs):
-        raise CalibrationError("calibration missed target", delta=1.0, target=target,
-                               achieved=2 * target, tolerance=0.03, samples=5000)
+def test_experiments_take_thresholds_from_the_closed_form(tmp_path, monkeypatch, command):
+    def no_verification(*args, **kwargs):
+        raise AssertionError("an experiment ran a Monte-Carlo verification")
 
-    def no_batch(*args, **kwargs):
-        raise AssertionError("a batch ran before every pair was calibrated")
-
-    monkeypatch.setattr(cli, "calibrate_global_threshold", miss)
-    monkeypatch.setattr(cli, "run_batch", no_batch)
+    for owner in (cli, etclab.calibration):
+        monkeypatch.setattr(owner, "calibrate_global_threshold", no_verification)
+        monkeypatch.setattr(owner, "sample_first_passage_batch", no_verification)
     out = tmp_path / "x.csv"
-    code = run_cli([command, "--horizon", "20", "--trials", "2", "--out", str(out)])
-    assert code == 3
-    assert "calibration failed: calibration missed target" in capsys.readouterr().err
-    assert not out.exists()
+    assert run_cli([command, "--horizon", "2", "--trials", "1", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    i_n, i_delta = header.index("n"), header.index("delta")
+    i_target = header.index("target_global_T")
+    level_rows = [row for row in rows if row[i_delta]]
+    assert len(level_rows) == (8 if command == "table1" else 3)
+    for row in level_rows:
+        n, target = int(row[i_n]), float(row[i_target])
+        if command == "table1" and row[header.index("scenario")] == "b":
+            # broadcast-only agents fire on their own, each at n times the period
+            expected = level_threshold(1, n * target)
+        else:
+            expected = level_threshold(n, target)
+        assert float(row[i_delta]) == expected
 
 
 def test_sweep_n_ci_diff_is_welch_t(tmp_path, monkeypatch):
@@ -247,8 +282,6 @@ def test_sweep_n_ci_diff_is_welch_t(tmp_path, monkeypatch):
                           trials=len(j), ci_halfwidth=0.0, j_trials=j)
 
     monkeypatch.setattr(cli, "run_batch", fixed_batch)
-    monkeypatch.setattr(cli, "calibrate_global_threshold",
-                        lambda n, target, **kw: CalibrationResult(1.0, target, target, 0.0, 1))
     out = tmp_path / "sweep.csv"
     assert run_cli(["sweep-n", "--n-list", "3", "--out", str(out)]) == 0
     header, (row,) = read_csv(out)
@@ -273,8 +306,7 @@ def test_welch_ci_of_a_single_trial_is_nan():
 def test_sweep_n_row_per_agent_count(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run_cli(["sweep-n", "--n-list", "2,3,4", "--target-t", "0.5",
-                    "--horizon", "60", "--trials", "2", "--seed", "5",
-                    "--samples", "4000", "--out", str(out)])
+                    "--horizon", "60", "--trials", "2", "--seed", "5", "--out", str(out)])
     assert code == 0
     header, rows = read_csv(out)
     assert [int(r[header.index("n")]) for r in rows] == [2, 3, 4]
@@ -284,8 +316,7 @@ def test_sweep_n_row_per_agent_count(tmp_path):
 def test_ratio_curve_analytic_column(tmp_path):
     out = tmp_path / "ratio.csv"
     code = run_cli(["ratio-curve", "--n-list", "3", "--target-t", "0.5",
-                    "--horizon", "60", "--trials", "2", "--seed", "5",
-                    "--samples", "4000", "--out", str(out)])
+                    "--horizon", "60", "--trials", "2", "--seed", "5", "--out", str(out)])
     assert code == 0
     header, rows = read_csv(out)
     assert float(rows[0][header.index("ratio_b_analytic")]) == 1.0

@@ -292,8 +292,10 @@ def test_passage_zero_noise_raises_instead_of_hanging():
 
 def scalar_first_passage(stream, delta, dt, n, bridge):
     """One exit time, stepped one grid step at a time: ``normals(n)`` per
-    step, then one ``uniforms(1)`` only when the bridge test runs."""
+    step, then one ``uniforms(1)`` only when the bridge test runs.  The
+    bridge-corrected time is the midpoint of the detecting step."""
     sqrt_dt = math.sqrt(dt)
+    lag = 0.5 if bridge else 0.0
     near_band = delta - math.sqrt(20.0 * dt)
     x = np.zeros(n)
     step = 0
@@ -302,13 +304,13 @@ def scalar_first_passage(stream, delta, dt, n, bridge):
         x_new = x + stream.normals(n) * sqrt_dt
         peak, peak_new = np.abs(x).max(), np.abs(x_new).max()
         if peak_new >= delta:
-            return step * dt
+            return (step - lag) * dt
         if bridge and (peak > near_band or peak_new > near_band):
             p = np.exp(-2.0 * (delta - x) * (delta - x_new) / dt)
             p += np.exp(-2.0 * (delta + x) * (delta + x_new) / dt)
             survive = np.prod(1.0 - np.clip(p, 0.0, 1.0))
             if stream.uniforms(1)[0] < 1.0 - survive:
-                return step * dt
+                return (step - lag) * dt
         x = x_new
 
 
