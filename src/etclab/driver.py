@@ -54,6 +54,7 @@ from .costs import CostAccumulator, CostReport, finalize, mean_exit_time
 from .graph import consensus_cost_rows
 from .sde import NoiseStream
 from .triggering import (
+    CHUNK_BYTES,
     EPS_REL,
     LevelBroadcast,
     LevelGlobal,
@@ -75,9 +76,8 @@ __all__ = [
 ]
 
 CHUNK_STEPS = 2048
-# the noise block of a chunk holds at most this many bytes (8 per draw), so
+# the noise block of a chunk holds at most CHUNK_BYTES (8 per draw), so
 # fleets beyond CHUNK_BYTES / (8 * CHUNK_STEPS) = 512 agents get fewer rows
-CHUNK_BYTES = 8 << 20
 # level rules search for crossings in bounded windows so that a hit early
 # in a chunk does not scan the whole remainder
 LEVEL_LOOKAHEAD = 256

@@ -40,6 +40,9 @@ __all__ = [
 
 # Relative tolerance for "time crosses a deadline" comparisons.
 EPS_REL = 1e-9
+# a working array of the fleet's chunk loop or of the first-exit sampler
+# holds at most about this many bytes (8 per double)
+CHUNK_BYTES = 8 << 20
 
 
 def check_positive(name: str, value: float) -> None:
@@ -143,18 +146,28 @@ def sample_first_passage_batch(
     Every path is stepped on the ``dt`` grid until some agent leaves the
     band.  With ``bridge_correction`` the probability that the continuous
     path crossed either boundary between grid points is computed from the
-    Brownian-bridge law for every path that stayed inside the band but
-    has an endpoint within ``sqrt(20 dt)`` of a boundary, and resolved
-    with one uniform draw per such path, which removes nearly all of the
-    O(sqrt(dt)) discrete monitoring bias, and the reported exit time is
-    the midpoint of the detecting step.  Grid-only sampling reports the
-    end of the detecting step.
+    Brownian-bridge law and resolved with one uniform draw per tested
+    path, which removes nearly all of the O(sqrt(dt)) discrete monitoring
+    bias, and the reported exit time is the midpoint of the detecting
+    step.  Grid-only sampling reports the end of the detecting step.
+
+    A path is tested when it stayed inside the band but has an endpoint
+    within ``sqrt(20 dt)`` of a boundary.  Of its agents, only those with
+    such an endpoint get the crossing law: for every other agent both
+    distances to each boundary are at least ``sqrt(20 dt)``, so its
+    crossing probability is below ``2 exp(-40) < 1e-17``, its survival
+    factor ``1 - p`` rounds to exactly 1.0, and leaving it out of the
+    survival product changes no bit.
 
     Each step draws ``normals((m, n_agents))`` for the ``m`` live paths,
     then, when some of them get the bridge test, one uniform per tested
     path in path order; one path therefore consumes its stream exactly
     as a scalar loop drawing ``normals(n_agents)`` and, when tested,
-    ``uniforms(1)`` per step.
+    ``uniforms(1)`` per step.  The paths are stepped in consecutive
+    blocks of ``max(1, CHUNK_BYTES // (8 * n_agents))``, each run to its
+    last exit before the next starts, so the working memory stays a few
+    ``CHUNK_BYTES`` whatever ``n_samples``; a call that fits one block
+    draws as if all paths were stepped together.
 
     Parameters
     ----------
@@ -166,6 +179,8 @@ def sample_first_passage_batch(
         Band half-width and grid step, both positive.
     n_agents : int
         Exit is the minimum over this many independent motions.
+    bridge_correction : bool
+        Resolve between-step crossings with the Brownian-bridge law.
     return_occupation : bool
         Also return, per sample, the left-endpoint rectangle estimate of
         the squared-path integral of the first agent up to exit.
@@ -179,55 +194,60 @@ def sample_first_passage_batch(
     check_positive("dt", dt)
     if n_samples < 1 or n_agents < 1:
         raise ValueError("n_samples and n_agents must be >= 1")
-    # P(exit later than ~60 delta^2) is astronomically small
-    max_steps = int(np.ceil(60.0 * delta * delta / dt)) + 1000
-
-    sqrt_dt = np.sqrt(dt)
-    lag = 0.5 if bridge_correction else 0.0  # exit time = (step - lag) * dt
     times = np.empty(n_samples)
     occupation = np.zeros(n_samples) if return_occupation else None
+    block = max(1, CHUNK_BYTES // (8 * n_agents))
+    for start in range(0, n_samples, block):
+        span = slice(start, min(start + block, n_samples))
+        _exit_block(stream, times[span], None if occupation is None else occupation[span],
+                    delta, dt, n_agents, bridge_correction)
+    if return_occupation:
+        return times, occupation
+    return times
 
-    # a bridge crossing has probability < 4e-18 unless some endpoint is
-    # within sqrt(20 dt) of a boundary, so only those rows get the math
+
+def _exit_block(stream, times, occupation, delta, dt, n_agents, bridge_correction):
+    """Step ``times.size`` paths to their exits, writing each exit time
+    (and occupation integral, unless ``occupation`` is None) in place."""
+    # P(exit later than ~60 delta^2) is astronomically small
+    max_steps = int(np.ceil(60.0 * delta * delta / dt)) + 1000
+    sqrt_dt = np.sqrt(dt)
+    lag = 0.5 if bridge_correction else 0.0  # exit time = (step - lag) * dt
+    # a bridge crossing has probability < 1e-17 unless an endpoint is
+    # within sqrt(20 dt) of a boundary, so only those entries get the law
     near_band = delta - np.sqrt(20.0 * dt)
 
-    x = np.zeros((n_samples, n_agents))
-    peak = np.zeros(n_samples)  # max_i |x_i| of each live row
-    occ = np.zeros(n_samples)
-    pos = np.arange(n_samples)
+    x = np.zeros((times.size, n_agents))
+    peak = np.zeros(times.size)  # max_i |x_i| of each live row
+    occ = np.zeros(times.size)
+    pos = np.arange(times.size)
     step = 0
     while pos.size:
         step += 1
         if step > max_steps:
             raise RuntimeError(
-                f"{pos.size} of {n_samples} paths not exited after {max_steps} steps "
+                f"{pos.size} of {times.size} paths not exited after {max_steps} steps "
                 f"(delta={delta}, dt={dt}); check the noise stream"
             )
-        if return_occupation:
+        if occupation is not None:
             occ += (x[:, 0] ** 2) * dt
         z = stream.normals((pos.size, n_agents))
         z *= sqrt_dt
         z += x  # z is now the post-step state
         # column-major |z| turns the row maximum into n contiguous passes;
         # a C-order reduction over a short row is many times slower
-        peak_new = np.abs(z, order="F").max(axis=1)
+        peak_new = np.maximum.reduce(np.abs(z, order="F"), axis=1)
         crossed = peak_new >= delta
         if bridge_correction:
-            rows = np.flatnonzero(((peak > near_band) | (peak_new > near_band)) & ~crossed)
+            rows = (((peak > near_band) | (peak_new > near_band)) & ~crossed).nonzero()[0]
             if rows.size:
-                a = x[rows]
-                b = z[rows]
-                # both endpoints are strictly inside the band on these rows
-                p = np.exp(-2.0 * (delta - a) * (delta - b) / dt)
-                p += np.exp(-2.0 * (delta + a) * (delta + b) / dt)
-                np.clip(p, 0.0, 1.0, out=p)
-                survive = np.prod(1.0 - p, axis=1)
+                survive = _bridge_survival(x[rows], z[rows], delta, dt, near_band)
                 hit = stream.uniforms(rows.size) < 1.0 - survive
                 crossed[rows[hit]] = True
         if crossed.any():
             done = pos[crossed]
             times[done] = (step - lag) * dt
-            if return_occupation:
+            if occupation is not None:
                 occupation[done] = occ[crossed]
             keep = ~crossed
             pos = pos[keep]
@@ -237,7 +257,22 @@ def sample_first_passage_batch(
         else:
             x = z
             peak = peak_new
-    if return_occupation:
-        return times, occupation
-    return times
 
+
+def _bridge_survival(a, b, delta, dt, near_band):
+    """Per row, the probability that a Brownian bridge from ``a`` to ``b``
+    (both strictly inside the band) stays inside it, for every agent.
+
+    Only entries with an endpoint beyond ``near_band`` get the crossing
+    law; every other factor is exactly 1.0, so the row products have the
+    bits of products over the law evaluated for every agent.
+    """
+    near = ((np.abs(a) > near_band) | (np.abs(b) > near_band)).ravel().nonzero()[0]
+    a_near = a.take(near)
+    b_near = b.take(near)
+    p = np.exp(-2.0 * (delta - a_near) * (delta - b_near) / dt)
+    p += np.exp(-2.0 * (delta + a_near) * (delta + b_near) / dt)
+    np.minimum(p, 1.0, out=p)  # the two terms can sum past 1 on a narrow band
+    factors = np.ones(a.shape)
+    factors.ravel()[near] = 1.0 - p
+    return np.multiply.reduce(factors, axis=1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from etclab import (
     sample_first_passage_batch,
     staggered_offsets,
 )
-from etclab import driver
+from etclab import driver, triggering
 from etclab.driver import _periodic_due
 
 B = InfoScenario.BROADCAST
@@ -325,6 +326,7 @@ def scalar_first_passage(stream, delta, dt, n, bridge):
 )
 @example(delta=1.0, dt=1e-3, n=12, sign=1.0, bridge=True, seed=0)
 @example(delta=0.1, dt=1e-2, n=3, sign=-1.0, bridge=True, seed=1)  # every step tested
+@example(delta=1.0, dt=1e-3, n=50, sign=1.0, bridge=True, seed=2)
 def test_passage_batch_matches_scalar_oracle(delta, dt, n, sign, bridge, seed):
     # exact equality pins the crossing rule and the order of the draws;
     # three exit times in a row also check where each call leaves the stream
@@ -333,3 +335,111 @@ def test_passage_batch_matches_scalar_oracle(delta, dt, n, sign, bridge, seed):
         got = sample_first_passage_batch(batch, 1, delta, dt, n_agents=n,
                                          bridge_correction=bridge)
         assert got[0] == scalar_first_passage(scalar, delta, dt, n, bridge)
+
+
+def dense_bridge_survival(a, b, delta, dt):
+    """Per row, the bridge survival with the crossing law evaluated for
+    every agent."""
+    p = np.exp(-2.0 * (delta - a) * (delta - b) / dt)
+    p += np.exp(-2.0 * (delta + a) * (delta + b) / dt)
+    return np.prod(1.0 - np.clip(p, 0.0, 1.0), axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 3, 50])
+def test_bridge_survival_keeps_every_bit(n):
+    # endpoints on both sides of sqrt(20 dt) from either boundary; a skipped
+    # entry whose factor were not exactly 1.0 would move some product's bits
+    rng = np.random.default_rng(n)
+    delta, dt = 1.0, 1e-3
+    edge = delta - math.sqrt(20.0 * dt)
+    sign = rng.choice([-1.0, 1.0], (4000, n))
+    a = sign * rng.uniform(edge - 0.1, delta, (4000, n))
+    b = np.clip(a + rng.normal(0.0, math.sqrt(dt), a.shape), -0.9999, 0.9999)
+    got = triggering._bridge_survival(a, b, delta, dt, edge)
+    assert np.array_equal(got, dense_bridge_survival(a, b, delta, dt))
+    assert np.count_nonzero(got < 1.0) > 100
+
+
+def dense_first_passage_batch(stream, n_samples, delta, dt, n_agents, bridge):
+    """Reference batch sampler: all paths stepped together, and the bridge
+    law evaluated for every agent of every tested row.  Returns the exit
+    times and the first agent's occupation integrals."""
+    max_steps = int(np.ceil(60.0 * delta * delta / dt)) + 1000
+    sqrt_dt = np.sqrt(dt)
+    lag = 0.5 if bridge else 0.0
+    near_band = delta - np.sqrt(20.0 * dt)
+    times = np.empty(n_samples)
+    occupation = np.zeros(n_samples)
+    x = np.zeros((n_samples, n_agents))
+    peak = np.zeros(n_samples)
+    occ = np.zeros(n_samples)
+    pos = np.arange(n_samples)
+    step = 0
+    while pos.size:
+        step += 1
+        assert step <= max_steps
+        occ += (x[:, 0] ** 2) * dt
+        z = stream.normals((pos.size, n_agents))
+        z *= sqrt_dt
+        z += x
+        peak_new = np.abs(z).max(axis=1)
+        crossed = peak_new >= delta
+        if bridge:
+            rows = np.flatnonzero(((peak > near_band) | (peak_new > near_band)) & ~crossed)
+            if rows.size:
+                survive = dense_bridge_survival(x[rows], z[rows], delta, dt)
+                hit = stream.uniforms(rows.size) < 1.0 - survive
+                crossed[rows[hit]] = True
+        done = pos[crossed]
+        times[done] = (step - lag) * dt
+        occupation[done] = occ[crossed]
+        keep = ~crossed
+        pos, x, peak, occ = pos[keep], z[keep], peak_new[keep], occ[keep]
+    return times, occupation
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    band=st.floats(0.1, 5.0),
+    dt=st.floats(1e-3, 1e-2),
+    n=st.integers(1, 64),
+    samples=st.integers(1, 2000),
+    sign=st.sampled_from([1.0, -1.0]),
+    bridge=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+@example(band=0.1, dt=1e-2, n=2, samples=2000, sign=1.0, bridge=True, seed=5)  # p > 1
+@example(band=0.9, dt=1e-2, n=64, samples=2000, sign=1.0, bridge=True, seed=3)
+@example(band=4.0, dt=1e-3, n=50, samples=2000, sign=-1.0, bridge=True, seed=4)
+def test_passage_batch_matches_dense_reference(band, dt, n, samples, sign, bridge, seed):
+    # delta = band * sqrt(20 dt): below one band every agent of a tested row
+    # gets the bridge law, above it most agents are skipped
+    delta = band * math.sqrt(20.0 * dt)
+    got = sample_first_passage_batch(NoiseStream(seed, scale=sign), samples, delta, dt,
+                                     n_agents=n, bridge_correction=bridge,
+                                     return_occupation=True)
+    want = dense_first_passage_batch(NoiseStream(seed, scale=sign), samples, delta, dt,
+                                     n, bridge)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def test_passage_memory_stays_near_the_chunk_budget(monkeypatch):
+    # paths are stepped in blocks of CHUNK_BYTES // (8 n); a call sixteen
+    # blocks long must hold a few blocks' worth (its two outputs take one),
+    # not the sixteen of each working array, and draw as the reference
+    # does over the same blocks in turn
+    n, rows, blocks = 32, 256, 16
+    monkeypatch.setattr(triggering, "CHUNK_BYTES", rows * 8 * n)
+    tracemalloc.start()
+    try:
+        times, occupation = sample_first_passage_batch(
+            NoiseStream(5), rows * blocks, 1.0, 1e-2, n_agents=n, return_occupation=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * triggering.CHUNK_BYTES
+    stream = NoiseStream(5)
+    want = [dense_first_passage_batch(stream, rows, 1.0, 1e-2, n, True) for _ in range(blocks)]
+    assert np.array_equal(times, np.concatenate([w[0] for w in want]))
+    assert np.array_equal(occupation, np.concatenate([w[1] for w in want]))
