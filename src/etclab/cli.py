@@ -58,7 +58,7 @@ from .costs import (
     local_to_global_period,
     mean_exit_time,
 )
-from .driver import ScenarioConfig, run_batch, run_trial, run_trial_reference
+from .driver import ScenarioConfig, _running_sum, run_batch, run_trial, run_trial_reference
 from .sde import BIT_GENERATOR, NoiseStream
 from .triggering import (
     LevelBroadcast,
@@ -382,6 +382,13 @@ def cmd_selftest(args, parser) -> int:
     same = np.array_equal(np.concatenate([stepwise.normals(3) for _ in range(40)]),
                           chunked.normals((40, 3)).ravel())
     check("chunked draws match stepwise draws", same, f"({BIT_GENERATOR.__name__})")
+    # even fleets form their running sums as complex pairs of agents, which is
+    # exact only if this numpy adds complex numbers componentwise
+    block = NoiseStream(args.seed).normals((64, 4))
+    paired = block.copy()
+    _running_sum(paired)
+    check("paired running sum matches cumsum",
+          np.array_equal(paired, np.cumsum(block, axis=0)))
 
     times = sample_first_passage_batch(NoiseStream(args.seed), 20_000, 1.0, 1e-3)
     mean = float(times.mean())

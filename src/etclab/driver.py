@@ -20,25 +20,30 @@ formed only in trials that log events or a trajectory.
 The production path takes the noise in chunks sized from a memory
 budget, drawn straight into one chunk buffer that the whole trial
 reuses, so memory stays bounded at any fleet size.  Per chunk the
-buffer becomes one running sum of the errors, and the chunk runs in two
-phases.  First its events are found on the raw running sums: a level
-rule searches bounded windows against each agent's running sum at its
-last reset, one flat ``argmax`` per window; periodic schedules get every
-deadline of the chunk from one ``periodic_fire_step`` call over the
-deadline counters (one counter for a synchronous schedule), or one call
-per slice of phases when short periods of many phases would make that
-grid outgrow a fixed share of the chunk budget.  Then
-``_settle``, the one event protocol, settles them in order: one
-subtraction per segment between events turns the running sums into
-errors, agent 0's reward adds up per segment and the events are counted
-at once.  One cost pass covers the chunk's left endpoints.  Only chunk
-boundaries move its rounding; the search window does not.  The path
-consumes the noise stream in exactly the same order as the plain
-per-step loop kept as ``run_trial_reference``, which steps, detects
-triggers and sums costs on its own and hands ``_settle`` one event at a
-time; the test suite compares the two.  Trials are embarrassingly
-parallel: each owns a substream keyed by its index, and batches merge
-per-trial results in fixed index order.
+buffer becomes one running sum of the errors.  That is one serial chain
+of dependent adds per agent, so an even fleet forms it two agents per
+add: viewed as complex numbers, its chunk pairs neighbouring agents, and
+a complex addition adds real and imaginary parts separately, so every
+agent gets exactly the float64 additions of ``np.cumsum``.  An odd fleet
+keeps ``np.cumsum``.  The chunk then runs in two phases.  First its
+events are found on the raw running sums: a level rule searches bounded
+windows against each agent's running sum at its last reset, one flat
+``argmax`` per window; periodic schedules get every deadline of the
+chunk from one ``periodic_fire_step`` call over the deadline counters
+(one counter for a synchronous schedule), or one call per slice of
+phases when short periods of many phases would make that grid outgrow a
+fixed share of the chunk budget.  Then ``_settle``, the one event
+protocol, settles them in order: one subtraction per segment between
+events turns the running sums into errors, agent 0's reward adds up per
+segment and the events are counted at once.  One cost pass covers the
+chunk's left endpoints.  Only chunk boundaries move its rounding; the
+search window and the pairing of agents do not.  The path consumes the
+noise stream in exactly the same order as the plain per-step loop kept
+as ``run_trial_reference``, which steps, detects triggers and sums
+costs on its own and hands ``_settle`` one event at a time; the test
+suite compares the two.  Trials are embarrassingly parallel: each owns
+a substream keyed by its index, and batches merge per-trial results in
+fixed index order.
 """
 
 import os
@@ -351,6 +356,18 @@ def _phase_offsets(scheme: TriggerScheme, n: int) -> np.ndarray:
 # fast chunked integrator
 
 
+def _running_sum(rows: np.ndarray) -> None:
+    """Turn the C-contiguous block ``rows`` into its running sum down the
+    rows, in place, bit for bit as ``np.cumsum(rows, axis=0)``.  An even
+    number of agents is summed as complex pairs of neighbouring agents, so
+    each dependent add advances two of them."""
+    if rows.shape[1] % 2:
+        np.cumsum(rows, axis=0, out=rows)
+    else:
+        pairs = rows.view(np.complex128)
+        np.cumsum(pairs, axis=0, out=pairs)
+
+
 def _level_events(rows: np.ndarray, delta: float, local: bool):
     """``(stops, masks)`` of the level rule's events in a block of running
     sums: the rows where some ``|rows[k] - base| >= delta``, ascending, and
@@ -453,7 +470,7 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
         rows[0] = fleet.e
         noise = stream.normals((span, n), out=rows[1:])
         noise *= sqrt_dt
-        np.cumsum(rows, axis=0, out=rows)
+        _running_sum(rows)
         if level:
             stops, masks = _level_events(rows, scheme.delta, local)
         else:

@@ -297,6 +297,28 @@ def test_twelve_agent_values_are_pinned(cell):
     pinned_values(12, cell, GOLDEN_N12)
 
 
+# --- running sums -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scale", [1.0, -1.0])
+@pytest.mark.parametrize("steps", [2, 3, 2049])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12, 50])
+def test_running_sum_matches_cumsum(n, steps, scale):
+    # an even fleet sums complex pairs of neighbouring agents, which must give
+    # every agent exactly np.cumsum's float64 additions; like run_trial, it
+    # sums in place the leading rows of a larger buffer, from nonzero errors
+    # in row 0, and leaves the rows past the block alone
+    rng = np.random.default_rng([n, steps])
+    buffer = np.full((2 * steps + 1, n), np.nan)
+    rows = buffer[:steps]
+    rows[0] = rng.uniform(-2.0, 2.0, n)
+    rows[1:] = scale * math.sqrt(DT) * rng.standard_normal((steps - 1, n))
+    expected = np.cumsum(rows.copy(), axis=0)
+    driver._running_sum(rows)
+    assert np.array_equal(rows, expected)
+    assert np.isnan(buffer[steps:]).all()
+
+
 # --- chunk sizing -------------------------------------------------------------
 
 
