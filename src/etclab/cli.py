@@ -65,6 +65,8 @@ from .triggering import (
     LevelGlobal,
     PeriodicAsync,
     PeriodicSync,
+    _exit_block,
+    coarse_steps,
     sample_first_passage_batch,
     staggered_offsets,
 )
@@ -123,9 +125,10 @@ def _write_csv(path: str, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_manifest(args, command: str) -> None:
+def _write_manifest(args, command: str, **facts) -> None:
     """``<args.out>.manifest.txt``: the command, its wall time so far, the
-    versions and revision that ran it and every resolved argument."""
+    versions and revision that ran it, any ``facts`` about how it ran and
+    every resolved argument."""
     skip = ("func", "out", "workers", "started")
     params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
     lines = [
@@ -138,6 +141,7 @@ def _write_manifest(args, command: str) -> None:
         f"python={sys.version.split()[0]}",
         f"bitgen={BIT_GENERATOR.__name__}",
         f"git_revision={_git_revision()}",
+        *(f"{key}={value}" for key, value in facts.items()),
     ]
     for key in sorted(params):
         lines.append(f"arg.{key}={params[key]}")
@@ -244,7 +248,9 @@ def cmd_calibrate(args, parser) -> int:
     row = [args.n, args.target_t, result.delta_star, result.achieved_period,
            result.ci_halfwidth, result.samples_used]
     _write_csv(args.out, header, [row])
-    _write_manifest(args, "calibrate")
+    # the first-exit sampler's fine steps per coarse step in the verification run
+    _write_manifest(args, "calibrate",
+                    fpt_coarse_steps=coarse_steps(result.delta_star, args.dt, args.n))
     print(f"wrote {args.out}: delta = {result.delta_star:.6g} "
           f"(achieved {result.achieved_period:.6g} s)")
     return 0
@@ -393,6 +399,15 @@ def cmd_selftest(args, parser) -> int:
     times = sample_first_passage_batch(NoiseStream(args.seed), 20_000, 1.0, 1e-3)
     mean = float(times.mean())
     check("first-passage mean (delta=1)", abs(mean - 1.0) < 0.03, f"(mean={mean:.4f})")
+    # bridge refinement over coarse steps must keep the fine sampler's law
+    exits = {}
+    for k in (1, 8):
+        exits[k] = np.empty(10_000)
+        _exit_block(NoiseStream(args.seed).child(k), exits[k], None, 1.0, 1e-2, 3, True, k)
+    gap = exits[8].mean() - exits[1].mean()
+    se = np.sqrt((exits[1].var(ddof=1) + exits[8].var(ddof=1)) / 10_000)
+    check("coarse-refined exits match fine exits", abs(gap) <= 4 * se,
+          f"(K=8 minus K=1: {gap:+.4f}, {gap / se:+.1f} SE)")
 
     config = ScenarioConfig(
         n=3, scenario=InfoScenario.BROADCAST, scheme=LevelBroadcast(float(np.sqrt(1.5))),

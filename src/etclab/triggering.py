@@ -12,10 +12,15 @@ Two families of triggering schemes are supported:
   the broadcast-plus-local scenario against its state at the last
   global trigger.
 
-The standalone first-exit samplers draw the exit time of one or several
-independent Brownian motions from a symmetric band ``[-delta, delta]``
-on a fixed grid, optionally compensating between-step boundary
-crossings with the Brownian-bridge crossing probability.
+The standalone first-exit sampler draws the exit time of the first of
+one or several independent Brownian motions from a symmetric band
+``[-delta, delta]`` on a fixed grid, optionally compensating between-step
+boundary crossings with the Brownian-bridge crossing probability.  It
+steps ``coarse_steps(delta, dt, n)`` grid steps at a time and fills in
+the grid points between, from the exact discrete Brownian bridge, only
+for agents that come near enough to a boundary to be seen leaving it
+(Glasserman, *Monte Carlo Methods in Financial Engineering*, 2004,
+section 3.1); every other agent's fine points could not change the exit.
 """
 
 import math
@@ -24,6 +29,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
+from .costs import mean_exit_time
 from .sde import NoiseStream
 
 __all__ = [
@@ -35,6 +41,7 @@ __all__ = [
     "TriggerEvent",
     "staggered_offsets",
     "periodic_fire_step",
+    "coarse_steps",
     "sample_first_passage_batch",
 ]
 
@@ -43,6 +50,13 @@ EPS_REL = 1e-9
 # a working array of the fleet's chunk loop or of the first-exit sampler
 # holds at most about this many bytes (8 per double)
 CHUNK_BYTES = 8 << 20
+# the first-exit sampler advances at most this many fine steps at once
+MAX_COARSE_STEPS = 8
+# coarse_steps' cost model, in units of one agent's coarse draw: a path's
+# bookkeeping per coarse step, and one refined agent's fine step (fit to
+# timings on a 2-vCPU host)
+PATH_COST = 8.0
+REFINE_COST = 1.5
 
 
 def check_positive(name: str, value: float) -> None:
@@ -131,6 +145,28 @@ def periodic_fire_step(tau: np.ndarray, dt: float) -> np.ndarray:
     return np.ceil(tau / dt - EPS_REL).astype(np.int64)
 
 
+def coarse_steps(delta: float, dt: float, n_agents: int) -> int:
+    """Fine steps per coarse step of :func:`sample_first_passage_batch`.
+
+    The power of two ``k <= MAX_COARSE_STEPS`` with the lowest estimated
+    cost per fine step and path, in units of one agent's coarse draw:
+    ``(1 + PATH_COST / n) / k`` for the coarse step, spread over its ``k``
+    fine steps, plus ``REFINE_COST * share * (1 - 1 / k)`` for the interior
+    points of the refined agents.  ``share`` estimates the share of agents
+    refined, those beyond ``far = delta - sqrt(20 dt) (1 + sqrt(k))``, as
+    ``erfc(far / (delta sqrt(m_n)))``: the mass beyond ``far`` of a free
+    motion at half the closed-form mean exit time ``delta^2 m_n``.
+    """
+    spread = delta * math.sqrt(mean_exit_time(n_agents))
+
+    def cost(k):
+        far = delta - math.sqrt(20.0 * dt) * (1.0 + math.sqrt(k))
+        share = math.erfc(far / spread) if far > 0 else 1.0
+        return (1.0 + PATH_COST / n_agents) / k + REFINE_COST * share * (1.0 - 1.0 / k)
+
+    return min((1 << i for i in range(MAX_COARSE_STEPS.bit_length())), key=cost)
+
+
 def sample_first_passage_batch(
     stream: NoiseStream,
     n_samples: int,
@@ -159,11 +195,26 @@ def sample_first_passage_batch(
     factor ``1 - p`` rounds to exactly 1.0, and leaving it out of the
     survival product changes no bit.
 
-    Each step draws ``normals((m, n_agents))`` for the ``m`` live paths,
-    then, when some of them get the bridge test, one uniform per tested
-    path in path order; one path therefore consumes its stream exactly
-    as a scalar loop drawing ``normals(n_agents)`` and, when tested,
-    ``uniforms(1)`` per step.  The paths are stepped in consecutive
+    Paths advance ``k = coarse_steps(delta, dt, n_agents)`` grid steps at
+    a time.  Each coarse step draws ``normals((m, n_agents))``, scaled by
+    ``sqrt(k dt)``, for the coarse endpoints of the ``m`` live paths.  An
+    agent is refined when either endpoint lies beyond ``far = delta -
+    sqrt(20 dt) - sqrt(20 k dt)`` (agent 0 always, with
+    ``return_occupation``); for any other agent the bridge between the
+    endpoints comes within ``sqrt(20 dt)`` of a boundary with probability
+    below ``2 exp(-40)``, so none of its grid points could be seen leaving
+    the band or get the crossing law, and they are never drawn.  Then, for
+    the grid steps ``j = 1 .. k`` in turn: below ``k`` one normal per
+    refined agent of each still-live path (path order, agents ascending)
+    gives its grid point from the exact discrete bridge,
+    ``N(f + (end - f) / r, dt (r - 1) / r)`` with ``r = k - j + 1`` and
+    ``f`` the point before; the grid test and the bridge test run over the
+    refined agents; one uniform per tested path follows in path order.  A
+    path draws nothing after its exit step.  One path therefore consumes
+    its stream exactly as a scalar loop over its own coarse steps would;
+    with ``k = 1`` nothing is interior and each step draws
+    ``normals(n_agents)`` and, when tested, ``uniforms(1)``, as the plain
+    grid sampler does.  The paths are stepped in consecutive
     blocks of ``max(1, CHUNK_BYTES // (8 * n_agents))``, each run to its
     last exit before the next starts, so the working memory stays a few
     ``CHUNK_BYTES`` whatever ``n_samples``; a call that fits one block
@@ -197,82 +248,153 @@ def sample_first_passage_batch(
     times = np.empty(n_samples)
     occupation = np.zeros(n_samples) if return_occupation else None
     block = max(1, CHUNK_BYTES // (8 * n_agents))
+    coarse = coarse_steps(delta, dt, n_agents)
     for start in range(0, n_samples, block):
         span = slice(start, min(start + block, n_samples))
         _exit_block(stream, times[span], None if occupation is None else occupation[span],
-                    delta, dt, n_agents, bridge_correction)
+                    delta, dt, n_agents, bridge_correction, coarse)
     if return_occupation:
         return times, occupation
     return times
 
 
-def _exit_block(stream, times, occupation, delta, dt, n_agents, bridge_correction):
-    """Step ``times.size`` paths to their exits, writing each exit time
-    (and occupation integral, unless ``occupation`` is None) in place."""
+def _exit_block(stream, times, occupation, delta, dt, n_agents, bridge_correction, coarse):
+    """Step ``times.size`` paths to their exits, ``coarse`` fine steps at a
+    time, writing each exit time (and occupation integral, unless
+    ``occupation`` is None) in place."""
     # P(exit later than ~60 delta^2) is astronomically small
     max_steps = int(np.ceil(60.0 * delta * delta / dt)) + 1000
-    sqrt_dt = np.sqrt(dt)
     lag = 0.5 if bridge_correction else 0.0  # exit time = (step - lag) * dt
     # a bridge crossing has probability < 1e-17 unless an endpoint is
     # within sqrt(20 dt) of a boundary, so only those entries get the law
     near_band = delta - np.sqrt(20.0 * dt)
+    # likewise the bridge of a coarse step whose endpoints both lie within
+    # far comes within sqrt(20 dt) of a boundary with probability below
+    # 2 exp(-40), so none of its fine points could be detected or tested
+    far = near_band - np.sqrt(20.0 * coarse * dt)
+    coarse_sd = np.sqrt(coarse * dt)
+    # the fine point r steps before the end of a coarse step follows the
+    # bridge law N(f + (end - f) / r, dt (r - 1) / r) from the point f before it
+    levels = [(r, np.sqrt(dt * (r - 1) / r)) for r in range(coarse, 1, -1)] + [(1, 0.0)]
 
     x = np.zeros((times.size, n_agents))
-    peak = np.zeros(times.size)  # max_i |x_i| of each live row
+    x_far = np.abs(x) > far
     occ = np.zeros(times.size)
     pos = np.arange(times.size)
     step = 0
     while pos.size:
-        step += 1
-        if step > max_steps:
+        if step >= max_steps:
             raise RuntimeError(
                 f"{pos.size} of {times.size} paths not exited after {max_steps} steps "
                 f"(delta={delta}, dt={dt}); check the noise stream"
             )
+        end = stream.normals((pos.size, n_agents))
+        end *= coarse_sd
+        end += x
+        end_far = np.abs(end) > far
+        refine = x_far | end_far
         if occupation is not None:
-            occ += (x[:, 0] ** 2) * dt
-        z = stream.normals((pos.size, n_agents))
-        z *= sqrt_dt
-        z += x  # z is now the post-step state
-        # column-major |z| turns the row maximum into n contiguous passes;
-        # a C-order reduction over a short row is many times slower
-        peak_new = np.maximum.reduce(np.abs(z, order="F"), axis=1)
-        crossed = peak_new >= delta
-        if bridge_correction:
-            rows = (((peak > near_band) | (peak_new > near_band)) & ~crossed).nonzero()[0]
-            if rows.size:
-                survive = _bridge_survival(x[rows], z[rows], delta, dt, near_band)
-                hit = stream.uniforms(rows.size) < 1.0 - survive
-                crossed[rows[hit]] = True
-        if crossed.any():
-            done = pos[crossed]
-            times[done] = (step - lag) * dt
+            refine[:, 0] = True  # every fine point of agent 0 enters its integral
+        # refined entries in path order, agents ascending within a path
+        row = np.flatnonzero(refine)
+        del x_far, refine
+        a = x.take(row)
+        del x
+        b = end.take(row)
+        lead = None if occupation is None else row % n_agents == 0
+        row //= n_agents
+        a_near = np.abs(a) > near_band
+        exited = np.zeros(pos.size, dtype=bool)
+        # without refined entries no path can leave the band in this coarse step
+        for fine, (r, sd) in enumerate(levels if row.size else (), step + 1):
             if occupation is not None:
-                occupation[done] = occ[crossed]
-            keep = ~crossed
+                occ[row[lead]] += (a[lead] ** 2) * dt
+            if r > 1:
+                f = stream.normals(a.size)
+                f *= sd
+                mean = b - a
+                mean /= r
+                mean += a
+                f += mean
+                del mean
+            else:
+                f, b = b, None
+            dist = np.abs(f)
+            f_near = dist > near_band
+            out = row[dist >= delta]
+            del dist
+            exited[out] = True
+            a_near |= f_near
+            if bridge_correction and a_near.any():
+                tested, survive = _bridge_survival(a, f, row, a_near, delta, dt)
+                if out.size:  # a path that left the band on the grid is not tested
+                    untouched = ~exited[tested]
+                    tested, survive = tested[untouched], survive[untouched]
+                if tested.size:
+                    hit = tested[stream.uniforms(tested.size) < 1.0 - survive]
+                    exited[hit] = True
+                    out = np.concatenate((out, hit))
+            del a
+            if out.size:
+                times[pos[out]] = (fine - lag) * dt
+                if occupation is not None:
+                    occupation[pos[out]] = occ[out]
+                keep = ~exited[row]
+                # one array at a time, so each old copy goes before the next is made
+                f = f[keep]
+                f_near = f_near[keep]
+                row = row[keep]
+                if b is not None:
+                    b = b[keep]
+                if lead is not None:
+                    lead = lead[keep]
+            a, a_near = f, f_near
+        a = b = f = a_near = f_near = row = lead = None  # free them before the next draw
+        step += coarse
+        x_far = end_far
+        if exited.any():
+            keep = ~exited
             pos = pos[keep]
-            x = z[keep]
-            peak = peak_new[keep]
+            x = end[keep]
+            x_far = x_far[keep]
             occ = occ[keep]
         else:
-            x = z
-            peak = peak_new
+            x = end
 
 
-def _bridge_survival(a, b, delta, dt, near_band):
-    """Per row, the probability that a Brownian bridge from ``a`` to ``b``
-    (both strictly inside the band) stays inside it, for every agent.
+def _bridge_survival(a, b, row, near, delta, dt):
+    """Per row, the probability that Brownian bridges from ``a`` to ``b``
+    (entries labelled with non-decreasing ``row``) all stay inside the band.
 
-    Only entries with an endpoint beyond ``near_band`` get the crossing
-    law; every other factor is exactly 1.0, so the row products have the
-    bits of products over the law evaluated for every agent.
+    Only the ``near`` entries, those with an endpoint within ``sqrt(20 dt)``
+    of a boundary, get the crossing law: for every other entry ``1 - p``
+    rounds to exactly 1.0.  Returns the rows that have a near entry,
+    ascending, and their survival products, each a product over its near
+    entries in order, which has the bits of the product over all of them.
+    A row with an endpoint outside the band gets a meaningless value, for
+    the caller to drop; its exponents stay below ``(b - a)^2 / (2 dt)``.
     """
-    near = ((np.abs(a) > near_band) | (np.abs(b) > near_band)).ravel().nonzero()[0]
-    a_near = a.take(near)
-    b_near = b.take(near)
-    p = np.exp(-2.0 * (delta - a_near) * (delta - b_near) / dt)
-    p += np.exp(-2.0 * (delta + a_near) * (delta + b_near) / dt)
+    near = np.flatnonzero(near)
+    a = a.take(near)
+    b = b.take(near)
+    p = _crossing_term(delta - a, delta - b, dt)
+    a += delta
+    b += delta
+    p += _crossing_term(a, b, dt)
     np.minimum(p, 1.0, out=p)  # the two terms can sum past 1 on a narrow band
-    factors = np.ones(a.shape)
-    factors.ravel()[near] = 1.0 - p
-    return np.multiply.reduce(factors, axis=1)
+    np.subtract(1.0, p, out=p)
+    row = row.take(near)
+    first = np.empty(row.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(row[1:], row[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    return row.take(first), np.multiply.reduceat(p, first)
+
+
+def _crossing_term(u, v, dt):
+    """``exp(-2 u v / dt)``, formed in place in ``u`` and rounded as that
+    expression is."""
+    u *= -2.0
+    u *= v
+    u /= dt
+    return np.exp(u, out=u)

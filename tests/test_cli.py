@@ -10,6 +10,7 @@ from scipy import stats
 import etclab.calibration
 from etclab import CostReport, LevelGlobal, PeriodicSync, cli, level_threshold
 from etclab.cli import main
+from etclab.triggering import coarse_steps
 
 
 def run_cli(args):
@@ -188,6 +189,9 @@ def test_calibrate_reference_point(tmp_path):
     assert delta == pytest.approx(1.04, rel=0.10)
     achieved = float(rows[0][header.index("achieved_T")])
     assert achieved == pytest.approx(0.5, rel=0.05)
+    # the verification run's coarse step, from the rule the sampler applies
+    manifest = (tmp_path / "cal.csv.manifest.txt").read_text().splitlines()
+    assert f"fpt_coarse_steps={coarse_steps(level_threshold(3, 0.5), 1e-3, 3)}" in manifest
 
 
 def test_calibrate_failure_exits_3(tmp_path, capsys):

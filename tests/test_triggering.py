@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from etclab import (
     InfoScenario,
@@ -331,10 +332,12 @@ def test_passage_batch_matches_scalar_oracle(delta, dt, n, sign, bridge, seed):
     # exact equality pins the crossing rule and the order of the draws;
     # three exit times in a row also check where each call leaves the stream
     batch, scalar = NoiseStream(seed, scale=sign), NoiseStream(seed, scale=sign)
-    for _ in range(3):
-        got = sample_first_passage_batch(batch, 1, delta, dt, n_agents=n,
-                                         bridge_correction=bridge)
-        assert got[0] == scalar_first_passage(scalar, delta, dt, n, bridge)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(triggering, "MAX_COARSE_STEPS", 1)  # every step a fine step
+        for _ in range(3):
+            got = sample_first_passage_batch(batch, 1, delta, dt, n_agents=n,
+                                             bridge_correction=bridge)
+            assert got[0] == scalar_first_passage(scalar, delta, dt, n, bridge)
 
 
 def dense_bridge_survival(a, b, delta, dt):
@@ -355,7 +358,11 @@ def test_bridge_survival_keeps_every_bit(n):
     sign = rng.choice([-1.0, 1.0], (4000, n))
     a = sign * rng.uniform(edge - 0.1, delta, (4000, n))
     b = np.clip(a + rng.normal(0.0, math.sqrt(dt), a.shape), -0.9999, 0.9999)
-    got = triggering._bridge_survival(a, b, delta, dt, edge)
+    near = (np.abs(a) > edge) | (np.abs(b) > edge)
+    rows, survive = triggering._bridge_survival(a.ravel(), b.ravel(), np.repeat(np.arange(4000), n),
+                                                near.ravel(), delta, dt)
+    got = np.ones(4000)
+    got[rows] = survive
     assert np.array_equal(got, dense_bridge_survival(a, b, delta, dt))
     assert np.count_nonzero(got < 1.0) > 100
 
@@ -415,9 +422,11 @@ def test_passage_batch_matches_dense_reference(band, dt, n, samples, sign, bridg
     # delta = band * sqrt(20 dt): below one band every agent of a tested row
     # gets the bridge law, above it most agents are skipped
     delta = band * math.sqrt(20.0 * dt)
-    got = sample_first_passage_batch(NoiseStream(seed, scale=sign), samples, delta, dt,
-                                     n_agents=n, bridge_correction=bridge,
-                                     return_occupation=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(triggering, "MAX_COARSE_STEPS", 1)  # every step a fine step
+        got = sample_first_passage_batch(NoiseStream(seed, scale=sign), samples, delta, dt,
+                                         n_agents=n, bridge_correction=bridge,
+                                         return_occupation=True)
     want = dense_first_passage_batch(NoiseStream(seed, scale=sign), samples, delta, dt,
                                      n, bridge)
     assert np.array_equal(got[0], want[0])
@@ -431,6 +440,7 @@ def test_passage_memory_stays_near_the_chunk_budget(monkeypatch):
     # does over the same blocks in turn
     n, rows, blocks = 32, 256, 16
     monkeypatch.setattr(triggering, "CHUNK_BYTES", rows * 8 * n)
+    monkeypatch.setattr(triggering, "MAX_COARSE_STEPS", 1)  # every step a fine step
     tracemalloc.start()
     try:
         times, occupation = sample_first_passage_batch(
@@ -443,3 +453,95 @@ def test_passage_memory_stays_near_the_chunk_budget(monkeypatch):
     want = [dense_first_passage_batch(stream, rows, 1.0, 1e-2, n, True) for _ in range(blocks)]
     assert np.array_equal(times, np.concatenate([w[0] for w in want]))
     assert np.array_equal(occupation, np.concatenate([w[1] for w in want]))
+
+
+def scalar_coarse_first_passage(stream, delta, dt, n, bridge, coarse, occupation):
+    """One exit time and the first agent's occupation integral, stepped
+    ``coarse`` fine steps at a time: ``normals(n)`` for the coarse endpoints,
+    then per fine step ``normals(m)`` for the interior point of the ``m``
+    refined agents (none at the coarse endpoint) and one ``uniforms(1)``
+    when the bridge test runs."""
+    lag = 0.5 if bridge else 0.0
+    near_band = delta - math.sqrt(20.0 * dt)
+    far = near_band - math.sqrt(20.0 * coarse * dt)
+    x = np.zeros(n)
+    occ = np.zeros(1)
+    step = 0
+    while True:
+        end = x + stream.normals(n) * math.sqrt(coarse * dt)
+        refined = (np.abs(x) > far) | (np.abs(end) > far)
+        refined[0] |= occupation
+        a, b = x[refined], end[refined]
+        for r in range(coarse, 0, -1):
+            step += 1
+            if occupation:
+                occ += a[:1] ** 2 * dt
+            if r == 1:
+                f = b
+            else:
+                f = a + (b - a) / r + stream.normals(a.size) * math.sqrt(dt * (r - 1) / r)
+            if np.any(np.abs(f) >= delta):
+                return (step - lag) * dt, occ[0]
+            near = (np.abs(a) > near_band) | (np.abs(f) > near_band)
+            if bridge and near.any():
+                p = np.exp(-2.0 * (delta - a[near]) * (delta - f[near]) / dt)
+                p += np.exp(-2.0 * (delta + a[near]) * (delta + f[near]) / dt)
+                if stream.uniforms(1)[0] < 1.0 - np.prod(1.0 - np.minimum(p, 1.0)):
+                    return (step - lag) * dt, occ[0]
+            a = f
+        x = end
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    delta=st.floats(0.05, 1.2),
+    dt=st.floats(5e-4, 1e-2),
+    n=st.integers(1, 12),
+    coarse=st.sampled_from([2, 4, 8]),
+    sign=st.sampled_from([1.0, -1.0]),
+    bridge=st.booleans(),
+    occupation=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+@example(delta=1.0, dt=1e-3, n=50, coarse=8, sign=1.0, bridge=True, occupation=True, seed=2)
+@example(delta=1.0, dt=1e-3, n=12, coarse=4, sign=-1.0, bridge=True, occupation=False, seed=0)
+@example(delta=0.1, dt=1e-2, n=3, coarse=2, sign=1.0, bridge=True, occupation=False, seed=1)
+def test_coarse_passage_matches_scalar_oracle(delta, dt, n, coarse, sign, bridge, occupation,
+                                              seed):
+    # exact equality pins the refinement rule, the bridge law and the order
+    # of the draws; three exits in a row also check where each call leaves
+    # the stream
+    batch, scalar = NoiseStream(seed, scale=sign), NoiseStream(seed, scale=sign)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(triggering, "coarse_steps", lambda *args: coarse)
+        for _ in range(3):
+            got = sample_first_passage_batch(batch, 1, delta, dt, n_agents=n,
+                                             bridge_correction=bridge,
+                                             return_occupation=occupation)
+            want = scalar_coarse_first_passage(scalar, delta, dt, n, bridge, coarse, occupation)
+            if occupation:
+                assert (got[0][0], got[1][0]) == want
+            else:
+                assert got[0] == want[0]
+
+
+@pytest.mark.parametrize("n", [1, 3, 50])
+def test_coarse_passage_law_matches_fine_steps(monkeypatch, n):
+    # coarse steps with bridge refinement draw exits from the fine sampler's
+    # law.  Interior points drawn with variance dt instead of dt (r - 1) / r
+    # move the means here by 5 to 15 SE at every K.  Dropping the
+    # sqrt(20 K dt) term from `far` misses a crossing with probability up to
+    # exp(-40 / K) per agent and coarse step, which only K = 32 makes visible
+    samples, delta, dt = 20_000, 1.0, 1e-2
+
+    def exits(k):
+        monkeypatch.setattr(triggering, "coarse_steps", lambda *args: k)
+        return sample_first_passage_batch(NoiseStream(61, subkey=(n, k)), samples, delta, dt,
+                                          n_agents=n)
+
+    fine = exits(1)
+    for k in (2, 4, 8, 32):
+        coarse = exits(k)
+        se = math.sqrt((fine.var(ddof=1) + coarse.var(ddof=1)) / samples)
+        assert abs(coarse.mean() - fine.mean()) <= 4 * se, k
+        assert stats.ks_2samp(coarse, fine).pvalue > 1e-3, k
