@@ -65,7 +65,7 @@ from .triggering import (
     LevelGlobal,
     PeriodicAsync,
     PeriodicSync,
-    _exit_block,
+    coarse_exit_gap,
     coarse_steps,
     sample_first_passage_batch,
     staggered_offsets,
@@ -250,7 +250,7 @@ def cmd_calibrate(args, parser) -> int:
     _write_csv(args.out, header, [row])
     # the first-exit sampler's fine steps per coarse step in the verification run
     _write_manifest(args, "calibrate",
-                    fpt_coarse_steps=coarse_steps(result.delta_star, args.dt, args.n))
+                    fpt_coarse_steps=coarse_steps(result.delta_star, args.dt))
     print(f"wrote {args.out}: delta = {result.delta_star:.6g} "
           f"(achieved {result.achieved_period:.6g} s)")
     return 0
@@ -400,14 +400,9 @@ def cmd_selftest(args, parser) -> int:
     mean = float(times.mean())
     check("first-passage mean (delta=1)", abs(mean - 1.0) < 0.03, f"(mean={mean:.4f})")
     # bridge refinement over coarse steps must keep the fine sampler's law
-    exits = {}
-    for k in (1, 8):
-        exits[k] = np.empty(10_000)
-        _exit_block(NoiseStream(args.seed).child(k), exits[k], None, 1.0, 1e-2, 3, True, k)
-    gap = exits[8].mean() - exits[1].mean()
-    se = np.sqrt((exits[1].var(ddof=1) + exits[8].var(ddof=1)) / 10_000)
+    gap, se = coarse_exit_gap(NoiseStream(args.seed), 10_000, 1.0, 1e-2, n_agents=3)
     check("coarse-refined exits match fine exits", abs(gap) <= 4 * se,
-          f"(K=8 minus K=1: {gap:+.4f}, {gap / se:+.1f} SE)")
+          f"(coarse minus fine: {gap:+.4f}, {gap / se:+.1f} SE)")
 
     config = ScenarioConfig(
         n=3, scenario=InfoScenario.BROADCAST, scheme=LevelBroadcast(float(np.sqrt(1.5))),

@@ -16,7 +16,7 @@ The standalone first-exit sampler draws the exit time of the first of
 one or several independent Brownian motions from a symmetric band
 ``[-delta, delta]`` on a fixed grid, optionally compensating between-step
 boundary crossings with the Brownian-bridge crossing probability.  It
-steps ``coarse_steps(delta, dt, n)`` grid steps at a time and fills in
+steps ``coarse_steps(delta, dt)`` grid steps at a time and fills in
 the grid points between, from the exact discrete Brownian bridge, only
 for agents that come near enough to a boundary to be seen leaving it
 (Glasserman, *Monte Carlo Methods in Financial Engineering*, 2004,
@@ -29,7 +29,6 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .costs import mean_exit_time
 from .sde import NoiseStream
 
 __all__ = [
@@ -43,6 +42,7 @@ __all__ = [
     "periodic_fire_step",
     "coarse_steps",
     "sample_first_passage_batch",
+    "coarse_exit_gap",
 ]
 
 # Relative tolerance for "time crosses a deadline" comparisons.
@@ -50,13 +50,9 @@ EPS_REL = 1e-9
 # a working array of the fleet's chunk loop or of the first-exit sampler
 # holds at most about this many bytes (8 per double)
 CHUNK_BYTES = 8 << 20
-# the first-exit sampler advances at most this many fine steps at once
+# the first-exit sampler advances this many fine steps at once where its
+# band leaves room for coarse steps
 MAX_COARSE_STEPS = 8
-# coarse_steps' cost model, in units of one agent's coarse draw: a path's
-# bookkeeping per coarse step, and one refined agent's fine step (fit to
-# timings on a 2-vCPU host)
-PATH_COST = 8.0
-REFINE_COST = 1.5
 
 
 def check_positive(name: str, value: float) -> None:
@@ -145,26 +141,17 @@ def periodic_fire_step(tau: np.ndarray, dt: float) -> np.ndarray:
     return np.ceil(tau / dt - EPS_REL).astype(np.int64)
 
 
-def coarse_steps(delta: float, dt: float, n_agents: int) -> int:
+def coarse_steps(delta: float, dt: float) -> int:
     """Fine steps per coarse step of :func:`sample_first_passage_batch`.
 
-    The power of two ``k <= MAX_COARSE_STEPS`` with the lowest estimated
-    cost per fine step and path, in units of one agent's coarse draw:
-    ``(1 + PATH_COST / n) / k`` for the coarse step, spread over its ``k``
-    fine steps, plus ``REFINE_COST * share * (1 - 1 / k)`` for the interior
-    points of the refined agents.  ``share`` estimates the share of agents
-    refined, those beyond ``far = delta - sqrt(20 dt) (1 + sqrt(k))``, as
-    ``erfc(far / (delta sqrt(m_n)))``: the mass beyond ``far`` of a free
-    motion at half the closed-form mean exit time ``delta^2 m_n``.
+    ``MAX_COARSE_STEPS``, unless the band is too narrow for it: when
+    ``far = delta - sqrt(20 dt) (1 + sqrt(MAX_COARSE_STEPS))`` is not
+    positive every agent would be refined at every coarse step, drawing as
+    many normals as fine steps do and holding more arrays at once, so the
+    sampler takes plain grid steps (1).
     """
-    spread = delta * math.sqrt(mean_exit_time(n_agents))
-
-    def cost(k):
-        far = delta - math.sqrt(20.0 * dt) * (1.0 + math.sqrt(k))
-        share = math.erfc(far / spread) if far > 0 else 1.0
-        return (1.0 + PATH_COST / n_agents) / k + REFINE_COST * share * (1.0 - 1.0 / k)
-
-    return min((1 << i for i in range(MAX_COARSE_STEPS.bit_length())), key=cost)
+    far = delta - math.sqrt(20.0 * dt) * (1.0 + math.sqrt(MAX_COARSE_STEPS))
+    return MAX_COARSE_STEPS if far > 0 else 1
 
 
 def sample_first_passage_batch(
@@ -195,7 +182,7 @@ def sample_first_passage_batch(
     factor ``1 - p`` rounds to exactly 1.0, and leaving it out of the
     survival product changes no bit.
 
-    Paths advance ``k = coarse_steps(delta, dt, n_agents)`` grid steps at
+    Paths advance ``k = coarse_steps(delta, dt)`` grid steps at
     a time.  Each coarse step draws ``normals((m, n_agents))``, scaled by
     ``sqrt(k dt)``, for the coarse endpoints of the ``m`` live paths.  An
     agent is refined when either endpoint lies beyond ``far = delta -
@@ -247,15 +234,43 @@ def sample_first_passage_batch(
         raise ValueError("n_samples and n_agents must be >= 1")
     times = np.empty(n_samples)
     occupation = np.zeros(n_samples) if return_occupation else None
-    block = max(1, CHUNK_BYTES // (8 * n_agents))
-    coarse = coarse_steps(delta, dt, n_agents)
-    for start in range(0, n_samples, block):
-        span = slice(start, min(start + block, n_samples))
-        _exit_block(stream, times[span], None if occupation is None else occupation[span],
-                    delta, dt, n_agents, bridge_correction, coarse)
+    _exit_blocks(stream, times, occupation, delta, dt, n_agents, bridge_correction,
+                 coarse_steps(delta, dt))
     if return_occupation:
         return times, occupation
     return times
+
+
+def coarse_exit_gap(stream: NoiseStream, n_samples: int, delta: float, dt: float,
+                    n_agents: int = 1) -> Tuple[float, float]:
+    """Mean of ``n_samples`` bridge-corrected exit times drawn
+    ``MAX_COARSE_STEPS`` grid steps at a time, minus the mean of as many
+    drawn one grid step at a time, and the standard error of that
+    difference.  The two runs draw from ``stream.child(MAX_COARSE_STEPS)``
+    and ``stream.child(1)``; a gap of a few standard errors or more means
+    the bridge refinement changed the sampler's law."""
+    check_positive("threshold", delta)
+    check_positive("dt", dt)
+    if n_samples < 2 or n_agents < 1:
+        raise ValueError("n_samples must be >= 2 and n_agents >= 1")
+    means, variances = [], []
+    for k in (MAX_COARSE_STEPS, 1):
+        times = np.empty(n_samples)
+        _exit_blocks(stream.child(k), times, None, delta, dt, n_agents, True, k)
+        means.append(times.mean())
+        variances.append(times.var(ddof=1))
+    return float(means[0] - means[1]), math.sqrt(sum(variances) / n_samples)
+
+
+def _exit_blocks(stream, times, occupation, delta, dt, n_agents, bridge_correction, coarse):
+    """Fill ``times`` (and ``occupation``, unless None) block by block with
+    :func:`_exit_block`, ``max(1, CHUNK_BYTES // (8 * n_agents))`` paths at
+    a time."""
+    block = max(1, CHUNK_BYTES // (8 * n_agents))
+    for start in range(0, times.size, block):
+        span = slice(start, start + block)
+        _exit_block(stream, times[span], None if occupation is None else occupation[span],
+                    delta, dt, n_agents, bridge_correction, coarse)
 
 
 def _exit_block(stream, times, occupation, delta, dt, n_agents, bridge_correction, coarse):
@@ -295,38 +310,46 @@ def _exit_block(stream, times, occupation, delta, dt, n_agents, bridge_correctio
         refine = x_far | end_far
         if occupation is not None:
             refine[:, 0] = True  # every fine point of agent 0 enters its integral
-        # refined entries in path order, agents ascending within a path
-        row = np.flatnonzero(refine)
-        del x_far, refine
-        a = x.take(row)
-        del x
-        b = end.take(row)
-        lead = None if occupation is None else row % n_agents == 0
-        row //= n_agents
+        # refined entries by their flat index into end: path order, agents
+        # ascending within a path
+        whole = refine.all()  # then x and end serve as they are, without copies
+        if whole:
+            idx = np.arange(refine.size)
+            a = x.ravel()
+        else:
+            idx = np.flatnonzero(refine)
+            a = x.take(idx)
+        del x, x_far, refine
+        ends = end.ravel()
+        lead = None if occupation is None else idx % n_agents == 0
         a_near = np.abs(a) > near_band
         exited = np.zeros(pos.size, dtype=bool)
         # without refined entries no path can leave the band in this coarse step
-        for fine, (r, sd) in enumerate(levels if row.size else (), step + 1):
+        for fine, (r, sd) in enumerate(levels if idx.size else (), step + 1):
             if occupation is not None:
-                occ[row[lead]] += (a[lead] ** 2) * dt
+                occ[idx[lead] // n_agents] += (a[lead] ** 2) * dt
+            # the refined entries' coarse endpoints are gathered from end where
+            # they are needed, not held beside it
             if r > 1:
                 f = stream.normals(a.size)
                 f *= sd
-                mean = b - a
+                mean = ends.take(idx)
+                mean -= a
                 mean /= r
                 mean += a
                 f += mean
                 del mean
             else:
-                f, b = b, None
+                f = ends if whole else ends.take(idx)
             dist = np.abs(f)
             f_near = dist > near_band
-            out = row[dist >= delta]
+            out = idx[dist >= delta]
             del dist
+            out //= n_agents
             exited[out] = True
             a_near |= f_near
             if bridge_correction and a_near.any():
-                tested, survive = _bridge_survival(a, f, row, a_near, delta, dt)
+                tested, survive = _bridge_survival(a, f, idx, n_agents, a_near, delta, dt)
                 if out.size:  # a path that left the band on the grid is not tested
                     untouched = ~exited[tested]
                     tested, survive = tested[untouched], survive[untouched]
@@ -339,17 +362,16 @@ def _exit_block(stream, times, occupation, delta, dt, n_agents, bridge_correctio
                 times[pos[out]] = (fine - lag) * dt
                 if occupation is not None:
                     occupation[pos[out]] = occ[out]
-                keep = ~exited[row]
+                keep = ~exited[idx // n_agents]
                 # one array at a time, so each old copy goes before the next is made
                 f = f[keep]
                 f_near = f_near[keep]
-                row = row[keep]
-                if b is not None:
-                    b = b[keep]
+                idx = idx[keep]
                 if lead is not None:
                     lead = lead[keep]
+                whole = False
             a, a_near = f, f_near
-        a = b = f = a_near = f_near = row = lead = None  # free them before the next draw
+        a = f = a_near = f_near = idx = lead = ends = None  # free them before the next draw
         step += coarse
         x_far = end_far
         if exited.any():
@@ -362,9 +384,10 @@ def _exit_block(stream, times, occupation, delta, dt, n_agents, bridge_correctio
             x = end
 
 
-def _bridge_survival(a, b, row, near, delta, dt):
+def _bridge_survival(a, b, idx, width, near, delta, dt):
     """Per row, the probability that Brownian bridges from ``a`` to ``b``
-    (entries labelled with non-decreasing ``row``) all stay inside the band.
+    all stay inside the band, for entries at ascending flat indices ``idx``
+    into rows of ``width`` entries.
 
     Only the ``near`` entries, those with an endpoint within ``sqrt(20 dt)``
     of a boundary, get the crossing law: for every other entry ``1 - p``
@@ -383,7 +406,9 @@ def _bridge_survival(a, b, row, near, delta, dt):
     p += _crossing_term(a, b, dt)
     np.minimum(p, 1.0, out=p)  # the two terms can sum past 1 on a narrow band
     np.subtract(1.0, p, out=p)
-    row = row.take(near)
+    row = idx.take(near)
+    del near
+    row //= width
     first = np.empty(row.size, dtype=bool)
     first[:1] = True
     np.not_equal(row[1:], row[:-1], out=first[1:])

@@ -191,7 +191,7 @@ def test_calibrate_reference_point(tmp_path):
     assert achieved == pytest.approx(0.5, rel=0.05)
     # the verification run's coarse step, from the rule the sampler applies
     manifest = (tmp_path / "cal.csv.manifest.txt").read_text().splitlines()
-    assert f"fpt_coarse_steps={coarse_steps(level_threshold(3, 0.5), 1e-3, 3)}" in manifest
+    assert f"fpt_coarse_steps={coarse_steps(level_threshold(3, 0.5), 1e-3)}" in manifest
 
 
 def test_calibrate_failure_exits_3(tmp_path, capsys):

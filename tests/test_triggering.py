@@ -359,7 +359,7 @@ def test_bridge_survival_keeps_every_bit(n):
     a = sign * rng.uniform(edge - 0.1, delta, (4000, n))
     b = np.clip(a + rng.normal(0.0, math.sqrt(dt), a.shape), -0.9999, 0.9999)
     near = (np.abs(a) > edge) | (np.abs(b) > edge)
-    rows, survive = triggering._bridge_survival(a.ravel(), b.ravel(), np.repeat(np.arange(4000), n),
+    rows, survive = triggering._bridge_survival(a.ravel(), b.ravel(), np.arange(4000 * n), n,
                                                 near.ravel(), delta, dt)
     got = np.ones(4000)
     got[rows] = survive
@@ -451,6 +451,33 @@ def test_passage_memory_stays_near_the_chunk_budget(monkeypatch):
     assert peak <= 8 * triggering.CHUNK_BYTES
     stream = NoiseStream(5)
     want = [dense_first_passage_batch(stream, rows, 1.0, 1e-2, n, True) for _ in range(blocks)]
+    assert np.array_equal(times, np.concatenate([w[0] for w in want]))
+    assert np.array_equal(occupation, np.concatenate([w[1] for w in want]))
+
+
+@pytest.mark.parametrize("dt, coarse", [(1e-3, None), (3.4e-3, None), (1e-2, 8)])
+def test_coarse_passage_memory_stays_near_the_chunk_budget(monkeypatch, dt, coarse):
+    # the bound above with coarse steps.  At dt 1e-3 and 3.4e-3 the rule
+    # itself picks MAX_COARSE_STEPS, at 3.4e-3 with nearly every agent
+    # refined; at dt 1e-2 with K = 8 forced every agent is refined.  A call
+    # sixteen blocks long must draw as sixteen one-block calls do
+    n, rows, blocks = 32, 256, 16
+    if coarse is None:
+        assert triggering.coarse_steps(1.0, dt) == triggering.MAX_COARSE_STEPS
+    else:
+        monkeypatch.setattr(triggering, "coarse_steps", lambda *args: coarse)
+    monkeypatch.setattr(triggering, "CHUNK_BYTES", rows * 8 * n)
+    tracemalloc.start()
+    try:
+        times, occupation = sample_first_passage_batch(
+            NoiseStream(5), rows * blocks, 1.0, dt, n_agents=n, return_occupation=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * triggering.CHUNK_BYTES
+    stream = NoiseStream(5)
+    want = [sample_first_passage_batch(stream, rows, 1.0, dt, n_agents=n, return_occupation=True)
+            for _ in range(blocks)]
     assert np.array_equal(times, np.concatenate([w[0] for w in want]))
     assert np.array_equal(occupation, np.concatenate([w[1] for w in want]))
 
