@@ -15,8 +15,7 @@ import numpy as np
 
 from etclab import (
     InfoScenario,
-    LevelBroadcast,
-    LevelGlobal,
+    Level,
     ScenarioConfig,
     run_trial,
 )
@@ -28,7 +27,7 @@ np.set_printoptions(precision=3, suppress=True)
 config = ScenarioConfig(
     n=3,
     scenario=InfoScenario.BROADCAST,
-    scheme=LevelBroadcast(math.sqrt(1.5)),
+    scheme=Level(math.sqrt(1.5)),
     horizon=2000.0,
     trials=1,
     seed=8,
@@ -53,7 +52,7 @@ print(f"  time-average cost: {report.integral_sum / report.elapsed:.4f}")
 config = ScenarioConfig(
     n=3,
     scenario=InfoScenario.BROADCAST_LOCAL,
-    scheme=LevelGlobal(1.04),
+    scheme=Level(1.04),
     horizon=2000.0,
     trials=1,
     seed=8,

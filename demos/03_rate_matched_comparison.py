@@ -19,8 +19,8 @@ import numpy as np
 
 from etclab import (
     InfoScenario,
-    LevelBroadcast,
-    PeriodicSync,
+    Level,
+    Periodic,
     ScenarioConfig,
     j_et_broadcast,
     j_tt_broadcast,
@@ -38,9 +38,9 @@ HORIZON, TRIALS, SEED = 1000.0, 4, 21
 delta = math.sqrt(1.5)
 period = delta**2  # rate matching
 
-tt = run_batch(ScenarioConfig(n=3, scenario=B, scheme=PeriodicSync(period),
+tt = run_batch(ScenarioConfig(n=3, scenario=B, scheme=Periodic(period),
                               horizon=HORIZON, trials=TRIALS, seed=SEED))
-et = run_batch(ScenarioConfig(n=3, scenario=B, scheme=LevelBroadcast(delta),
+et = run_batch(ScenarioConfig(n=3, scenario=B, scheme=Level(delta),
                               horizon=HORIZON, trials=TRIALS, seed=SEED))
 
 print("broadcast-only, n=3, equal local rates:")
@@ -55,9 +55,9 @@ print(f"  ratio   : simulated {et.j_time_avg / tt.j_time_avg:.3f}   analytic 1/3
 print("\nperiodic schemes at a 0.5 s global inter-event time:")
 for n in (3, 10):
     t_local = n * 0.5
-    b = run_batch(ScenarioConfig(n=n, scenario=B, scheme=PeriodicSync(t_local),
+    b = run_batch(ScenarioConfig(n=n, scenario=B, scheme=Periodic(t_local),
                                  horizon=HORIZON, trials=TRIALS, seed=SEED))
-    bl = run_batch(ScenarioConfig(n=n, scenario=BL, scheme=PeriodicSync(0.5),
+    bl = run_batch(ScenarioConfig(n=n, scenario=BL, scheme=Periodic(0.5),
                                   horizon=HORIZON, trials=TRIALS, seed=SEED))
     print(f"  n={n:2d}: broadcast-only {b.j_time_avg:8.2f}   broadcast+local {bl.j_time_avg:7.2f}"
           f"   gap {b.j_time_avg / bl.j_time_avg:5.2f} (analytic {n})")

@@ -20,8 +20,8 @@ full scale.
 
 from etclab import (
     InfoScenario,
-    LevelGlobal,
-    PeriodicSync,
+    Level,
+    Periodic,
     ScenarioConfig,
     level_threshold,
     run_batch,
@@ -34,9 +34,9 @@ print(" n   delta    J periodic    J level    level/periodic")
 ratios = {}
 for n in (2, 5, 10, 20, 35, 50):
     delta = level_threshold(n, 0.5)
-    tt = run_batch(ScenarioConfig(n=n, scenario=BL, scheme=PeriodicSync(0.5),
+    tt = run_batch(ScenarioConfig(n=n, scenario=BL, scheme=Periodic(0.5),
                                   horizon=HORIZON, trials=TRIALS, seed=SEED))
-    et = run_batch(ScenarioConfig(n=n, scenario=BL, scheme=LevelGlobal(delta),
+    et = run_batch(ScenarioConfig(n=n, scenario=BL, scheme=Level(delta),
                                   horizon=HORIZON, trials=TRIALS, seed=SEED))
     ratio = et.j_time_avg / tt.j_time_avg
     ratios[n] = ratio

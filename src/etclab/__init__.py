@@ -1,8 +1,8 @@
 """Monte-Carlo laboratory for time- vs event-triggered consensus.
 
 A fleet of noisy single integrators keeps consensus through impulsive
-control; sampling instants come either from periodic schedules or from
-level-triggering rules, under two local-information scenarios.  The
+control; sampling instants come either from a periodic rule or from a
+level-triggering rule, under two local-information scenarios.  The
 package simulates the closed loop reproducibly, estimates the long-run
 consensus-deviation cost two independent ways, carries the closed-form
 cost oracles for the schemes that have them, and tunes level thresholds
@@ -46,14 +46,17 @@ from .driver import (
 from .graph import consensus_cost_rows, laplacian_dense
 from .sde import NoiseStream
 from .triggering import (
-    LevelBroadcast,
-    LevelGlobal,
-    PeriodicAsync,
-    PeriodicSync,
+    Level,
+    Periodic,
     TriggerEvent,
     TriggerScheme,
     sample_first_passage_batch,
     staggered_offsets,
 )
+
+# the former per-scenario scheme names, kept only for perfbench/workloads.py;
+# ROADMAP item 7 deletes them together with j_tt_broadcast_local
+PeriodicSync = PeriodicAsync = Periodic
+LevelBroadcast = LevelGlobal = Level
 
 __version__ = "0.1.0"

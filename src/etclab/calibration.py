@@ -19,13 +19,12 @@ import numpy as np
 
 from .costs import mean_exit_time
 from .sde import NoiseStream
-from .triggering import check_positive, sample_first_passage_batch
+from .triggering import check_count, check_positive, sample_first_passage_batch
 
 __all__ = [
     "CalibrationResult",
     "CalibrationError",
     "calibrate_global_threshold",
-    "check_calibration_args",
     "level_threshold",
 ]
 
@@ -68,23 +67,9 @@ def level_threshold(n: int, target_period: float) -> float:
     Raises ``ValueError`` unless ``n >= 1`` and ``target_period`` is
     positive and finite.
     """
-    if n < 1:
-        raise ValueError(f"agent count must be >= 1, got {n}")
+    check_count("agent count", n)
     check_positive("target period", target_period)
     return float(np.sqrt(target_period / mean_exit_time(n)))
-
-
-def check_calibration_args(n: int, target_global_period: float,
-                           tolerance: float = DEFAULT_TOLERANCE,
-                           samples: int = DEFAULT_SAMPLES, dt: float = DEFAULT_DT) -> None:
-    """Raise ``ValueError`` unless ``calibrate_global_threshold`` accepts these."""
-    # checks n and the target, and that a huge target does not overflow
-    check_positive("threshold", level_threshold(n, target_global_period))
-    check_positive("dt", dt)
-    if not 0 < tolerance <= 0.2:
-        raise ValueError(f"tolerance must be in (0, 0.2], got {tolerance}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
 
 
 def calibrate_global_threshold(
@@ -117,14 +102,20 @@ def calibrate_global_threshold(
 
     Raises
     ------
+    ValueError
+        If an argument is invalid, before the first draw.
     CalibrationError
         If the verification run misses the target beyond tolerance,
         carrying the diagnostics.
     """
-    check_calibration_args(n, target_global_period, tolerance, samples, dt)
+    delta = level_threshold(n, target_global_period)
+    check_positive("threshold", delta)  # a huge target overflows it
+    check_positive("dt", dt)
+    if not 0 < tolerance <= 0.2:
+        raise ValueError(f"tolerance must be in (0, 0.2], got {tolerance}")
+    check_count("samples", samples)
     stream = stream if stream is not None else NoiseStream(0)
 
-    delta = level_threshold(n, target_global_period)
     # verification only needs the mean pinned to ~1/10 of the tolerance
     verify_samples = max(samples // 5, 5_000)
     times = sample_first_passage_batch(stream.child(2), verify_samples, delta, dt, n_agents=n)

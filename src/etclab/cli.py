@@ -46,7 +46,6 @@ from .calibration import (
     DEFAULT_TOLERANCE,
     CalibrationError,
     calibrate_global_threshold,
-    check_calibration_args,
     level_threshold,
 )
 from .control import Average, Fixed, InfoScenario, Leader
@@ -61,12 +60,10 @@ from .costs import (
 from .driver import ScenarioConfig, _running_sum, run_batch, run_trial, run_trial_reference
 from .sde import BIT_GENERATOR, NoiseStream
 from .triggering import (
-    LevelBroadcast,
-    LevelGlobal,
-    PeriodicAsync,
-    PeriodicSync,
+    MAX_COARSE_STEPS,
+    Level,
+    Periodic,
     coarse_exit_gap,
-    coarse_steps,
     sample_first_passage_batch,
     staggered_offsets,
 )
@@ -179,24 +176,23 @@ def _usage_checked(parser, check, *args, **kwargs):
         parser.error(str(exc))
 
 
-def _scheme_from(args, parser, scenario):
+def _scheme_from(args, parser):
     if args.trigger == "level":
         if args.delta is None:
             parser.error("--trigger level requires --delta")
-        level = LevelBroadcast if scenario is InfoScenario.BROADCAST else LevelGlobal
-        return level(args.delta)
+        return Level(args.delta)
     if args.period is None:
         parser.error(f"--trigger {args.trigger} requires --period")
     if args.trigger == "periodic-sync":
-        return PeriodicSync(args.period)
+        return Periodic(args.period)
     if args.offsets is None:
-        return PeriodicAsync(args.period, staggered_offsets(args.n, args.period))
+        return Periodic(args.period, staggered_offsets(args.n, args.period))
     try:
         offsets = tuple(float(v) for v in args.offsets.split(","))
     except ValueError:
         parser.error(f"--offsets must be a comma list of phases in [0, {args.period}), "
                      f"got {args.offsets!r}")
-    return PeriodicAsync(args.period, offsets)
+    return Periodic(args.period, offsets)
 
 
 def _config(args, parser, **fields) -> ScenarioConfig:
@@ -209,10 +205,9 @@ def _config(args, parser, **fields) -> ScenarioConfig:
     config = {k: v for k, v in vars(args).items() if k in ("dt", "horizon", "trials", "seed")}
     try:
         if "scheme" not in fields:
-            scenario = InfoScenario(args.scenario)
             rule = {"average": Average(), "leader": Leader(), "fixed": Fixed(0.0)}[args.rule]
-            config.update(n=args.n, scenario=scenario, rule=rule,
-                          scheme=_scheme_from(args, parser, scenario))
+            config.update(n=args.n, scenario=InfoScenario(args.scenario), rule=rule,
+                          scheme=_scheme_from(args, parser))
         return ScenarioConfig(**{**config, **fields})
     except ValueError as exc:
         parser.error(str(exc))
@@ -239,18 +234,15 @@ def cmd_simulate(args, parser) -> int:
 
 
 def cmd_calibrate(args, parser) -> int:
-    _usage_checked(parser, check_calibration_args, args.n, args.target_t,
-                   args.tolerance, args.samples, args.dt)
-    result = calibrate_global_threshold(args.n, args.target_t, stream=NoiseStream(args.seed),
-                                        dt=args.dt, tolerance=args.tolerance,
-                                        samples=args.samples)
+    result = _usage_checked(parser, calibrate_global_threshold, args.n, args.target_t,
+                            stream=NoiseStream(args.seed), dt=args.dt,
+                            tolerance=args.tolerance, samples=args.samples)
     header = ["n", "target_T", "delta", "achieved_T", "ci", "samples"]
     row = [args.n, args.target_t, result.delta_star, result.achieved_period,
            result.ci_halfwidth, result.samples_used]
     _write_csv(args.out, header, [row])
     # the first-exit sampler's fine steps per coarse step in the verification run
-    _write_manifest(args, "calibrate",
-                    fpt_coarse_steps=coarse_steps(result.delta_star, args.dt))
+    _write_manifest(args, "calibrate", fpt_coarse_steps=MAX_COARSE_STEPS)
     print(f"wrote {args.out}: delta = {result.delta_star:.6g} "
           f"(achieved {result.achieved_period:.6g} s)")
     return 0
@@ -258,11 +250,11 @@ def cmd_calibrate(args, parser) -> int:
 
 def _bl_pair(args, parser, n, target):
     """The TT-bl and ET-bl configs of ``n`` agents at global period
-    ``target``: a synchronous schedule of that period, and the global level
-    rule at its closed-form threshold."""
-    level = _usage_checked(parser, lambda: LevelGlobal(level_threshold(n, target)))
+    ``target``: the periodic rule of that period without offsets, and the
+    level rule at its closed-form threshold for the first of ``n`` agents."""
+    level = _usage_checked(parser, lambda: Level(level_threshold(n, target)))
     return [_config(args, parser, n=n, scenario=InfoScenario.BROADCAST_LOCAL, scheme=scheme)
-            for scheme in (PeriodicSync(target), level)]
+            for scheme in (Periodic(target), level)]
 
 
 def cmd_table1(args, parser) -> int:
@@ -270,8 +262,7 @@ def cmd_table1(args, parser) -> int:
     for n, target in TABLE1_ROWS:
         # broadcast-only agents fire on their own: local period n * target
         tt_b, et_b = (_config(args, parser, n=n, scenario=InfoScenario.BROADCAST, scheme=scheme)
-                      for scheme in (PeriodicSync(n * target),
-                                     LevelBroadcast(level_threshold(1, n * target))))
+                      for scheme in (Periodic(n * target), Level(level_threshold(1, n * target))))
         tt_bl, et_bl = _bl_pair(args, parser, n, target)
         plan += [(n, target, "TT", "b", tt_b, j_tt_broadcast(n, n * target)),
                  (n, target, "ET", "b", et_b, j_et_broadcast(n, et_b.scheme.delta)),
@@ -282,8 +273,12 @@ def cmd_table1(args, parser) -> int:
     rows = []
     for n, target, scheme, scenario, config, analytic in plan:
         rep = run_batch(config, workers=args.workers)
-        mean_global_t = (rep.mean_local_interevent / n if scenario == "b"
-                         else rep.mean_global_interevent)
+        if scenario == "bl":
+            mean_global_t = rep.mean_global_interevent
+        elif np.isnan(rep.mean_local_interevent):  # the batch saw no local event
+            mean_global_t = None
+        else:
+            mean_global_t = local_to_global_period(n, rep.mean_local_interevent)
         rows.append([n, target, scheme, scenario, getattr(config.scheme, "delta", None),
                      rep.j_time_avg, analytic, mean_global_t, rep.ci_halfwidth])
     _write_csv(args.out, header, rows)
@@ -405,7 +400,7 @@ def cmd_selftest(args, parser) -> int:
           f"(coarse minus fine: {gap:+.4f}, {gap / se:+.1f} SE)")
 
     config = ScenarioConfig(
-        n=3, scenario=InfoScenario.BROADCAST, scheme=LevelBroadcast(float(np.sqrt(1.5))),
+        n=3, scenario=InfoScenario.BROADCAST, scheme=Level(float(np.sqrt(1.5))),
         dt=2e-3, horizon=250.0, trials=2, seed=args.seed)
     rep1 = run_batch(config)
     rep2 = run_batch(config)
@@ -416,7 +411,7 @@ def cmd_selftest(args, parser) -> int:
           f"(sim={rep1.j_time_avg:.4g}, oracle={oracle:.4g})")
 
     config = ScenarioConfig(
-        n=3, scenario=InfoScenario.BROADCAST, scheme=LevelBroadcast(0.2), dt=2e-3,
+        n=3, scenario=InfoScenario.BROADCAST, scheme=Level(0.2), dt=2e-3,
         horizon=5.0, trials=1, seed=args.seed, record_events=True)
     fast, ref = (run(config, 0).events for run in (run_trial, run_trial_reference))
     same = [(e.time, e.initiators) for e in fast] == [(e.time, e.initiators) for e in ref]

@@ -12,6 +12,9 @@ depends on the information available locally:
   every global trigger, so the impulse is ``c - x_i`` and the fleet
   resets exactly to ``c``.
 
+The scenario, not the trigger rule, decides this: the same periodic and
+level rules of ``triggering`` run under both.
+
 The consensus point itself is free within the optimal class; the
 average and leader (minimum-index initiator) rules are the two
 practical choices, and a fixed-point rule exists for diagnostics only.
@@ -87,8 +90,8 @@ def consensus_value(
     ``x`` are the true states at the event and ``last_consensus_point``
     the estimate every non-initiator holds.  With a single broadcast-only
     initiator ``i`` the average rule reduces to
-    ``((n-1) * c_prev + x_i) / n``; when all agents initiate (synchronous
-    periodic firing) both scenarios use the true mean.
+    ``((n-1) * c_prev + x_i) / n``; when all agents initiate (a periodic
+    rule without phase offsets) both scenarios use the true mean.
     """
     initiators = np.asarray(initiators, dtype=int)
     if initiators.size == 0:

@@ -28,6 +28,8 @@ from typing import Sequence, Tuple
 import numpy as np
 from scipy import integrate, stats
 
+from .triggering import check_count, check_positive
+
 __all__ = [
     "CostAccumulator",
     "CostReport",
@@ -146,20 +148,16 @@ def finalize(accumulators: Sequence[CostAccumulator]) -> CostReport:
 def j_tt_broadcast(n: int, local_period: float) -> float:
     """Long-run cost of the periodic scheme under broadcast-only
     information: ``n (n - 1) * T / 2`` with ``T`` the per-agent period."""
-    if n < 1:
-        raise ValueError(f"agent count must be >= 1, got {n}")
-    if local_period <= 0:
-        raise ValueError(f"period must be positive, got {local_period}")
+    check_count("agent count", n)
+    check_positive("period", local_period)
     return n * (n - 1) * local_period / 2.0
 
 
 def j_et_broadcast(n: int, delta: float) -> float:
     """Long-run cost of the level scheme under broadcast-only
     information: ``n (n - 1) * delta^2 / 6`` (mean exit time is delta^2)."""
-    if n < 1:
-        raise ValueError(f"agent count must be >= 1, got {n}")
-    if delta <= 0:
-        raise ValueError(f"threshold must be positive, got {delta}")
+    check_count("agent count", n)
+    check_positive("threshold", delta)
     return n * (n - 1) * delta * delta / 6.0
 
 
@@ -172,18 +170,15 @@ def j_tt_broadcast_local(n: int, global_period: float) -> float:
 
 def local_to_global_period(n: int, local_period: float) -> float:
     """Global inter-event time at equal transmission rate: ``T / n``."""
-    if n < 1:
-        raise ValueError(f"agent count must be >= 1, got {n}")
-    if local_period <= 0:
-        raise ValueError(f"period must be positive, got {local_period}")
+    check_count("agent count", n)
+    check_positive("period", local_period)
     return local_period / n
 
 
 def expected_occupation_integral(delta: float) -> float:
     """``E[int_0^T B(t)^2 dt]`` for Brownian exit from ``[-delta, delta]``,
     in closed form ``delta^4 / 6``."""
-    if delta <= 0:
-        raise ValueError(f"threshold must be positive, got {delta}")
+    check_positive("threshold", delta)
     return delta**4 / 6.0
 
 
@@ -219,8 +214,7 @@ def mean_exit_time(n: int) -> float:
     ``m_1 = 1``; by Brownian scaling the band ``[-delta, delta]`` gives
     ``delta^2 * m_n``.
     """
-    if n < 1:
-        raise ValueError(f"agent count must be >= 1, got {n}")
+    check_count("agent count", n)
 
     def integrand(t):
         return _band_survival(t) ** n

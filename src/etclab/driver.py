@@ -10,9 +10,9 @@ in which it fires.
 The optimal impulses keep every estimate, and the broadcast-plus-local
 snapshot, at the last consensus point ``c``, so a trial's state is the
 scalar ``c`` plus the error vector ``e = x - c``.  The cost is
-``x'Lx = e'Le``, agent 0's renewal reward is ``e_0^2``, a level rule
-fires when ``|e_i| >= delta``, and an event zeroes the errors it resets
-(the initiators' under broadcast-only, everyone's under
+``x'Lx = e'Le``, agent 0's renewal reward is ``e_0^2``, the level rule
+fires when ``|e_i| >= delta`` in both scenarios, and an event zeroes the
+errors it resets (the initiators' under broadcast-only, everyone's under
 broadcast-plus-local).  Costs and triggers read ``e`` alone, so the
 consensus point, the true states ``c + e`` and the estimates ``c`` are
 formed only in trials that log events or a trajectory.
@@ -30,7 +30,7 @@ events are found on the raw running sums: a level rule searches bounded
 windows against each agent's running sum at its last reset, one flat
 ``argmax`` per window; periodic schedules get every deadline of the
 chunk from one ``periodic_fire_step`` call over the deadline counters
-(one counter for a synchronous schedule), or one call per slice of
+(one counter when the rule has no phase offsets), or one call per slice of
 phases when short periods of many phases would make that grid outgrow a
 fixed share of the chunk budget.  Then ``_settle``, the one event
 protocol, settles them in order: one subtraction per segment between
@@ -61,12 +61,11 @@ from .sde import NoiseStream
 from .triggering import (
     CHUNK_BYTES,
     EPS_REL,
-    LevelBroadcast,
-    LevelGlobal,
-    PeriodicAsync,
-    PeriodicSync,
+    Level,
+    Periodic,
     TriggerEvent,
     TriggerScheme,
+    check_count,
     check_positive,
     periodic_fire_step,
 )
@@ -83,7 +82,7 @@ __all__ = [
 CHUNK_STEPS = 2048
 # the noise block of a chunk holds at most CHUNK_BYTES (8 per draw), so
 # fleets beyond CHUNK_BYTES / (8 * CHUNK_STEPS) = 512 agents get fewer rows
-# level rules search for crossings in bounded windows so that a hit early
+# the level rule searches for crossings in bounded windows so that a hit early
 # in a chunk does not scan the whole remainder
 LEVEL_LOOKAHEAD = 256
 
@@ -92,10 +91,10 @@ LEVEL_LOOKAHEAD = 256
 class ScenarioConfig:
     """Full description of one experiment.
 
-    ``scheme`` and ``scenario`` must be compatible: the broadcast level
-    rule and asynchronous periodic schedules require broadcast-only
-    information, the global level rule requires broadcast-plus-local,
-    and synchronous periodic schedules work in both.
+    ``scenario`` alone decides what an event resets and how many agents a
+    level rule watches.  Phase offsets of a periodic rule, one per agent,
+    need broadcast-only information: under broadcast-plus-local every
+    event resets the whole fleet.
     """
 
     n: int
@@ -111,37 +110,29 @@ class ScenarioConfig:
     trajectory_stride: int = 50
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"agent count must be >= 1, got {self.n}")
+        check_count("agent count", self.n)
         check_positive("dt", self.dt)
         check_positive("horizon", self.horizon)
         if self.horizon < self.dt:
             raise ValueError("horizon must cover at least one step")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.trajectory_stride < 1:
-            raise ValueError("trajectory_stride must be >= 1")
+        check_count("trials", self.trials)
+        check_count("seed", self.seed, 0)
+        check_count("trajectory_stride", self.trajectory_stride)
         if not isinstance(self.rule, (Average, Leader, Fixed)):
             raise ValueError(
                 f"unknown consensus rule of type {type(self.rule).__name__}: "
                 "expected Average, Leader or Fixed"
             )
-        scheme, scenario = self.scheme, self.scenario
-        if isinstance(scheme, LevelBroadcast) and scenario is not InfoScenario.BROADCAST:
-            raise ValueError("broadcast level rule requires the broadcast-only scenario")
-        if isinstance(scheme, LevelGlobal) and scenario is not InfoScenario.BROADCAST_LOCAL:
-            raise ValueError("global level rule requires the broadcast-plus-local scenario")
-        if isinstance(scheme, PeriodicAsync):
-            if scenario is not InfoScenario.BROADCAST:
-                raise ValueError("asynchronous periodic schedule requires the broadcast-only scenario")
-            if len(scheme.offsets) != self.n:
+        scheme = self.scheme
+        if isinstance(scheme, Periodic):
+            if scheme.offsets and self.scenario is not InfoScenario.BROADCAST:
+                raise ValueError("phase offsets require the broadcast-only scenario")
+            if len(scheme.offsets) not in (0, self.n):
                 raise ValueError(
                     f"schedule has {len(scheme.offsets)} offsets for {self.n} agents"
                 )
-        if isinstance(scheme, (PeriodicSync, PeriodicAsync)) and scheme.period < self.dt:
-            raise ValueError("period must be at least one step")
+            if scheme.period < self.dt:
+                raise ValueError("period must be at least one step")
         expected = _expected_interevent(self)
         if self.horizon < 100 * expected:
             warnings.warn(
@@ -156,12 +147,13 @@ class ScenarioConfig:
 
 
 def _expected_interevent(config: "ScenarioConfig") -> float:
-    """Mean inter-event time, per agent under the broadcast level rule; a
-    level rule waits for the first of ``W = 1`` (broadcast) or ``n`` agents."""
+    """Mean inter-event time, per agent under broadcast-only information; a
+    level rule waits for the first of ``W = 1`` (broadcast-only) or ``n``
+    (broadcast-plus-local) agents."""
     scheme = config.scheme
-    if isinstance(scheme, (PeriodicSync, PeriodicAsync)):
+    if isinstance(scheme, Periodic):
         return scheme.period
-    width = config.n if isinstance(scheme, LevelGlobal) else 1
+    width = 1 if config.scenario is InfoScenario.BROADCAST else config.n
     return scheme.delta**2 * mean_exit_time(width)
 
 
@@ -252,7 +244,7 @@ class _Fleet:
     def log_state(self, step: int, e: np.ndarray, flag: int) -> None:
         """Trajectory row ``(t, x, xhat, flag, threshold center)`` at ``step``."""
         c = self.c_prev
-        level = isinstance(self.config.scheme, (LevelBroadcast, LevelGlobal))
+        level = isinstance(self.config.scheme, Level)
         self.trajectory.append((step * self.config.dt, c + e, np.full(e.size, c), flag,
                                 c if level else float("nan")))
 
@@ -346,8 +338,8 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int)
         start = stop
 
 
-def _phase_offsets(scheme: TriggerScheme, n: int) -> np.ndarray:
-    if isinstance(scheme, PeriodicSync):
+def _phase_offsets(scheme: Periodic, n: int) -> np.ndarray:
+    if not scheme.offsets:
         return np.zeros(n)
     return np.asarray(scheme.offsets, dtype=float)
 
@@ -442,11 +434,11 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     dt = config.dt
     steps_total = config.steps
     scheme = config.scheme
-    level = isinstance(scheme, (LevelBroadcast, LevelGlobal))
+    level = isinstance(scheme, Level)
     if level:
         local = config.scenario is InfoScenario.BROADCAST_LOCAL
     else:
-        # a synchronous schedule has one phase, which every agent shares
+        # without offsets there is one phase, which every agent shares
         offsets = _phase_offsets(scheme, 1)
         # every agent starts as having just fired, so a zero phase's first
         # deadline is one period in
@@ -508,7 +500,7 @@ def run_trial_reference(
     n = config.n
     dt = config.dt
     scheme = config.scheme
-    level = isinstance(scheme, (LevelBroadcast, LevelGlobal))
+    level = isinstance(scheme, Level)
     stream = NoiseStream(config.seed, trial_index, noise_scale)
     sqrt_dt = np.sqrt(dt)
     fleet = _Fleet.start(config)
@@ -533,7 +525,7 @@ def run_trial_reference(
     return TrialResult(accumulator=acc, events=fleet.events)
 
 
-def _periodic_due(t: float, scheme: TriggerScheme, dt: float, n: int) -> np.ndarray:
+def _periodic_due(t: float, scheme: Periodic, dt: float, n: int) -> np.ndarray:
     """Agents with a deadline in the grid step ending at ``t``, stateless.
 
     A deadline ``tau`` belongs to the first grid time ``>= tau`` (up to a

@@ -1,29 +1,33 @@
-"""Trigger schedules, level rules and first-exit-time samplers.
+"""Trigger rules and first-exit-time samplers.
 
-Two families of triggering schemes are supported:
+Two trigger rules are supported; the information scenario of the
+experiment, not the rule, decides what an event resets and how many
+agents a level rule watches:
 
-* periodic (time-triggered): synchronous, or asynchronous with per-agent
-  phase offsets; crossing detection uses per-agent deadline counters
-  rather than floating-point modulo so no drift accumulates over long
-  runs;
-* level (event-triggered): an agent fires when the magnitude of its
-  deviation reaches a constant threshold.  In the broadcast-only
-  scenario the deviation is measured against the agent's estimate, in
-  the broadcast-plus-local scenario against its state at the last
-  global trigger.
+* ``Periodic`` (time-triggered): every agent fires every ``period``
+  seconds, all together or each at its own phase offset; crossing
+  detection uses per-agent deadline counters rather than floating-point
+  modulo so no drift accumulates over long runs;
+* ``Level`` (event-triggered): an agent fires when the magnitude of its
+  error, its deviation from the last consensus point, reaches a constant
+  threshold.  In the broadcast-only scenario each agent watches its own
+  error, which only its own events reset; in the broadcast-plus-local
+  scenario every event resets the fleet, so the first of ``n`` agents to
+  reach the threshold fires a global event.
 
 The standalone first-exit sampler draws the exit time of the first of
 one or several independent Brownian motions from a symmetric band
 ``[-delta, delta]`` on a fixed grid, optionally compensating between-step
 boundary crossings with the Brownian-bridge crossing probability.  It
-steps ``coarse_steps(delta, dt)`` grid steps at a time and fills in
-the grid points between, from the exact discrete Brownian bridge, only
-for agents that come near enough to a boundary to be seen leaving it
-(Glasserman, *Monte Carlo Methods in Financial Engineering*, 2004,
-section 3.1); every other agent's fine points could not change the exit.
+steps ``MAX_COARSE_STEPS`` grid steps at a time and fills in the grid
+points between, from the exact discrete Brownian bridge, only for agents
+that come near enough to a boundary to be seen leaving it (Glasserman,
+*Monte Carlo Methods in Financial Engineering*, 2004, section 3.1);
+every other agent's fine points could not change the exit.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -32,15 +36,12 @@ import numpy as np
 from .sde import NoiseStream
 
 __all__ = [
-    "PeriodicSync",
-    "PeriodicAsync",
-    "LevelBroadcast",
-    "LevelGlobal",
+    "Periodic",
+    "Level",
     "TriggerScheme",
     "TriggerEvent",
     "staggered_offsets",
     "periodic_fire_step",
-    "coarse_steps",
     "sample_first_passage_batch",
     "coarse_exit_gap",
 ]
@@ -50,8 +51,7 @@ EPS_REL = 1e-9
 # a working array of the fleet's chunk loop or of the first-exit sampler
 # holds at most about this many bytes (8 per double)
 CHUNK_BYTES = 8 << 20
-# the first-exit sampler advances this many fine steps at once where its
-# band leaves room for coarse steps
+# the first-exit sampler advances this many fine steps at once
 MAX_COARSE_STEPS = 8
 
 
@@ -63,22 +63,24 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer, Python or NumPy,
+    of at least ``minimum``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        wanted = "a non-negative integer" if minimum == 0 else f">= {minimum}"
+        raise ValueError(f"{name} must be {wanted}, got {value}")
+
+
 @dataclass(frozen=True)
-class PeriodicSync:
-    """All agents fire together every ``period`` seconds."""
+class Periodic:
+    """Every agent fires every ``period`` seconds: all together when there
+    are no ``offsets``, otherwise agent ``i`` at phase ``offsets[i]`` in
+    ``[0, period)``."""
 
     period: float
-
-    def __post_init__(self):
-        check_positive("period", self.period)
-
-
-@dataclass(frozen=True)
-class PeriodicAsync:
-    """Each agent fires every ``period`` seconds at its own phase offset."""
-
-    period: float
-    offsets: Tuple[float, ...]
+    offsets: Tuple[float, ...] = ()
 
     def __post_init__(self):
         check_positive("period", self.period)
@@ -89,8 +91,9 @@ class PeriodicAsync:
 
 
 @dataclass(frozen=True)
-class LevelBroadcast:
-    """Agent fires when |x_i - xhat_i| reaches ``delta`` (broadcast-only)."""
+class Level:
+    """An agent fires when its error ``|x_i - c|``, its deviation from the
+    last consensus point ``c``, reaches ``delta``."""
 
     delta: float
 
@@ -98,18 +101,7 @@ class LevelBroadcast:
         check_positive("threshold", self.delta)
 
 
-@dataclass(frozen=True)
-class LevelGlobal:
-    """Any agent deviating by ``delta`` from its state at the last global
-    trigger fires a global event (broadcast-plus-local scenario)."""
-
-    delta: float
-
-    def __post_init__(self):
-        check_positive("threshold", self.delta)
-
-
-TriggerScheme = Union[PeriodicSync, PeriodicAsync, LevelBroadcast, LevelGlobal]
+TriggerScheme = Union[Periodic, Level]
 
 
 @dataclass(frozen=True)
@@ -141,19 +133,6 @@ def periodic_fire_step(tau: np.ndarray, dt: float) -> np.ndarray:
     return np.ceil(tau / dt - EPS_REL).astype(np.int64)
 
 
-def coarse_steps(delta: float, dt: float) -> int:
-    """Fine steps per coarse step of :func:`sample_first_passage_batch`.
-
-    ``MAX_COARSE_STEPS``, unless the band is too narrow for it: when
-    ``far = delta - sqrt(20 dt) (1 + sqrt(MAX_COARSE_STEPS))`` is not
-    positive every agent would be refined at every coarse step, drawing as
-    many normals as fine steps do and holding more arrays at once, so the
-    sampler takes plain grid steps (1).
-    """
-    far = delta - math.sqrt(20.0 * dt) * (1.0 + math.sqrt(MAX_COARSE_STEPS))
-    return MAX_COARSE_STEPS if far > 0 else 1
-
-
 def sample_first_passage_batch(
     stream: NoiseStream,
     n_samples: int,
@@ -182,8 +161,8 @@ def sample_first_passage_batch(
     factor ``1 - p`` rounds to exactly 1.0, and leaving it out of the
     survival product changes no bit.
 
-    Paths advance ``k = coarse_steps(delta, dt)`` grid steps at
-    a time.  Each coarse step draws ``normals((m, n_agents))``, scaled by
+    Paths advance ``k = MAX_COARSE_STEPS`` grid steps at a time.  Each
+    coarse step draws ``normals((m, n_agents))``, scaled by
     ``sqrt(k dt)``, for the coarse endpoints of the ``m`` live paths.  An
     agent is refined when either endpoint lies beyond ``far = delta -
     sqrt(20 dt) - sqrt(20 k dt)`` (agent 0 always, with
@@ -230,12 +209,12 @@ def sample_first_passage_batch(
     """
     check_positive("threshold", delta)
     check_positive("dt", dt)
-    if n_samples < 1 or n_agents < 1:
-        raise ValueError("n_samples and n_agents must be >= 1")
+    check_count("n_samples", n_samples)
+    check_count("n_agents", n_agents)
     times = np.empty(n_samples)
     occupation = np.zeros(n_samples) if return_occupation else None
     _exit_blocks(stream, times, occupation, delta, dt, n_agents, bridge_correction,
-                 coarse_steps(delta, dt))
+                 MAX_COARSE_STEPS)
     if return_occupation:
         return times, occupation
     return times
@@ -251,8 +230,8 @@ def coarse_exit_gap(stream: NoiseStream, n_samples: int, delta: float, dt: float
     the bridge refinement changed the sampler's law."""
     check_positive("threshold", delta)
     check_positive("dt", dt)
-    if n_samples < 2 or n_agents < 1:
-        raise ValueError("n_samples must be >= 2 and n_agents >= 1")
+    check_count("n_samples", n_samples, 2)
+    check_count("n_agents", n_agents)
     means, variances = [], []
     for k in (MAX_COARSE_STEPS, 1):
         times = np.empty(n_samples)

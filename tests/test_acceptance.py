@@ -19,11 +19,9 @@ from etclab import (
     Average,
     InfoScenario,
     Leader,
-    LevelBroadcast,
-    LevelGlobal,
+    Level,
     NoiseStream,
-    PeriodicAsync,
-    PeriodicSync,
+    Periodic,
     ScenarioConfig,
     calibrate_global_threshold,
     consensus_cost_rows,
@@ -102,9 +100,9 @@ def test_criterion_1_first_passage_identity():
 
 
 def test_criterion_2_periodic_broadcast_oracle():
-    _, sync = fleet(3, B, PeriodicSync(0.75))
+    _, sync = fleet(3, B, Periodic(0.75))
     offsets = tuple(0.75 * i / 3 for i in range(3))
-    _, async_ = fleet(3, B, PeriodicAsync(0.75, offsets))
+    _, async_ = fleet(3, B, Periodic(0.75, offsets))
     target = j_tt_broadcast(3, 0.75)  # 2.25
     ok = (
         abs(sync.j_time_avg / target - 1) <= 0.03
@@ -123,7 +121,7 @@ def test_criterion_2_periodic_broadcast_oracle():
 
 
 def test_criterion_3_level_broadcast_oracle():
-    _, rep = fleet(3, B, LevelBroadcast(math.sqrt(1.5)))
+    _, rep = fleet(3, B, Level(math.sqrt(1.5)))
     target = j_et_broadcast(3, math.sqrt(1.5))  # 1.5
     ratio = rep.j_time_avg / target
     check("3", 0.97 <= ratio <= 1.07,
@@ -137,8 +135,8 @@ def test_criterion_4_consistency_ratio():
     details = []
     ok = True
     for n in (3, 10):
-        _, et = fleet(n, B, LevelBroadcast(math.sqrt(1.5)))
-        _, tt = fleet(n, B, PeriodicSync(1.5))
+        _, et = fleet(n, B, Level(math.sqrt(1.5)))
+        _, tt = fleet(n, B, Periodic(1.5))
         ratio = et.j_time_avg / tt.j_time_avg
         details.append(f"n={n}: {ratio:.4f}")
         ok &= 0.31 <= ratio <= 0.37
@@ -158,8 +156,8 @@ def test_criterion_5_information_gap():
     details = []
     ok = exact
     for n in (3, 10, 50):
-        _, tt_b = fleet(n, B, PeriodicSync(n * 0.5))
-        _, tt_bl = fleet(n, BL, PeriodicSync(0.5))
+        _, tt_b = fleet(n, B, Periodic(n * 0.5))
+        _, tt_bl = fleet(n, BL, Periodic(0.5))
         quotient = tt_b.j_time_avg / tt_bl.j_time_avg
         details.append(f"n={n}: {quotient:.2f}")
         ok &= abs(quotient / n - 1) <= 0.05
@@ -190,8 +188,8 @@ def test_criterion_7_crossover():
     ok = True
     for n, et_should_win in ((3, True), (10, True), (50, False)):
         delta = calibrated(n, 0.5).delta_star
-        _, et = fleet(n, BL, LevelGlobal(delta))
-        _, tt = fleet(n, BL, PeriodicSync(0.5))
+        _, et = fleet(n, BL, Level(delta))
+        _, tt = fleet(n, BL, Periodic(0.5))
         diff = et.j_time_avg - tt.j_time_avg
         ci = welch_ci95(et.j_trials, tt.j_trials)
         side_ok = (diff < -ci) if et_should_win else (diff > ci)
@@ -207,7 +205,7 @@ def test_criterion_7_crossover():
 
 
 def test_criterion_8_rule_independence():
-    base = dict(n=3, scenario=B, scheme=LevelBroadcast(math.sqrt(1.5)),
+    base = dict(n=3, scenario=B, scheme=Level(math.sqrt(1.5)),
                 dt=DT, horizon=200.0, trials=1, seed=SEED, record_events=True)
     avg = run_trial(quiet_config(rule=Average(), **base), 0)
     lead = run_trial(quiet_config(rule=Leader(), **base), 0)
@@ -219,7 +217,7 @@ def test_criterion_8_rule_independence():
 
 
 def test_criterion_8_error_invariance():
-    config = quiet_config(n=3, scenario=B, scheme=LevelBroadcast(math.sqrt(1.5)),
+    config = quiet_config(n=3, scenario=B, scheme=Level(math.sqrt(1.5)),
                           dt=DT, horizon=200.0, trials=1, seed=SEED,
                           record_events=True)
     run = run_trial(config, 0)
@@ -237,7 +235,7 @@ def test_criterion_8_error_invariance():
 
 
 def test_criterion_8_exact_reset():
-    config = quiet_config(n=3, scenario=BL, scheme=LevelGlobal(1.04),
+    config = quiet_config(n=3, scenario=BL, scheme=Level(1.04),
                           dt=DT, horizon=200.0, trials=1, seed=SEED,
                           record_events=True)
     run = run_trial(config, 0)
@@ -248,7 +246,7 @@ def test_criterion_8_exact_reset():
 
 
 def test_criterion_8_sign_flip():
-    config = quiet_config(n=3, scenario=B, scheme=LevelBroadcast(math.sqrt(1.5)),
+    config = quiet_config(n=3, scenario=B, scheme=Level(math.sqrt(1.5)),
                           dt=DT, horizon=200.0, trials=1, seed=SEED,
                           record_events=True)
     run = run_trial(config, 0)
@@ -262,8 +260,8 @@ def test_criterion_8_renewal_vs_time_average():
     ok = True
     details = []
     for n, scenario, scheme in (
-        (3, B, LevelBroadcast(math.sqrt(1.5))),
-        (3, BL, LevelGlobal(calibrated(3, 0.5).delta_star)),
+        (3, B, Level(math.sqrt(1.5))),
+        (3, BL, Level(calibrated(3, 0.5).delta_star)),
     ):
         results, report = fleet(n, scenario, scheme)
         per_trial = np.array([r.accumulator.renewal_estimate() for r in results])
@@ -282,8 +280,8 @@ def test_criterion_8_delta_invariance_of_ratio():
     ratios, cis = [], []
     for target in (0.5, 0.25):
         delta = calibrated(3, target).delta_star
-        _, et = fleet(3, BL, LevelGlobal(delta))
-        _, tt = fleet(3, BL, PeriodicSync(target))
+        _, et = fleet(3, BL, Level(delta))
+        _, tt = fleet(3, BL, Periodic(target))
         r = et.j_time_avg / tt.j_time_avg
         ci = r * math.hypot(et.ci_halfwidth / et.j_time_avg,
                             tt.ci_halfwidth / tt.j_time_avg)

@@ -4,14 +4,19 @@ Neither is run by this suite, so a removed or renamed public name would
 otherwise break them unnoticed.  The benchmark's tracer also wraps
 functions by ``(module, attribute path)``, and skips a path that no
 longer resolves, so its metrics would read as absent.  The checks parse
-these sources and import nothing from them.
+these sources and import nothing from them.  Names the package keeps
+only for the benchmark are used nowhere else, so deleting them takes an
+edit of the benchmark alone.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
+
+import etclab
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLERS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
@@ -59,3 +64,21 @@ def test_benchmark_trace_points_resolve():
         if owner is None:
             missing.append(f"{module}:{attribute_path}")
     assert missing == []
+
+
+def test_trigger_rule_aliases_serve_only_the_benchmark():
+    # the package binds each former per-scenario scheme name to a rule on
+    # one alias line; the sources, tests, demos and README use the rules
+    rules = (etclab.Periodic, etclab.Level)
+    aliases = {name for name, value in vars(etclab).items()
+               if any(value is rule for rule in rules) and name != value.__name__}
+    init = ROOT / "src" / "etclab" / "__init__.py"
+    paths = [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py"),
+             *(ROOT / "demos").glob("*.py"), ROOT / "README.md"]
+    uses = []
+    for path in paths:
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            alias_line = path == init and line.split("=")[0].strip() in aliases
+            if aliases & set(re.findall(r"\w+", line)) and not alias_line:
+                uses.append(f"{path.relative_to(ROOT)}:{number}")
+    assert uses == []

@@ -8,9 +8,9 @@ import pytest
 from scipy import stats
 
 import etclab.calibration
-from etclab import CostReport, LevelGlobal, PeriodicSync, cli, level_threshold
+from etclab import CostReport, Level, Periodic, cli, level_threshold
 from etclab.cli import main
-from etclab.triggering import coarse_steps
+from etclab.triggering import MAX_COARSE_STEPS
 
 
 def run_cli(args):
@@ -142,7 +142,8 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys, argv, message):
 
     monkeypatch.chdir(tmp_path)  # where a default --out would land
     monkeypatch.setattr(cli, "run_batch", no_work)
-    monkeypatch.setattr(cli, "calibrate_global_threshold", no_work)
+    # the calibrator checks every input before the sampler's first draw
+    monkeypatch.setattr(etclab.calibration, "sample_first_passage_batch", no_work)
     with pytest.raises(SystemExit) as info:
         run_cli(argv)
     assert info.value.code == 2
@@ -189,9 +190,9 @@ def test_calibrate_reference_point(tmp_path):
     assert delta == pytest.approx(1.04, rel=0.10)
     achieved = float(rows[0][header.index("achieved_T")])
     assert achieved == pytest.approx(0.5, rel=0.05)
-    # the verification run's coarse step, from the rule the sampler applies
+    # the verification run's coarse step
     manifest = (tmp_path / "cal.csv.manifest.txt").read_text().splitlines()
-    assert f"fpt_coarse_steps={coarse_steps(level_threshold(3, 0.5), 1e-3)}" in manifest
+    assert f"fpt_coarse_steps={MAX_COARSE_STEPS}" in manifest
 
 
 def test_calibrate_failure_exits_3(tmp_path, capsys):
@@ -210,6 +211,14 @@ def table1_csv(tmp_path_factory):
     out = tmp_path_factory.mktemp("table1") / "t1.csv"
     assert run_cli(["table1", *BL_LOOP_ARGS, "--out", str(out)]) == 0
     return read_csv(out)
+
+
+def test_table1_without_local_events_leaves_the_rate_empty(tmp_path):
+    # 0.5 s holds no deadline of the n = 3 broadcast-only 0.75 s schedule
+    out = tmp_path / "short.csv"
+    assert run_cli(["table1", "--horizon", "0.5", "--trials", "1", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert rows[0][header.index("mean_global_T")] == ""
 
 
 def test_table1_structure(table1_csv):
@@ -277,7 +286,7 @@ def test_experiments_take_thresholds_from_the_closed_form(tmp_path, monkeypatch,
 
 
 def test_sweep_n_ci_diff_is_welch_t(tmp_path, monkeypatch):
-    j_trials = {PeriodicSync: (1.0, 1.5, 1.25, 2.0), LevelGlobal: (0.5, 0.75, 0.5, 0.625)}
+    j_trials = {Periodic: (1.0, 1.5, 1.25, 2.0), Level: (0.5, 0.75, 0.5, 0.625)}
 
     def fixed_batch(config, workers=1):
         j = j_trials[type(config.scheme)]
@@ -289,7 +298,7 @@ def test_sweep_n_ci_diff_is_welch_t(tmp_path, monkeypatch):
     out = tmp_path / "sweep.csv"
     assert run_cli(["sweep-n", "--n-list", "3", "--out", str(out)]) == 0
     header, (row,) = read_csv(out)
-    et, tt = np.array(j_trials[LevelGlobal]), np.array(j_trials[PeriodicSync])
+    et, tt = np.array(j_trials[Level]), np.array(j_trials[Periodic])
     va, vb = et.var(ddof=1) / et.size, tt.var(ddof=1) / tt.size
     dof = (va + vb) ** 2 / (va**2 / (et.size - 1) + vb**2 / (tt.size - 1))
     expected = stats.t.ppf(0.975, dof) * math.sqrt(va + vb)

@@ -8,7 +8,7 @@ from etclab import (
     Fixed,
     InfoScenario,
     Leader,
-    PeriodicSync,
+    Periodic,
     ScenarioConfig,
     consensus_value,
 )
@@ -26,7 +26,7 @@ def point(x, initiators, rule, scenario, c_prev=0.0):
 
 def start(x, scenario, rule=Average(), c_prev=0.0):
     """A fleet at true states ``x`` whose estimates all hold ``c_prev``."""
-    config = ScenarioConfig(n=len(x), scenario=scenario, scheme=PeriodicSync(1.0), rule=rule,
+    config = ScenarioConfig(n=len(x), scenario=scenario, scheme=Periodic(1.0), rule=rule,
                             record_events=True)
     fleet = _Fleet.start(config)
     fleet.c_prev = c_prev
@@ -150,7 +150,7 @@ def test_renewal_cycles_close_on_agent_zero_or_global_events():
     # it fires together with others; every broadcast-plus-local event is global
     closed = {}
     for scenario, initiators in ((B, [1]), (B, [0, 2]), (BL, [1])):
-        config = ScenarioConfig(n=3, scenario=scenario, scheme=PeriodicSync(1.0))
+        config = ScenarioConfig(n=3, scenario=scenario, scheme=Periodic(1.0))
         fleet = _Fleet.start(config)
         fleet.cycle_reward = 0.5
         settle(fleet, np.array(initiators), 7)

@@ -1,18 +1,26 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from etclab import (
     CostAccumulator,
+    InfoScenario,
+    Level,
     NoiseStream,
+    ScenarioConfig,
+    calibrate_global_threshold,
     expected_occupation_integral,
     finalize,
     j_et_broadcast,
     j_tt_broadcast,
     j_tt_broadcast_local,
+    level_threshold,
     local_to_global_period,
+    mean_exit_time,
     merge_accumulators,
+    run_trial,
     sample_first_passage_batch,
 )
 
@@ -145,6 +153,45 @@ def test_oracle_argument_validation():
         local_to_global_period(3, 0.0)
     with pytest.raises(ValueError):
         expected_occupation_integral(0.0)
+
+
+CONFIG = dict(n=3, scenario=InfoScenario.BROADCAST, scheme=Level(0.5), horizon=100.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(partial(j_tt_broadcast, 3, math.nan), "period", id="j_tt-nan"),
+    pytest.param(partial(j_et_broadcast, 3, math.inf), "threshold", id="j_et-inf"),
+    pytest.param(partial(expected_occupation_integral, math.nan), "threshold",
+                 id="occupation-nan"),
+    pytest.param(partial(local_to_global_period, 3, math.inf), "period", id="rate-inf"),
+    pytest.param(partial(j_et_broadcast, 1.5, 1.0), "agent count", id="j_et-n-float"),
+    pytest.param(partial(mean_exit_time, 2.5), "agent count", id="exit-time-n-float"),
+    pytest.param(partial(level_threshold, 2.5, 0.5), "agent count", id="threshold-n-float"),
+    pytest.param(partial(calibrate_global_threshold, 3, 0.5, samples=5000.5), "samples",
+                 id="calibrate-samples-float"),
+    pytest.param(partial(ScenarioConfig, **{**CONFIG, "n": 2.5}), "agent count",
+                 id="config-n-float"),
+    pytest.param(partial(ScenarioConfig, **CONFIG, trials=1.5), "trials",
+                 id="config-trials-float"),
+    pytest.param(partial(ScenarioConfig, **CONFIG, seed=1.5), "seed", id="config-seed-float"),
+    pytest.param(partial(ScenarioConfig, **CONFIG, trajectory_stride=2.5), "trajectory_stride",
+                 id="config-stride-float"),
+    pytest.param(partial(sample_first_passage_batch, NoiseStream(0), 10, 1.0, 1e-2,
+                         n_agents=2.5), "n_agents", id="sampler-n-agents-float"),
+])
+def test_invalid_input_fails_at_once(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call()
+
+
+def test_numpy_integers_are_counts():
+    n = np.int64(3)
+    assert j_tt_broadcast(n, 1.0) == j_tt_broadcast(3, 1.0)
+    assert level_threshold(n, 0.5) == level_threshold(3, 0.5)
+    numpy_config = ScenarioConfig(**{**CONFIG, "n": n}, trials=np.int32(2), seed=np.uint32(7))
+    config = ScenarioConfig(**CONFIG, trials=2, seed=7)
+    assert (run_trial(numpy_config, 0).accumulator.integral_sum
+            == run_trial(config, 0).accumulator.integral_sum)
 
 
 # --- report mechanics ------------------------------------------------------

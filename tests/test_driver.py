@@ -14,10 +14,8 @@ from etclab import (
     Fixed,
     InfoScenario,
     Leader,
-    LevelBroadcast,
-    LevelGlobal,
-    PeriodicAsync,
-    PeriodicSync,
+    Level,
+    Periodic,
     ScenarioConfig,
     consensus_cost_rows,
     finalize,
@@ -44,20 +42,22 @@ def quiet_config(**kw):
 
 def test_scheme_scenario_compatibility_enforced():
     with pytest.raises(ValueError):
-        quiet_config(n=2, scenario=BL, scheme=LevelBroadcast(1.0))
+        quiet_config(n=2, scenario=BL, scheme=Periodic(0.5, (0.0, 0.25)))
     with pytest.raises(ValueError):
-        quiet_config(n=2, scenario=B, scheme=LevelGlobal(1.0))
-    with pytest.raises(ValueError):
-        quiet_config(n=2, scenario=BL, scheme=PeriodicAsync(0.5, (0.0, 0.25)))
-    with pytest.raises(ValueError):
-        quiet_config(n=3, scenario=B, scheme=PeriodicAsync(0.5, (0.0, 0.25)))
+        quiet_config(n=3, scenario=B, scheme=Periodic(0.5, (0.0, 0.25)))
+    # the level rule runs under both; the scenario decides what an event resets
+    for scenario in (B, BL):
+        config = quiet_config(n=2, scenario=scenario, scheme=Level(0.5), horizon=5.0,
+                              trials=1, record_events=True)
+        events = run_trial(config, 0).events
+        assert events and {e.is_global for e in events} == {scenario is BL}
 
 
 def test_short_horizon_warns():
     cases = [
-        (2, B, LevelBroadcast(1.0), 5.0),
+        (2, B, Level(1.0), 5.0),
         # 60 events: the exact exit law gives 0.5 s at n=50 (delta^2 / n gives 0.07 s)
-        (50, BL, LevelGlobal(1.8869), 30.0),
+        (50, BL, Level(1.8869), 30.0),
     ]
     for n, scenario, scheme, horizon in cases:
         with pytest.warns(UserWarning, match="inter-event") as record:
@@ -67,7 +67,7 @@ def test_short_horizon_warns():
 
 def test_period_below_step_rejected():
     with pytest.raises(ValueError):
-        quiet_config(n=2, scenario=BL, scheme=PeriodicSync(1e-4), dt=2e-3)
+        quiet_config(n=2, scenario=BL, scheme=Periodic(1e-4), dt=2e-3)
 
 
 class Median:
@@ -79,7 +79,7 @@ def test_unknown_rule_rejected_at_construction(rule):
     # an unlogged trial never forms a consensus point, so a bad rule must
     # fail before any trial runs
     with pytest.raises(ValueError, match=type(rule).__name__):
-        quiet_config(n=2, scenario=B, scheme=LevelBroadcast(1.0), rule=rule)
+        quiet_config(n=2, scenario=B, scheme=Level(1.0), rule=rule)
 
 
 # --- fast integrator vs per-step reference ----------------------------------
@@ -91,14 +91,14 @@ def reference_case(n, scenario, scheme, **kw):
 
 
 # one case per scheme family; each is checked as given and around knobs
-# drawn by hypothesis (the leader case covers both level rules)
+# drawn by hypothesis (the leader case runs the level rule under both scenarios)
 REFERENCE_CASES = {
-    "level-broadcast": reference_case(3, B, LevelBroadcast(math.sqrt(1.5))),
-    "level-global": reference_case(3, BL, LevelGlobal(1.04)),
-    "periodic-sync-b": reference_case(3, B, PeriodicSync(0.75)),
-    "periodic-async": reference_case(3, B, PeriodicAsync(0.75, staggered_offsets(3, 0.75))),
-    "periodic-sync-bl": reference_case(3, BL, PeriodicSync(0.5)),
-    "leader-level": reference_case(4, B, LevelBroadcast(0.9), rule=Leader()),
+    "level-broadcast": reference_case(3, B, Level(math.sqrt(1.5))),
+    "level-global": reference_case(3, BL, Level(1.04)),
+    "periodic-sync-b": reference_case(3, B, Periodic(0.75)),
+    "periodic-async": reference_case(3, B, Periodic(0.75, staggered_offsets(3, 0.75))),
+    "periodic-sync-bl": reference_case(3, BL, Periodic(0.5)),
+    "leader-level": reference_case(4, B, Level(0.9), rule=Leader()),
 }
 
 
@@ -135,16 +135,12 @@ def variant(case, k):
     if k is None:
         return config
     n, scenario, scheme, rule = k["n"], config.scenario, config.scheme, k["rule"]
-    if isinstance(scheme, PeriodicAsync):
-        scheme = PeriodicAsync(k["period"], k["offsets"][:n])
-    elif isinstance(scheme, PeriodicSync):
-        scheme = PeriodicSync(k["period"])
-    elif case == "leader-level":
-        scenario = BL if k["local"] else B
-        scheme = LevelGlobal(k["delta"]) if k["local"] else LevelBroadcast(k["delta"])
-        rule = Leader()
+    if isinstance(scheme, Periodic):
+        scheme = Periodic(k["period"], k["offsets"][:n] if scheme.offsets else ())
     else:
-        scheme = type(scheme)(k["delta"])
+        scheme = Level(k["delta"])
+    if case == "leader-level":
+        scenario, rule = (BL if k["local"] else B), Leader()
     return quiet_config(n=n, scenario=scenario, scheme=scheme, rule=rule, dt=k["dt"],
                         horizon=k["steps"] * k["dt"], trials=1, seed=k["seed"],
                         record_events=True)
@@ -206,14 +202,14 @@ def near_grid_offsets(period):
 
 
 EDGE_SCHEDULES = {
-    "sync-every-step-b": (B, PeriodicSync(DT)),
-    "sync-every-step-bl": (BL, PeriodicSync(DT)),
-    "async-every-step": (B, PeriodicAsync(DT, (0.0, NEAR, DT - NEAR, 0.5 * DT))),
-    "sync-chunk": (BL, PeriodicSync(CHUNK_T)),
-    "sync-chunk-minus-step": (B, PeriodicSync(CHUNK_T - DT)),
-    "sync-chunk-plus-step": (BL, PeriodicSync(CHUNK_T + DT)),
-    "async-near-grid": (B, PeriodicAsync(0.75, near_grid_offsets(0.75))),
-    "async-chunk-near-grid": (B, PeriodicAsync(CHUNK_T - DT, near_grid_offsets(CHUNK_T - DT))),
+    "sync-every-step-b": (B, Periodic(DT)),
+    "sync-every-step-bl": (BL, Periodic(DT)),
+    "async-every-step": (B, Periodic(DT, (0.0, NEAR, DT - NEAR, 0.5 * DT))),
+    "sync-chunk": (BL, Periodic(CHUNK_T)),
+    "sync-chunk-minus-step": (B, Periodic(CHUNK_T - DT)),
+    "sync-chunk-plus-step": (BL, Periodic(CHUNK_T + DT)),
+    "async-near-grid": (B, Periodic(0.75, near_grid_offsets(0.75))),
+    "async-chunk-near-grid": (B, Periodic(CHUNK_T - DT, near_grid_offsets(CHUNK_T - DT))),
 }
 
 
@@ -223,7 +219,7 @@ def test_periodic_edges_match_reference(monkeypatch, case, rows):
     # one deadline lookup per chunk must hold many deadlines per agent
     # (a period of one step) or none (a period near a chunk, or 5-row chunks)
     scenario, scheme = EDGE_SCHEDULES[case]
-    n = len(scheme.offsets) if isinstance(scheme, PeriodicAsync) else 3
+    n = len(scheme.offsets) or 3
     config = quiet_config(n=n, scenario=scenario, scheme=scheme, dt=DT,
                           horizon=2.5 * CHUNK_T, trials=1, seed=23, record_events=True)
     if rows is not None:
@@ -252,13 +248,13 @@ def test_periodic_edges_match_reference(monkeypatch, case, rows):
 # that the accumulator once listed.  Below eight agents all of these sum in
 # the same order, so every bit must stay
 GOLDEN_N3 = {
-    "tt-b": (B, PeriodicSync(0.75), "48.96162428391842", (26, "8.734712845872789"), 26),
-    "tt-async-b": (B, PeriodicAsync(0.75, staggered_offsets(3, 0.75)), "50.708645330814065",
+    "tt-b": (B, Periodic(0.75), "48.96162428391842", (26, "8.734712845872789"), 26),
+    "tt-async-b": (B, Periodic(0.75, staggered_offsets(3, 0.75)), "50.708645330814065",
                    (26, "8.734712845872787"), 80),
-    "et-b": (B, LevelBroadcast(math.sqrt(0.75)), "16.118768618654148",
+    "et-b": (B, Level(math.sqrt(0.75)), "16.118768618654148",
              (30, "3.11462536574877"), 86),
-    "tt-bl": (BL, PeriodicSync(0.25), "16.363961270796985", (80, "2.580125691452508"), 80),
-    "et-bl": (BL, LevelGlobal(0.7457396748327672), "9.65689229814993",
+    "tt-bl": (BL, Periodic(0.25), "16.363961270796985", (80, "2.580125691452508"), 80),
+    "et-bl": (BL, Level(0.7457396748327672), "9.65689229814993",
               (81, "1.6440283739249801"), 81),
 }
 
@@ -281,13 +277,13 @@ def test_small_fleet_values_are_pinned(cell):
 # cells keep the n = 3 schedules and the et-bl threshold is
 # sqrt(0.25 / mean_exit_time(12))
 GOLDEN_N12 = {
-    "tt-b": (B, PeriodicSync(0.75), "993.0571318905315", (26, "7.35314529967996"), 26),
-    "tt-async-b": (B, PeriodicAsync(0.75, staggered_offsets(12, 0.75)), "1029.8204970048632",
+    "tt-b": (B, Periodic(0.75), "993.0571318905315", (26, "7.35314529967996"), 26),
+    "tt-async-b": (B, Periodic(0.75, staggered_offsets(12, 0.75)), "1029.8204970048632",
                    (26, "7.35314529967996"), 320),
-    "et-b": (B, LevelBroadcast(math.sqrt(0.75)), "338.4828365144528",
+    "et-b": (B, Level(math.sqrt(0.75)), "338.4828365144528",
              (27, "2.60377932282761"), 300),
-    "tt-bl": (BL, PeriodicSync(0.25), "330.0384129080214", (80, "2.8911624021260036"), 80),
-    "et-bl": (BL, LevelGlobal(1.0592486854593608), "329.21048995810844",
+    "tt-bl": (BL, Periodic(0.25), "330.0384129080214", (80, "2.8911624021260036"), 80),
+    "et-bl": (BL, Level(1.0592486854593608), "329.21048995810844",
               (78, "2.5111881431187233"), 78),
 }
 
@@ -327,8 +323,8 @@ def test_chunk_budget_changes_only_rounding(monkeypatch, n):
     # a budget of five noise rows per chunk draws the same noise in smaller
     # blocks; each chunk restarts its running sums from the current errors,
     # so chunk boundaries move rounding only: trigger instants stay
-    cases = [(B, LevelBroadcast(1.0)), (BL, LevelGlobal(1.5)), (BL, PeriodicSync(0.25)),
-             (B, PeriodicAsync(0.8, staggered_offsets(n, 0.8)))]
+    cases = [(B, Level(1.0)), (BL, Level(1.5)), (BL, Periodic(0.25)),
+             (B, Periodic(0.8, staggered_offsets(n, 0.8)))]
     blocks = []
 
     class RecordingStream(driver.NoiseStream):
@@ -370,7 +366,7 @@ def test_search_window_changes_nothing(monkeypatch, n):
                               trials=1, seed=19, record_events=True)
         return run_trial(config, 0)
 
-    for scenario, scheme in ((B, LevelBroadcast(1.0)), (BL, LevelGlobal(1.5))):
+    for scenario, scheme in ((B, Level(1.0)), (BL, Level(1.5))):
         default = run(scenario, scheme)
         with monkeypatch.context() as patch:
             patch.setattr(driver, "LEVEL_LOOKAHEAD", 7)
@@ -390,9 +386,9 @@ def test_search_window_changes_nothing(monkeypatch, n):
 
 @pytest.mark.parametrize(
     "scenario, scheme",
-    [(BL, LevelGlobal(1.0)), (B, LevelBroadcast(0.2)), (B, PeriodicSync(DT)),
-     (B, PeriodicAsync(DT, staggered_offsets(1024, DT))),
-     (B, PeriodicAsync(2 * DT, staggered_offsets(1024, 2 * DT)))],
+    [(BL, Level(1.0)), (B, Level(0.2)), (B, Periodic(DT)),
+     (B, Periodic(DT, staggered_offsets(1024, DT))),
+     (B, Periodic(2 * DT, staggered_offsets(1024, 2 * DT)))],
     ids=["level-global", "level-broadcast", "sync-every-step", "async-every-step",
          "async-every-other-step"],
 )
@@ -420,7 +416,7 @@ def test_renewal_state_does_not_grow_with_cycles():
     # broadcast-plus-local; a trial of 100 cycles and one of 10,000 must hold
     # the same fixed-size tallies
     def accumulator(steps):
-        config = quiet_config(n=3, scenario=BL, scheme=PeriodicSync(DT), dt=DT,
+        config = quiet_config(n=3, scenario=BL, scheme=Periodic(DT), dt=DT,
                               horizon=steps * DT, trials=1, seed=29)
         return run_trial(config, 0).accumulator
 
@@ -434,27 +430,27 @@ def test_renewal_state_does_not_grow_with_cycles():
 
 
 def test_single_agent_has_zero_cost():
-    for scenario, scheme in ((BL, PeriodicSync(0.5)), (BL, LevelGlobal(1.0))):
+    for scenario, scheme in ((BL, Periodic(0.5)), (BL, Level(1.0))):
         config = quiet_config(n=1, scenario=scenario, scheme=scheme,
                               horizon=50.0, trials=2, seed=3)
         assert run_batch(config).j_time_avg == 0.0
 
 
 def test_single_trial_batch_equals_run_trial():
-    config = quiet_config(n=3, scenario=B, scheme=LevelBroadcast(1.0),
+    config = quiet_config(n=3, scenario=B, scheme=Level(1.0),
                           horizon=100.0, trials=1, seed=9)
     direct = finalize([run_trial(config, 0).accumulator])
     assert run_batch(config) == direct
 
 
 def test_batch_is_deterministic():
-    config = quiet_config(n=3, scenario=BL, scheme=LevelGlobal(1.0),
+    config = quiet_config(n=3, scenario=BL, scheme=Level(1.0),
                           horizon=100.0, trials=3, seed=10)
     assert run_batch(config) == run_batch(config)
 
 
 def test_trial_identical_alone_or_in_batch():
-    config = quiet_config(n=2, scenario=B, scheme=LevelBroadcast(1.0),
+    config = quiet_config(n=2, scenario=B, scheme=Level(1.0),
                           horizon=100.0, trials=3, seed=11)
     alone = run_trial(config, 2).accumulator.integral_sum
     batched = run_trials(config)[2].accumulator.integral_sum
@@ -462,7 +458,7 @@ def test_trial_identical_alone_or_in_batch():
 
 
 def test_process_pool_matches_serial_trials():
-    config = quiet_config(n=3, scenario=BL, scheme=LevelGlobal(1.0),
+    config = quiet_config(n=3, scenario=BL, scheme=Level(1.0),
                           horizon=50.0, trials=3, seed=13)
     serial = [r.accumulator for r in run_trials(config, workers=1)]
     pooled = [r.accumulator for r in run_trials(config, workers=2)]
@@ -514,7 +510,7 @@ def test_process_pool_is_bounded(monkeypatch, workers, trials, cpus, expected):
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-    config = quiet_config(n=2, scenario=B, scheme=LevelBroadcast(1.0),
+    config = quiet_config(n=2, scenario=B, scheme=Level(1.0),
                           horizon=1.0, trials=trials, seed=4)
     results = run_trials(config, workers=workers)
     assert RecordingPool.sizes == ([] if expected is None else [expected])
@@ -523,7 +519,7 @@ def test_process_pool_is_bounded(monkeypatch, workers, trials, cpus, expected):
 
 
 def test_ci_shrinks_with_more_trials():
-    base = dict(n=3, scenario=B, scheme=LevelBroadcast(1.0), horizon=150.0, seed=12)
+    base = dict(n=3, scenario=B, scheme=Level(1.0), horizon=150.0, seed=12)
     ci8 = run_batch(quiet_config(trials=8, **base)).ci_halfwidth
     ci16 = run_batch(quiet_config(trials=16, **base)).ci_halfwidth
     assert ci16 / ci8 == pytest.approx(1 / math.sqrt(2), rel=0.30)
@@ -534,7 +530,7 @@ def test_ci_shrinks_with_more_trials():
 
 @pytest.fixture(scope="module")
 def level_broadcast_run():
-    config = quiet_config(n=3, scenario=B, scheme=LevelBroadcast(math.sqrt(1.5)),
+    config = quiet_config(n=3, scenario=B, scheme=Level(math.sqrt(1.5)),
                           horizon=150.0, trials=1, seed=5, record_events=True)
     return config, run_trial(config, 0)
 
@@ -561,7 +557,7 @@ def test_sign_flip_leaves_triggers_and_cost(level_broadcast_run):
 
 
 def test_sign_flip_periodic_scheme():
-    config = quiet_config(n=3, scenario=BL, scheme=PeriodicSync(0.5),
+    config = quiet_config(n=3, scenario=BL, scheme=Periodic(0.5),
                           horizon=50.0, trials=1, seed=6, record_events=True)
     a = run_trial(config, 0)
     b = run_trial(config, 0, noise_scale=-1.0)
@@ -585,7 +581,7 @@ def test_error_invariance_at_broadcast_events(level_broadcast_run):
 
 
 def test_every_global_event_resets_consensus_exactly():
-    config = quiet_config(n=3, scenario=BL, scheme=LevelGlobal(1.0),
+    config = quiet_config(n=3, scenario=BL, scheme=Level(1.0),
                           horizon=150.0, trials=1, seed=7, record_events=True)
     run = run_trial(config, 0)
     assert len(run.events) > 50
@@ -596,7 +592,7 @@ def test_every_global_event_resets_consensus_exactly():
 
 
 def test_zero_noise_level_rule_never_fires():
-    config = quiet_config(n=3, scenario=B, scheme=LevelBroadcast(1.0),
+    config = quiet_config(n=3, scenario=B, scheme=Level(1.0),
                           horizon=50.0, trials=1, seed=8, record_events=True)
     run = run_trial(config, 0, noise_scale=0.0)
     assert run.events == []
@@ -604,7 +600,7 @@ def test_zero_noise_level_rule_never_fires():
 
 
 def test_zero_noise_periodic_fires_with_zero_jumps():
-    config = quiet_config(n=3, scenario=BL, scheme=PeriodicSync(0.5),
+    config = quiet_config(n=3, scenario=BL, scheme=Periodic(0.5),
                           horizon=50.0, trials=1, seed=8, record_events=True)
     run = run_trial(config, 0, noise_scale=0.0)
     assert len(run.events) == 100
@@ -619,7 +615,7 @@ def test_event_log_times_strictly_increase(level_broadcast_run):
 
 
 def test_local_rate_is_n_times_global_rate_for_level_broadcast():
-    config = quiet_config(n=3, scenario=B, scheme=LevelBroadcast(math.sqrt(1.5)),
+    config = quiet_config(n=3, scenario=B, scheme=Level(math.sqrt(1.5)),
                           horizon=2000.0, trials=1, seed=13)
     report = run_batch(config)
     ratio = report.mean_local_interevent / report.mean_global_interevent
@@ -628,14 +624,14 @@ def test_local_rate_is_n_times_global_rate_for_level_broadcast():
 
 def test_reference_global_interevent_for_large_fleet():
     # threshold 1.90 for fifty agents yields ~0.516 s between global events
-    config = quiet_config(n=50, scenario=BL, scheme=LevelGlobal(1.90),
+    config = quiet_config(n=50, scenario=BL, scheme=Level(1.90),
                           horizon=600.0, trials=2, seed=14)
     report = run_batch(config)
     assert report.mean_global_interevent == pytest.approx(0.516, rel=0.03)
 
 
 def test_trajectory_recording_shapes():
-    config = quiet_config(n=3, scenario=BL, scheme=LevelGlobal(1.0),
+    config = quiet_config(n=3, scenario=BL, scheme=Level(1.0),
                           horizon=20.0, trials=1, seed=15,
                           record_trajectory=True, trajectory_stride=10)
     run = run_trial(config, 0)

@@ -5,10 +5,9 @@ import pytest
 
 from etclab import (
     InfoScenario,
-    LevelBroadcast,
-    LevelGlobal,
+    Level,
     NoiseStream,
-    PeriodicSync,
+    Periodic,
     ScenarioConfig,
     run_trial,
 )
@@ -27,7 +26,7 @@ def quiet_config(**kw):
 def fire(x, initiators, scenario, c_prev):
     """The logged event after ``initiators`` fire with the fleet at ``x`` and
     every estimate at the last consensus point ``c_prev``."""
-    config = quiet_config(n=len(x), scenario=scenario, scheme=PeriodicSync(1.0),
+    config = quiet_config(n=len(x), scenario=scenario, scheme=Periodic(1.0),
                           record_events=True)
     fleet = _Fleet.start(config)
     fleet.c_prev = c_prev
@@ -87,17 +86,17 @@ def test_negative_seed_rejected():
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
         NoiseStream(-1)
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -5"):
-        quiet_config(n=3, scenario=B, scheme=LevelBroadcast(1.0), seed=-5)
+        quiet_config(n=3, scenario=B, scheme=Level(1.0), seed=-5)
 
 
 def test_nonpositive_dt_rejected():
     for dt in (0.0, -1.0):
         with pytest.raises(ValueError):
-            quiet_config(n=3, scenario=B, scheme=LevelBroadcast(1.0), dt=dt)
+            quiet_config(n=3, scenario=B, scheme=Level(1.0), dt=dt)
 
 
 def test_drift_keeps_state_with_zero_increments():
-    config = quiet_config(n=4, scenario=BL, scheme=LevelGlobal(1.0), dt=0.002,
+    config = quiet_config(n=4, scenario=BL, scheme=Level(1.0), dt=0.002,
                           horizon=1.0, trials=1, record_trajectory=True,
                           trajectory_stride=50)
     rows = run_trial(config, 0, noise_scale=0.0).trajectory
@@ -111,7 +110,7 @@ def test_drift_telescopes_exactly():
     # with no triggers the state is the running sum of its increments,
     # drawn in the stream's order (the horizon fits one search window)
     dt, steps = 0.002, 200
-    config = quiet_config(n=3, scenario=B, scheme=LevelBroadcast(100.0), dt=dt,
+    config = quiet_config(n=3, scenario=B, scheme=Level(100.0), dt=dt,
                           horizon=steps * dt, trials=1, seed=21,
                           record_trajectory=True, trajectory_stride=1)
     rows = run_trial(config, 0).trajectory
@@ -140,8 +139,8 @@ def test_impulse_reset_to_mean():
 
 
 def test_initial_state_is_consensus_at_zero():
-    for scheme, scenario, center in ((LevelGlobal(1.0), BL, 0.0),
-                                     (PeriodicSync(0.5), B, None)):
+    for scheme, scenario, center in ((Level(1.0), BL, 0.0),
+                                     (Periodic(0.5), B, None)):
         config = quiet_config(n=5, scenario=scenario, scheme=scheme, horizon=1.0,
                               trials=1, record_trajectory=True)
         t, x, xhat, flag, thr = run_trial(config, 0).trajectory[0]

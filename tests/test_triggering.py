@@ -10,11 +10,9 @@ from scipy import stats
 
 from etclab import (
     InfoScenario,
-    LevelBroadcast,
-    LevelGlobal,
+    Level,
     NoiseStream,
-    PeriodicAsync,
-    PeriodicSync,
+    Periodic,
     ScenarioConfig,
     run_trial,
     run_trial_reference,
@@ -66,13 +64,13 @@ def scripted_events(monkeypatch, scenario, scheme, increments):
 
 def test_scheme_parameter_validation():
     with pytest.raises(ValueError):
-        PeriodicSync(0.0)
+        Periodic(0.0)
     with pytest.raises(ValueError):
-        PeriodicAsync(0.5, (0.0, 0.6))  # offset beyond the period
+        Periodic(0.5, (0.0, 0.6))  # offset beyond the period
     with pytest.raises(ValueError):
-        LevelBroadcast(-1.0)
+        Level(-1.0)
     with pytest.raises(ValueError):
-        LevelGlobal(0.0)
+        Level(0.0)
 
 
 def test_staggered_offsets_cover_the_period():
@@ -84,70 +82,70 @@ def test_staggered_offsets_cover_the_period():
 
 
 def test_level_broadcast_quiet_when_error_zero(monkeypatch):
-    assert scripted_events(monkeypatch, B, LevelBroadcast(0.4), np.zeros((5, 3))) == []
+    assert scripted_events(monkeypatch, B, Level(0.4), np.zeros((5, 3))) == []
 
 
 def test_level_broadcast_boundary_is_inclusive(monkeypatch):
     # agent 0 sits exactly on the threshold after two steps
-    events = scripted_events(monkeypatch, B, LevelBroadcast(1.0), [[0.5, 0.25]] * 3)
+    events = scripted_events(monkeypatch, B, Level(1.0), [[0.5, 0.25]] * 3)
     assert events[0] == (2.0, (0,))
 
 
 def test_level_broadcast_symmetric_simultaneous(monkeypatch):
-    events = scripted_events(monkeypatch, B, LevelBroadcast(1.0), [[0.5, -0.5]] * 2)
+    events = scripted_events(monkeypatch, B, Level(1.0), [[0.5, -0.5]] * 2)
     assert events == [(2.0, (0, 1))]
 
 
 def test_level_global_quiet_after_reset(monkeypatch):
     increments = [[0.25, 0.0, 0.0]] * 2 + [[0.0, 0.0, 0.0]] * 4
-    events = scripted_events(monkeypatch, BL, LevelGlobal(0.5), increments)
+    events = scripted_events(monkeypatch, BL, Level(0.5), increments)
     assert events == [(2.0, (0,))]
 
 
 def test_level_global_flags_deviating_agent(monkeypatch):
-    events = scripted_events(monkeypatch, BL, LevelGlobal(0.75),
+    events = scripted_events(monkeypatch, BL, Level(0.75),
                              [[0.125, -0.375, -0.25]] * 2)
     assert events == [(2.0, (1,))]
 
 
 def test_level_global_below_threshold(monkeypatch):
-    events = scripted_events(monkeypatch, BL, LevelGlobal(0.31), [[0.1, -0.1, 0.05]] * 3)
+    events = scripted_events(monkeypatch, BL, Level(0.31), [[0.1, -0.1, 0.05]] * 3)
     assert events == []
 
 
 def test_level_threshold_must_be_positive():
     with pytest.raises(ValueError):
-        LevelBroadcast(0.0)
+        Level(0.0)
     with pytest.raises(ValueError):
-        LevelGlobal(-0.5)
+        Level(-0.5)
 
 
 # --- periodic checks (the reference integrator's stateless rule) ------------
 
 
 def test_periodic_sync_fires_everyone_on_multiples():
-    fired = _periodic_due(1.0, PeriodicSync(0.5), 0.002, 3)
+    fired = _periodic_due(1.0, Periodic(0.5), 0.002, 3)
     assert list(fired) == [0, 1, 2]
 
 
 def test_periodic_async_fires_at_phase():
-    scheme = PeriodicAsync(0.75, (0.0, 0.25, 0.5))
+    scheme = Periodic(0.75, (0.0, 0.25, 0.5))
     assert list(_periodic_due(0.25, scheme, 0.05, 3)) == [1]
 
 
 def test_periodic_quiet_between_deadlines():
-    scheme = PeriodicAsync(0.75, (0.0, 0.25, 0.5))
+    scheme = Periodic(0.75, (0.0, 0.25, 0.5))
     assert _periodic_due(0.3, scheme, 0.05, 3).size == 0
 
 
 def test_periodic_no_firing_at_time_zero_phase():
     # agents with offset 0 are initialized as just-triggered
-    assert _periodic_due(0.002, PeriodicSync(0.5), 0.002, 2).size == 0
+    assert _periodic_due(0.002, Periodic(0.5), 0.002, 2).size == 0
 
 
 def test_periodic_matches_deadline_accumulator():
     # stateless check agrees with an explicit enumeration of deadlines
-    scheme = PeriodicAsync(0.311, (0.0, 0.1, 0.27))
+    scheme = Periodic(0.311, (0.0, 0.1, 0.27))
     dt = 0.004
     fired_log = {}
     for step in range(1, 501):
@@ -457,15 +455,13 @@ def test_passage_memory_stays_near_the_chunk_budget(monkeypatch):
 
 @pytest.mark.parametrize("dt, coarse", [(1e-3, None), (3.4e-3, None), (1e-2, 8)])
 def test_coarse_passage_memory_stays_near_the_chunk_budget(monkeypatch, dt, coarse):
-    # the bound above with coarse steps.  At dt 1e-3 and 3.4e-3 the rule
-    # itself picks MAX_COARSE_STEPS, at 3.4e-3 with nearly every agent
-    # refined; at dt 1e-2 with K = 8 forced every agent is refined.  A call
-    # sixteen blocks long must draw as sixteen one-block calls do
+    # the bound above with coarse steps of MAX_COARSE_STEPS, unless
+    # ``coarse`` sets it: at dt 3.4e-3 nearly every agent is refined, at
+    # dt 1e-2 with K = 8 every agent is.  A call sixteen blocks long must
+    # draw as sixteen one-block calls do
     n, rows, blocks = 32, 256, 16
-    if coarse is None:
-        assert triggering.coarse_steps(1.0, dt) == triggering.MAX_COARSE_STEPS
-    else:
-        monkeypatch.setattr(triggering, "coarse_steps", lambda *args: coarse)
+    if coarse is not None:
+        monkeypatch.setattr(triggering, "MAX_COARSE_STEPS", coarse)
     monkeypatch.setattr(triggering, "CHUNK_BYTES", rows * 8 * n)
     tracemalloc.start()
     try:
@@ -540,7 +536,7 @@ def test_coarse_passage_matches_scalar_oracle(delta, dt, n, coarse, sign, bridge
     # the stream
     batch, scalar = NoiseStream(seed, scale=sign), NoiseStream(seed, scale=sign)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(triggering, "coarse_steps", lambda *args: coarse)
+        patch.setattr(triggering, "MAX_COARSE_STEPS", coarse)
         for _ in range(3):
             got = sample_first_passage_batch(batch, 1, delta, dt, n_agents=n,
                                              bridge_correction=bridge,
@@ -562,7 +558,7 @@ def test_coarse_passage_law_matches_fine_steps(monkeypatch, n):
     samples, delta, dt = 20_000, 1.0, 1e-2
 
     def exits(k):
-        monkeypatch.setattr(triggering, "coarse_steps", lambda *args: k)
+        monkeypatch.setattr(triggering, "MAX_COARSE_STEPS", k)
         return sample_first_passage_batch(NoiseStream(61, subkey=(n, k)), samples, delta, dt,
                                           n_agents=n)
 
