@@ -17,9 +17,10 @@ from typing import Optional
 
 import numpy as np
 
+from .checks import check_count, check_positive
 from .costs import mean_exit_time
 from .sde import NoiseStream
-from .triggering import check_count, check_positive, sample_first_passage_batch
+from .triggering import sample_first_passage_batch
 
 __all__ = [
     "CalibrationResult",

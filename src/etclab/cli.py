@@ -14,7 +14,9 @@ selftest     fast internal consistency checks (exit 4 on failure)
 Every command writes a CSV (comma separators, '.' decimals) plus a
 ``<out>.manifest.txt`` sidecar holding the resolved parameters, seed,
 library versions, bit generator and code revision needed to reproduce
-it, and the command's wall time.  ``THREADS`` (a positive integer,
+it, and the command's wall time; the manifests of the commands that run
+fleets also record ``fleet_coarse_steps``, the most grid steps one row
+of their trials covers.  ``THREADS`` (a positive integer,
 default 1) fans the trials of a batch out over processes, at most one
 per trial and per usable CPU.  Every batch config is made and
 usage-checked in one place, and ``table1`` and ``sweep-n`` build every
@@ -57,7 +59,14 @@ from .costs import (
     local_to_global_period,
     mean_exit_time,
 )
-from .driver import ScenarioConfig, _running_sum, run_batch, run_trial, run_trial_reference
+from .driver import (
+    ScenarioConfig,
+    _running_sum,
+    fleet_coarse_steps,
+    run_batch,
+    run_trial,
+    run_trial_reference,
+)
 from .sde import BIT_GENERATOR, NoiseStream
 from .triggering import (
     MAX_COARSE_STEPS,
@@ -228,7 +237,7 @@ def cmd_simulate(args, parser) -> int:
            report.ci_halfwidth, report.mean_local_interevent,
            report.mean_global_interevent]
     _write_csv(args.out, header, [row])
-    _write_manifest(args, "simulate")
+    _write_manifest(args, "simulate", fleet_coarse_steps=fleet_coarse_steps(config))
     print(f"wrote {args.out}: J = {report.j_time_avg:.6g} +- {report.ci_halfwidth:.2g}")
     return 0
 
@@ -246,6 +255,13 @@ def cmd_calibrate(args, parser) -> int:
     print(f"wrote {args.out}: delta = {result.delta_star:.6g} "
           f"(achieved {result.achieved_period:.6g} s)")
     return 0
+
+
+def _coarse_steps(configs) -> int:
+    """The most grid steps one row of any of ``configs``' trials covers:
+    above 1, the periodic rows' costs are expectations given the ends of
+    coarse steps."""
+    return max(fleet_coarse_steps(config) for config in configs)
 
 
 def _bl_pair(args, parser, n, target):
@@ -282,7 +298,7 @@ def cmd_table1(args, parser) -> int:
         rows.append([n, target, scheme, scenario, getattr(config.scheme, "delta", None),
                      rep.j_time_avg, analytic, mean_global_t, rep.ci_halfwidth])
     _write_csv(args.out, header, rows)
-    _write_manifest(args, "table1")
+    _write_manifest(args, "table1", fleet_coarse_steps=_coarse_steps(row[4] for row in plan))
     print(f"wrote {args.out}: {len(rows)} rows")
     return 0
 
@@ -332,7 +348,8 @@ def cmd_sweep_n(args, parser) -> int:
                      "yes" if diff < 0 else "no",
                      n / 3.0, rep_et.j_time_avg / rep_tt.j_time_avg])
     _write_csv(args.out, header, rows)
-    _write_manifest(args, args.command)
+    _write_manifest(args, args.command,
+                    fleet_coarse_steps=_coarse_steps(c for pair in pairs for c in pair))
     print(f"wrote {args.out}: {len(rows)} rows")
     return 0
 
@@ -356,7 +373,7 @@ def cmd_trajectory(args, parser) -> int:
         thr_hi = center + delta if delta is not None else None
         rows.append([t, *x.tolist(), *xhat.tolist(), flag, thr_lo, thr_hi])
     _write_csv(args.out, header, rows)
-    _write_manifest(args, "trajectory")
+    _write_manifest(args, "trajectory", fleet_coarse_steps=fleet_coarse_steps(config))
     print(f"wrote {args.out}: {len(rows)} rows")
     return 0
 
@@ -398,6 +415,16 @@ def cmd_selftest(args, parser) -> int:
     gap, se = coarse_exit_gap(NoiseStream(args.seed), 10_000, 1.0, 1e-2, n_agents=3)
     check("coarse-refined exits match fine exits", abs(gap) <= 4 * se,
           f"(coarse minus fine: {gap:+.4f}, {gap / se:+.1f} SE)")
+
+    # coarse periodic rows take the cost as its expectation given their ends,
+    # which must keep the grid fleet's mean
+    config = ScenarioConfig(n=3, scenario=InfoScenario.BROADCAST_LOCAL, scheme=Periodic(0.25),
+                            dt=2e-3, horizon=125.0, trials=16, seed=args.seed)
+    rep = run_batch(config)
+    oracle = j_tt_broadcast(3, 0.25, config.dt)
+    z = (rep.j_time_avg - oracle) / (rep.ci_halfwidth / stats.t.ppf(0.975, config.trials - 1))
+    check("coarse periodic cost matches grid oracle", abs(z) <= 4,
+          f"(sim={rep.j_time_avg:.4f}, oracle={oracle:.4f}, {z:+.1f} SE)")
 
     config = ScenarioConfig(
         n=3, scenario=InfoScenario.BROADCAST, scheme=Level(float(np.sqrt(1.5))),

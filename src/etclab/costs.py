@@ -12,9 +12,10 @@ maintained side by side:
   discarded.  A trial keeps the cycle count and the two sums only.
 
 The closed-form oracles cover the periodic schemes in both scenarios,
-the level scheme in the broadcast-only scenario and the local-to-global
-rate conversion; at equal global rates the two periodic oracles differ
-by exactly the factor ``n`` that richer local information buys.  The
+in continuous time and on the fleet's grid, the level scheme in the
+broadcast-only scenario and the local-to-global rate conversion; at
+equal global rates the two periodic oracles differ by exactly the
+factor ``n`` that richer local information buys.  The
 Brownian exit laws behind the level scheme are closed form too: the
 occupation integral up to exit and the mean exit time of the first of
 ``n`` motions.
@@ -28,7 +29,7 @@ from typing import Sequence, Tuple
 import numpy as np
 from scipy import integrate, stats
 
-from .triggering import check_count, check_positive
+from .checks import check_count, check_positive
 
 __all__ = [
     "CostAccumulator",
@@ -145,12 +146,24 @@ def finalize(accumulators: Sequence[CostAccumulator]) -> CostReport:
     )
 
 
-def j_tt_broadcast(n: int, local_period: float) -> float:
+def j_tt_broadcast(n: int, period: float, dt: float = 0.0) -> float:
     """Long-run cost of the periodic scheme under broadcast-only
-    information: ``n (n - 1) * T / 2`` with ``T`` the per-agent period."""
+    information: ``n (n - 1) * (T - dt) / 2`` with ``T`` the per-agent
+    period.
+
+    ``dt = 0`` gives the continuous-time cost ``n (n - 1) T / 2``.  A
+    grid step ``dt > 0`` gives the cost of the fleet monitored on that
+    grid: a reset period of ``K = T / dt`` whole steps has cost rows with
+    ``E[e_i^2] = k dt`` for ``k = 0 .. K - 1``, whose mean is
+    ``(T - dt) / 2``.
+    """
     check_count("agent count", n)
-    check_positive("period", local_period)
-    return n * (n - 1) * local_period / 2.0
+    check_positive("period", period)
+    if dt:
+        check_positive("dt", dt)
+        if dt > period:
+            raise ValueError(f"dt {dt} exceeds the period {period}")
+    return n * (n - 1) * (period - dt) / 2.0
 
 
 def j_et_broadcast(n: int, delta: float) -> float:

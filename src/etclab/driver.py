@@ -17,8 +17,8 @@ broadcast-plus-local).  Costs and triggers read ``e`` alone, so the
 consensus point, the true states ``c + e`` and the estimates ``c`` are
 formed only in trials that log events or a trajectory.
 
-The production path takes the noise in chunks sized from a memory
-budget, drawn straight into one chunk buffer that the whole trial
+The production path takes the noise in chunks of rows sized from a
+memory budget, drawn straight into one chunk buffer that the whole trial
 reuses, so memory stays bounded at any fleet size.  Per chunk the
 buffer becomes one running sum of the errors.  That is one serial chain
 of dependent adds per agent, so an even fleet forms it two agents per
@@ -37,13 +37,26 @@ protocol, settles them in order: one subtraction per segment between
 events turns the running sums into errors, agent 0's reward adds up per
 segment and the events are counted at once.  One cost pass covers the
 chunk's left endpoints.  Only chunk boundaries move its rounding; the
-search window and the pairing of agents do not.  The path consumes the
-noise stream in exactly the same order as the plain per-step loop kept
-as ``run_trial_reference``, which steps, detects triggers and sums
-costs on its own and hands ``_settle`` one event at a time; the test
-suite compares the two.  Trials are embarrassingly parallel: each owns
-a substream keyed by its index, and batches merge per-trial results in
-fixed index order.
+search window and the pairing of agents do not.  With every row one
+grid step, the path consumes the noise stream in exactly the same order
+as the plain per-step loop kept as ``run_trial_reference``, which steps,
+detects triggers and sums costs on its own and hands ``_settle`` one
+event at a time; the test suite compares the two.
+
+A periodic schedule has no band to watch, so its deadlines are known
+before any noise is drawn, and only the cost needs every grid point.  So
+under a periodic rule a row is a coarse step of up to
+``MAX_COARSE_STEPS`` grid steps, cut short so that every deadline of
+every phase ends one, with one draw per agent per step.  Given a step's
+ends its grid points form a discrete Brownian bridge, and the cost over
+them, and agent 0's reward, are taken as their exact conditional
+expectations (``_bridge_sums``): conditional Monte Carlo, with the grid
+fleet's mean and no larger a variance.  Event times, counts, cycle lengths
+and the elapsed time stay in grid steps, so they are the grid fleet's,
+bit for bit; with ``MAX_COARSE_STEPS = 1`` the whole trial is.  The
+level rule, and a trial that records a trajectory, keep one row per grid
+step.  Trials are embarrassingly parallel: each owns a substream keyed
+by its index, and batches merge per-trial results in fixed index order.
 """
 
 import os
@@ -54,6 +67,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from .checks import check_count, check_positive
 from .control import Average, ConsensusRule, Fixed, InfoScenario, Leader, consensus_value
 from .costs import CostAccumulator, CostReport, finalize, mean_exit_time
 from .graph import consensus_cost_rows
@@ -61,12 +75,11 @@ from .sde import NoiseStream
 from .triggering import (
     CHUNK_BYTES,
     EPS_REL,
+    MAX_COARSE_STEPS,
     Level,
     Periodic,
     TriggerEvent,
     TriggerScheme,
-    check_count,
-    check_positive,
     periodic_fire_step,
 )
 
@@ -144,6 +157,17 @@ class ScenarioConfig:
     @property
     def steps(self) -> int:
         return int(round(self.horizon / self.dt))
+
+
+def fleet_coarse_steps(config: ScenarioConfig) -> int:
+    """The most grid steps one row of ``config``'s trials covers:
+    ``MAX_COARSE_STEPS`` under a periodic rule, whose deadlines are known
+    before any noise is drawn, and 1 under the level rule, which must
+    watch every grid point, and in a trial that records a trajectory,
+    which shows every stride row."""
+    if isinstance(config.scheme, Periodic) and not config.record_trajectory:
+        return MAX_COARSE_STEPS
+    return 1
 
 
 def _expected_interevent(config: "ScenarioConfig") -> float:
@@ -274,13 +298,16 @@ class _Fleet:
             )
 
 
-def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int) -> None:
+def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
+            coarse_rows: Optional["_CoarseRows"] = None) -> None:
     """Settle, in event order, the events of a block of running sums.
 
-    ``rows[k]`` is the state at the end of step ``done + k`` as a running
-    sum from row 0, which holds the errors, with no reset applied; the
-    event at row ``stops[j]`` (ascending) has the initiators ``masks[j]``,
-    a boolean row per event.
+    ``rows[k]`` is the state at the end of row ``k`` of the block, which
+    ends ``k`` grid steps after step ``done`` (``coarse_rows.ends[k]`` of
+    them when the rows are coarse steps), as a running sum from row 0,
+    which holds the errors, with no reset applied; the event at row
+    ``stops[j]`` (ascending) has the initiators ``masks[j]``, a boolean
+    row per event.
 
     Broadcast-only: the initiators' estimates become their true states,
     the consensus point ``c`` is announced, and every agent jumps by
@@ -292,8 +319,9 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int)
     its last reset is subtracted: one subtraction per segment, in place,
     which also zeroes the reset errors at the event row.  Per segment
     agent 0's renewal reward adds up over its left endpoints (the last
-    row's step belongs to the next block); per event the renewal cycle
-    closes (on every global event, or on agent 0's own events under
+    row's step belongs to the next block), and over coarse rows takes the
+    expectation of ``_bridge_sums``; per event the renewal cycle closes
+    (on every global event, or on agent 0's own events under
     broadcast-only).  The events are counted at once.  A logged trial
     forms each event's consensus point from ``x = c_prev + e`` and logs
     the event, and the trajectory rows, in order.
@@ -308,16 +336,22 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int)
         acc.local_event_counts += masks.sum(axis=0)
         acc.global_event_count += count
         closes = masks[:, 0].tolist() if broadcast_only else [True] * count
+    if coarse_rows is None:
+        steps = [done + stop for stop in stops]
+    else:
+        steps = (done + coarse_rows.ends[stops]).tolist()
     trajectory = fleet.trajectory
     stride = config.trajectory_stride
     span = len(rows) - 1
     base = np.zeros(config.n)  # each agent's running sum at its last reset
+    rewards = []  # agent 0's reward per segment, over unit rows
     start = 0
     for k, stop in enumerate([*stops, span + 1]):
         if k:
             rows[start:stop] -= base
-        dev0 = rows[start : min(stop, span), 0]
-        fleet.cycle_reward += float(dev0 @ dev0) * dt
+        if coarse_rows is None:
+            dev0 = rows[start : min(stop, span), 0]
+            rewards.append(float(dev0 @ dev0))
         if trajectory is not None:
             if k:
                 fleet.log_state(done + start, rows[start], 1)
@@ -325,17 +359,21 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int)
             for j in range(start + 1 + (-(done + start + 1)) % stride, stop, stride):
                 fleet.log_state(done + j, rows[j], 0)
         if k == count:
-            return
-        step = done + stop
+            break
         mask = masks[k]
         if fleet.logged:
-            fleet.log_event(rows[stop] - base, mask, step)
+            fleet.log_event(rows[stop] - base, mask, steps[k])
         np.copyto(base, rows[stop], where=mask if broadcast_only else True)
-        if closes[k]:
+        start = stop
+    if coarse_rows is not None:
+        rewards = coarse_rows.segment_rewards(rows, stops)
+    for k, reward in enumerate(rewards):
+        fleet.cycle_reward += reward * dt
+        if k < count and closes[k]:
+            step = steps[k]
             acc.close_cycle(fleet.cycle_reward, (step - fleet.cycle_start) * dt)
             fleet.cycle_reward = 0.0
             fleet.cycle_start = step
-        start = stop
 
 
 def _phase_offsets(scheme: Periodic, n: int) -> np.ndarray:
@@ -393,17 +431,18 @@ def _level_events(rows: np.ndarray, delta: float, local: bool):
 
 
 def _chunk_deadlines(fire_counts, offsets, period, dt, done, span):
-    """``(stops, masks)`` of every periodic deadline in the chunk of ``span``
-    steps after step ``done``: the rows that hold deadlines, ascending, and
-    per row a boolean mask of the phases due there.
+    """``(stops, masks)`` of every periodic deadline in the ``span`` grid
+    steps after step ``done``: the steps, counted from ``done``, that hold
+    deadlines, ascending, and per step a boolean mask of the phases due
+    there.
 
     ``fire_counts[i]`` numbers phase ``i``'s next deadline
-    ``offsets[i] + fire_counts[i] * period``.  Each ``periodic_fire_step``
-    call maps a ``(phases, m)`` grid of counter values to grid steps, with
-    ``m`` one more than a chunk can hold; the counters then advance, in
-    place, past every deadline the chunk holds.  A grid takes as many
-    phases as fit in ``CHUNK_BYTES / 64`` entries, at least one, so short
-    periods of many phases are looked up in slices of phases.
+    ``offsets[i] + fire_counts[i] * period``; the caller advances it past
+    the deadlines it settles.  Each ``periodic_fire_step`` call maps a
+    ``(phases, m)`` grid of counter values to grid steps, with ``m`` one
+    more than ``span`` steps can hold.  A grid takes as many phases as fit
+    in ``CHUNK_BYTES / 64`` entries, at least one, so short periods of
+    many phases are looked up in slices of phases.
     """
     phases = len(fire_counts)
     m = int(span * dt / period) + 2
@@ -413,15 +452,104 @@ def _chunk_deadlines(fire_counts, offsets, period, dt, done, span):
         part = slice(lo, lo + width)
         counts = fire_counts[part, None] + np.arange(m)
         at = periodic_fire_step(offsets[part, None] + counts * period, dt)
-        at -= done  # chunk rows
-        # each phase's rows increase along its grid row, so its deadlines in
-        # the chunk are a prefix of it; later ones go to a sink row past the
-        # chunk
+        at -= done  # steps from done
+        # each phase's steps increase along its grid row, so its deadlines in
+        # the span are a prefix of it; later ones go to a sink row past it
         np.minimum(at, span + 1, out=at)
-        fire_counts[part] += (at <= span).sum(axis=1)
         due[at, np.arange(lo, lo + len(at))[:, None]] = True
     stops = np.flatnonzero(due[: span + 1].any(axis=1))
-    return stops.tolist(), due[stops]
+    return stops, due[stops]
+
+
+def _coarse_ends(stops, span, coarse, limit, final):
+    """``ends``, the grid steps from the chunk's start at which its coarse
+    rows end, with ``ends[0] = 0``: at most ``limit`` rows within ``span``
+    steps that hold deadlines at ``stops``.
+
+    A row runs ``coarse`` grid steps, cut short at the next deadline, and
+    the next row starts there.  The rows therefore depend on the schedule
+    alone, not on where a chunk starts: a row that ``span`` cuts short
+    where no deadline is, unless the horizon ends there (``final``), is
+    left to the next chunk.  ``span >= coarse`` unless ``final``, so at
+    least one row is kept.
+    """
+    lo = np.concatenate(([0], stops))
+    hi = np.append(stops, span)
+    counts = (hi - lo + coarse - 1) // coarse
+    if not final and (span - lo[-1]) % coarse:
+        counts[-1] -= 1
+    seg = np.repeat(np.arange(lo.size), counts)
+    stride = np.arange(1, seg.size + 1) - (np.cumsum(counts) - counts)[seg]
+    ends = np.minimum(lo[seg] + coarse * stride, hi[seg])[:limit]
+    return np.concatenate(([0], ends))
+
+
+def _bridge_sums(k, aa, az, zz, var):
+    """Per coarse step of ``k`` grid steps, the expectation of a quadratic
+    form ``q`` of the errors summed over the step's ``k`` left endpoints,
+    given the step's post-reset start ``a`` and its increment ``z``, with
+    ``aa = q(a)``, ``az = q(a, z)``, ``zz = q(z)`` and ``var`` the trace of
+    ``q`` times the variance of one grid step's increment.
+
+    Given its endpoints, a coarse step's grid points form a discrete
+    Brownian bridge (Glasserman, *Monte Carlo Methods in Financial
+    Engineering*, 2004, section 3.1): grid point ``j`` has mean ``m_j = a +
+    z j / k`` and, per agent and independently, variance ``v_j = j (k - j)
+    / k`` grid-step variances.  So the sum of ``q(m_j) + var v_j`` over
+    ``j < k`` is ``k aa + (k - 1) az + C zz + var (k^2 - 1) / 6`` with ``C =
+    (k - 1)(2k - 1) / (6k)``; with the pre-reset end ``b = a + z`` that is
+    ``A q(a) + B q(a, b) + C q(b)``, ``A = 1 + C``, ``B = 2 ((k - 1) / 2 -
+    C)``, plus the variance term.  At ``k = 1`` every term but ``aa``
+    is an exact zero.  Replacing the grid points by this expectation is
+    conditional Monte Carlo (Asmussen & Glynn, *Stochastic Simulation*,
+    2007, ch. V): the same mean, and no larger a variance.
+    """
+    sums = k * aa
+    sums += (k - 1) * az
+    sums += (k - 1) * (2 * k - 1) / (6 * k) * zz
+    sums += var * (k * k - 1) / 6
+    return sums
+
+
+class _CoarseRows:
+    """The coarse rows of one chunk: row ``r`` ends ``ends[r]`` grid steps
+    after the chunk's start, and the step from row ``r`` to row ``r + 1``
+    is ``k[r]`` grid steps long and has the increments ``increments[r]``,
+    drawn with variance ``k[r] * step_var`` per agent."""
+
+    def __init__(self, ends: np.ndarray, increments: np.ndarray, step_var: float):
+        self.ends = ends
+        self.increments = increments
+        self.k = np.diff(ends).astype(float)
+        self.step_var = step_var
+
+    def cost(self, rows: np.ndarray) -> float:
+        """Expected ``sum x'Lx`` over the grid points of the chunk's steps,
+        from the settled rows ``rows``, its post-reset errors."""
+        a, z = rows[:-1], self.increments
+        n = rows.shape[1]
+        sums = _bridge_sums(self.k, consensus_cost_rows(a), consensus_cost_rows(a, z),
+                            consensus_cost_rows(z), n * (n - 1) * self.step_var)
+        return float(sums.sum())
+
+    def segment_rewards(self, rows: np.ndarray, stops: List[int]) -> List[float]:
+        """Expected ``sum e_0^2`` over the grid points of the steps from each
+        of row 0 and the rows ``stops`` up to the next of them."""
+        a, z = rows[:-1, 0], self.increments[:, 0]
+        sums = _bridge_sums(self.k, a * a, a * z, z * z, self.step_var)
+        # a zero past the end is the sum of an empty last segment
+        return np.add.reduceat(np.append(sums, 0.0), [0, *stops]).tolist()
+
+
+def _grid_time(steps: int, chunk: int, dt: float) -> float:
+    """``steps`` grid steps of ``dt`` as a trial's elapsed time, summed
+    ``chunk`` steps at a time, so that its bits do not depend on how long
+    the rows that covered them were."""
+    whole, rest = divmod(steps, chunk)
+    elapsed = 0.0
+    for _ in range(whole):
+        elapsed += chunk * dt
+    return elapsed + rest * dt
 
 
 def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0) -> TrialResult:
@@ -429,12 +557,24 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
 
     ``noise_scale`` is a diagnostic multiplier on the driving noise
     (-1 flips its sign, 0 silences it).
+
+    Under a periodic rule (``fleet_coarse_steps``) a row is a coarse step
+    of up to ``MAX_COARSE_STEPS`` grid steps, cut short so that every
+    deadline of every phase ends one, with one ``N(0, k dt)`` draw per
+    agent for a step of ``k`` grid steps; the cost and agent 0's reward
+    over its grid points are their expectations given its endpoints
+    (``_bridge_sums``).  Event times, cycle lengths and the elapsed time
+    stay in grid steps.  Under the level rule, and in a trial that
+    records a trajectory, every row is one grid step and the cost and
+    reward sum its rows, exactly as ``run_trial_reference`` does.
     """
     n = config.n
     dt = config.dt
     steps_total = config.steps
     scheme = config.scheme
     level = isinstance(scheme, Level)
+    coarse = fleet_coarse_steps(config)
+    chunk = min(CHUNK_STEPS, max(1, CHUNK_BYTES // (8 * n)))
     if level:
         local = config.scenario is InfoScenario.BROADCAST_LOCAL
     else:
@@ -443,38 +583,64 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
         # every agent starts as having just fired, so a zero phase's first
         # deadline is one period in
         fire_counts = np.where(offsets <= EPS_REL * dt, 1, 0).astype(np.int64)
+        # grid steps whose deadlines a chunk looks up: room for a chunk of
+        # coarse rows, but a deadline grid of at most CHUNK_BYTES / 8 entries
+        # once there are many phases, and at least one coarse step
+        reach = max(coarse, min(coarse * chunk, max(chunk, CHUNK_BYTES // (8 * len(offsets)))))
 
     stream = NoiseStream(config.seed, trial_index, noise_scale)
     sqrt_dt = np.sqrt(dt)
-    chunk = min(CHUNK_STEPS, max(1, CHUNK_BYTES // (8 * n)))
     fleet = _Fleet.start(config, trajectory=config.record_trajectory)
     acc = fleet.acc
     if fleet.trajectory is not None:
         fleet.log_state(0, fleet.e, 0)
 
-    # rows[k] follows the errors to the end of step done + k without resets:
-    # row 0 holds the current errors, each later row adds a step
+    # rows[k] follows the errors to the end of row k without resets: row 0
+    # holds the current errors, each later row adds a step
     buffer = np.empty((chunk + 1, n))
+    increments = np.empty((chunk, n)) if coarse > 1 else None
+    coarse_rows = None  # the chunk's coarse steps, unless its rows are grid steps
     done = 0  # completed steps; fleet.e holds the errors at time done*dt
     while done < steps_total:
-        span = min(chunk, steps_total - done)
+        left = steps_total - done
+        if level:
+            span = min(chunk, left)
+        else:
+            grid = min(reach, left)
+            stops, masks = _chunk_deadlines(fire_counts, offsets, scheme.period, dt, done, grid)
+            if coarse > 1:
+                ends = _coarse_ends(stops, grid, coarse, chunk, grid == left)
+                kept = np.searchsorted(stops, ends[-1], side="right")
+                stops, masks = np.searchsorted(ends, stops[:kept]), masks[:kept]
+                span = len(ends) - 1
+                coarse_rows = _CoarseRows(ends, increments[:span], noise_scale**2 * dt)
+            else:
+                span = grid
+            fire_counts += masks.sum(axis=0)
+            stops = stops.tolist()
+            masks = np.broadcast_to(masks, (len(stops), n))
         rows = buffer[: span + 1]
         rows[0] = fleet.e
         noise = stream.normals((span, n), out=rows[1:])
-        noise *= sqrt_dt
+        if coarse_rows is None:
+            noise *= sqrt_dt
+        else:
+            noise *= np.sqrt(coarse_rows.k * dt)[:, None]
+            np.copyto(coarse_rows.increments, noise)
         _running_sum(rows)
         if level:
             stops, masks = _level_events(rows, scheme.delta, local)
+        _settle(fleet, rows, stops, masks, done, coarse_rows)
+        if coarse_rows is None:
+            # left-endpoint rectangles: x'Lx = e'Le, since L annihilates c*1
+            acc.integral_sum += float(consensus_cost_rows(rows[:-1]).sum()) * dt
+            done += span
         else:
-            stops, masks = _chunk_deadlines(fire_counts, offsets, scheme.period, dt, done, span)
-            masks = np.broadcast_to(masks, (len(stops), n))
-        _settle(fleet, rows, stops, masks, done)
-        # left-endpoint rectangles: x'Lx = e'Le, since L annihilates c*1
-        acc.integral_sum += float(consensus_cost_rows(rows[:-1]).sum()) * dt
-        acc.elapsed += span * dt
+            acc.integral_sum += coarse_rows.cost(rows) * dt
+            done += int(coarse_rows.ends[-1])
         fleet.e = rows[span]
-        done += span
 
+    acc.elapsed = _grid_time(steps_total, chunk, dt)
     return TrialResult(accumulator=acc, events=fleet.events, trajectory=fleet.trajectory)
 
 

@@ -7,7 +7,8 @@ is evaluated through the algebraic identity
     x' L x = n * sum(x_i^2) - (sum(x_i))^2
 
 which is O(n) and never materializes the matrix; ``consensus_cost_rows``
-is its one implementation, for a single state or a stack of state rows.
+is its one implementation, for a single state or a stack of state rows,
+and also forms the bilinear ``x' L y`` of two stacks.
 ``laplacian_dense`` is provided for testing and debugging only.
 """
 
@@ -16,14 +17,18 @@ import numpy as np
 __all__ = ["consensus_cost_rows", "laplacian_dense"]
 
 
-def consensus_cost_rows(states) -> np.ndarray:
-    """``x' L x`` along the last axis, whose length is the agent count ``n``.
+def consensus_cost_rows(states, others=None) -> np.ndarray:
+    """``x' L x`` along the last axis, whose length is the agent count ``n``,
+    or with ``others`` the bilinear form ``x' L y = n sum(x_i y_i) -
+    sum(x_i) sum(y_i)`` of matching rows.
 
-    Equals half the sum of ``(x_i - x_j)^2`` over ordered agent pairs and
-    is zero exactly when all entries of a row are equal.  A single state
-    vector gives a 0-d array, with the bits of the same row in a stack.
+    ``x' L x`` equals half the sum of ``(x_i - x_j)^2`` over ordered agent
+    pairs and is zero exactly when all entries of a row are equal.  A
+    single state vector gives a 0-d array, with the bits of the same row
+    in a stack.
 
-    Below eight agents the rows are reduced over an agent-major copy, so
+    The bilinear form reduces each row with ``einsum``.  For ``x' L x``,
+    below eight agents the rows are reduced over an agent-major copy, so
     each sum is ``n - 1`` whole-array additions rather than one short
     reduction per row; numpy sums fewer than eight elements in order, so
     the bits equal a per-row reduction's.  From eight agents on the rows
@@ -32,6 +37,9 @@ def consensus_cost_rows(states) -> np.ndarray:
     """
     states = np.asarray(states, dtype=float)
     n = states.shape[-1]
+    if others is not None:
+        cross = np.einsum("...i,...i->...", states, others)
+        return n * cross - np.einsum("...i->...", states) * np.einsum("...i->...", others)
     if n < 8:
         agents = np.moveaxis(states, -1, 0).copy()
         s = agents.sum(axis=0)

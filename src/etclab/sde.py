@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import check_count
+
 __all__ = ["NoiseStream"]
 
 # the bit generator behind every stream; the CLI manifest records its name
@@ -31,8 +33,9 @@ class NoiseStream:
     seed : int
         Experiment-level seed, a non-negative integer.
     trial_index : int
-        Substream key; identical ``(seed, trial_index)`` pairs reproduce
-        identical sequences bit for bit.
+        Substream key, a non-negative integer; identical
+        ``(seed, trial_index)`` pairs reproduce identical sequences bit for
+        bit.
     scale : float
         Diagnostic multiplier applied to every Gaussian draw.  ``-1.0``
         negates the driving noise (sign-flip symmetry checks), ``0.0``
@@ -46,8 +49,8 @@ class NoiseStream:
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        check_count("seed", self.seed, 0)
+        check_count("trial_index", self.trial_index, 0)
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.trial_index, *self.subkey))
         self._gen = np.random.Generator(BIT_GENERATOR(ss))
 

@@ -27,12 +27,12 @@ every other agent's fine points could not change the exit.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
 
+from .checks import check_count, check_positive
 from .sde import NoiseStream
 
 __all__ = [
@@ -53,24 +53,6 @@ EPS_REL = 1e-9
 CHUNK_BYTES = 8 << 20
 # the first-exit sampler advances this many fine steps at once
 MAX_COARSE_STEPS = 8
-
-
-def check_positive(name: str, value: float) -> None:
-    """Raise ``ValueError`` unless ``value`` is positive and finite (NaN is not)."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-
-
-def check_count(name: str, value, minimum: int = 1) -> None:
-    """Raise ``ValueError`` unless ``value`` is an integer, Python or NumPy,
-    of at least ``minimum``."""
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        wanted = "a non-negative integer" if minimum == 0 else f">= {minimum}"
-        raise ValueError(f"{name} must be {wanted}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,35 @@ def test_criterion_5_information_gap():
           + " (tol 5%)")
 
 
+# --- criterion 10: periodic cells on the grid --------------------------------
+
+# every periodic fleet of criteria 2, 4 and 5 against the grid oracle
+# n (n - 1) (P - dt) / 2, within five standard errors of its time average
+PERIODIC_CELLS = [
+    (3, B, Periodic(0.75)),
+    (3, B, Periodic(0.75, tuple(0.75 * i / 3 for i in range(3)))),
+    (3, B, Periodic(1.5)),
+    (10, B, Periodic(1.5)),
+    *((n, B, Periodic(n * 0.5)) for n in (10, 50)),
+    *((n, BL, Periodic(0.5)) for n in (3, 10, 50)),
+]
+
+
+def test_criterion_10_periodic_grid_oracle():
+    t975 = stats.t.ppf(0.975, TRIALS - 1)
+    details = []
+    ok = True
+    for n, scenario, scheme in PERIODIC_CELLS:
+        _, rep = fleet(n, scenario, scheme)
+        oracle = j_tt_broadcast(n, scheme.period, DT)
+        z = (rep.j_time_avg - oracle) / (rep.ci_halfwidth / t975)
+        ok &= abs(z) <= 5
+        kind = "async" if scheme.offsets else scenario.value
+        details.append(f"n={n} {kind} P={scheme.period}: {rep.j_time_avg:.5g} vs "
+                       f"{oracle:.5g} ({z:+.1f} SE)")
+    check("10", ok, "; ".join(details) + " (band 5 SE)")
+
+
 # --- criterion 6: calibration cross-check -----------------------------------
 
 

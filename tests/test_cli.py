@@ -195,6 +195,24 @@ def test_calibrate_reference_point(tmp_path):
     assert f"fpt_coarse_steps={MAX_COARSE_STEPS}" in manifest
 
 
+@pytest.mark.parametrize("argv, coarse", [
+    (["simulate", "--trigger", "periodic-sync", "--period", "0.5"], MAX_COARSE_STEPS),
+    (["simulate", "--trigger", "level", "--delta", "1.0"], 1),
+    (["table1"], MAX_COARSE_STEPS),
+    (["sweep-n", "--n-list", "3"], MAX_COARSE_STEPS),
+    (["trajectory", "--trigger", "periodic-sync", "--period", "0.5"], 1),
+], ids=["simulate-periodic", "simulate-level", "table1", "sweep-n", "trajectory"])
+def test_manifest_records_the_fleet_coarse_step(tmp_path, argv, coarse):
+    # a CSV and its manifest alone say whether the periodic rows' costs are
+    # expectations over coarse steps; a trajectory shows every grid step
+    out = tmp_path / "x.csv"
+    length = ["--duration", "2"] if argv[0] == "trajectory" else ["--horizon", "2",
+                                                                  "--trials", "1"]
+    assert run_cli([*argv, *length, "--out", str(out)]) == 0
+    manifest = (tmp_path / "x.csv.manifest.txt").read_text().splitlines()
+    assert f"fleet_coarse_steps={coarse}" in manifest
+
+
 def test_calibrate_failure_exits_3(tmp_path, capsys):
     code = run_cli(["calibrate", "--n", "1", "--target-t", "0.5", "--seed", "3",
                     "--samples", "400", "--tolerance", "0.0005",

@@ -1,5 +1,7 @@
+import ast
 import math
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +96,18 @@ def test_periodic_broadcast_cost_values():
     assert j_tt_broadcast(10, 5.0) == pytest.approx(225.0)
 
 
+def test_periodic_grid_oracle():
+    # a reset period of K whole steps has cost rows with E[e_i^2] = k dt for
+    # k = 0 .. K - 1; dt = 0 is the continuous-time oracle
+    assert j_tt_broadcast(3, 0.25, 2e-3) == 3 * 2 * (0.25 - 2e-3) / 2
+    assert j_tt_broadcast(50, 0.5, 2e-3) == pytest.approx(610.05, rel=1e-12)
+    assert j_tt_broadcast(3, 0.25, 0.0) == j_tt_broadcast(3, 0.25)
+    # a period of one step resets every error before it counts
+    assert j_tt_broadcast(4, 2e-3, 2e-3) == 0.0
+    with pytest.raises(ValueError, match="exceeds the period"):
+        j_tt_broadcast(3, 0.25, 0.5)
+
+
 def test_level_broadcast_cost_values():
     assert j_et_broadcast(3, math.sqrt(1.5)) == pytest.approx(1.5)
     assert j_et_broadcast(3, math.sqrt(0.75)) == pytest.approx(0.75)
@@ -178,10 +192,32 @@ CONFIG = dict(n=3, scenario=InfoScenario.BROADCAST, scheme=Level(0.5), horizon=1
                  id="config-stride-float"),
     pytest.param(partial(sample_first_passage_batch, NoiseStream(0), 10, 1.0, 1e-2,
                          n_agents=2.5), "n_agents", id="sampler-n-agents-float"),
+    pytest.param(partial(j_tt_broadcast, 3, 0.5, -1e-3), "dt", id="j_tt-dt-negative"),
+    pytest.param(partial(NoiseStream, 1.5), "seed", id="stream-seed-float"),
+    pytest.param(partial(NoiseStream, 0, trial_index=-1), "trial_index",
+                 id="stream-trial-negative"),
+    pytest.param(partial(run_trial, ScenarioConfig(**CONFIG), 1.5), "trial_index",
+                 id="trial-index-float"),
 ])
 def test_invalid_input_fails_at_once(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be "):
         call()
+
+
+def test_input_checks_live_in_a_leaf_module():
+    # every module checks its input through etclab.checks, which imports
+    # nothing from the package, so that the noise streams can use it; the
+    # cost module needs nothing from the trigger rules
+    src = Path(__file__).resolve().parents[1] / "src" / "etclab"
+
+    def package_imports(name):
+        tree = ast.parse((src / f"{name}.py").read_text())
+        return {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+
+    assert package_imports("checks") == set()
+    assert "triggering" not in package_imports("costs")
+    assert "checks" in package_imports("sde")
 
 
 def test_numpy_integers_are_counts():

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from etclab import (
@@ -82,6 +82,15 @@ def test_unknown_rule_rejected_at_construction(rule):
         quiet_config(n=2, scenario=B, scheme=Level(1.0), rule=rule)
 
 
+@pytest.fixture
+def unit_rows(monkeypatch):
+    """Every row of a periodic trial one grid step, as every row of the
+    per-step reference is: the pathwise checks against it, and the values
+    pinned below from before periodic trials took coarse steps, hold at
+    ``MAX_COARSE_STEPS = 1``."""
+    monkeypatch.setattr(driver, "MAX_COARSE_STEPS", 1)
+
+
 # --- fast integrator vs per-step reference ----------------------------------
 
 
@@ -151,8 +160,10 @@ def tallies(acc):
             acc.cycle_length_sum, acc.local_event_counts.tolist(), acc.global_event_count)
 
 
+@pytest.mark.usefixtures("unit_rows")
 @pytest.mark.parametrize("case", list(REFERENCE_CASES))
-@settings(max_examples=7, deadline=None, derandomize=True, database=None)
+@settings(max_examples=7, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # a constant patch
 @given(k=knobs())
 @example(k=None)
 def test_fast_path_matches_reference(case, k):
@@ -213,6 +224,7 @@ EDGE_SCHEDULES = {
 }
 
 
+@pytest.mark.usefixtures("unit_rows")
 @pytest.mark.parametrize("rows", [None, 5], ids=["default-chunk", "5-row-chunks"])
 @pytest.mark.parametrize("case", list(EDGE_SCHEDULES))
 def test_periodic_edges_match_reference(monkeypatch, case, rows):
@@ -268,6 +280,7 @@ def pinned_values(n, cell, table):
             acc.global_event_count) == (integral, cycles, events)
 
 
+@pytest.mark.usefixtures("unit_rows")
 @pytest.mark.parametrize("cell", list(GOLDEN_N3))
 def test_small_fleet_values_are_pinned(cell):
     pinned_values(3, cell, GOLDEN_N3)
@@ -288,9 +301,150 @@ GOLDEN_N12 = {
 }
 
 
+@pytest.mark.usefixtures("unit_rows")
 @pytest.mark.parametrize("cell", list(GOLDEN_N12))
 def test_twelve_agent_values_are_pinned(cell):
     pinned_values(12, cell, GOLDEN_N12)
+
+
+# --- coarse periodic rows -------------------------------------------------------
+
+# the pinned n = 3 periodic cells above, at the default MAX_COARSE_STEPS = 8:
+# one draw per agent per coarse step, and the cost and reward over its grid
+# points taken as their expectations given its endpoints
+GOLDEN_N3_COARSE = {
+    "tt-b": (B, Periodic(0.75), "41.62141502136338", (26, "9.038483265194394"), 26),
+    "tt-async-b": (B, Periodic(0.75, staggered_offsets(3, 0.75)), "47.697170595987544",
+                   (26, "12.18288453422239"), 80),
+    "tt-bl": (BL, Periodic(0.25), "15.472162377849516", (80, "2.7795706744434026"), 80),
+}
+
+
+@pytest.mark.parametrize("cell", list(GOLDEN_N3_COARSE))
+def test_coarse_small_fleet_values_are_pinned(cell):
+    assert driver.MAX_COARSE_STEPS == 8
+    pinned_values(3, cell, GOLDEN_N3_COARSE)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 8])
+def test_bridge_sums_match_explicit_sums(k):
+    # the expected sum over a coarse step's k left endpoints of q(m_j) plus
+    # the trace of q times v_j, for q the Laplacian form (trace n (n - 1))
+    # and agent 0's square (trace 1); at k = 1 it is q(a), to the bit
+    rng = np.random.default_rng(k)
+    n, dt, rows = 5, 2e-3, 6
+    a = rng.normal(size=(rows, n))
+    b = rng.normal(size=(rows, n))
+    z = b - a
+    steps = np.full(rows, float(k))
+    forms = [
+        (consensus_cost_rows, n * (n - 1) * dt),
+        (lambda x, y=None: x[..., 0] * (x if y is None else y)[..., 0], dt),
+    ]
+    for q, var in forms:
+        closed = driver._bridge_sums(steps, q(a), q(a, z), q(z), var)
+        explicit = sum(q(a + z * j / k) + var * j * (k - j) / k for j in range(k))
+        if k == 1:
+            assert np.array_equal(closed, explicit)
+        else:
+            assert closed == pytest.approx(explicit, rel=1e-12)
+
+
+COARSE_CASES = {
+    "sync-b": (B, Periodic(0.75)),
+    "async-b": (B, Periodic(0.75, staggered_offsets(4, 0.75))),
+    "sync-bl": (BL, Periodic(0.25)),
+    "off-grid-bl": (BL, Periodic(0.0731)),
+    "every-step-b": (B, Periodic(DT)),
+    "near-grid-async": (B, Periodic(0.75, near_grid_offsets(0.75))),
+}
+
+
+def coarse_case(case, **kw):
+    scenario, scheme = COARSE_CASES[case]
+    return quiet_config(n=len(scheme.offsets) or 4, scenario=scenario, scheme=scheme,
+                        dt=DT, horizon=12.0, trials=1, seed=31, record_events=True, **kw)
+
+
+@pytest.mark.parametrize("rows", [None, 5], ids=["default-chunk", "5-row-chunks"])
+@pytest.mark.parametrize("case", list(COARSE_CASES))
+def test_coarse_rows_keep_every_event(monkeypatch, case, rows):
+    # the schedule is known before any noise is drawn, so coarse rows move
+    # no event, count or cycle, nor the elapsed time, by a bit
+    config = coarse_case(case)
+    if rows is not None:
+        monkeypatch.setattr(driver, "CHUNK_BYTES", rows * 8 * config.n)
+    coarse = run_trial(config, 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(driver, "MAX_COARSE_STEPS", 1)
+        unit = run_trial(config, 0)
+    assert len(unit.events) >= 10
+    assert [(e.time, e.initiators) for e in coarse.events] == [
+        (e.time, e.initiators) for e in unit.events]
+    a, b = coarse.accumulator, unit.accumulator
+    assert (a.cycles, a.cycle_length_sum, a.elapsed, a.global_event_count) == (
+        b.cycles, b.cycle_length_sum, b.elapsed, b.global_event_count)
+    assert np.array_equal(a.local_event_counts, b.local_event_counts)
+
+
+@pytest.mark.parametrize("case", list(COARSE_CASES))
+def test_coarse_rows_under_sign_flip_and_silence(case):
+    config = coarse_case(case)
+    base = run_trial(config, 0).accumulator
+    flipped = run_trial(config, 0, noise_scale=-1.0).accumulator
+    silent = run_trial(config, 0, noise_scale=0.0).accumulator
+    assert tallies(flipped) == tallies(base)
+    # a period of one step resets every error before it counts
+    assert (base.integral_sum > 0.0) == (config.scheme.period > DT)
+    assert (silent.integral_sum, silent.cycle_reward_sum) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("case", list(COARSE_CASES))
+def test_coarse_logged_and_unlogged_tallies_agree(case):
+    config = coarse_case(case)
+    logged = run_trial(config, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # short horizons, as in coarse_case()
+        unlogged = run_trial(replace(config, record_events=False), 0)
+    assert logged.events and unlogged.events is None
+    assert tallies(unlogged.accumulator) == tallies(logged.accumulator)
+
+
+@pytest.mark.parametrize("n", [3, 20])
+def test_coarse_chunk_budget_changes_only_rounding(monkeypatch, n):
+    # coarse rows end at deadlines and at whole coarse steps after them,
+    # never at a chunk boundary, so a budget of five rows per chunk draws
+    # the same noise in smaller blocks and moves rounding only
+    draws = []
+
+    class RecordingStream(driver.NoiseStream):
+        def normals(self, shape, out=None):
+            block = super().normals(shape, out=out)
+            draws.append(block.copy())
+            return block
+
+    monkeypatch.setattr(driver, "NoiseStream", RecordingStream)
+    for scenario, scheme in [(BL, Periodic(0.25)), (B, Periodic(0.8, staggered_offsets(n, 0.8))),
+                             (BL, Periodic(0.0731))]:
+        config = quiet_config(n=n, scenario=scenario, scheme=scheme, horizon=20.0,
+                              trials=1, seed=17, record_events=True)
+        default = run_trial(config, 0)
+        default_draws = np.concatenate(draws)
+        draws.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(driver, "CHUNK_BYTES", 5 * 8 * n)
+            small = run_trial(config, 0)
+        assert max(len(block) for block in draws) <= 5
+        assert np.array_equal(np.concatenate(draws), default_draws)
+        draws.clear()
+        assert [(e.time, e.initiators) for e in small.events] == [
+            (e.time, e.initiators) for e in default.events
+        ]
+        a, b = small.accumulator, default.accumulator
+        assert a.integral_sum == pytest.approx(b.integral_sum, rel=1e-12)
+        assert a.cycle_reward_sum == pytest.approx(b.cycle_reward_sum, rel=1e-9, abs=1e-12)
+        assert (a.cycles, a.cycle_length_sum) == (b.cycles, b.cycle_length_sum)
+        assert a.elapsed == pytest.approx(b.elapsed, rel=1e-12)
 
 
 # --- running sums -------------------------------------------------------------
@@ -318,6 +472,7 @@ def test_running_sum_matches_cumsum(n, steps, scale):
 # --- chunk sizing -------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("unit_rows")  # it counts noise rows as grid steps
 @pytest.mark.parametrize("n", [3, 20])
 def test_chunk_budget_changes_only_rounding(monkeypatch, n):
     # a budget of five noise rows per chunk draws the same noise in smaller
