@@ -26,8 +26,10 @@ from .control import (
 from .costs import (
     CostAccumulator,
     CostReport,
+    GridLevelLaw,
     expected_occupation_integral,
     finalize,
+    grid_level_law,
     j_et_broadcast,
     j_tt_broadcast,
     j_tt_broadcast_local,

@@ -16,9 +16,12 @@ Every command writes a CSV (comma separators, '.' decimals) plus a
 library versions, bit generator and code revision needed to reproduce
 it, and the command's wall time; the manifests of the commands that run
 fleets also record ``fleet_coarse_steps``, the most grid steps one row
-of their trials covers.  ``THREADS`` (a positive integer,
-default 1) fans the trials of a batch out over processes, at most one
-per trial and per usable CPU.  Every batch config is made and
+of their trials covers: per CSV row, in order, for ``table1``, and per
+row as ``TT/ET`` for ``sweep-n``, so a reader can tell which rows take
+their costs as conditional expectations over coarse steps.  ``THREADS``
+(a positive integer, default 1) fans the trials of a batch out over
+processes, at most one per trial and per usable CPU.  Every batch
+config is made and
 usage-checked in one place, and ``table1`` and ``sweep-n`` build every
 config before the first batch runs.  Their level thresholds come from
 the closed form ``level_threshold``, and both build their
@@ -53,6 +56,7 @@ from .calibration import (
 from .control import Average, Fixed, InfoScenario, Leader
 from .costs import (
     expected_occupation_integral,
+    grid_level_law,
     j_et_broadcast,
     j_tt_broadcast,
     j_tt_broadcast_local,
@@ -257,11 +261,11 @@ def cmd_calibrate(args, parser) -> int:
     return 0
 
 
-def _coarse_steps(configs) -> int:
-    """The most grid steps one row of any of ``configs``' trials covers:
-    above 1, the periodic rows' costs are expectations given the ends of
-    coarse steps."""
-    return max(fleet_coarse_steps(config) for config in configs)
+def _coarse_steps(configs, sep=",") -> str:
+    """``fleet_coarse_steps`` of each of ``configs``, in order, joined by
+    ``sep``: above 1, the row's costs are expectations given the ends of
+    coarse steps and the grid points drawn between them."""
+    return sep.join(str(fleet_coarse_steps(config)) for config in configs)
 
 
 def _bl_pair(args, parser, n, target):
@@ -349,7 +353,7 @@ def cmd_sweep_n(args, parser) -> int:
                      n / 3.0, rep_et.j_time_avg / rep_tt.j_time_avg])
     _write_csv(args.out, header, rows)
     _write_manifest(args, args.command,
-                    fleet_coarse_steps=_coarse_steps(c for pair in pairs for c in pair))
+                    fleet_coarse_steps=",".join(_coarse_steps(pair, "/") for pair in pairs))
     print(f"wrote {args.out}: {len(rows)} rows")
     return 0
 
@@ -395,6 +399,14 @@ def cmd_selftest(args, parser) -> int:
     m1, m3 = mean_exit_time(1), mean_exit_time(3)
     check("closed-form mean exit time", abs(m1 - 1.0) < 1e-9 and m3 < m1,
           f"(m1={m1:.9f}, m3={m3:.6f})")
+    # on a fine grid the level law is the continuous one, with the band
+    # widened by beta sqrt(h), beta = -zeta(1/2) / sqrt(2 pi) (Broadie,
+    # Glasserman & Kou, Math. Finance 7(4), 1997)
+    h, beta = 1e-4, 0.5825971579390106
+    gaps = [grid_level_law(w, h).mean_exit_steps() * h
+            / (mean_exit_time(w) * (1 + beta * np.sqrt(h)) ** 2) - 1 for w in (1, 3, 10)]
+    check("grid level law matches the continuous law", max(map(abs, gaps)) <= 1e-3,
+          f"(W=1, 3, 10 at h={h:g}: {', '.join(f'{g:+.1e}' for g in gaps)})")
 
     stepwise, chunked = NoiseStream(args.seed), NoiseStream(args.seed)
     same = np.array_equal(np.concatenate([stepwise.normals(3) for _ in range(40)]),
@@ -424,6 +436,17 @@ def cmd_selftest(args, parser) -> int:
     oracle = j_tt_broadcast(3, 0.25, config.dt)
     z = (rep.j_time_avg - oracle) / (rep.ci_halfwidth / stats.t.ppf(0.975, config.trials - 1))
     check("coarse periodic cost matches grid oracle", abs(z) <= 4,
+          f"(sim={rep.j_time_avg:.4f}, oracle={oracle:.4f}, {z:+.1f} SE)")
+
+    # coarse level rows take the cost as its expectation given what was drawn,
+    # which must keep the grid fleet's mean
+    config = ScenarioConfig(n=10, scenario=InfoScenario.BROADCAST_LOCAL, scheme=Level(3.5),
+                            dt=2e-3, horizon=250.0, trials=16, seed=args.seed)
+    rep = run_batch(config)
+    oracle = grid_level_law(10, config.dt / 3.5**2).cost(10, 3.5)
+    z = (rep.j_time_avg - oracle) / (rep.ci_halfwidth / stats.t.ppf(0.975, config.trials - 1))
+    check("coarse level cost matches grid oracle",
+          fleet_coarse_steps(config) > 1 and abs(z) <= 4,
           f"(sim={rep.j_time_avg:.4f}, oracle={oracle:.4f}, {z:+.1f} SE)")
 
     config = ScenarioConfig(

@@ -42,6 +42,8 @@ __all__ = [
     "local_to_global_period",
     "expected_occupation_integral",
     "mean_exit_time",
+    "GridLevelLaw",
+    "grid_level_law",
 ]
 
 
@@ -236,3 +238,105 @@ def mean_exit_time(n: int) -> float:
     head, _ = integrate.quad(integrand, 0.0, _SERIES_SPLIT, **quad)
     tail, _ = integrate.quad(integrand, _SERIES_SPLIT, math.inf, **quad)
     return head + tail
+
+
+# Gauss-Legendre nodes of the grid level law's Nystrom recursion; 400 and 800
+# nodes agree to six or more figures for every h of the acceptance cells
+_LAW_NODES = 400
+# the survival sequences stop where s_k^W falls below this: the tail they
+# leave out is below it times the mean exit in steps
+_LAW_TAIL = 1e-20
+# steps formed per matrix product, which bounds its memory to a few MiB
+_LAW_BLOCK = 1024
+
+
+@dataclass(frozen=True)
+class GridLevelLaw:
+    """The first exit of ``W`` independent Gaussian walks with step variance
+    ``h`` from the unit band ``(-1, 1)``, checked at every step only.
+
+    ``survival[k]`` is ``s_k``, the chance that one walk is still inside
+    after ``k`` steps, and ``second[k]`` is ``q_k = E[x_k^2; still inside]``,
+    from ``s_0 = 1`` and ``q_0 = 0`` up to where ``s_k^W`` falls below
+    ``1e-20``.  A level rule of threshold ``delta`` on a grid of step ``dt``
+    is this law with ``h = dt / delta^2``, with ``W = 1`` watcher under
+    broadcast-only information and ``W = n`` under broadcast-plus-local.
+    """
+
+    watchers: int
+    h: float
+    survival: np.ndarray
+    second: np.ndarray
+
+    @property
+    def exit_pmf(self) -> np.ndarray:
+        """``P(exit at step k) = s_(k-1)^W - s_k^W`` for ``k = 1, 2, ...``."""
+        alive = self.survival**self.watchers
+        return alive[:-1] - alive[1:]
+
+    def mean_exit_steps(self) -> float:
+        """``sum_k s_k^W``, the mean number of steps to the first exit."""
+        return float((self.survival**self.watchers).sum())
+
+    def mean_exit_time(self, dt: float) -> float:
+        """``dt sum_k s_k^W``: the grid mean exit on a grid of step ``dt``."""
+        return dt * self.mean_exit_steps()
+
+    def cost(self, n: int, delta: float) -> float:
+        """``J_grid = n (n - 1) delta^2 sum q_k s_k^(W-1) / sum s_k^W``: the
+        long-run ``x'Lx`` of ``n`` agents under the level rule of threshold
+        ``delta`` with left-endpoint rectangles on the grid.  Each agent's
+        error is ``delta`` times a walk and every cycle ends at the first
+        exit of the ``W`` it waits for; flipping one walk's sign changes no
+        exit, so the cross terms of ``x'Lx`` vanish."""
+        check_count("agent count", n)
+        check_positive("threshold", delta)
+        s = self.survival
+        occupied = float((self.second * s ** (self.watchers - 1)).sum())
+        return n * (n - 1) * delta * delta * occupied / self.mean_exit_steps()
+
+
+@functools.lru_cache(maxsize=64)
+def _killed_walk_modes(h: float):
+    """``(lam, s_mode, q_mode)`` with ``s_k = sum s_mode lam^(k-1)`` and
+    ``q_k = sum q_mode lam^(k-1)`` for ``k >= 1``.
+
+    The sub-density of a walk still inside after ``k`` steps follows
+    ``f_(k+1)(x) = int phi_h(x - y) f_k(y) dy`` over the band from ``f_1 =
+    phi_h``.  At Gauss-Legendre nodes ``x_i`` with weights ``w_i`` this is the
+    Nystrom recursion ``f_(k+1) = Phi W f_k`` (Atkinson, *The Numerical
+    Solution of Integral Equations of the Second Kind*, 1997); one ``eigh``
+    of the symmetric ``W^(1/2) Phi W^(1/2)`` gives every power.
+    """
+    x, w = np.polynomial.legendre.leggauss(_LAW_NODES)
+    root = np.sqrt(w)
+    kernel = np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * h)) / math.sqrt(2.0 * math.pi * h)
+    lam, vec = np.linalg.eigh(root[:, None] * kernel * root[None, :])
+    start = vec.T @ (root * np.exp(-x * x / (2.0 * h)) / math.sqrt(2.0 * math.pi * h))
+    return lam, (vec.T @ root) * start, (vec.T @ (root * x * x)) * start
+
+
+@functools.lru_cache(maxsize=64)  # pure in (watchers, h); an eigh costs ~0.5 s
+def grid_level_law(watchers: int, h: float) -> GridLevelLaw:
+    """The grid level law of ``watchers`` walks of step variance ``h``
+    (``GridLevelLaw``), from the Nystrom recursion of ``_killed_walk_modes``
+    with 400 nodes.  That many nodes resolve the step kernel for ``h`` down
+    to about ``5e-5``; a smaller ``h`` raises ``ValueError``."""
+    check_count("watchers", watchers)
+    check_positive("h", h)
+    if h < 5e-5:
+        raise ValueError(f"h {h} is below 5e-05, finer than {_LAW_NODES} nodes resolve")
+    lam, s_mode, q_mode = _killed_walk_modes(float(h))
+    powers = lam ** np.arange(_LAW_BLOCK)[:, None]
+    scale = np.ones_like(lam)  # lam^(k - 1) at a block's first step k
+    survival, second = [np.ones(1)], [np.zeros(1)]
+    while survival[-1][-1] ** watchers >= _LAW_TAIL:
+        survival.append(powers @ (s_mode * scale))
+        second.append(powers @ (q_mode * scale))
+        scale *= lam**_LAW_BLOCK
+    survival, second = np.concatenate(survival), np.concatenate(second)
+    end = int(np.argmax(survival**watchers < _LAW_TAIL))
+    survival, second = survival[:end], second[:end]
+    for cached in (survival, second):  # every caller gets the same arrays
+        cached.setflags(write=False)
+    return GridLevelLaw(watchers, float(h), survival, second)

@@ -53,9 +53,26 @@ them, and agent 0's reward, are taken as their exact conditional
 expectations (``_bridge_sums``): conditional Monte Carlo, with the grid
 fleet's mean and no larger a variance.  Event times, counts, cycle lengths
 and the elapsed time stay in grid steps, so they are the grid fleet's,
-bit for bit; with ``MAX_COARSE_STEPS = 1`` the whole trial is.  The
-level rule, and a trial that records a trajectory, keep one row per grid
-step.  Trials are embarrassingly parallel: each owns a substream keyed
+bit for bit; with ``MAX_COARSE_STEPS = 1`` the whole trial is.
+
+A level rule on a wide enough band (``fleet_coarse_steps``, a function of
+the threshold and the grid step) takes coarse steps too, with one draw
+per agent per step, and draws the grid points between an agent's coarse
+points only where the first-exit sampler would: where an end lies beyond
+``far`` of the agent's base (``triggering.coarse_far``), from the exact
+discrete bridge through the sampler's ``triggering.bridge_point``.  Any
+other entry reaches the band with probability below ``2 exp(-40)``.  The
+search runs in rounds, per chunk and per inter-event segment
+(``_coarse_level_events``), and a row that holds an event before its end
+is drawn whole and settled grid step by grid step (``_refined_rows``), so
+resets, initiators and logged states are exact.  The cost and agent 0's
+reward take the drawn points as they are and the bridge law for the rest
+(``_CoarseRows``): the conditional expectation given what was drawn.
+Such a fleet is exact in law, not pathwise: its gates are the whole-law
+test of its exit steps and the grid level law's cost
+(``costs.grid_level_law``).  A trial that records a trajectory keeps one
+row per grid step under either rule, as does a level rule on a narrower
+band.  Trials are embarrassingly parallel: each owns a substream keyed
 by its index, and batches merge per-trial results in fixed index order.
 """
 
@@ -80,6 +97,9 @@ from .triggering import (
     Periodic,
     TriggerEvent,
     TriggerScheme,
+    bridge_levels,
+    bridge_point,
+    coarse_far,
     periodic_fire_step,
 )
 
@@ -98,6 +118,9 @@ CHUNK_STEPS = 2048
 # the level rule searches for crossings in bounded windows so that a hit early
 # in a chunk does not scan the whole remainder
 LEVEL_LOOKAHEAD = 256
+# a round of the coarse level search covers about this many expected gaps
+# between an agent's events (broadcast-only) or the fleet's (broadcast-plus-local)
+WINDOW_GAPS = 2.0
 
 
 @dataclass(frozen=True)
@@ -160,14 +183,31 @@ class ScenarioConfig:
 
 
 def fleet_coarse_steps(config: ScenarioConfig) -> int:
-    """The most grid steps one row of ``config``'s trials covers:
-    ``MAX_COARSE_STEPS`` under a periodic rule, whose deadlines are known
-    before any noise is drawn, and 1 under the level rule, which must
-    watch every grid point, and in a trial that records a trajectory,
-    which shows every stride row."""
-    if isinstance(config.scheme, Periodic) and not config.record_trajectory:
-        return MAX_COARSE_STEPS
-    return 1
+    """The most grid steps one row of ``config``'s trials covers.
+
+    A periodic rule's deadlines are known before any noise is drawn, so its
+    rows are ``MAX_COARSE_STEPS`` grid steps long.  A level rule's rows are
+    too when its band is wide enough for them to pay: when ``far``
+    (``triggering.coarse_far``), the distance from the band's centre
+    beyond which a coarse step's grid points are drawn, is at least three
+    quarters of the threshold, which at ``dt = 2e-3`` means ``delta >=
+    3.06``.  That depends on ``(delta, dt)`` alone.  On narrower bands the
+    search's work per event outweighs the draws that coarse rows save, and
+    the rows stay one grid step: measured per cell (``BENCH_17.json``),
+    ``table1``'s ET cells of thresholds 2.24 (n = 10, broadcast-only) and
+    1.89 (n = 50, broadcast-plus-local) ran 1.03x and 1.16x slower on
+    coarse rows, its n = 50 broadcast-only cell (threshold 5) 1.56x
+    faster.  A trial that
+    records a trajectory shows every stride row, so its rows are grid steps
+    under either rule.
+    """
+    scheme = config.scheme
+    if config.record_trajectory:
+        return 1
+    if isinstance(scheme, Level):
+        if coarse_far(scheme.delta, config.dt, MAX_COARSE_STEPS) < 0.75 * scheme.delta:
+            return 1
+    return MAX_COARSE_STEPS
 
 
 def _expected_interevent(config: "ScenarioConfig") -> float:
@@ -317,7 +357,11 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
     the agents they reset (the initiators, or everyone), so the rows from
     one event up to the next are errors once each agent's running sum at
     its last reset is subtracted: one subtraction per segment, in place,
-    which also zeroes the reset errors at the event row.  Per segment
+    which also zeroes the reset errors at the event row.  When every event
+    resets every agent, nothing is logged and there is at least one event
+    per 4096 entries of the block and at most one per eight rows, those
+    bases are the raw running sums at the stops, gathered at once, and one
+    indexed subtraction covers the block, with the same bits.  Per segment
     agent 0's renewal reward adds up over its left endpoints (the last
     row's step belongs to the next block), and over coarse rows takes the
     expectation of ``_bridge_sums``; per event the renewal cycle closes
@@ -343,28 +387,43 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
     trajectory = fleet.trajectory
     stride = config.trajectory_stride
     span = len(rows) - 1
-    base = np.zeros(config.n)  # each agent's running sum at its last reset
     rewards = []  # agent 0's reward per segment, over unit rows
-    start = 0
-    for k, stop in enumerate([*stops, span + 1]):
-        if k:
-            rows[start:stop] -= base
+    if (count and span * config.n <= 4096 * count <= 512 * span
+            and not fleet.logged and trajectory is None
+            and (not broadcast_only or masks.all())):
+        # every event resets every agent, so each segment's base is the raw
+        # running sum at the stop that starts it: one gather, one subtraction.
+        # That pays once there is an event per 4096 entries of the block, and
+        # up to one event per eight rows keeps the gathered bases within an
+        # eighth of the block
+        bases = rows[stops]
+        rows[stops[0] :] -= bases[np.repeat(np.arange(count), np.diff([*stops, span + 1]))]
         if coarse_rows is None:
-            dev0 = rows[start : min(stop, span), 0]
-            rewards.append(float(dev0 @ dev0))
-        if trajectory is not None:
+            for start, stop in zip([0, *stops], [*stops, span + 1]):
+                dev0 = rows[start : min(stop, span), 0]
+                rewards.append(float(dev0 @ dev0))
+    else:
+        base = np.zeros(config.n)  # each agent's running sum at its last reset
+        start = 0
+        for k, stop in enumerate([*stops, span + 1]):
             if k:
-                fleet.log_state(done + start, rows[start], 1)
-            # an event row takes the place of its step's stride row
-            for j in range(start + 1 + (-(done + start + 1)) % stride, stop, stride):
-                fleet.log_state(done + j, rows[j], 0)
-        if k == count:
-            break
-        mask = masks[k]
-        if fleet.logged:
-            fleet.log_event(rows[stop] - base, mask, steps[k])
-        np.copyto(base, rows[stop], where=mask if broadcast_only else True)
-        start = stop
+                rows[start:stop] -= base
+            if coarse_rows is None:
+                dev0 = rows[start : min(stop, span), 0]
+                rewards.append(float(dev0 @ dev0))
+            if trajectory is not None:
+                if k:
+                    fleet.log_state(done + start, rows[start], 1)
+                # an event row takes the place of its step's stride row
+                for j in range(start + 1 + (-(done + start + 1)) % stride, stop, stride):
+                    fleet.log_state(done + j, rows[j], 0)
+            if k == count:
+                break
+            mask = masks[k]
+            if fleet.logged:
+                fleet.log_event(rows[stop] - base, mask, steps[k])
+            np.copyto(base, rows[stop], where=mask if broadcast_only else True)
+            start = stop
     if coarse_rows is not None:
         rewards = coarse_rows.segment_rewards(rows, stops)
     for k, reward in enumerate(rewards):
@@ -428,6 +487,245 @@ def _level_events(rows: np.ndarray, delta: float, local: bool):
             np.copyto(base, rows[start], where=mask)
         start += 1
     return stops, masks
+
+
+class _Bridges:
+    """The grid points inside the coarse steps of one chunk, drawn on demand.
+
+    ``rows`` holds the chunk's running sums at its coarse points; entry
+    ``e`` is agent ``e % n``'s step from row ``e // n`` to the next, which
+    covers ``k`` grid steps.  ``draw`` fills in the ``k - 1`` grid points of
+    each entry not drawn before from the exact discrete Brownian bridge
+    between its ends (``triggering.bridge_point``), level by level, from one
+    ``normals((k - 1, m))`` block for the ``m`` new entries in ascending
+    order.  Which entries get drawn depends on the coarse points and on
+    earlier draws alone, never on the entry's own grid points, and no entry
+    is drawn twice, so every drawn point follows the bridge law.
+    """
+
+    def __init__(self, rows: np.ndarray, stream: NoiseStream, k: int, dt: float):
+        self.rows = rows
+        self.n = rows.shape[1]
+        self.stream = stream
+        self.levels = bridge_levels(k, dt)[:-1]  # the end is a coarse point
+        self.slot = np.full((len(rows) - 1) * self.n, -1, dtype=np.int32)
+        self.store = np.empty((k - 1, 256))  # column per slot: the grid points 1 .. k - 1
+        self.owner = np.empty(256, dtype=np.int64)  # entry per slot
+        self.count = 0
+
+    def draw(self, entries: np.ndarray) -> np.ndarray:
+        """Draw the grid points of the ascending ``entries`` not drawn yet;
+        return the columns of ``store`` that hold each entry's points."""
+        slots = self.slot[entries]
+        fresh = slots < 0
+        new = entries[fresh]
+        m = new.size
+        if not m:
+            return slots
+        count = self.count
+        if count + m > self.store.shape[1]:
+            grown = np.empty((len(self.levels), 2 * (count + m)))
+            grown[:, :count] = self.store[:, :count]
+            self.store = grown
+            self.owner = np.resize(self.owner, 2 * (count + m))
+        flat = self.rows.reshape(-1)
+        a, end = flat[new], flat[new + self.n]
+        noise = self.stream.normals((len(self.levels), m))
+        for j, (r, sd) in enumerate(self.levels):
+            a = bridge_point(noise[j], a, end.copy(), r, sd)
+        self.store[:, count : count + m] = noise
+        self.owner[count : count + m] = new
+        slots[fresh] = self.slot[new] = np.arange(count, count + m)
+        self.count = count + m
+        return slots
+
+    def points(self, entries: np.ndarray) -> np.ndarray:
+        """The grid points 1 .. k - 1 of drawn ``entries``, a column each."""
+        return self.store[:, self.slot[entries]]
+
+
+def _coarse_level_events(bridges: _Bridges, delta: float, far: float, k: int,
+                         local: bool, window: int):
+    """``(times, masks)`` of the level rule's events in a chunk of coarse
+    running sums: the grid points, counted from the chunk's start, at which
+    some agent's error reaches ``delta``, ascending, and per event the
+    agents that reach it there.
+
+    Each agent's error is its running sum minus its running sum at its last
+    reset, ``base``.  The search runs in rounds over up to ``window`` coarse
+    rows from the earliest point not yet searched.  An agent's first coarse
+    point beyond ``delta`` bounds its next event, and when every event
+    resets every agent (broadcast-plus-local, or a lone agent) the fleet's
+    first one bounds every agent's; a round searches the rows up to there.
+    It draws the grid points of every entry of those rows with an end
+    beyond ``far`` of its agent's base (``_Bridges.draw``; any other entry
+    reaches the band with probability below ``2 exp(-40)``) and takes each
+    agent's first grid point in the band's complement after the point it
+    was last searched through.  Under broadcast-only every agent's first
+    hit is an event of its own, which resets that agent alone.  When every
+    event resets every agent, the earliest hit is the event, its agents
+    are the initiators, and every agent resets at its grid point, so the
+    row that holds it is drawn whole; the row that ends at the bounding
+    coarse point, which most often holds it, is drawn whole with the
+    round's entries.  At the end every other row that holds an event
+    before its end is drawn whole too, so that ``_settle`` can settle
+    every event row grid step by grid step.
+    """
+    rows = bridges.rows
+    span, n = len(rows) - 1, rows.shape[1]
+    last = span * k
+    inner = np.arange(1, k)[:, None]  # the grid points inside a row
+    base = np.zeros(n)
+    times, agents = [], []
+    if local or n == 1:  # every event resets every agent
+        done = 0  # every agent is searched through this point
+        while done < last:
+            lo, off = divmod(done, k)
+            hi = min(lo + window, span)
+            dist = rows[lo : hi + 1] - base
+            np.abs(dist, out=dist)
+            near = dist > far
+            crossed = np.flatnonzero((dist[1:] >= delta).any(axis=1))
+            stop = int(crossed[0]) + 1 if crossed.size else hi - lo
+            need = near[:stop] | near[1 : stop + 1]
+            if crossed.size:
+                need[-1] = True  # the row that most often holds the event
+            entries = np.flatnonzero(need)
+            entries += lo * n
+            at = (lo + stop) * k if crossed.size else None
+            if entries.size:
+                agent = entries % n
+                slots = bridges.draw(entries)
+                hit = np.abs(bridges.store[:, slots] - base[agent]) >= delta
+                if off:  # the points of row lo up to the last event are searched
+                    hit[:off, : np.searchsorted(entries, (lo + 1) * n)] = False
+                h = np.flatnonzero(hit.any(axis=0))
+                if h.size:
+                    t = entries[h] // n * k + hit[:, h].argmax(axis=0) + 1
+                    at = int(t.min())
+                    initiators = agent[h[t == at]]
+            if at is None:
+                done = hi * k
+                continue
+            if at == (lo + stop) * k:  # no grid point before the coarse crossing
+                initiators = np.flatnonzero(dist[stop] >= delta)
+            times.append(np.full(initiators.size, at))
+            agents.append(initiators)
+            row, j = divmod(at, k)
+            if j:  # every agent resets inside the row: draw all of it
+                slots = bridges.draw(row * n + np.arange(n))
+                base = bridges.store[j - 1, slots]
+            else:
+                base = rows[row].copy()
+            done = at
+    else:
+        done = np.zeros(n, dtype=np.int64)  # each agent is searched through this point
+        while True:
+            live = np.flatnonzero(done < last)
+            if not live.size:
+                break
+            whole = live.size == n
+            cols = slice(None) if whole else live
+            start = done[cols]
+            lo = int(start.min()) // k
+            hi = min(lo + window, span)
+            dist = rows[lo : hi + 1, cols] - base[cols]
+            np.abs(dist, out=dist)
+            row = np.arange(hi - lo)[:, None]
+            first = start // k - lo  # the row each agent starts in
+            later = first.any()  # some agent starts past the window's first row
+            over = dist[1:] >= delta
+            if later:
+                over &= row >= first
+            crossed = over.any(axis=0)
+            stop = np.where(crossed, over.argmax(axis=0) + 1, hi - lo)
+            near = dist > far
+            need = near[:-1] | near[1:]
+            need &= row < stop
+            if later:
+                need &= row >= first
+            r, c = np.nonzero(need)
+            entries = (r + lo) * n + (c if whole else live[c])
+            # an agent's coarse crossing is its event unless a grid point before it is
+            ends = np.full(n, last + 1)
+            ends[live] = np.where(crossed, (lo + stop) * k, last + 1)
+            if entries.size:
+                agent = entries % n
+                slots = bridges.draw(entries)
+                hit = np.abs(bridges.store[:, slots] - base[agent]) >= delta
+                hit &= inner + (entries // n * k) > start[c]
+                h = np.flatnonzero(hit.any(axis=0))
+                if h.size:
+                    # entries run row by row, so an agent's first hit comes first
+                    who, once = np.unique(agent[h], return_index=True)
+                    h = h[once]
+                    j = hit[:, h].argmax(axis=0)
+                    ends[who] = entries[h] // n * k + j + 1
+            done[live] = (lo + stop) * k
+            fired = np.flatnonzero(ends <= last)
+            if not fired.size:
+                continue
+            at = ends[fired]
+            times.append(at)
+            agents.append(fired)
+            row, j = np.divmod(at, k)
+            base[fired] = rows[row, fired]
+            inside = np.flatnonzero(j)
+            if inside.size:
+                slots = bridges.slot[row[inside] * n + fired[inside]]
+                base[fired[inside]] = bridges.store[j[inside] - 1, slots]
+            done[fired] = at
+    if not times:
+        return np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=bool)
+    times, agents = np.concatenate(times), np.concatenate(agents)
+    at, event = np.unique(times, return_inverse=True)
+    masks = np.zeros((at.size, n), dtype=bool)
+    masks[event, agents] = True
+    split = np.unique(at[at % k != 0] // k)
+    bridges.draw((split[:, None] * n + np.arange(n)).reshape(-1))
+    return at, masks
+
+
+def _refined_rows(bridges: _Bridges, increments: np.ndarray, times: np.ndarray, k: int,
+                  step_var: float):
+    """``(rows, stops, coarse_rows)`` for ``_settle``: the chunk's coarse
+    rows with every row that holds an event before its end split into its
+    ``k`` grid steps, the rows of the events at ``times`` (grid points from
+    the chunk's start), and their ``_CoarseRows``, which carry the grid
+    points drawn in the other rows.  Without such rows the running sums are
+    used as they are."""
+    rows = bridges.rows
+    span, n = len(rows) - 1, rows.shape[1]
+    split = np.unique(times[times % k != 0] // k)
+    shift = np.zeros(span + 1, dtype=np.int64)
+    shift[split + 1] = k - 1
+    at = np.arange(span + 1) + np.cumsum(shift)  # where each coarse point goes
+    size = at[-1] + 1
+    ends = np.empty(size, dtype=np.int64)
+    ends[at] = np.arange(span + 1) * k
+    coarse = np.ones(span, dtype=bool)
+    coarse[split] = False
+    # exact grid points minus their bridge means, for the coarse rows' drawn entries
+    drawn = np.sort(bridges.owner[: bridges.count])
+    drawn = drawn[coarse[drawn // n]]
+    row, agent = np.divmod(drawn, n)
+    d = bridges.points(drawn).T
+    d -= (rows.reshape(-1)[drawn, None]
+          + increments.reshape(-1)[drawn, None] * (np.arange(1, k) / k))
+    if split.size:
+        grid = at[split, None] + np.arange(1, k)
+        ends[grid] = split[:, None] * k + np.arange(1, k)
+        out = np.empty((size, n))
+        out[at] = rows
+        whole = (split[:, None] * n + np.arange(n)).reshape(-1)
+        out[grid] = bridges.points(whole).reshape(k - 1, split.size, n).transpose(1, 0, 2)
+        # a grid step's increment enters its cost with weight zero (_bridge_sums)
+        steps = np.empty((size - 1, n))
+        steps[at[:-1]] = increments
+        steps[grid] = 0.0
+        rows, increments = out, steps
+    stops = (at[times // k] + times % k).tolist()
+    return rows, stops, _CoarseRows(ends, increments, step_var, (at[row], agent, d))
 
 
 def _chunk_deadlines(fire_counts, offsets, period, dt, done, span):
@@ -515,13 +813,59 @@ class _CoarseRows:
     """The coarse rows of one chunk: row ``r`` ends ``ends[r]`` grid steps
     after the chunk's start, and the step from row ``r`` to row ``r + 1``
     is ``k[r]`` grid steps long and has the increments ``increments[r]``,
-    drawn with variance ``k[r] * step_var`` per agent."""
+    drawn with variance ``k[r] * step_var`` per agent.
 
-    def __init__(self, ends: np.ndarray, increments: np.ndarray, step_var: float):
+    ``refined``, if given, is ``(row, agent, d)`` for the entries of coarse
+    steps whose grid points were drawn: per entry its row, its agent and its
+    ``k - 1`` inner grid points minus their bridge means.  The cost and the
+    reward then take those points as they are and the bridge law for the
+    rest: given what was drawn, agents are independent, so for a quadratic
+    form the drawn entries correct the bridge sums by their own terms and by
+    their cross terms with the row's summed means.
+    """
+
+    def __init__(self, ends: np.ndarray, increments: np.ndarray, step_var: float,
+                 refined=None):
         self.ends = ends
         self.increments = increments
         self.k = np.diff(ends).astype(float)
         self.step_var = step_var
+        self.refined = refined
+        self._terms = None  # _drawn_terms of the settled rows, once formed
+
+    def _drawn_terms(self, rows: np.ndarray):
+        """``(cost, rewards)``: what the drawn entries add to the bridge sums
+        of the settled ``rows``, to the chunk's ``sum x'Lx`` and per row to
+        agent 0's ``sum e_0^2``, formed once.  Given what was drawn, agents are
+        independent, so at each inner grid point ``n sum (m + d)^2 - (S +
+        D)^2`` replaces ``n sum (m^2 + v) - S^2 - sum v`` over a row's drawn
+        entries, with ``m`` their bridge means, ``v`` their variances, and
+        ``S`` and ``D`` the row's sums of ``m`` over all agents and of ``d``
+        over the drawn ones."""
+        if self._terms is not None:
+            return self._terms
+        row, agent, d = self.refined
+        rewards = np.zeros(len(rows) - 1)
+        if not len(row):
+            self._terms = 0.0, rewards
+            return self._terms
+        k = d.shape[1] + 1
+        j = np.arange(1, k)
+        flat = row * rows.shape[1] + agent
+        m = rows.reshape(-1)[flat, None] + self.increments.reshape(-1)[flat, None] * (j / k)
+        v = self.step_var * j * (k - j) / k
+        own = d * (2 * m + d)
+        n = rows.shape[1]
+        first = np.flatnonzero(np.diff(row, prepend=-1))
+        at = row[first]
+        s = rows[at].sum(axis=1)[:, None] + self.increments[at].sum(axis=1)[:, None] * (j / k)
+        dsum = np.add.reduceat(d, first, axis=0)
+        cost = (n * float(own.sum()) - (n - 1) * len(row) * float(v.sum())
+                - float((dsum * (2 * s + dsum)).sum()))
+        lead = agent == 0
+        rewards[row[lead]] = (own[lead] - v).sum(axis=1)
+        self._terms = cost, rewards
+        return self._terms
 
     def cost(self, rows: np.ndarray) -> float:
         """Expected ``sum x'Lx`` over the grid points of the chunk's steps,
@@ -530,13 +874,17 @@ class _CoarseRows:
         n = rows.shape[1]
         sums = _bridge_sums(self.k, consensus_cost_rows(a), consensus_cost_rows(a, z),
                             consensus_cost_rows(z), n * (n - 1) * self.step_var)
-        return float(sums.sum())
+        if self.refined is None:
+            return float(sums.sum())
+        return float(sums.sum()) + self._drawn_terms(rows)[0]
 
     def segment_rewards(self, rows: np.ndarray, stops: List[int]) -> List[float]:
         """Expected ``sum e_0^2`` over the grid points of the steps from each
         of row 0 and the rows ``stops`` up to the next of them."""
         a, z = rows[:-1, 0], self.increments[:, 0]
         sums = _bridge_sums(self.k, a * a, a * z, z * z, self.step_var)
+        if self.refined is not None:
+            sums += self._drawn_terms(rows)[1]
         # a zero past the end is the sum of an empty last segment
         return np.add.reduceat(np.append(sums, 0.0), [0, *stops]).tolist()
 
@@ -564,9 +912,14 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     agent for a step of ``k`` grid steps; the cost and agent 0's reward
     over its grid points are their expectations given its endpoints
     (``_bridge_sums``).  Event times, cycle lengths and the elapsed time
-    stay in grid steps.  Under the level rule, and in a trial that
-    records a trajectory, every row is one grid step and the cost and
-    reward sum its rows, exactly as ``run_trial_reference`` does.
+    stay in grid steps.  A level rule on a wide enough band steps
+    ``MAX_COARSE_STEPS`` grid steps a row up to the horizon's last whole
+    coarse step, draws grid points between coarse points only near the
+    band and in rows that hold events, and takes the cost and reward as
+    their expectations given what was drawn.  Under a level rule on a
+    narrower band, and in a trial that records a trajectory, every row is
+    one grid step and the cost and reward sum its rows, exactly as
+    ``run_trial_reference`` does.
     """
     n = config.n
     dt = config.dt
@@ -577,6 +930,14 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     chunk = min(CHUNK_STEPS, max(1, CHUNK_BYTES // (8 * n)))
     if level:
         local = config.scenario is InfoScenario.BROADCAST_LOCAL
+        far = coarse_far(scheme.delta, dt, coarse)
+        window = max(1, int(WINDOW_GAPS * _expected_interevent(config) / (coarse * dt)))
+        if coarse > 1:
+            # a chunk may draw every grid point of its coarse rows (rows that
+            # hold events are drawn whole), so the budget bounds those; small
+            # fleets get up to CHUNK_STEPS coarse rows of grid steps each
+            capacity = max(1, min(CHUNK_STEPS * coarse, CHUNK_BYTES // (8 * n * coarse),
+                                  config.steps // coarse))
     else:
         # without offsets there is one phase, which every agent shares
         offsets = _phase_offsets(scheme, 1)
@@ -597,14 +958,19 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
 
     # rows[k] follows the errors to the end of row k without resets: row 0
     # holds the current errors, each later row adds a step
-    buffer = np.empty((chunk + 1, n))
-    increments = np.empty((chunk, n)) if coarse > 1 else None
+    if not (level and coarse > 1):
+        capacity = chunk  # rows per chunk
+    buffer = np.empty((capacity + 1, n))
+    increments = np.empty((capacity, n)) if coarse > 1 else None
     coarse_rows = None  # the chunk's coarse steps, unless its rows are grid steps
     done = 0  # completed steps; fleet.e holds the errors at time done*dt
     while done < steps_total:
         left = steps_total - done
         if level:
-            span = min(chunk, left)
+            # coarse rows up to the horizon's last whole one, grid steps after it
+            k = coarse if left >= coarse else 1
+            span = min(capacity, left // k)
+            coarse_rows = None  # until the chunk's events are known
         else:
             grid = min(reach, left)
             stops, masks = _chunk_deadlines(fire_counts, offsets, scheme.period, dt, done, grid)
@@ -622,13 +988,22 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
         rows = buffer[: span + 1]
         rows[0] = fleet.e
         noise = stream.normals((span, n), out=rows[1:])
-        if coarse_rows is None:
+        if level and k > 1:
+            noise *= np.sqrt(k * dt)
+            np.copyto(increments[:span], noise)
+        elif coarse_rows is None:
             noise *= sqrt_dt
         else:
             noise *= np.sqrt(coarse_rows.k * dt)[:, None]
             np.copyto(coarse_rows.increments, noise)
         _running_sum(rows)
-        if level:
+        if level and k > 1:
+            bridges = _Bridges(rows, stream, k, dt)
+            times, masks = _coarse_level_events(bridges, scheme.delta, far, k, local, window)
+            rows, stops, coarse_rows = _refined_rows(bridges, increments[:span], times, k,
+                                                     noise_scale**2 * dt)
+            del bridges
+        elif level:
             stops, masks = _level_events(rows, scheme.delta, local)
         _settle(fleet, rows, stops, masks, done, coarse_rows)
         if coarse_rows is None:
@@ -638,7 +1013,7 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
         else:
             acc.integral_sum += coarse_rows.cost(rows) * dt
             done += int(coarse_rows.ends[-1])
-        fleet.e = rows[span]
+        fleet.e = rows[-1]
 
     acc.elapsed = _grid_time(steps_total, chunk, dt)
     return TrialResult(accumulator=acc, events=fleet.events, trajectory=fleet.trajectory)

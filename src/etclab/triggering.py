@@ -23,7 +23,10 @@ steps ``MAX_COARSE_STEPS`` grid steps at a time and fills in the grid
 points between, from the exact discrete Brownian bridge, only for agents
 that come near enough to a boundary to be seen leaving it (Glasserman,
 *Monte Carlo Methods in Financial Engineering*, 2004, section 3.1);
-every other agent's fine points could not change the exit.
+every other agent's fine points could not change the exit.  That
+coarse-to-fine core, the ``far`` test (``coarse_far``) and the bridge
+point (``bridge_levels``, ``bridge_point``), also serves the fleet's
+level rule on coarse rows.
 """
 
 import math
@@ -44,6 +47,9 @@ __all__ = [
     "periodic_fire_step",
     "sample_first_passage_batch",
     "coarse_exit_gap",
+    "coarse_far",
+    "bridge_levels",
+    "bridge_point",
 ]
 
 # Relative tolerance for "time crosses a deadline" comparisons.
@@ -113,6 +119,45 @@ def staggered_offsets(n: int, period: float) -> Tuple[float, ...]:
 def periodic_fire_step(tau: np.ndarray, dt: float) -> np.ndarray:
     """Grid step indices at which the deadlines ``tau`` are detected."""
     return np.ceil(tau / dt - EPS_REL).astype(np.int64)
+
+
+def coarse_far(delta: float, dt: float, coarse: int) -> float:
+    """How far from the centre of the band ``[-delta, delta]`` both ends of
+    a coarse step of ``coarse`` grid steps may lie before its grid points
+    are drawn: ``delta - sqrt(20 dt) - sqrt(20 coarse dt)``.
+
+    The bridge between two ends within ``far`` comes within ``sqrt(20 dt)``
+    of a boundary with probability below ``2 exp(-40)``, so none of its grid
+    points could reach the band, or be near enough to it for the crossing
+    law to move a bit.  The first-exit sampler and the fleet's level rule
+    both refine a coarse step only where an end lies beyond it."""
+    return delta - math.sqrt(20.0 * dt) - math.sqrt(20.0 * coarse * dt)
+
+
+def bridge_levels(coarse: int, dt: float):
+    """``(r, sd)`` for the grid points of a coarse step of ``coarse`` grid
+    steps, in order: the point ``r`` steps before the step's end follows the
+    discrete Brownian bridge law ``N(f + (end - f) / r, dt (r - 1) / r)``
+    from the point ``f`` before it, and ``sd`` is that standard deviation.
+    The last entry, ``(1, 0.0)``, is the end itself."""
+    return [(r, math.sqrt(dt * (r - 1) / r)) for r in range(coarse, 1, -1)] + [(1, 0.0)]
+
+
+def bridge_point(noise: np.ndarray, a: np.ndarray, end: np.ndarray, r: int,
+                 sd: float) -> np.ndarray:
+    """The grid points one step after the points ``a`` on discrete Brownian
+    bridges that reach ``end`` ``r`` grid steps after ``a``: ``a + (end -
+    a) / r`` plus ``sd`` times the standard normals ``noise``, formed in
+    place in ``noise``, which is returned; ``end`` is overwritten.  One draw per
+    point, in the order of ``a``, so the sampler and the fleet consume
+    their streams as a scalar loop over the points would (Glasserman,
+    *Monte Carlo Methods in Financial Engineering*, 2004, section 3.1)."""
+    noise *= sd
+    end -= a
+    end /= r
+    end += a
+    noise += end
+    return noise
 
 
 def sample_first_passage_batch(
@@ -244,14 +289,9 @@ def _exit_block(stream, times, occupation, delta, dt, n_agents, bridge_correctio
     # a bridge crossing has probability < 1e-17 unless an endpoint is
     # within sqrt(20 dt) of a boundary, so only those entries get the law
     near_band = delta - np.sqrt(20.0 * dt)
-    # likewise the bridge of a coarse step whose endpoints both lie within
-    # far comes within sqrt(20 dt) of a boundary with probability below
-    # 2 exp(-40), so none of its fine points could be detected or tested
-    far = near_band - np.sqrt(20.0 * coarse * dt)
+    far = coarse_far(delta, dt, coarse)
     coarse_sd = np.sqrt(coarse * dt)
-    # the fine point r steps before the end of a coarse step follows the
-    # bridge law N(f + (end - f) / r, dt (r - 1) / r) from the point f before it
-    levels = [(r, np.sqrt(dt * (r - 1) / r)) for r in range(coarse, 1, -1)] + [(1, 0.0)]
+    levels = bridge_levels(coarse, dt)
 
     x = np.zeros((times.size, n_agents))
     x_far = np.abs(x) > far
@@ -292,14 +332,7 @@ def _exit_block(stream, times, occupation, delta, dt, n_agents, bridge_correctio
             # the refined entries' coarse endpoints are gathered from end where
             # they are needed, not held beside it
             if r > 1:
-                f = stream.normals(a.size)
-                f *= sd
-                mean = ends.take(idx)
-                mean -= a
-                mean /= r
-                mean += a
-                f += mean
-                del mean
+                f = bridge_point(stream.normals(a.size), a, ends.take(idx), r, sd)
             else:
                 f = ends if whole else ends.take(idx)
             dist = np.abs(f)

@@ -27,6 +27,7 @@ from etclab import (
     consensus_cost_rows,
     expected_occupation_integral,
     finalize,
+    grid_level_law,
     j_et_broadcast,
     j_tt_broadcast,
     j_tt_broadcast_local,
@@ -193,6 +194,33 @@ def test_criterion_10_periodic_grid_oracle():
         details.append(f"n={n} {kind} P={scheme.period}: {rep.j_time_avg:.5g} vs "
                        f"{oracle:.5g} ({z:+.1f} SE)")
     check("10", ok, "; ".join(details) + " (band 5 SE)")
+
+
+def level_cells():
+    """Every level fleet of criteria 3, 4 and 7, and table1's ET-b cells of
+    n = 10 and 50 at T = 0.5 (thresholds sqrt(5) and 5)."""
+    cells = [(3, B, math.sqrt(1.5)), (10, B, math.sqrt(1.5)),
+             *((n, BL, calibrated(n, 0.5).delta_star) for n in (3, 10, 50)),
+             (10, B, math.sqrt(5.0)), (50, B, 5.0)]
+    return cells
+
+
+def test_criterion_10_level_grid_oracle():
+    # the grid level law's cost n (n - 1) delta^2 sum q_k s_k^(W-1) / sum s_k^W,
+    # with W = 1 watcher under broadcast-only and n under broadcast-plus-local,
+    # within five standard errors of the time average: the periodic band
+    t975 = stats.t.ppf(0.975, TRIALS - 1)
+    details = []
+    ok = True
+    for n, scenario, delta in level_cells():
+        _, rep = fleet(n, scenario, Level(delta))
+        watchers = 1 if scenario is B else n
+        oracle = grid_level_law(watchers, DT / delta**2).cost(n, delta)
+        z = (rep.j_time_avg - oracle) / (rep.ci_halfwidth / t975)
+        ok &= abs(z) <= 5
+        details.append(f"n={n} {scenario.value} delta={delta:.4g}: {rep.j_time_avg:.5g} vs "
+                       f"{oracle:.5g} ({z:+.1f} SE)")
+    check("10 level", ok, "; ".join(details) + " (band 5 SE)")
 
 
 # --- criterion 6: calibration cross-check -----------------------------------

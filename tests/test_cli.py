@@ -195,16 +195,30 @@ def test_calibrate_reference_point(tmp_path):
     assert f"fpt_coarse_steps={MAX_COARSE_STEPS}" in manifest
 
 
+K = MAX_COARSE_STEPS
+# table1 rows in CSV order: TT-b, ET-b, TT-bl, ET-bl for n = 3 (T = 0.25 and
+# 0.5), 10 and 50; of the level rows only n = 50's broadcast-only one, of
+# threshold 5, is coarse
+TABLE1_COARSE = ",".join(map(str, [K, 1, K, 1, K, 1, K, 1, K, 1, K, 1, K, K, K, 1]))
+
+
 @pytest.mark.parametrize("argv, coarse", [
-    (["simulate", "--trigger", "periodic-sync", "--period", "0.5"], MAX_COARSE_STEPS),
+    (["simulate", "--trigger", "periodic-sync", "--period", "0.5"], K),
     (["simulate", "--trigger", "level", "--delta", "1.0"], 1),
-    (["table1"], MAX_COARSE_STEPS),
-    (["sweep-n", "--n-list", "3"], MAX_COARSE_STEPS),
+    (["simulate", "--trigger", "level", "--delta", "4.0"], K),
+    (["simulate", "--scenario", "bl", "--trigger", "level", "--delta", "4.0"], K),
+    (["table1"], TABLE1_COARSE),
+    (["sweep-n", "--n-list", "3,50"], f"{K}/1,{K}/1"),
     (["trajectory", "--trigger", "periodic-sync", "--period", "0.5"], 1),
-], ids=["simulate-periodic", "simulate-level", "table1", "sweep-n", "trajectory"])
+    (["trajectory", "--trigger", "level", "--delta", "4.0"], 1),
+], ids=["simulate-periodic", "simulate-level", "simulate-coarse-level-b",
+        "simulate-coarse-level-bl", "table1", "sweep-n", "trajectory",
+        "trajectory-level"])
 def test_manifest_records_the_fleet_coarse_step(tmp_path, argv, coarse):
-    # a CSV and its manifest alone say whether the periodic rows' costs are
-    # expectations over coarse steps; a trajectory shows every grid step
+    # a CSV and its manifest alone say whether each row's costs are
+    # expectations over coarse steps: periodic rows, and level rows whose
+    # band is wide enough (driver.fleet_coarse_steps); a trajectory shows
+    # every grid step
     out = tmp_path / "x.csv"
     length = ["--duration", "2"] if argv[0] == "trajectory" else ["--horizon", "2",
                                                                   "--trials", "1"]

@@ -15,6 +15,7 @@ from etclab import (
     calibrate_global_threshold,
     expected_occupation_integral,
     finalize,
+    grid_level_law,
     j_et_broadcast,
     j_tt_broadcast,
     j_tt_broadcast_local,
@@ -106,6 +107,44 @@ def test_periodic_grid_oracle():
     assert j_tt_broadcast(4, 2e-3, 2e-3) == 0.0
     with pytest.raises(ValueError, match="exceeds the period"):
         j_tt_broadcast(3, 0.25, 0.5)
+
+
+# table1's level cells at dt 2e-3: (n, W, threshold, grid cost as computed
+# independently when the grid law was first derived, to the digits given)
+TABLE1_GRID_LEVEL = [
+    (3, 1, math.sqrt(0.75), "0.7924"), (3, 1, math.sqrt(1.5), "1.5610"),
+    (10, 1, math.sqrt(5.0), "76.71"), (50, 1, 5.0, "10314"),
+    (3, 3, level_threshold(3, 0.25), "0.4993"), (3, 3, level_threshold(3, 0.5), "0.9826"),
+    (10, 10, level_threshold(10, 0.5), "20.582"), (50, 50, level_threshold(50, 0.5), "634.4"),
+]
+
+
+@pytest.mark.parametrize("n, watchers, delta, value", TABLE1_GRID_LEVEL)
+def test_grid_level_law_matches_the_table1_grid_oracles(n, watchers, delta, value):
+    # agreement to half a unit in the last digit given
+    digits = len(value.split(".")[1]) if "." in value else 0
+    law = grid_level_law(watchers, 2e-3 / delta**2)
+    assert law.cost(n, delta) == pytest.approx(float(value), abs=0.5 * 10.0**-digits)
+
+
+def test_grid_level_law_is_a_distribution():
+    # s_0 = 1, s_k falls, the exit pmf sums to one, a lone walk on a fine grid
+    # takes about 1 / h steps, and a wider band (smaller h) takes longer
+    law = grid_level_law(3, 1e-3)
+    assert law.survival[0] == 1.0 and law.second[0] == 0.0
+    assert np.all(np.diff(law.survival) <= 1e-12)
+    assert law.exit_pmf.sum() == pytest.approx(1.0, abs=1e-12)
+    steps = np.arange(1, law.exit_pmf.size + 1)
+    assert law.mean_exit_steps() == pytest.approx(law.exit_pmf @ steps, rel=1e-9)
+    assert grid_level_law(1, 1e-4).mean_exit_steps() * 1e-4 == pytest.approx(1.0117, abs=1e-4)
+    lone, three = (grid_level_law(w, 1e-3).mean_exit_time(1e-3) for w in (1, 3))
+    assert lone > three
+    with pytest.raises(ValueError, match="h"):
+        grid_level_law(1, 1e-5)  # 400 nodes do not resolve so narrow a step kernel
+    with pytest.raises(ValueError, match="watchers"):
+        grid_level_law(0, 1e-3)
+    with pytest.raises(ValueError, match="h"):
+        grid_level_law(1, float("nan"))
 
 
 def test_level_broadcast_cost_values():

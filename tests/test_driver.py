@@ -447,6 +447,153 @@ def test_coarse_chunk_budget_changes_only_rounding(monkeypatch, n):
         assert a.elapsed == pytest.approx(b.elapsed, rel=1e-12)
 
 
+# --- coarse level rows ----------------------------------------------------------
+
+# a broadcast-only and a broadcast-plus-local level cell of twelve agents whose
+# thresholds the rule puts on coarse rows at dt 2e-3 (driver.fleet_coarse_steps),
+# trial 0 at horizon 20 s and seed 1729, in the format of GOLDEN_N3
+GOLDEN_COARSE_LEVEL = {
+    "et-b": (B, Level(4.0), "5750.7644452272725", (2, "26.618040471069293"), 16),
+    "et-bl": (BL, Level(3.5), "3816.79733803937", (6, "31.07974224846401"), 6),
+}
+
+
+@pytest.mark.parametrize("cell", list(GOLDEN_COARSE_LEVEL))
+def test_coarse_level_values_are_pinned(cell):
+    scenario, scheme = GOLDEN_COARSE_LEVEL[cell][:2]
+    config = quiet_config(n=12, scenario=scenario, scheme=scheme)
+    assert driver.fleet_coarse_steps(config) == driver.MAX_COARSE_STEPS == 8
+    pinned_values(12, cell, GOLDEN_COARSE_LEVEL)
+
+
+def test_coarse_level_rule():
+    # coarse rows iff far >= 3 delta / 4, which at dt 2e-3 is delta >= 3.06:
+    # fleet-large's broadcast-only level cell, not its broadcast-plus-local
+    # one nor fleet-small's, and no trial that records a trajectory
+    def steps(delta, **kw):
+        return driver.fleet_coarse_steps(quiet_config(n=3, scenario=BL, scheme=Level(delta),
+                                                      dt=DT, **kw))
+    assert [steps(d) for d in (5.0, 3.1, 3.0, 1.8839, 0.866, 0.7457)] == [8, 8, 1, 1, 1, 1]
+    assert steps(5.0, record_trajectory=True) == 1
+
+
+@pytest.fixture
+def coarse_level(monkeypatch):
+    """Every level row ``MAX_COARSE_STEPS`` grid steps long, whatever the band."""
+    monkeypatch.setattr(driver, "fleet_coarse_steps", lambda config: driver.MAX_COARSE_STEPS)
+
+
+# wide bands the rule puts on coarse rows, and narrow ones where every
+# coarse step is drawn and most rows hold events
+COARSE_LEVEL_CASES = {
+    "wide-b": (4, B, Level(2.0)),
+    "wide-bl": (4, BL, Level(1.7)),
+    "wide-bl-20": (20, BL, Level(1.6)),
+    "narrow-b": (4, B, Level(0.3)),
+    "narrow-bl": (4, BL, Level(0.3)),
+}
+
+
+def coarse_level_case(case, **kw):
+    n, scenario, scheme = COARSE_LEVEL_CASES[case]
+    return quiet_config(n=n, scenario=scenario, scheme=scheme, dt=DT, horizon=30.0, trials=1,
+                        seed=37, record_events=True, **kw)
+
+
+@pytest.mark.usefixtures("coarse_level")
+@pytest.mark.parametrize("case", list(COARSE_LEVEL_CASES))
+def test_coarse_level_rows_under_sign_flip_and_silence(case):
+    config = coarse_level_case(case)
+    base = run_trial(config, 0)
+    flipped = run_trial(config, 0, noise_scale=-1.0)
+    silent = run_trial(config, 0, noise_scale=0.0)
+    assert len(base.events) >= 5
+    assert tallies(flipped.accumulator) == tallies(base.accumulator)
+    assert [(e.time, e.initiators) for e in flipped.events] == [
+        (e.time, e.initiators) for e in base.events]
+    assert silent.events == []
+    assert (silent.accumulator.integral_sum, silent.accumulator.cycle_reward_sum) == (0.0, 0.0)
+
+
+@pytest.mark.usefixtures("coarse_level")
+@pytest.mark.parametrize("case", list(COARSE_LEVEL_CASES))
+def test_coarse_level_logged_and_unlogged_tallies_agree(case):
+    config = coarse_level_case(case)
+    logged = run_trial(config, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # short horizons, as in coarse_level_case()
+        unlogged = run_trial(replace(config, record_events=False), 0)
+    assert logged.events and unlogged.events is None
+    assert tallies(unlogged.accumulator) == tallies(logged.accumulator)
+    # the log's resets are exact: a broadcast-plus-local event lands every
+    # agent on the consensus point, a broadcast-only one its initiators
+    for event in logged.events:
+        e_post = event.x_post - event.xhat_post
+        reset = list(range(config.n)) if event.is_global else list(event.initiators)
+        assert np.all(e_post[reset] == 0.0)
+        e_pre = np.abs(event.x_pre - event.xhat_pre)
+        assert np.all(e_pre[list(event.initiators)] >= config.scheme.delta)
+
+
+def test_drawn_terms_match_explicit_sums():
+    # with some entries' grid points drawn, the chunk's cost and agent 0's
+    # reward are sums over every grid point of n sum x^2 - (sum x)^2 (and
+    # x_0^2), with x the drawn point where there is one and the bridge mean
+    # elsewhere, plus each undrawn entry's bridge variance times n - 1 (and 1)
+    rng = np.random.default_rng(5)
+    n, k, span, dt = 5, 8, 12, DT
+    rows = np.zeros((span + 1, n))
+    rows[1:] = rng.normal(scale=math.sqrt(k * dt), size=(span, n))
+    increments = rows[1:].copy()
+    driver._running_sum(rows)
+    bridges = driver._Bridges(rows, driver.NoiseStream(9), k, dt)
+    drawn = np.sort(rng.choice(span * n, 25, replace=False))
+    drawn = np.union1d(drawn, [0, 3 * n])  # agent 0's entries among them
+    bridges.draw(drawn)
+    raw = rows.copy()
+    out, stops, coarse = driver._refined_rows(bridges, increments, np.zeros(0, np.int64), k, dt)
+    assert out is rows and stops == []
+    cost = coarse.cost(rows)
+    reward = coarse.segment_rewards(rows, [])[0]
+    var = dt * np.arange(k) * (k - np.arange(k)) / k
+    explicit_cost = explicit_reward = 0.0
+    for r in range(span):
+        means = raw[r] + np.outer(np.arange(k) / k, increments[r])  # (k, n)
+        spread = np.tile(var[:, None], (1, n))
+        for i in range(n):
+            e = r * n + i
+            if e in drawn:
+                means[1:, i] = bridges.points(np.array([e]))[:, 0]
+                spread[:, i] = 0.0
+        explicit_cost += float((consensus_cost_rows(means) + (n - 1) * spread.sum(axis=1)).sum())
+        explicit_reward += float((means[:, 0] ** 2 + spread[:, 0]).sum())
+    assert cost == pytest.approx(explicit_cost, rel=1e-10)
+    assert reward == pytest.approx(explicit_reward, rel=1e-10)
+
+
+@pytest.mark.usefixtures("coarse_level")
+@pytest.mark.parametrize("scenario, delta, bound", [(B, 5.0, 2), (BL, 2.5, 2), (B, 2.0, 6)],
+                         ids=["level-broadcast", "level-global", "every-row-an-event"])
+def test_coarse_level_memory_stays_near_the_chunk_budget(scenario, delta, bound):
+    # a chunk may draw every grid point of its coarse rows, so its rows are
+    # sized from the budget as grid steps are (131 coarse rows at n = 1000):
+    # a search window, the drawn points and the split event rows each stay
+    # within about CHUNK_BYTES; at threshold 2 nearly every row holds an
+    # event and is drawn whole
+    n = 1000
+    config = quiet_config(n=n, scenario=scenario, scheme=Level(delta), dt=DT,
+                          horizon=2.5 * driver.CHUNK_BYTES // (8 * n) * DT, trials=1, seed=3)
+    assert driver.fleet_coarse_steps(config) == driver.MAX_COARSE_STEPS
+    tracemalloc.start()
+    try:
+        events = run_trial(config, 0).accumulator.global_event_count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert events > 5
+    assert peak <= bound * driver.CHUNK_BYTES
+
+
 # --- running sums -------------------------------------------------------------
 
 

@@ -1,0 +1,152 @@
+"""Whole-law test: the fleet's and the sampler's exit-step laws against the
+exact grid law.
+
+Under broadcast-plus-local information every event resets every agent, so
+the global inter-event step counts are i.i.d. first exits of ``W = n``
+walks; under broadcast-only information each agent's own inter-event step
+counts are i.i.d. first exits of ``W = 1``.  ``costs.grid_level_law`` gives
+their pmf ``s_(k-1)^W - s_k^W`` exactly, with ``h = dt / delta^2``.  The
+grid-only first-exit sampler reports the end of the detecting step, so its
+step counts follow the same pmf.
+
+Every parameter is fixed before any run: ``dt = 2e-3``, ``delta = sqrt(dt /
+h)`` for ``h`` in {1e-4, 1e-3, 1e-2, 1e-1}; fleet points n = 1 under
+broadcast-only and n in {3, 10} under both scenarios, with every level row
+forced to ``MAX_COARSE_STEPS = 8`` grid steps; 10,000 samples per point
+(the first 10,000 global gaps under broadcast-plus-local, the first
+``ceil(10,000 / n)`` own gaps of every agent, pooled, under broadcast-only);
+seed 1729, one trial whose index is the point's position in the list, and a
+horizon 1.3 times the law's expected need, where a shortfall is a failure.
+Sampler points draw 10,000 grid-only exits for ``n_agents`` in {1, 3, 10}
+at the same ``h``, point ``i`` from ``NoiseStream(1729).child(100 + i)``.
+Bins end at the first step counts where the exact cdf reaches ``j / 20``,
+duplicates merged, the last bin open; a bin expected to hold fewer than 5
+samples is merged into its neighbour.  Pearson's chi-square with ``bins -
+1`` degrees of freedom fails a point at ``p < 1e-4``: over the 32 points the
+family false-alarm rate is at most 3.2e-3.  A failure is reported, never
+re-seeded.  Run with ``-s`` to see every p-value.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from scipy import stats
+
+from etclab import (
+    InfoScenario,
+    Level,
+    NoiseStream,
+    ScenarioConfig,
+    driver,
+    grid_level_law,
+    run_trial,
+    sample_first_passage_batch,
+)
+
+B = InfoScenario.BROADCAST
+BL = InfoScenario.BROADCAST_LOCAL
+
+DT = 2e-3
+H = (1e-4, 1e-3, 1e-2, 1e-1)
+SAMPLES = 10_000
+SEED = 1729
+ALPHA = 1e-4
+
+FLEET_POINTS = [(h, n, scenario) for h in H
+                for n, scenario in ((1, B), (3, B), (3, BL), (10, B), (10, BL))]
+SAMPLER_POINTS = [(h, n) for h in H for n in (1, 3, 10)]
+
+
+def chi_square_p(counts: np.ndarray, watchers: int, h: float) -> float:
+    """p-value of Pearson's chi-square of the step counts ``counts`` against
+    the exact first-exit pmf of ``watchers`` walks, binned as the module
+    docstring says."""
+    law = grid_level_law(watchers, h)
+    pmf = law.exit_pmf
+    cdf = np.cumsum(pmf)
+    # bin j ends at the first step count where the cdf reaches j / 20
+    edges = np.unique([int(np.searchsorted(cdf, j / 20 - 1e-12)) + 1 for j in range(1, 20)])
+    expected = np.diff(np.concatenate(([0.0], cdf[edges - 1], [1.0]))) * counts.size
+    observed = np.diff(np.concatenate(([0], np.searchsorted(np.sort(counts), edges, side="right"),
+                                       [counts.size])))
+    # a bin expected below 5 takes in the next one; a small last bin joins the one before
+    merged_e, merged_o = [], []
+    for e, o in zip(expected, observed):
+        if merged_e and merged_e[-1] < 5:
+            merged_e[-1] += e
+            merged_o[-1] += o
+        else:
+            merged_e.append(e)
+            merged_o.append(o)
+    if len(merged_e) > 1 and merged_e[-1] < 5:
+        merged_e[-2] += merged_e.pop()
+        merged_o[-2] += merged_o.pop()
+    expected, observed = np.array(merged_e), np.array(merged_o, dtype=float)
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    return float(stats.chi2.sf(chi2, len(expected) - 1))
+
+
+def fleet_gaps(index: int, monkeypatch):
+    """Step counts of fleet point ``index``, and the watchers they wait for.
+
+    The trial runs unlogged, as batches do; the event steps and initiators
+    are read off the calls to ``driver._settle``, the one event protocol."""
+    h, n, scenario = FLEET_POINTS[index]
+    delta = math.sqrt(DT / h)
+    watchers = n if scenario is BL else 1
+    per_agent = SAMPLES if scenario is BL else math.ceil(SAMPLES / n)
+    need = per_agent * grid_level_law(watchers, h).mean_exit_steps() * DT
+    steps, masks = [], []
+    settle = driver._settle
+
+    def recording_settle(fleet, rows, stops, chunk_masks, done, coarse_rows=None):
+        ends = np.arange(len(rows)) if coarse_rows is None else coarse_rows.ends
+        steps.append(done + np.asarray(ends)[np.asarray(stops, dtype=np.int64)])
+        masks.append(np.asarray(chunk_masks, dtype=bool).reshape(len(stops), n))
+        return settle(fleet, rows, stops, chunk_masks, done, coarse_rows)
+
+    monkeypatch.setattr(driver, "_settle", recording_settle)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        config = ScenarioConfig(n=n, scenario=scenario, scheme=Level(delta), dt=DT,
+                                horizon=1.3 * need, trials=1, seed=SEED)
+    run_trial(config, index)
+    steps, masks = np.concatenate(steps), np.concatenate(masks)
+    own = [steps] if scenario is BL else [steps[masks[:, a]] for a in range(n)]
+    gaps = [np.diff(s, prepend=0) for s in own]
+    assert all(g.size >= per_agent for g in gaps), f"horizon too short for point {index}"
+    return np.concatenate([g[:per_agent] for g in gaps]), watchers
+
+
+@pytest.fixture
+def coarse_level_rows(monkeypatch):
+    """Every level row of a trial ``MAX_COARSE_STEPS`` grid steps long."""
+    monkeypatch.setattr(driver, "fleet_coarse_steps", lambda config: driver.MAX_COARSE_STEPS)
+
+
+@pytest.mark.usefixtures("coarse_level_rows")
+@pytest.mark.parametrize("index", range(len(FLEET_POINTS)),
+                         ids=[f"h{h:g}-n{n}-{s.value}" for h, n, s in FLEET_POINTS])
+def test_fleet_exit_steps_follow_the_grid_law(index, monkeypatch):
+    assert driver.MAX_COARSE_STEPS == 8
+    counts, watchers = fleet_gaps(index, monkeypatch)
+    h = FLEET_POINTS[index][0]
+    p = chi_square_p(counts, watchers, h)
+    print(f"[whole law] fleet {FLEET_POINTS[index][2].value} n={FLEET_POINTS[index][1]} "
+          f"h={h:g}: p = {p:.4g}")
+    assert p >= ALPHA
+
+
+@pytest.mark.parametrize("index", range(len(SAMPLER_POINTS)),
+                         ids=[f"h{h:g}-n{n}" for h, n in SAMPLER_POINTS])
+def test_sampler_exit_steps_follow_the_grid_law(index):
+    h, n = SAMPLER_POINTS[index]
+    times = sample_first_passage_batch(NoiseStream(SEED).child(100 + index), SAMPLES,
+                                       math.sqrt(DT / h), DT, n_agents=n,
+                                       bridge_correction=False)
+    counts = np.rint(times / DT).astype(np.int64)
+    p = chi_square_p(counts, n, h)
+    print(f"[whole law] sampler n={n} h={h:g}: p = {p:.4g}")
+    assert p >= ALPHA
