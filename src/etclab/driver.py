@@ -62,10 +62,13 @@ points only where the first-exit sampler would: where an end lies beyond
 ``far`` of the agent's base (``triggering.coarse_far``), from the exact
 discrete bridge through the sampler's ``triggering.bridge_point``.  Any
 other entry reaches the band with probability below ``2 exp(-40)``.  The
-search runs in rounds, per chunk and per inter-event segment
-(``_coarse_level_events``), and a row that holds an event before its end
-is drawn whole and settled grid step by grid step (``_refined_rows``), so
-resets, initiators and logged states are exact.  The cost and agent 0's
+search runs in rounds, per chunk, with one body for both information
+cases (``_coarse_level_events``): it follows each agent from its own last
+reset, and under broadcast-plus-local the fleet's first coarse crossing
+bounds every agent's round, the earliest hit is the event and every agent
+resets there.  A row that holds an event before its end is drawn whole
+and settled grid step by grid step (``_refined_rows``), so resets,
+initiators and logged states are exact.  The cost and agent 0's
 reward take the drawn points as they are and the bridge law for the rest
 (``_CoarseRows``): the conditional expectation given what was drawn.
 Such a fleet is exact in law, not pathwise: its gates are the whole-law
@@ -361,11 +364,12 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
     resets every agent, nothing is logged and there is at least one event
     per 4096 entries of the block and at most one per eight rows, those
     bases are the raw running sums at the stops, gathered at once, and one
-    indexed subtraction covers the block, with the same bits.  Per segment
-    agent 0's renewal reward adds up over its left endpoints (the last
-    row's step belongs to the next block), and over coarse rows takes the
-    expectation of ``_bridge_sums``; per event the renewal cycle closes
-    (on every global event, or on agent 0's own events under
+    indexed subtraction covers the block, with the same bits.  Once the
+    block holds errors, agent 0's renewal reward is formed per segment in
+    one pass: over grid rows it adds up over the segment's left endpoints
+    (the last row's step belongs to the next block), over coarse rows it
+    takes the expectation of ``_bridge_sums``.  Per event the renewal cycle
+    closes (on every global event, or on agent 0's own events under
     broadcast-only).  The events are counted at once.  A logged trial
     forms each event's consensus point from ``x = c_prev + e`` and logs
     the event, and the trajectory rows, in order.
@@ -387,7 +391,6 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
     trajectory = fleet.trajectory
     stride = config.trajectory_stride
     span = len(rows) - 1
-    rewards = []  # agent 0's reward per segment, over unit rows
     if (count and span * config.n <= 4096 * count <= 512 * span
             and not fleet.logged and trajectory is None
             and (not broadcast_only or masks.all())):
@@ -398,19 +401,12 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
         # eighth of the block
         bases = rows[stops]
         rows[stops[0] :] -= bases[np.repeat(np.arange(count), np.diff([*stops, span + 1]))]
-        if coarse_rows is None:
-            for start, stop in zip([0, *stops], [*stops, span + 1]):
-                dev0 = rows[start : min(stop, span), 0]
-                rewards.append(float(dev0 @ dev0))
     else:
         base = np.zeros(config.n)  # each agent's running sum at its last reset
         start = 0
         for k, stop in enumerate([*stops, span + 1]):
             if k:
                 rows[start:stop] -= base
-            if coarse_rows is None:
-                dev0 = rows[start : min(stop, span), 0]
-                rewards.append(float(dev0 @ dev0))
             if trajectory is not None:
                 if k:
                     fleet.log_state(done + start, rows[start], 1)
@@ -424,7 +420,11 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
                 fleet.log_event(rows[stop] - base, mask, steps[k])
             np.copyto(base, rows[stop], where=mask if broadcast_only else True)
             start = stop
-    if coarse_rows is not None:
+    if coarse_rows is None:
+        # agent 0's reward per segment, over its left endpoints: the last
+        # row's step belongs to the next block
+        rewards = [float(dev0 @ dev0) for dev0 in np.split(rows[:span, 0], stops)]
+    else:
         rewards = coarse_rows.segment_rewards(rows, stops)
     for k, reward in enumerate(rewards):
         fleet.cycle_reward += reward * dt
@@ -497,10 +497,11 @@ class _Bridges:
     covers ``k`` grid steps.  ``draw`` fills in the ``k - 1`` grid points of
     each entry not drawn before from the exact discrete Brownian bridge
     between its ends (``triggering.bridge_point``), level by level, from one
-    ``normals((k - 1, m))`` block for the ``m`` new entries in ascending
-    order.  Which entries get drawn depends on the coarse points and on
-    earlier draws alone, never on the entry's own grid points, and no entry
-    is drawn twice, so every drawn point follows the bridge law.
+    ``normals((k - 1, m))`` block for the ``m`` fresh entries in ascending
+    order, and only looks up the entries drawn before.  Which entries get
+    drawn depends on the coarse points and on earlier draws alone, never on
+    the entry's own grid points, and no entry is drawn twice, so every drawn
+    point follows the bridge law.
     """
 
     def __init__(self, rows: np.ndarray, stream: NoiseStream, k: int, dt: float):
@@ -514,8 +515,9 @@ class _Bridges:
         self.count = 0
 
     def draw(self, entries: np.ndarray) -> np.ndarray:
-        """Draw the grid points of the ascending ``entries`` not drawn yet;
-        return the columns of ``store`` that hold each entry's points."""
+        """Draw the grid points of the ``entries`` not drawn yet, which must
+        be in ascending order, and look up the others; return the columns of
+        ``store`` that hold each entry's points."""
         slots = self.slot[entries]
         fresh = slots < 0
         new = entries[fresh]
@@ -554,146 +556,109 @@ def _coarse_level_events(bridges: _Bridges, delta: float, far: float, k: int,
     Each agent's error is its running sum minus its running sum at its last
     reset, ``base``.  The search runs in rounds over up to ``window`` coarse
     rows from the earliest point not yet searched.  An agent's first coarse
-    point beyond ``delta`` bounds its next event, and when every event
-    resets every agent (broadcast-plus-local, or a lone agent) the fleet's
-    first one bounds every agent's; a round searches the rows up to there.
-    It draws the grid points of every entry of those rows with an end
-    beyond ``far`` of its agent's base (``_Bridges.draw``; any other entry
-    reaches the band with probability below ``2 exp(-40)``) and takes each
-    agent's first grid point in the band's complement after the point it
-    was last searched through.  Under broadcast-only every agent's first
-    hit is an event of its own, which resets that agent alone.  When every
-    event resets every agent, the earliest hit is the event, its agents
-    are the initiators, and every agent resets at its grid point, so the
-    row that holds it is drawn whole; the row that ends at the bounding
-    coarse point, which most often holds it, is drawn whole with the
-    round's entries.  At the end every other row that holds an event
-    before its end is drawn whole too, so that ``_settle`` can settle
-    every event row grid step by grid step.
+    point beyond ``delta`` after the point it was last searched through
+    bounds its next event, and a round searches each agent's rows up to
+    there.  It draws the grid points of every entry of those rows with an
+    end beyond ``far`` of its agent's base (``_Bridges.draw``; any other
+    entry reaches the band with probability below ``2 exp(-40)``) and takes
+    each agent's first grid point in the band's complement after the point
+    it was searched through; that hit, or else the bounding crossing, is
+    the agent's event, which resets it alone under broadcast-only
+    information.  Under broadcast-plus-local every event resets every
+    agent, so the fleet's first coarse crossing bounds every agent's
+    search, the row that ends there, which most often holds the event, is
+    drawn whole, only the earliest hit is an event, with the agents that
+    reach the band there as its initiators, and every agent resets at it;
+    a reset inside a row draws that row whole.  A lone agent's search is
+    the same under either information.
     """
     rows = bridges.rows
     span, n = len(rows) - 1, rows.shape[1]
     last = span * k
     inner = np.arange(1, k)[:, None]  # the grid points inside a row
     base = np.zeros(n)
+    everyone = np.arange(n)
     times, agents = [], []
-    if local or n == 1:  # every event resets every agent
-        done = 0  # every agent is searched through this point
-        while done < last:
-            lo, off = divmod(done, k)
-            hi = min(lo + window, span)
-            dist = rows[lo : hi + 1] - base
-            np.abs(dist, out=dist)
-            near = dist > far
-            crossed = np.flatnonzero((dist[1:] >= delta).any(axis=1))
-            stop = int(crossed[0]) + 1 if crossed.size else hi - lo
-            need = near[:stop] | near[1 : stop + 1]
-            if crossed.size:
-                need[-1] = True  # the row that most often holds the event
-            entries = np.flatnonzero(need)
-            entries += lo * n
-            at = (lo + stop) * k if crossed.size else None
-            if entries.size:
-                agent = entries % n
-                slots = bridges.draw(entries)
-                hit = np.abs(bridges.store[:, slots] - base[agent]) >= delta
-                if off:  # the points of row lo up to the last event are searched
-                    hit[:off, : np.searchsorted(entries, (lo + 1) * n)] = False
-                h = np.flatnonzero(hit.any(axis=0))
-                if h.size:
-                    t = entries[h] // n * k + hit[:, h].argmax(axis=0) + 1
-                    at = int(t.min())
-                    initiators = agent[h[t == at]]
-            if at is None:
-                done = hi * k
-                continue
-            if at == (lo + stop) * k:  # no grid point before the coarse crossing
-                initiators = np.flatnonzero(dist[stop] >= delta)
-            times.append(np.full(initiators.size, at))
-            agents.append(initiators)
-            row, j = divmod(at, k)
-            if j:  # every agent resets inside the row: draw all of it
-                slots = bridges.draw(row * n + np.arange(n))
-                base = bridges.store[j - 1, slots]
-            else:
-                base = rows[row].copy()
-            done = at
-    else:
-        done = np.zeros(n, dtype=np.int64)  # each agent is searched through this point
-        while True:
-            live = np.flatnonzero(done < last)
-            if not live.size:
-                break
-            whole = live.size == n
-            cols = slice(None) if whole else live
-            start = done[cols]
-            lo = int(start.min()) // k
-            hi = min(lo + window, span)
-            dist = rows[lo : hi + 1, cols] - base[cols]
-            np.abs(dist, out=dist)
-            row = np.arange(hi - lo)[:, None]
-            first = start // k - lo  # the row each agent starts in
-            later = first.any()  # some agent starts past the window's first row
-            over = dist[1:] >= delta
-            if later:
-                over &= row >= first
-            crossed = over.any(axis=0)
-            stop = np.where(crossed, over.argmax(axis=0) + 1, hi - lo)
-            near = dist > far
-            need = near[:-1] | near[1:]
-            need &= row < stop
-            if later:
-                need &= row >= first
-            r, c = np.nonzero(need)
-            entries = (r + lo) * n + (c if whole else live[c])
-            # an agent's coarse crossing is its event unless a grid point before it is
-            ends = np.full(n, last + 1)
-            ends[live] = np.where(crossed, (lo + stop) * k, last + 1)
-            if entries.size:
-                agent = entries % n
-                slots = bridges.draw(entries)
-                hit = np.abs(bridges.store[:, slots] - base[agent]) >= delta
-                hit &= inner + (entries // n * k) > start[c]
-                h = np.flatnonzero(hit.any(axis=0))
-                if h.size:
-                    # entries run row by row, so an agent's first hit comes first
-                    who, once = np.unique(agent[h], return_index=True)
-                    h = h[once]
-                    j = hit[:, h].argmax(axis=0)
-                    ends[who] = entries[h] // n * k + j + 1
-            done[live] = (lo + stop) * k
-            fired = np.flatnonzero(ends <= last)
-            if not fired.size:
-                continue
-            at = ends[fired]
-            times.append(at)
-            agents.append(fired)
-            row, j = np.divmod(at, k)
-            base[fired] = rows[row, fired]
-            inside = np.flatnonzero(j)
-            if inside.size:
-                slots = bridges.slot[row[inside] * n + fired[inside]]
-                base[fired[inside]] = bridges.store[j[inside] - 1, slots]
-            done[fired] = at
+    done = np.zeros(n, dtype=np.int64)  # each agent is searched through this point
+    while True:
+        live = np.flatnonzero(done < last)
+        if not live.size:
+            break
+        whole = live.size == n
+        cols = slice(None) if whole else live
+        start = done[cols]
+        lo = int(start.min()) // k
+        hi = min(lo + window, span)
+        dist = rows[lo : hi + 1, cols] - base[cols]
+        np.abs(dist, out=dist)
+        row = np.arange(hi - lo)[:, None]
+        first = start // k - lo  # the row each agent starts in
+        later = first.any()  # some agent starts past the window's first row
+        over = dist[1:] >= delta
+        if later:
+            over &= row >= first
+        crossed = over.any(axis=0)
+        stop = np.where(crossed, over.argmax(axis=0) + 1, hi - lo)
+        # an agent's coarse crossing is its event unless a grid point before it is
+        ends = np.full(n, last + 1)
+        ends[live] = np.where(crossed, (lo + stop) * k, last + 1)
+        near = dist > far
+        need = near[:-1] | near[1:]
+        if local and crossed.any():
+            stop = int(stop.min())  # the fleet's first crossing bounds every search
+            need[stop - 1] = True  # the row that most often holds the event
+        need &= row < stop
+        if later:
+            need &= row >= first
+        r, c = np.nonzero(need)
+        entries = (r + lo) * n + (c if whole else live[c])
+        if entries.size:
+            agent = entries % n
+            slots = bridges.draw(entries)
+            hit = np.abs(bridges.store[:, slots] - base[agent]) >= delta
+            hit &= inner + (entries // n * k) > start[c]
+            h = np.flatnonzero(hit.any(axis=0))
+            if h.size:
+                # entries run row by row, so an agent's first hit comes first
+                who, once = np.unique(agent[h], return_index=True)
+                h = h[once]
+                j = hit[:, h].argmax(axis=0)
+                ends[who] = entries[h] // n * k + j + 1
+        done[live] = (lo + stop) * k
+        if local:  # only the earliest hit is an event
+            ends[ends > ends.min()] = last + 1
+        fired = np.flatnonzero(ends <= last)
+        if not fired.size:
+            continue
+        at = ends[fired]
+        times.append(at)
+        agents.append(fired)
+        if local:  # every agent resets at the event
+            fired, at = everyone, np.full(n, at[0])
+        row, j = np.divmod(at, k)
+        base[fired] = rows[row, fired]
+        inside = np.flatnonzero(j)
+        if inside.size:
+            slots = bridges.draw(row[inside] * n + fired[inside])
+            base[fired[inside]] = bridges.store[j[inside] - 1, slots]
+        done[fired] = at
     if not times:
         return np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=bool)
     times, agents = np.concatenate(times), np.concatenate(agents)
     at, event = np.unique(times, return_inverse=True)
     masks = np.zeros((at.size, n), dtype=bool)
     masks[event, agents] = True
-    split = np.unique(at[at % k != 0] // k)
-    bridges.draw((split[:, None] * n + np.arange(n)).reshape(-1))
     return at, masks
 
 
 def _refined_rows(bridges: _Bridges, increments: np.ndarray, times: np.ndarray, k: int,
                   step_var: float):
     """``(rows, stops, coarse_rows)`` for ``_settle``: the chunk's coarse
-    rows with every row that holds an event before its end split into its
-    ``k`` grid steps, the rows of the events at ``times`` (grid points from
-    the chunk's start), and their ``_CoarseRows``, which carry the grid
-    points drawn in the other rows.  Without such rows the running sums are
-    used as they are."""
+    rows with every row that holds an event before its end drawn whole
+    (``_Bridges.draw``) and split into its ``k`` grid steps, the rows of the
+    events at ``times`` (grid points from the chunk's start), and their
+    ``_CoarseRows``, which carry the grid points drawn in the other rows.
+    Without such rows the running sums are used as they are."""
     rows = bridges.rows
     span, n = len(rows) - 1, rows.shape[1]
     split = np.unique(times[times % k != 0] // k)
@@ -717,8 +682,8 @@ def _refined_rows(bridges: _Bridges, increments: np.ndarray, times: np.ndarray, 
         ends[grid] = split[:, None] * k + np.arange(1, k)
         out = np.empty((size, n))
         out[at] = rows
-        whole = (split[:, None] * n + np.arange(n)).reshape(-1)
-        out[grid] = bridges.points(whole).reshape(k - 1, split.size, n).transpose(1, 0, 2)
+        whole = bridges.draw((split[:, None] * n + np.arange(n)).reshape(-1))
+        out[grid] = bridges.store[:, whole].reshape(k - 1, split.size, n).transpose(1, 0, 2)
         # a grid step's increment enters its cost with weight zero (_bridge_sums)
         steps = np.empty((size - 1, n))
         steps[at[:-1]] = increments
@@ -932,12 +897,6 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
         local = config.scenario is InfoScenario.BROADCAST_LOCAL
         far = coarse_far(scheme.delta, dt, coarse)
         window = max(1, int(WINDOW_GAPS * _expected_interevent(config) / (coarse * dt)))
-        if coarse > 1:
-            # a chunk may draw every grid point of its coarse rows (rows that
-            # hold events are drawn whole), so the budget bounds those; small
-            # fleets get up to CHUNK_STEPS coarse rows of grid steps each
-            capacity = max(1, min(CHUNK_STEPS * coarse, CHUNK_BYTES // (8 * n * coarse),
-                                  config.steps // coarse))
     else:
         # without offsets there is one phase, which every agent shares
         offsets = _phase_offsets(scheme, 1)
@@ -949,8 +908,15 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
         # once there are many phases, and at least one coarse step
         reach = max(coarse, min(coarse * chunk, max(chunk, CHUNK_BYTES // (8 * len(offsets)))))
 
+    # rows per chunk: a chunk of coarse level rows may draw every grid point
+    # of its rows (rows that hold events are drawn whole), so the budget
+    # bounds those; small fleets get up to CHUNK_STEPS coarse rows of grid
+    # steps each
+    capacity = (max(1, min(CHUNK_STEPS * coarse, CHUNK_BYTES // (8 * n * coarse),
+                           config.steps // coarse))
+                if level and coarse > 1 else chunk)
+
     stream = NoiseStream(config.seed, trial_index, noise_scale)
-    sqrt_dt = np.sqrt(dt)
     fleet = _Fleet.start(config, trajectory=config.record_trajectory)
     acc = fleet.acc
     if fleet.trajectory is not None:
@@ -958,8 +924,6 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
 
     # rows[k] follows the errors to the end of row k without resets: row 0
     # holds the current errors, each later row adds a step
-    if not (level and coarse > 1):
-        capacity = chunk  # rows per chunk
     buffer = np.empty((capacity + 1, n))
     increments = np.empty((capacity, n)) if coarse > 1 else None
     coarse_rows = None  # the chunk's coarse steps, unless its rows are grid steps
@@ -980,22 +944,19 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
                 stops, masks = np.searchsorted(ends, stops[:kept]), masks[:kept]
                 span = len(ends) - 1
                 coarse_rows = _CoarseRows(ends, increments[:span], noise_scale**2 * dt)
+                k = coarse_rows.k[:, None]
             else:
                 span = grid
+                k = 1
             fire_counts += masks.sum(axis=0)
             stops = stops.tolist()
             masks = np.broadcast_to(masks, (len(stops), n))
         rows = buffer[: span + 1]
         rows[0] = fleet.e
         noise = stream.normals((span, n), out=rows[1:])
-        if level and k > 1:
-            noise *= np.sqrt(k * dt)
+        noise *= np.sqrt(k * dt)  # a row of k grid steps
+        if increments is not None:
             np.copyto(increments[:span], noise)
-        elif coarse_rows is None:
-            noise *= sqrt_dt
-        else:
-            noise *= np.sqrt(coarse_rows.k * dt)[:, None]
-            np.copyto(coarse_rows.increments, noise)
         _running_sum(rows)
         if level and k > 1:
             bridges = _Bridges(rows, stream, k, dt)
@@ -1043,7 +1004,6 @@ def run_trial_reference(
     scheme = config.scheme
     level = isinstance(scheme, Level)
     stream = NoiseStream(config.seed, trial_index, noise_scale)
-    sqrt_dt = np.sqrt(dt)
     fleet = _Fleet.start(config)
     acc = fleet.acc
 
@@ -1052,7 +1012,7 @@ def run_trial_reference(
         acc.integral_sum += float(consensus_cost_rows(e)) * dt
         acc.elapsed += dt
         fleet.cycle_reward += e[0] * e[0] * dt
-        fleet.e = e + stream.normals(n) * sqrt_dt
+        fleet.e = e + stream.normals(n) * np.sqrt(dt)
         if level:
             fired = np.abs(fleet.e) >= scheme.delta
         else:

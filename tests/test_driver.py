@@ -271,9 +271,9 @@ GOLDEN_N3 = {
 }
 
 
-def pinned_values(n, cell, table):
+def pinned_values(n, cell, table, horizon=20.0):
     scenario, scheme, integral, cycles, events = table[cell]
-    config = quiet_config(n=n, scenario=scenario, scheme=scheme, horizon=20.0,
+    config = quiet_config(n=n, scenario=scenario, scheme=scheme, horizon=horizon,
                           trials=1, seed=1729)
     acc = run_trial(config, 0).accumulator
     assert (repr(acc.integral_sum), (acc.cycles, repr(acc.cycle_reward_sum)),
@@ -481,6 +481,28 @@ def test_coarse_level_rule():
 def coarse_level(monkeypatch):
     """Every level row ``MAX_COARSE_STEPS`` grid steps long, whatever the band."""
     monkeypatch.setattr(driver, "fleet_coarse_steps", lambda config: driver.MAX_COARSE_STEPS)
+
+
+# two more paths of the coarse level search, trial 0 at seed 1729 in the format
+# of GOLDEN_N3: a lone agent, on coarse rows by the rule, at horizon 200 s, and
+# five agents under broadcast-plus-local on a band narrow enough that most
+# resets fall inside a row, forced onto coarse rows, at horizon 20 s
+GOLDEN_COARSE_LEVEL_PATHS = {
+    "lone-b": (B, Level(3.5), "0.0", (19, "380.535816256427"), 19),
+    "in-row-bl": (BL, Level(1.2), "62.92661458954366", (40, "3.763822644349751"), 40),
+}
+
+
+def test_lone_agent_coarse_level_values_are_pinned():
+    config = quiet_config(n=1, scenario=B, scheme=Level(3.5))
+    assert driver.fleet_coarse_steps(config) == driver.MAX_COARSE_STEPS == 8
+    pinned_values(1, "lone-b", GOLDEN_COARSE_LEVEL_PATHS, horizon=200.0)
+
+
+@pytest.mark.usefixtures("coarse_level")
+def test_in_row_global_reset_values_are_pinned():
+    assert driver.MAX_COARSE_STEPS == 8
+    pinned_values(5, "in-row-bl", GOLDEN_COARSE_LEVEL_PATHS)
 
 
 # wide bands the rule puts on coarse rows, and narrow ones where every

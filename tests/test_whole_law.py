@@ -23,10 +23,19 @@ Bins end at the first step counts where the exact cdf reaches ``j / 20``,
 duplicates merged, the last bin open; a bin expected to hold fewer than 5
 samples is merged into its neighbour.  Pearson's chi-square with ``bins -
 1`` degrees of freedom fails a point at ``p < 1e-4``: over the 32 points the
-family false-alarm rate is at most 3.2e-3.  A failure is reported, never
-re-seeded.  Run with ``-s`` to see every p-value.
+family false-alarm rate is at most 3.2e-3.
+
+The same fleet trials check agent 0's renewal reward, ``sum e_0^2 dt`` over
+its cycle, which ``driver._settle`` and the coarse rows' expectations form:
+its mean over a cycle is ``delta^2 dt sum_k q_k s_k^(W-1)``.  Agent 0's
+first 10,000 cycles under broadcast-plus-local, or its first ``ceil(10,000
+/ n)`` own cycles under broadcast-only, as ``CostAccumulator.close_cycle``
+records them, give ``z = (mean - law) / (sd / sqrt(m))``, which fails a
+point at a two-sided ``p < 1e-4``.  A failure is reported, never re-seeded.
+Run with ``-s`` to see every p-value.
 """
 
+import functools
 import math
 import warnings
 
@@ -35,6 +44,7 @@ import pytest
 from scipy import stats
 
 from etclab import (
+    CostAccumulator,
     InfoScenario,
     Level,
     NoiseStream,
@@ -88,18 +98,22 @@ def chi_square_p(counts: np.ndarray, watchers: int, h: float) -> float:
     return float(stats.chi2.sf(chi2, len(expected) - 1))
 
 
-def fleet_gaps(index: int, monkeypatch):
-    """Step counts of fleet point ``index``, and the watchers they wait for.
+def fleet_run(index: int):
+    """``(gaps, rewards)`` of fleet point ``index``: its pooled step counts
+    between events, and agent 0's first cycle rewards, as the module
+    docstring says.
 
-    The trial runs unlogged, as batches do; the event steps and initiators
-    are read off the calls to ``driver._settle``, the one event protocol."""
+    The trial runs unlogged, as batches do, with every level row
+    ``MAX_COARSE_STEPS`` grid steps long; the event steps and initiators are
+    read off the calls to ``driver._settle``, the one event protocol, and
+    the rewards off the cycles it closes."""
     h, n, scenario = FLEET_POINTS[index]
     delta = math.sqrt(DT / h)
     watchers = n if scenario is BL else 1
     per_agent = SAMPLES if scenario is BL else math.ceil(SAMPLES / n)
     need = per_agent * grid_level_law(watchers, h).mean_exit_steps() * DT
-    steps, masks = [], []
-    settle = driver._settle
+    steps, masks, rewards = [], [], []
+    settle, close_cycle = driver._settle, CostAccumulator.close_cycle
 
     def recording_settle(fleet, rows, stops, chunk_masks, done, coarse_rows=None):
         ends = np.arange(len(rows)) if coarse_rows is None else coarse_rows.ends
@@ -107,35 +121,57 @@ def fleet_gaps(index: int, monkeypatch):
         masks.append(np.asarray(chunk_masks, dtype=bool).reshape(len(stops), n))
         return settle(fleet, rows, stops, chunk_masks, done, coarse_rows)
 
-    monkeypatch.setattr(driver, "_settle", recording_settle)
-    with warnings.catch_warnings():
+    def recording_close_cycle(acc, reward, length):
+        rewards.append(reward)
+        return close_cycle(acc, reward, length)
+
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        patch.setattr(driver, "fleet_coarse_steps", lambda config: driver.MAX_COARSE_STEPS)
+        patch.setattr(driver, "_settle", recording_settle)
+        patch.setattr(CostAccumulator, "close_cycle", recording_close_cycle)
         config = ScenarioConfig(n=n, scenario=scenario, scheme=Level(delta), dt=DT,
                                 horizon=1.3 * need, trials=1, seed=SEED)
-    run_trial(config, index)
+        run_trial(config, index)
     steps, masks = np.concatenate(steps), np.concatenate(masks)
     own = [steps] if scenario is BL else [steps[masks[:, a]] for a in range(n)]
     gaps = [np.diff(s, prepend=0) for s in own]
+    # agent 0's cycles close at its own events, so there are as many as its gaps
     assert all(g.size >= per_agent for g in gaps), f"horizon too short for point {index}"
-    return np.concatenate([g[:per_agent] for g in gaps]), watchers
+    return np.concatenate([g[:per_agent] for g in gaps]), np.array(rewards[:per_agent])
 
 
-@pytest.fixture
-def coarse_level_rows(monkeypatch):
-    """Every level row of a trial ``MAX_COARSE_STEPS`` grid steps long."""
-    monkeypatch.setattr(driver, "fleet_coarse_steps", lambda config: driver.MAX_COARSE_STEPS)
+@pytest.fixture(scope="module")
+def fleet_runs():
+    """``fleet_run`` with its results kept, so that both tests of a fleet
+    point read one trial."""
+    return functools.lru_cache(maxsize=None)(fleet_run)
 
 
-@pytest.mark.usefixtures("coarse_level_rows")
 @pytest.mark.parametrize("index", range(len(FLEET_POINTS)),
                          ids=[f"h{h:g}-n{n}-{s.value}" for h, n, s in FLEET_POINTS])
-def test_fleet_exit_steps_follow_the_grid_law(index, monkeypatch):
+def test_fleet_exit_steps_follow_the_grid_law(index, fleet_runs):
     assert driver.MAX_COARSE_STEPS == 8
-    counts, watchers = fleet_gaps(index, monkeypatch)
-    h = FLEET_POINTS[index][0]
+    h, n, scenario = FLEET_POINTS[index]
+    counts = fleet_runs(index)[0]
+    watchers = n if scenario is BL else 1
     p = chi_square_p(counts, watchers, h)
-    print(f"[whole law] fleet {FLEET_POINTS[index][2].value} n={FLEET_POINTS[index][1]} "
-          f"h={h:g}: p = {p:.4g}")
+    print(f"[whole law] fleet {scenario.value} n={n} h={h:g}: p = {p:.4g}")
+    assert p >= ALPHA
+
+
+@pytest.mark.parametrize("index", range(len(FLEET_POINTS)),
+                         ids=[f"h{h:g}-n{n}-{s.value}" for h, n, s in FLEET_POINTS])
+def test_fleet_cycle_rewards_follow_the_grid_law(index, fleet_runs):
+    assert driver.MAX_COARSE_STEPS == 8
+    h, n, scenario = FLEET_POINTS[index]
+    rewards = fleet_runs(index)[1]
+    law = grid_level_law(n if scenario is BL else 1, h)
+    # delta^2 dt sum_k q_k s_k^(W - 1), with delta^2 = dt / h
+    mean = DT / h * DT * float((law.second * law.survival ** (law.watchers - 1)).sum())
+    z = (rewards.mean() - mean) / (rewards.std(ddof=1) / math.sqrt(rewards.size))
+    p = 2 * float(stats.norm.sf(abs(z)))
+    print(f"[whole law] reward {scenario.value} n={n} h={h:g}: z = {z:+.2f}, p = {p:.4g}")
     assert p >= ALPHA
 
 
