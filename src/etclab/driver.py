@@ -34,7 +34,8 @@ chunk from one ``periodic_fire_step`` call over the deadline counters
 phases when short periods of many phases would make that grid outgrow a
 fixed share of the chunk budget.  Then ``_settle``, the one event
 protocol, settles them in order: one subtraction per segment between
-events turns the running sums into errors, agent 0's reward adds up per
+events turns the running sums into errors (rows that each hold an event
+resetting every agent are zeroed at once), agent 0's reward adds up per
 segment and the events are counted at once.  One cost pass covers the
 chunk's left endpoints.  Only chunk boundaries move its rounding; the
 search window and the pairing of agents do not.  With every row one
@@ -45,15 +46,15 @@ event at a time; the test suite compares the two.
 
 A periodic schedule has no band to watch, so its deadlines are known
 before any noise is drawn, and only the cost needs every grid point.  So
-under a periodic rule a row is a coarse step of up to
-``MAX_COARSE_STEPS`` grid steps, cut short so that every deadline of
-every phase ends one, with one draw per agent per step.  Given a step's
-ends its grid points form a discrete Brownian bridge, and the cost over
-them, and agent 0's reward, are taken as their exact conditional
-expectations (``_bridge_sums``): conditional Monte Carlo, with the grid
-fleet's mean and no larger a variance.  Event times, counts, cycle lengths
-and the elapsed time stay in grid steps, so they are the grid fleet's,
-bit for bit; with ``MAX_COARSE_STEPS = 1`` the whole trial is.
+under a periodic rule a row is a coarse step from one deadline, of any
+phase, to the next, or to the horizon, with one draw per agent per step.
+Given a step's ends its grid points form a discrete Brownian bridge, and
+the cost over them, and agent 0's reward, are taken as their exact
+conditional expectations (``_bridge_sums``): conditional Monte Carlo, with
+the grid fleet's mean and no larger a variance.  Event times, counts,
+cycle lengths and the elapsed time stay in grid steps, so they are the
+grid fleet's, bit for bit; on rows of one grid step
+(``fleet_coarse_steps`` of 1) the whole trial is.
 
 A level rule on a wide enough band (``fleet_coarse_steps``, a function of
 the threshold and the grid step) takes coarse steps too, with one draw
@@ -189,8 +190,11 @@ def fleet_coarse_steps(config: ScenarioConfig) -> int:
     """The most grid steps one row of ``config``'s trials covers.
 
     A periodic rule's deadlines are known before any noise is drawn, so its
-    rows are ``MAX_COARSE_STEPS`` grid steps long.  A level rule's rows are
-    too when its band is wide enough for them to pay: when ``far``
+    rows run from one deadline to the next: the bound is the period in grid
+    steps, the grid step of a deadline one period in
+    (``triggering.periodic_fire_step``), since no gap between deadlines is
+    longer.  A level rule's rows are ``MAX_COARSE_STEPS`` grid steps long
+    when its band is wide enough for them to pay: when ``far``
     (``triggering.coarse_far``), the distance from the band's centre
     beyond which a coarse step's grid points are drawn, is at least three
     quarters of the threshold, which at ``dt = 2e-3`` means ``delta >=
@@ -207,9 +211,10 @@ def fleet_coarse_steps(config: ScenarioConfig) -> int:
     scheme = config.scheme
     if config.record_trajectory:
         return 1
-    if isinstance(scheme, Level):
-        if coarse_far(scheme.delta, config.dt, MAX_COARSE_STEPS) < 0.75 * scheme.delta:
-            return 1
+    if isinstance(scheme, Periodic):
+        return int(periodic_fire_step(np.float64(scheme.period), config.dt))
+    if coarse_far(scheme.delta, config.dt, MAX_COARSE_STEPS) < 0.75 * scheme.delta:
+        return 1
     return MAX_COARSE_STEPS
 
 
@@ -352,27 +357,32 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
     ``stops[j]`` (ascending) has the initiators ``masks[j]``, a boolean
     row per event.
 
-    Broadcast-only: the initiators' estimates become their true states,
-    the consensus point ``c`` is announced, and every agent jumps by
-    ``c - xhat``, which lands the initiators exactly on ``c`` and keeps
-    everyone else's estimate error.  Broadcast-plus-local: the fleet
-    resets exactly to ``c``.  In error coordinates both zero the errors of
-    the agents they reset (the initiators, or everyone), so the rows from
-    one event up to the next are errors once each agent's running sum at
-    its last reset is subtracted: one subtraction per segment, in place,
-    which also zeroes the reset errors at the event row.  When every event
-    resets every agent, nothing is logged and there is at least one event
-    per 4096 entries of the block and at most one per eight rows, those
-    bases are the raw running sums at the stops, gathered at once, and one
-    indexed subtraction covers the block, with the same bits.  Once the
-    block holds errors, agent 0's renewal reward is formed per segment in
-    one pass: over grid rows it adds up over the segment's left endpoints
-    (the last row's step belongs to the next block), over coarse rows it
-    takes the expectation of ``_bridge_sums``.  Per event the renewal cycle
-    closes (on every global event, or on agent 0's own events under
-    broadcast-only).  The events are counted at once.  A logged trial
-    forms each event's consensus point from ``x = c_prev + e`` and logs
-    the event, and the trajectory rows, in order.
+    Broadcast-only: the initiators' estimates become their true states, the
+    consensus point ``c`` is announced, and every agent jumps by ``c -
+    xhat``, which lands the initiators exactly on ``c`` and keeps everyone
+    else's estimate error.  Broadcast-plus-local: the fleet resets exactly
+    to ``c``.  In error coordinates both zero the errors of the agents they
+    reset (the initiators, or everyone), so the rows from one event up to
+    the next are errors once each agent's running sum at its last reset is
+    subtracted: one subtraction per segment, in place, which also zeroes the
+    reset errors at the event row.  When every event resets every agent and
+    nothing is logged, two cases skip the loop, with the same bits.  If
+    every row from the first stop to the last holds an event, as every chunk
+    of a synchronous schedule's deadline rows does, each of those rows is a
+    segment of its own, one row minus itself, so they are written as zeros,
+    and one subtraction of the last stop's row covers the rows after it.
+    Otherwise, if there is at least one event per 4096 entries of the block
+    and at most one per eight rows, the bases are the raw running sums at
+    the stops, gathered at once, and one indexed subtraction covers the
+    block.  Once the block holds errors, agent 0's renewal reward is formed
+    per segment in one pass: over grid rows it adds up over the segment's
+    left endpoints (the last row's step belongs to the next block), a slice
+    of agent 0's column per segment, over coarse rows it takes the
+    expectation of ``_bridge_sums``.  Per event the renewal cycle closes (on
+    every global event, or on agent 0's own events under broadcast-only).
+    The events are counted at once.  A logged trial forms each event's
+    consensus point from ``x = c_prev + e`` and logs the event, and the
+    trajectory rows, in order.
     """
     config = fleet.config
     dt = config.dt
@@ -391,9 +401,16 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
     trajectory = fleet.trajectory
     stride = config.trajectory_stride
     span = len(rows) - 1
-    if (count and span * config.n <= 4096 * count <= 512 * span
-            and not fleet.logged and trajectory is None
-            and (not broadcast_only or masks.all())):
+    resets_all = (count and not fleet.logged and trajectory is None
+                  and (not broadcast_only or masks.all()))
+    if resets_all and stops[-1] - stops[0] == count - 1:
+        # every row from the first stop to the last is an event that resets
+        # every agent, so each is a segment of its own, which its subtraction
+        # zeroes (x - x is +0.0); the rows after the last stop take its base
+        last = stops[-1]
+        rows[last + 1 :] -= rows[last]
+        rows[stops[0] : last + 1] = 0.0
+    elif resets_all and span * config.n <= 4096 * count <= 512 * span:
         # every event resets every agent, so each segment's base is the raw
         # running sum at the stop that starts it: one gather, one subtraction.
         # That pays once there is an event per 4096 entries of the block, and
@@ -423,7 +440,9 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
     if coarse_rows is None:
         # agent 0's reward per segment, over its left endpoints: the last
         # row's step belongs to the next block
-        rewards = [float(dev0 @ dev0) for dev0 in np.split(rows[:span, 0], stops)]
+        lead = rows[:span, 0]
+        bounds = [0, *stops, span]
+        rewards = [float(lead[a:b] @ lead[a:b]) for a, b in zip(bounds, bounds[1:])]
     else:
         rewards = coarse_rows.segment_rewards(rows, stops)
     for k, reward in enumerate(rewards):
@@ -693,11 +712,11 @@ def _refined_rows(bridges: _Bridges, increments: np.ndarray, times: np.ndarray, 
     return rows, stops, _CoarseRows(ends, increments, step_var, (at[row], agent, d))
 
 
-def _chunk_deadlines(fire_counts, offsets, period, dt, done, span):
-    """``(stops, masks)`` of every periodic deadline in the ``span`` grid
-    steps after step ``done``: the steps, counted from ``done``, that hold
-    deadlines, ascending, and per step a boolean mask of the phases due
-    there.
+def _chunk_deadlines(fire_counts, offsets, period, dt, done, span, limit):
+    """``(stops, masks)`` of the first ``limit`` grid steps that hold
+    periodic deadlines in the ``span`` grid steps after step ``done``: those
+    steps, counted from ``done``, ascending, and per step a boolean mask of
+    the phases due there.
 
     ``fire_counts[i]`` numbers phase ``i``'s next deadline
     ``offsets[i] + fire_counts[i] * period``; the caller advances it past
@@ -705,23 +724,36 @@ def _chunk_deadlines(fire_counts, offsets, period, dt, done, span):
     ``(phases, m)`` grid of counter values to grid steps, with ``m`` one
     more than ``span`` steps can hold.  A grid takes as many phases as fit
     in ``CHUNK_BYTES / 64`` entries, at least one, so short periods of
-    many phases are looked up in slices of phases.
+    many phases are looked up in slices of phases, each slice twice when
+    there are several: once for the steps, once for the masks.  The stops
+    come from the grid's own entries and the masks get one row per kept
+    stop, so neither grows with ``span``: a chunk keeps at most ``limit``
+    stops, as many as it has rows.
     """
     phases = len(fire_counts)
     m = int(span * dt / period) + 2
     width = max(1, CHUNK_BYTES // (64 * m))
-    due = np.zeros((span + 2, phases), dtype=bool)
-    for lo in range(0, phases, width):
-        part = slice(lo, lo + width)
+    parts = [slice(lo, lo + width) for lo in range(0, phases, width)]
+
+    def steps(part):
         counts = fire_counts[part, None] + np.arange(m)
         at = periodic_fire_step(offsets[part, None] + counts * period, dt)
         at -= done  # steps from done
-        # each phase's steps increase along its grid row, so its deadlines in
-        # the span are a prefix of it; later ones go to a sink row past it
-        np.minimum(at, span + 1, out=at)
-        due[at, np.arange(lo, lo + len(at))[:, None]] = True
-    stops = np.flatnonzero(due[: span + 1].any(axis=1))
-    return stops, due[stops]
+        return at
+
+    stops = np.zeros(0, dtype=np.int64)
+    for part in parts:
+        at = steps(part)
+        stops = np.union1d(stops, at[at <= span])[:limit]
+    masks = np.zeros((len(stops) + 1, phases), dtype=bool)
+    for part in parts:
+        if len(parts) > 1:
+            at = steps(part)
+        # a deadline by the last kept stop is a kept stop; later ones go to
+        # a sink row past them
+        row = np.searchsorted(stops, at)
+        masks[row, np.arange(part.start, part.start + len(at))[:, None]] = True
+    return stops, masks[:-1]
 
 
 def _coarse_ends(stops, span, coarse, limit, final):
@@ -734,7 +766,11 @@ def _coarse_ends(stops, span, coarse, limit, final):
     alone, not on where a chunk starts: a row that ``span`` cuts short
     where no deadline is, unless the horizon ends there (``final``), is
     left to the next chunk.  ``span >= coarse`` unless ``final``, so at
-    least one row is kept.
+    least one row is kept.  With ``coarse`` the period in grid steps
+    (``fleet_coarse_steps``) no gap between deadlines is longer, so every
+    row runs from one deadline to the next, or to the horizon.  ``stops``
+    may hold only the first ``limit`` deadlines of the span: each ends a
+    row, so the rows kept end by the last of them.
     """
     lo = np.concatenate(([0], stops))
     hi = np.append(stops, span)
@@ -872,14 +908,13 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     (-1 flips its sign, 0 silences it).
 
     Under a periodic rule (``fleet_coarse_steps``) a row is a coarse step
-    of up to ``MAX_COARSE_STEPS`` grid steps, cut short so that every
-    deadline of every phase ends one, with one ``N(0, k dt)`` draw per
-    agent for a step of ``k`` grid steps; the cost and agent 0's reward
-    over its grid points are their expectations given its endpoints
-    (``_bridge_sums``).  Event times, cycle lengths and the elapsed time
-    stay in grid steps.  A level rule on a wide enough band steps
-    ``MAX_COARSE_STEPS`` grid steps a row up to the horizon's last whole
-    coarse step, draws grid points between coarse points only near the
+    from one deadline, of any phase, to the next, or to the horizon, with
+    one ``N(0, k dt)`` draw per agent for a step of ``k`` grid steps; the
+    cost and agent 0's reward over its grid points are their expectations
+    given its endpoints (``_bridge_sums``).  Event times, cycle lengths and
+    the elapsed time stay in grid steps.  A level rule on a wide enough band
+    steps ``MAX_COARSE_STEPS`` grid steps a row up to the horizon's last
+    whole coarse step, draws grid points between coarse points only near the
     band and in rows that hold events, and takes the cost and reward as
     their expectations given what was drawn.  Under a level rule on a
     narrower band, and in a trial that records a trajectory, every row is
@@ -904,8 +939,9 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
         # deadline is one period in
         fire_counts = np.where(offsets <= EPS_REL * dt, 1, 0).astype(np.int64)
         # grid steps whose deadlines a chunk looks up: room for a chunk of
-        # coarse rows, but a deadline grid of at most CHUNK_BYTES / 8 entries
-        # once there are many phases, and at least one coarse step
+        # coarse rows, but at most CHUNK_BYTES / 8 grid steps over all phases
+        # once there are many, which bounds the counter values looked up, and
+        # at least one coarse step
         reach = max(coarse, min(coarse * chunk, max(chunk, CHUNK_BYTES // (8 * len(offsets)))))
 
     # rows per chunk: a chunk of coarse level rows may draw every grid point
@@ -937,7 +973,8 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
             coarse_rows = None  # until the chunk's events are known
         else:
             grid = min(reach, left)
-            stops, masks = _chunk_deadlines(fire_counts, offsets, scheme.period, dt, done, grid)
+            stops, masks = _chunk_deadlines(fire_counts, offsets, scheme.period, dt, done, grid,
+                                            chunk)
             if coarse > 1:
                 ends = _coarse_ends(stops, grid, coarse, chunk, grid == left)
                 kept = np.searchsorted(stops, ends[-1], side="right")

@@ -57,7 +57,8 @@ EPS_REL = 1e-9
 # a working array of the fleet's chunk loop or of the first-exit sampler
 # holds at most about this many bytes (8 per double)
 CHUNK_BYTES = 8 << 20
-# the first-exit sampler advances this many fine steps at once
+# the first-exit sampler, and the fleet's level rule on a wide band, advance
+# this many fine steps at once
 MAX_COARSE_STEPS = 8
 
 

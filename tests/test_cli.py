@@ -204,18 +204,21 @@ def test_calibrate_reference_point(tmp_path):
 
 K = MAX_COARSE_STEPS
 # table1 rows in CSV order: TT-b, ET-b, TT-bl, ET-bl for n = 3 (T = 0.25 and
-# 0.5), 10 and 50; of the level rows only n = 50's broadcast-only one, of
-# threshold 5, is coarse
-TABLE1_COARSE = ",".join(map(str, [K, 1, K, 1, K, 1, K, 1, K, 1, K, 1, K, K, K, 1]))
+# 0.5), 10 and 50; a periodic row runs from one deadline to the next, so its
+# bound is the period in grid steps of 2e-3 s (n T under broadcast-only
+# information, T under broadcast-plus-local), and of the level rows only
+# n = 50's broadcast-only one, of threshold 5, is coarse
+TABLE1_COARSE = ",".join(map(str, [375, 1, 125, 1, 750, 1, 250, 1, 2500, 1, 250, 1,
+                                   12500, K, 250, 1]))
 
 
 @pytest.mark.parametrize("argv, coarse", [
-    (["simulate", "--trigger", "periodic-sync", "--period", "0.5"], K),
+    (["simulate", "--trigger", "periodic-sync", "--period", "0.5"], 250),
     (["simulate", "--trigger", "level", "--delta", "1.0"], 1),
     (["simulate", "--trigger", "level", "--delta", "4.0"], K),
     (["simulate", "--scenario", "bl", "--trigger", "level", "--delta", "4.0"], K),
     (["table1"], TABLE1_COARSE),
-    (["sweep-n", "--n-list", "3,50"], f"{K}/1,{K}/1"),
+    (["sweep-n", "--n-list", "3,50"], "250/1,250/1"),
     (["trajectory", "--trigger", "periodic-sync", "--period", "0.5"], 1),
     (["trajectory", "--trigger", "level", "--delta", "4.0"], 1),
 ], ids=["simulate-periodic", "simulate-level", "simulate-coarse-level-b",

@@ -82,13 +82,18 @@ def test_unknown_rule_rejected_at_construction(rule):
         quiet_config(n=2, scenario=B, scheme=Level(1.0), rule=rule)
 
 
+def grid_rows(config):
+    """One grid step a row, under either rule."""
+    return 1
+
+
 @pytest.fixture
 def unit_rows(monkeypatch):
-    """Every row of a periodic trial one grid step, as every row of the
-    per-step reference is: the pathwise checks against it, and the values
-    pinned below from before periodic trials took coarse steps, hold at
-    ``MAX_COARSE_STEPS = 1``."""
-    monkeypatch.setattr(driver, "MAX_COARSE_STEPS", 1)
+    """Every row of a trial one grid step, as every row of the per-step
+    reference is: the pathwise checks against it, and the values pinned
+    below from before periodic trials took coarse steps, hold on grid
+    rows."""
+    monkeypatch.setattr(driver, "fleet_coarse_steps", grid_rows)
 
 
 # --- fast integrator vs per-step reference ----------------------------------
@@ -309,9 +314,9 @@ def test_twelve_agent_values_are_pinned(cell):
 
 # --- coarse periodic rows -------------------------------------------------------
 
-# the pinned n = 3 periodic cells above, at the default MAX_COARSE_STEPS = 8:
-# one draw per agent per coarse step, and the cost and reward over its grid
-# points taken as their expectations given its endpoints
+# the pinned n = 3 periodic cells above, on rows of at most eight grid steps
+# cut at every deadline: one draw per agent per row, and the cost and reward
+# over its grid points taken as their expectations given its endpoints
 GOLDEN_N3_COARSE = {
     "tt-b": (B, Periodic(0.75), "41.62141502136338", (26, "9.038483265194394"), 26),
     "tt-async-b": (B, Periodic(0.75, staggered_offsets(3, 0.75)), "47.697170595987544",
@@ -321,9 +326,26 @@ GOLDEN_N3_COARSE = {
 
 
 @pytest.mark.parametrize("cell", list(GOLDEN_N3_COARSE))
-def test_coarse_small_fleet_values_are_pinned(cell):
-    assert driver.MAX_COARSE_STEPS == 8
+def test_coarse_small_fleet_values_are_pinned(monkeypatch, cell):
+    monkeypatch.setattr(driver, "fleet_coarse_steps", lambda config: 8)
     pinned_values(3, cell, GOLDEN_N3_COARSE)
+
+
+# the same cells on their production rows, from one deadline to the next
+GOLDEN_N3_DEADLINE = {
+    "tt-b": (B, Periodic(0.75), "44.463087179159004", (26, "5.852819937682952"), 26),
+    "tt-async-b": (B, Periodic(0.75, staggered_offsets(3, 0.75)), "38.27170837305636",
+                   (26, "5.522910922747629"), 80),
+    "tt-bl": (BL, Periodic(0.25), "15.106299580181043", (80, "2.4558709907103666"), 80),
+}
+
+
+@pytest.mark.parametrize("cell", list(GOLDEN_N3_DEADLINE))
+def test_deadline_row_values_are_pinned(cell):
+    scenario, scheme = GOLDEN_N3_DEADLINE[cell][:2]
+    config = quiet_config(n=3, scenario=scenario, scheme=scheme)
+    assert driver.fleet_coarse_steps(config) == round(scheme.period / config.dt)
+    pinned_values(3, cell, GOLDEN_N3_DEADLINE)
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 8])
@@ -376,7 +398,7 @@ def test_coarse_rows_keep_every_event(monkeypatch, case, rows):
         monkeypatch.setattr(driver, "CHUNK_BYTES", rows * 8 * config.n)
     coarse = run_trial(config, 0)
     with monkeypatch.context() as patch:
-        patch.setattr(driver, "MAX_COARSE_STEPS", 1)
+        patch.setattr(driver, "fleet_coarse_steps", grid_rows)
         unit = run_trial(config, 0)
     assert len(unit.events) >= 10
     assert [(e.time, e.initiators) for e in coarse.events] == [
@@ -408,6 +430,57 @@ def test_coarse_logged_and_unlogged_tallies_agree(case):
         unlogged = run_trial(replace(config, record_events=False), 0)
     assert logged.events and unlogged.events is None
     assert tallies(unlogged.accumulator) == tallies(logged.accumulator)
+
+
+DENSE_CASES = {
+    "sync-b": (B, Periodic(0.75), 12.0),
+    "sync-bl": (BL, Periodic(0.25), 12.0),
+    "off-grid-bl": (BL, Periodic(0.0731), 12.0),
+    "every-step-b": (B, Periodic(DT), 12.0),
+    "horizon-between-deadlines": (BL, Periodic(0.25), 12.1),
+}
+
+
+@pytest.mark.parametrize("rows", [None, 5], ids=["default-chunk", "5-row-chunks"])
+@pytest.mark.parametrize("case", list(DENSE_CASES))
+def test_dense_settle_matches_the_event_loop(monkeypatch, case, rows):
+    # in a block whose every row from the first stop to the last resets every
+    # agent, _settle writes zeros in place of one subtraction per event; a
+    # logged fleet settles event by event, so marking the fleet logged for
+    # each call runs the loop on the same blocks, which must settle to the bit
+    scenario, scheme, horizon = DENSE_CASES[case]
+    config = quiet_config(n=4, scenario=scenario, scheme=scheme, dt=DT, horizon=horizon,
+                          trials=1, seed=31)
+    if rows is not None:
+        monkeypatch.setattr(driver, "CHUNK_BYTES", rows * 8 * config.n)
+    settle = driver._settle
+
+    def run(loop):
+        settled, dense, tails = [], [], []
+
+        def recording_settle(fleet, block, stops, masks, done, coarse_rows=None):
+            if stops:  # a block may end at the horizon before any deadline
+                dense.append(stops[-1] - stops[0] == len(stops) - 1 and bool(np.all(masks)))
+                tails.append(stops[-1] < len(block) - 1)
+            fleet.logged = loop
+            settle(fleet, block, stops, masks, done, coarse_rows)
+            fleet.logged = False
+            settled.append(block.copy())
+
+        with monkeypatch.context() as patch:
+            patch.setattr(driver, "_settle", recording_settle)
+            acc = run_trial(config, 0).accumulator
+        return acc, settled, dense, tails
+
+    fast, fast_rows, dense, tails = run(loop=False)
+    slow, slow_rows, _, _ = run(loop=True)
+    assert all(dense)
+    assert tallies(fast) == tallies(slow)
+    assert len(fast_rows) == len(slow_rows)
+    for a, b in zip(fast_rows, slow_rows):
+        assert a.tobytes() == b.tobytes()
+    if case == "horizon-between-deadlines" and rows is None:
+        assert tails[-1]  # one chunk, whose rows end at the horizon after its last stop
 
 
 @pytest.mark.parametrize("n", [3, 20])
@@ -709,22 +782,24 @@ def test_search_window_changes_nothing(monkeypatch, n):
 
 
 @pytest.mark.parametrize(
-    "scenario, scheme",
-    [(BL, Level(1.0)), (B, Level(0.2)), (B, Periodic(DT)),
-     (B, Periodic(DT, staggered_offsets(1024, DT))),
-     (B, Periodic(2 * DT, staggered_offsets(1024, 2 * DT)))],
+    "scenario, scheme, horizon",
+    [(BL, Level(1.0), None), (B, Level(0.2), None), (B, Periodic(DT), None),
+     (B, Periodic(DT, staggered_offsets(1024, DT)), None),
+     (B, Periodic(2 * DT, staggered_offsets(1024, 2 * DT)), None),
+     (B, Periodic(40.0, staggered_offsets(1024, 40.0)), 80.0)],
     ids=["level-global", "level-broadcast", "sync-every-step", "async-every-step",
-         "async-every-other-step"],
+         "async-every-other-step", "async-long-period"],
 )
-def test_trial_memory_stays_near_the_chunk_budget(scenario, scheme):
+def test_trial_memory_stays_near_the_chunk_budget(scenario, scheme, horizon):
     # beyond the chunk buffer a trial holds a level search window and one
     # mask row per event; a period of one or two steps puts an event in every
     # row or every other, which must not cost a grid of deadlines per agent
-    # and counter value at once
+    # and counter value at once, and rows a long period apart must not cost
+    # a mask per grid step and phase
     n = 1024
     rows = driver.CHUNK_BYTES // (8 * n)
     config = quiet_config(n=n, scenario=scenario, scheme=scheme, dt=DT,
-                          horizon=1.5 * rows * DT, trials=1, seed=3)
+                          horizon=horizon or 1.5 * rows * DT, trials=1, seed=3)
     tracemalloc.start()
     try:
         events = run_trial(config, 0).accumulator.global_event_count
