@@ -46,15 +46,16 @@ event at a time; the test suite compares the two.
 
 A periodic schedule has no band to watch, so its deadlines are known
 before any noise is drawn, and only the cost needs every grid point.  So
-under a periodic rule a row is a coarse step from one deadline, of any
-phase, to the next, or to the horizon, with one draw per agent per step.
-Given a step's ends its grid points form a discrete Brownian bridge, and
-the cost over them, and agent 0's reward, are taken as their exact
-conditional expectations (``_bridge_sums``): conditional Monte Carlo, with
-the grid fleet's mean and no larger a variance.  Event times, counts,
-cycle lengths and the elapsed time stay in grid steps, so they are the
-grid fleet's, bit for bit; on rows of one grid step
-(``fleet_coarse_steps`` of 1) the whole trial is.
+under a periodic rule a chunk's rows end at its deadlines, of any phase,
+and the trial's last chunk, or one whose lookup of deadlines holds none,
+has one more row to its end, with one draw per agent per row.  Given a
+row's ends its grid points form a discrete Brownian bridge, and the cost
+over them, and agent 0's reward, are taken as their exact conditional
+expectations (``_bridge_sums``): conditional Monte Carlo, with the grid
+fleet's mean and no larger a variance.  Event times, counts, cycle
+lengths and the elapsed time stay in grid steps, so they are the grid
+fleet's, bit for bit; on rows of one grid step (``fleet_coarse_steps`` of
+1) the whole trial is.
 
 A level rule on a wide enough band (``fleet_coarse_steps``, a function of
 the threshold and the grid step) takes coarse steps too, with one draw
@@ -158,11 +159,14 @@ class ScenarioConfig:
         check_count("trials", self.trials)
         check_count("seed", self.seed, 0)
         check_count("trajectory_stride", self.trajectory_stride)
-        if not isinstance(self.rule, (Average, Leader, Fixed)):
-            raise ValueError(
-                f"unknown consensus rule of type {type(self.rule).__name__}: "
-                "expected Average, Leader or Fixed"
-            )
+        # the trial code branches on these types, so an unknown one would run as a different case
+        for name, value, known in (("consensus rule", self.rule, (Average, Leader, Fixed)),
+                                   ("scenario", self.scenario, (InfoScenario,)),
+                                   ("trigger scheme", self.scheme, (Level, Periodic))):
+            if not isinstance(value, known):
+                expected = " or ".join(t.__name__ for t in known)
+                raise ValueError(f"unknown {name} of type {type(value).__name__}: "
+                                 f"expected {expected}")
         scheme = self.scheme
         if isinstance(scheme, Periodic):
             if scheme.offsets and self.scenario is not InfoScenario.BROADCAST:
@@ -187,26 +191,24 @@ class ScenarioConfig:
 
 
 def fleet_coarse_steps(config: ScenarioConfig) -> int:
-    """The most grid steps one row of ``config``'s trials covers.
+    """The grid steps one row of ``config``'s trials covers.
 
     A periodic rule's deadlines are known before any noise is drawn, so its
-    rows run from one deadline to the next: the bound is the period in grid
-    steps, the grid step of a deadline one period in
-    (``triggering.periodic_fire_step``), since no gap between deadlines is
-    longer.  A level rule's rows are ``MAX_COARSE_STEPS`` grid steps long
-    when its band is wide enough for them to pay: when ``far``
-    (``triggering.coarse_far``), the distance from the band's centre
-    beyond which a coarse step's grid points are drawn, is at least three
-    quarters of the threshold, which at ``dt = 2e-3`` means ``delta >=
-    3.06``.  That depends on ``(delta, dt)`` alone.  On narrower bands the
-    search's work per event outweighs the draws that coarse rows save, and
-    the rows stay one grid step: measured per cell (``BENCH_17.json``),
-    ``table1``'s ET cells of thresholds 2.24 (n = 10, broadcast-only) and
-    1.89 (n = 50, broadcast-plus-local) ran 1.03x and 1.16x slower on
-    coarse rows, its n = 50 broadcast-only cell (threshold 5) 1.56x
-    faster.  A trial that
-    records a trajectory shows every stride row, so its rows are grid steps
-    under either rule.
+    rows run from one deadline to the next: the value is the period in grid
+    steps (``triggering.periodic_fire_step`` of it), and a gap that rounding
+    lengthens by a grid step is a row one step longer.  A level rule's rows
+    are ``MAX_COARSE_STEPS`` grid steps long when its band is wide enough
+    for them to pay: when ``far`` (``triggering.coarse_far``), the distance
+    from the band's centre beyond which a coarse step's grid points are
+    drawn, is at least three quarters of the threshold, which at ``dt =
+    2e-3`` means ``delta >= 3.06``.  That depends on ``(delta, dt)`` alone.
+    On narrower bands the search's work per event outweighs the draws that
+    coarse rows save, and the rows stay one grid step: measured per cell
+    (``BENCH_17.json``), ``table1``'s ET cells of thresholds 2.24 (n = 10,
+    broadcast-only) and 1.89 (n = 50, broadcast-plus-local) ran 1.03x and
+    1.16x slower on coarse rows, its n = 50 broadcast-only cell (threshold
+    5) 1.56x faster.  A trial that records a trajectory shows every stride
+    row, so its rows are grid steps under either rule.
     """
     scheme = config.scheme
     if config.record_trajectory:
@@ -458,6 +460,13 @@ def _phase_offsets(scheme: Periodic, n: int) -> np.ndarray:
     if not scheme.offsets:
         return np.zeros(n)
     return np.asarray(scheme.offsets, dtype=float)
+
+
+def _first_counts(offsets: np.ndarray, dt: float) -> np.ndarray:
+    """Each phase's first deadline count.  Every agent starts as having just
+    fired, so a deadline that ``periodic_fire_step`` puts on step 0 is that
+    firing, and the phase's first deadline is one period in."""
+    return (periodic_fire_step(offsets, dt) <= 0).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -718,17 +727,17 @@ def _chunk_deadlines(fire_counts, offsets, period, dt, done, span, limit):
     steps, counted from ``done``, ascending, and per step a boolean mask of
     the phases due there.
 
-    ``fire_counts[i]`` numbers phase ``i``'s next deadline
-    ``offsets[i] + fire_counts[i] * period``; the caller advances it past
-    the deadlines it settles.  Each ``periodic_fire_step`` call maps a
-    ``(phases, m)`` grid of counter values to grid steps, with ``m`` one
-    more than ``span`` steps can hold.  A grid takes as many phases as fit
-    in ``CHUNK_BYTES / 64`` entries, at least one, so short periods of
-    many phases are looked up in slices of phases, each slice twice when
-    there are several: once for the steps, once for the masks.  The stops
-    come from the grid's own entries and the masks get one row per kept
-    stop, so neither grows with ``span``: a chunk keeps at most ``limit``
-    stops, as many as it has rows.
+    ``fire_counts[i]`` numbers phase ``i``'s next deadline ``offsets[i] +
+    fire_counts[i] * period``; it is advanced past every deadline by the
+    last stop, so two that rounding puts on one grid step are one firing.
+    Each ``periodic_fire_step`` call maps a ``(phases, m)`` grid of counter
+    values to grid steps, with ``m`` one more than ``span`` steps can hold.
+    A grid takes as many phases as fit in ``CHUNK_BYTES / 64`` entries, at
+    least one, so short periods of many phases are looked up in slices of
+    phases, each slice twice when there are several: once for the steps,
+    once for the masks.  The stops come from the grid's own entries and the
+    masks get one row per kept stop, so neither grows with ``span``: a
+    chunk keeps at most ``limit`` stops, one per row.
     """
     phases = len(fire_counts)
     m = int(span * dt / period) + 2
@@ -753,34 +762,8 @@ def _chunk_deadlines(fire_counts, offsets, period, dt, done, span, limit):
         # a sink row past them
         row = np.searchsorted(stops, at)
         masks[row, np.arange(part.start, part.start + len(at))[:, None]] = True
+        fire_counts[part] += (row < len(stops)).sum(axis=1)
     return stops, masks[:-1]
-
-
-def _coarse_ends(stops, span, coarse, limit, final):
-    """``ends``, the grid steps from the chunk's start at which its coarse
-    rows end, with ``ends[0] = 0``: at most ``limit`` rows within ``span``
-    steps that hold deadlines at ``stops``.
-
-    A row runs ``coarse`` grid steps, cut short at the next deadline, and
-    the next row starts there.  The rows therefore depend on the schedule
-    alone, not on where a chunk starts: a row that ``span`` cuts short
-    where no deadline is, unless the horizon ends there (``final``), is
-    left to the next chunk.  ``span >= coarse`` unless ``final``, so at
-    least one row is kept.  With ``coarse`` the period in grid steps
-    (``fleet_coarse_steps``) no gap between deadlines is longer, so every
-    row runs from one deadline to the next, or to the horizon.  ``stops``
-    may hold only the first ``limit`` deadlines of the span: each ends a
-    row, so the rows kept end by the last of them.
-    """
-    lo = np.concatenate(([0], stops))
-    hi = np.append(stops, span)
-    counts = (hi - lo + coarse - 1) // coarse
-    if not final and (span - lo[-1]) % coarse:
-        counts[-1] -= 1
-    seg = np.repeat(np.arange(lo.size), counts)
-    stride = np.arange(1, seg.size + 1) - (np.cumsum(counts) - counts)[seg]
-    ends = np.minimum(lo[seg] + coarse * stride, hi[seg])[:limit]
-    return np.concatenate(([0], ends))
 
 
 def _bridge_sums(k, aa, az, zz, var):
@@ -907,12 +890,13 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     ``noise_scale`` is a diagnostic multiplier on the driving noise
     (-1 flips its sign, 0 silences it).
 
-    Under a periodic rule (``fleet_coarse_steps``) a row is a coarse step
-    from one deadline, of any phase, to the next, or to the horizon, with
-    one ``N(0, k dt)`` draw per agent for a step of ``k`` grid steps; the
-    cost and agent 0's reward over its grid points are their expectations
-    given its endpoints (``_bridge_sums``).  Event times, cycle lengths and
-    the elapsed time stay in grid steps.  A level rule on a wide enough band
+    Under a periodic rule (``fleet_coarse_steps``) a chunk's rows end at
+    its first deadlines, of any phase, and the trial's last chunk, or one
+    whose deadline lookup holds none, has one more row to its end.  A row
+    of ``k`` grid steps takes one ``N(0, k dt)`` draw per agent; the cost
+    and agent 0's reward over its grid points are their expectations given
+    its endpoints (``_bridge_sums``).  Event times, cycle lengths and the
+    elapsed time stay in grid steps.  A level rule on a wide enough band
     steps ``MAX_COARSE_STEPS`` grid steps a row up to the horizon's last
     whole coarse step, draws grid points between coarse points only near the
     band and in rows that hold events, and takes the cost and reward as
@@ -935,9 +919,7 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     else:
         # without offsets there is one phase, which every agent shares
         offsets = _phase_offsets(scheme, 1)
-        # every agent starts as having just fired, so a zero phase's first
-        # deadline is one period in
-        fire_counts = np.where(offsets <= EPS_REL * dt, 1, 0).astype(np.int64)
+        fire_counts = _first_counts(offsets, dt)
         # grid steps whose deadlines a chunk looks up: room for a chunk of
         # coarse rows, but at most CHUNK_BYTES / 8 grid steps over all phases
         # once there are many, which bounds the counter values looked up, and
@@ -975,17 +957,17 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
             grid = min(reach, left)
             stops, masks = _chunk_deadlines(fire_counts, offsets, scheme.period, dt, done, grid,
                                             chunk)
+            span, k = grid, 1
             if coarse > 1:
-                ends = _coarse_ends(stops, grid, coarse, chunk, grid == left)
-                kept = np.searchsorted(stops, ends[-1], side="right")
-                stops, masks = np.searchsorted(ends, stops[:kept]), masks[:kept]
+                # the rows end at the stops, and the trial's last chunk, or a
+                # lookup that holds no deadline, has one more to its end
+                ends = np.concatenate(([0], stops))
+                if ends[-1] < grid and (not len(stops) or grid == left and len(stops) < chunk):
+                    ends = np.append(ends, grid)
                 span = len(ends) - 1
                 coarse_rows = _CoarseRows(ends, increments[:span], noise_scale**2 * dt)
                 k = coarse_rows.k[:, None]
-            else:
-                span = grid
-                k = 1
-            fire_counts += masks.sum(axis=0)
+                stops = np.arange(1, len(stops) + 1)
             stops = stops.tolist()
             masks = np.broadcast_to(masks, (len(stops), n))
         rows = buffer[: span + 1]
@@ -1054,7 +1036,7 @@ def run_trial_reference(
             fired = np.abs(fleet.e) >= scheme.delta
         else:
             fired = np.zeros(n, dtype=bool)
-            fired[_periodic_due(step * dt, scheme, dt, n)] = True
+            fired[_periodic_due(step, scheme, dt, n)] = True
         if fired.any():
             # the errors are the running sum of a one-row block: the row
             # settles in place
@@ -1063,17 +1045,14 @@ def run_trial_reference(
     return TrialResult(accumulator=acc, events=fleet.events)
 
 
-def _periodic_due(t: float, scheme: Periodic, dt: float, n: int) -> np.ndarray:
-    """Agents with a deadline in the grid step ending at ``t``, stateless.
-
-    A deadline ``tau`` belongs to the first grid time ``>= tau`` (up to a
-    relative tolerance); agents with a zero phase do not fire at t = 0,
-    because every agent starts as having just triggered.  The fast path
-    counts deadlines per agent instead.
-    """
+def _periodic_due(step: int, scheme: Periodic, dt: float, n: int) -> np.ndarray:
+    """Agents with a deadline at grid step ``step``, stateless; the fast
+    path counts deadlines per agent instead, by the same rules
+    (``periodic_fire_step``, ``_first_counts``).  It looks up the last
+    deadline due by ``step`` in exact arithmetic and its neighbours, which
+    rounding may move onto ``step``."""
     offsets = _phase_offsets(scheme, n)
-    eps = EPS_REL * dt
-    k = np.floor((t + eps - offsets) / scheme.period).astype(int)
-    k_min = np.where(offsets <= eps, 1, 0)
-    tau = offsets + k * scheme.period
-    return np.flatnonzero((k >= k_min) & (tau > t - dt + eps))
+    count = np.floor((step * dt + EPS_REL * dt - offsets) / scheme.period).astype(np.int64)
+    counts = count[:, None] + np.arange(-1, 2)
+    due = periodic_fire_step(offsets[:, None] + counts * scheme.period, dt) == step
+    return np.flatnonzero((due & (counts >= _first_counts(offsets, dt)[:, None])).any(axis=1))

@@ -26,6 +26,7 @@ from etclab import (
 )
 from etclab import driver
 from etclab.driver import run_trial_reference
+from etclab.triggering import periodic_fire_step
 
 B = InfoScenario.BROADCAST
 BL = InfoScenario.BROADCAST_LOCAL
@@ -82,6 +83,17 @@ def test_unknown_rule_rejected_at_construction(rule):
         quiet_config(n=2, scenario=B, scheme=Level(1.0), rule=rule)
 
 
+@pytest.mark.parametrize("field, value", [("scenario", "b"), ("scenario", "bl"), ("scenario", 7),
+                                          ("scheme", None), ("scheme", 1.0), ("scheme", "level")])
+def test_unknown_scenario_or_scheme_rejected_at_construction(field, value):
+    # the level search and _settle each branch on the scenario, so a value
+    # that is no InfoScenario would run as a different scenario in each, and
+    # an unknown scheme failed only inside the first trial
+    kw = dict(n=3, scenario=B, scheme=Level(0.866), horizon=200.0, trials=2, seed=1)
+    with pytest.raises(ValueError, match=type(value).__name__):
+        quiet_config(**{**kw, field: value})
+
+
 def grid_rows(config):
     """One grid step a row, under either rule."""
     return 1
@@ -116,11 +128,25 @@ REFERENCE_CASES = {
 }
 
 
+def ulps(x, count):
+    """``x`` moved by ``count`` units in the last place."""
+    for _ in range(abs(count)):
+        x = math.nextafter(x, math.copysign(math.inf, count))
+    return x
+
+
+def tolerance_edge(k, dt, count):
+    """A time ``count`` ulps from ``k dt + EPS_REL dt``, which
+    ``periodic_fire_step`` puts on grid step ``k`` or ``k + 1``."""
+    return ulps(k * dt + driver.EPS_REL * dt, count)
+
+
 @st.composite
 def knobs(draw):
     """Short trials of up to 12 agents under every rule, with periods on and
-    off the grid, async phases within a step of 0 and of the period, and
-    level thresholds down to about 2 sqrt(dt)."""
+    off the grid, async phases within a step of 0 and of the period and on
+    the deadline tolerance's edge, and level thresholds down to about
+    2 sqrt(dt)."""
     dt = draw(st.floats(5e-4, 1e-2))
     period = draw(st.one_of(st.integers(1, 150).map(lambda k: k * dt),
                             st.floats(dt, 150 * dt)))
@@ -129,6 +155,8 @@ def knobs(draw):
         st.floats(0.0, dt, exclude_min=True).map(lambda u: period - u),
         st.integers(0, 150).map(lambda k: k * dt),
         st.floats(0.0, period),
+        st.tuples(st.integers(0, 150), st.integers(-3, 3)).map(
+            lambda a: tolerance_edge(a[0], dt, a[1])),
     ).filter(lambda o: 0.0 <= o < period)
     return dict(
         n=draw(st.integers(1, 12)),
@@ -217,6 +245,14 @@ def near_grid_offsets(period):
     return (NEAR, 7 * DT - NEAR, 11 * DT + NEAR, period - NEAR)
 
 
+# five phases within two ulps of 17 dt + EPS_REL dt, which rounding puts on
+# grid steps 17 and 18: one phase's deadlines fall 406 grid steps apart, one
+# more than the period's 405
+GAP_PAST_PERIOD = Periodic(0.81, tuple(tolerance_edge(17, DT, u) for u in range(-2, 3)))
+# phases on the tolerance edge of 0 and a period one ulp above a step, whose
+# rounding puts two deadlines of a phase on one grid step now and then
+EVERY_STEP_EDGE = Periodic(ulps(DT, 1), tuple(tolerance_edge(0, DT, u) for u in range(-2, 3)))
+
 EDGE_SCHEDULES = {
     "sync-every-step-b": (B, Periodic(DT)),
     "sync-every-step-bl": (BL, Periodic(DT)),
@@ -226,6 +262,8 @@ EDGE_SCHEDULES = {
     "sync-chunk-plus-step": (BL, Periodic(CHUNK_T + DT)),
     "async-near-grid": (B, Periodic(0.75, near_grid_offsets(0.75))),
     "async-chunk-near-grid": (B, Periodic(CHUNK_T - DT, near_grid_offsets(CHUNK_T - DT))),
+    "async-gap-past-period": (B, GAP_PAST_PERIOD),
+    "async-every-step-edge": (B, EVERY_STEP_EDGE),
 }
 
 
@@ -253,6 +291,59 @@ def test_periodic_edges_match_reference(monkeypatch, case, rows):
     assert np.array_equal(a.local_event_counts, b.local_event_counts)
     assert a.integral_sum == pytest.approx(b.integral_sum, rel=1e-9)
     assert a.cycle_reward_sum == pytest.approx(b.cycle_reward_sum, rel=1e-9, abs=1e-12)
+
+
+def test_deadline_on_step_zero_is_the_start(monkeypatch):
+    # a phase one ulp above EPS_REL dt that periodic_fire_step still puts on
+    # step 0: every agent starts as having just fired, so both integrators
+    # take that phase's first deadline one period in, on grid and deadline rows
+    dt = 3e-3
+    phase = tolerance_edge(0, dt, 1)
+    assert phase > driver.EPS_REL * dt and periodic_fire_step(np.float64(phase), dt) == 0
+    config = quiet_config(n=2, scenario=B, scheme=Periodic(10 * dt, (phase, 4 * dt)), dt=dt,
+                          horizon=100 * dt, trials=1, seed=3, record_events=True)
+    ref = run_trial_reference(config, 0)
+    deadline_rows = run_trial(config, 0)
+    monkeypatch.setattr(driver, "fleet_coarse_steps", grid_rows)
+    for run in (ref, deadline_rows, run_trial(config, 0)):
+        assert [(e.time, e.initiators) for e in run.events[:2]] == [(4 * dt, (1,)),
+                                                                   (10 * dt, (0,))]
+        assert [(e.time, e.initiators) for e in run.events] == [
+            (e.time, e.initiators) for e in ref.events]
+
+
+@st.composite
+def schedules(draw):
+    """A grid step, a period on the grid, on its tolerance edge or off it,
+    and a phase anywhere in the period or on a tolerance edge."""
+    dt = draw(st.floats(5e-4, 1e-2))
+    k = draw(st.integers(1, 2000))
+    period = draw(st.one_of(st.just(k * dt), st.floats(dt, 2000 * dt),
+                            st.integers(-3, 3).map(lambda u: tolerance_edge(k, dt, u))))
+    phase = draw(st.one_of(
+        st.floats(0.0, period),
+        st.tuples(st.integers(0, k), st.integers(-3, 3)).map(
+            lambda a: tolerance_edge(a[0], dt, a[1])),
+    ).filter(lambda o: 0.0 <= o < period))
+    return dt, period, phase
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(schedule=schedules())
+def test_deadline_gaps_stay_within_a_step_of_the_period(schedule):
+    # K = ceil(P / dt - EPS_REL) gives P / dt <= K + EPS_REL, and ceil(a) -
+    # ceil(b) <= ceil(a - b), so rounding moves a gap between deadline steps
+    # at most one step from K either way; a phase whose deadline at step 0
+    # is the start's firing waits a period from there, so its first deadline
+    # may be K + 1 too.  A row is at most one step longer than K
+    dt, period, phase = schedule
+    config = quiet_config(n=1, scenario=B, scheme=Periodic(period, (phase,)), dt=dt)
+    K = driver.fleet_coarse_steps(config)
+    first = driver._first_counts(np.array([phase]), dt)[0]
+    steps = periodic_fire_step(phase + (first + np.arange(200)) * period, dt)
+    gaps = np.diff(steps)
+    assert 1 <= steps[0] <= K + first
+    assert K - 1 <= gaps.min() and gaps.max() <= K + 1
 
 
 # --- fixed values below eight agents -------------------------------------------
@@ -314,24 +405,9 @@ def test_twelve_agent_values_are_pinned(cell):
 
 # --- coarse periodic rows -------------------------------------------------------
 
-# the pinned n = 3 periodic cells above, on rows of at most eight grid steps
-# cut at every deadline: one draw per agent per row, and the cost and reward
+# the pinned n = 3 periodic cells above on their production rows, from one
+# deadline to the next: one draw per agent per row, and the cost and reward
 # over its grid points taken as their expectations given its endpoints
-GOLDEN_N3_COARSE = {
-    "tt-b": (B, Periodic(0.75), "41.62141502136338", (26, "9.038483265194394"), 26),
-    "tt-async-b": (B, Periodic(0.75, staggered_offsets(3, 0.75)), "47.697170595987544",
-                   (26, "12.18288453422239"), 80),
-    "tt-bl": (BL, Periodic(0.25), "15.472162377849516", (80, "2.7795706744434026"), 80),
-}
-
-
-@pytest.mark.parametrize("cell", list(GOLDEN_N3_COARSE))
-def test_coarse_small_fleet_values_are_pinned(monkeypatch, cell):
-    monkeypatch.setattr(driver, "fleet_coarse_steps", lambda config: 8)
-    pinned_values(3, cell, GOLDEN_N3_COARSE)
-
-
-# the same cells on their production rows, from one deadline to the next
 GOLDEN_N3_DEADLINE = {
     "tt-b": (B, Periodic(0.75), "44.463087179159004", (26, "5.852819937682952"), 26),
     "tt-async-b": (B, Periodic(0.75, staggered_offsets(3, 0.75)), "38.27170837305636",
@@ -379,6 +455,9 @@ COARSE_CASES = {
     "off-grid-bl": (BL, Periodic(0.0731)),
     "every-step-b": (B, Periodic(DT)),
     "near-grid-async": (B, Periodic(0.75, near_grid_offsets(0.75))),
+    # with five-row chunks a lookup of one period's grid steps may hold no
+    # deadline, which must still advance the trial
+    "gap-past-period": (B, GAP_PAST_PERIOD),
 }
 
 
@@ -485,9 +564,10 @@ def test_dense_settle_matches_the_event_loop(monkeypatch, case, rows):
 
 @pytest.mark.parametrize("n", [3, 20])
 def test_coarse_chunk_budget_changes_only_rounding(monkeypatch, n):
-    # coarse rows end at deadlines and at whole coarse steps after them,
-    # never at a chunk boundary, so a budget of five rows per chunk draws
-    # the same noise in smaller blocks and moves rounding only
+    # coarse rows end at deadlines and at the horizon, and every deadline
+    # lookup of these schedules holds one, so no row ends at a chunk
+    # boundary: a budget of five rows per chunk draws the same noise in
+    # smaller blocks and moves rounding only
     draws = []
 
     class RecordingStream(driver.NoiseStream):
