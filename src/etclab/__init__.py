@@ -57,7 +57,7 @@ from .triggering import (
 )
 
 # the former per-scenario scheme names, kept only for perfbench/workloads.py;
-# ROADMAP item 7 deletes them together with j_tt_broadcast_local
+# ROADMAP item 8 deletes them together with j_tt_broadcast_local
 PeriodicSync = PeriodicAsync = Periodic
 LevelBroadcast = LevelGlobal = Level
 

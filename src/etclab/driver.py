@@ -57,28 +57,42 @@ lengths and the elapsed time stay in grid steps, so they are the grid
 fleet's, bit for bit; on rows of one grid step (``fleet_coarse_steps`` of
 1) the whole trial is.
 
-A level rule on a wide enough band (``fleet_coarse_steps``, a function of
-the threshold and the grid step) takes coarse steps too, with one draw
-per agent per step, and draws the grid points between an agent's coarse
-points only where the first-exit sampler would: where an end lies beyond
-``far`` of the agent's base (``triggering.coarse_far``), from the exact
-discrete bridge through the sampler's ``triggering.bridge_point``.  Any
-other entry reaches the band with probability below ``2 exp(-40)``.  The
-search runs in rounds, per chunk, with one body for both information
-cases (``_coarse_level_events``): it follows each agent from its own last
-reset, and under broadcast-plus-local the fleet's first coarse crossing
-bounds every agent's round, the earliest hit is the event and every agent
-resets there.  A row that holds an event before its end is drawn whole
-and settled grid step by grid step (``_refined_rows``), so resets,
-initiators and logged states are exact.  The cost and agent 0's
-reward take the drawn points as they are and the bridge law for the rest
+A broadcast-only level rule on a wide enough band (``fleet_coarse_steps``,
+a function of the threshold and the grid step) takes coarse steps too,
+with one draw per agent per step, and draws the grid points between an
+agent's coarse points only where the first-exit sampler would: where an
+end lies beyond ``far`` of the agent's base (``triggering.coarse_far``),
+from the exact discrete bridge through the sampler's
+``triggering.bridge_point``.  Any other entry reaches the band with
+probability below ``2 exp(-40)``.  The search runs in rounds, per chunk
+(``_coarse_level_events``), and follows each agent from its own last
+reset.  A row that holds an event before its end is drawn whole and
+settled grid step by grid step (``_refined_rows``), so resets, initiators
+and logged states are exact.  The cost and agent 0's reward take the
+drawn points as they are and the bridge law for the rest
 (``_CoarseRows``): the conditional expectation given what was drawn.
-Such a fleet is exact in law, not pathwise: its gates are the whole-law
-test of its exit steps and the grid level law's cost
-(``costs.grid_level_law``).  A trial that records a trajectory keeps one
-row per grid step under either rule, as does a level rule on a narrower
-band.  Trials are embarrassingly parallel: each owns a substream keyed
-by its index, and batches merge per-trial results in fixed index order.
+
+Under broadcast-plus-local information every event resets the whole
+fleet to the consensus point, so a level trial is a string of i.i.d.
+renewal cycles, each ``n`` walks from 0 up to their first grid exit from
+the band: the regenerative method (Asmussen & Glynn, *Stochastic
+Simulation*, 2007, ch. IV).  On a band wide enough for a fleet large
+enough (``fleet_coarse_steps``) such a trial runs as lanes
+(``_lane_cycles``): a block of cycles, one per lane, advances in lockstep
+by rounds of coarse rows with the same coarse-to-fine draws, so one round
+serves every live cycle, not one event; exited lanes drop out, a lane
+that would start past the horizon stops, and each exit row is drawn
+whole, so the initiators and the logged states are exact.  The cycles
+hand their tallies to the fleet in cycle order through the calls that
+``_settle`` makes.  The cycle that crosses the horizon counts its own
+path's grid points before it, whose number depends only on the cycles
+before it, so it is not length-biased.  Coarse rows and lanes are exact
+in law, not pathwise: their gates are the whole-law test of their exit
+steps and the grid level law's cost (``costs.grid_level_law``).  A trial
+that records a trajectory keeps one row per grid step under either rule,
+as does a level rule on a narrower band or a smaller fleet.  Trials are
+embarrassingly parallel: each owns a substream keyed by its index, and
+batches merge per-trial results in fixed index order.
 """
 
 import os
@@ -124,8 +138,17 @@ CHUNK_STEPS = 2048
 # in a chunk does not scan the whole remainder
 LEVEL_LOOKAHEAD = 256
 # a round of the coarse level search covers about this many expected gaps
-# between an agent's events (broadcast-only) or the fleet's (broadcast-plus-local)
+# between an agent's events
 WINDOW_GAPS = 2.0
+# lanes of broadcast-plus-local level cycles (_lane_cycles): a block holds
+# LANE_CYCLES times the expected cycles of the horizon left plus LANE_SPARE, a
+# round draws about LANE_ENTRIES entries (rows x lanes x agents) but at most
+# a cycle's expected coarse rows, and fleets of at least LANE_AGENTS agents
+# take lanes on a wide enough band (fleet_coarse_steps)
+LANE_CYCLES = 1.0
+LANE_SPARE = 2
+LANE_ENTRIES = 1 << 16
+LANE_AGENTS = 20
 
 
 @dataclass(frozen=True)
@@ -198,26 +221,37 @@ def fleet_coarse_steps(config: ScenarioConfig) -> int:
     steps (``triggering.periodic_fire_step`` of it), and a gap that rounding
     lengthens by a grid step is a row one step longer.  A level rule's rows
     are ``MAX_COARSE_STEPS`` grid steps long when its band is wide enough
-    for them to pay: when ``far`` (``triggering.coarse_far``), the distance
-    from the band's centre beyond which a coarse step's grid points are
-    drawn, is at least three quarters of the threshold, which at ``dt =
-    2e-3`` means ``delta >= 3.06``.  That depends on ``(delta, dt)`` alone.
-    On narrower bands the search's work per event outweighs the draws that
-    coarse rows save, and the rows stay one grid step: measured per cell
-    (``BENCH_17.json``), ``table1``'s ET cells of thresholds 2.24 (n = 10,
-    broadcast-only) and 1.89 (n = 50, broadcast-plus-local) ran 1.03x and
-    1.16x slower on coarse rows, its n = 50 broadcast-only cell (threshold
-    5) 1.56x faster.  A trial that records a trajectory shows every stride
-    row, so its rows are grid steps under either rule.
+    for them to pay, measured by ``far`` (``triggering.coarse_far``), the
+    distance from the band's centre beyond which a coarse step's grid
+    points are drawn.  Under broadcast-only information that is when
+    ``far`` is at least three quarters of the threshold, which at ``dt =
+    2e-3`` means ``delta >= 3.06``: on narrower bands the search's work per
+    event outweighs the draws that coarse rows save (``BENCH_17.json``:
+    ``table1``'s n = 10 cell of threshold 2.24 ran 1.03x slower on coarse
+    rows, its n = 50 cell of threshold 5 1.56x faster).  Under
+    broadcast-plus-local information such a trial runs as lanes of renewal
+    cycles (``_lane_cycles``) when the fleet has at least ``LANE_AGENTS``
+    agents and ``far`` is at least 0.45 of the threshold, which at ``dt =
+    2e-3`` means ``delta >= 1.393``: a round's work per lane outweighs the
+    draws saved in smaller fleets, and on narrower bands nearly every coarse
+    step is drawn whole.  Measured per cell (``BENCH_21.json``, 8 trials of
+    25 s), lanes ran 0.26x to 0.90x the time of grid rows from n = 32 at
+    thresholds 1.45 to 5, and 0.58x to 0.84x at n = 20 from threshold 1.9
+    (1.13x at 1.45, 0.89x with 100 s horizons); at n = 3 and 10, and at
+    threshold 0.9 for every n, they ran 1.02x to 2.8x slower.  Both rules
+    depend on ``(n, delta, dt)`` alone.  A trial that records a trajectory
+    shows every stride row, so its rows are grid steps under either rule.
     """
     scheme = config.scheme
     if config.record_trajectory:
         return 1
     if isinstance(scheme, Periodic):
         return int(periodic_fire_step(np.float64(scheme.period), config.dt))
-    if coarse_far(scheme.delta, config.dt, MAX_COARSE_STEPS) < 0.75 * scheme.delta:
-        return 1
-    return MAX_COARSE_STEPS
+    far = coarse_far(scheme.delta, config.dt, MAX_COARSE_STEPS)
+    if config.scenario is InfoScenario.BROADCAST_LOCAL:
+        lanes = config.n >= LANE_AGENTS and far >= 0.45 * scheme.delta
+        return MAX_COARSE_STEPS if lanes else 1
+    return MAX_COARSE_STEPS if far >= 0.75 * scheme.delta else 1
 
 
 def _expected_interevent(config: "ScenarioConfig") -> float:
@@ -573,9 +607,19 @@ class _Bridges:
         """The grid points 1 .. k - 1 of drawn ``entries``, a column each."""
         return self.store[:, self.slot[entries]]
 
+    def deviations(self, entries: np.ndarray, increments: np.ndarray) -> np.ndarray:
+        """The grid points 1 .. k - 1 of drawn ``entries`` minus their bridge
+        means ``a + z j / k``, a row each, with ``a`` the entry's start in
+        ``rows`` and ``z`` its increment in ``increments``, laid out as the
+        steps of ``rows``."""
+        k = len(self.levels) + 1
+        d = self.points(entries).T
+        d -= (self.rows.reshape(-1)[entries, None]
+              + increments.reshape(-1)[entries, None] * (np.arange(1, k) / k))
+        return d
 
-def _coarse_level_events(bridges: _Bridges, delta: float, far: float, k: int,
-                         local: bool, window: int):
+
+def _coarse_level_events(bridges: _Bridges, delta: float, far: float, k: int, window: int):
     """``(times, masks)`` of the level rule's events in a chunk of coarse
     running sums: the grid points, counted from the chunk's start, at which
     some agent's error reaches ``delta``, ascending, and per event the
@@ -591,21 +635,14 @@ def _coarse_level_events(bridges: _Bridges, delta: float, far: float, k: int,
     entry reaches the band with probability below ``2 exp(-40)``) and takes
     each agent's first grid point in the band's complement after the point
     it was searched through; that hit, or else the bounding crossing, is
-    the agent's event, which resets it alone under broadcast-only
-    information.  Under broadcast-plus-local every event resets every
-    agent, so the fleet's first coarse crossing bounds every agent's
-    search, the row that ends there, which most often holds the event, is
-    drawn whole, only the earliest hit is an event, with the agents that
-    reach the band there as its initiators, and every agent resets at it;
-    a reset inside a row draws that row whole.  A lone agent's search is
-    the same under either information.
+    the agent's event, which resets it alone: the search serves
+    broadcast-only information, where each agent watches its own error.
     """
     rows = bridges.rows
     span, n = len(rows) - 1, rows.shape[1]
     last = span * k
     inner = np.arange(1, k)[:, None]  # the grid points inside a row
     base = np.zeros(n)
-    everyone = np.arange(n)
     times, agents = [], []
     done = np.zeros(n, dtype=np.int64)  # each agent is searched through this point
     while True:
@@ -632,9 +669,6 @@ def _coarse_level_events(bridges: _Bridges, delta: float, far: float, k: int,
         ends[live] = np.where(crossed, (lo + stop) * k, last + 1)
         near = dist > far
         need = near[:-1] | near[1:]
-        if local and crossed.any():
-            stop = int(stop.min())  # the fleet's first crossing bounds every search
-            need[stop - 1] = True  # the row that most often holds the event
         need &= row < stop
         if later:
             need &= row >= first
@@ -653,16 +687,12 @@ def _coarse_level_events(bridges: _Bridges, delta: float, far: float, k: int,
                 j = hit[:, h].argmax(axis=0)
                 ends[who] = entries[h] // n * k + j + 1
         done[live] = (lo + stop) * k
-        if local:  # only the earliest hit is an event
-            ends[ends > ends.min()] = last + 1
         fired = np.flatnonzero(ends <= last)
         if not fired.size:
             continue
         at = ends[fired]
         times.append(at)
         agents.append(fired)
-        if local:  # every agent resets at the event
-            fired, at = everyone, np.full(n, at[0])
         row, j = np.divmod(at, k)
         base[fired] = rows[row, fired]
         inside = np.flatnonzero(j)
@@ -702,9 +732,7 @@ def _refined_rows(bridges: _Bridges, increments: np.ndarray, times: np.ndarray, 
     drawn = np.sort(bridges.owner[: bridges.count])
     drawn = drawn[coarse[drawn // n]]
     row, agent = np.divmod(drawn, n)
-    d = bridges.points(drawn).T
-    d -= (rows.reshape(-1)[drawn, None]
-          + increments.reshape(-1)[drawn, None] * (np.arange(1, k) / k))
+    d = bridges.deviations(drawn, increments)
     if split.size:
         grid = at[split, None] + np.arange(1, k)
         ends[grid] = split[:, None] * k + np.arange(1, k)
@@ -766,31 +794,62 @@ def _chunk_deadlines(fire_counts, offsets, period, dt, done, span, limit):
     return stops, masks[:-1]
 
 
-def _bridge_sums(k, aa, az, zz, var):
+def _bridge_sums(k, aa, az, zz, var, m=None):
     """Per coarse step of ``k`` grid steps, the expectation of a quadratic
-    form ``q`` of the errors summed over the step's ``k`` left endpoints,
-    given the step's post-reset start ``a`` and its increment ``z``, with
-    ``aa = q(a)``, ``az = q(a, z)``, ``zz = q(z)`` and ``var`` the trace of
-    ``q`` times the variance of one grid step's increment.
+    form ``q`` of the errors summed over the step's first ``m`` left
+    endpoints (all ``k`` of them by default), given the step's post-reset
+    start ``a`` and its increment ``z``, with ``aa = q(a)``, ``az = q(a,
+    z)``, ``zz = q(z)`` and ``var`` the trace of ``q`` times the variance of
+    one grid step's increment.
 
     Given its endpoints, a coarse step's grid points form a discrete
     Brownian bridge (Glasserman, *Monte Carlo Methods in Financial
     Engineering*, 2004, section 3.1): grid point ``j`` has mean ``m_j = a +
     z j / k`` and, per agent and independently, variance ``v_j = j (k - j)
     / k`` grid-step variances.  So the sum of ``q(m_j) + var v_j`` over
-    ``j < k`` is ``k aa + (k - 1) az + C zz + var (k^2 - 1) / 6`` with ``C =
-    (k - 1)(2k - 1) / (6k)``; with the pre-reset end ``b = a + z`` that is
-    ``A q(a) + B q(a, b) + C q(b)``, ``A = 1 + C``, ``B = 2 ((k - 1) / 2 -
-    C)``, plus the variance term.  At ``k = 1`` every term but ``aa``
-    is an exact zero.  Replacing the grid points by this expectation is
-    conditional Monte Carlo (Asmussen & Glynn, *Stochastic Simulation*,
-    2007, ch. V): the same mean, and no larger a variance.
+    ``j < m`` is ``m aa + (m - 1) m / k az + (m - 1) m (2m - 1) / (6 k^2)
+    zz + var (m - 1) m (3k - 2m + 1) / (6k)``.  Over the whole step, ``m =
+    k``, that is ``k aa + (k - 1) az + C zz + var (k^2 - 1) / 6`` with ``C =
+    (k - 1)(2k - 1) / (6k)``, each coefficient rounded once, as written;
+    with the pre-reset end ``b = a + z`` it is ``A q(a) + B q(a, b) + C
+    q(b)``, ``A = 1 + C``, ``B = 2 ((k - 1) / 2 - C)``, plus the variance
+    term.  At ``k = 1``, and at ``m = 1``, every term but ``aa`` is an exact
+    zero, and at ``m = 0`` the sum is.  Replacing the grid points by this
+    expectation is conditional Monte Carlo (Asmussen & Glynn, *Stochastic
+    Simulation*, 2007, ch. V): the same mean, and no larger a variance.
     """
-    sums = k * aa
-    sums += (k - 1) * az
-    sums += (k - 1) * (2 * k - 1) / (6 * k) * zz
-    sums += var * (k * k - 1) / 6
+    if m is None:
+        m = k
+    sums = m * aa
+    sums += (m - 1) * m / k * az
+    sums += (m - 1) * m / k * (2 * m - 1) / (6 * k) * zz
+    sums += var * ((m - 1) * m / k * (3 * k - 2 * m + 1)) / 6
     return sums
+
+
+def _drawn_parts(starts, increments, step_var, row, agent, d):
+    """``(own, v, first, cross)``, the pieces of what drawn grid points add
+    to bridge sums (``_CoarseRows._drawn_terms``).  Entry ``e`` of the
+    drawn ones, in ascending order of ``row * n + agent``, is agent
+    ``agent[e]``'s step from ``starts[row[e]]`` by ``increments[row[e]]``,
+    ``k`` grid steps of variance ``step_var`` each, and ``d[e]`` holds its
+    inner grid points minus their bridge means ``m``.  Per entry and inner
+    point ``own = d (2 m + d)``, per inner point ``v`` is the bridge's
+    variance, ``first`` indexes each row's first entry, and per such row
+    and inner point ``cross = D (2 S + D)``, with ``S`` and ``D`` the row's
+    sums of ``m`` over all agents and of ``d`` over the drawn ones."""
+    k = d.shape[1] + 1
+    j = np.arange(1, k)
+    n = starts.shape[1]
+    flat = row * n + agent
+    m = starts.reshape(-1)[flat, None] + increments.reshape(-1)[flat, None] * (j / k)
+    v = step_var * j * (k - j) / k
+    own = d * (2 * m + d)
+    first = np.flatnonzero(np.diff(row, prepend=-1))
+    at = row[first]
+    s = starts[at].sum(axis=1)[:, None] + increments[at].sum(axis=1)[:, None] * (j / k)
+    dsum = np.add.reduceat(d, first, axis=0)
+    return own, v, first, dsum * (2 * s + dsum)
 
 
 class _CoarseRows:
@@ -833,19 +892,9 @@ class _CoarseRows:
         if not len(row):
             self._terms = 0.0, rewards
             return self._terms
-        k = d.shape[1] + 1
-        j = np.arange(1, k)
-        flat = row * rows.shape[1] + agent
-        m = rows.reshape(-1)[flat, None] + self.increments.reshape(-1)[flat, None] * (j / k)
-        v = self.step_var * j * (k - j) / k
-        own = d * (2 * m + d)
+        own, v, _, cross = _drawn_parts(rows, self.increments, self.step_var, row, agent, d)
         n = rows.shape[1]
-        first = np.flatnonzero(np.diff(row, prepend=-1))
-        at = row[first]
-        s = rows[at].sum(axis=1)[:, None] + self.increments[at].sum(axis=1)[:, None] * (j / k)
-        dsum = np.add.reduceat(d, first, axis=0)
-        cost = (n * float(own.sum()) - (n - 1) * len(row) * float(v.sum())
-                - float((dsum * (2 * s + dsum)).sum()))
+        cost = n * float(own.sum()) - (n - 1) * len(row) * float(v.sum()) - float(cross.sum())
         lead = agent == 0
         rewards[row[lead]] = (own[lead] - v).sum(axis=1)
         self._terms = cost, rewards
@@ -873,6 +922,231 @@ class _CoarseRows:
         return np.add.reduceat(np.append(sums, 0.0), [0, *stops]).tolist()
 
 
+def _lane_block(stream: NoiseStream, config: ScenarioConfig, lanes: int, width: int,
+                start: int, step_var: float):
+    """``(lengths, counted, masks, e_pre, costs, rewards)`` of one block of
+    ``lanes`` renewal cycles of a broadcast-plus-local level trial, the
+    first of which starts at grid step ``start``.
+
+    Lane ``i`` is cycle ``i``: ``n`` walks from 0 up to the first grid point
+    at which some ``|e| >= delta``.  The live lanes advance in rounds of
+    ``width`` coarse rows of ``k = MAX_COARSE_STEPS`` grid steps: one
+    ``N(0, k dt)`` draw per agent per row and one running sum down the rows.
+    A lane's first row whose end lies beyond the band bounds its exit, and
+    the grid points of every entry of the rows up to it with an end beyond
+    ``far`` (``triggering.coarse_far``) are drawn (``_Bridges``): the first
+    of those points beyond the band, or else the bounding row's end, is the
+    lane's exit.  Exited lanes drop out.  The lanes start one after another,
+    so a lane starts no earlier than ``start`` plus the lengths of the lanes
+    before it, or the grid steps they were searched through while they have
+    not exited; a lane that would start past the horizon, or whose start
+    plus its own searched steps already reaches it, stops.  Once every lane
+    has exited or stopped, each exit row is drawn whole, and the agents
+    beyond the band at the exit are the initiators.
+
+    ``counted`` is the grid points that count per lane: a cycle that ends by
+    the horizon counts its length; the one that crosses it counts its own
+    path's grid points before the horizon, whose number depends only on the
+    cycles before it; later lanes count none.  ``lengths`` holds each exited
+    lane's length and, for a lane that stopped, ``config.steps + 1``.  The
+    cost and agent 0's reward over a lane's counted grid points are their
+    expectations given what was drawn: the exact sums over its exit row's
+    grid points, and for every row before it ``_bridge_sums`` of ``q(a)``,
+    ``q(a, z)`` and ``q(z)``, of the row's start ``a`` and increment ``z``,
+    plus what the drawn entries correct at each inner grid point
+    (``_drawn_parts``).  Each round keeps these per row and lane, so that
+    any prefix of a lane's grid points can be formed once the block is done.
+    """
+    n, dt, k = config.n, config.dt, MAX_COARSE_STEPS
+    delta = config.scheme.delta
+    far = coarse_far(delta, dt, k)
+    horizon = config.steps
+    sd = np.sqrt(k * dt)
+    inner = np.arange(1, k)
+    reach = np.zeros(lanes, dtype=np.int64)  # the exit, or the grid steps searched through
+    exited = np.zeros(lanes, dtype=bool)
+    exit_start = np.full(lanes, horizon + 1)  # the grid steps before each lane's exit row
+    # the first round's working arrays, which every later round reuses in
+    # part: a fresh array of this size each round would page-fault anew
+    buffers = np.empty((3, (width + 1) * lanes * n))
+    live = np.arange(lanes)
+    x = np.zeros((lanes, n))  # the live lanes' errors after t grid steps
+    t = 0
+    kept = []  # per round: its rows' terms, and its drawn entries' corrections
+    exits = []  # per round: the exited lanes, their exit rows' ends and drawn entries
+    while live.size:
+        m = live.size
+        # rows[r] holds every live lane's errors after r coarse rows, lanes
+        # side by side: entry e is agent e % n of lane e // n % m in row e // (m n)
+        rows, z, dist = (b[: (width + 1) * m * n].reshape(width + 1, m * n) for b in buffers)
+        rows[0] = x.reshape(-1)
+        noise = stream.normals((width, m * n), out=rows[1:])
+        noise *= sd
+        z = z[1:].reshape(width * m, n)
+        np.copyto(z, noise.reshape(width * m, n))
+        _running_sum(rows)
+        points = rows.reshape(width + 1, m, n)
+        np.abs(rows, out=dist)
+        over = (dist[1:] >= delta).reshape(width, m, n).any(axis=2)
+        bound = np.where(over.any(axis=0), over.argmax(axis=0), width)
+        near = dist > far
+        need = (near[:-1] | near[1:]).reshape(width, m, n)
+        need &= (np.arange(width)[:, None] <= bound)[:, :, None]
+        entries = np.flatnonzero(need)
+        bridges = _Bridges(rows, stream, k, dt)
+        # each lane's exit in grid steps from t, past the round if none
+        at = (bound + 1) * k
+        if entries.size:
+            slots = bridges.draw(entries)
+            beyond = np.abs(bridges.store[:, slots]) >= delta
+            hit = np.flatnonzero(beyond.any(axis=0))
+            np.minimum.at(at, entries[hit] // n % m,
+                          entries[hit] // (m * n) * k + beyond[:, hit].argmax(axis=0) + 1)
+        out = np.flatnonzero(at <= width * k)
+        exit_row = np.full(m, width)
+        exit_row[out] = (at[out] - 1) // k
+        which = live[out]
+        exit_start[which] = t + exit_row[out] * k
+        reach[which] = t + at[out]
+        exited[which] = True
+        # the exit rows' ends and drawn entries, and the rows before them
+        owner = np.sort(bridges.owner[: bridges.count])
+        row, agent = np.divmod(owner, n)
+        lane = row % m
+        row //= m
+        ahead = row < exit_row[lane]
+        inside = np.flatnonzero(row == exit_row[lane])
+        exits.append((which, points[exit_row[out], out], points[exit_row[out] + 1, out],
+                      np.searchsorted(out, lane[inside]), agent[inside],
+                      bridges.points(owner[inside])))
+        # the terms of the rows before each lane's exit row, row by row
+        starts = rows[:-1].reshape(width * m, n)
+        a0, z0 = starts[:, 0], z[:, 0]
+        terms = np.stack((consensus_cost_rows(starts), consensus_cost_rows(starts, z),
+                          consensus_cost_rows(z), a0 * a0, a0 * z0, z0 * z0), axis=1)
+        drawn = owner[ahead]
+        row, agent = np.divmod(drawn, n)
+        fixes = np.zeros((0, 2, k - 1))
+        if drawn.size:
+            own, v, first, cross = _drawn_parts(starts, z, step_var, row, agent,
+                                                bridges.deviations(drawn, z))
+            count = np.diff(np.append(first, row.size))
+            fixes = np.zeros((first.size, 2, k - 1))
+            fixes[:, 0] = n * np.add.reduceat(own, first, axis=0) - (n - 1) * count[:, None] * v
+            fixes[:, 0] -= cross
+            lead = agent == 0
+            fixes[np.searchsorted(row[first], row[lead]), 1] = own[lead] - v
+            row = row[first]
+        kept.append((np.repeat(t + np.arange(width) * k, m), np.tile(live, width), terms,
+                     row, fixes))
+        del bridges
+        t += width * k
+        going = exit_row == width
+        reach[live[going]] = t
+        earliest = start + np.cumsum(reach) - reach  # each lane's earliest start
+        going &= earliest[live] + t < horizon
+        x = points[-1, going]
+        live = live[going]
+
+    lengths = np.where(exited, reach, horizon + 1)
+    ends = start + np.cumsum(lengths)
+    counted = np.where(ends <= horizon, lengths, np.clip(horizon - (ends - lengths), 0, None))
+    # every round's rows at once: each counts its grid points before its
+    # lane's exit row and the horizon
+    offsets = np.cumsum([0, *(len(part[0]) for part in kept[:-1])])
+    begin, ids, terms, row, fixes = (np.concatenate(part) for part in zip(*kept))
+    row += np.repeat(offsets, [len(part[3]) for part in kept])
+    m = np.clip(np.minimum(counted, exit_start)[ids] - begin, 0, k)
+    cost = _bridge_sums(k, *terms[:, :3].T, n * (n - 1) * step_var, m)
+    reward = _bridge_sums(k, *terms[:, 3:].T, step_var, m)
+    fixes *= (inner < m[row, None])[:, None]
+    cost[row] += fixes[:, 0].sum(axis=1)
+    reward[row] += fixes[:, 1].sum(axis=1)
+    costs = np.bincount(ids, cost, lanes)
+    rewards = np.bincount(ids, reward, lanes)
+    masks = np.zeros((lanes, n), dtype=bool)
+    e_pre = np.zeros((lanes, n))
+    if not exited.any():
+        return lengths, counted, masks, e_pre, costs, rewards
+    which, line = _exit_rows(stream, exits, k, dt)
+    e_pre[which] = line[reach[which] - exit_start[which], np.arange(which.size)]
+    masks[which] = np.abs(e_pre[which]) >= delta
+    counts = np.arange(k)[:, None] < np.clip(counted - exit_start, 0, k)[which]
+    lead = line[:-1, :, 0]
+    costs += np.bincount(which, (consensus_cost_rows(line[:-1]) * counts).sum(axis=0), lanes)
+    rewards += np.bincount(which, (lead * lead * counts).sum(axis=0), lanes)
+    return lengths, counted, masks, e_pre, costs, rewards
+
+
+def _exit_rows(stream: NoiseStream, exits, k: int, dt: float):
+    """``(which, line)``: the lanes that exited in a block, in the order of
+    ``exits``, and the grid points 0 .. ``k`` of each one's exit row, drawn
+    whole.  ``exits`` holds per round the lanes that exited, their exit
+    rows' starts and ends, and the entries drawn in those rows during the
+    search (the position of the lane among them, the agent, the inner grid
+    points), which are kept as they are; every other entry is drawn from the
+    exact discrete bridge between its row's ends (``_Bridges``)."""
+    which, a, b, lane, agent, drawn = (np.concatenate(part, axis=axis) for part, axis
+                                       in zip(zip(*exits), (0,) * 5 + (1,)))
+    lane += np.repeat(np.cumsum([0, *(len(part[0]) for part in exits[:-1])]),
+                      [len(part[3]) for part in exits])
+    count, n = a.shape
+    line = np.empty((k + 1, count, n))
+    line[0], line[k] = a, b
+    ends = np.empty((2 * count, n))  # each exit row's start, then its end
+    ends[0::2], ends[1::2] = a, b
+    fresh = np.ones((count, n), dtype=bool)
+    fresh[lane, agent] = False
+    fresh = np.flatnonzero(fresh)
+    bridges = _Bridges(ends, stream, k, dt)
+    bridges.draw(fresh // n * 2 * n + fresh % n)
+    line[1:k].reshape(k - 1, -1)[:, fresh] = bridges.store[:, : fresh.size]
+    line[1:k, lane, agent] = drawn
+    return which, line
+
+
+def _lane_cycles(fleet: _Fleet, stream: NoiseStream, noise_scale: float) -> None:
+    """Run a broadcast-plus-local level trial as blocks of lanes
+    (``_lane_block``) and hand ``fleet`` the tallies of each cycle that
+    starts before the horizon, in cycle order, as ``_settle`` does: the
+    event counts, the cycle's reward and length (``close_cycle``), the
+    event's log when the trial logs events, and the cost.
+
+    A block holds ``LANE_CYCLES`` times the expected cycles of the horizon
+    left plus ``LANE_SPARE``, at most ``CHUNK_BYTES / (128 (n + R))`` with
+    ``R`` a cycle's expected coarse rows, which keeps a round's working
+    arrays and the terms a block keeps within about ``CHUNK_BYTES``.  A
+    round advances ``LANE_ENTRIES / (lanes n)`` coarse rows, at least one
+    and at most ``R``: the fewer the lanes, the fewer the rounds that their
+    fixed work is spent on.  Both depend on the config and the grid steps
+    left alone, so a trial's results depend on ``(config, trial)`` alone."""
+    config = fleet.config
+    acc = fleet.acc
+    n, dt, k = config.n, config.dt, MAX_COARSE_STEPS
+    horizon = config.steps
+    expected = _expected_interevent(config)
+    cycle_rows = max(1, round(expected / (k * dt)))
+    most = max(1, CHUNK_BYTES // (128 * (n + cycle_rows)))
+    start = 0
+    while start < horizon:
+        lanes = min(most, int(LANE_CYCLES * (horizon - start) * dt / expected) + LANE_SPARE)
+        width = max(1, min(cycle_rows, LANE_ENTRIES // (lanes * n)))
+        lengths, counted, masks, e_pre, costs, rewards = _lane_block(
+            stream, config, lanes, width, start, noise_scale**2 * dt)
+        complete = int(np.count_nonzero(counted == lengths))
+        acc.local_event_counts += masks[:complete].sum(axis=0)
+        acc.global_event_count += complete
+        for i, (length, reward) in enumerate(zip(lengths[:complete].tolist(),
+                                                 rewards[:complete].tolist())):
+            start += length
+            if fleet.logged:
+                fleet.log_event(e_pre[i], masks[i], start)
+            acc.close_cycle(reward * dt, length * dt)
+        acc.integral_sum += float(costs.sum()) * dt
+        if complete < lanes:
+            break
+
+
 def _grid_time(steps: int, chunk: int, dt: float) -> float:
     """``steps`` grid steps of ``dt`` as a trial's elapsed time, summed
     ``chunk`` steps at a time, so that its bits do not depend on how long
@@ -891,19 +1165,23 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     (-1 flips its sign, 0 silences it).
 
     Under a periodic rule (``fleet_coarse_steps``) a chunk's rows end at
-    its first deadlines, of any phase, and the trial's last chunk, or one
-    whose deadline lookup holds none, has one more row to its end.  A row
-    of ``k`` grid steps takes one ``N(0, k dt)`` draw per agent; the cost
-    and agent 0's reward over its grid points are their expectations given
-    its endpoints (``_bridge_sums``).  Event times, cycle lengths and the
-    elapsed time stay in grid steps.  A level rule on a wide enough band
-    steps ``MAX_COARSE_STEPS`` grid steps a row up to the horizon's last
-    whole coarse step, draws grid points between coarse points only near the
-    band and in rows that hold events, and takes the cost and reward as
-    their expectations given what was drawn.  Under a level rule on a
-    narrower band, and in a trial that records a trajectory, every row is
-    one grid step and the cost and reward sum its rows, exactly as
-    ``run_trial_reference`` does.
+    its first deadlines, of any phase, and the trial's last chunk has one
+    more row to its end; a chunk looks up deadlines over at least one grid
+    step more than the period, so the lookup always holds one.  A row of
+    ``k`` grid steps takes one ``N(0, k dt)`` draw per agent; the cost and
+    agent 0's reward over its grid points are their expectations given its
+    endpoints (``_bridge_sums``).  Event times, cycle lengths and the
+    elapsed time stay in grid steps.  A broadcast-only level rule on a wide
+    enough band steps ``MAX_COARSE_STEPS`` grid steps a row up to the
+    horizon's last whole coarse step, draws grid points between coarse
+    points only near the band and in rows that hold events, and takes the
+    cost and reward as their expectations given what was drawn.  A
+    broadcast-plus-local level trial that the rule selects, logged or not,
+    runs as lanes of renewal cycles (``_lane_cycles``) with the same draws
+    and expectations, and hands each cycle before the horizon to the fleet
+    in order.  Under any other level rule, and in a trial that records a
+    trajectory, every row is one grid step and the cost and reward sum its
+    rows, exactly as ``run_trial_reference`` does.
     """
     n = config.n
     dt = config.dt
@@ -923,8 +1201,9 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
         # grid steps whose deadlines a chunk looks up: room for a chunk of
         # coarse rows, but at most CHUNK_BYTES / 8 grid steps over all phases
         # once there are many, which bounds the counter values looked up, and
-        # at least one coarse step
-        reach = max(coarse, min(coarse * chunk, max(chunk, CHUNK_BYTES // (8 * len(offsets)))))
+        # at least one coarse step and one grid step more, the longest gap
+        # between two deadlines of a phase, so that every lookup holds one
+        reach = max(coarse + 1, min(coarse * chunk, max(chunk, CHUNK_BYTES // (8 * len(offsets)))))
 
     # rows per chunk: a chunk of coarse level rows may draw every grid point
     # of its rows (rows that hold events are drawn whole), so the budget
@@ -937,6 +1216,10 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     stream = NoiseStream(config.seed, trial_index, noise_scale)
     fleet = _Fleet.start(config, trajectory=config.record_trajectory)
     acc = fleet.acc
+    acc.elapsed = _grid_time(steps_total, chunk, dt)
+    if level and local and coarse > 1:
+        _lane_cycles(fleet, stream, noise_scale)
+        return TrialResult(accumulator=acc, events=fleet.events)
     if fleet.trajectory is not None:
         fleet.log_state(0, fleet.e, 0)
 
@@ -959,10 +1242,10 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
                                             chunk)
             span, k = grid, 1
             if coarse > 1:
-                # the rows end at the stops, and the trial's last chunk, or a
-                # lookup that holds no deadline, has one more to its end
+                # the rows end at the stops, and the trial's last chunk has
+                # one more to its end
                 ends = np.concatenate(([0], stops))
-                if ends[-1] < grid and (not len(stops) or grid == left and len(stops) < chunk):
+                if ends[-1] < grid and grid == left and len(stops) < chunk:
                     ends = np.append(ends, grid)
                 span = len(ends) - 1
                 coarse_rows = _CoarseRows(ends, increments[:span], noise_scale**2 * dt)
@@ -979,7 +1262,7 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
         _running_sum(rows)
         if level and k > 1:
             bridges = _Bridges(rows, stream, k, dt)
-            times, masks = _coarse_level_events(bridges, scheme.delta, far, k, local, window)
+            times, masks = _coarse_level_events(bridges, scheme.delta, far, k, window)
             rows, stops, coarse_rows = _refined_rows(bridges, increments[:span], times, k,
                                                      noise_scale**2 * dt)
             del bridges
@@ -995,7 +1278,6 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
             done += int(coarse_rows.ends[-1])
         fleet.e = rows[-1]
 
-    acc.elapsed = _grid_time(steps_total, chunk, dt)
     return TrialResult(accumulator=acc, events=fleet.events, trajectory=fleet.trajectory)
 
 

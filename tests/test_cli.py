@@ -207,18 +207,19 @@ K = MAX_COARSE_STEPS
 # 0.5), 10 and 50; a periodic row runs from one deadline to the next, so its
 # bound is the period in grid steps of 2e-3 s (n T under broadcast-only
 # information, T under broadcast-plus-local), and of the level rows only
-# n = 50's broadcast-only one, of threshold 5, is coarse
+# n = 50's are coarse: its broadcast-only one, of threshold 5, on coarse rows,
+# its broadcast-plus-local one on lanes of renewal cycles
 TABLE1_COARSE = ",".join(map(str, [375, 1, 125, 1, 750, 1, 250, 1, 2500, 1, 250, 1,
-                                   12500, K, 250, 1]))
+                                   12500, K, 250, K]))
 
 
 @pytest.mark.parametrize("argv, coarse", [
     (["simulate", "--trigger", "periodic-sync", "--period", "0.5"], 250),
     (["simulate", "--trigger", "level", "--delta", "1.0"], 1),
     (["simulate", "--trigger", "level", "--delta", "4.0"], K),
-    (["simulate", "--scenario", "bl", "--trigger", "level", "--delta", "4.0"], K),
+    (["simulate", "--n", "50", "--scenario", "bl", "--trigger", "level", "--delta", "4.0"], K),
     (["table1"], TABLE1_COARSE),
-    (["sweep-n", "--n-list", "3,50"], "250/1,250/1"),
+    (["sweep-n", "--n-list", "3,50"], "250/1,250/8"),
     (["trajectory", "--trigger", "periodic-sync", "--period", "0.5"], 1),
     (["trajectory", "--trigger", "level", "--delta", "4.0"], 1),
 ], ids=["simulate-periodic", "simulate-level", "simulate-coarse-level-b",
@@ -227,8 +228,9 @@ TABLE1_COARSE = ",".join(map(str, [375, 1, 125, 1, 750, 1, 250, 1, 2500, 1, 250,
 def test_manifest_records_the_fleet_coarse_step(tmp_path, argv, coarse):
     # a CSV and its manifest alone say whether each row's costs are
     # expectations over coarse steps: periodic rows, and level rows whose
-    # band is wide enough (driver.fleet_coarse_steps); a trajectory shows
-    # every grid step
+    # band is wide enough, for a large enough fleet under broadcast-plus-local
+    # information (driver.fleet_coarse_steps); a trajectory shows every grid
+    # step
     out = tmp_path / "x.csv"
     length = ["--duration", "2"] if argv[0] == "trajectory" else ["--horizon", "2",
                                                                   "--trials", "1"]

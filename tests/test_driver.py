@@ -25,6 +25,7 @@ from etclab import (
     staggered_offsets,
 )
 from etclab import driver
+from etclab.calibration import level_threshold
 from etclab.driver import run_trial_reference
 from etclab.triggering import periodic_fire_step
 
@@ -564,10 +565,12 @@ def test_dense_settle_matches_the_event_loop(monkeypatch, case, rows):
 
 @pytest.mark.parametrize("n", [3, 20])
 def test_coarse_chunk_budget_changes_only_rounding(monkeypatch, n):
-    # coarse rows end at deadlines and at the horizon, and every deadline
-    # lookup of these schedules holds one, so no row ends at a chunk
+    # coarse rows end at deadlines and at the horizon, and a deadline lookup
+    # spans at least one grid step more than the longest gap between two
+    # deadlines of a phase, so it always holds one and no row ends at a chunk
     # boundary: a budget of five rows per chunk draws the same noise in
-    # smaller blocks and moves rounding only
+    # smaller blocks and moves rounding only.  The 406-step-gap schedule's
+    # lookups, five rows of five phases, are the shortest the budget allows
     draws = []
 
     class RecordingStream(driver.NoiseStream):
@@ -577,15 +580,17 @@ def test_coarse_chunk_budget_changes_only_rounding(monkeypatch, n):
             return block
 
     monkeypatch.setattr(driver, "NoiseStream", RecordingStream)
-    for scenario, scheme in [(BL, Periodic(0.25)), (B, Periodic(0.8, staggered_offsets(n, 0.8))),
-                             (BL, Periodic(0.0731))]:
-        config = quiet_config(n=n, scenario=scenario, scheme=scheme, horizon=20.0,
-                              trials=1, seed=17, record_events=True)
+    configs = [quiet_config(n=n, scenario=scenario, scheme=scheme, horizon=20.0, trials=1,
+                            seed=17, record_events=True)
+               for scenario, scheme in [(BL, Periodic(0.25)),
+                                        (B, Periodic(0.8, staggered_offsets(n, 0.8))),
+                                        (BL, Periodic(0.0731))]]
+    for config in [*configs, coarse_case("gap-past-period")]:
         default = run_trial(config, 0)
         default_draws = np.concatenate(draws)
         draws.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(driver, "CHUNK_BYTES", 5 * 8 * n)
+            patch.setattr(driver, "CHUNK_BYTES", 5 * 8 * config.n)
             small = run_trial(config, 0)
         assert max(len(block) for block in draws) <= 5
         assert np.array_equal(np.concatenate(draws), default_draws)
@@ -602,47 +607,67 @@ def test_coarse_chunk_budget_changes_only_rounding(monkeypatch, n):
 
 # --- coarse level rows ----------------------------------------------------------
 
-# a broadcast-only and a broadcast-plus-local level cell of twelve agents whose
-# thresholds the rule puts on coarse rows at dt 2e-3 (driver.fleet_coarse_steps),
-# trial 0 at horizon 20 s and seed 1729, in the format of GOLDEN_N3
+# a broadcast-only level cell of twelve agents whose threshold the rule puts on
+# coarse rows at dt 2e-3 (driver.fleet_coarse_steps), and a broadcast-plus-local
+# one forced onto lanes of renewal cycles, which the rule keeps for larger
+# fleets, trial 0 at horizon 20 s and seed 1729, in the format of GOLDEN_N3
 GOLDEN_COARSE_LEVEL = {
     "et-b": (B, Level(4.0), "5750.7644452272725", (2, "26.618040471069293"), 16),
-    "et-bl": (BL, Level(3.5), "3816.79733803937", (6, "31.07974224846401"), 6),
+    "et-bl": (BL, Level(3.5), "2774.960995745387", (8, "13.326084749160188"), 8),
 }
 
 
 @pytest.mark.parametrize("cell", list(GOLDEN_COARSE_LEVEL))
-def test_coarse_level_values_are_pinned(cell):
+def test_coarse_level_values_are_pinned(monkeypatch, cell):
     scenario, scheme = GOLDEN_COARSE_LEVEL[cell][:2]
     config = quiet_config(n=12, scenario=scenario, scheme=scheme)
+    if scenario is BL:
+        monkeypatch.setattr(driver, "fleet_coarse_steps", lambda config: driver.MAX_COARSE_STEPS)
     assert driver.fleet_coarse_steps(config) == driver.MAX_COARSE_STEPS == 8
     pinned_values(12, cell, GOLDEN_COARSE_LEVEL)
 
 
 def test_coarse_level_rule():
-    # coarse rows iff far >= 3 delta / 4, which at dt 2e-3 is delta >= 3.06:
-    # fleet-large's broadcast-only level cell, not its broadcast-plus-local
-    # one nor fleet-small's, and no trial that records a trajectory
+    # broadcast-only: coarse rows iff far >= 3 delta / 4, which at dt 2e-3 is
+    # delta >= 3.06: fleet-large's level cell, not fleet-small's, and no
+    # trial that records a trajectory
     def steps(delta, **kw):
-        return driver.fleet_coarse_steps(quiet_config(n=3, scenario=BL, scheme=Level(delta),
+        return driver.fleet_coarse_steps(quiet_config(n=3, scenario=B, scheme=Level(delta),
                                                       dt=DT, **kw))
     assert [steps(d) for d in (5.0, 3.1, 3.0, 1.8839, 0.866, 0.7457)] == [8, 8, 1, 1, 1, 1]
     assert steps(5.0, record_trajectory=True) == 1
 
 
+def test_lane_rule():
+    # broadcast-plus-local: lanes iff at least LANE_AGENTS agents and far >=
+    # 0.45 delta (delta >= 1.393 at dt 2e-3): fleet-large's and table1's n = 50
+    # level cells, not table1's n = 3 and 10 ones nor fleet-small's, and no
+    # trial that records a trajectory
+    def steps(n, delta, **kw):
+        return driver.fleet_coarse_steps(quiet_config(n=n, scenario=BL, scheme=Level(delta),
+                                                      dt=DT, **kw))
+    assert [steps(50, 1.8839), steps(50, level_threshold(50, 0.5))] == [8, 8]
+    table1 = [steps(n, level_threshold(n, t)) for n, t in ((3, 0.25), (3, 0.5), (10, 0.5))]
+    assert [*table1, steps(3, 0.7457396748327672)] == [1, 1, 1, 1]
+    assert [steps(20, 1.4), steps(19, 5.0), steps(200, 1.38)] == [8, 1, 1]
+    assert steps(50, 1.8839, record_trajectory=True) == 1
+
+
 @pytest.fixture
 def coarse_level(monkeypatch):
-    """Every level row ``MAX_COARSE_STEPS`` grid steps long, whatever the band."""
+    """Every level row ``MAX_COARSE_STEPS`` grid steps long, whatever the band
+    and the fleet: coarse rows under broadcast-only information, lanes of
+    renewal cycles under broadcast-plus-local."""
     monkeypatch.setattr(driver, "fleet_coarse_steps", lambda config: driver.MAX_COARSE_STEPS)
 
 
-# two more paths of the coarse level search, trial 0 at seed 1729 in the format
-# of GOLDEN_N3: a lone agent, on coarse rows by the rule, at horizon 200 s, and
-# five agents under broadcast-plus-local on a band narrow enough that most
-# resets fall inside a row, forced onto coarse rows, at horizon 20 s
+# two more paths, trial 0 at seed 1729 in the format of GOLDEN_N3: a lone agent,
+# on coarse rows by the rule, at horizon 200 s, and five agents under
+# broadcast-plus-local on a band narrow enough that most exits fall inside a
+# row, forced onto lanes, at horizon 20 s
 GOLDEN_COARSE_LEVEL_PATHS = {
     "lone-b": (B, Level(3.5), "0.0", (19, "380.535816256427"), 19),
-    "in-row-bl": (BL, Level(1.2), "62.92661458954366", (40, "3.763822644349751"), 40),
+    "in-row-bl": (BL, Level(1.2), "64.72437334880323", (33, "3.6290612254256573"), 33),
 }
 
 
@@ -708,6 +733,26 @@ def test_coarse_level_logged_and_unlogged_tallies_agree(case):
         assert np.all(e_post[reset] == 0.0)
         e_pre = np.abs(event.x_pre - event.xhat_pre)
         assert np.all(e_pre[list(event.initiators)] >= config.scheme.delta)
+
+
+def test_horizon_cut_keeps_the_time_average(monkeypatch):
+    # under broadcast-plus-local a level trial is a string of renewal cycles;
+    # on lanes the cycle that crosses the horizon counts its own path's grid
+    # points before it, a number that depends only on the cycles before it.
+    # With a horizon of about three expected cycles that cycle is a large
+    # share of every trial, and the mean of the per-trial time averages must
+    # still agree with grid rows' within four combined standard errors
+    n, delta, trials, seed = 20, 1.5, 2000, 2026
+    horizon = 1.25  # 2.9 grid mean exits of 0.4306 s
+    config = quiet_config(n=n, scenario=BL, scheme=Level(delta), dt=DT, horizon=horizon,
+                          trials=trials, seed=seed)
+    reports = []
+    for rows in (lambda config: driver.MAX_COARSE_STEPS, grid_rows):
+        monkeypatch.setattr(driver, "fleet_coarse_steps", rows)
+        reports.append(np.array(run_batch(config).j_trials))
+    lanes, grid = reports
+    se = math.sqrt(lanes.var(ddof=1) / trials + grid.var(ddof=1) / trials)
+    assert abs(lanes.mean() - grid.mean()) <= 4 * se
 
 
 def test_drawn_terms_match_explicit_sums():

@@ -12,8 +12,9 @@ step counts follow the same pmf.
 Every parameter is fixed before any run: ``dt = 2e-3``, ``delta = sqrt(dt /
 h)`` for ``h`` in {1e-4, 1e-3, 1e-2, 1e-1}; fleet points n = 1 under
 broadcast-only and n in {3, 10} under both scenarios, with every level row
-forced to ``MAX_COARSE_STEPS = 8`` grid steps; 10,000 samples per point
-(the first 10,000 global gaps under broadcast-plus-local, the first
+forced to ``MAX_COARSE_STEPS = 8`` grid steps, which puts the
+broadcast-plus-local points on lanes of renewal cycles; 10,000 samples per
+point (the first 10,000 global gaps under broadcast-plus-local, the first
 ``ceil(10,000 / n)`` own gaps of every agent, pooled, under broadcast-only);
 seed 1729, one trial whose index is the point's position in the list, and a
 horizon 1.3 times the law's expected need, where a shortfall is a failure.
@@ -104,15 +105,18 @@ def fleet_run(index: int):
     docstring says.
 
     The trial runs unlogged, as batches do, with every level row
-    ``MAX_COARSE_STEPS`` grid steps long; the event steps and initiators are
-    read off the calls to ``driver._settle``, the one event protocol, and
-    the rewards off the cycles it closes."""
+    ``MAX_COARSE_STEPS`` grid steps long.  Under broadcast-only information
+    the event steps and initiators are read off the calls to
+    ``driver._settle``, the one event protocol; under broadcast-plus-local
+    every event closes agent 0's cycle, so the gaps are the cycle lengths
+    that ``CostAccumulator.close_cycle`` records.  The rewards are read off
+    the cycles it closes."""
     h, n, scenario = FLEET_POINTS[index]
     delta = math.sqrt(DT / h)
     watchers = n if scenario is BL else 1
     per_agent = SAMPLES if scenario is BL else math.ceil(SAMPLES / n)
     need = per_agent * grid_level_law(watchers, h).mean_exit_steps() * DT
-    steps, masks, rewards = [], [], []
+    steps, masks, rewards, lengths = [], [], [], []
     settle, close_cycle = driver._settle, CostAccumulator.close_cycle
 
     def recording_settle(fleet, rows, stops, chunk_masks, done, coarse_rows=None):
@@ -123,6 +127,7 @@ def fleet_run(index: int):
 
     def recording_close_cycle(acc, reward, length):
         rewards.append(reward)
+        lengths.append(length)
         return close_cycle(acc, reward, length)
 
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
@@ -133,9 +138,11 @@ def fleet_run(index: int):
         config = ScenarioConfig(n=n, scenario=scenario, scheme=Level(delta), dt=DT,
                                 horizon=1.3 * need, trials=1, seed=SEED)
         run_trial(config, index)
-    steps, masks = np.concatenate(steps), np.concatenate(masks)
-    own = [steps] if scenario is BL else [steps[masks[:, a]] for a in range(n)]
-    gaps = [np.diff(s, prepend=0) for s in own]
+    if scenario is BL:
+        gaps = [np.rint(np.array(lengths) / DT).astype(np.int64)]
+    else:
+        steps, masks = np.concatenate(steps), np.concatenate(masks)
+        gaps = [np.diff(steps[masks[:, a]], prepend=0) for a in range(n)]
     # agent 0's cycles close at its own events, so there are as many as its gaps
     assert all(g.size >= per_agent for g in gaps), f"horizon too short for point {index}"
     return np.concatenate([g[:per_agent] for g in gaps]), np.array(rewards[:per_agent])
