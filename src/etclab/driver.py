@@ -35,14 +35,16 @@ phases when short periods of many phases would make that grid outgrow a
 fixed share of the chunk budget.  Then ``_settle``, the one event
 protocol, settles them in order: one subtraction per segment between
 events turns the running sums into errors (rows that each hold an event
-resetting every agent are zeroed at once), agent 0's reward adds up per
-segment and the events are counted at once.  One cost pass covers the
-chunk's left endpoints.  Only chunk boundaries move its rounding; the
-search window and the pairing of agents do not.  With every row one
-grid step, the path consumes the noise stream in exactly the same order
-as the plain per-step loop kept as ``run_trial_reference``, which steps,
-detects triggers and sums costs on its own and hands ``_settle`` one
-event at a time; the test suite compares the two.
+resetting every agent are zeroed at once, and a run of rows that each hold
+an event resetting some agents, as a staggered schedule's deadline rows
+do, settles in slices), agent 0's reward adds up per segment and the
+events are counted at once.  One cost pass covers the chunk's left
+endpoints.  Only chunk boundaries move its rounding; the search window
+and the pairing of agents do not.  With every row one grid step, the
+path consumes the noise stream in exactly the same order as the plain
+per-step loop kept as ``run_trial_reference``, which steps, detects
+triggers and sums costs on its own and hands ``_settle`` one event at a
+time; the test suite compares the two.
 
 A periodic schedule has no band to watch, so its deadlines are known
 before any noise is drawn, and only the cost needs every grid point.  So
@@ -401,21 +403,31 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
     reset (the initiators, or everyone), so the rows from one event up to
     the next are errors once each agent's running sum at its last reset is
     subtracted: one subtraction per segment, in place, which also zeroes the
-    reset errors at the event row.  When every event resets every agent and
-    nothing is logged, two cases skip the loop, with the same bits.  If
-    every row from the first stop to the last holds an event, as every chunk
-    of a synchronous schedule's deadline rows does, each of those rows is a
+    reset errors at the event row.  When nothing is logged, three cases skip
+    the loop, with the same bits.  If every row from the first stop to the
+    last holds an event, as every chunk of a periodic schedule's deadline
+    rows does, and every event resets every agent, each of those rows is a
     segment of its own, one row minus itself, so they are written as zeros,
     and one subtraction of the last stop's row covers the rows after it.
-    Otherwise, if there is at least one event per 4096 entries of the block
-    and at most one per eight rows, the bases are the raw running sums at
-    the stops, gathered at once, and one indexed subtraction covers the
-    block.  Once the block holds errors, agent 0's renewal reward is formed
-    per segment in one pass: over grid rows it adds up over the segment's
-    left endpoints (the last row's step belongs to the next block), a slice
-    of agent 0's column per segment, over coarse rows it takes the
-    expectation of ``_bridge_sums``.  Per event the renewal cycle closes (on
-    every global event, or on agent 0's own events under broadcast-only).
+    If every such row holds an event but some reset only some agents, as a
+    staggered schedule's do, each entry's base is the raw running sum at
+    its agent's last reset row, or 0.0 before its first: a running maximum
+    of the reset rows finds it per slice of at most 4096 entries, which
+    bounds the slice's index and base arrays, one subtraction per slice
+    applies it, each agent's base carries into the next slice, and one more
+    subtraction covers the rows after the last stop.  Otherwise, if every
+    event resets every agent, there is at least one event per 4096 entries
+    of the block and at most one per eight rows, the bases are the raw
+    running sums at the stops, gathered at once, and one indexed
+    subtraction covers the block.  Sparse events that reset only some
+    agents, as broadcast-only level events mostly are, keep the loop, which
+    is faster there.  Once the block holds errors, agent 0's renewal reward
+    is formed per segment in one pass: over grid rows it adds up over the
+    segment's left endpoints (the last row's step belongs to the next
+    block), a slice of agent 0's column per segment, over coarse rows it
+    takes the expectation of ``_bridge_sums``.  Per event the renewal cycle
+    closes (on every global event, or on agent 0's own events under
+    broadcast-only).
     The events are counted at once.  A logged trial forms each event's
     consensus point from ``x = c_prev + e`` and logs the event, and the
     trajectory rows, in order.
@@ -437,15 +449,33 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
     trajectory = fleet.trajectory
     stride = config.trajectory_stride
     span = len(rows) - 1
-    resets_all = (count and not fleet.logged and trajectory is None
-                  and (not broadcast_only or masks.all()))
-    if resets_all and stops[-1] - stops[0] == count - 1:
+    unlogged = count and not fleet.logged and trajectory is None
+    resets_all = unlogged and (not broadcast_only or masks.all())
+    run = unlogged and stops[-1] - stops[0] == count - 1
+    if run and resets_all:
         # every row from the first stop to the last is an event that resets
         # every agent, so each is a segment of its own, which its subtraction
         # zeroes (x - x is +0.0); the rows after the last stop take its base
         last = stops[-1]
         rows[last + 1 :] -= rows[last]
         rows[stops[0] : last + 1] = 0.0
+    elif run:
+        # every row from the first stop to the last is an event, and some
+        # reset only some agents: per slice, a running maximum of the reset
+        # rows picks each entry's base, the carried one before the slice's
+        # first reset of its agent
+        n = config.n
+        events = rows[stops[0] : stops[-1] + 1]
+        base = np.zeros(n)  # each agent's running sum at its last reset
+        height = max(1, 4096 // n)
+        for a in range(0, count, height):
+            part = events[a : a + height]
+            reset = np.where(masks[a : a + height], np.arange(1, len(part) + 1)[:, None], 0)
+            np.maximum.accumulate(reset, axis=0, out=reset)
+            bases = np.concatenate((base[None], part))[reset, np.arange(n)]
+            part -= bases
+            base = bases[-1]
+        rows[stops[-1] + 1 :] -= base
     elif resets_all and span * config.n <= 4096 * count <= 512 * span:
         # every event resets every agent, so each segment's base is the raw
         # running sum at the stop that starts it: one gather, one subtraction.
