@@ -21,6 +21,7 @@ occupation integral up to exit and the mean exit time of the first of
 ``n`` motions.
 """
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -76,6 +77,10 @@ class CostAccumulator:
         return self.n * (self.n - 1) * self.cycle_reward_sum / self.cycle_length_sum
 
 
+# every field of CostAccumulator but the agent count: what merging adds up
+TALLIES = tuple(f.name for f in dataclasses.fields(CostAccumulator) if f.name != "n")
+
+
 @dataclass(frozen=True)
 class CostReport:
     """Merged cost estimates across trials with 95% CI on the time average."""
@@ -98,13 +103,8 @@ def merge_accumulators(accs: Sequence[CostAccumulator]) -> CostAccumulator:
     for acc in accs:
         if acc.n != n:
             raise ValueError("accumulators disagree on agent count")
-        merged.integral_sum += acc.integral_sum
-        merged.elapsed += acc.elapsed
-        merged.cycles += acc.cycles
-        merged.cycle_reward_sum += acc.cycle_reward_sum
-        merged.cycle_length_sum += acc.cycle_length_sum
-        merged.local_event_counts = merged.local_event_counts + acc.local_event_counts
-        merged.global_event_count += acc.global_event_count
+        for name in TALLIES:
+            setattr(merged, name, getattr(merged, name) + getattr(acc, name))
     return merged
 
 

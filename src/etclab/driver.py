@@ -84,9 +84,10 @@ enough (``fleet_coarse_steps``) such a trial runs as lanes
 by rounds of coarse rows with the same coarse-to-fine draws, so one round
 serves every live cycle, not one event; exited lanes drop out, a lane
 that would start past the horizon stops, and each exit row is drawn
-whole, so the initiators and the logged states are exact.  The cycles
-hand their tallies to the fleet in cycle order through the calls that
-``_settle`` makes.  The cycle that crosses the horizon counts its own
+whole in the round that finds it, from that round's bridges, so the
+initiators and the logged states are exact.  The cycles hand their
+tallies to the fleet in cycle order through ``_Fleet.tally``, as
+``_settle`` does.  The cycle that crosses the horizon counts its own
 path's grid points before it, whose number depends only on the cycles
 before it, so it is not length-biased.  Coarse rows and lanes are exact
 in law, not pathwise: their gates are the whole-law test of their exit
@@ -143,11 +144,10 @@ LEVEL_LOOKAHEAD = 256
 # between an agent's events
 WINDOW_GAPS = 2.0
 # lanes of broadcast-plus-local level cycles (_lane_cycles): a block holds
-# LANE_CYCLES times the expected cycles of the horizon left plus LANE_SPARE, a
-# round draws about LANE_ENTRIES entries (rows x lanes x agents) but at most
-# a cycle's expected coarse rows, and fleets of at least LANE_AGENTS agents
-# take lanes on a wide enough band (fleet_coarse_steps)
-LANE_CYCLES = 1.0
+# the expected cycles of the horizon left plus LANE_SPARE, a round draws about
+# LANE_ENTRIES entries (rows x lanes x agents) but at most a cycle's expected
+# coarse rows, and fleets of at least LANE_AGENTS agents take lanes on a wide
+# enough band (fleet_coarse_steps)
 LANE_SPARE = 2
 LANE_ENTRIES = 1 << 16
 LANE_AGENTS = 20
@@ -351,6 +351,32 @@ class _Fleet:
         logged = config.record_events or trajectory
         return cls(config, np.zeros(n), CostAccumulator(n), events, log, logged)
 
+    def tally(self, steps: List[int], masks, rewards: List[float]) -> None:
+        """Count the events at the grid steps ``steps``, ascending, each
+        fired by the agents in its row of the boolean array ``masks``, and
+        add agent 0's rewards to the renewal cycles: ``rewards[j]`` (times
+        ``dt``) ends at ``steps[j]``, where the open cycle closes on every
+        global event, or on agent 0's own events under broadcast-only; a
+        reward past the last step stays in the open cycle.  The one tally
+        of the event protocol, for ``_settle`` and the lanes alike."""
+        acc = self.acc
+        dt = self.config.dt
+        count = len(steps)
+        if count:
+            acc.local_event_counts += masks.sum(axis=0)
+            acc.global_event_count += count
+            if self.config.scenario is InfoScenario.BROADCAST:
+                closes = masks[:, 0].tolist()
+            else:
+                closes = [True] * count
+        for j, reward in enumerate(rewards):
+            self.cycle_reward += reward * dt
+            if j < count and closes[j]:
+                step = steps[j]
+                acc.close_cycle(self.cycle_reward, (step - self.cycle_start) * dt)
+                self.cycle_reward = 0.0
+                self.cycle_start = step
+
     def log_state(self, step: int, e: np.ndarray, flag: int) -> None:
         """Trajectory row ``(t, x, xhat, flag, threshold center)`` at ``step``."""
         c = self.c_prev
@@ -425,23 +451,15 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
     is formed per segment in one pass: over grid rows it adds up over the
     segment's left endpoints (the last row's step belongs to the next
     block), a slice of agent 0's column per segment, over coarse rows it
-    takes the expectation of ``_bridge_sums``.  Per event the renewal cycle
-    closes (on every global event, or on agent 0's own events under
-    broadcast-only).
-    The events are counted at once.  A logged trial forms each event's
-    consensus point from ``x = c_prev + e`` and logs the event, and the
-    trajectory rows, in order.
+    takes the expectation of ``_bridge_sums``, and ``_Fleet.tally`` counts
+    the events at once and closes the renewal cycles.  A logged trial forms
+    each event's consensus point from ``x = c_prev + e`` and logs the event,
+    and the trajectory rows, in order.
     """
     config = fleet.config
-    dt = config.dt
     broadcast_only = config.scenario is InfoScenario.BROADCAST
-    acc = fleet.acc
     count = len(stops)
-    if count:
-        masks = np.asarray(masks)
-        acc.local_event_counts += masks.sum(axis=0)
-        acc.global_event_count += count
-        closes = masks[:, 0].tolist() if broadcast_only else [True] * count
+    masks = np.asarray(masks)
     if coarse_rows is None:
         steps = [done + stop for stop in stops]
     else:
@@ -511,13 +529,7 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
         rewards = [float(lead[a:b] @ lead[a:b]) for a, b in zip(bounds, bounds[1:])]
     else:
         rewards = coarse_rows.segment_rewards(rows, stops)
-    for k, reward in enumerate(rewards):
-        fleet.cycle_reward += reward * dt
-        if k < count and closes[k]:
-            step = steps[k]
-            acc.close_cycle(fleet.cycle_reward, (step - fleet.cycle_start) * dt)
-            fleet.cycle_reward = 0.0
-            fleet.cycle_start = step
+    fleet.tally(steps, masks, rewards)
 
 
 def _phase_offsets(scheme: Periodic, n: int) -> np.ndarray:
@@ -970,9 +982,12 @@ def _lane_block(stream: NoiseStream, config: ScenarioConfig, lanes: int, width: 
     so a lane starts no earlier than ``start`` plus the lengths of the lanes
     before it, or the grid steps they were searched through while they have
     not exited; a lane that would start past the horizon, or whose start
-    plus its own searched steps already reaches it, stops.  Once every lane
-    has exited or stopped, each exit row is drawn whole, and the agents
-    beyond the band at the exit are the initiators.
+    plus its own searched steps already reaches it, stops.  After its
+    search, and before the next round's noise, a round draws its exit rows
+    whole with the same ``_Bridges``, in one ``draw`` over their entries in
+    ascending order, by exit row, lane and agent, which looks up the entries
+    the search drew; the agents beyond the band at the exit are the
+    initiators.
 
     ``counted`` is the grid points that count per lane: a cycle that ends by
     the horizon counts its length; the one that crosses it counts its own
@@ -1003,7 +1018,7 @@ def _lane_block(stream: NoiseStream, config: ScenarioConfig, lanes: int, width: 
     x = np.zeros((lanes, n))  # the live lanes' errors after t grid steps
     t = 0
     kept = []  # per round: its rows' terms, and its drawn entries' corrections
-    exits = []  # per round: the exited lanes, their exit rows' ends and drawn entries
+    exits = []  # per round: the exited lanes and their exit rows' grid points
     while live.size:
         m = live.size
         # rows[r] holds every live lane's errors after r coarse rows, lanes
@@ -1035,26 +1050,19 @@ def _lane_block(stream: NoiseStream, config: ScenarioConfig, lanes: int, width: 
         out = np.flatnonzero(at <= width * k)
         exit_row = np.full(m, width)
         exit_row[out] = (at[out] - 1) // k
-        which = live[out]
-        exit_start[which] = t + exit_row[out] * k
+        out = out[np.argsort(exit_row[out], kind="stable")]  # so that their entries ascend
+        which, lo = live[out], exit_row[out]
+        exit_start[which] = t + lo * k
         reach[which] = t + at[out]
         exited[which] = True
-        # the exit rows' ends and drawn entries, and the rows before them
-        owner = np.sort(bridges.owner[: bridges.count])
-        row, agent = np.divmod(owner, n)
-        lane = row % m
-        row //= m
-        ahead = row < exit_row[lane]
-        inside = np.flatnonzero(row == exit_row[lane])
-        exits.append((which, points[exit_row[out], out], points[exit_row[out] + 1, out],
-                      np.searchsorted(out, lane[inside]), agent[inside],
-                      bridges.points(owner[inside])))
         # the terms of the rows before each lane's exit row, row by row
         starts = rows[:-1].reshape(width * m, n)
         a0, z0 = starts[:, 0], z[:, 0]
         terms = np.stack((consensus_cost_rows(starts), consensus_cost_rows(starts, z),
                           consensus_cost_rows(z), a0 * a0, a0 * z0, z0 * z0), axis=1)
-        drawn = owner[ahead]
+        owner = np.sort(bridges.owner[: bridges.count])
+        row, lane = np.divmod(owner // n, m)
+        drawn = owner[row < exit_row[lane]]
         row, agent = np.divmod(drawn, n)
         fixes = np.zeros((0, 2, k - 1))
         if drawn.size:
@@ -1069,6 +1077,12 @@ def _lane_block(stream: NoiseStream, config: ScenarioConfig, lanes: int, width: 
             row = row[first]
         kept.append((np.repeat(t + np.arange(width) * k, m), np.tile(live, width), terms,
                      row, fixes))
+        # the exit rows' grid points, drawn whole: entries the search drew are looked up
+        slots = bridges.draw(((lo * m + out)[:, None] * n + np.arange(n)).reshape(-1))
+        line = np.empty((k + 1, out.size, n))
+        line[0], line[k] = points[lo, out], points[lo + 1, out]
+        line[1:k] = bridges.store[:, slots].reshape(k - 1, out.size, n)
+        exits.append((which, line))
         del bridges
         t += width * k
         going = exit_row == width
@@ -1096,9 +1110,7 @@ def _lane_block(stream: NoiseStream, config: ScenarioConfig, lanes: int, width: 
     rewards = np.bincount(ids, reward, lanes)
     masks = np.zeros((lanes, n), dtype=bool)
     e_pre = np.zeros((lanes, n))
-    if not exited.any():
-        return lengths, counted, masks, e_pre, costs, rewards
-    which, line = _exit_rows(stream, exits, k, dt)
+    which, line = (np.concatenate(part, axis=axis) for part, axis in zip(zip(*exits), (0, 1)))
     e_pre[which] = line[reach[which] - exit_start[which], np.arange(which.size)]
     masks[which] = np.abs(e_pre[which]) >= delta
     counts = np.arange(k)[:, None] < np.clip(counted - exit_start, 0, k)[which]
@@ -1108,48 +1120,21 @@ def _lane_block(stream: NoiseStream, config: ScenarioConfig, lanes: int, width: 
     return lengths, counted, masks, e_pre, costs, rewards
 
 
-def _exit_rows(stream: NoiseStream, exits, k: int, dt: float):
-    """``(which, line)``: the lanes that exited in a block, in the order of
-    ``exits``, and the grid points 0 .. ``k`` of each one's exit row, drawn
-    whole.  ``exits`` holds per round the lanes that exited, their exit
-    rows' starts and ends, and the entries drawn in those rows during the
-    search (the position of the lane among them, the agent, the inner grid
-    points), which are kept as they are; every other entry is drawn from the
-    exact discrete bridge between its row's ends (``_Bridges``)."""
-    which, a, b, lane, agent, drawn = (np.concatenate(part, axis=axis) for part, axis
-                                       in zip(zip(*exits), (0,) * 5 + (1,)))
-    lane += np.repeat(np.cumsum([0, *(len(part[0]) for part in exits[:-1])]),
-                      [len(part[3]) for part in exits])
-    count, n = a.shape
-    line = np.empty((k + 1, count, n))
-    line[0], line[k] = a, b
-    ends = np.empty((2 * count, n))  # each exit row's start, then its end
-    ends[0::2], ends[1::2] = a, b
-    fresh = np.ones((count, n), dtype=bool)
-    fresh[lane, agent] = False
-    fresh = np.flatnonzero(fresh)
-    bridges = _Bridges(ends, stream, k, dt)
-    bridges.draw(fresh // n * 2 * n + fresh % n)
-    line[1:k].reshape(k - 1, -1)[:, fresh] = bridges.store[:, : fresh.size]
-    line[1:k, lane, agent] = drawn
-    return which, line
-
-
 def _lane_cycles(fleet: _Fleet, stream: NoiseStream, noise_scale: float) -> None:
     """Run a broadcast-plus-local level trial as blocks of lanes
     (``_lane_block``) and hand ``fleet`` the tallies of each cycle that
-    starts before the horizon, in cycle order, as ``_settle`` does: the
-    event counts, the cycle's reward and length (``close_cycle``), the
-    event's log when the trial logs events, and the cost.
+    starts before the horizon, in cycle order: the event's log when the
+    trial logs events, the event counts and the cycle's reward and length
+    through ``_Fleet.tally``, as ``_settle`` does, and the cost.
 
-    A block holds ``LANE_CYCLES`` times the expected cycles of the horizon
-    left plus ``LANE_SPARE``, at most ``CHUNK_BYTES / (128 (n + R))`` with
-    ``R`` a cycle's expected coarse rows, which keeps a round's working
-    arrays and the terms a block keeps within about ``CHUNK_BYTES``.  A
-    round advances ``LANE_ENTRIES / (lanes n)`` coarse rows, at least one
-    and at most ``R``: the fewer the lanes, the fewer the rounds that their
-    fixed work is spent on.  Both depend on the config and the grid steps
-    left alone, so a trial's results depend on ``(config, trial)`` alone."""
+    A block holds the expected cycles of the horizon left plus
+    ``LANE_SPARE``, at most ``CHUNK_BYTES / (128 (n + R))`` with ``R`` a
+    cycle's expected coarse rows, which keeps a round's working arrays and
+    the terms a block keeps within about ``CHUNK_BYTES``.  A round advances
+    ``LANE_ENTRIES / (lanes n)`` coarse rows, at least one and at most
+    ``R``: the fewer the lanes, the fewer the rounds that their fixed work
+    is spent on.  Both depend on the config and the grid steps left alone,
+    so a trial's results depend on ``(config, trial)`` alone."""
     config = fleet.config
     acc = fleet.acc
     n, dt, k = config.n, config.dt, MAX_COARSE_STEPS
@@ -1159,22 +1144,20 @@ def _lane_cycles(fleet: _Fleet, stream: NoiseStream, noise_scale: float) -> None
     most = max(1, CHUNK_BYTES // (128 * (n + cycle_rows)))
     start = 0
     while start < horizon:
-        lanes = min(most, int(LANE_CYCLES * (horizon - start) * dt / expected) + LANE_SPARE)
+        lanes = min(most, int((horizon - start) * dt / expected) + LANE_SPARE)
         width = max(1, min(cycle_rows, LANE_ENTRIES // (lanes * n)))
         lengths, counted, masks, e_pre, costs, rewards = _lane_block(
             stream, config, lanes, width, start, noise_scale**2 * dt)
         complete = int(np.count_nonzero(counted == lengths))
-        acc.local_event_counts += masks[:complete].sum(axis=0)
-        acc.global_event_count += complete
-        for i, (length, reward) in enumerate(zip(lengths[:complete].tolist(),
-                                                 rewards[:complete].tolist())):
-            start += length
-            if fleet.logged:
-                fleet.log_event(e_pre[i], masks[i], start)
-            acc.close_cycle(reward * dt, length * dt)
+        steps = (start + np.cumsum(lengths[:complete])).tolist()
+        if fleet.logged:
+            for i, step in enumerate(steps):
+                fleet.log_event(e_pre[i], masks[i], step)
+        fleet.tally(steps, masks[:complete], rewards[:complete].tolist())
         acc.integral_sum += float(costs.sum()) * dt
         if complete < lanes:
             break
+        start = steps[-1]
 
 
 def _grid_time(steps: int, chunk: int, dt: float) -> float:

@@ -314,13 +314,8 @@ def _exit_block(stream, times, occupation, delta, dt, n_agents, bridge_correctio
             refine[:, 0] = True  # every fine point of agent 0 enters its integral
         # refined entries by their flat index into end: path order, agents
         # ascending within a path
-        whole = refine.all()  # then x and end serve as they are, without copies
-        if whole:
-            idx = np.arange(refine.size)
-            a = x.ravel()
-        else:
-            idx = np.flatnonzero(refine)
-            a = x.take(idx)
+        idx = np.flatnonzero(refine)
+        a = x.take(idx)
         del x, x_far, refine
         ends = end.ravel()
         lead = None if occupation is None else idx % n_agents == 0
@@ -335,7 +330,7 @@ def _exit_block(stream, times, occupation, delta, dt, n_agents, bridge_correctio
             if r > 1:
                 f = bridge_point(stream.normals(a.size), a, ends.take(idx), r, sd)
             else:
-                f = ends if whole else ends.take(idx)
+                f = ends.take(idx)
             dist = np.abs(f)
             f_near = dist > near_band
             out = idx[dist >= delta]
@@ -364,7 +359,6 @@ def _exit_block(stream, times, occupation, delta, dt, n_agents, bridge_correctio
                 idx = idx[keep]
                 if lead is not None:
                     lead = lead[keep]
-                whole = False
             a, a_near = f, f_near
         a = f = a_near = f_near = idx = lead = ends = None  # free them before the next draw
         step += coarse
