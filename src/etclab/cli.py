@@ -449,19 +449,22 @@ def cmd_selftest(args, parser) -> int:
     check("coarse periodic cost matches grid oracle", abs(z) <= 4,
           f"(sim={rep.j_time_avg:.4f}, oracle={oracle:.4f}, {z:+.1f} SE)")
 
-    # lanes of renewal cycles take the cost as its expectation given what was
-    # drawn, which must keep the grid fleet's mean; 16 trials of about 110
-    # cycles each, judged by their own spread
-    with _short_horizon_expected():
-        config = ScenarioConfig(n=20, scenario=InfoScenario.BROADCAST_LOCAL,
-                                scheme=Level(3.5), dt=2e-3, horizon=250.0, trials=16,
-                                seed=args.seed)
-    rep = run_batch(config)
-    oracle = grid_level_law(20, config.dt / 3.5**2).cost(20, 3.5)
-    z = (rep.j_time_avg - oracle) / (rep.ci_halfwidth / stats.t.ppf(0.975, config.trials - 1))
-    check("coarse level cost matches grid oracle",
-          fleet_coarse_steps(config) > 1 and abs(z) <= 4,
-          f"(sim={rep.j_time_avg:.4f}, oracle={oracle:.4f}, {z:+.1f} SE)")
+    # lanes of renewal cycles (bl) and broadcast-only coarse level rows (b)
+    # take the cost as its expectation given what was drawn, which must keep
+    # the grid fleet's mean; 16 trials each, of about 110 cycles (bl) and 16
+    # cycles per agent (b), judged by their own spread
+    for label, n, scenario, delta, watchers in (
+            ("bl lanes", 20, InfoScenario.BROADCAST_LOCAL, 3.5, 20),
+            ("b rows", 12, InfoScenario.BROADCAST, 4.0, 1)):
+        with _short_horizon_expected():
+            config = ScenarioConfig(n=n, scenario=scenario, scheme=Level(delta), dt=2e-3,
+                                    horizon=250.0, trials=16, seed=args.seed)
+        rep = run_batch(config)
+        oracle = grid_level_law(watchers, config.dt / delta**2).cost(n, delta)
+        z = (rep.j_time_avg - oracle) / (rep.ci_halfwidth / stats.t.ppf(0.975, config.trials - 1))
+        check(f"coarse level cost matches grid oracle ({label})",
+              fleet_coarse_steps(config) > 1 and abs(z) <= 4,
+              f"(sim={rep.j_time_avg:.4f}, oracle={oracle:.4f}, {z:+.1f} SE)")
 
     config = ScenarioConfig(
         n=3, scenario=InfoScenario.BROADCAST, scheme=Level(float(np.sqrt(1.5))),

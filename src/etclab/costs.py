@@ -13,7 +13,8 @@ maintained side by side:
 
 The closed-form oracles cover the periodic schemes in both scenarios,
 in continuous time and on the fleet's grid, the level scheme in the
-broadcast-only scenario and the local-to-global rate conversion; at
+broadcast-only scenario in continuous time and in both scenarios on the
+grid (``grid_level_law``), and the local-to-global rate conversion; at
 equal global rates the two periodic oracles differ by exactly the
 factor ``n`` that richer local information buys.  The
 Brownian exit laws behind the level scheme are closed form too: the

@@ -71,8 +71,9 @@ probability below ``2 exp(-40)``.  The search runs in rounds, per chunk
 reset.  A row that holds an event before its end is drawn whole and
 settled grid step by grid step (``_refined_rows``), so resets, initiators
 and logged states are exact.  The cost and agent 0's reward take the
-drawn points as they are and the bridge law for the rest
-(``_CoarseRows``): the conditional expectation given what was drawn.
+drawn points as they are and the bridge law for the rest: the conditional
+expectation given what was drawn, which chunks and lanes alike form per
+row from its terms (``_row_terms``) in one place, ``_row_sums``.
 
 Under broadcast-plus-local information every event resets the whole
 fleet to the consensus point, so a level trial is a string of i.i.d.
@@ -451,7 +452,7 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
     is formed per segment in one pass: over grid rows it adds up over the
     segment's left endpoints (the last row's step belongs to the next
     block), a slice of agent 0's column per segment, over coarse rows it
-    takes the expectation of ``_bridge_sums``, and ``_Fleet.tally`` counts
+    adds up the rows' ``_row_sums``, and ``_Fleet.tally`` counts
     the events at once and closes the renewal cycles.  A logged trial forms
     each event's consensus point from ``x = c_prev + e`` and logs the event,
     and the trajectory rows, in order.
@@ -869,17 +870,26 @@ def _bridge_sums(k, aa, az, zz, var, m=None):
     return sums
 
 
-def _drawn_parts(starts, increments, step_var, row, agent, d):
-    """``(own, v, first, cross)``, the pieces of what drawn grid points add
-    to bridge sums (``_CoarseRows._drawn_terms``).  Entry ``e`` of the
-    drawn ones, in ascending order of ``row * n + agent``, is agent
-    ``agent[e]``'s step from ``starts[row[e]]`` by ``increments[row[e]]``,
-    ``k`` grid steps of variance ``step_var`` each, and ``d[e]`` holds its
-    inner grid points minus their bridge means ``m``.  Per entry and inner
-    point ``own = d (2 m + d)``, per inner point ``v`` is the bridge's
-    variance, ``first`` indexes each row's first entry, and per such row
-    and inner point ``cross = D (2 S + D)``, with ``S`` and ``D`` the row's
+def _row_terms(starts, increments, step_var, row, agent, d):
+    """``(terms, at, fixes)`` of the coarse rows that start at ``starts``
+    and step by ``increments``, over grid steps of variance ``step_var``.
+    ``terms`` holds per row ``q(a)``, ``q(a, z)`` and ``q(z)`` of the
+    Laplacian form of its start ``a`` and increment ``z``, then ``a_0^2``,
+    ``a_0 z_0`` and ``z_0^2``.  Drawn entry ``e``, in ascending order of
+    ``row * n + agent``, is agent ``agent[e]``'s step in row ``row[e]``, of
+    ``k`` grid steps, and ``d[e]`` holds its inner grid points minus their
+    bridge means ``m``; ``row=None`` means nothing was drawn.  ``at`` lists
+    the rows that hold drawn entries and ``fixes[r]``, per inner grid point
+    of row ``at[r]``, what they add to the cost and to agent 0's reward.
+    Given what was drawn, agents are independent, so ``n sum (m + d)^2 - (S
+    + D)^2`` replaces ``n sum (m^2 + v) - S^2 - sum v`` over the row's drawn
+    entries, with ``v`` the bridge's variance and ``S`` and ``D`` the row's
     sums of ``m`` over all agents and of ``d`` over the drawn ones."""
+    a0, z0 = starts[:, 0], increments[:, 0]
+    terms = (consensus_cost_rows(starts), consensus_cost_rows(starts, increments),
+             consensus_cost_rows(increments), a0 * a0, a0 * z0, z0 * z0)
+    if row is None:
+        return terms, np.zeros(0, dtype=np.int64), np.zeros((0, 2, 0))
     k = d.shape[1] + 1
     j = np.arange(1, k)
     n = starts.shape[1]
@@ -891,7 +901,30 @@ def _drawn_parts(starts, increments, step_var, row, agent, d):
     at = row[first]
     s = starts[at].sum(axis=1)[:, None] + increments[at].sum(axis=1)[:, None] * (j / k)
     dsum = np.add.reduceat(d, first, axis=0)
-    return own, v, first, dsum * (2 * s + dsum)
+    count = np.diff(np.append(first, row.size))
+    fixes = np.zeros((at.size, 2, k - 1))
+    fixes[:, 0] = n * np.add.reduceat(own, first, axis=0) - (n - 1) * count[:, None] * v
+    fixes[:, 0] -= dsum * (2 * s + dsum)
+    lead = agent == 0
+    fixes[np.searchsorted(at, row[lead]), 1] = own[lead] - v
+    return terms, at, fixes
+
+
+def _row_sums(k, terms, at, fixes, n, step_var, m=None):
+    """``(cost, reward)`` per coarse row of ``k`` grid steps, from its
+    ``_row_terms``: the expected ``x'Lx`` of ``n`` agents and ``e_0^2``
+    summed over the row's first ``m`` grid points (all ``k`` by default),
+    given what was drawn.  The one cost form of coarse rows, for chunks
+    (``_CoarseRows``) and lanes (``_lane_block``) alike."""
+    aa, az, zz, a0a0, a0z0, z0z0 = terms
+    cost = _bridge_sums(k, aa, az, zz, n * (n - 1) * step_var, m)
+    reward = _bridge_sums(k, a0a0, a0z0, z0z0, step_var, m)
+    if len(at):
+        if m is not None:
+            fixes = fixes * (np.arange(1, fixes.shape[2] + 1) < m[at, None])[:, None]
+        cost[at] += fixes[:, 0].sum(axis=1)
+        reward[at] += fixes[:, 1].sum(axis=1)
+    return cost, reward
 
 
 class _CoarseRows:
@@ -904,64 +937,34 @@ class _CoarseRows:
     steps whose grid points were drawn: per entry its row, its agent and its
     ``k - 1`` inner grid points minus their bridge means.  The cost and the
     reward then take those points as they are and the bridge law for the
-    rest: given what was drawn, agents are independent, so for a quadratic
-    form the drawn entries correct the bridge sums by their own terms and by
-    their cross terms with the row's summed means.
+    rest, per row by ``_row_sums``, once the rows are settled.
     """
 
     def __init__(self, ends: np.ndarray, increments: np.ndarray, step_var: float,
-                 refined=None):
+                 refined=(None, None, None)):
         self.ends = ends
         self.increments = increments
         self.k = np.diff(ends).astype(float)
         self.step_var = step_var
         self.refined = refined
-        self._terms = None  # _drawn_terms of the settled rows, once formed
+        self._sums = None  # _row_sums of the settled rows, once formed
 
-    def _drawn_terms(self, rows: np.ndarray):
-        """``(cost, rewards)``: what the drawn entries add to the bridge sums
-        of the settled ``rows``, to the chunk's ``sum x'Lx`` and per row to
-        agent 0's ``sum e_0^2``, formed once.  Given what was drawn, agents are
-        independent, so at each inner grid point ``n sum (m + d)^2 - (S +
-        D)^2`` replaces ``n sum (m^2 + v) - S^2 - sum v`` over a row's drawn
-        entries, with ``m`` their bridge means, ``v`` their variances, and
-        ``S`` and ``D`` the row's sums of ``m`` over all agents and of ``d``
-        over the drawn ones."""
-        if self._terms is not None:
-            return self._terms
-        row, agent, d = self.refined
-        rewards = np.zeros(len(rows) - 1)
-        if not len(row):
-            self._terms = 0.0, rewards
-            return self._terms
-        own, v, _, cross = _drawn_parts(rows, self.increments, self.step_var, row, agent, d)
-        n = rows.shape[1]
-        cost = n * float(own.sum()) - (n - 1) * len(row) * float(v.sum()) - float(cross.sum())
-        lead = agent == 0
-        rewards[row[lead]] = (own[lead] - v).sum(axis=1)
-        self._terms = cost, rewards
-        return self._terms
+    def _settled_sums(self, rows: np.ndarray):
+        if self._sums is None:
+            terms = _row_terms(rows[:-1], self.increments, self.step_var, *self.refined)
+            self._sums = _row_sums(self.k, *terms, rows.shape[1], self.step_var)
+        return self._sums
 
     def cost(self, rows: np.ndarray) -> float:
         """Expected ``sum x'Lx`` over the grid points of the chunk's steps,
         from the settled rows ``rows``, its post-reset errors."""
-        a, z = rows[:-1], self.increments
-        n = rows.shape[1]
-        sums = _bridge_sums(self.k, consensus_cost_rows(a), consensus_cost_rows(a, z),
-                            consensus_cost_rows(z), n * (n - 1) * self.step_var)
-        if self.refined is None:
-            return float(sums.sum())
-        return float(sums.sum()) + self._drawn_terms(rows)[0]
+        return float(self._settled_sums(rows)[0].sum())
 
     def segment_rewards(self, rows: np.ndarray, stops: List[int]) -> List[float]:
         """Expected ``sum e_0^2`` over the grid points of the steps from each
         of row 0 and the rows ``stops`` up to the next of them."""
-        a, z = rows[:-1, 0], self.increments[:, 0]
-        sums = _bridge_sums(self.k, a * a, a * z, z * z, self.step_var)
-        if self.refined is not None:
-            sums += self._drawn_terms(rows)[1]
         # a zero past the end is the sum of an empty last segment
-        return np.add.reduceat(np.append(sums, 0.0), [0, *stops]).tolist()
+        return np.add.reduceat(np.append(self._settled_sums(rows)[1], 0.0), [0, *stops]).tolist()
 
 
 def _lane_block(stream: NoiseStream, config: ScenarioConfig, lanes: int, width: int,
@@ -996,18 +999,15 @@ def _lane_block(stream: NoiseStream, config: ScenarioConfig, lanes: int, width: 
     lane's length and, for a lane that stopped, ``config.steps + 1``.  The
     cost and agent 0's reward over a lane's counted grid points are their
     expectations given what was drawn: the exact sums over its exit row's
-    grid points, and for every row before it ``_bridge_sums`` of ``q(a)``,
-    ``q(a, z)`` and ``q(z)``, of the row's start ``a`` and increment ``z``,
-    plus what the drawn entries correct at each inner grid point
-    (``_drawn_parts``).  Each round keeps these per row and lane, so that
-    any prefix of a lane's grid points can be formed once the block is done.
+    grid points, and for every row before it ``_row_sums`` over the row's
+    counted grid points.  Each round keeps its rows' ``_row_terms``, so
+    that any prefix of a lane's grid points is formed once the block is done.
     """
     n, dt, k = config.n, config.dt, MAX_COARSE_STEPS
     delta = config.scheme.delta
     far = coarse_far(delta, dt, k)
     horizon = config.steps
     sd = np.sqrt(k * dt)
-    inner = np.arange(1, k)
     reach = np.zeros(lanes, dtype=np.int64)  # the exit, or the grid steps searched through
     exited = np.zeros(lanes, dtype=bool)
     exit_start = np.full(lanes, horizon + 1)  # the grid steps before each lane's exit row
@@ -1057,26 +1057,14 @@ def _lane_block(stream: NoiseStream, config: ScenarioConfig, lanes: int, width: 
         exited[which] = True
         # the terms of the rows before each lane's exit row, row by row
         starts = rows[:-1].reshape(width * m, n)
-        a0, z0 = starts[:, 0], z[:, 0]
-        terms = np.stack((consensus_cost_rows(starts), consensus_cost_rows(starts, z),
-                          consensus_cost_rows(z), a0 * a0, a0 * z0, z0 * z0), axis=1)
         owner = np.sort(bridges.owner[: bridges.count])
         row, lane = np.divmod(owner // n, m)
         drawn = owner[row < exit_row[lane]]
         row, agent = np.divmod(drawn, n)
-        fixes = np.zeros((0, 2, k - 1))
-        if drawn.size:
-            own, v, first, cross = _drawn_parts(starts, z, step_var, row, agent,
-                                                bridges.deviations(drawn, z))
-            count = np.diff(np.append(first, row.size))
-            fixes = np.zeros((first.size, 2, k - 1))
-            fixes[:, 0] = n * np.add.reduceat(own, first, axis=0) - (n - 1) * count[:, None] * v
-            fixes[:, 0] -= cross
-            lead = agent == 0
-            fixes[np.searchsorted(row[first], row[lead]), 1] = own[lead] - v
-            row = row[first]
-        kept.append((np.repeat(t + np.arange(width) * k, m), np.tile(live, width), terms,
-                     row, fixes))
+        terms, row, fixes = _row_terms(starts, z, step_var, row, agent,
+                                       bridges.deviations(drawn, z))
+        kept.append((np.repeat(t + np.arange(width) * k, m), np.tile(live, width),
+                     np.stack(terms, axis=1), row, fixes))
         # the exit rows' grid points, drawn whole: entries the search drew are looked up
         slots = bridges.draw(((lo * m + out)[:, None] * n + np.arange(n)).reshape(-1))
         line = np.empty((k + 1, out.size, n))
@@ -1101,13 +1089,8 @@ def _lane_block(stream: NoiseStream, config: ScenarioConfig, lanes: int, width: 
     begin, ids, terms, row, fixes = (np.concatenate(part) for part in zip(*kept))
     row += np.repeat(offsets, [len(part[3]) for part in kept])
     m = np.clip(np.minimum(counted, exit_start)[ids] - begin, 0, k)
-    cost = _bridge_sums(k, *terms[:, :3].T, n * (n - 1) * step_var, m)
-    reward = _bridge_sums(k, *terms[:, 3:].T, step_var, m)
-    fixes *= (inner < m[row, None])[:, None]
-    cost[row] += fixes[:, 0].sum(axis=1)
-    reward[row] += fixes[:, 1].sum(axis=1)
-    costs = np.bincount(ids, cost, lanes)
-    rewards = np.bincount(ids, reward, lanes)
+    costs, rewards = (np.bincount(ids, sums, lanes)
+                      for sums in _row_sums(k, terms.T, row, fixes, n, step_var, m))
     masks = np.zeros((lanes, n), dtype=bool)
     e_pre = np.zeros((lanes, n))
     which, line = (np.concatenate(part, axis=axis) for part, axis in zip(zip(*exits), (0, 1)))

@@ -684,7 +684,7 @@ def test_coarse_chunk_budget_changes_only_rounding(monkeypatch, n):
 # one forced onto lanes of renewal cycles, which the rule keeps for larger
 # fleets, trial 0 at horizon 20 s and seed 1729, in the format of GOLDEN_N3
 GOLDEN_COARSE_LEVEL = {
-    "et-b": (B, Level(4.0), "5750.7644452272725", (2, "26.618040471069293"), 16),
+    "et-b": (B, Level(4.0), "5750.764445227273", (2, "26.618040471069293"), 16),
     "et-bl": (BL, Level(3.5), "2873.674078024113", (8, "12.10840432272509"), 8),
 }
 
@@ -830,10 +830,12 @@ def test_horizon_cut_keeps_the_time_average(monkeypatch):
 
 
 def test_drawn_terms_match_explicit_sums():
-    # with some entries' grid points drawn, the chunk's cost and agent 0's
-    # reward are sums over every grid point of n sum x^2 - (sum x)^2 (and
+    # with some entries' grid points drawn, a row's cost and agent 0's reward
+    # over its first m grid points (driver._row_sums; lanes count a prefix
+    # of each row) are sums over those points of n sum x^2 - (sum x)^2 (and
     # x_0^2), with x the drawn point where there is one and the bridge mean
-    # elsewhere, plus each undrawn entry's bridge variance times n - 1 (and 1)
+    # elsewhere, plus each undrawn entry's bridge variance times n - 1 (and
+    # 1); the chunk's cost and reward are those sums over every grid point
     rng = np.random.default_rng(5)
     n, k, span, dt = 5, 8, 12, DT
     rows = np.zeros((span + 1, n))
@@ -847,10 +849,8 @@ def test_drawn_terms_match_explicit_sums():
     raw = rows.copy()
     out, stops, coarse = driver._refined_rows(bridges, increments, np.zeros(0, np.int64), k, dt)
     assert out is rows and stops == []
-    cost = coarse.cost(rows)
-    reward = coarse.segment_rewards(rows, [])[0]
     var = dt * np.arange(k) * (k - np.arange(k)) / k
-    explicit_cost = explicit_reward = 0.0
+    points = np.zeros((2, span, k))  # the cost and the reward per row and grid point
     for r in range(span):
         means = raw[r] + np.outer(np.arange(k) / k, increments[r])  # (k, n)
         spread = np.tile(var[:, None], (1, n))
@@ -859,10 +859,16 @@ def test_drawn_terms_match_explicit_sums():
             if e in drawn:
                 means[1:, i] = bridges.points(np.array([e]))[:, 0]
                 spread[:, i] = 0.0
-        explicit_cost += float((consensus_cost_rows(means) + (n - 1) * spread.sum(axis=1)).sum())
-        explicit_reward += float((means[:, 0] ** 2 + spread[:, 0]).sum())
-    assert cost == pytest.approx(explicit_cost, rel=1e-10)
-    assert reward == pytest.approx(explicit_reward, rel=1e-10)
+        points[0, r] = consensus_cost_rows(means) + (n - 1) * spread.sum(axis=1)
+        points[1, r] = means[:, 0] ** 2 + spread[:, 0]
+    assert coarse.cost(rows) == pytest.approx(points[0].sum(), rel=1e-10)
+    assert coarse.segment_rewards(rows, [])[0] == pytest.approx(points[1].sum(), rel=1e-10)
+    # per row over its first m grid points: all k, none, and random prefixes
+    terms, at, fixes = driver._row_terms(rows[:-1], increments, dt, *coarse.refined)
+    for m in (np.full(span, k), np.zeros(span, dtype=np.int64), rng.integers(0, k + 1, span)):
+        prefix = np.arange(k) < m[:, None]
+        for sums, explicit in zip(driver._row_sums(k, terms, at, fixes, n, dt, m), points):
+            assert sums == pytest.approx((explicit * prefix).sum(axis=1), rel=1e-10)
 
 
 @pytest.mark.usefixtures("coarse_level")

@@ -1,9 +1,12 @@
-"""The event protocol tallies events and renewal cycles in one place.
+"""The event protocol tallies events and renewal cycles in one place, and
+coarse rows form their cost in one place.
 
 ``_Fleet.tally`` counts the events and closes the renewal cycles for
 every integrator and for the lanes of renewal cycles alike, so a second
 copy of that bookkeeping would be a second event protocol to keep in
-step.  The check parses the package's sources and imports nothing.
+step.  Likewise ``_row_sums`` is the one cost form of coarse rows, for
+chunks and lanes alike, so it alone calls ``_bridge_sums``.  The checks
+parse the package's sources and import nothing.
 """
 
 import ast
@@ -12,18 +15,21 @@ from pathlib import Path
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "etclab").glob("*.py"))
 
 
-def tallying(path):
-    """``(function, what)`` for every ``close_cycle(`` call and every write
-    to an attribute ``global_event_count`` in ``path``, with the dotted name
-    of the function that makes it."""
+def one_place_calls(path):
+    """``(function, what)`` for every ``close_cycle(`` and ``_bridge_sums(``
+    call and every write to an attribute ``global_event_count`` in
+    ``path``, with the dotted name of the function that makes it."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = [*scope, node.name]
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "close_cycle"):
-            found.append((".".join(scope), "close_cycle"))
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.attr if isinstance(func, ast.Attribute)
+                    else func.id if isinstance(func, ast.Name) else None)
+            if name in ("close_cycle", "_bridge_sums"):
+                found.append((".".join(scope), name))
         targets = ([node.target] if isinstance(node, ast.AugAssign)
                    else node.targets if isinstance(node, ast.Assign) else [])
         if any(isinstance(t, ast.Attribute) and t.attr == "global_event_count" for t in targets):
@@ -35,7 +41,16 @@ def tallying(path):
     return found
 
 
+def found(*whats):
+    return {(path.name, *hit) for path in SOURCES for hit in one_place_calls(path)
+            if hit[1] in whats}
+
+
 def test_only_the_fleet_tallies_events_and_cycles():
-    found = {(path.name, *hit) for path in SOURCES for hit in tallying(path)}
-    assert found == {("driver.py", "_Fleet.tally", "close_cycle"),
-                     ("driver.py", "_Fleet.tally", "global_event_count")}
+    assert found("close_cycle", "global_event_count") == {
+        ("driver.py", "_Fleet.tally", "close_cycle"),
+        ("driver.py", "_Fleet.tally", "global_event_count")}
+
+
+def test_only_row_sums_forms_bridge_sums():
+    assert found("_bridge_sums") == {("driver.py", "_row_sums", "_bridge_sums")}
