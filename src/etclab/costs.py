@@ -109,6 +109,12 @@ def merge_accumulators(accs: Sequence[CostAccumulator]) -> CostAccumulator:
     return merged
 
 
+@functools.lru_cache(maxsize=64)  # pure in the degrees of freedom; a ppf costs ~90 us
+def _t_quantile(dof: int) -> float:
+    """The Student-t 97.5% quantile with ``dof`` degrees of freedom."""
+    return stats.t.ppf(0.975, dof)
+
+
 def finalize(accumulators: Sequence[CostAccumulator]) -> CostReport:
     """Turn per-trial accumulators into a cost report.
 
@@ -127,7 +133,7 @@ def finalize(accumulators: Sequence[CostAccumulator]) -> CostReport:
     trials = len(accumulators)
     j_time_avg = float(per_trial.mean())
     if trials > 1:
-        scale = stats.t.ppf(0.975, trials - 1) / np.sqrt(trials)
+        scale = _t_quantile(trials - 1) / np.sqrt(trials)
         ci = float(per_trial.std(ddof=1) * scale)
     else:
         ci = 0.0

@@ -19,32 +19,21 @@ formed only in trials that log events or a trajectory.
 
 The production path takes the noise in chunks of rows sized from a
 memory budget, drawn straight into one chunk buffer that the whole trial
-reuses, so memory stays bounded at any fleet size.  Per chunk the
-buffer becomes one running sum of the errors.  That is one serial chain
-of dependent adds per agent, so an even fleet forms it two agents per
-add: viewed as complex numbers, its chunk pairs neighbouring agents, and
-a complex addition adds real and imaginary parts separately, so every
-agent gets exactly the float64 additions of ``np.cumsum``.  An odd fleet
-keeps ``np.cumsum``.  The chunk then runs in two phases.  First its
+reuses, so memory stays bounded at any fleet size.  Per chunk the buffer
+becomes one running sum of the errors (``_running_sum``, which adds two
+agents at once as complex pairs, with ``np.cumsum``'s bits).  The chunk's
 events are found on the raw running sums: a level rule searches bounded
-windows against each agent's running sum at its last reset, one flat
-``argmax`` per window; periodic schedules get every deadline of the
-chunk from one ``periodic_fire_step`` call over the deadline counters
-(one counter when the rule has no phase offsets), or one call per slice of
-phases when short periods of many phases would make that grid outgrow a
-fixed share of the chunk budget.  Then ``_settle``, the one event
-protocol, settles them in order: one subtraction per segment between
-events turns the running sums into errors (rows that each hold an event
-resetting every agent are zeroed at once, and a run of rows that each hold
-an event resetting some agents, as a staggered schedule's deadline rows
-do, settles in slices), agent 0's reward adds up per segment and the
-events are counted at once.  One cost pass covers the chunk's left
-endpoints.  Only chunk boundaries move its rounding; the search window
-and the pairing of agents do not.  With every row one grid step, the
-path consumes the noise stream in exactly the same order as the plain
-per-step loop kept as ``run_trial_reference``, which steps, detects
-triggers and sums costs on its own and hands ``_settle`` one event at a
-time; the test suite compares the two.
+windows against each agent's running sum at its last reset, and periodic
+schedules look up every deadline of the chunk at once
+(``_chunk_deadlines``).  Then ``_settle``, the one event protocol,
+settles them in order, one subtraction per segment between events, adds
+up agent 0's reward per segment and counts the events, and one cost pass
+covers the chunk's left endpoints.  Only chunk boundaries move its
+rounding.  With every row one grid step, the path consumes the noise
+stream in exactly the same order as the plain per-step loop kept as
+``run_trial_reference``, which steps, detects triggers and sums costs on
+its own and hands ``_settle`` one event at a time; the test suite
+compares the two.
 
 A periodic schedule has no band to watch, so its deadlines are known
 before any noise is drawn, and only the cost needs every grid point.  So
@@ -59,21 +48,19 @@ lengths and the elapsed time stay in grid steps, so they are the grid
 fleet's, bit for bit; on rows of one grid step (``fleet_coarse_steps`` of
 1) the whole trial is.
 
-A broadcast-only level rule on a wide enough band (``fleet_coarse_steps``,
-a function of the threshold and the grid step) takes coarse steps too,
-with one draw per agent per step, and draws the grid points between an
-agent's coarse points only where the first-exit sampler would: where an
-end lies beyond ``far`` of the agent's base (``triggering.coarse_far``),
-from the exact discrete bridge through the sampler's
-``triggering.bridge_point``.  Any other entry reaches the band with
-probability below ``2 exp(-40)``.  The search runs in rounds, per chunk
-(``_coarse_level_events``), and follows each agent from its own last
-reset.  A row that holds an event before its end is drawn whole and
-settled grid step by grid step (``_refined_rows``), so resets, initiators
-and logged states are exact.  The cost and agent 0's reward take the
-drawn points as they are and the bridge law for the rest: the conditional
-expectation given what was drawn, which chunks and lanes alike form per
-row from its terms (``_row_terms``) in one place, ``_row_sums``.
+A broadcast-only level rule on a wide enough band (``fleet_coarse_steps``)
+takes coarse steps too, with one draw per agent per step, and draws the
+grid points between an agent's coarse points only where the first-exit
+sampler would: where an end lies beyond ``far`` of the agent's base
+(``triggering.coarse_far``; any other entry reaches the band with
+probability below ``2 exp(-40)``).  The search runs in rounds, per chunk
+(``_coarse_level_events``).  An event inside a row leaves it coarse: its
+initiators reset at the points the search drew (``_event_rows``).  The
+cost and agent 0's reward take the drawn points as they are, and the
+bridge law for the rest, per row in one place for chunks and lanes alike
+(``_row_sums``).  A logged trial draws the other agents' points at an
+event on a stream of its own (``_event_points``), so its tallies are the
+unlogged trial's.
 
 Under broadcast-plus-local information every event resets the whole
 fleet to the consensus point, so a level trial is a string of i.i.d.
@@ -83,10 +70,8 @@ Simulation*, 2007, ch. IV).  On a band wide enough for a fleet large
 enough (``fleet_coarse_steps``) such a trial runs as lanes
 (``_lane_cycles``): a block of cycles, one per lane, advances in lockstep
 by rounds of coarse rows with the same coarse-to-fine draws, so one round
-serves every live cycle, not one event; exited lanes drop out, a lane
-that would start past the horizon stops, and each exit row is drawn
-whole in the round that finds it, from that round's bridges, so the
-initiators and the logged states are exact.  The cycles hand their
+serves every live cycle, not one event; exited lanes drop out, and a
+lane that would start past the horizon stops.  The cycles hand their
 tallies to the fleet in cycle order through ``_Fleet.tally``, as
 ``_settle`` does.  The cycle that crosses the horizon counts its own
 path's grid points before it, whose number depends only on the cycles
@@ -150,7 +135,7 @@ WINDOW_GAPS = 2.0
 # coarse rows, and fleets of at least LANE_AGENTS agents take lanes on a wide
 # enough band (fleet_coarse_steps)
 LANE_SPARE = 2
-LANE_ENTRIES = 1 << 16
+LANE_ENTRIES = 1 << 17
 LANE_AGENTS = 20
 
 
@@ -420,7 +405,9 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
     them when the rows are coarse steps), as a running sum from row 0,
     which holds the errors, with no reset applied; the event at row
     ``stops[j]`` (ascending) has the initiators ``masks[j]``, a boolean
-    row per event.
+    row per event.  Coarse rows give each event's grid step and may give
+    the running sums it resets to in place of ``rows[stop]``
+    (``_CoarseRows``): an event inside a coarse row stops at its end.
 
     Broadcast-only: the initiators' estimates become their true states, the
     consensus point ``c`` is announced, and every agent jumps by ``c -
@@ -430,30 +417,25 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
     reset (the initiators, or everyone), so the rows from one event up to
     the next are errors once each agent's running sum at its last reset is
     subtracted: one subtraction per segment, in place, which also zeroes the
-    reset errors at the event row.  When nothing is logged, three cases skip
-    the loop, with the same bits.  If every row from the first stop to the
-    last holds an event, as every chunk of a periodic schedule's deadline
-    rows does, and every event resets every agent, each of those rows is a
-    segment of its own, one row minus itself, so they are written as zeros,
-    and one subtraction of the last stop's row covers the rows after it.
-    If every such row holds an event but some reset only some agents, as a
-    staggered schedule's do, each entry's base is the raw running sum at
-    its agent's last reset row, or 0.0 before its first: a running maximum
-    of the reset rows finds it per slice of at most 4096 entries, which
-    bounds the slice's index and base arrays, one subtraction per slice
-    applies it, each agent's base carries into the next slice, and one more
-    subtraction covers the rows after the last stop.  Otherwise, if every
-    event resets every agent, there is at least one event per 4096 entries
-    of the block and at most one per eight rows, the bases are the raw
-    running sums at the stops, gathered at once, and one indexed
-    subtraction covers the block.  Sparse events that reset only some
-    agents, as broadcast-only level events mostly are, keep the loop, which
-    is faster there.  Once the block holds errors, agent 0's renewal reward
-    is formed per segment in one pass: over grid rows it adds up over the
-    segment's left endpoints (the last row's step belongs to the next
-    block), a slice of agent 0's column per segment, over coarse rows it
-    adds up the rows' ``_row_sums``, and ``_Fleet.tally`` counts
-    the events at once and closes the renewal cycles.  A logged trial forms
+    reset errors at the event row.  When nothing is logged and the events
+    reset to their stops' rows, three cases skip the loop, with the same
+    bits.  If every row from the first stop to the last holds an event that
+    resets every agent, as a periodic schedule's deadline rows do, those
+    rows are written as zeros and one subtraction covers the rows after
+    them.  If every such row holds an event but some reset only some
+    agents, as a staggered schedule's do, a running maximum of the reset
+    rows finds each entry's base, per slice of at most 4096 entries, with
+    one subtraction per slice.  Otherwise, if every event resets every
+    agent, there is at least one event per 4096 entries of the block and at
+    most one per eight rows, the bases are gathered at once for one indexed
+    subtraction.  Sparse events that reset only some agents, as
+    broadcast-only level events mostly are, keep the loop, which is faster
+    there.  Once the block holds errors, agent 0's renewal reward is formed
+    per segment in one pass: over grid rows it adds up over the segment's
+    left endpoints (the last row's step belongs to the next block), over
+    coarse rows it adds up the rows' ``_row_sums``
+    (``_CoarseRows.segment_rewards``), and ``_Fleet.tally`` counts the
+    events at once and closes the renewal cycles.  A logged trial forms
     each event's consensus point from ``x = c_prev + e`` and logs the event,
     and the trajectory rows, in order.
     """
@@ -462,13 +444,13 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
     count = len(stops)
     masks = np.asarray(masks)
     if coarse_rows is None:
-        steps = [done + stop for stop in stops]
+        steps, points = [done + stop for stop in stops], None
     else:
-        steps = (done + coarse_rows.ends[stops]).tolist()
+        steps, points = (done + coarse_rows.times).tolist(), coarse_rows.points
     trajectory = fleet.trajectory
     stride = config.trajectory_stride
     span = len(rows) - 1
-    unlogged = count and not fleet.logged and trajectory is None
+    unlogged = count and points is None and not fleet.logged and trajectory is None
     resets_all = unlogged and (not broadcast_only or masks.all())
     run = unlogged and stops[-1] - stops[0] == count - 1
     if run and resets_all:
@@ -518,9 +500,10 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
             if k == count:
                 break
             mask = masks[k]
+            point = rows[stop] if points is None else points[k]
             if fleet.logged:
-                fleet.log_event(rows[stop] - base, mask, steps[k])
-            np.copyto(base, rows[stop], where=mask if broadcast_only else True)
+                fleet.log_event(point - base, mask, steps[k])
+            np.copyto(base, point, where=mask if broadcast_only else True)
             start = stop
     if coarse_rows is None:
         # agent 0's reward per segment, over its left endpoints: the last
@@ -601,12 +584,11 @@ class _Bridges:
     ``e`` is agent ``e % n``'s step from row ``e // n`` to the next, which
     covers ``k`` grid steps.  ``draw`` fills in the ``k - 1`` grid points of
     each entry not drawn before from the exact discrete Brownian bridge
-    between its ends (``triggering.bridge_point``), level by level, from one
-    ``normals((k - 1, m))`` block for the ``m`` fresh entries in ascending
-    order, and only looks up the entries drawn before.  Which entries get
-    drawn depends on the coarse points and on earlier draws alone, never on
-    the entry's own grid points, and no entry is drawn twice, so every drawn
-    point follows the bridge law.
+    between its ends (``triggering.bridge_point``), from one ``normals((k -
+    1, m))`` block for the ``m`` fresh entries in ascending order.  Which
+    entries get drawn depends on the coarse points and on earlier draws
+    alone, never on the entry's own grid points, so every drawn point
+    follows the bridge law.
     """
 
     def __init__(self, rows: np.ndarray, stream: NoiseStream, k: int, dt: float):
@@ -646,27 +628,24 @@ class _Bridges:
         self.count = count + m
         return slots
 
-    def points(self, entries: np.ndarray) -> np.ndarray:
-        """The grid points 1 .. k - 1 of drawn ``entries``, a column each."""
-        return self.store[:, self.slot[entries]]
-
     def deviations(self, entries: np.ndarray, increments: np.ndarray) -> np.ndarray:
         """The grid points 1 .. k - 1 of drawn ``entries`` minus their bridge
         means ``a + z j / k``, a row each, with ``a`` the entry's start in
         ``rows`` and ``z`` its increment in ``increments``, laid out as the
         steps of ``rows``."""
         k = len(self.levels) + 1
-        d = self.points(entries).T
+        d = self.store[:, self.slot[entries]].T
         d -= (self.rows.reshape(-1)[entries, None]
               + increments.reshape(-1)[entries, None] * (np.arange(1, k) / k))
         return d
 
 
 def _coarse_level_events(bridges: _Bridges, delta: float, far: float, k: int, window: int):
-    """``(times, masks)`` of the level rule's events in a chunk of coarse
-    running sums: the grid points, counted from the chunk's start, at which
-    some agent's error reaches ``delta``, ascending, and per event the
-    agents that reach it there.
+    """``(times, masks, resets)`` of the level rule's events in a chunk of
+    coarse running sums: the grid points, counted from the chunk's start, at
+    which some agent's error reaches ``delta``, ascending, per event the
+    agents that reach it there, and ``(time, agent, jump)`` per reset, the
+    jump being the agent's running sum there less the one at its last reset.
 
     Each agent's error is its running sum minus its running sum at its last
     reset, ``base``.  The search runs in rounds over up to ``window`` coarse
@@ -686,7 +665,8 @@ def _coarse_level_events(bridges: _Bridges, delta: float, far: float, k: int, wi
     last = span * k
     inner = np.arange(1, k)[:, None]  # the grid points inside a row
     base = np.zeros(n)
-    times, agents = [], []
+    none = np.zeros(0, dtype=np.int64)
+    times, agents, jumps = [none], [none], [np.zeros(0)]
     done = np.zeros(n, dtype=np.int64)  # each agent is searched through this point
     while True:
         live = np.flatnonzero(done < last)
@@ -734,62 +714,73 @@ def _coarse_level_events(bridges: _Bridges, delta: float, far: float, k: int, wi
         if not fired.size:
             continue
         at = ends[fired]
-        times.append(at)
-        agents.append(fired)
         row, j = np.divmod(at, k)
-        base[fired] = rows[row, fired]
+        new = rows[row, fired]
         inside = np.flatnonzero(j)
         if inside.size:
             slots = bridges.draw(row[inside] * n + fired[inside])
-            base[fired[inside]] = bridges.store[j[inside] - 1, slots]
+            new[inside] = bridges.store[j[inside] - 1, slots]
+        times.append(at)
+        agents.append(fired)
+        jumps.append(new - base[fired])
+        base[fired] = new
         done[fired] = at
-    if not times:
-        return np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=bool)
-    times, agents = np.concatenate(times), np.concatenate(agents)
+    times, agents, jumps = (np.concatenate(part) for part in (times, agents, jumps))
     at, event = np.unique(times, return_inverse=True)
     masks = np.zeros((at.size, n), dtype=bool)
     masks[event, agents] = True
-    return at, masks
+    return at, masks, (times, agents, jumps)
 
 
-def _refined_rows(bridges: _Bridges, increments: np.ndarray, times: np.ndarray, k: int,
-                  step_var: float):
-    """``(rows, stops, coarse_rows)`` for ``_settle``: the chunk's coarse
-    rows with every row that holds an event before its end drawn whole
-    (``_Bridges.draw``) and split into its ``k`` grid steps, the rows of the
-    events at ``times`` (grid points from the chunk's start), and their
-    ``_CoarseRows``, which carry the grid points drawn in the other rows.
-    Without such rows the running sums are used as they are."""
-    rows = bridges.rows
-    span, n = len(rows) - 1, rows.shape[1]
-    split = np.unique(times[times % k != 0] // k)
-    shift = np.zeros(span + 1, dtype=np.int64)
-    shift[split + 1] = k - 1
-    at = np.arange(span + 1) + np.cumsum(shift)  # where each coarse point goes
-    size = at[-1] + 1
-    ends = np.empty(size, dtype=np.int64)
-    ends[at] = np.arange(span + 1) * k
-    coarse = np.ones(span, dtype=bool)
-    coarse[split] = False
-    # exact grid points minus their bridge means, for the coarse rows' drawn entries
+def _event_points(bridges: _Bridges, entries: np.ndarray, j: np.ndarray,
+                  log: Optional[_Bridges] = None) -> np.ndarray:
+    """The running sums at grid point ``j`` (0 to ``k``) of the coarse steps
+    ``entries`` of ``bridges``: coarse points, drawn points, and NaN for an
+    entry not drawn, or with ``log``, a ``_Bridges`` on a stream of the log's
+    own, a point of the whole entry drawn there, so that a logged trial's
+    stream and tallies stay the unlogged trial's."""
+    k = len(bridges.levels) + 1
+    j = np.broadcast_to(j, entries.shape)
+    points = bridges.rows.reshape(-1)[entries + (j == k) * bridges.n]
+    inner = j % k > 0
+    entries, t = entries[inner], j[inner] - 1
+    slots = bridges.slot[entries]
+    fresh = slots < 0
+    found = np.where(fresh, np.nan, bridges.store[t, slots])
+    if log is not None:
+        drawn, back = np.unique(entries[fresh], return_inverse=True)
+        slots = log.draw(drawn)[back]  # before reading the store, which it may grow
+        found[fresh] = log.store[t[fresh], slots]
+    points[inner] = found
+    return points
+
+
+def _event_rows(bridges: _Bridges, increments: np.ndarray, times: np.ndarray, resets,
+                step_var: float, log: Optional[_Bridges] = None):
+    """``(stops, coarse_rows)`` for ``_settle`` of the level events and
+    ``resets`` that ``_coarse_level_events`` found in a chunk: each event
+    stops at the first coarse point from it on and resets to its
+    ``_event_points``.  The increments, updated in place, and the drawn
+    entries' deviations from their bridge means are the settled rows': a
+    reset at grid point ``j`` inside a row by ``J`` lowers the row's end by
+    ``J``, so its entry's increment is ``z - J`` and its drawn point ``t``
+    moves ``J (t / k - [t >= j])`` off the bridge mean."""
+    n, k = bridges.n, len(bridges.levels) + 1
     drawn = np.sort(bridges.owner[: bridges.count])
-    drawn = drawn[coarse[drawn // n]]
-    row, agent = np.divmod(drawn, n)
     d = bridges.deviations(drawn, increments)
-    if split.size:
-        grid = at[split, None] + np.arange(1, k)
-        ends[grid] = split[:, None] * k + np.arange(1, k)
-        out = np.empty((size, n))
-        out[at] = rows
-        whole = bridges.draw((split[:, None] * n + np.arange(n)).reshape(-1))
-        out[grid] = bridges.store[:, whole].reshape(k - 1, split.size, n).transpose(1, 0, 2)
-        # a grid step's increment enters its cost with weight zero (_bridge_sums)
-        steps = np.empty((size - 1, n))
-        steps[at[:-1]] = increments
-        steps[grid] = 0.0
-        rows, increments = out, steps
-    stops = (at[times // k] + times % k).tolist()
-    return rows, stops, _CoarseRows(ends, increments, step_var, (at[row], agent, d))
+    at, agent, jump = resets
+    inner = at % k > 0
+    row, j = np.divmod(at[inner], k)
+    agent, jump = agent[inner], jump[inner]
+    np.subtract.at(increments, (row, agent), jump)
+    t = np.arange(1, k)
+    np.add.at(d, np.searchsorted(drawn, row * n + agent),
+              jump[:, None] * (t / k - (t >= j[:, None])))
+    row, j = np.divmod(times, k)
+    points = _event_points(bridges, row[:, None] * n + np.arange(n), j[:, None], log)
+    ends = np.arange(len(bridges.rows)) * k
+    return (row + (j > 0)).tolist(), _CoarseRows(ends, increments, step_var, times,
+                                                 (*np.divmod(drawn, n), d), points)
 
 
 def _chunk_deadlines(fire_counts, offsets, period, dt, done, span, limit):
@@ -884,22 +875,31 @@ def _row_terms(starts, increments, step_var, row, agent, d):
     Given what was drawn, agents are independent, so ``n sum (m + d)^2 - (S
     + D)^2`` replaces ``n sum (m^2 + v) - S^2 - sum v`` over the row's drawn
     entries, with ``v`` the bridge's variance and ``S`` and ``D`` the row's
-    sums of ``m`` over all agents and of ``d`` over the drawn ones."""
+    sums of ``m`` over all agents and of ``d`` over the drawn ones.  The row
+    sums of ``a`` and ``z`` serve ``S`` and the Laplacian terms, with the
+    bits of ``consensus_cost_rows``, which forms ``q(a)`` and ``q(z)`` below
+    eight agents."""
+    n = starts.shape[1]
     a0, z0 = starts[:, 0], increments[:, 0]
-    terms = (consensus_cost_rows(starts), consensus_cost_rows(starts, increments),
-             consensus_cost_rows(increments), a0 * a0, a0 * z0, z0 * z0)
+    sa, sz = np.einsum("...i->...", starts), np.einsum("...i->...", increments)
+    if n < 8:
+        aa, zz = consensus_cost_rows(starts), consensus_cost_rows(increments)
+    else:
+        aa = np.maximum(n * np.einsum("...i,...i->...", starts, starts) - sa * sa, 0.0)
+        zz = np.maximum(n * np.einsum("...i,...i->...", increments, increments) - sz * sz, 0.0)
+    az = n * np.einsum("...i,...i->...", starts, increments) - sa * sz
+    terms = (aa, az, zz, a0 * a0, a0 * z0, z0 * z0)
     if row is None:
         return terms, np.zeros(0, dtype=np.int64), np.zeros((0, 2, 0))
     k = d.shape[1] + 1
     j = np.arange(1, k)
-    n = starts.shape[1]
     flat = row * n + agent
     m = starts.reshape(-1)[flat, None] + increments.reshape(-1)[flat, None] * (j / k)
     v = step_var * j * (k - j) / k
     own = d * (2 * m + d)
     first = np.flatnonzero(np.diff(row, prepend=-1))
     at = row[first]
-    s = starts[at].sum(axis=1)[:, None] + increments[at].sum(axis=1)[:, None] * (j / k)
+    s = sa[at, None] + sz[at, None] * (j / k)
     dsum = np.add.reduceat(d, first, axis=0)
     count = np.diff(np.append(first, row.size))
     fixes = np.zeros((at.size, 2, k - 1))
@@ -928,10 +928,13 @@ def _row_sums(k, terms, at, fixes, n, step_var, m=None):
 
 
 class _CoarseRows:
-    """The coarse rows of one chunk: row ``r`` ends ``ends[r]`` grid steps
-    after the chunk's start, and the step from row ``r`` to row ``r + 1``
-    is ``k[r]`` grid steps long and has the increments ``increments[r]``,
-    drawn with variance ``k[r] * step_var`` per agent.
+    """The coarse rows of one chunk and its events: row ``r`` ends
+    ``ends[r]`` grid steps after the chunk's start, the step from row ``r``
+    to row ``r + 1`` is ``k[r]`` grid steps long and has the increments
+    ``increments[r]``, drawn with variance ``k[r] * step_var`` per agent,
+    and event ``e`` falls ``times[e]`` grid steps after the chunk's start,
+    on its stop's row or inside the step before it; ``points``, if given,
+    holds the running sums it resets to.
 
     ``refined``, if given, is ``(row, agent, d)`` for the entries of coarse
     steps whose grid points were drawn: per entry its row, its agent and its
@@ -941,18 +944,19 @@ class _CoarseRows:
     """
 
     def __init__(self, ends: np.ndarray, increments: np.ndarray, step_var: float,
-                 refined=(None, None, None)):
+                 times: np.ndarray, refined=(None, None, None), points=None):
         self.ends = ends
         self.increments = increments
         self.k = np.diff(ends).astype(float)
         self.step_var = step_var
         self.refined = refined
-        self._sums = None  # _row_sums of the settled rows, once formed
+        self.times, self.points = times, points
+        self._terms = self._sums = None  # _row_terms and _row_sums of the settled rows
 
     def _settled_sums(self, rows: np.ndarray):
         if self._sums is None:
-            terms = _row_terms(rows[:-1], self.increments, self.step_var, *self.refined)
-            self._sums = _row_sums(self.k, *terms, rows.shape[1], self.step_var)
+            self._terms = _row_terms(rows[:-1], self.increments, self.step_var, *self.refined)
+            self._sums = _row_sums(self.k, *self._terms, rows.shape[1], self.step_var)
         return self._sums
 
     def cost(self, rows: np.ndarray) -> float:
@@ -961,36 +965,48 @@ class _CoarseRows:
         return float(self._settled_sums(rows)[0].sum())
 
     def segment_rewards(self, rows: np.ndarray, stops: List[int]) -> List[float]:
-        """Expected ``sum e_0^2`` over the grid points of the steps from each
-        of row 0 and the rows ``stops`` up to the next of them."""
+        """Expected ``sum e_0^2`` over the grid points from the chunk's start
+        and from each event up to the next: the steps from one stop up to
+        the next, and an event inside a step moves the step's sum from it on
+        (less ``_row_sums`` of the step's first grid points) to the next."""
+        reward = self._settled_sums(rows)[1]
+        bounds = [0, *stops]
         # a zero past the end is the sum of an empty last segment
-        return np.add.reduceat(np.append(self._settled_sums(rows)[1], 0.0), [0, *stops]).tolist()
+        sums = np.add.reduceat(np.append(reward, 0.0), bounds)
+        inner = np.flatnonzero(self.times != self.ends[stops])
+        if inner.size:
+            sums[:-1][np.diff(bounds) == 0] = 0.0  # reduceat sums no empty segment
+            row = np.asarray(stops)[inner] - 1
+            terms, at, fixes = self._terms
+            head = _row_sums(self.k[row], [t[row] for t in terms], np.arange(row.size),
+                             fixes[np.searchsorted(at, row)], rows.shape[1], self.step_var,
+                             self.times[inner] - self.ends[row])[1]
+            tail = reward[row] - head
+            sums[inner] -= tail
+            sums[inner + 1] += tail
+        return sums.tolist()
 
 
 def _lane_block(stream: NoiseStream, config: ScenarioConfig, lanes: int, width: int,
-                start: int, step_var: float):
+                start: int, step_var: float, log: Optional[NoiseStream] = None):
     """``(lengths, counted, masks, e_pre, costs, rewards)`` of one block of
     ``lanes`` renewal cycles of a broadcast-plus-local level trial, the
     first of which starts at grid step ``start``.
 
     Lane ``i`` is cycle ``i``: ``n`` walks from 0 up to the first grid point
     at which some ``|e| >= delta``.  The live lanes advance in rounds of
-    ``width`` coarse rows of ``k = MAX_COARSE_STEPS`` grid steps: one
-    ``N(0, k dt)`` draw per agent per row and one running sum down the rows.
-    A lane's first row whose end lies beyond the band bounds its exit, and
-    the grid points of every entry of the rows up to it with an end beyond
-    ``far`` (``triggering.coarse_far``) are drawn (``_Bridges``): the first
-    of those points beyond the band, or else the bounding row's end, is the
+    ``width`` coarse rows of ``k = MAX_COARSE_STEPS`` grid steps, one
+    ``N(0, k dt)`` draw per agent per row.  A lane's first row whose end
+    lies beyond the band bounds its exit, and the entries of the rows up to
+    it with an end beyond ``far`` are drawn (``_Bridges``): the first of
+    their points beyond the band, or else the bounding row's end, is the
     lane's exit.  Exited lanes drop out.  The lanes start one after another,
     so a lane starts no earlier than ``start`` plus the lengths of the lanes
     before it, or the grid steps they were searched through while they have
     not exited; a lane that would start past the horizon, or whose start
-    plus its own searched steps already reaches it, stops.  After its
-    search, and before the next round's noise, a round draws its exit rows
-    whole with the same ``_Bridges``, in one ``draw`` over their entries in
-    ascending order, by exit row, lane and agent, which looks up the entries
-    the search drew; the agents beyond the band at the exit are the
-    initiators.
+    plus its own searched steps already reaches it, stops.  The initiators
+    are the agents beyond the band at the exit (``_event_points``), and
+    ``e_pre``, every agent's error there, is formed only with ``log``.
 
     ``counted`` is the grid points that count per lane: a cycle that ends by
     the horizon counts its length; the one that crosses it counts its own
@@ -998,10 +1014,8 @@ def _lane_block(stream: NoiseStream, config: ScenarioConfig, lanes: int, width: 
     cycles before it; later lanes count none.  ``lengths`` holds each exited
     lane's length and, for a lane that stopped, ``config.steps + 1``.  The
     cost and agent 0's reward over a lane's counted grid points are their
-    expectations given what was drawn: the exact sums over its exit row's
-    grid points, and for every row before it ``_row_sums`` over the row's
-    counted grid points.  Each round keeps its rows' ``_row_terms``, so
-    that any prefix of a lane's grid points is formed once the block is done.
+    expectations given what was drawn: ``_row_sums`` over each row's
+    counted grid points, from the ``_row_terms`` each round keeps.
     """
     n, dt, k = config.n, config.dt, MAX_COARSE_STEPS
     delta = config.scheme.delta
@@ -1010,7 +1024,8 @@ def _lane_block(stream: NoiseStream, config: ScenarioConfig, lanes: int, width: 
     sd = np.sqrt(k * dt)
     reach = np.zeros(lanes, dtype=np.int64)  # the exit, or the grid steps searched through
     exited = np.zeros(lanes, dtype=bool)
-    exit_start = np.full(lanes, horizon + 1)  # the grid steps before each lane's exit row
+    masks = np.zeros((lanes, n), dtype=bool)
+    e_pre = None if log is None else np.zeros((lanes, n))
     # the first round's working arrays, which every later round reuses in
     # part: a fresh array of this size each round would page-fault anew
     buffers = np.empty((3, (width + 1) * lanes * n))
@@ -1018,7 +1033,6 @@ def _lane_block(stream: NoiseStream, config: ScenarioConfig, lanes: int, width: 
     x = np.zeros((lanes, n))  # the live lanes' errors after t grid steps
     t = 0
     kept = []  # per round: its rows' terms, and its drawn entries' corrections
-    exits = []  # per round: the exited lanes and their exit rows' grid points
     while live.size:
         m = live.size
         # rows[r] holds every live lane's errors after r coarse rows, lanes
@@ -1030,7 +1044,6 @@ def _lane_block(stream: NoiseStream, config: ScenarioConfig, lanes: int, width: 
         z = z[1:].reshape(width * m, n)
         np.copyto(z, noise.reshape(width * m, n))
         _running_sum(rows)
-        points = rows.reshape(width + 1, m, n)
         np.abs(rows, out=dist)
         over = (dist[1:] >= delta).reshape(width, m, n).any(axis=2)
         bound = np.where(over.any(axis=0), over.argmax(axis=0), width)
@@ -1050,56 +1063,41 @@ def _lane_block(stream: NoiseStream, config: ScenarioConfig, lanes: int, width: 
         out = np.flatnonzero(at <= width * k)
         exit_row = np.full(m, width)
         exit_row[out] = (at[out] - 1) // k
-        out = out[np.argsort(exit_row[out], kind="stable")]  # so that their entries ascend
-        which, lo = live[out], exit_row[out]
-        exit_start[which] = t + lo * k
+        which = live[out]
         reach[which] = t + at[out]
         exited[which] = True
-        # the terms of the rows before each lane's exit row, row by row
-        starts = rows[:-1].reshape(width * m, n)
-        owner = np.sort(bridges.owner[: bridges.count])
-        row, lane = np.divmod(owner // n, m)
-        drawn = owner[row < exit_row[lane]]
-        row, agent = np.divmod(drawn, n)
-        terms, row, fixes = _row_terms(starts, z, step_var, row, agent,
-                                       bridges.deviations(drawn, z))
+        # every row's terms and every drawn entry's corrections, row by row
+        drawn = np.sort(bridges.owner[: bridges.count])
+        terms, row, fixes = _row_terms(rows[:-1].reshape(width * m, n), z, step_var,
+                                       *np.divmod(drawn, n), bridges.deviations(drawn, z))
         kept.append((np.repeat(t + np.arange(width) * k, m), np.tile(live, width),
                      np.stack(terms, axis=1), row, fixes))
-        # the exit rows' grid points, drawn whole: entries the search drew are looked up
-        slots = bridges.draw(((lo * m + out)[:, None] * n + np.arange(n)).reshape(-1))
-        line = np.empty((k + 1, out.size, n))
-        line[0], line[k] = points[lo, out], points[lo + 1, out]
-        line[1:k] = bridges.store[:, slots].reshape(k - 1, out.size, n)
-        exits.append((which, line))
+        # every agent of each exit row, at the exit
+        entries = (exit_row[out] * m + out)[:, None] * n + np.arange(n)
+        j = (at[out] - exit_row[out] * k)[:, None]
+        masks[which] = np.abs(_event_points(bridges, entries, j)) >= delta
+        if log is not None:
+            e_pre[which] = _event_points(bridges, entries, j, _Bridges(rows, log, k, dt))
         del bridges
         t += width * k
         going = exit_row == width
         reach[live[going]] = t
         earliest = start + np.cumsum(reach) - reach  # each lane's earliest start
         going &= earliest[live] + t < horizon
-        x = points[-1, going]
+        x = rows[-1].reshape(m, n)[going]
         live = live[going]
 
     lengths = np.where(exited, reach, horizon + 1)
     ends = start + np.cumsum(lengths)
     counted = np.where(ends <= horizon, lengths, np.clip(horizon - (ends - lengths), 0, None))
     # every round's rows at once: each counts its grid points before its
-    # lane's exit row and the horizon
+    # lane's count runs out
     offsets = np.cumsum([0, *(len(part[0]) for part in kept[:-1])])
     begin, ids, terms, row, fixes = (np.concatenate(part) for part in zip(*kept))
     row += np.repeat(offsets, [len(part[3]) for part in kept])
-    m = np.clip(np.minimum(counted, exit_start)[ids] - begin, 0, k)
+    m = np.clip(counted[ids] - begin, 0, k)
     costs, rewards = (np.bincount(ids, sums, lanes)
                       for sums in _row_sums(k, terms.T, row, fixes, n, step_var, m))
-    masks = np.zeros((lanes, n), dtype=bool)
-    e_pre = np.zeros((lanes, n))
-    which, line = (np.concatenate(part, axis=axis) for part, axis in zip(zip(*exits), (0, 1)))
-    e_pre[which] = line[reach[which] - exit_start[which], np.arange(which.size)]
-    masks[which] = np.abs(e_pre[which]) >= delta
-    counts = np.arange(k)[:, None] < np.clip(counted - exit_start, 0, k)[which]
-    lead = line[:-1, :, 0]
-    costs += np.bincount(which, (consensus_cost_rows(line[:-1]) * counts).sum(axis=0), lanes)
-    rewards += np.bincount(which, (lead * lead * counts).sum(axis=0), lanes)
     return lengths, counted, masks, e_pre, costs, rewards
 
 
@@ -1125,12 +1123,13 @@ def _lane_cycles(fleet: _Fleet, stream: NoiseStream, noise_scale: float) -> None
     expected = _expected_interevent(config)
     cycle_rows = max(1, round(expected / (k * dt)))
     most = max(1, CHUNK_BYTES // (128 * (n + cycle_rows)))
+    log = stream.child(0) if fleet.logged else None  # the log's own points
     start = 0
     while start < horizon:
         lanes = min(most, int((horizon - start) * dt / expected) + LANE_SPARE)
         width = max(1, min(cycle_rows, LANE_ENTRIES // (lanes * n)))
         lengths, counted, masks, e_pre, costs, rewards = _lane_block(
-            stream, config, lanes, width, start, noise_scale**2 * dt)
+            stream, config, lanes, width, start, noise_scale**2 * dt, log)
         complete = int(np.count_nonzero(counted == lengths))
         steps = (start + np.cumsum(lengths[:complete])).tolist()
         if fleet.logged:
@@ -1169,15 +1168,11 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     endpoints (``_bridge_sums``).  Event times, cycle lengths and the
     elapsed time stay in grid steps.  A broadcast-only level rule on a wide
     enough band steps ``MAX_COARSE_STEPS`` grid steps a row up to the
-    horizon's last whole coarse step, draws grid points between coarse
-    points only near the band and in rows that hold events, and takes the
-    cost and reward as their expectations given what was drawn.  A
-    broadcast-plus-local level trial that the rule selects, logged or not,
-    runs as lanes of renewal cycles (``_lane_cycles``) with the same draws
-    and expectations, and hands each cycle before the horizon to the fleet
-    in order.  Under any other level rule, and in a trial that records a
-    trajectory, every row is one grid step and the cost and reward sum its
-    rows, exactly as ``run_trial_reference`` does.
+    horizon's last whole coarse step and draws grid points only near the
+    band; a broadcast-plus-local one runs as lanes of renewal cycles
+    (``_lane_cycles``) with the same draws.  Under any other level rule, and
+    in a trial that records a trajectory, every row is one grid step and the
+    cost and reward sum its rows, exactly as ``run_trial_reference`` does.
     """
     n = config.n
     dt = config.dt
@@ -1202,7 +1197,7 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
         reach = max(coarse + 1, min(coarse * chunk, max(chunk, CHUNK_BYTES // (8 * len(offsets)))))
 
     # rows per chunk: a chunk of coarse level rows may draw every grid point
-    # of its rows (rows that hold events are drawn whole), so the budget
+    # of its rows (on a narrow band every entry lies near it), so the budget
     # bounds those; small fleets get up to CHUNK_STEPS coarse rows of grid
     # steps each
     capacity = (max(1, min(CHUNK_STEPS * coarse, CHUNK_BYTES // (8 * n * coarse),
@@ -1216,6 +1211,7 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     if level and local and coarse > 1:
         _lane_cycles(fleet, stream, noise_scale)
         return TrialResult(accumulator=acc, events=fleet.events)
+    log = stream.child(0) if fleet.logged and level and coarse > 1 else None  # _event_points
     if fleet.trajectory is not None:
         fleet.log_state(0, fleet.e, 0)
 
@@ -1244,7 +1240,7 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
                 if ends[-1] < grid and grid == left and len(stops) < chunk:
                     ends = np.append(ends, grid)
                 span = len(ends) - 1
-                coarse_rows = _CoarseRows(ends, increments[:span], noise_scale**2 * dt)
+                coarse_rows = _CoarseRows(ends, increments[:span], noise_scale**2 * dt, stops)
                 k = coarse_rows.k[:, None]
                 stops = np.arange(1, len(stops) + 1)
             stops = stops.tolist()
@@ -1258,9 +1254,10 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
         _running_sum(rows)
         if level and k > 1:
             bridges = _Bridges(rows, stream, k, dt)
-            times, masks = _coarse_level_events(bridges, scheme.delta, far, k, window)
-            rows, stops, coarse_rows = _refined_rows(bridges, increments[:span], times, k,
-                                                     noise_scale**2 * dt)
+            times, masks, resets = _coarse_level_events(bridges, scheme.delta, far, k, window)
+            stops, coarse_rows = _event_rows(
+                bridges, increments[:span], times, resets, noise_scale**2 * dt,
+                None if log is None else _Bridges(rows, log, k, dt))
             del bridges
         elif level:
             stops, masks = _level_events(rows, scheme.delta, local)

@@ -684,8 +684,8 @@ def test_coarse_chunk_budget_changes_only_rounding(monkeypatch, n):
 # one forced onto lanes of renewal cycles, which the rule keeps for larger
 # fleets, trial 0 at horizon 20 s and seed 1729, in the format of GOLDEN_N3
 GOLDEN_COARSE_LEVEL = {
-    "et-b": (B, Level(4.0), "5750.764445227273", (2, "26.618040471069293"), 16),
-    "et-bl": (BL, Level(3.5), "2873.674078024113", (8, "12.10840432272509"), 8),
+    "et-b": (B, Level(4.0), "5750.486660609663", (2, "26.619707272894733"), 16),
+    "et-bl": (BL, Level(3.5), "2775.010418056087", (8, "13.329210983819944"), 8),
 }
 
 
@@ -738,8 +738,8 @@ def coarse_level(monkeypatch):
 # broadcast-plus-local on a band narrow enough that most exits fall inside a
 # row, forced onto lanes, at horizon 20 s
 GOLDEN_COARSE_LEVEL_PATHS = {
-    "lone-b": (B, Level(3.5), "0.0", (19, "380.535816256427"), 19),
-    "in-row-bl": (BL, Level(1.2), "65.60722949102338", (36, "3.610870573165382"), 36),
+    "lone-b": (B, Level(3.5), "0.0", (19, "380.5358162564269"), 19),
+    "in-row-bl": (BL, Level(1.2), "64.71397978012115", (33, "3.6287152339391118"), 33),
 }
 
 
@@ -847,8 +847,9 @@ def test_drawn_terms_match_explicit_sums():
     drawn = np.union1d(drawn, [0, 3 * n])  # agent 0's entries among them
     bridges.draw(drawn)
     raw = rows.copy()
-    out, stops, coarse = driver._refined_rows(bridges, increments, np.zeros(0, np.int64), k, dt)
-    assert out is rows and stops == []
+    none = np.zeros(0, dtype=np.int64)
+    stops, coarse = driver._event_rows(bridges, increments, none, (none, none, np.zeros(0)), dt)
+    assert stops == []
     var = dt * np.arange(k) * (k - np.arange(k)) / k
     points = np.zeros((2, span, k))  # the cost and the reward per row and grid point
     for r in range(span):
@@ -857,7 +858,7 @@ def test_drawn_terms_match_explicit_sums():
         for i in range(n):
             e = r * n + i
             if e in drawn:
-                means[1:, i] = bridges.points(np.array([e]))[:, 0]
+                means[1:, i] = bridges.store[:, bridges.slot[e]]
                 spread[:, i] = 0.0
         points[0, r] = consensus_cost_rows(means) + (n - 1) * spread.sum(axis=1)
         points[1, r] = means[:, 0] ** 2 + spread[:, 0]
@@ -869,6 +870,67 @@ def test_drawn_terms_match_explicit_sums():
         prefix = np.arange(k) < m[:, None]
         for sums, explicit in zip(driver._row_sums(k, terms, at, fixes, n, dt, m), points):
             assert sums == pytest.approx((explicit * prefix).sum(axis=1), rel=1e-10)
+
+
+def test_row_sums_with_inner_resets_match_explicit_sums():
+    # a level event inside a coarse row resets its initiators at their drawn
+    # grid point, and the row stays coarse: once settled, the chunk's cost,
+    # agent 0's reward per segment between events and _row_sums over each
+    # row's first m grid points must equal explicit sums over the grid
+    # points of the reset path, with the bridge mean and variance for the
+    # entries not drawn.  Agent 2 resets once inside row 1, agent 0 inside
+    # row 2 (which splits its reward and closes its cycle), agent 3 on row
+    # 3's end and agent 1 twice inside row 4
+    rng = np.random.default_rng(11)
+    n, k, span, dt = 5, 8, 6, DT
+    rows = np.zeros((span + 1, n))
+    rows[1:] = rng.normal(scale=math.sqrt(k * dt), size=(span, n))
+    increments = rows[1:].copy()
+    driver._running_sum(rows)
+    resets = [(k + 3, 2), (2 * k + 5, 0), (4 * k, 3), (4 * k + 2, 1), (4 * k + 6, 1)]
+    bridges = driver._Bridges(rows, driver.NoiseStream(4), k, dt)
+    bridges.draw(np.union1d(rng.choice(span * n, 8, replace=False),
+                            [t // k * n + i for t, i in resets if t % k]))
+    # the raw running sums' means and variances at every grid point
+    j = np.arange(k)[:, None]
+    mean = (rows[:-1, None] + increments[:, None] * (j / k)).reshape(span * k, n)
+    var = np.tile(dt * j * (k - j) / k, (span, n))
+    for e in np.sort(bridges.owner[: bridges.count]):
+        r, i = divmod(e, n)
+        mean[r * k + 1 : (r + 1) * k, i] = bridges.store[:, bridges.slot[e]]
+        var[r * k + 1 : (r + 1) * k, i] = 0.0
+    mean = np.vstack((mean, rows[-1]))
+    # each agent's base at every grid point, and the jump of each reset
+    base = np.zeros((span * k + 1, n))
+    jumps = []
+    for t, i in resets:
+        jumps.append(mean[t, i] - base[t, i])
+        base[t:, i] = mean[t, i]
+    errors = mean - base
+    cost = n * (errors[:-1] ** 2 + var).sum(axis=1) - errors[:-1].sum(axis=1) ** 2 - var.sum(axis=1)
+    reward = errors[:-1, 0] ** 2 + var[:, 0]
+
+    at, agents = (np.array(part) for part in zip(*resets))
+    times, event = np.unique(at, return_inverse=True)
+    masks = np.zeros((times.size, n), dtype=bool)
+    masks[event, agents] = True
+    stops, coarse = driver._event_rows(bridges, increments, times, (at, agents, np.array(jumps)),
+                                       dt)
+    assert stops == [2, 3, 4, 5, 5]
+    fleet = driver._Fleet.start(quiet_config(n=n, scenario=B, scheme=Level(1.0), trials=1))
+    driver._settle(fleet, rows, stops, masks, 0, coarse)
+    assert np.allclose(rows, errors[::k], rtol=0, atol=1e-12)
+    assert coarse.cost(rows) == pytest.approx(cost.sum(), rel=1e-10)
+    bounds = [0, *times, span * k]
+    assert coarse.segment_rewards(rows, stops) == pytest.approx(
+        [reward[a:b].sum() for a, b in zip(bounds, bounds[1:])], rel=1e-10, abs=1e-12)
+    assert fleet.acc.cycles == 1
+    assert fleet.acc.cycle_reward_sum == pytest.approx(reward[: 2 * k + 5].sum() * dt, rel=1e-10)
+    for m in (np.full(span, k), rng.integers(0, k + 1, span)):
+        prefix = np.arange(k) < m[:, None]
+        for sums, explicit in zip(driver._row_sums(k, *coarse._terms, n, dt, m), (cost, reward)):
+            assert sums == pytest.approx((explicit.reshape(span, k) * prefix).sum(axis=1),
+                                         rel=1e-10, abs=1e-12)
 
 
 @pytest.mark.usefixtures("coarse_level")

@@ -120,8 +120,8 @@ def fleet_run(index: int):
     settle, close_cycle = driver._settle, CostAccumulator.close_cycle
 
     def recording_settle(fleet, rows, stops, chunk_masks, done, coarse_rows=None):
-        ends = np.arange(len(rows)) if coarse_rows is None else coarse_rows.ends
-        steps.append(done + np.asarray(ends)[np.asarray(stops, dtype=np.int64)])
+        steps.append(done + (np.asarray(stops, dtype=np.int64) if coarse_rows is None
+                             else coarse_rows.times))
         masks.append(np.asarray(chunk_masks, dtype=bool).reshape(len(stops), n))
         return settle(fleet, rows, stops, chunk_masks, done, coarse_rows)
 
