@@ -20,9 +20,11 @@ of their trials covers: per CSV row, in order, for ``table1``, and per
 row as ``TT/ET`` for ``sweep-n``, so a reader can tell which rows take
 their costs as conditional expectations over coarse steps.  ``THREADS``
 (a positive integer, default 1) fans the trials of a batch out over
-processes, at most one per trial and per usable CPU.  Every batch
-config is made and
-usage-checked in one place, and ``table1`` and ``sweep-n`` build every
+processes by groups of trials, at most one process per group and per
+usable CPU: a group is one trial, or, where trials run as lanes of
+renewal cycles, the consecutive trials that share lane blocks, as many
+as the config sets.  Every batch config is made and usage-checked in one
+place, and ``table1`` and ``sweep-n`` build every
 config before the first batch runs.  Their level thresholds come from
 the closed form ``level_threshold``, and both build their
 broadcast-plus-local ET/TT pairs with one function.  Exit codes: 0

@@ -71,17 +71,24 @@ enough (``fleet_coarse_steps``) such a trial runs as lanes
 (``_lane_cycles``): a block of cycles, one per lane, advances in lockstep
 by rounds of coarse rows with the same coarse-to-fine draws, so one round
 serves every live cycle, not one event; exited lanes drop out, and a
-lane that would start past the horizon stops.  The cycles hand their
-tallies to the fleet in cycle order through ``_Fleet.tally``, as
-``_settle`` does.  The cycle that crosses the horizon counts its own
+lane that would start past the horizon stops.  A block holds the cycles
+of a group of consecutive trials, as many as the config alone sets
+(``_lane_shape``): each round draws each trial's lanes, and their grid
+points, from the trial's own stream, and the search and the cost form
+run once over the group, so a trial's results are the same alone
+(``run_trial``), in any group and in any process.  The cycles hand their
+tallies to their trial's fleet in cycle order through ``_Fleet.tally``,
+as ``_settle`` does.  The cycle that crosses the horizon counts its own
 path's grid points before it, whose number depends only on the cycles
 before it, so it is not length-biased.  Coarse rows and lanes are exact
 in law, not pathwise: their gates are the whole-law test of their exit
 steps and the grid level law's cost (``costs.grid_level_law``).  A trial
 that records a trajectory keeps one row per grid step under either rule,
 as does a level rule on a narrower band or a smaller fleet.  Trials are
-embarrassingly parallel: each owns a substream keyed by its index, and
-batches merge per-trial results in fixed index order.
+embarrassingly parallel: each owns a substream keyed by its index, a
+batch runs them in groups of consecutive indices (of one trial each
+unless they run as lanes), and merges per-trial results in fixed index
+order.
 """
 
 import os
@@ -129,13 +136,15 @@ LEVEL_LOOKAHEAD = 256
 # a round of the coarse level search covers about this many expected gaps
 # between an agent's events
 WINDOW_GAPS = 2.0
-# lanes of broadcast-plus-local level cycles (_lane_cycles): a block holds
-# the expected cycles of the horizon left plus LANE_SPARE, a round draws about
-# LANE_ENTRIES entries (rows x lanes x agents) but at most a cycle's expected
+# lanes of broadcast-plus-local level cycles (_lane_cycles, _lane_shape): a
+# trial's block holds the expected cycles of the horizon left plus
+# LANE_SPARE, a group of trials shares rounds of about LANE_ENTRIES entries
+# (rows x lanes x agents) and at least 1 / LANE_ROUNDS of a cycle's expected
 # coarse rows, and fleets of at least LANE_AGENTS agents take lanes on a wide
 # enough band (fleet_coarse_steps)
 LANE_SPARE = 2
 LANE_ENTRIES = 1 << 17
+LANE_ROUNDS = 5
 LANE_AGENTS = 20
 
 
@@ -222,13 +231,16 @@ def fleet_coarse_steps(config: ScenarioConfig) -> int:
     agents and ``far`` is at least 0.45 of the threshold, which at ``dt =
     2e-3`` means ``delta >= 1.393``: a round's work per lane outweighs the
     draws saved in smaller fleets, and on narrower bands nearly every coarse
-    step is drawn whole.  Measured per cell (``BENCH_21.json``, 8 trials of
-    25 s), lanes ran 0.26x to 0.90x the time of grid rows from n = 32 at
-    thresholds 1.45 to 5, and 0.58x to 0.84x at n = 20 from threshold 1.9
-    (1.13x at 1.45, 0.89x with 100 s horizons); at n = 3 and 10, and at
-    threshold 0.9 for every n, they ran 1.02x to 2.8x slower.  Both rules
-    depend on ``(n, delta, dt)`` alone.  A trial that records a trajectory
-    shows every stride row, so its rows are grid steps under either rule.
+    step is drawn whole.  Measured per cell when each trial ran lane blocks
+    of its own (``BENCH_21.json``, 8 trials of 25 s), lanes ran 0.26x to
+    0.90x the time of grid rows from n = 32 at thresholds 1.45 to 5, and
+    0.58x to 0.84x at n = 20 from threshold 1.9 (1.13x at 1.45, 0.89x with
+    100 s horizons); at n = 3 and 10, and at threshold 0.9 for every n, they
+    ran 1.02x to 2.8x slower.  Lane blocks now span a group of trials
+    (``_lane_shape``; ``BENCH_26.json``), which these bounds were not
+    measured with.  Both rules depend on ``(n, delta, dt)`` alone.  A
+    trial that records a trajectory shows every stride row, so its rows are
+    grid steps under either rule.
     """
     scheme = config.scheme
     if config.record_trajectory:
@@ -271,18 +283,33 @@ class TrialResult:
 def run_trials(config: ScenarioConfig, workers: int = 1) -> List[TrialResult]:
     """All trials of a batch, in trial-index order.
 
-    ``workers > 1`` fans the trials out over a process pool of at most
-    ``workers`` processes, and never more than there are trials or CPUs
+    The trials run in groups of consecutive indices.  A config that runs
+    as lanes of renewal cycles groups as many as ``_lane_shape`` sets from
+    the config alone, and each group shares its lane blocks
+    (``_lane_cycles``); every other config runs its trials one by one.
+    Either way a trial's result is ``run_trial``'s, bit for bit.
+    ``workers > 1`` fans the groups out over a process pool of at most
+    ``workers`` processes, and never more than there are groups or CPUs
     this process may run on: a forking pool starts all of its processes
     at once.
     """
-    indices = range(config.trials)
-    workers = min(workers, config.trials, _usable_cpus())
+    size = _lane_shape(config)[0] if _runs_lanes(config) else 1
+    groups = [range(i, min(i + size, config.trials)) for i in range(0, config.trials, size)]
+    workers = min(workers, len(groups), _usable_cpus())
+    run = partial(_run_group, config)
     if workers > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(partial(run_trial, config), indices))
+            parts = list(pool.map(run, groups))
+    else:
+        parts = map(run, groups)
+    return [result for part in parts for result in part]
+
+
+def _run_group(config: ScenarioConfig, indices: range) -> List[TrialResult]:
+    if _runs_lanes(config):
+        return _lane_cycles(config, indices)
     return [run_trial(config, i) for i in indices]
 
 
@@ -589,17 +616,41 @@ class _Bridges:
     entries get drawn depends on the coarse points and on earlier draws
     alone, never on the entry's own grid points, so every drawn point
     follows the bridge law.
+
+    With ``cols``, the columns of ``rows`` belong to several trials:
+    ``stream`` is a list, and ``stream[g]`` draws the entries of columns
+    ``cols[g]`` to ``cols[g + 1]`` of every row, one ``normals((k - 1,
+    m_g))`` block for its ``m_g`` fresh ones in ascending order, as the
+    trial's own columns alone would draw them; ``store`` holds the blocks
+    one after another.
     """
 
-    def __init__(self, rows: np.ndarray, stream: NoiseStream, k: int, dt: float):
+    def __init__(self, rows: np.ndarray, stream, k: int, dt: float, cols=None):
+        if cols is not None:
+            busy = np.flatnonzero(np.diff(cols))
+            if busy.size == 1:  # one stream draws every entry
+                stream, cols = stream[busy[0]], None
         self.rows = rows
         self.n = rows.shape[1]
         self.stream = stream
+        self.cols = cols
         self.levels = bridge_levels(k, dt)[:-1]  # the end is a coarse point
         self.slot = np.full((len(rows) - 1) * self.n, -1, dtype=np.int32)
         self.store = np.empty((k - 1, 256))  # column per slot: the grid points 1 .. k - 1
         self.owner = np.empty(256, dtype=np.int64)  # entry per slot
         self.count = 0
+
+    def _normals(self, new: np.ndarray):
+        """``(new, noise)``: the ascending fresh entries ``new`` in the order
+        they are drawn, and their standard normals, a column each."""
+        levels = len(self.levels)
+        if self.cols is None:
+            return new, self.stream.normals((levels, new.size))
+        # a stable sort by stream keeps each stream's entries ascending
+        owner = np.searchsorted(self.cols, new % self.n, side="right") - 1
+        counts = np.bincount(owner, minlength=len(self.stream))
+        return new[np.argsort(owner, kind="stable")], np.concatenate(
+            [stream.normals((levels, c)) for stream, c in zip(self.stream, counts) if c], axis=1)
 
     def draw(self, entries: np.ndarray) -> np.ndarray:
         """Draw the grid points of the ``entries`` not drawn yet, which must
@@ -607,24 +658,27 @@ class _Bridges:
         ``store`` that hold each entry's points."""
         slots = self.slot[entries]
         fresh = slots < 0
-        new = entries[fresh]
-        m = new.size
+        m = np.count_nonzero(fresh)
         if not m:
             return slots
         count = self.count
         if count + m > self.store.shape[1]:
-            grown = np.empty((len(self.levels), 2 * (count + m)))
+            # at least double, but no more than this draw needs: a lane round
+            # draws once, and most of its entries at a time
+            size = max(2 * count, count + m)
+            grown = np.empty((len(self.levels), size))
             grown[:, :count] = self.store[:, :count]
             self.store = grown
-            self.owner = np.resize(self.owner, 2 * (count + m))
+            self.owner = np.resize(self.owner, size)
+        new, noise = self._normals(entries[fresh])
         flat = self.rows.reshape(-1)
         a, end = flat[new], flat[new + self.n]
-        noise = self.stream.normals((len(self.levels), m))
         for j, (r, sd) in enumerate(self.levels):
             a = bridge_point(noise[j], a, end.copy(), r, sd)
         self.store[:, count : count + m] = noise
         self.owner[count : count + m] = new
-        slots[fresh] = self.slot[new] = np.arange(count, count + m)
+        self.slot[new] = np.arange(count, count + m)
+        slots[fresh] = self.slot[entries[fresh]]
         self.count = count + m
         return slots
 
@@ -634,10 +688,12 @@ class _Bridges:
         ``rows`` and ``z`` its increment in ``increments``, laid out as the
         steps of ``rows``."""
         k = len(self.levels) + 1
-        d = self.store[:, self.slot[entries]].T
-        d -= (self.rows.reshape(-1)[entries, None]
-              + increments.reshape(-1)[entries, None] * (np.arange(1, k) / k))
-        return d
+        # formed a grid point per row, an entry per column, and returned as
+        # the transposed view
+        d = self.store.take(self.slot[entries], axis=1)
+        d -= (self.rows.reshape(-1)[entries]
+              + increments.reshape(-1)[entries] * (np.arange(1, k) / k)[:, None])
+        return d.T
 
 
 def _coarse_level_events(bridges: _Bridges, delta: float, far: float, k: int, window: int):
@@ -893,20 +949,33 @@ def _row_terms(starts, increments, step_var, row, agent, d):
         return terms, np.zeros(0, dtype=np.int64), np.zeros((0, 2, 0))
     k = d.shape[1] + 1
     j = np.arange(1, k)
+    jk = (j / k)[:, None]
     flat = row * n + agent
-    m = starts.reshape(-1)[flat, None] + increments.reshape(-1)[flat, None] * (j / k)
+    # a grid point per row and an entry or a row segment per column, so that
+    # every operation runs along the entries
+    d = d.T
+    # d (2 m + d), formed in place on the bridge means m
+    own = starts.reshape(-1)[flat] + increments.reshape(-1)[flat] * jk
+    own *= 2
+    own += d
+    own *= d
     v = step_var * j * (k - j) / k
-    own = d * (2 * m + d)
     first = np.flatnonzero(np.diff(row, prepend=-1))
     at = row[first]
-    s = sa[at, None] + sz[at, None] * (j / k)
-    dsum = np.add.reduceat(d, first, axis=0)
     count = np.diff(np.append(first, row.size))
+    dsum = np.add.reduceat(d, first, axis=1)
+    cost = n * np.add.reduceat(own, first, axis=1)
+    cost -= (n - 1) * count * v[:, None]
+    # (S + D)^2 - S^2 per inner grid point, with S the row's sum of means
+    s = sa[at] + sz[at] * jk
+    s *= 2
+    s += dsum
+    s *= dsum
+    cost -= s
     fixes = np.zeros((at.size, 2, k - 1))
-    fixes[:, 0] = n * np.add.reduceat(own, first, axis=0) - (n - 1) * count[:, None] * v
-    fixes[:, 0] -= dsum * (2 * s + dsum)
+    fixes[:, 0] = cost.T
     lead = agent == 0
-    fixes[np.searchsorted(at, row[lead]), 1] = own[lead] - v
+    fixes[np.searchsorted(at, row[lead]), 1] = (own[:, lead] - v[:, None]).T
     return terms, at, fixes
 
 
@@ -920,10 +989,14 @@ def _row_sums(k, terms, at, fixes, n, step_var, m=None):
     cost = _bridge_sums(k, aa, az, zz, n * (n - 1) * step_var, m)
     reward = _bridge_sums(k, a0a0, a0z0, z0z0, step_var, m)
     if len(at):
+        sums = fixes.sum(axis=2)
         if m is not None:
-            fixes = fixes * (np.arange(1, fixes.shape[2] + 1) < m[at, None])[:, None]
-        cost[at] += fixes[:, 0].sum(axis=1)
-        reward[at] += fixes[:, 1].sum(axis=1)
+            # only rows cut short of their end change
+            cut = np.flatnonzero(m[at] < fixes.shape[2] + 1)
+            inner = np.arange(1, fixes.shape[2] + 1) < m[at[cut], None]
+            sums[cut] = (fixes[cut] * inner[:, None]).sum(axis=2)
+        cost[at] += sums[:, 0]
+        reward[at] += sums[:, 1]
     return cost, reward
 
 
@@ -987,26 +1060,43 @@ class _CoarseRows:
         return sums.tolist()
 
 
-def _lane_block(stream: NoiseStream, config: ScenarioConfig, lanes: int, width: int,
-                start: int, step_var: float, log: Optional[NoiseStream] = None):
-    """``(lengths, counted, masks, e_pre, costs, rewards)`` of one block of
-    ``lanes`` renewal cycles of a broadcast-plus-local level trial, the
-    first of which starts at grid step ``start``.
+def _per_trial_cumsum(values: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The running sum of the integers ``values`` within each trial's lanes,
+    ``first[g]`` to ``first[g + 1]``, every trial holding at least one."""
+    sums = np.cumsum(values)
+    return sums - np.repeat(sums[first[:-1]] - values[first[:-1]], np.diff(first))
 
-    Lane ``i`` is cycle ``i``: ``n`` walks from 0 up to the first grid point
-    at which some ``|e| >= delta``.  The live lanes advance in rounds of
-    ``width`` coarse rows of ``k = MAX_COARSE_STEPS`` grid steps, one
-    ``N(0, k dt)`` draw per agent per row.  A lane's first row whose end
-    lies beyond the band bounds its exit, and the entries of the rows up to
-    it with an end beyond ``far`` are drawn (``_Bridges``): the first of
-    their points beyond the band, or else the bounding row's end, is the
-    lane's exit.  Exited lanes drop out.  The lanes start one after another,
-    so a lane starts no earlier than ``start`` plus the lengths of the lanes
-    before it, or the grid steps they were searched through while they have
-    not exited; a lane that would start past the horizon, or whose start
-    plus its own searched steps already reaches it, stops.  The initiators
-    are the agents beyond the band at the exit (``_event_points``), and
-    ``e_pre``, every agent's error there, is formed only with ``log``.
+
+def _lane_block(config: ScenarioConfig, streams: List[NoiseStream], lanes: List[int],
+                starts: List[int], width: int, step_var: float,
+                logs: Optional[List[NoiseStream]] = None):
+    """``(lengths, counted, masks, e_pre, costs, rewards)``, per lane, of one
+    block of renewal cycles of a group of broadcast-plus-local level trials:
+    trial ``g`` holds ``lanes[g]`` lanes, after the lanes of the trials
+    before it, and its first lane starts at grid step ``starts[g]``.
+
+    Lane ``i`` of a trial is its cycle ``i``: ``n`` walks from 0 up to the
+    first grid point at which some ``|e| >= delta``.  The live lanes advance
+    in rounds of ``width`` coarse rows of ``k = MAX_COARSE_STEPS`` grid
+    steps, one ``N(0, k dt)`` draw per agent per row.  A lane's first row
+    whose end lies beyond the band bounds its exit, and the entries of the
+    rows up to it with an end beyond ``far`` are drawn (``_Bridges``): the
+    first of their points beyond the band, or else the bounding row's end,
+    is the lane's exit.  Exited lanes drop out.  A trial's lanes start one
+    after another, so a lane starts no earlier than its trial's start plus
+    the lengths of the trial's lanes before it, or the grid steps they were
+    searched through while they have not exited; a lane that would start
+    past the horizon, or whose start plus its own searched steps already
+    reaches it, stops.  The initiators are the agents beyond the band at
+    the exit (``_event_points``), and ``e_pre``, every agent's error there,
+    is formed only with ``logs``.
+
+    Each round draws each trial's live lanes, side by side in its rows,
+    from the trial's own stream ``streams[g]``, and their grid points too,
+    in the order the trial alone would draw them, as the log's points from
+    ``logs[g]``; the search, ``_row_terms``, ``_row_sums`` and the per-lane
+    sums run once over the whole group.  A lane's results depend on its
+    trial's stream, start and lane count alone.
 
     ``counted`` is the grid points that count per lane: a cycle that ends by
     the horizon counts its length; the one that crosses it counts its own
@@ -1022,15 +1112,18 @@ def _lane_block(stream: NoiseStream, config: ScenarioConfig, lanes: int, width: 
     far = coarse_far(delta, dt, k)
     horizon = config.steps
     sd = np.sqrt(k * dt)
-    reach = np.zeros(lanes, dtype=np.int64)  # the exit, or the grid steps searched through
-    exited = np.zeros(lanes, dtype=bool)
-    masks = np.zeros((lanes, n), dtype=bool)
-    e_pre = None if log is None else np.zeros((lanes, n))
+    first = np.cumsum([0, *lanes])  # trial g's lanes are first[g] to first[g + 1]
+    total = int(first[-1])
+    origin = np.repeat(starts, lanes)  # each lane's trial's start
+    reach = np.zeros(total, dtype=np.int64)  # the exit, or the grid steps searched through
+    exited = np.zeros(total, dtype=bool)
+    masks = np.zeros((total, n), dtype=bool)
+    e_pre = None if logs is None else np.zeros((total, n))
     # the first round's working arrays, which every later round reuses in
     # part: a fresh array of this size each round would page-fault anew
-    buffers = np.empty((3, (width + 1) * lanes * n))
-    live = np.arange(lanes)
-    x = np.zeros((lanes, n))  # the live lanes' errors after t grid steps
+    buffers = np.empty((3, (width + 1) * total * n))
+    live = np.arange(total)
+    x = np.zeros((total, n))  # the live lanes' errors after t grid steps
     t = 0
     kept = []  # per round: its rows' terms, and its drawn entries' corrections
     while live.size:
@@ -1039,10 +1132,16 @@ def _lane_block(stream: NoiseStream, config: ScenarioConfig, lanes: int, width: 
         # side by side: entry e is agent e % n of lane e // n % m in row e // (m n)
         rows, z, dist = (b[: (width + 1) * m * n].reshape(width + 1, m * n) for b in buffers)
         rows[0] = x.reshape(-1)
-        noise = stream.normals((width, m * n), out=rows[1:])
-        noise *= sd
+        # trial g's live lanes are columns cols[g] to cols[g + 1] of each row;
+        # its draws wait in dist, which the search overwrites
+        cols = np.searchsorted(live, first) * n
+        for g in np.flatnonzero(np.diff(cols)):
+            a, b = cols[g], cols[g + 1]
+            noise = dist.reshape(-1)[: width * (b - a)].reshape(width, b - a)
+            streams[g].normals((width, b - a), out=noise)
+            np.multiply(noise, sd, out=z[1:, a:b])
+        rows[1:] = z[1:]
         z = z[1:].reshape(width * m, n)
-        np.copyto(z, noise.reshape(width * m, n))
         _running_sum(rows)
         np.abs(rows, out=dist)
         over = (dist[1:] >= delta).reshape(width, m, n).any(axis=2)
@@ -1051,7 +1150,7 @@ def _lane_block(stream: NoiseStream, config: ScenarioConfig, lanes: int, width: 
         need = (near[:-1] | near[1:]).reshape(width, m, n)
         need &= (np.arange(width)[:, None] <= bound)[:, :, None]
         entries = np.flatnonzero(need)
-        bridges = _Bridges(rows, stream, k, dt)
+        bridges = _Bridges(rows, streams, k, dt, cols)
         # each lane's exit in grid steps from t, past the round if none
         at = (bound + 1) * k
         if entries.size:
@@ -1076,70 +1175,134 @@ def _lane_block(stream: NoiseStream, config: ScenarioConfig, lanes: int, width: 
         entries = (exit_row[out] * m + out)[:, None] * n + np.arange(n)
         j = (at[out] - exit_row[out] * k)[:, None]
         masks[which] = np.abs(_event_points(bridges, entries, j)) >= delta
-        if log is not None:
-            e_pre[which] = _event_points(bridges, entries, j, _Bridges(rows, log, k, dt))
+        if logs is not None:
+            log = _Bridges(rows, logs, k, dt, cols)
+            e_pre[which] = _event_points(bridges, entries, j, log)
         del bridges
         t += width * k
         going = exit_row == width
         reach[live[going]] = t
-        earliest = start + np.cumsum(reach) - reach  # each lane's earliest start
+        earliest = origin + _per_trial_cumsum(reach, first) - reach  # each lane's earliest start
         going &= earliest[live] + t < horizon
         x = rows[-1].reshape(m, n)[going]
         live = live[going]
 
     lengths = np.where(exited, reach, horizon + 1)
-    ends = start + np.cumsum(lengths)
+    ends = origin + _per_trial_cumsum(lengths, first)
     counted = np.where(ends <= horizon, lengths, np.clip(horizon - (ends - lengths), 0, None))
     # every round's rows at once: each counts its grid points before its
     # lane's count runs out
     offsets = np.cumsum([0, *(len(part[0]) for part in kept[:-1])])
-    begin, ids, terms, row, fixes = (np.concatenate(part) for part in zip(*kept))
-    row += np.repeat(offsets, [len(part[3]) for part in kept])
+    row_offsets = np.repeat(offsets, [len(part[3]) for part in kept])
+    # joined part by part, so that each part's per-round pieces are freed
+    # before the next part is joined
+    parts = list(zip(*kept))
+    del kept
+    begin, ids, terms, row, fixes = (np.concatenate(parts.pop(0)) for _ in range(5))
+    row += row_offsets
     m = np.clip(counted[ids] - begin, 0, k)
-    costs, rewards = (np.bincount(ids, sums, lanes)
+    costs, rewards = (np.bincount(ids, sums, total)
                       for sums in _row_sums(k, terms.T, row, fixes, n, step_var, m))
     return lengths, counted, masks, e_pre, costs, rewards
 
 
-def _lane_cycles(fleet: _Fleet, stream: NoiseStream, noise_scale: float) -> None:
-    """Run a broadcast-plus-local level trial as blocks of lanes
-    (``_lane_block``) and hand ``fleet`` the tallies of each cycle that
-    starts before the horizon, in cycle order: the event's log when the
-    trial logs events, the event counts and the cycle's reward and length
-    through ``_Fleet.tally``, as ``_settle`` does, and the cost.
+def _block_lanes(left: int, dt: float, expected: float, most: int) -> int:
+    """The lanes of a trial's block that starts ``left`` grid steps of
+    ``dt`` before the horizon: the cycles of mean length ``expected`` there
+    plus ``LANE_SPARE``, at most ``most``."""
+    return min(most, int(left * dt / expected) + LANE_SPARE)
 
-    A block holds the expected cycles of the horizon left plus
-    ``LANE_SPARE``, at most ``CHUNK_BYTES / (128 (n + R))`` with ``R`` a
-    cycle's expected coarse rows, which keeps a round's working arrays and
-    the terms a block keeps within about ``CHUNK_BYTES``.  A round advances
-    ``LANE_ENTRIES / (lanes n)`` coarse rows, at least one and at most
-    ``R``: the fewer the lanes, the fewer the rounds that their fixed work
-    is spent on.  Both depend on the config and the grid steps left alone,
-    so a trial's results depend on ``(config, trial)`` alone."""
-    config = fleet.config
-    acc = fleet.acc
+
+def _lane_shape(config: ScenarioConfig):
+    """``(group, width, most, expected)`` of a broadcast-plus-local level
+    config that runs as lanes (``_lane_cycles``): the trials a group holds,
+    the coarse rows a round advances, the most lanes a block holds and a
+    cycle's expected length in seconds.
+
+    With ``R`` a cycle's expected coarse rows, a block holds at most
+    ``most = CHUNK_BYTES / (128 (n + R))`` lanes over all its trials, which
+    keeps a round's working arrays and the terms a block keeps within about
+    ``CHUNK_BYTES``.  A trial's first block holds ``F`` lanes
+    (``_block_lanes``), and a group holds as many trials as both ``most``
+    lanes and rounds of about ``LANE_ENTRIES`` entries (rows x lanes x
+    agents) at least ``R / LANE_ROUNDS`` rows wide allow, at least one: a
+    round's fixed work is spent on every lane of the group, and a narrow
+    round draws few rows past a lane's exit.  A round advances
+    ``LANE_ENTRIES / (group F n)`` rows, at least one and at most ``R``.
+    All four depend on ``(n, delta, dt, horizon)`` alone, never on the
+    trials a batch runs or on how full its last group is, so a trial's
+    results depend on ``(config, trial)`` alone.  At fleet-large's cell (n
+    = 50, threshold 1.8839, 25 s) that is 8 trials of 52 lanes in rounds of
+    6 rows; at table1's (2000 s) one trial of 809 lanes in rounds of 3."""
     n, dt, k = config.n, config.dt, MAX_COARSE_STEPS
-    horizon = config.steps
     expected = _expected_interevent(config)
     cycle_rows = max(1, round(expected / (k * dt)))
     most = max(1, CHUNK_BYTES // (128 * (n + cycle_rows)))
-    log = stream.child(0) if fleet.logged else None  # the log's own points
-    start = 0
-    while start < horizon:
-        lanes = min(most, int((horizon - start) * dt / expected) + LANE_SPARE)
-        width = max(1, min(cycle_rows, LANE_ENTRIES // (lanes * n)))
+    lanes = _block_lanes(config.steps, dt, expected, most)
+    narrow = max(1, round(cycle_rows / LANE_ROUNDS))
+    group = max(1, min(most // lanes, LANE_ENTRIES // (lanes * n * narrow)))
+    width = max(1, min(cycle_rows, LANE_ENTRIES // (group * lanes * n)))
+    return group, width, most, expected
+
+
+def _lane_cycles(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> List[TrialResult]:
+    """Run the trials ``indices`` of a broadcast-plus-local level config as
+    one group of lane blocks (``_lane_block``), each trial drawing from its
+    own stream, and hand each trial's fleet the tallies of each of its
+    cycles that starts before the horizon, in cycle order: the event's log
+    when the trial logs events, the event counts and the cycle's reward
+    and length through ``_Fleet.tally``, as ``_settle`` does, and the cost.
+
+    Every trial of the group starts in the first block.  A trial whose
+    lanes all end by the horizon joins the group's next block from the end
+    of its last cycle, with the lanes its horizon left needs
+    (``_block_lanes``).  The group's size, the round width and the lane
+    bound come from ``_lane_shape``, and every block holds at most a first
+    block's lanes per trial, so each trial's result is the one it gets
+    alone, in a group of one."""
+    dt = config.dt
+    horizon = config.steps
+    _, width, most, expected = _lane_shape(config)
+    streams = [NoiseStream(config.seed, i, noise_scale) for i in indices]
+    fleets = [_Fleet.start(config) for _ in streams]
+    elapsed = _grid_time(horizon, _chunk_steps(config.n), dt)
+    for fleet in fleets:
+        fleet.acc.elapsed = elapsed
+    # the log's own points
+    logs = [stream.child(0) for stream in streams] if fleets[0].logged else None
+    starts = [0] * len(fleets)
+    pending = list(range(len(fleets)))
+    while pending:
+        lanes = [_block_lanes(horizon - starts[g], dt, expected, most) for g in pending]
         lengths, counted, masks, e_pre, costs, rewards = _lane_block(
-            stream, config, lanes, width, start, noise_scale**2 * dt, log)
-        complete = int(np.count_nonzero(counted == lengths))
-        steps = (start + np.cumsum(lengths[:complete])).tolist()
-        if fleet.logged:
-            for i, step in enumerate(steps):
-                fleet.log_event(e_pre[i], masks[i], step)
-        fleet.tally(steps, masks[:complete], rewards[:complete].tolist())
-        acc.integral_sum += float(costs.sum()) * dt
-        if complete < lanes:
-            break
-        start = steps[-1]
+            config, [streams[g] for g in pending], lanes, [starts[g] for g in pending], width,
+            noise_scale**2 * dt, None if logs is None else [logs[g] for g in pending])
+        first = np.cumsum([0, *lanes])
+        going = []
+        for g, a, b in zip(pending, first, first[1:]):
+            fleet = fleets[g]
+            complete = int(np.count_nonzero(counted[a:b] == lengths[a:b]))
+            steps = (starts[g] + np.cumsum(lengths[a : a + complete])).tolist()
+            if fleet.logged:
+                for i, step in enumerate(steps):
+                    fleet.log_event(e_pre[a + i], masks[a + i], step)
+            fleet.tally(steps, masks[a : a + complete], rewards[a : a + complete].tolist())
+            fleet.acc.integral_sum += float(costs[a:b].sum()) * dt
+            if complete == b - a and steps[-1] < horizon:
+                starts[g] = steps[-1]
+                going.append(g)
+        pending = going
+    return [TrialResult(accumulator=fleet.acc, events=fleet.events) for fleet in fleets]
+
+
+def _runs_lanes(config: ScenarioConfig) -> bool:
+    return (isinstance(config.scheme, Level) and config.scenario is InfoScenario.BROADCAST_LOCAL
+            and fleet_coarse_steps(config) > 1)
+
+
+def _chunk_steps(n: int) -> int:
+    """Grid rows per chunk: ``CHUNK_STEPS``, fewer past the chunk budget."""
+    return min(CHUNK_STEPS, max(1, CHUNK_BYTES // (8 * n)))
 
 
 def _grid_time(steps: int, chunk: int, dt: float) -> float:
@@ -1170,17 +1333,20 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     enough band steps ``MAX_COARSE_STEPS`` grid steps a row up to the
     horizon's last whole coarse step and draws grid points only near the
     band; a broadcast-plus-local one runs as lanes of renewal cycles
-    (``_lane_cycles``) with the same draws.  Under any other level rule, and
-    in a trial that records a trajectory, every row is one grid step and the
-    cost and reward sum its rows, exactly as ``run_trial_reference`` does.
+    (``_lane_cycles``) with the same draws, as a group of one
+    (``run_trials``).  Under any other level rule, and in a trial that
+    records a trajectory, every row is one grid step and the cost and reward
+    sum its rows, exactly as ``run_trial_reference`` does.
     """
+    if _runs_lanes(config):
+        return _lane_cycles(config, [trial_index], noise_scale)[0]
     n = config.n
     dt = config.dt
     steps_total = config.steps
     scheme = config.scheme
     level = isinstance(scheme, Level)
     coarse = fleet_coarse_steps(config)
-    chunk = min(CHUNK_STEPS, max(1, CHUNK_BYTES // (8 * n)))
+    chunk = _chunk_steps(n)
     if level:
         local = config.scenario is InfoScenario.BROADCAST_LOCAL
         far = coarse_far(scheme.delta, dt, coarse)
@@ -1208,9 +1374,6 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     fleet = _Fleet.start(config, trajectory=config.record_trajectory)
     acc = fleet.acc
     acc.elapsed = _grid_time(steps_total, chunk, dt)
-    if level and local and coarse > 1:
-        _lane_cycles(fleet, stream, noise_scale)
-        return TrialResult(accumulator=acc, events=fleet.events)
     log = stream.child(0) if fleet.logged and level and coarse > 1 else None  # _event_points
     if fleet.trajectory is not None:
         fleet.log_state(0, fleet.e, 0)

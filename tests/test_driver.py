@@ -685,7 +685,7 @@ def test_coarse_chunk_budget_changes_only_rounding(monkeypatch, n):
 # fleets, trial 0 at horizon 20 s and seed 1729, in the format of GOLDEN_N3
 GOLDEN_COARSE_LEVEL = {
     "et-b": (B, Level(4.0), "5750.486660609663", (2, "26.619707272894733"), 16),
-    "et-bl": (BL, Level(3.5), "2775.010418056087", (8, "13.329210983819944"), 8),
+    "et-bl": (BL, Level(3.5), "3465.6188758660624", (6, "18.377027022360057"), 6),
 }
 
 
@@ -739,7 +739,7 @@ def coarse_level(monkeypatch):
 # row, forced onto lanes, at horizon 20 s
 GOLDEN_COARSE_LEVEL_PATHS = {
     "lone-b": (B, Level(3.5), "0.0", (19, "380.5358162564269"), 19),
-    "in-row-bl": (BL, Level(1.2), "64.71397978012115", (33, "3.6287152339391118"), 33),
+    "in-row-bl": (BL, Level(1.2), "75.37473388803525", (37, "2.7002222731855685"), 37),
 }
 
 
@@ -934,21 +934,31 @@ def test_row_sums_with_inner_resets_match_explicit_sums():
 
 
 @pytest.mark.usefixtures("coarse_level")
-@pytest.mark.parametrize("scenario, delta, bound", [(B, 5.0, 2), (BL, 2.5, 2), (B, 2.0, 6)],
-                         ids=["level-broadcast", "level-global", "every-row-an-event"])
-def test_coarse_level_memory_stays_near_the_chunk_budget(scenario, delta, bound):
+@pytest.mark.parametrize("scenario, delta, n, horizon, bound",
+                         [(B, 5.0, 1000, None, 2), (BL, 2.5, 1000, None, 2),
+                          (B, 2.0, 1000, None, 6), (BL, 1.5, 20, 1.25, 2)],
+                         ids=["level-broadcast", "level-global", "every-row-an-event",
+                              "lane-group"])
+def test_coarse_level_memory_stays_near_the_chunk_budget(scenario, delta, n, horizon, bound):
     # a chunk may draw every grid point of its coarse rows, so its rows are
     # sized from the budget as grid steps are (131 coarse rows at n = 1000):
-    # a search window, the drawn points and the split event rows each stay
-    # within about CHUNK_BYTES; at threshold 2 nearly every row holds an
-    # event and is drawn whole
-    n = 1000
-    config = quiet_config(n=n, scenario=scenario, scheme=Level(delta), dt=DT,
-                          horizon=2.5 * driver.CHUNK_BYTES // (8 * n) * DT, trials=1, seed=3)
+    # a search window and the drawn points each stay within about
+    # CHUNK_BYTES; at threshold 2 nearly every row holds an event, and
+    # nearly every entry near the band is drawn.  A lane block holds at most
+    # CHUNK_BYTES / (128 (n + R)) lanes over all of its group's trials, and
+    # a round about LANE_ENTRIES entries: the lane group runs the full first
+    # group of the horizon-cut test's cell, 262 trials of 5 lanes each
+    if horizon is None:
+        horizon = 2.5 * driver.CHUNK_BYTES // (8 * n) * DT
+    config = quiet_config(n=n, scenario=scenario, scheme=Level(delta), dt=DT, horizon=horizon,
+                          trials=1, seed=3)
     assert driver.fleet_coarse_steps(config) == driver.MAX_COARSE_STEPS
+    group = driver._lane_shape(config)[0] if scenario is BL else 1
+    config = quiet_config(n=n, scenario=scenario, scheme=Level(delta), dt=DT, horizon=horizon,
+                          trials=group, seed=3)
     tracemalloc.start()
     try:
-        events = run_trial(config, 0).accumulator.global_event_count
+        events = sum(r.accumulator.global_event_count for r in run_trials(config))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1115,28 +1125,85 @@ def test_batch_is_deterministic():
     assert run_batch(config) == run_batch(config)
 
 
-def test_trial_identical_alone_or_in_batch():
+# fleet-large's broadcast-plus-local level cell, which runs as lanes of renewal
+# cycles in groups of eight trials (driver._lane_shape)
+LANE_CELL = dict(n=50, scenario=BL, scheme=Level(1.8839), dt=DT, horizon=25.0, seed=1)
+
+
+def lane_config(**kw):
+    return quiet_config(**{**LANE_CELL, **kw})
+
+
+def outcome(result):
+    """A trial's tallies and, if it logs them, its events."""
+    events = None if result.events is None else [
+        (e.time, e.initiators, e.consensus_point, e.x_pre.tolist(), e.x_post.tolist())
+        for e in result.events]
+    return tallies(result.accumulator), events
+
+
+@pytest.fixture
+def lane_blocks(monkeypatch):
+    """With one spare lane instead of two many of the lane cell's trials
+    need a second block, some with another trial of their group; the list
+    records each lane block's trials as ``(trial, start)``."""
+    monkeypatch.setattr(driver, "LANE_SPARE", 1)
+    blocks = []
+    lane_block = driver._lane_block
+
+    def recording_block(config, streams, lanes, starts, *args):
+        blocks.append([(stream.trial_index, start) for stream, start in zip(streams, starts)])
+        return lane_block(config, streams, lanes, starts, *args)
+
+    monkeypatch.setattr(driver, "_lane_block", recording_block)
+    return blocks
+
+
+def test_trial_identical_alone_or_in_batch(lane_blocks):
     config = quiet_config(n=2, scenario=B, scheme=Level(1.0),
                           horizon=100.0, trials=3, seed=11)
     alone = run_trial(config, 2).accumulator.integral_sum
     batched = run_trials(config)[2].accumulator.integral_sum
     assert alone == batched
+    # a lane group shares its rounds, but each trial draws from its own
+    # stream, so a trial's tallies and events are the same alone, in its
+    # group of the batch and in a batch of another size, whose last group
+    # is partial; trials 0-7 form a group, 8 and 9 another
+    for record_events in (False, True):
+        lane_blocks.clear()
+        config = lane_config(trials=10, record_events=record_events)
+        assert driver._lane_shape(config)[0] == 8
+        grouped = [outcome(r) for r in run_trials(config)]
+        assert all((events is not None) == record_events for _, events in grouped)
+        assert lane_blocks[0] == [(i, 0) for i in range(8)]
+        # a later block holds two trials that start where their last cycles ended
+        assert any(len(block) > 1 and min(start for _, start in block) > 0
+                   for block in lane_blocks)
+        assert [outcome(run_trial(config, i)) for i in range(10)] == grouped
+        for trials in (9, 3):
+            batch = lane_config(trials=trials, record_events=record_events)
+            assert [outcome(r) for r in run_trials(batch)] == grouped[:trials]
+
+
+def test_lane_group_identical_under_sign_flip(lane_blocks):
+    # with the noise negated every exit and cost stays, in a group as alone
+    config = lane_config(trials=8)
+    flipped = [outcome(r) for r in driver._lane_cycles(config, range(8), noise_scale=-1.0)]
+    assert flipped == [outcome(run_trial(config, i, noise_scale=-1.0)) for i in range(8)]
+    assert flipped == [outcome(r) for r in run_trials(config)]
 
 
 def test_process_pool_matches_serial_trials():
-    config = quiet_config(n=3, scenario=BL, scheme=Level(1.0),
-                          horizon=50.0, trials=3, seed=13)
-    serial = [r.accumulator for r in run_trials(config, workers=1)]
-    pooled = [r.accumulator for r in run_trials(config, workers=2)]
-    assert len(pooled) == len(serial) == 3
-    for a, b in zip(pooled, serial):
-        assert a.integral_sum == b.integral_sum
-        assert a.elapsed == b.elapsed
-        assert (a.cycles, a.cycle_reward_sum, a.cycle_length_sum) == (
-            b.cycles, b.cycle_reward_sum, b.cycle_length_sum)
-        assert np.array_equal(a.local_event_counts, b.local_event_counts)
-        assert a.global_event_count == b.global_event_count
-    assert finalize(pooled) == finalize(serial)
+    # the lane cell's ten trials are two groups, one per process
+    for config in (quiet_config(n=3, scenario=BL, scheme=Level(1.0), horizon=50.0, trials=3,
+                                seed=13),
+                   lane_config(trials=10, record_events=True)):
+        serial = run_trials(config, workers=1)
+        pooled = run_trials(config, workers=2)
+        assert len(pooled) == len(serial) == config.trials
+        assert [outcome(r) for r in pooled] == [outcome(r) for r in serial]
+        assert (finalize([r.accumulator for r in pooled])
+                == finalize([r.accumulator for r in serial]))
 
 
 class RecordingPool:
@@ -1157,14 +1224,10 @@ class RecordingPool:
         return map(fn, items)
 
 
-@pytest.mark.parametrize(
-    "workers, trials, cpus, expected",
-    [(100_000, 3, 64, 3), (100_000, 8, 4, 4), (2, 8, 4, 2), (100_000, 8, 1, None),
-     (1, 8, 4, None), (100_000, 8, None, 3)],
-)
-def test_process_pool_is_bounded(monkeypatch, workers, trials, cpus, expected):
-    # a forking pool starts every process at once, so THREADS=100000 must not
-    # ask for 100000 of them; never start a real pool at such a value
+def recorded_pool_sizes(monkeypatch, cpus):
+    """Stand ``RecordingPool`` in for the process pool, which then starts
+    nothing, and let this process run on ``cpus`` CPUs (``None``: a platform
+    without affinity masks, whose ``cpu_count`` is 3)."""
     import concurrent.futures
     import os
 
@@ -1176,10 +1239,35 @@ def test_process_pool_is_bounded(monkeypatch, workers, trials, cpus, expected):
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
+    return RecordingPool.sizes
+
+
+@pytest.mark.parametrize(
+    "workers, trials, cpus, expected",
+    [(100_000, 3, 64, 3), (100_000, 8, 4, 4), (2, 8, 4, 2), (100_000, 8, 1, None),
+     (1, 8, 4, None), (100_000, 8, None, 3)],
+)
+def test_process_pool_is_bounded(monkeypatch, workers, trials, cpus, expected):
+    # a forking pool starts every process at once, so THREADS=100000 must not
+    # ask for 100000 of them; never start a real pool at such a value
+    sizes = recorded_pool_sizes(monkeypatch, cpus)
     config = quiet_config(n=2, scenario=B, scheme=Level(1.0),
                           horizon=1.0, trials=trials, seed=4)
     results = run_trials(config, workers=workers)
-    assert RecordingPool.sizes == ([] if expected is None else [expected])
+    assert sizes == ([] if expected is None else [expected])
+    assert [tallies(r.accumulator) for r in results] == [
+        tallies(run_trial(config, i).accumulator) for i in range(trials)]
+
+
+@pytest.mark.parametrize("workers, trials, expected", [(100_000, 17, 3), (100_000, 8, None),
+                                                       (2, 17, 2)])
+def test_process_pool_counts_lane_groups(monkeypatch, workers, trials, expected):
+    # the pool runs the lane cell's groups of eight trials, so 17 trials
+    # make three groups and 8 trials one, which needs no pool
+    sizes = recorded_pool_sizes(monkeypatch, 64)
+    config = lane_config(trials=trials)
+    results = run_trials(config, workers=workers)
+    assert sizes == ([] if expected is None else [expected])
     assert [tallies(r.accumulator) for r in results] == [
         tallies(run_trial(config, i).accumulator) for i in range(trials)]
 
