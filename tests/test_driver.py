@@ -971,10 +971,11 @@ def test_coarse_level_memory_stays_near_the_chunk_budget(scenario, delta, n, hor
 
 @pytest.mark.parametrize("scale", [1.0, -1.0])
 @pytest.mark.parametrize("steps", [2, 3, 2049])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12, 50])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12, 50, 1025])
 def test_running_sum_matches_cumsum(n, steps, scale):
-    # an even fleet sums complex pairs of neighbouring agents, which must give
-    # every agent exactly np.cumsum's float64 additions; like run_trial, it
+    # an even fleet sums complex pairs of neighbouring agents, and rows of
+    # 1024 entries or more are added row by row, which must give every agent
+    # exactly np.cumsum's float64 additions; like run_trial, it
     # sums in place the leading rows of a larger buffer, from nonzero errors
     # in row 0, and leaves the rows past the block alone
     rng = np.random.default_rng([n, steps])
