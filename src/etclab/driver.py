@@ -564,10 +564,10 @@ def _running_sum(rows: np.ndarray) -> None:
     """Turn the C-contiguous block ``rows`` into its running sum down the
     rows, in place, bit for bit as ``np.cumsum(rows, axis=0)``.  Rows of at
     least 1024 entries, as a lane round's are, are added one row to the
-    next: ``np.cumsum`` walks such a block column by column (7 rows of
-    20,800 entries took 0.35 ms against 0.04 ms).  Otherwise an even
-    number of agents is summed as complex pairs of neighbouring agents, so
-    each dependent add advances two of them."""
+    next: ``np.cumsum`` walks such a block column by column (on a 2-vCPU
+    Xeon, 7 rows of 20,800 entries took 0.35 ms against 0.04 ms).
+    Otherwise an even number of agents is summed as complex pairs of
+    neighbouring agents, so each dependent add advances two of them."""
     if rows.shape[1] >= 1024:
         for r in range(1, len(rows)):
             np.add(rows[r - 1], rows[r], out=rows[r])
