@@ -451,10 +451,11 @@ def cmd_selftest(args, parser) -> int:
     check("coarse periodic cost matches grid oracle", abs(z) <= 4,
           f"(sim={rep.j_time_avg:.4f}, oracle={oracle:.4f}, {z:+.1f} SE)")
 
-    # lanes of renewal cycles (bl) and broadcast-only coarse level rows (b)
-    # take the cost as its expectation given what was drawn, which must keep
-    # the grid fleet's mean; 16 trials each, of about 110 cycles (bl) and 16
-    # cycles per agent (b), judged by their own spread
+    # lanes of renewal cycles (bl) and broadcast-only coarse level rows (b,
+    # 16 grid steps each at threshold 4) take the cost as its expectation
+    # given what was drawn, which must keep the grid fleet's mean; 16 trials
+    # each, of about 110 cycles (bl) and 16 cycles per agent (b), judged by
+    # their own spread
     for label, n, scenario, delta, watchers in (
             ("bl lanes", 20, InfoScenario.BROADCAST_LOCAL, 3.5, 20),
             ("b rows", 12, InfoScenario.BROADCAST, 4.0, 1)):

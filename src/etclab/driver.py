@@ -217,15 +217,21 @@ def fleet_coarse_steps(config: ScenarioConfig) -> int:
     rows run from one deadline to the next: the value is the period in grid
     steps (``triggering.periodic_fire_step`` of it), and a gap that rounding
     lengthens by a grid step is a row one step longer.  A level rule's rows
-    are ``MAX_COARSE_STEPS`` grid steps long when its band is wide enough
-    for them to pay, measured by ``far`` (``triggering.coarse_far``), the
+    are coarse when its band is wide enough for them to pay, measured by
+    ``far`` (``triggering.coarse_far``) of the row's grid steps, the
     distance from the band's centre beyond which a coarse step's grid
-    points are drawn.  Under broadcast-only information that is when
-    ``far`` is at least three quarters of the threshold, which at ``dt =
-    2e-3`` means ``delta >= 3.06``: on narrower bands the search's work per
-    event outweighs the draws that coarse rows save (``BENCH_17.json``:
-    ``table1``'s n = 10 cell of threshold 2.24 ran 1.03x slower on coarse
-    rows, its n = 50 cell of threshold 5 1.56x faster).  Under
+    points are drawn.  Under broadcast-only information rows are ``2 *
+    MAX_COARSE_STEPS`` (16) grid steps long when ``far`` of 16 steps is at
+    least three quarters of the threshold, which at ``dt = 2e-3`` means
+    ``delta >= 4.0``, else ``MAX_COARSE_STEPS`` (8) when ``far`` of 8
+    steps is, which means ``delta >= 3.06``, and grid steps otherwise: on
+    narrower bands the search's work per event outweighs the draws that
+    longer rows save (``BENCH_17.json``: ``table1``'s n = 10 cell of
+    threshold 2.24 ran 1.03x slower on 8-step rows, its n = 50 cell of
+    threshold 5 1.56x faster; ``BENCH_27.json``: at n = 50 16-step rows
+    ran 0.62x to 0.76x the time of 8-step ones from threshold 4, but
+    0.94x to 1.02x at threshold 3.5, and 32- and 64-step rows gained no
+    more).  Under
     broadcast-plus-local information such a trial runs as lanes of renewal
     cycles (``_lane_cycles``) when the fleet has at least ``LANE_AGENTS``
     agents and ``far`` is at least 0.45 of the threshold, which at ``dt =
@@ -247,11 +253,14 @@ def fleet_coarse_steps(config: ScenarioConfig) -> int:
         return 1
     if isinstance(scheme, Periodic):
         return int(periodic_fire_step(np.float64(scheme.period), config.dt))
-    far = coarse_far(scheme.delta, config.dt, MAX_COARSE_STEPS)
     if config.scenario is InfoScenario.BROADCAST_LOCAL:
+        far = coarse_far(scheme.delta, config.dt, MAX_COARSE_STEPS)
         lanes = config.n >= LANE_AGENTS and far >= 0.45 * scheme.delta
         return MAX_COARSE_STEPS if lanes else 1
-    return MAX_COARSE_STEPS if far >= 0.75 * scheme.delta else 1
+    for k in (2 * MAX_COARSE_STEPS, MAX_COARSE_STEPS):
+        if coarse_far(scheme.delta, config.dt, k) >= 0.75 * scheme.delta:
+            return k
+    return 1
 
 
 def _expected_interevent(config: "ScenarioConfig") -> float:
@@ -757,7 +766,8 @@ def _coarse_level_events(bridges: _Bridges, delta: float, far: float, k: int, wi
         need &= row < stop
         if later:
             need &= row >= first
-        r, c = np.nonzero(need)
+        # the row-major entries, as np.nonzero(need) gives them
+        r, c = np.divmod(np.flatnonzero(need), need.shape[1])
         entries = (r + lo) * n + (c if whole else live[c])
         if entries.size:
             agent = entries % n
@@ -1336,9 +1346,11 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     agent 0's reward over its grid points are their expectations given its
     endpoints (``_bridge_sums``).  Event times, cycle lengths and the
     elapsed time stay in grid steps.  A broadcast-only level rule on a wide
-    enough band steps ``MAX_COARSE_STEPS`` grid steps a row up to the
-    horizon's last whole coarse step and draws grid points only near the
-    band; a broadcast-plus-local one runs as lanes of renewal cycles
+    enough band steps 16 grid steps a row (``2 * MAX_COARSE_STEPS``; from
+    ``delta >= 4.0`` at ``dt = 2e-3``), or 8 (``MAX_COARSE_STEPS``; from
+    ``delta >= 3.06``) on a narrower one, up to the horizon's last whole
+    coarse step and draws grid points only near the band; a
+    broadcast-plus-local one runs as lanes of renewal cycles
     (``_lane_cycles``) with the same draws, as a group of one
     (``run_trials``).  Under any other level rule, and in a trial that
     records a trajectory, every row is one grid step and the cost and reward

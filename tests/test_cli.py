@@ -207,16 +207,17 @@ K = MAX_COARSE_STEPS
 # 0.5), 10 and 50; a periodic row runs from one deadline to the next, so its
 # bound is the period in grid steps of 2e-3 s (n T under broadcast-only
 # information, T under broadcast-plus-local), and of the level rows only
-# n = 50's are coarse: its broadcast-only one, of threshold 5, on coarse rows,
-# its broadcast-plus-local one on lanes of renewal cycles
+# n = 50's are coarse: its broadcast-only one, of threshold 5, on coarse rows
+# of twice K grid steps, its broadcast-plus-local one on lanes of renewal
+# cycles
 TABLE1_COARSE = ",".join(map(str, [375, 1, 125, 1, 750, 1, 250, 1, 2500, 1, 250, 1,
-                                   12500, K, 250, K]))
+                                   12500, 2 * K, 250, K]))
 
 
 @pytest.mark.parametrize("argv, coarse", [
     (["simulate", "--trigger", "periodic-sync", "--period", "0.5"], 250),
     (["simulate", "--trigger", "level", "--delta", "1.0"], 1),
-    (["simulate", "--trigger", "level", "--delta", "4.0"], K),
+    (["simulate", "--trigger", "level", "--delta", "4.0"], 2 * K),
     (["simulate", "--n", "50", "--scenario", "bl", "--trigger", "level", "--delta", "4.0"], K),
     (["table1"], TABLE1_COARSE),
     (["sweep-n", "--n-list", "3,50"], "250/1,250/8"),

@@ -28,7 +28,7 @@ from etclab import driver
 from etclab.calibration import level_threshold
 from etclab.costs import TALLIES
 from etclab.driver import run_trial_reference
-from etclab.triggering import periodic_fire_step
+from etclab.triggering import coarse_far, periodic_fire_step
 
 B = InfoScenario.BROADCAST
 BL = InfoScenario.BROADCAST_LOCAL
@@ -680,11 +680,12 @@ def test_coarse_chunk_budget_changes_only_rounding(monkeypatch, n):
 # --- coarse level rows ----------------------------------------------------------
 
 # a broadcast-only level cell of twelve agents whose threshold the rule puts on
-# coarse rows at dt 2e-3 (driver.fleet_coarse_steps), and a broadcast-plus-local
-# one forced onto lanes of renewal cycles, which the rule keeps for larger
-# fleets, trial 0 at horizon 20 s and seed 1729, in the format of GOLDEN_N3
+# coarse rows of 16 grid steps at dt 2e-3, its edge (driver.fleet_coarse_steps),
+# and a broadcast-plus-local one forced onto lanes of renewal cycles, which the
+# rule keeps for larger fleets, trial 0 at horizon 20 s and seed 1729, in the
+# format of GOLDEN_N3
 GOLDEN_COARSE_LEVEL = {
-    "et-b": (B, Level(4.0), "5750.486660609663", (2, "26.619707272894733"), 16),
+    "et-b": (B, Level(4.0), "6978.120328224237", (1, "26.002094502727363"), 12),
     "et-bl": (BL, Level(3.5), "3465.6188758660624", (6, "18.377027022360057"), 6),
 }
 
@@ -695,18 +696,23 @@ def test_coarse_level_values_are_pinned(monkeypatch, cell):
     config = quiet_config(n=12, scenario=scenario, scheme=scheme)
     if scenario is BL:
         monkeypatch.setattr(driver, "fleet_coarse_steps", lambda config: driver.MAX_COARSE_STEPS)
-    assert driver.fleet_coarse_steps(config) == driver.MAX_COARSE_STEPS == 8
+    assert driver.MAX_COARSE_STEPS == 8
+    assert driver.fleet_coarse_steps(config) == (16 if scenario is B else 8)
     pinned_values(12, cell, GOLDEN_COARSE_LEVEL)
 
 
 def test_coarse_level_rule():
-    # broadcast-only: coarse rows iff far >= 3 delta / 4, which at dt 2e-3 is
-    # delta >= 3.06: fleet-large's level cell, not fleet-small's, and no
-    # trial that records a trajectory
+    # broadcast-only: rows of 16 grid steps iff far of 16 steps >= 3 delta / 4,
+    # which at dt 2e-3 is delta >= 4.0, else of 8 iff far of 8 steps is, delta
+    # >= 3.06: fleet-large's level cell on 16-step rows, not fleet-small's on
+    # coarse rows, and no trial that records a trajectory
     def steps(delta, **kw):
         return driver.fleet_coarse_steps(quiet_config(n=3, scenario=B, scheme=Level(delta),
                                                       dt=DT, **kw))
-    assert [steps(d) for d in (5.0, 3.1, 3.0, 1.8839, 0.866, 0.7457)] == [8, 8, 1, 1, 1, 1]
+    # at 4.0 both sides are exactly 3.0 in float64: the rule's edge
+    assert coarse_far(4.0, DT, 16) == 0.75 * 4.0 == 3.0
+    assert [steps(d) for d in (5.0, 4.0, 3.5, 3.1, 3.0)] == [16, 16, 8, 8, 1]
+    assert [steps(d) for d in (1.8839, 0.866, 0.7457)] == [1, 1, 1]
     assert steps(5.0, record_trajectory=True) == 1
 
 
@@ -766,16 +772,24 @@ COARSE_LEVEL_CASES = {
 }
 
 
-def coarse_level_case(case, **kw):
+# every case on rows of MAX_COARSE_STEPS grid steps, and the broadcast-only
+# ones on rows of twice that too, as the rule puts wider bands
+COARSE_LEVEL_RUNS = [(case, k) for case, (_, scenario, _) in COARSE_LEVEL_CASES.items()
+                     for k in ((8, 16) if scenario is B else (8,))]
+COARSE_LEVEL_IDS = [case if k == 8 else f"{case}-{k}" for case, k in COARSE_LEVEL_RUNS]
+
+
+def coarse_level_case(monkeypatch, case, k):
+    """The config of ``case``, every level row forced to ``k`` grid steps."""
+    monkeypatch.setattr(driver, "fleet_coarse_steps", lambda config: k)
     n, scenario, scheme = COARSE_LEVEL_CASES[case]
     return quiet_config(n=n, scenario=scenario, scheme=scheme, dt=DT, horizon=30.0, trials=1,
-                        seed=37, record_events=True, **kw)
+                        seed=37, record_events=True)
 
 
-@pytest.mark.usefixtures("coarse_level")
-@pytest.mark.parametrize("case", list(COARSE_LEVEL_CASES))
-def test_coarse_level_rows_under_sign_flip_and_silence(case):
-    config = coarse_level_case(case)
+@pytest.mark.parametrize("case, k", COARSE_LEVEL_RUNS, ids=COARSE_LEVEL_IDS)
+def test_coarse_level_rows_under_sign_flip_and_silence(monkeypatch, case, k):
+    config = coarse_level_case(monkeypatch, case, k)
     base = run_trial(config, 0)
     flipped = run_trial(config, 0, noise_scale=-1.0)
     silent = run_trial(config, 0, noise_scale=0.0)
@@ -787,10 +801,9 @@ def test_coarse_level_rows_under_sign_flip_and_silence(case):
     assert (silent.accumulator.integral_sum, silent.accumulator.cycle_reward_sum) == (0.0, 0.0)
 
 
-@pytest.mark.usefixtures("coarse_level")
-@pytest.mark.parametrize("case", list(COARSE_LEVEL_CASES))
-def test_coarse_level_logged_and_unlogged_tallies_agree(case):
-    config = coarse_level_case(case)
+@pytest.mark.parametrize("case, k", COARSE_LEVEL_RUNS, ids=COARSE_LEVEL_IDS)
+def test_coarse_level_logged_and_unlogged_tallies_agree(monkeypatch, case, k):
+    config = coarse_level_case(monkeypatch, case, k)
     logged = run_trial(config, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # short horizons, as in coarse_level_case()
@@ -933,15 +946,17 @@ def test_row_sums_with_inner_resets_match_explicit_sums():
                                          rel=1e-10, abs=1e-12)
 
 
-@pytest.mark.usefixtures("coarse_level")
-@pytest.mark.parametrize("scenario, delta, n, horizon, bound",
-                         [(B, 5.0, 1000, None, 2), (BL, 2.5, 1000, None, 2),
-                          (B, 2.0, 1000, None, 6), (BL, 1.5, 20, 1.25, 2)],
-                         ids=["level-broadcast", "level-global", "every-row-an-event",
-                              "lane-group"])
-def test_coarse_level_memory_stays_near_the_chunk_budget(scenario, delta, n, horizon, bound):
+@pytest.mark.parametrize("scenario, delta, n, horizon, bound, forced",
+                         [(B, 5.0, 1000, None, 2, True), (B, 5.0, 1000, None, 2, False),
+                          (BL, 2.5, 1000, None, 2, True), (B, 2.0, 1000, None, 6, True),
+                          (BL, 1.5, 20, 1.25, 2, True)],
+                         ids=["level-broadcast", "level-broadcast-16", "level-global",
+                              "every-row-an-event", "lane-group"])
+def test_coarse_level_memory_stays_near_the_chunk_budget(monkeypatch, scenario, delta, n, horizon,
+                                                         bound, forced):
     # a chunk may draw every grid point of its coarse rows, so its rows are
-    # sized from the budget as grid steps are (131 coarse rows at n = 1000):
+    # sized from the budget as grid steps are (131 coarse rows of 8 grid
+    # steps at n = 1000, or 65 of the 16 the rule takes at threshold 5):
     # a search window and the drawn points each stay within about
     # CHUNK_BYTES; at threshold 2 nearly every row holds an event, and
     # nearly every entry near the band is drawn.  A lane block holds at most
@@ -950,9 +965,12 @@ def test_coarse_level_memory_stays_near_the_chunk_budget(scenario, delta, n, hor
     # group of the horizon-cut test's cell, 262 trials of 5 lanes each
     if horizon is None:
         horizon = 2.5 * driver.CHUNK_BYTES // (8 * n) * DT
+    if forced:
+        monkeypatch.setattr(driver, "fleet_coarse_steps", lambda config: driver.MAX_COARSE_STEPS)
     config = quiet_config(n=n, scenario=scenario, scheme=Level(delta), dt=DT, horizon=horizon,
                           trials=1, seed=3)
-    assert driver.fleet_coarse_steps(config) == driver.MAX_COARSE_STEPS
+    rows = driver.MAX_COARSE_STEPS * (1 if forced else 2)
+    assert driver.fleet_coarse_steps(config) == rows
     group = driver._lane_shape(config)[0] if scenario is BL else 1
     config = quiet_config(n=n, scenario=scenario, scheme=Level(delta), dt=DT, horizon=horizon,
                           trials=group, seed=3)

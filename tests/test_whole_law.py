@@ -13,7 +13,9 @@ Every parameter is fixed before any run: ``dt = 2e-3``, ``delta = sqrt(dt /
 h)`` for ``h`` in {1e-4, 1e-3, 1e-2, 1e-1}; fleet points n = 1 under
 broadcast-only and n in {3, 10} under both scenarios, with every level row
 forced to ``MAX_COARSE_STEPS = 8`` grid steps, which puts the
-broadcast-plus-local points on lanes of renewal cycles; 10,000 samples per
+broadcast-plus-local points on lanes of renewal cycles, and then one more
+point, n = 3 under broadcast-only at h = 1e-4 (``delta`` about 4.47), on the
+rows the rule itself gives it, 16 grid steps; 10,000 samples per
 point (the first 10,000 global gaps under broadcast-plus-local, the first
 ``ceil(10,000 / n)`` own gaps of every agent, pooled, under broadcast-only);
 seed 1729, one trial whose index is the point's position in the list, and a
@@ -23,8 +25,8 @@ at the same ``h``, point ``i`` from ``NoiseStream(1729).child(100 + i)``.
 Bins end at the first step counts where the exact cdf reaches ``j / 20``,
 duplicates merged, the last bin open; a bin expected to hold fewer than 5
 samples is merged into its neighbour.  Pearson's chi-square with ``bins -
-1`` degrees of freedom fails a point at ``p < 1e-4``: over the 32 points the
-family false-alarm rate is at most 3.2e-3.
+1`` degrees of freedom fails a point at ``p < 1e-4``: over the 33 points the
+family false-alarm rate is at most 3.3e-3.
 
 The same fleet trials check agent 0's renewal reward, ``sum e_0^2 dt`` over
 its cycle, which ``driver._settle`` and the coarse rows' expectations form:
@@ -65,8 +67,13 @@ SAMPLES = 10_000
 SEED = 1729
 ALPHA = 1e-4
 
-FLEET_POINTS = [(h, n, scenario) for h in H
-                for n, scenario in ((1, B), (3, B), (3, BL), (10, B), (10, BL))]
+FORCED_POINTS = [(h, n, scenario) for h in H
+                 for n, scenario in ((1, B), (3, B), (3, BL), (10, B), (10, BL))]
+# appended, so that every point above keeps its trial index and its draws
+RULE_POINTS = [(1e-4, 3, B)]
+FLEET_POINTS = FORCED_POINTS + RULE_POINTS
+FLEET_IDS = ([f"h{h:g}-n{n}-{s.value}" for h, n, s in FORCED_POINTS]
+             + [f"h{h:g}-n{n}-{s.value}-rule" for h, n, s in RULE_POINTS])
 SAMPLER_POINTS = [(h, n) for h in H for n in (1, 3, 10)]
 
 
@@ -105,12 +112,13 @@ def fleet_run(index: int):
     docstring says.
 
     The trial runs unlogged, as batches do, with every level row
-    ``MAX_COARSE_STEPS`` grid steps long.  Under broadcast-only information
-    the event steps and initiators are read off the calls to
-    ``driver._settle``, the one event protocol; under broadcast-plus-local
-    every event closes agent 0's cycle, so the gaps are the cycle lengths
-    that ``CostAccumulator.close_cycle`` records.  The rewards are read off
-    the cycles it closes."""
+    ``MAX_COARSE_STEPS`` grid steps long, or, at the ``RULE_POINTS``, as
+    long as ``driver.fleet_coarse_steps`` makes it, which must be twice
+    that.  Under broadcast-only information the event steps and initiators
+    are read off the calls to ``driver._settle``, the one event protocol;
+    under broadcast-plus-local every event closes agent 0's cycle, so the
+    gaps are the cycle lengths that ``CostAccumulator.close_cycle`` records.
+    The rewards are read off the cycles it closes."""
     h, n, scenario = FLEET_POINTS[index]
     delta = math.sqrt(DT / h)
     watchers = n if scenario is BL else 1
@@ -132,11 +140,14 @@ def fleet_run(index: int):
 
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        patch.setattr(driver, "fleet_coarse_steps", lambda config: driver.MAX_COARSE_STEPS)
-        patch.setattr(driver, "_settle", recording_settle)
-        patch.setattr(CostAccumulator, "close_cycle", recording_close_cycle)
         config = ScenarioConfig(n=n, scenario=scenario, scheme=Level(delta), dt=DT,
                                 horizon=1.3 * need, trials=1, seed=SEED)
+        if index < len(FORCED_POINTS):
+            patch.setattr(driver, "fleet_coarse_steps", lambda config: driver.MAX_COARSE_STEPS)
+        else:
+            assert driver.fleet_coarse_steps(config) == 2 * driver.MAX_COARSE_STEPS
+        patch.setattr(driver, "_settle", recording_settle)
+        patch.setattr(CostAccumulator, "close_cycle", recording_close_cycle)
         run_trial(config, index)
     if scenario is BL:
         gaps = [np.rint(np.array(lengths) / DT).astype(np.int64)]
@@ -155,8 +166,7 @@ def fleet_runs():
     return functools.lru_cache(maxsize=None)(fleet_run)
 
 
-@pytest.mark.parametrize("index", range(len(FLEET_POINTS)),
-                         ids=[f"h{h:g}-n{n}-{s.value}" for h, n, s in FLEET_POINTS])
+@pytest.mark.parametrize("index", range(len(FLEET_POINTS)), ids=FLEET_IDS)
 def test_fleet_exit_steps_follow_the_grid_law(index, fleet_runs):
     assert driver.MAX_COARSE_STEPS == 8
     h, n, scenario = FLEET_POINTS[index]
@@ -167,8 +177,7 @@ def test_fleet_exit_steps_follow_the_grid_law(index, fleet_runs):
     assert p >= ALPHA
 
 
-@pytest.mark.parametrize("index", range(len(FLEET_POINTS)),
-                         ids=[f"h{h:g}-n{n}-{s.value}" for h, n, s in FLEET_POINTS])
+@pytest.mark.parametrize("index", range(len(FLEET_POINTS)), ids=FLEET_IDS)
 def test_fleet_cycle_rewards_follow_the_grid_law(index, fleet_runs):
     assert driver.MAX_COARSE_STEPS == 8
     h, n, scenario = FLEET_POINTS[index]
