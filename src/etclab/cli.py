@@ -16,9 +16,13 @@ Every command writes a CSV (comma separators, '.' decimals) plus a
 library versions, bit generator and code revision needed to reproduce
 it, and the command's wall time; the manifests of the commands that run
 fleets also record ``fleet_coarse_steps``, the most grid steps one row
-of their trials covers: per CSV row, in order, for ``table1``, and per
-row as ``TT/ET`` for ``sweep-n``, so a reader can tell which rows take
-their costs as conditional expectations over coarse steps.  ``THREADS``
+of their trials covers, and those of ``simulate``, ``table1`` and
+``sweep-n`` ``fleet_lanes``, ``yes`` where the trials ran as lanes of
+renewal cycles and ``no`` where they ran row after row: per CSV row, in
+order, for ``table1``, and per row as ``TT/ET`` for ``sweep-n``, so a
+reader can tell which rows take their costs as conditional expectations
+over coarse steps, and which ran as lanes, of coarse rows or of grid steps
+(``fleet_coarse_steps`` 1).  ``THREADS``
 (a positive integer, default 1) fans the trials of a batch out over
 processes by groups of trials, at most one process per group and per
 usable CPU: a group is one trial, or, where trials run as lanes of
@@ -59,6 +63,7 @@ from .calibration import (
 )
 from .control import Average, Fixed, InfoScenario, Leader
 from .costs import (
+    GRID_EXIT_SHIFT,
     expected_occupation_integral,
     grid_level_law,
     j_et_broadcast,
@@ -70,6 +75,7 @@ from .costs import (
 from .driver import (
     ScenarioConfig,
     _running_sum,
+    _runs_lanes,
     fleet_coarse_steps,
     run_batch,
     run_trial,
@@ -253,7 +259,8 @@ def cmd_simulate(args, parser) -> int:
            report.ci_halfwidth, report.mean_local_interevent,
            report.mean_global_interevent]
     _write_csv(args.out, header, [row])
-    _write_manifest(args, "simulate", fleet_coarse_steps=fleet_coarse_steps(config))
+    _write_manifest(args, "simulate", fleet_coarse_steps=fleet_coarse_steps(config),
+                    fleet_lanes=_lanes([config]))
     print(f"wrote {args.out}: J = {report.j_time_avg:.6g} +- {report.ci_halfwidth:.2g}")
     return 0
 
@@ -278,6 +285,12 @@ def _coarse_steps(configs, sep=",") -> str:
     ``sep``: above 1, the row's costs are expectations given the ends of
     coarse steps and the grid points drawn between them."""
     return sep.join(str(fleet_coarse_steps(config)) for config in configs)
+
+
+def _lanes(configs, sep=",") -> str:
+    """``yes`` or ``no`` for each of ``configs``, in order, joined by
+    ``sep``: whether its trials run as lanes of renewal cycles."""
+    return sep.join("yes" if _runs_lanes(config) else "no" for config in configs)
 
 
 def _bl_pair(args, parser, n, target):
@@ -314,7 +327,9 @@ def cmd_table1(args, parser) -> int:
         rows.append([n, target, scheme, scenario, getattr(config.scheme, "delta", None),
                      rep.j_time_avg, analytic, mean_global_t, rep.ci_halfwidth])
     _write_csv(args.out, header, rows)
-    _write_manifest(args, "table1", fleet_coarse_steps=_coarse_steps(row[4] for row in plan))
+    configs = [row[4] for row in plan]
+    _write_manifest(args, "table1", fleet_coarse_steps=_coarse_steps(configs),
+                    fleet_lanes=_lanes(configs))
     print(f"wrote {args.out}: {len(rows)} rows")
     return 0
 
@@ -365,7 +380,8 @@ def cmd_sweep_n(args, parser) -> int:
                      n / 3.0, rep_et.j_time_avg / rep_tt.j_time_avg])
     _write_csv(args.out, header, rows)
     _write_manifest(args, args.command,
-                    fleet_coarse_steps=",".join(_coarse_steps(pair, "/") for pair in pairs))
+                    fleet_coarse_steps=",".join(_coarse_steps(pair, "/") for pair in pairs),
+                    fleet_lanes=",".join(_lanes(pair, "/") for pair in pairs))
     print(f"wrote {args.out}: {len(rows)} rows")
     return 0
 
@@ -413,11 +429,11 @@ def cmd_selftest(args, parser) -> int:
     check("closed-form mean exit time", abs(m1 - 1.0) < 1e-9 and m3 < m1,
           f"(m1={m1:.9f}, m3={m3:.6f})")
     # on a fine grid the level law is the continuous one, with the band
-    # widened by beta sqrt(h), beta = -zeta(1/2) / sqrt(2 pi) (Broadie,
-    # Glasserman & Kou, Math. Finance 7(4), 1997)
-    h, beta = 1e-4, 0.5825971579390106
+    # widened by GRID_EXIT_SHIFT sqrt(h)
+    h = 1e-4
     gaps = [grid_level_law(w, h).mean_exit_steps() * h
-            / (mean_exit_time(w) * (1 + beta * np.sqrt(h)) ** 2) - 1 for w in (1, 3, 10)]
+            / (mean_exit_time(w) * (1 + GRID_EXIT_SHIFT * np.sqrt(h)) ** 2) - 1
+            for w in (1, 3, 10)]
     check("grid level law matches the continuous law", max(map(abs, gaps)) <= 1e-3,
           f"(W=1, 3, 10 at h={h:g}: {', '.join(f'{g:+.1e}' for g in gaps)})")
 
@@ -451,22 +467,27 @@ def cmd_selftest(args, parser) -> int:
     check("coarse periodic cost matches grid oracle", abs(z) <= 4,
           f"(sim={rep.j_time_avg:.4f}, oracle={oracle:.4f}, {z:+.1f} SE)")
 
-    # lanes of renewal cycles (bl) and broadcast-only coarse level rows (b,
-    # 16 grid steps each at threshold 4) take the cost as its expectation
-    # given what was drawn, which must keep the grid fleet's mean; 16 trials
-    # each, of about 110 cycles (bl) and 16 cycles per agent (b), judged by
-    # their own spread
-    for label, n, scenario, delta, watchers in (
-            ("bl lanes", 20, InfoScenario.BROADCAST_LOCAL, 3.5, 20),
-            ("b rows", 12, InfoScenario.BROADCAST, 4.0, 1)):
+    # lanes of renewal cycles (bl, of coarse rows and of grid steps) and
+    # broadcast-only coarse level rows (b, 16 grid steps each at threshold 4)
+    # take the cost as its expectation given what was drawn, or sum it over
+    # lanes of grid steps, which must keep the grid fleet's mean; 16 trials
+    # each, of about 110 cycles (bl lanes), 930 cycles (bl grid-step lanes)
+    # and 16 cycles per agent (b), judged by their own spread.  Each must run
+    # as its label says, which a coarse step of 1 does not tell for lanes of
+    # grid steps
+    for label, n, scenario, delta, watchers, steps in (
+            ("bl lanes", 20, InfoScenario.BROADCAST_LOCAL, 3.5, 20, MAX_COARSE_STEPS),
+            ("bl grid-step lanes", 3, InfoScenario.BROADCAST_LOCAL, 0.7457, 3, 1),
+            ("b rows", 12, InfoScenario.BROADCAST, 4.0, 1, 2 * MAX_COARSE_STEPS)):
         with _short_horizon_expected():
             config = ScenarioConfig(n=n, scenario=scenario, scheme=Level(delta), dt=2e-3,
                                     horizon=250.0, trials=16, seed=args.seed)
         rep = run_batch(config)
         oracle = grid_level_law(watchers, config.dt / delta**2).cost(n, delta)
         z = (rep.j_time_avg - oracle) / (rep.ci_halfwidth / stats.t.ppf(0.975, config.trials - 1))
-        check(f"coarse level cost matches grid oracle ({label})",
-              fleet_coarse_steps(config) > 1 and abs(z) <= 4,
+        ran = (fleet_coarse_steps(config) == steps
+               and _runs_lanes(config) == (scenario is InfoScenario.BROADCAST_LOCAL))
+        check(f"coarse level cost matches grid oracle ({label})", ran and abs(z) <= 4,
               f"(sim={rep.j_time_avg:.4f}, oracle={oracle:.4f}, {z:+.1f} SE)")
 
     config = ScenarioConfig(

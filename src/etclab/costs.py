@@ -247,6 +247,13 @@ def mean_exit_time(n: int) -> float:
     return head + tail
 
 
+# -zeta(1/2) / sqrt(2 pi): walks checked for leaving [-1, 1] on a grid of
+# step h leave it about as late as they leave [-1 - b, 1 + b] in continuous
+# time, with b = GRID_EXIT_SHIFT sqrt(h) (Broadie, Glasserman & Kou, Math.
+# Finance 7(4), 1997)
+GRID_EXIT_SHIFT = 0.5825971579390106
+
+
 # Gauss-Legendre nodes of the grid level law's Nystrom recursion; 400 and 800
 # nodes agree to six or more figures for every h of the acceptance cells
 _LAW_NODES = 400

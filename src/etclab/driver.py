@@ -66,11 +66,12 @@ Under broadcast-plus-local information every event resets the whole
 fleet to the consensus point, so a level trial is a string of i.i.d.
 renewal cycles, each ``n`` walks from 0 up to their first grid exit from
 the band: the regenerative method (Asmussen & Glynn, *Stochastic
-Simulation*, 2007, ch. IV).  On a band wide enough for a fleet large
-enough (``fleet_coarse_steps``) such a trial runs as lanes
-(``_lane_cycles``): a block of cycles, one per lane, advances in lockstep
-by rounds of coarse rows with the same coarse-to-fine draws, so one round
-serves every live cycle, not one event; exited lanes drop out, and a
+Simulation*, 2007, ch. IV).  Such a trial runs as lanes (``_lane_cycles``,
+``_runs_lanes``) on coarse rows when the band is wide enough for a fleet
+large enough (``fleet_coarse_steps``), and on rows of one grid step when
+the fleet is small: a block of cycles, one per lane, advances in lockstep
+by rounds of rows, coarse ones with the same coarse-to-fine draws, so one
+round serves every live cycle, not one event; exited lanes drop out, and a
 lane that would start past the horizon stops.  A block holds the cycles
 of a group of consecutive trials, as many as the config alone sets
 (``_lane_shape``): each round draws each trial's lanes, and their grid
@@ -80,11 +81,13 @@ run once over the group, so a trial's results are the same alone
 tallies to their trial's fleet in cycle order through ``_Fleet.tally``,
 as ``_settle`` does.  The cycle that crosses the horizon counts its own
 path's grid points before it, whose number depends only on the cycles
-before it, so it is not length-biased.  Coarse rows and lanes are exact
-in law, not pathwise: their gates are the whole-law test of their exit
-steps and the grid level law's cost (``costs.grid_level_law``).  A trial
-that records a trajectory keeps one row per grid step under either rule,
-as does a level rule on a narrower band or a smaller fleet.  Trials are
+before it, so it is not length-biased.  Coarse rows and lanes, of grid steps
+too, are exact in law, not pathwise: their gates are the whole-law test
+of their exit steps and the grid level law's cost
+(``costs.grid_level_law``).  A trial that records a trajectory keeps one
+row per grid step under either rule and runs no lanes; so do
+broadcast-only level trials on a narrower band, and broadcast-plus-local
+ones that neither lane rule takes (``_runs_lanes``).  Trials are
 embarrassingly parallel: each owns a substream keyed by its index, a
 batch runs them in groups of consecutive indices (of one trial each
 unless they run as lanes), and merges per-trial results in fixed index
@@ -101,7 +104,7 @@ import numpy as np
 
 from .checks import check_count, check_positive
 from .control import Average, ConsensusRule, Fixed, InfoScenario, Leader, consensus_value
-from .costs import CostAccumulator, CostReport, finalize, mean_exit_time
+from .costs import GRID_EXIT_SHIFT, CostAccumulator, CostReport, finalize, mean_exit_time
 from .graph import consensus_cost_rows
 from .sde import NoiseStream
 from .triggering import (
@@ -140,12 +143,17 @@ WINDOW_GAPS = 2.0
 # trial's block holds the expected cycles of the horizon left plus
 # LANE_SPARE, a group of trials shares rounds of about LANE_ENTRIES entries
 # (rows x lanes x agents) and at least 1 / LANE_ROUNDS of a cycle's expected
-# coarse rows, and fleets of at least LANE_AGENTS agents take lanes on a wide
-# enough band (fleet_coarse_steps)
+# coarse rows, or on grid steps 1 / LANE_GROWTH of its grid steps, growing
+# to 1 / LANE_GROWTH of the steps a block has run; fleets of at least
+# LANE_AGENTS agents take lanes of coarse rows on a wide enough band
+# (fleet_coarse_steps), and fleets of at most LANE_GRID_AGENTS lanes of grid
+# steps (_runs_lanes)
 LANE_SPARE = 2
 LANE_ENTRIES = 1 << 17
 LANE_ROUNDS = 5
+LANE_GROWTH = 8
 LANE_AGENTS = 20
+LANE_GRID_AGENTS = 7
 
 
 @dataclass(frozen=True)
@@ -246,7 +254,9 @@ def fleet_coarse_steps(config: ScenarioConfig) -> int:
     (``_lane_shape``; ``BENCH_26.json``), which these bounds were not
     measured with.  Both rules depend on ``(n, delta, dt)`` alone.  A
     trial that records a trajectory shows every stride row, so its rows are
-    grid steps under either rule.
+    grid steps under either rule.  A value of 1 does not say that a trial
+    runs no lanes: a broadcast-plus-local level trial of a small fleet runs
+    as lanes of grid steps (``_runs_lanes``).
     """
     scheme = config.scheme
     if config.record_trajectory:
@@ -1083,6 +1093,25 @@ def _per_trial_cumsum(values: np.ndarray, first: np.ndarray) -> np.ndarray:
     return sums - np.repeat(sums[first[:-1]] - values[first[:-1]], np.diff(first))
 
 
+def _lanes_beyond(entries: np.ndarray, delta: float) -> np.ndarray:
+    """Whether some agent of each row and lane of a ``(rows, lanes,
+    agents)`` block of distances lies at ``delta`` or beyond.  Below 16
+    agents the largest is found one maximum over the agents' strided
+    columns at a time, which costs less than a reduction along the short
+    last axis: 0.05 against 0.83 ms for a round of 27 rows of 1592 lanes of
+    three agents, 7 against 23 ms for 20 rows of 12,500 lanes of eight.
+    From 16 agents on the entries are compared first and reduced after,
+    which beat the maxima at 20 and 50 agents (80 against 134 us for 6 rows
+    of 300 lanes of 20)."""
+    n = entries.shape[2]
+    if n >= 16:
+        return (entries >= delta).any(axis=2)
+    peaks = entries[:, :, 0].copy()
+    for i in range(1, n):
+        np.maximum(peaks, entries[:, :, i], out=peaks)
+    return peaks >= delta
+
+
 def _lane_block(config: ScenarioConfig, streams: List[NoiseStream], lanes: List[int],
                 starts: List[int], width: int, step_var: float,
                 logs: Optional[List[NoiseStream]] = None):
@@ -1093,39 +1122,46 @@ def _lane_block(config: ScenarioConfig, streams: List[NoiseStream], lanes: List[
 
     Lane ``i`` of a trial is its cycle ``i``: ``n`` walks from 0 up to the
     first grid point at which some ``|e| >= delta``.  The live lanes advance
-    in rounds of ``width`` coarse rows of ``k = MAX_COARSE_STEPS`` grid
-    steps, one ``N(0, k dt)`` draw per agent per row.  A lane's first row
-    whose end lies beyond the band bounds its exit, and the entries of the
-    rows up to it with an end beyond ``far`` are drawn (``_Bridges``): the
-    first of their points beyond the band, or else the bounding row's end,
-    is the lane's exit.  Exited lanes drop out.  A trial's lanes start one
-    after another, so a lane starts no earlier than its trial's start plus
-    the lengths of the trial's lanes before it, or the grid steps they were
-    searched through while they have not exited; a lane that would start
-    past the horizon, or whose start plus its own searched steps already
-    reaches it, stops.  The initiators are the agents beyond the band at
-    the exit (``_event_points``), and ``e_pre``, every agent's error there,
-    is formed only with ``logs``.
+    in rounds of ``width`` rows of ``k = fleet_coarse_steps(config)`` grid
+    steps, one ``N(0, k dt)`` draw per agent per row; on rows of one grid
+    step a round ``t`` steps into the block advances ``t // LANE_GROWTH``
+    rows once that is more than ``width``.  On rows of one grid
+    step (``k = 1``) a lane's first row whose end lies beyond the band is its
+    exit.  On coarse rows (``k = MAX_COARSE_STEPS``) that row bounds its
+    exit, and the entries of the rows up to it with an end beyond ``far``
+    are drawn (``_Bridges``): the first of their points beyond the band, or
+    else the bounding row's end, is the lane's exit.  Exited lanes drop
+    out.  A trial's lanes start one after another, so a lane starts no
+    earlier than its trial's start plus the lengths of the trial's lanes
+    before it, or the grid steps they were searched through while they have
+    not exited; a lane that would start past the horizon, or whose start
+    plus its own searched steps already reaches it, stops.  The initiators
+    are the agents beyond the band at the exit (``_event_points`` on coarse
+    rows), and ``e_pre``, every agent's error there, is formed only with
+    ``logs``.
 
     Each round draws each trial's live lanes, side by side in its rows,
-    from the trial's own stream ``streams[g]``, and their grid points too,
-    in the order the trial alone would draw them, as the log's points from
-    ``logs[g]``; the search, ``_row_terms``, ``_row_sums`` and the per-lane
-    sums run once over the whole group.  A lane's results depend on its
-    trial's stream, start and lane count alone.
+    from the trial's own stream ``streams[g]``, and on coarse rows their
+    grid points too, in the order the trial alone would draw them, as the
+    log's points from ``logs[g]``; the search and the cost form run once
+    over the whole group.  A lane's results depend on its trial's stream,
+    start and lane count alone.
 
     ``counted`` is the grid points that count per lane: a cycle that ends by
     the horizon counts its length; the one that crosses it counts its own
     path's grid points before the horizon, whose number depends only on the
     cycles before it; later lanes count none.  ``lengths`` holds each exited
     lane's length and, for a lane that stopped, ``config.steps + 1``.  The
-    cost and agent 0's reward over a lane's counted grid points are their
-    expectations given what was drawn: ``_row_sums`` over each row's
-    counted grid points, from the ``_row_terms`` each round keeps.
+    cost and agent 0's reward over a lane's counted grid points are, on rows
+    of one grid step, ``x'Lx`` and ``e_0^2`` at their left endpoints, as
+    ``run_trial``'s grid rows form them, kept per round as running sums down
+    its rows; on coarse rows their expectations given what was drawn:
+    ``_row_sums`` over each row's counted grid points, from the
+    ``_row_terms`` each round keeps.
     """
-    n, dt, k = config.n, config.dt, MAX_COARSE_STEPS
+    n, dt, k = config.n, config.dt, fleet_coarse_steps(config)
+    coarse = k > 1
     delta = config.scheme.delta
-    far = coarse_far(delta, dt, k)
     horizon = config.steps
     sd = np.sqrt(k * dt)
     first = np.cumsum([0, *lanes])  # trial g's lanes are first[g] to first[g + 1]
@@ -1137,66 +1173,94 @@ def _lane_block(config: ScenarioConfig, streams: List[NoiseStream], lanes: List[
     e_pre = None if logs is None else np.zeros((total, n))
     # the first round's working arrays, which every later round reuses in
     # part: a fresh array of this size each round would page-fault anew
-    buffers = np.empty((3, (width + 1) * total * n))
+    buffers = np.empty((3 if coarse else 2, (width + 1) * total * n))
     live = np.arange(total)
     x = np.zeros((total, n))  # the live lanes' errors after t grid steps
     t = 0
-    kept = []  # per round: its rows' terms, and its drawn entries' corrections
+    # per round: on coarse rows its rows' terms and its drawn entries'
+    # corrections, on grid steps its start, lanes and running sums
+    kept = []
     while live.size:
         m = live.size
-        # rows[r] holds every live lane's errors after r coarse rows, lanes
-        # side by side: entry e is agent e % n of lane e // n % m in row e // (m n)
-        rows, z, dist = (b[: (width + 1) * m * n].reshape(width + 1, m * n) for b in buffers)
+        # the lanes still live late in a block are few, and each round's
+        # fixed work is spent on them: on grid steps later rounds are wider
+        w = width if coarse else max(width, t // LANE_GROWTH)
+        if (w + 1) * m * n > buffers.shape[1]:
+            buffers = np.empty((len(buffers), (w + 1) * m * n))
+        # rows[r] holds every live lane's errors after r rows, lanes side by
+        # side: entry e is agent e % n of lane e // n % m in row e // (m n)
+        rows, dist, *spare = (b[: (w + 1) * m * n].reshape(w + 1, m * n) for b in buffers)
         rows[0] = x.reshape(-1)
+        # the increments: coarse rows keep them apart for _row_terms
+        z = spare[0] if coarse else rows
         # trial g's live lanes are columns cols[g] to cols[g + 1] of each row;
         # its draws wait in dist, which the search overwrites
         cols = np.searchsorted(live, first) * n
         for g in np.flatnonzero(np.diff(cols)):
             a, b = cols[g], cols[g + 1]
-            noise = dist.reshape(-1)[: width * (b - a)].reshape(width, b - a)
-            streams[g].normals((width, b - a), out=noise)
+            noise = dist.reshape(-1)[: w * (b - a)].reshape(w, b - a)
+            streams[g].normals((w, b - a), out=noise)
             np.multiply(noise, sd, out=z[1:, a:b])
-        rows[1:] = z[1:]
-        z = z[1:].reshape(width * m, n)
+        if coarse:
+            rows[1:] = z[1:]
+            z = z[1:].reshape(w * m, n)
         _running_sum(rows)
         np.abs(rows, out=dist)
-        over = (dist[1:] >= delta).reshape(width, m, n).any(axis=2)
-        bound = np.where(over.any(axis=0), over.argmax(axis=0), width)
-        near = dist > far
-        need = (near[:-1] | near[1:]).reshape(width, m, n)
-        need &= (np.arange(width)[:, None] <= bound)[:, :, None]
-        entries = np.flatnonzero(need)
-        bridges = _Bridges(rows, streams, k, dt, cols)
+        over = _lanes_beyond(dist[1:].reshape(w, m, n), delta)
+        bound = np.where(over.any(axis=0), over.argmax(axis=0), w)
         # each lane's exit in grid steps from t, past the round if none
         at = (bound + 1) * k
-        if entries.size:
-            slots = bridges.draw(entries)
-            beyond = np.abs(bridges.store[:, slots]) >= delta
-            hit = np.flatnonzero(beyond.any(axis=0))
-            np.minimum.at(at, entries[hit] // n % m,
-                          entries[hit] // (m * n) * k + beyond[:, hit].argmax(axis=0) + 1)
-        out = np.flatnonzero(at <= width * k)
-        exit_row = np.full(m, width)
+        if coarse:
+            near = dist > coarse_far(delta, dt, k)
+            need = (near[:-1] | near[1:]).reshape(w, m, n)
+            need &= (np.arange(w)[:, None] <= bound)[:, :, None]
+            entries = np.flatnonzero(need)
+            bridges = _Bridges(rows, streams, k, dt, cols)
+            if entries.size:
+                slots = bridges.draw(entries)
+                beyond = np.abs(bridges.store[:, slots]) >= delta
+                hit = np.flatnonzero(beyond.any(axis=0))
+                np.minimum.at(at, entries[hit] // n % m,
+                              entries[hit] // (m * n) * k + beyond[:, hit].argmax(axis=0) + 1)
+        out = np.flatnonzero(at <= w * k)
+        exit_row = np.full(m, w)
         exit_row[out] = (at[out] - 1) // k
         which = live[out]
         reach[which] = t + at[out]
         exited[which] = True
-        # every row's terms and every drawn entry's corrections, row by row
-        drawn = np.sort(bridges.owner[: bridges.count])
-        terms, row, fixes = _row_terms(rows[:-1].reshape(width * m, n), z, step_var,
-                                       *np.divmod(drawn, n), bridges.deviations(drawn, z))
-        kept.append((np.repeat(t + np.arange(width) * k, m), np.tile(live, width),
-                     np.stack(terms, axis=1), row, fixes))
-        # every agent of each exit row, at the exit
-        entries = (exit_row[out] * m + out)[:, None] * n + np.arange(n)
-        j = (at[out] - exit_row[out] * k)[:, None]
-        masks[which] = np.abs(_event_points(bridges, entries, j)) >= delta
-        if logs is not None:
-            log = _Bridges(rows, logs, k, dt, cols)
-            e_pre[which] = _event_points(bridges, entries, j, log)
-        del bridges
-        t += width * k
-        going = exit_row == width
+        if coarse:
+            # every agent of each exit row, at the exit
+            entries = (exit_row[out] * m + out)[:, None] * n + np.arange(n)
+            j = (at[out] - exit_row[out] * k)[:, None]
+            masks[which] = np.abs(_event_points(bridges, entries, j)) >= delta
+            if logs is not None:
+                log = _Bridges(rows, logs, k, dt, cols)
+                e_pre[which] = _event_points(bridges, entries, j, log)
+            # every row's terms and every drawn entry's corrections, row by
+            # row, once the drawn points are freed
+            drawn = np.sort(bridges.owner[: bridges.count])
+            d = bridges.deviations(drawn, z)
+            del bridges
+            terms, row, fixes = _row_terms(rows[:-1].reshape(w * m, n), z, step_var,
+                                           *np.divmod(drawn, n), d)
+            del d
+            kept.append((np.repeat(t + np.arange(w) * k, m), np.tile(live, w),
+                         np.stack(terms, axis=1), row, fixes))
+        else:
+            # x'Lx and e_0^2 at each row's left endpoint, summed down the
+            # rows; dist, free once the search is done, takes the squares
+            squares = dist[:-1].reshape(w, m, n)
+            sums = np.empty((w, 2, m))
+            sums[:, 0] = consensus_cost_rows(rows[:-1].reshape(w, m, n), squares=squares)
+            sums[:, 1] = squares[:, :, 0]
+            _running_sum(sums.reshape(w, 2 * m))
+            kept.append((t, live, sums))
+            point = rows.reshape(w + 1, m, n)[at[out], out]
+            masks[which] = np.abs(point) >= delta
+            if logs is not None:
+                e_pre[which] = point
+        t += w * k
+        going = exit_row == w
         reach[live[going]] = t
         earliest = origin + _per_trial_cumsum(reach, first) - reach  # each lane's earliest start
         going &= earliest[live] + t < horizon
@@ -1206,6 +1270,15 @@ def _lane_block(config: ScenarioConfig, streams: List[NoiseStream], lanes: List[
     lengths = np.where(exited, reach, horizon + 1)
     ends = origin + _per_trial_cumsum(lengths, first)
     counted = np.where(ends <= horizon, lengths, np.clip(horizon - (ends - lengths), 0, None))
+    if not coarse:
+        # each lane's running sums at its last counted row of each round
+        costs, rewards = np.zeros(total), np.zeros(total)
+        for begin, ids, sums in kept:
+            last = np.minimum(counted[ids] - begin, len(sums)) - 1
+            on = np.flatnonzero(last >= 0)
+            costs[ids[on]] += sums[last[on], 0, on]
+            rewards[ids[on]] += sums[last[on], 1, on]
+        return lengths, counted, masks, e_pre, costs, rewards
     # every round's rows at once: each counts its grid points before its
     # lane's count runs out
     offsets = np.cumsum([0, *(len(part[0]) for part in kept[:-1])])
@@ -1232,32 +1305,72 @@ def _block_lanes(left: int, dt: float, expected: float, most: int) -> int:
 def _lane_shape(config: ScenarioConfig):
     """``(group, width, most, expected)`` of a broadcast-plus-local level
     config that runs as lanes (``_lane_cycles``): the trials a group holds,
-    the coarse rows a round advances, the most lanes a block holds and a
-    cycle's expected length in seconds.
+    the rows a round advances (a round of grid steps widens later in a
+    block, ``_lane_block``), the most lanes a block holds and a cycle's
+    expected length in seconds.
 
-    With ``R`` a cycle's expected coarse rows, a block holds at most
-    ``most = CHUNK_BYTES / (128 (n + R))`` lanes over all its trials, which
-    keeps a round's working arrays and the terms a block keeps within about
-    ``CHUNK_BYTES``.  A trial's first block holds ``F`` lanes
-    (``_block_lanes``), and a group holds as many trials as both ``most``
-    lanes and rounds of about ``LANE_ENTRIES`` entries (rows x lanes x
-    agents) at least ``R / LANE_ROUNDS`` rows wide allow, at least one: a
-    round's fixed work is spent on every lane of the group, and a narrow
-    round draws few rows past a lane's exit.  A round advances
-    ``LANE_ENTRIES / (group F n)`` rows, at least one and at most ``R``.
-    All four depend on ``(n, delta, dt, horizon)`` alone, never on the
-    trials a batch runs or on how full its last group is, so a trial's
-    results depend on ``(config, trial)`` alone.  At fleet-large's cell (n
-    = 50, threshold 1.8839, 25 s) that is 8 trials of 52 lanes in rounds of
-    6 rows; at table1's (2000 s) one trial of 809 lanes in rounds of 3."""
-    n, dt, k = config.n, config.dt, MAX_COARSE_STEPS
+    With ``R`` a cycle's expected rows of ``k = fleet_coarse_steps(config)``
+    grid steps and ``narrow = R / LANE_ROUNDS``, a block holds at most
+    ``most = CHUNK_BYTES / (n (narrow + 1) entry + (R + narrow) row)`` lanes
+    over all its trials, with ``entry`` the bytes a round holds per entry
+    (rows x lanes x agents) and ``row`` the bytes a block keeps per row of a
+    lane.  A trial's first block holds ``F`` lanes (``_block_lanes``), and a
+    group holds as many trials as both ``most`` lanes and rounds of about
+    ``LANE_ENTRIES`` entries at least ``narrow`` rows wide allow, at least
+    one: a round's fixed work is spent on every lane of the group, and a
+    narrow round draws few rows past a lane's exit.  A round advances
+    ``LANE_ENTRIES / (group F n)`` rows, at least one and at most ``R`` of
+    coarse rows or ``R / LANE_GROWTH`` of grid steps, whose rounds widen
+    later, and no more than keep the group's block within ``CHUNK_BYTES``.
+
+    On grid steps an entry holds its running sum and its distance from the
+    band's centre, which turns into its square (16 bytes), and each row of
+    a lane its peak, the two terms of its cost and their sums (48 bytes over
+    the lane's ``n`` entries); a kept row holds two running sums (16
+    bytes).  On coarse rows an entry holds its running sum, increment and
+    distance (24 bytes) and, if drawn, its ``k - 1`` grid points three
+    times over (the bridge store, the deviations and ``_row_terms``' own);
+    a kept row holds its six terms, its start and its lane (64 bytes) and,
+    if it holds drawn entries, their corrections to the cost and the reward
+    at each grid point.  The drawn share of a round's entries is taken as
+    ``2.5 (1 - far / delta)^2 / sqrt(n)`` and the share of rows that hold
+    drawn entries as ``1.5 (1 - far / delta)``, each at most 1, as measured
+    from n = 20 to 1000 and ``far / delta`` from 0.45 to 0.8 (at the rule's
+    edge, n = 20 and ``delta`` 1.393, 0.17 and 0.8).
+
+    A cycle of grid steps is taken to last ``m_n (delta + GRID_EXIT_SHIFT
+    sqrt(dt))^2``, close to the grid's mean exit, so that a trial's first
+    block holds about the cycles its horizon holds; coarse lanes keep the
+    continuous ``m_n delta^2``, on which their lane counts, and so their
+    bits, rest.  All four depend on ``(n, delta, dt, horizon)`` alone, never
+    on the trials a batch runs or on how full its last group is, so a
+    trial's results depend on ``(config, trial)`` alone.  At fleet-large's
+    cell (n = 50, threshold 1.8839, 25 s) that is 8 trials of 52 lanes in
+    rounds of 6 rows; at table1's (2000 s) one trial of 501 lanes in rounds
+    of 5; at fleet-small's (n = 3, threshold 0.74574, 99 s) 4 trials of 373
+    lanes in rounds from 17 grid steps."""
+    n, dt, k = config.n, config.dt, fleet_coarse_steps(config)
+    coarse = k > 1
+    delta = config.scheme.delta
     expected = _expected_interevent(config)
+    if not coarse:
+        expected *= (1 + GRID_EXIT_SHIFT * dt**0.5 / delta) ** 2
     cycle_rows = max(1, round(expected / (k * dt)))
-    most = max(1, CHUNK_BYTES // (128 * (n + cycle_rows)))
-    lanes = _block_lanes(config.steps, dt, expected, most)
     narrow = max(1, round(cycle_rows / LANE_ROUNDS))
+    if coarse:
+        out = 1 - coarse_far(delta, dt, k) / delta
+        drawn, holding = min(1.0, 2.5 * out * out / n**0.5), min(1.0, 1.5 * out)
+        entry = 24 + 3 * 8 * (k - 1) * drawn
+        row = 64 + 2 * 8 * (k - 1) * holding
+    else:
+        entry, row = 16 + 48 / n, 16
+    most = max(1, int(CHUNK_BYTES // (n * (narrow + 1) * entry + (cycle_rows + narrow) * row)))
+    lanes = _block_lanes(config.steps, dt, expected, most)
     group = max(1, min(most // lanes, LANE_ENTRIES // (lanes * n * narrow)))
-    width = max(1, min(cycle_rows, LANE_ENTRIES // (group * lanes * n)))
+    block = group * lanes
+    fits = int((CHUNK_BYTES / block - n * entry - cycle_rows * row) // (n * entry + row))
+    first = cycle_rows if coarse else max(1, round(cycle_rows / LANE_GROWTH))
+    width = max(1, min(first, LANE_ENTRIES // (block * n), fits))
     return group, width, most, expected
 
 
@@ -1312,8 +1425,24 @@ def _lane_cycles(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> L
 
 
 def _runs_lanes(config: ScenarioConfig) -> bool:
-    return (isinstance(config.scheme, Level) and config.scenario is InfoScenario.BROADCAST_LOCAL
-            and fleet_coarse_steps(config) > 1)
+    """Whether ``config``'s trials run as lanes of renewal cycles
+    (``_lane_cycles``): broadcast-plus-local level trials that record no
+    trajectory, on coarse rows where ``fleet_coarse_steps`` gives them, and
+    on rows of one grid step in fleets of at most ``LANE_GRID_AGENTS``
+    agents, at any threshold and horizon.  Measured in alternating pairs of
+    8-trial batches against grid rows (``BENCH_28.json``, ``rule_table``; 2
+    trials at 2000 s), at the thresholds of global periods from 0.05 to 0.5
+    s at dt = 2e-3, lanes of grid steps ran 0.24x to 0.97x the time of grid
+    rows from one to seven agents at horizons of 25, 99 and 2000 s, faster
+    in the median of every set; at eight and ten agents they still won at
+    0.05 and 0.1 s but lost at 25 s from 0.5 s (1.08x at eight agents, 0 of
+    6 pairs faster) and from 0.25 s (1.04x at ten), where grid rows' cost
+    pass reduces its rows with ``einsum`` and a cycle holds a thousand agent
+    steps or more.  The rule depends on ``(n, delta, dt)`` alone."""
+    if (not isinstance(config.scheme, Level) or config.scenario is not InfoScenario.BROADCAST_LOCAL
+            or config.record_trajectory):
+        return False
+    return fleet_coarse_steps(config) > 1 or config.n <= LANE_GRID_AGENTS
 
 
 def _chunk_steps(n: int) -> int:
@@ -1352,9 +1481,11 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     coarse step and draws grid points only near the band; a
     broadcast-plus-local one runs as lanes of renewal cycles
     (``_lane_cycles``) with the same draws, as a group of one
-    (``run_trials``).  Under any other level rule, and in a trial that
-    records a trajectory, every row is one grid step and the cost and reward
-    sum its rows, exactly as ``run_trial_reference`` does.
+    (``run_trials``), and so does one of at most ``LANE_GRID_AGENTS`` agents,
+    on lanes of grid steps (``_runs_lanes``).  Under any other level rule,
+    and in a trial that records a trajectory, every row is one grid step
+    and the cost and reward sum its rows, exactly as
+    ``run_trial_reference`` does.
     """
     if _runs_lanes(config):
         return _lane_cycles(config, [trial_index], noise_scale)[0]

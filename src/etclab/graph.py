@@ -17,7 +17,7 @@ import numpy as np
 __all__ = ["consensus_cost_rows", "laplacian_dense"]
 
 
-def consensus_cost_rows(states, others=None) -> np.ndarray:
+def consensus_cost_rows(states, others=None, squares=None) -> np.ndarray:
     """``x' L x`` along the last axis, whose length is the agent count ``n``,
     or with ``others`` the bilinear form ``x' L y = n sum(x_i y_i) -
     sum(x_i) sum(y_i)`` of matching rows.
@@ -33,14 +33,25 @@ def consensus_cost_rows(states, others=None) -> np.ndarray:
     reduction per row; numpy sums fewer than eight elements in order, so
     the bits equal a per-row reduction's.  From eight agents on the rows
     are long enough for ``einsum`` to reduce each in place, which skips
-    the transposed copy.
+    the transposed copy.  With ``squares``, a float array of ``states``'
+    shape, the squares are formed there, where the caller may read them
+    after, and both sums run over the agents' strided columns, one
+    whole-array addition per agent in agent order, with the bits of the
+    agent-major copy but none of its fresh memory: on a lane round of 29
+    rows of 1492 three-agent lanes (2-vCPU Xeon) 0.65 against 1.15 ms.
     """
     states = np.asarray(states, dtype=float)
     n = states.shape[-1]
     if others is not None:
         cross = np.einsum("...i,...i->...", states, others)
         return n * cross - np.einsum("...i->...", states) * np.einsum("...i->...", others)
-    if n < 8:
+    if squares is not None:
+        np.multiply(states, states, out=squares)
+        s, sq = states[..., 0].copy(), squares[..., 0].copy()
+        for i in range(1, n):
+            s += states[..., i]
+            sq += squares[..., i]
+    elif n < 8:
         agents = np.moveaxis(states, -1, 0).copy()
         s = agents.sum(axis=0)
         sq = np.multiply(agents, agents, out=agents).sum(axis=0)

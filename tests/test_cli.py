@@ -212,32 +212,44 @@ K = MAX_COARSE_STEPS
 # cycles
 TABLE1_COARSE = ",".join(map(str, [375, 1, 125, 1, 750, 1, 250, 1, 2500, 1, 250, 1,
                                    12500, 2 * K, 250, K]))
+# and whether each ran as lanes of renewal cycles: the ET-bl rows of n = 3, on
+# grid steps, and of n = 50, on coarse rows
+TABLE1_LANES = ",".join(["no,no,no,yes"] * 2 + ["no,no,no,no", "no,no,no,yes"])
 
 
-@pytest.mark.parametrize("argv, coarse", [
-    (["simulate", "--trigger", "periodic-sync", "--period", "0.5"], 250),
-    (["simulate", "--trigger", "level", "--delta", "1.0"], 1),
-    (["simulate", "--trigger", "level", "--delta", "4.0"], 2 * K),
-    (["simulate", "--n", "50", "--scenario", "bl", "--trigger", "level", "--delta", "4.0"], K),
-    (["table1"], TABLE1_COARSE),
-    (["sweep-n", "--n-list", "3,50"], "250/1,250/8"),
-    (["trajectory", "--trigger", "periodic-sync", "--period", "0.5"], 1),
-    (["trajectory", "--trigger", "level", "--delta", "4.0"], 1),
+@pytest.mark.parametrize("argv, coarse, lanes", [
+    (["simulate", "--trigger", "periodic-sync", "--period", "0.5"], 250, "no"),
+    (["simulate", "--trigger", "level", "--delta", "1.0"], 1, "no"),
+    (["simulate", "--trigger", "level", "--delta", "4.0"], 2 * K, "no"),
+    (["simulate", "--n", "50", "--scenario", "bl", "--trigger", "level", "--delta", "4.0"], K,
+     "yes"),
+    (["simulate", "--scenario", "bl", "--trigger", "level", "--delta", "0.7457"], 1, "yes"),
+    (["simulate", "--n", "10", "--scenario", "bl", "--trigger", "level", "--delta", "1.0"], 1,
+     "no"),
+    (["table1"], TABLE1_COARSE, TABLE1_LANES),
+    (["sweep-n", "--n-list", "3,50"], "250/1,250/8", "no/yes,no/yes"),
+    (["trajectory", "--trigger", "periodic-sync", "--period", "0.5"], 1, None),
+    (["trajectory", "--trigger", "level", "--delta", "4.0"], 1, None),
 ], ids=["simulate-periodic", "simulate-level", "simulate-coarse-level-b",
-        "simulate-coarse-level-bl", "table1", "sweep-n", "trajectory",
-        "trajectory-level"])
-def test_manifest_records_the_fleet_coarse_step(tmp_path, argv, coarse):
+        "simulate-coarse-level-bl", "simulate-grid-step-lanes", "simulate-level-bl",
+        "table1", "sweep-n", "trajectory", "trajectory-level"])
+def test_manifest_records_the_fleet_coarse_step(tmp_path, argv, coarse, lanes):
     # a CSV and its manifest alone say whether each row's costs are
     # expectations over coarse steps: periodic rows, and level rows whose
     # band is wide enough, for a large enough fleet under broadcast-plus-local
     # information (driver.fleet_coarse_steps); a trajectory shows every grid
-    # step
+    # step.  The fleet commands' manifests say too which rows ran as lanes of
+    # renewal cycles, which a coarse step of 1 does not tell from grid rows:
+    # small broadcast-plus-local level fleets run lanes of grid steps
+    # (driver._runs_lanes)
     out = tmp_path / "x.csv"
     length = ["--duration", "2"] if argv[0] == "trajectory" else ["--horizon", "2",
                                                                   "--trials", "1"]
     assert run_cli([*argv, *length, "--out", str(out)]) == 0
     manifest = (tmp_path / "x.csv.manifest.txt").read_text().splitlines()
     assert f"fleet_coarse_steps={coarse}" in manifest
+    recorded = [line for line in manifest if line.startswith("fleet_lanes=")]
+    assert recorded == ([] if lanes is None else [f"fleet_lanes={lanes}"])
 
 
 def test_calibrate_failure_exits_3(tmp_path, capsys):

@@ -101,13 +101,20 @@ def grid_rows(config):
     return 1
 
 
+def no_lanes(config):
+    """No trial as lanes of renewal cycles."""
+    return False
+
+
 @pytest.fixture
 def unit_rows(monkeypatch):
-    """Every row of a trial one grid step, as every row of the per-step
-    reference is: the pathwise checks against it, and the values pinned
-    below from before periodic trials took coarse steps, hold on grid
-    rows."""
+    """Every row of a trial one grid step, and no trial as lanes of them, as
+    every row of the per-step reference is: the pathwise checks against it,
+    and the values pinned below from before periodic trials took coarse
+    steps and small broadcast-plus-local level fleets took lanes of grid
+    steps, hold on grid rows."""
     monkeypatch.setattr(driver, "fleet_coarse_steps", grid_rows)
+    monkeypatch.setattr(driver, "_runs_lanes", no_lanes)
 
 
 # --- fast integrator vs per-step reference ----------------------------------
@@ -356,7 +363,9 @@ def test_deadline_gaps_stay_within_a_step_of_the_period(schedule):
 # cost pass, the one-call level search and the per-chunk deadline lookup, the
 # reward sums as the left-to-right sums, from 0.0, of the per-cycle rewards
 # that the accumulator once listed.  Below eight agents all of these sum in
-# the same order, so every bit must stay
+# the same order, so every bit must stay.  All run on grid rows (unit_rows):
+# the rule runs the et-bl cell as lanes of grid steps, pinned apart in
+# GOLDEN_COARSE_LEVEL_PATHS
 GOLDEN_N3 = {
     "tt-b": (B, Periodic(0.75), "48.96162428391842", (26, "8.734712845872789"), 26),
     "tt-async-b": (B, Periodic(0.75, staggered_offsets(3, 0.75)), "50.708645330814065",
@@ -717,10 +726,10 @@ def test_coarse_level_rule():
 
 
 def test_lane_rule():
-    # broadcast-plus-local: lanes iff at least LANE_AGENTS agents and far >=
-    # 0.45 delta (delta >= 1.393 at dt 2e-3): fleet-large's and table1's n = 50
-    # level cells, not table1's n = 3 and 10 ones nor fleet-small's, and no
-    # trial that records a trajectory
+    # broadcast-plus-local: lanes of coarse rows iff at least LANE_AGENTS
+    # agents and far >= 0.45 delta (delta >= 1.393 at dt 2e-3): fleet-large's
+    # and table1's n = 50 level cells, not table1's n = 3 and 10 ones nor
+    # fleet-small's, and no trial that records a trajectory
     def steps(n, delta, **kw):
         return driver.fleet_coarse_steps(quiet_config(n=n, scenario=BL, scheme=Level(delta),
                                                       dt=DT, **kw))
@@ -729,6 +738,27 @@ def test_lane_rule():
     assert [*table1, steps(3, 0.7457396748327672)] == [1, 1, 1, 1]
     assert [steps(20, 1.4), steps(19, 5.0), steps(200, 1.38)] == [8, 1, 1]
     assert steps(50, 1.8839, record_trajectory=True) == 1
+
+    # lanes of grid steps iff at most LANE_GRID_AGENTS = 7 agents, at any
+    # threshold and horizon: table1's and fleet-small's n = 3 level cells, not
+    # table1's n = 10 one, and no trial that records a trajectory; the coarse
+    # lane cells run lanes too, and broadcast-only and periodic rules none
+    def lanes(n, delta, scenario=BL, **kw):
+        return driver._runs_lanes(quiet_config(n=n, scenario=scenario, scheme=Level(delta),
+                                               dt=DT, **kw))
+    assert driver.LANE_GRID_AGENTS == 7
+    table1 = [lanes(n, level_threshold(n, t)) for n, t in ((3, 0.25), (3, 0.5), (10, 0.5))]
+    assert [*table1, lanes(3, 0.7457396748327672, horizon=99.0)] == [True, True, False, True]
+    assert [lanes(1, 0.3), lanes(7, 5.0, horizon=25.0), lanes(8, 0.5), lanes(19, 5.0)] == [
+        True, True, False, False]
+    assert [lanes(20, 1.4), lanes(50, 1.8839), lanes(3, 1.0, B)] == [True, True, False]
+    assert not lanes(3, 1.0, record_trajectory=True)
+    assert not driver._runs_lanes(quiet_config(n=3, scenario=BL, scheme=Periodic(0.25)))
+    # fleet-large's cell keeps the shape that LANE_ENTRIES sets: a group of
+    # 8 trials of 52 lanes in rounds of 6 rows
+    shape = driver._lane_shape(lane_config())
+    assert shape[:2] == (8, 6)
+    assert driver._block_lanes(lane_config().steps, DT, shape[3], shape[2]) == 52
 
 
 @pytest.fixture
@@ -739,13 +769,16 @@ def coarse_level(monkeypatch):
     monkeypatch.setattr(driver, "fleet_coarse_steps", lambda config: driver.MAX_COARSE_STEPS)
 
 
-# two more paths, trial 0 at seed 1729 in the format of GOLDEN_N3: a lone agent,
-# on coarse rows by the rule, at horizon 200 s, and five agents under
+# three more paths, trial 0 at seed 1729 in the format of GOLDEN_N3: a lone
+# agent, on coarse rows by the rule, at horizon 200 s, five agents under
 # broadcast-plus-local on a band narrow enough that most exits fall inside a
-# row, forced onto lanes, at horizon 20 s
+# row, forced onto lanes, at horizon 20 s, and fleet-small's level cell on the
+# lanes of grid steps the rule gives it, at horizon 20 s
 GOLDEN_COARSE_LEVEL_PATHS = {
     "lone-b": (B, Level(3.5), "0.0", (19, "380.5358162564269"), 19),
-    "in-row-bl": (BL, Level(1.2), "75.37473388803525", (37, "2.7002222731855685"), 37),
+    "in-row-bl": (BL, Level(1.2), "72.03488406633953", (39, "3.0372906190726794"), 39),
+    "grid-step-bl": (BL, Level(0.7457396748327672), "9.703954646588748",
+                     (75, "1.6566066121022651"), 75),
 }
 
 
@@ -761,6 +794,12 @@ def test_in_row_global_reset_values_are_pinned():
     pinned_values(5, "in-row-bl", GOLDEN_COARSE_LEVEL_PATHS)
 
 
+def test_grid_step_lane_values_are_pinned():
+    config = quiet_config(n=3, scenario=BL, scheme=Level(0.7457396748327672))
+    assert driver._runs_lanes(config) and driver.fleet_coarse_steps(config) == 1
+    pinned_values(3, "grid-step-bl", GOLDEN_COARSE_LEVEL_PATHS)
+
+
 # wide bands the rule puts on coarse rows, and narrow ones where every
 # coarse step is drawn and most rows hold events
 COARSE_LEVEL_CASES = {
@@ -769,22 +808,29 @@ COARSE_LEVEL_CASES = {
     "wide-bl-20": (20, BL, Level(1.6)),
     "narrow-b": (4, B, Level(0.3)),
     "narrow-bl": (4, BL, Level(0.3)),
+    # fleet-small's level cell, which the rule runs as lanes of grid steps
+    "grid-step-bl": (3, BL, Level(0.7457396748327672)),
 }
 
 
 # every case on rows of MAX_COARSE_STEPS grid steps, and the broadcast-only
-# ones on rows of twice that too, as the rule puts wider bands
-COARSE_LEVEL_RUNS = [(case, k) for case, (_, scenario, _) in COARSE_LEVEL_CASES.items()
+# ones on rows of twice that too, as the rule puts wider bands; the
+# grid-step lanes on grid steps
+COARSE_LEVEL_RUNS = [(case, 1 if case.startswith("grid-step") else k)
+                     for case, (_, scenario, _) in COARSE_LEVEL_CASES.items()
                      for k in ((8, 16) if scenario is B else (8,))]
-COARSE_LEVEL_IDS = [case if k == 8 else f"{case}-{k}" for case, k in COARSE_LEVEL_RUNS]
+COARSE_LEVEL_IDS = [case if k in (1, 8) else f"{case}-{k}" for case, k in COARSE_LEVEL_RUNS]
 
 
 def coarse_level_case(monkeypatch, case, k):
-    """The config of ``case``, every level row forced to ``k`` grid steps."""
+    """The config of ``case``, every level row forced to ``k`` grid steps;
+    under broadcast-plus-local information it runs as lanes."""
     monkeypatch.setattr(driver, "fleet_coarse_steps", lambda config: k)
     n, scenario, scheme = COARSE_LEVEL_CASES[case]
-    return quiet_config(n=n, scenario=scenario, scheme=scheme, dt=DT, horizon=30.0, trials=1,
-                        seed=37, record_events=True)
+    config = quiet_config(n=n, scenario=scenario, scheme=scheme, dt=DT, horizon=30.0, trials=1,
+                          seed=37, record_events=True)
+    assert driver._runs_lanes(config) == (scenario is BL)
+    return config
 
 
 @pytest.mark.parametrize("case, k", COARSE_LEVEL_RUNS, ids=COARSE_LEVEL_IDS)
@@ -946,31 +992,35 @@ def test_row_sums_with_inner_resets_match_explicit_sums():
                                          rel=1e-10, abs=1e-12)
 
 
-@pytest.mark.parametrize("scenario, delta, n, horizon, bound, forced",
-                         [(B, 5.0, 1000, None, 2, True), (B, 5.0, 1000, None, 2, False),
-                          (BL, 2.5, 1000, None, 2, True), (B, 2.0, 1000, None, 6, True),
-                          (BL, 1.5, 20, 1.25, 2, True)],
+@pytest.mark.parametrize("scenario, delta, n, horizon, bound, forced, rows",
+                         [(B, 5.0, 1000, None, 2, True, 8), (B, 5.0, 1000, None, 2, False, 16),
+                          (BL, 2.5, 1000, None, 2, True, 8), (B, 2.0, 1000, None, 6, True, 8),
+                          (BL, 1.5, 20, 1.25, 1.1, True, 8),
+                          (BL, 0.7457396748327672, 3, 99.0, 1, False, 1)],
                          ids=["level-broadcast", "level-broadcast-16", "level-global",
-                              "every-row-an-event", "lane-group"])
+                              "every-row-an-event", "lane-group", "grid-step-lane-group"])
 def test_coarse_level_memory_stays_near_the_chunk_budget(monkeypatch, scenario, delta, n, horizon,
-                                                         bound, forced):
+                                                         bound, forced, rows):
     # a chunk may draw every grid point of its coarse rows, so its rows are
     # sized from the budget as grid steps are (131 coarse rows of 8 grid
     # steps at n = 1000, or 65 of the 16 the rule takes at threshold 5):
     # a search window and the drawn points each stay within about
     # CHUNK_BYTES; at threshold 2 nearly every row holds an event, and
-    # nearly every entry near the band is drawn.  A lane block holds at most
-    # CHUNK_BYTES / (128 (n + R)) lanes over all of its group's trials, and
-    # a round about LANE_ENTRIES entries: the lane group runs the full first
-    # group of the horizon-cut test's cell, 262 trials of 5 lanes each
+    # nearly every entry near the band is drawn.  A lane block holds as many
+    # lanes over all of its group's trials, and a round as many entries, as
+    # driver._lane_shape's byte budget allows, drawn grid points counted: the
+    # lane group runs the full first group of the horizon-cut test's cell,
+    # 160 trials of 5 lanes each, on a band where a round draws 12% of its
+    # entries, and the grid-step lane group the first of fleet-small's level
+    # cell, 4 trials of 373 lanes each
     if horizon is None:
         horizon = 2.5 * driver.CHUNK_BYTES // (8 * n) * DT
     if forced:
         monkeypatch.setattr(driver, "fleet_coarse_steps", lambda config: driver.MAX_COARSE_STEPS)
     config = quiet_config(n=n, scenario=scenario, scheme=Level(delta), dt=DT, horizon=horizon,
                           trials=1, seed=3)
-    rows = driver.MAX_COARSE_STEPS * (1 if forced else 2)
     assert driver.fleet_coarse_steps(config) == rows
+    assert driver._runs_lanes(config) == (scenario is BL)
     group = driver._lane_shape(config)[0] if scenario is BL else 1
     config = quiet_config(n=n, scenario=scenario, scheme=Level(delta), dt=DT, horizon=horizon,
                           trials=group, seed=3)
@@ -1050,6 +1100,7 @@ def test_chunk_budget_changes_only_rounding(monkeypatch, n):
         assert np.array_equal(a.local_event_counts, b.local_event_counts)
 
 
+@pytest.mark.usefixtures("unit_rows")  # lanes, which both bl fleets would run, have no window
 @pytest.mark.parametrize("n", [3, 20])
 def test_search_window_changes_nothing(monkeypatch, n):
     # the level search only reads the chunk's running sums, so its window
@@ -1145,12 +1196,24 @@ def test_batch_is_deterministic():
 
 
 # fleet-large's broadcast-plus-local level cell, which runs as lanes of renewal
-# cycles in groups of eight trials (driver._lane_shape)
+# cycles in groups of eight trials (driver._lane_shape), and fleet-small's at a
+# short horizon, which runs as lanes of grid steps
 LANE_CELL = dict(n=50, scenario=BL, scheme=Level(1.8839), dt=DT, horizon=25.0, seed=1)
+GRID_LANE_CELL = dict(n=3, scenario=BL, scheme=Level(0.7457396748327672), dt=DT, horizon=25.0,
+                      seed=1)
 
 
 def lane_config(**kw):
     return quiet_config(**{**LANE_CELL, **kw})
+
+
+def grid_lane_config(**kw):
+    return quiet_config(**{**GRID_LANE_CELL, **kw})
+
+
+def lane_group(config):
+    """The trials of a lane group of ``config``."""
+    return driver._lane_shape(config)[0]
 
 
 def outcome(result):
@@ -1187,36 +1250,48 @@ def test_trial_identical_alone_or_in_batch(lane_blocks):
     # a lane group shares its rounds, but each trial draws from its own
     # stream, so a trial's tallies and events are the same alone, in its
     # group of the batch and in a batch of another size, whose last group
-    # is partial; trials 0-7 form a group, 8 and 9 another
-    for record_events in (False, True):
-        lane_blocks.clear()
-        config = lane_config(trials=10, record_events=record_events)
-        assert driver._lane_shape(config)[0] == 8
-        grouped = [outcome(r) for r in run_trials(config)]
-        assert all((events is not None) == record_events for _, events in grouped)
-        assert lane_blocks[0] == [(i, 0) for i in range(8)]
-        # a later block holds two trials that start where their last cycles ended
-        assert any(len(block) > 1 and min(start for _, start in block) > 0
-                   for block in lane_blocks)
-        assert [outcome(run_trial(config, i)) for i in range(10)] == grouped
-        for trials in (9, 3):
-            batch = lane_config(trials=trials, record_events=record_events)
-            assert [outcome(r) for r in run_trials(batch)] == grouped[:trials]
+    # is partial; trials 0-7 of the coarse lane cell form a group, 8 and 9
+    # another, and so on for the grid-step lane cell's groups of 16
+    for cell, size in ((lane_config, 8), (grid_lane_config, 16)):
+        trials = size + 2
+        for record_events in (False, True):
+            lane_blocks.clear()
+            config = cell(trials=trials, record_events=record_events)
+            assert lane_group(config) == size
+            grouped = [outcome(r) for r in run_trials(config)]
+            assert all((events is not None) == record_events for _, events in grouped)
+            assert lane_blocks[0] == [(i, 0) for i in range(size)]
+            # a later block holds two trials that start where their last cycles ended
+            assert any(len(block) > 1 and min(start for _, start in block) > 0
+                       for block in lane_blocks)
+            assert [outcome(run_trial(config, i)) for i in range(trials)] == grouped
+            for part in (trials - 1, 3):
+                batch = cell(trials=part, record_events=record_events)
+                assert [outcome(r) for r in run_trials(batch)] == grouped[:part]
 
 
 def test_lane_group_identical_under_sign_flip(lane_blocks):
-    # with the noise negated every exit and cost stays, in a group as alone
-    config = lane_config(trials=8)
-    flipped = [outcome(r) for r in driver._lane_cycles(config, range(8), noise_scale=-1.0)]
-    assert flipped == [outcome(run_trial(config, i, noise_scale=-1.0)) for i in range(8)]
-    assert flipped == [outcome(r) for r in run_trials(config)]
+    # with the noise negated every exit and cost stays, in a group as alone,
+    # on coarse rows and on grid steps
+    for cell in (lane_config, grid_lane_config):
+        config = cell(trials=1)
+        size = lane_group(config)
+        config = cell(trials=size)
+        flipped = [outcome(r)
+                   for r in driver._lane_cycles(config, range(size), noise_scale=-1.0)]
+        assert flipped == [outcome(run_trial(config, i, noise_scale=-1.0)) for i in range(size)]
+        assert flipped == [outcome(r) for r in run_trials(config)]
 
 
 def test_process_pool_matches_serial_trials():
-    # the lane cell's ten trials are two groups, one per process
-    for config in (quiet_config(n=3, scenario=BL, scheme=Level(1.0), horizon=50.0, trials=3,
+    # grid rows run a trial per group; the coarse lane cell's ten trials are
+    # two groups, one per process, and so are the grid-step lane cell's
+    # thirty; n = 3 under broadcast-plus-local information would run lanes,
+    # so the grid rows are broadcast-only
+    for config in (quiet_config(n=3, scenario=B, scheme=Level(1.0), horizon=50.0, trials=3,
                                 seed=13),
-                   lane_config(trials=10, record_events=True)):
+                   lane_config(trials=10, record_events=True),
+                   grid_lane_config(trials=30, record_events=True)):
         serial = run_trials(config, workers=1)
         pooled = run_trials(config, workers=2)
         assert len(pooled) == len(serial) == config.trials

@@ -45,9 +45,13 @@ class ScriptedStream:
 
 def scripted_events(monkeypatch, scenario, scheme, increments):
     """``(time, initiators)`` of every event when the fleet is driven by
-    ``increments`` (one row per step, dt = 1); both integrators agree."""
+    ``increments`` (one row per step, dt = 1); both integrators agree.  The
+    fleet runs on grid rows, which replay the increments step by step: lanes
+    of renewal cycles, which a small broadcast-plus-local level fleet would
+    run, draw each cycle's steps apart."""
     rows = np.asarray(increments, dtype=float)
     monkeypatch.setattr(driver, "NoiseStream", lambda *key: ScriptedStream(rows))
+    monkeypatch.setattr(driver, "_runs_lanes", lambda config: False)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         config = ScenarioConfig(n=rows.shape[1], scenario=scenario, scheme=scheme,

@@ -13,9 +13,11 @@ Every parameter is fixed before any run: ``dt = 2e-3``, ``delta = sqrt(dt /
 h)`` for ``h`` in {1e-4, 1e-3, 1e-2, 1e-1}; fleet points n = 1 under
 broadcast-only and n in {3, 10} under both scenarios, with every level row
 forced to ``MAX_COARSE_STEPS = 8`` grid steps, which puts the
-broadcast-plus-local points on lanes of renewal cycles, and then one more
-point, n = 3 under broadcast-only at h = 1e-4 (``delta`` about 4.47), on the
-rows the rule itself gives it, 16 grid steps; 10,000 samples per
+broadcast-plus-local points on lanes of renewal cycles, and then two more
+points on the rows the rule itself gives them: n = 3 under broadcast-only
+at h = 1e-4 (``delta`` about 4.47), 16 grid steps, and n = 3 under
+broadcast-plus-local at h = 1e-3 (``delta`` about 1.41), lanes of grid
+steps; 10,000 samples per
 point (the first 10,000 global gaps under broadcast-plus-local, the first
 ``ceil(10,000 / n)`` own gaps of every agent, pooled, under broadcast-only);
 seed 1729, one trial whose index is the point's position in the list, and a
@@ -25,8 +27,8 @@ at the same ``h``, point ``i`` from ``NoiseStream(1729).child(100 + i)``.
 Bins end at the first step counts where the exact cdf reaches ``j / 20``,
 duplicates merged, the last bin open; a bin expected to hold fewer than 5
 samples is merged into its neighbour.  Pearson's chi-square with ``bins -
-1`` degrees of freedom fails a point at ``p < 1e-4``: over the 33 points the
-family false-alarm rate is at most 3.3e-3.
+1`` degrees of freedom fails a point at ``p < 1e-4``: over the 34 points the
+family false-alarm rate is at most 3.4e-3.
 
 The same fleet trials check agent 0's renewal reward, ``sum e_0^2 dt`` over
 its cycle, which ``driver._settle`` and the coarse rows' expectations form:
@@ -69,8 +71,11 @@ ALPHA = 1e-4
 
 FORCED_POINTS = [(h, n, scenario) for h in H
                  for n, scenario in ((1, B), (3, B), (3, BL), (10, B), (10, BL))]
-# appended, so that every point above keeps its trial index and its draws
-RULE_POINTS = [(1e-4, 3, B)]
+# appended, so that every point above keeps its trial index and its draws,
+# with the grid steps of a row that the rule gives each: coarse rows (b) and
+# lanes of grid steps (bl)
+RULE_POINTS = [(1e-4, 3, B), (1e-3, 3, BL)]
+RULE_STEPS = [16, 1]
 FLEET_POINTS = FORCED_POINTS + RULE_POINTS
 FLEET_IDS = ([f"h{h:g}-n{n}-{s.value}" for h, n, s in FORCED_POINTS]
              + [f"h{h:g}-n{n}-{s.value}-rule" for h, n, s in RULE_POINTS])
@@ -113,8 +118,9 @@ def fleet_run(index: int):
 
     The trial runs unlogged, as batches do, with every level row
     ``MAX_COARSE_STEPS`` grid steps long, or, at the ``RULE_POINTS``, as
-    long as ``driver.fleet_coarse_steps`` makes it, which must be twice
-    that.  Under broadcast-only information the event steps and initiators
+    long as ``driver.fleet_coarse_steps`` makes it, which must be its
+    ``RULE_STEPS``, and as lanes under broadcast-plus-local information
+    (``driver._runs_lanes``).  Under broadcast-only information the event steps and initiators
     are read off the calls to ``driver._settle``, the one event protocol;
     under broadcast-plus-local every event closes agent 0's cycle, so the
     gaps are the cycle lengths that ``CostAccumulator.close_cycle`` records.
@@ -145,7 +151,8 @@ def fleet_run(index: int):
         if index < len(FORCED_POINTS):
             patch.setattr(driver, "fleet_coarse_steps", lambda config: driver.MAX_COARSE_STEPS)
         else:
-            assert driver.fleet_coarse_steps(config) == 2 * driver.MAX_COARSE_STEPS
+            assert driver.fleet_coarse_steps(config) == RULE_STEPS[index - len(FORCED_POINTS)]
+            assert driver._runs_lanes(config) == (scenario is BL)
         patch.setattr(driver, "_settle", recording_settle)
         patch.setattr(CostAccumulator, "close_cycle", recording_close_cycle)
         run_trial(config, index)
