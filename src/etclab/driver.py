@@ -144,8 +144,9 @@ WINDOW_GAPS = 2.0
 # LANE_SPARE, a group of trials shares rounds of about LANE_ENTRIES entries
 # (rows x lanes x agents) and at least 1 / LANE_ROUNDS of a cycle's expected
 # coarse rows, or on grid steps 1 / LANE_GROWTH of its grid steps, growing
-# to 1 / LANE_GROWTH of the steps a block has run; fleets of at least
-# LANE_AGENTS agents take lanes of coarse rows on a wide enough band
+# to 1 / LANE_GROWTH of the steps a block has run (rounds held at the first
+# width took 1.10-1.13x as long, BENCH_28.json lane_widening); fleets of at
+# least LANE_AGENTS agents take lanes of coarse rows on a wide enough band
 # (fleet_coarse_steps), and fleets of at most LANE_GRID_AGENTS lanes of grid
 # steps (_runs_lanes)
 LANE_SPARE = 2
@@ -1248,7 +1249,8 @@ def _lane_block(config: ScenarioConfig, streams: List[NoiseStream], lanes: List[
                          np.stack(terms, axis=1), row, fixes))
         else:
             # x'Lx and e_0^2 at each row's left endpoint, summed down the
-            # rows; dist, free once the search is done, takes the squares
+            # rows; dist, free once the search is done, takes the squares,
+            # which consensus_cost_rows forms below eight agents
             squares = dist[:-1].reshape(w, m, n)
             sums = np.empty((w, 2, m))
             sums[:, 0] = consensus_cost_rows(rows[:-1].reshape(w, m, n), squares=squares)

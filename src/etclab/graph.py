@@ -28,33 +28,27 @@ def consensus_cost_rows(states, others=None, squares=None) -> np.ndarray:
     in a stack.
 
     The bilinear form reduces each row with ``einsum``.  For ``x' L x``,
-    below eight agents the rows are reduced over an agent-major copy, so
-    each sum is ``n - 1`` whole-array additions rather than one short
-    reduction per row; numpy sums fewer than eight elements in order, so
-    the bits equal a per-row reduction's.  From eight agents on the rows
-    are long enough for ``einsum`` to reduce each in place, which skips
-    the transposed copy.  With ``squares``, a float array of ``states``'
-    shape, the squares are formed there, where the caller may read them
-    after, and both sums run over the agents' strided columns, one
-    whole-array addition per agent in agent order, with the bits of the
-    agent-major copy but none of its fresh memory: on a lane round of 29
-    rows of 1492 three-agent lanes (2-vCPU Xeon) 0.65 against 1.15 ms.
+    below eight agents both sums run over the agents' strided columns, one
+    whole-array addition per agent in agent order, the squares formed in
+    ``squares``, a float array of ``states``' shape that the caller may
+    read after (a fresh one if none is given); numpy sums fewer than eight
+    elements in order, so the bits equal a per-row reduction's.  From eight
+    agents on the rows are long enough for ``einsum`` to reduce each in
+    place, and ``squares`` is not used.
     """
     states = np.asarray(states, dtype=float)
     n = states.shape[-1]
     if others is not None:
         cross = np.einsum("...i,...i->...", states, others)
         return n * cross - np.einsum("...i->...", states) * np.einsum("...i->...", others)
-    if squares is not None:
+    if n < 8:
+        if squares is None:
+            squares = np.empty_like(states)
         np.multiply(states, states, out=squares)
         s, sq = states[..., 0].copy(), squares[..., 0].copy()
         for i in range(1, n):
             s += states[..., i]
             sq += squares[..., i]
-    elif n < 8:
-        agents = np.moveaxis(states, -1, 0).copy()
-        s = agents.sum(axis=0)
-        sq = np.multiply(agents, agents, out=agents).sum(axis=0)
     else:
         s = np.einsum("...i->...", states)
         sq = np.einsum("...i,...i->...", states, states)

@@ -47,6 +47,21 @@ def test_matches_dense_quadratic_form():
             assert cost == consensus_cost_rows(x)
 
 
+def test_squares_buffer_keeps_the_bits_of_a_per_row_reduction():
+    # below eight agents the sums run down the agents' strided columns;
+    # numpy sums fewer than eight elements in order, so each row's bits
+    # equal a reduction along that row, and a caller's buffer for the
+    # squares changes none of them
+    rng = np.random.default_rng(7)
+    for n in range(1, 8):
+        rows = rng.normal(size=(4, 9, 2 * n))[..., ::2] * 10
+        plain = np.maximum(n * (rows * rows).sum(axis=-1) - rows.sum(axis=-1) ** 2, 0.0)
+        squares = np.empty(rows.shape)
+        assert np.array_equal(consensus_cost_rows(rows), plain)
+        assert np.array_equal(consensus_cost_rows(rows, squares=squares), plain)
+        assert np.array_equal(squares, rows * rows)
+
+
 def test_laplacian_structure():
     for n in (1, 2, 5, 11):
         L = laplacian_dense(n)
