@@ -67,9 +67,9 @@ fleet to the consensus point, so a level trial is a string of i.i.d.
 renewal cycles, each ``n`` walks from 0 up to their first grid exit from
 the band: the regenerative method (Asmussen & Glynn, *Stochastic
 Simulation*, 2007, ch. IV).  Such a trial runs as lanes (``_lane_cycles``,
-``_runs_lanes``) on coarse rows when the band is wide enough for a fleet
-large enough (``fleet_coarse_steps``), and on rows of one grid step when
-the fleet is small: a block of cycles, one per lane, advances in lockstep
+``_runs_lanes``), on coarse rows when the band is wide enough for a fleet
+large enough (``fleet_coarse_steps``) and on rows of one grid step
+otherwise: a block of cycles, one per lane, advances in lockstep
 by rounds of rows, coarse ones with the same coarse-to-fine draws, so one
 round serves every live cycle, not one event; exited lanes drop out, and a
 lane that would start past the horizon stops.  A block holds the cycles
@@ -85,9 +85,8 @@ before it, so it is not length-biased.  Coarse rows and lanes, of grid steps
 too, are exact in law, not pathwise: their gates are the whole-law test
 of their exit steps and the grid level law's cost
 (``costs.grid_level_law``).  A trial that records a trajectory keeps one
-row per grid step under either rule and runs no lanes; so do
-broadcast-only level trials on a narrower band, and broadcast-plus-local
-ones that neither lane rule takes (``_runs_lanes``).  Trials are
+row per grid step under either rule and runs no lanes, and so do
+broadcast-only level trials on a narrower band.  Trials are
 embarrassingly parallel: each owns a substream keyed by its index, a
 batch runs them in groups of consecutive indices (of one trial each
 unless they run as lanes), and merges per-trial results in fixed index
@@ -147,14 +146,13 @@ WINDOW_GAPS = 2.0
 # to 1 / LANE_GROWTH of the steps a block has run (rounds held at the first
 # width took 1.10-1.13x as long, BENCH_28.json lane_widening); fleets of at
 # least LANE_AGENTS agents take lanes of coarse rows on a wide enough band
-# (fleet_coarse_steps), and fleets of at most LANE_GRID_AGENTS lanes of grid
-# steps (_runs_lanes)
+# (fleet_coarse_steps), and every other such trial lanes of grid steps
+# (_runs_lanes)
 LANE_SPARE = 2
 LANE_ENTRIES = 1 << 17
 LANE_ROUNDS = 5
 LANE_GROWTH = 8
 LANE_AGENTS = 20
-LANE_GRID_AGENTS = 7
 
 
 @dataclass(frozen=True)
@@ -242,13 +240,13 @@ def fleet_coarse_steps(config: ScenarioConfig) -> int:
     0.94x to 1.02x at threshold 3.5, and 32- and 64-step rows gained no
     more).  Under
     broadcast-plus-local information such a trial runs as lanes of renewal
-    cycles (``_lane_cycles``) when the fleet has at least ``LANE_AGENTS``
-    agents and ``far`` is at least 0.45 of the threshold, which at ``dt =
-    2e-3`` means ``delta >= 1.393``: a round's work per lane outweighs the
-    draws saved in smaller fleets, and on narrower bands nearly every coarse
-    step is drawn whole.  Measured per cell when each trial ran lane blocks
-    of its own (``BENCH_21.json``, 8 trials of 25 s), lanes ran 0.26x to
-    0.90x the time of grid rows from n = 32 at thresholds 1.45 to 5, and
+    cycles (``_lane_cycles``), of coarse rows when the fleet has at least
+    ``LANE_AGENTS`` agents and ``far`` is at least 0.45 of the threshold,
+    which at ``dt = 2e-3`` means ``delta >= 1.393``: a round's work per lane
+    outweighs the draws saved in smaller fleets, and on narrower bands nearly
+    every coarse step is drawn whole.  Measured per cell when each trial ran
+    lane blocks of its own (``BENCH_21.json``, 8 trials of 25 s), lanes ran
+    0.26x to 0.90x the time of grid rows from n = 32 at thresholds 1.45 to 5, and
     0.58x to 0.84x at n = 20 from threshold 1.9 (1.13x at 1.45, 0.89x with
     100 s horizons); at n = 3 and 10, and at threshold 0.9 for every n, they
     ran 1.02x to 2.8x slower.  Lane blocks now span a group of trials
@@ -256,8 +254,9 @@ def fleet_coarse_steps(config: ScenarioConfig) -> int:
     measured with.  Both rules depend on ``(n, delta, dt)`` alone.  A
     trial that records a trajectory shows every stride row, so its rows are
     grid steps under either rule.  A value of 1 does not say that a trial
-    runs no lanes: a broadcast-plus-local level trial of a small fleet runs
-    as lanes of grid steps (``_runs_lanes``).
+    runs no lanes: every broadcast-plus-local level trial that records no
+    trajectory runs as lanes, of grid steps where the value is 1
+    (``_runs_lanes``).
     """
     scheme = config.scheme
     if config.record_trajectory:
@@ -465,22 +464,18 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
     the next are errors once each agent's running sum at its last reset is
     subtracted: one subtraction per segment, in place, which also zeroes the
     reset errors at the event row.  When nothing is logged and the events
-    reset to their stops' rows, three cases skip the loop, with the same
+    reset to their stops' rows, two cases skip the loop, with the same
     bits.  If every row from the first stop to the last holds an event that
     resets every agent, as a periodic schedule's deadline rows do, those
     rows are written as zeros and one subtraction covers the rows after
     them.  If every such row holds an event but some reset only some
     agents, as a staggered schedule's do, a running maximum of the reset
     rows finds each entry's base, per slice of at most 4096 entries, with
-    one subtraction per slice.  Otherwise, if every event resets every
-    agent, there is at least one event per 4096 entries of the block and at
-    most one per eight rows, the bases are gathered at once for one indexed
-    subtraction.  Sparse events that reset only some agents, as
-    broadcast-only level events mostly are, keep the loop, which is faster
-    there.  Once the block holds errors, agent 0's renewal reward is formed
-    per segment in one pass: over grid rows it adds up over the segment's
-    left endpoints (the last row's step belongs to the next block), over
-    coarse rows it adds up the rows' ``_row_sums``
+    one subtraction per slice.  Sparse events, as level events on grid rows
+    are, keep the loop.  Once the block holds errors, agent 0's renewal
+    reward is formed per segment in one pass: over grid rows it adds up over
+    the segment's left endpoints (the last row's step belongs to the next
+    block), over coarse rows it adds up the rows' ``_row_sums``
     (``_CoarseRows.segment_rewards``), and ``_Fleet.tally`` counts the
     events at once and closes the renewal cycles.  A logged trial forms
     each event's consensus point from ``x = c_prev + e`` and logs the event,
@@ -497,10 +492,10 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
     trajectory = fleet.trajectory
     stride = config.trajectory_stride
     span = len(rows) - 1
-    unlogged = count and points is None and not fleet.logged and trajectory is None
-    resets_all = unlogged and (not broadcast_only or masks.all())
-    run = unlogged and stops[-1] - stops[0] == count - 1
-    if run and resets_all:
+    # a run of event rows, settled without the loop when nothing is logged
+    run = (count and points is None and not fleet.logged and trajectory is None
+           and stops[-1] - stops[0] == count - 1)
+    if run and (not broadcast_only or masks.all()):
         # every row from the first stop to the last is an event that resets
         # every agent, so each is a segment of its own, which its subtraction
         # zeroes (x - x is +0.0); the rows after the last stop take its base
@@ -524,14 +519,6 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
             part -= bases
             base = bases[-1]
         rows[stops[-1] + 1 :] -= base
-    elif resets_all and span * config.n <= 4096 * count <= 512 * span:
-        # every event resets every agent, so each segment's base is the raw
-        # running sum at the stop that starts it: one gather, one subtraction.
-        # That pays once there is an event per 4096 entries of the block, and
-        # up to one event per eight rows keeps the gathered bases within an
-        # eighth of the block
-        bases = rows[stops]
-        rows[stops[0] :] -= bases[np.repeat(np.arange(count), np.diff([*stops, span + 1]))]
     else:
         base = np.zeros(config.n)  # each agent's running sum at its last reset
         start = 0
@@ -1249,12 +1236,12 @@ def _lane_block(config: ScenarioConfig, streams: List[NoiseStream], lanes: List[
                          np.stack(terms, axis=1), row, fixes))
         else:
             # x'Lx and e_0^2 at each row's left endpoint, summed down the
-            # rows; dist, free once the search is done, takes the squares,
-            # which consensus_cost_rows forms below eight agents
-            squares = dist[:-1].reshape(w, m, n)
+            # rows; dist, free once the search is done, takes the squares
+            # that consensus_cost_rows forms below eight agents
+            left = rows[:-1].reshape(w, m, n)
             sums = np.empty((w, 2, m))
-            sums[:, 0] = consensus_cost_rows(rows[:-1].reshape(w, m, n), squares=squares)
-            sums[:, 1] = squares[:, :, 0]
+            sums[:, 0] = consensus_cost_rows(left, squares=dist[:-1].reshape(w, m, n))
+            np.multiply(left[:, :, 0], left[:, :, 0], out=sums[:, 1])
             _running_sum(sums.reshape(w, 2 * m))
             kept.append((t, live, sums))
             point = rows.reshape(w + 1, m, n)[at[out], out]
@@ -1428,23 +1415,22 @@ def _lane_cycles(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> L
 
 def _runs_lanes(config: ScenarioConfig) -> bool:
     """Whether ``config``'s trials run as lanes of renewal cycles
-    (``_lane_cycles``): broadcast-plus-local level trials that record no
-    trajectory, on coarse rows where ``fleet_coarse_steps`` gives them, and
-    on rows of one grid step in fleets of at most ``LANE_GRID_AGENTS``
-    agents, at any threshold and horizon.  Measured in alternating pairs of
-    8-trial batches against grid rows (``BENCH_28.json``, ``rule_table``; 2
-    trials at 2000 s), at the thresholds of global periods from 0.05 to 0.5
-    s at dt = 2e-3, lanes of grid steps ran 0.24x to 0.97x the time of grid
-    rows from one to seven agents at horizons of 25, 99 and 2000 s, faster
-    in the median of every set; at eight and ten agents they still won at
-    0.05 and 0.1 s but lost at 25 s from 0.5 s (1.08x at eight agents, 0 of
-    6 pairs faster) and from 0.25 s (1.04x at ten), where grid rows' cost
-    pass reduces its rows with ``einsum`` and a cycle holds a thousand agent
-    steps or more.  The rule depends on ``(n, delta, dt)`` alone."""
-    if (not isinstance(config.scheme, Level) or config.scenario is not InfoScenario.BROADCAST_LOCAL
-            or config.record_trajectory):
-        return False
-    return fleet_coarse_steps(config) > 1 or config.n <= LANE_GRID_AGENTS
+    (``_lane_cycles``): every broadcast-plus-local level trial that records
+    no trajectory, at any fleet size, threshold and horizon, on coarse rows
+    where ``fleet_coarse_steps`` gives them and on rows of one grid step
+    everywhere else.  Measured in alternating pairs of 8-trial batches
+    against grid rows (``BENCH_28.json``, ``rule_table``; ``BENCH_29.json``,
+    ``lanes_vs_grid_rows``), at the thresholds of global periods from 0.05
+    to 0.5 s at dt = 2e-3, lanes of grid steps ran 0.24x to 0.97x the time
+    of grid rows from one to seven agents at horizons of 25, 99 and 2000 s;
+    from eight to nineteen agents they ran 0.69x to 0.93x at 2000 s
+    (``table1``'s n = 10 cell 0.85x) and 0.83x to 1.08x at 99 s, and at 25
+    s 0.95x to 1.01x at T = 0.25 but 1.07x to 1.15x at T = 0.5: runs of
+    about 50 expected cycles, which no ``table1`` cell or benchmark workload
+    holds, pay for one integrator per case.  On narrow bands past 20 agents
+    they ran 0.78x to 1.02x."""
+    return (isinstance(config.scheme, Level) and config.scenario is InfoScenario.BROADCAST_LOCAL
+            and not config.record_trajectory)
 
 
 def _chunk_steps(n: int) -> int:
@@ -1483,11 +1469,10 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     coarse step and draws grid points only near the band; a
     broadcast-plus-local one runs as lanes of renewal cycles
     (``_lane_cycles``) with the same draws, as a group of one
-    (``run_trials``), and so does one of at most ``LANE_GRID_AGENTS`` agents,
-    on lanes of grid steps (``_runs_lanes``).  Under any other level rule,
-    and in a trial that records a trajectory, every row is one grid step
-    and the cost and reward sum its rows, exactly as
-    ``run_trial_reference`` does.
+    (``run_trials``), and on lanes of grid steps on a narrower band or in a
+    smaller fleet (``_runs_lanes``).  Under any other level rule, and in a
+    trial that records a trajectory, every row is one grid step and the
+    cost and reward sum its rows, exactly as ``run_trial_reference`` does.
     """
     if _runs_lanes(config):
         return _lane_cycles(config, [trial_index], noise_scale)[0]

@@ -7,8 +7,7 @@ is evaluated through the algebraic identity
     x' L x = n * sum(x_i^2) - (sum(x_i))^2
 
 which is O(n) and never materializes the matrix; ``consensus_cost_rows``
-is its one implementation, for a single state or a stack of state rows,
-and also forms the bilinear ``x' L y`` of two stacks.
+is its one implementation, for a single state or a stack of state rows.
 ``laplacian_dense`` is provided for testing and debugging only.
 """
 
@@ -17,18 +16,15 @@ import numpy as np
 __all__ = ["consensus_cost_rows", "laplacian_dense"]
 
 
-def consensus_cost_rows(states, others=None, squares=None) -> np.ndarray:
-    """``x' L x`` along the last axis, whose length is the agent count ``n``,
-    or with ``others`` the bilinear form ``x' L y = n sum(x_i y_i) -
-    sum(x_i) sum(y_i)`` of matching rows.
+def consensus_cost_rows(states, squares=None) -> np.ndarray:
+    """``x' L x`` along the last axis, whose length is the agent count ``n``.
 
     ``x' L x`` equals half the sum of ``(x_i - x_j)^2`` over ordered agent
     pairs and is zero exactly when all entries of a row are equal.  A
     single state vector gives a 0-d array, with the bits of the same row
     in a stack.
 
-    The bilinear form reduces each row with ``einsum``.  For ``x' L x``,
-    below eight agents both sums run over the agents' strided columns, one
+    Below eight agents both sums run over the agents' strided columns, one
     whole-array addition per agent in agent order, the squares formed in
     ``squares``, a float array of ``states``' shape that the caller may
     read after (a fresh one if none is given); numpy sums fewer than eight
@@ -38,9 +34,6 @@ def consensus_cost_rows(states, others=None, squares=None) -> np.ndarray:
     """
     states = np.asarray(states, dtype=float)
     n = states.shape[-1]
-    if others is not None:
-        cross = np.einsum("...i,...i->...", states, others)
-        return n * cross - np.einsum("...i->...", states) * np.einsum("...i->...", others)
     if n < 8:
         if squares is None:
             squares = np.empty_like(states)

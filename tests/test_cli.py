@@ -212,9 +212,9 @@ K = MAX_COARSE_STEPS
 # cycles
 TABLE1_COARSE = ",".join(map(str, [375, 1, 125, 1, 750, 1, 250, 1, 2500, 1, 250, 1,
                                    12500, 2 * K, 250, K]))
-# and whether each ran as lanes of renewal cycles: the ET-bl rows of n = 3, on
-# grid steps, and of n = 50, on coarse rows
-TABLE1_LANES = ",".join(["no,no,no,yes"] * 2 + ["no,no,no,no", "no,no,no,yes"])
+# and whether each ran as lanes of renewal cycles: every ET-bl row, of n = 3
+# and 10 on grid steps, of n = 50 on coarse rows
+TABLE1_LANES = ",".join(["no,no,no,yes"] * 4)
 
 
 @pytest.mark.parametrize("argv, coarse, lanes", [
@@ -225,7 +225,7 @@ TABLE1_LANES = ",".join(["no,no,no,yes"] * 2 + ["no,no,no,no", "no,no,no,yes"])
      "yes"),
     (["simulate", "--scenario", "bl", "--trigger", "level", "--delta", "0.7457"], 1, "yes"),
     (["simulate", "--n", "10", "--scenario", "bl", "--trigger", "level", "--delta", "1.0"], 1,
-     "no"),
+     "yes"),
     (["table1"], TABLE1_COARSE, TABLE1_LANES),
     (["sweep-n", "--n-list", "3,50"], "250/1,250/8", "no/yes,no/yes"),
     (["trajectory", "--trigger", "periodic-sync", "--period", "0.5"], 1, None),
@@ -240,8 +240,8 @@ def test_manifest_records_the_fleet_coarse_step(tmp_path, argv, coarse, lanes):
     # information (driver.fleet_coarse_steps); a trajectory shows every grid
     # step.  The fleet commands' manifests say too which rows ran as lanes of
     # renewal cycles, which a coarse step of 1 does not tell from grid rows:
-    # small broadcast-plus-local level fleets run lanes of grid steps
-    # (driver._runs_lanes)
+    # broadcast-plus-local level fleets that coarse lanes do not take run
+    # lanes of grid steps (driver._runs_lanes)
     out = tmp_path / "x.csv"
     length = ["--duration", "2"] if argv[0] == "trajectory" else ["--horizon", "2",
                                                                   "--trials", "1"]

@@ -98,14 +98,3 @@ def test_half_sum_of_pairwise_gaps():
             (x[i] - x[j]) ** 2 for i in range(n) for j in range(n)
         ) / 2.0
         assert consensus_cost_rows(x) == pytest.approx(pairwise, rel=1e-12)
-
-
-def test_bilinear_form_matches_dense_laplacian():
-    rng = np.random.default_rng(4)
-    for n in (1, 3, 12):
-        x, y = rng.normal(size=(5, n)), rng.normal(size=(5, n))
-        dense = np.einsum("ri,ij,rj->r", x, laplacian_dense(n), y)
-        assert consensus_cost_rows(x, y) == pytest.approx(dense, rel=1e-12, abs=1e-12)
-        # the bilinear form of a row with itself is the quadratic form
-        assert consensus_cost_rows(x, x) == pytest.approx(consensus_cost_rows(x), rel=1e-12,
-                                                          abs=1e-12)
