@@ -129,9 +129,9 @@ __all__ = [
     "run_batch",
 ]
 
-CHUNK_STEPS = 2048
 # the noise block of a chunk holds at most CHUNK_BYTES (8 per draw), so
 # fleets beyond CHUNK_BYTES / (8 * CHUNK_STEPS) = 512 agents get fewer rows
+CHUNK_STEPS = 2048
 # the level rule searches for crossings in bounded windows so that a hit early
 # in a chunk does not scan the whole remainder
 LEVEL_LOOKAHEAD = 256
@@ -1336,7 +1336,7 @@ def _lane_shape(config: ScenarioConfig):
     trial's results depend on ``(config, trial)`` alone.  At fleet-large's
     cell (n = 50, threshold 1.8839, 25 s) that is 8 trials of 52 lanes in
     rounds of 6 rows; at table1's (2000 s) one trial of 501 lanes in rounds
-    of 5; at fleet-small's (n = 3, threshold 0.74574, 99 s) 4 trials of 373
+    of 5; at fleet-small's (n = 3, threshold 0.74574, 99 s) 4 trials of 371
     lanes in rounds from 17 grid steps."""
     n, dt, k = config.n, config.dt, fleet_coarse_steps(config)
     coarse = k > 1

@@ -46,7 +46,6 @@ __all__ = [
     "staggered_offsets",
     "periodic_fire_step",
     "sample_first_passage_batch",
-    "coarse_exit_gap",
     "coarse_far",
     "bridge_levels",
     "bridge_point",
@@ -241,49 +240,21 @@ def sample_first_passage_batch(
     check_count("n_agents", n_agents)
     times = np.empty(n_samples)
     occupation = np.zeros(n_samples) if return_occupation else None
-    _exit_blocks(stream, times, occupation, delta, dt, n_agents, bridge_correction,
-                 MAX_COARSE_STEPS)
+    block = max(1, CHUNK_BYTES // (8 * n_agents))
+    for start in range(0, n_samples, block):
+        span = slice(start, start + block)
+        _exit_block(stream, times[span], None if occupation is None else occupation[span],
+                    delta, dt, n_agents, bridge_correction)
     if return_occupation:
         return times, occupation
     return times
 
 
-def coarse_exit_gap(stream: NoiseStream, n_samples: int, delta: float, dt: float,
-                    n_agents: int = 1) -> Tuple[float, float]:
-    """Mean of ``n_samples`` bridge-corrected exit times drawn
-    ``MAX_COARSE_STEPS`` grid steps at a time, minus the mean of as many
-    drawn one grid step at a time, and the standard error of that
-    difference.  The two runs draw from ``stream.child(MAX_COARSE_STEPS)``
-    and ``stream.child(1)``; a gap of a few standard errors or more means
-    the bridge refinement changed the sampler's law."""
-    check_positive("threshold", delta)
-    check_positive("dt", dt)
-    check_count("n_samples", n_samples, 2)
-    check_count("n_agents", n_agents)
-    means, variances = [], []
-    for k in (MAX_COARSE_STEPS, 1):
-        times = np.empty(n_samples)
-        _exit_blocks(stream.child(k), times, None, delta, dt, n_agents, True, k)
-        means.append(times.mean())
-        variances.append(times.var(ddof=1))
-    return float(means[0] - means[1]), math.sqrt(sum(variances) / n_samples)
-
-
-def _exit_blocks(stream, times, occupation, delta, dt, n_agents, bridge_correction, coarse):
-    """Fill ``times`` (and ``occupation``, unless None) block by block with
-    :func:`_exit_block`, ``max(1, CHUNK_BYTES // (8 * n_agents))`` paths at
-    a time."""
-    block = max(1, CHUNK_BYTES // (8 * n_agents))
-    for start in range(0, times.size, block):
-        span = slice(start, start + block)
-        _exit_block(stream, times[span], None if occupation is None else occupation[span],
-                    delta, dt, n_agents, bridge_correction, coarse)
-
-
-def _exit_block(stream, times, occupation, delta, dt, n_agents, bridge_correction, coarse):
-    """Step ``times.size`` paths to their exits, ``coarse`` fine steps at a
-    time, writing each exit time (and occupation integral, unless
+def _exit_block(stream, times, occupation, delta, dt, n_agents, bridge_correction):
+    """Step ``times.size`` paths to their exits, ``MAX_COARSE_STEPS`` fine
+    steps at a time, writing each exit time (and occupation integral, unless
     ``occupation`` is None) in place."""
+    coarse = MAX_COARSE_STEPS
     # P(exit later than ~60 delta^2) is astronomically small
     max_steps = int(np.ceil(60.0 * delta * delta / dt)) + 1000
     lag = 0.5 if bridge_correction else 0.0  # exit time = (step - lag) * dt

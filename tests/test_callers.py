@@ -6,7 +6,8 @@ functions by ``(module, attribute path)``, and skips a path that no
 longer resolves, so its metrics would read as absent.  The checks parse
 these sources and import nothing from them.  Names the package keeps
 only for the benchmark are used nowhere else, so deleting them takes an
-edit of the benchmark alone.
+edit of the benchmark alone.  Each module's ``__all__`` names only what the
+module still has, or ``from etclab.<module> import *`` fails.
 """
 
 import ast
@@ -41,6 +42,15 @@ def test_callers_are_found():
 def test_caller_imports_exist(path):
     missing = [f"{module}.{name}" for module, name in etclab_imports(path)
                if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+
+
+def test_every_exported_name_exists():
+    stems = sorted(p.stem for p in (ROOT / "src" / "etclab").glob("*.py"))
+    modules = [importlib.import_module(f"etclab.{stem}") for stem in stems if stem != "__init__"]
+    assert "triggering" in stems and etclab.triggering.__all__
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
 
 

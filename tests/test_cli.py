@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 import etclab.calibration
-from etclab import CostReport, Level, Periodic, cli, level_threshold
+from etclab import CostReport, Level, Periodic, cli, level_threshold, triggering
 from etclab.cli import main
 from etclab.triggering import MAX_COARSE_STEPS
 
@@ -446,3 +446,16 @@ def test_selftest_passes(capsys):
     assert run_cli_without_warnings(["selftest", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_selftest_catches_wrong_bridge_variance(capsys, monkeypatch):
+    # the sampler's interior bridge points drawn with variance dt instead of
+    # dt (r - 1) / r; the driver bound its own bridge_levels at import, so
+    # only the sampler is broken
+    monkeypatch.setattr(triggering, "bridge_levels",
+                        lambda coarse, dt: [(r, math.sqrt(dt)) for r in range(coarse, 1, -1)]
+                        + [(1, 0.0)])
+    assert run_cli(["selftest", "--seed", "3"]) == 4
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if "coarse-refined exits match the grid law" in line)
+    assert "FAIL" in line
