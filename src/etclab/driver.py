@@ -50,10 +50,15 @@ fleet's, bit for bit; on rows of one grid step (``fleet_coarse_steps`` of
 
 A broadcast-only level rule on a wide enough band (``fleet_coarse_steps``)
 takes coarse steps too, with one draw per agent per step, and draws the
-grid points between an agent's coarse points only where the first-exit
-sampler would: where an end lies beyond ``far`` of the agent's base
-(``triggering.coarse_far``; any other entry reaches the band with
-probability below ``2 exp(-40)``).  The search runs in rounds, per chunk
+grid points between an agent's coarse points only where the grid-only
+first-exit sampler would: where an end lies beyond ``far = delta -
+sqrt(20 k dt)`` of the agent's base (``triggering.coarse_far`` without
+``crossing``; any other entry reaches the band with probability below
+``2 exp(-40)``).  The fleet monitors the grid alone, so it needs no
+margin for the bridge-corrected sampler's crossing law, with which
+fleet-large's level ops drew 1.46x as many entries under broadcast-only
+information and 2.1x as many under broadcast-plus-local
+(``BENCH_31.json``).  The search runs in rounds, per chunk
 (``_coarse_level_events``).  An event inside a row leaves it coarse: its
 initiators reset at the points the search drew (``_event_rows``).  The
 cost and agent 0's reward take the drawn points as they are, and the
@@ -225,9 +230,13 @@ def fleet_coarse_steps(config: ScenarioConfig) -> int:
     steps (``triggering.periodic_fire_step`` of it), and a gap that rounding
     lengthens by a grid step is a row one step longer.  A level rule's rows
     are coarse when its band is wide enough for them to pay, measured by
-    ``far`` (``triggering.coarse_far``) of the row's grid steps, the
-    distance from the band's centre beyond which a coarse step's grid
-    points are drawn.  Under broadcast-only information rows are ``2 *
+    ``far = delta - sqrt(20 dt) - sqrt(20 k dt)`` of the row's ``k`` grid
+    steps (``triggering.coarse_far`` with ``crossing``).  That is the
+    yardstick the edges below were measured with, not the fleet's draw
+    test: the fleet draws a coarse step's grid points only beyond ``delta -
+    sqrt(20 k dt)``, which lies ``sqrt(20 dt)`` nearer the band (0.2 at
+    ``dt = 2e-3``), and the edges were kept when the draw test moved there.
+    Under broadcast-only information rows are ``2 *
     MAX_COARSE_STEPS`` (16) grid steps long when ``far`` of 16 steps is at
     least three quarters of the threshold, which at ``dt = 2e-3`` means
     ``delta >= 4.0``, else ``MAX_COARSE_STEPS`` (8) when ``far`` of 8
@@ -264,11 +273,11 @@ def fleet_coarse_steps(config: ScenarioConfig) -> int:
     if isinstance(scheme, Periodic):
         return int(periodic_fire_step(np.float64(scheme.period), config.dt))
     if config.scenario is InfoScenario.BROADCAST_LOCAL:
-        far = coarse_far(scheme.delta, config.dt, MAX_COARSE_STEPS)
+        far = coarse_far(scheme.delta, config.dt, MAX_COARSE_STEPS, crossing=True)
         lanes = config.n >= LANE_AGENTS and far >= 0.45 * scheme.delta
         return MAX_COARSE_STEPS if lanes else 1
     for k in (2 * MAX_COARSE_STEPS, MAX_COARSE_STEPS):
-        if coarse_far(scheme.delta, config.dt, k) >= 0.75 * scheme.delta:
+        if coarse_far(scheme.delta, config.dt, k, crossing=True) >= 0.75 * scheme.delta:
             return k
     return 1
 
@@ -1116,8 +1125,9 @@ def _lane_block(config: ScenarioConfig, streams: List[NoiseStream], lanes: List[
     rows once that is more than ``width``.  On rows of one grid
     step (``k = 1``) a lane's first row whose end lies beyond the band is its
     exit.  On coarse rows (``k = MAX_COARSE_STEPS``) that row bounds its
-    exit, and the entries of the rows up to it with an end beyond ``far``
-    are drawn (``_Bridges``): the first of their points beyond the band, or
+    exit, and the entries of the rows up to it with an end beyond ``far =
+    delta - sqrt(20 k dt)`` are drawn (``_Bridges``; ``triggering.coarse_far``
+    without ``crossing``): the first of their points beyond the band, or
     else the bounding row's end, is the lane's exit.  Exited lanes drop
     out.  A trial's lanes start one after another, so a lane starts no
     earlier than its trial's start plus the lengths of the trial's lanes
@@ -1199,7 +1209,7 @@ def _lane_block(config: ScenarioConfig, streams: List[NoiseStream], lanes: List[
         # each lane's exit in grid steps from t, past the round if none
         at = (bound + 1) * k
         if coarse:
-            near = dist > coarse_far(delta, dt, k)
+            near = dist > coarse_far(delta, dt, k, crossing=False)
             need = (near[:-1] | near[1:]).reshape(w, m, n)
             need &= (np.arange(w)[:, None] <= bound)[:, :, None]
             entries = np.flatnonzero(need)
@@ -1325,7 +1335,14 @@ def _lane_shape(config: ScenarioConfig):
     ``2.5 (1 - far / delta)^2 / sqrt(n)`` and the share of rows that hold
     drawn entries as ``1.5 (1 - far / delta)``, each at most 1, as measured
     from n = 20 to 1000 and ``far / delta`` from 0.45 to 0.8 (at the rule's
-    edge, n = 20 and ``delta`` 1.393, 0.17 and 0.8).
+    edge, n = 20 and ``delta`` 1.393, 0.17 and 0.8), with ``far`` the
+    bridge-corrected sampler's (``triggering.coarse_far`` with
+    ``crossing``), by which the lanes drew then.  They now draw only beyond
+    ``delta - sqrt(20 k dt)``, and over the same range (4 trials of 25 s,
+    10 s at n = 200 and 2 s at n = 1000) the drawn share read 0.09x to 0.61x
+    the model's and the share of rows holding drawn entries 0.46x to 0.81x
+    (0.08 and 0.59 at the rule's edge), so the model now overcounts; it is
+    kept, since the shape sets every lane trial's bits.
 
     A cycle of grid steps is taken to last ``m_n (delta + GRID_EXIT_SHIFT
     sqrt(dt))^2``, close to the grid's mean exit, so that a trial's first
@@ -1347,7 +1364,7 @@ def _lane_shape(config: ScenarioConfig):
     cycle_rows = max(1, round(expected / (k * dt)))
     narrow = max(1, round(cycle_rows / LANE_ROUNDS))
     if coarse:
-        out = 1 - coarse_far(delta, dt, k) / delta
+        out = 1 - coarse_far(delta, dt, k, crossing=True) / delta
         drawn, holding = min(1.0, 2.5 * out * out / n**0.5), min(1.0, 1.5 * out)
         entry = 24 + 3 * 8 * (k - 1) * drawn
         row = 64 + 2 * 8 * (k - 1) * holding
@@ -1485,7 +1502,7 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     chunk = _chunk_steps(n)
     if level:
         local = config.scenario is InfoScenario.BROADCAST_LOCAL
-        far = coarse_far(scheme.delta, dt, coarse)
+        far = coarse_far(scheme.delta, dt, coarse, crossing=False)
         window = max(1, int(WINDOW_GAPS * _expected_interevent(config) / (coarse * dt)))
     else:
         # without offsets there is one phase, which every agent shares

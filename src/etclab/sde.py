@@ -37,9 +37,13 @@ class NoiseStream:
         ``(seed, trial_index)`` pairs reproduce identical sequences bit for
         bit.
     scale : float
-        Diagnostic multiplier applied to every Gaussian draw.  ``-1.0``
-        negates the driving noise (sign-flip symmetry checks), ``0.0``
-        silences it.  Uniform draws are never scaled.
+        Diagnostic multiplier applied to every Gaussian draw, at most 1 in
+        magnitude.  ``-1.0`` negates the driving noise (sign-flip symmetry
+        checks), ``0.0`` silences it.  Uniform draws are never scaled.  The
+        coarse samplers skip a Brownian bridge's grid points where it
+        reaches the band with probability below ``2 exp(-40)`` for steps of
+        unit variance (``triggering.coarse_far``); a scale of 2 would weaken
+        that bound to about ``exp(-10)`` per bridge.
     """
 
     seed: int
@@ -51,6 +55,8 @@ class NoiseStream:
     def __post_init__(self):
         check_count("seed", self.seed, 0)
         check_count("trial_index", self.trial_index, 0)
+        if not abs(self.scale) <= 1.0:  # NaN fails too
+            raise ValueError(f"noise scale must lie in [-1, 1], got {self.scale}")
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.trial_index, *self.subkey))
         self._gen = np.random.Generator(BIT_GENERATOR(ss))
 

@@ -26,7 +26,12 @@ that come near enough to a boundary to be seen leaving it (Glasserman,
 every other agent's fine points could not change the exit.  That
 coarse-to-fine core, the ``far`` test (``coarse_far``) and the bridge
 point (``bridge_levels``, ``bridge_point``), also serves the fleet's
-level rule on coarse rows.
+level rule on coarse rows and lanes.  Where an end must lie to be drawn
+depends on what the grid points feed: the bridge-corrected sampler draws
+every agent whose grid points could come within ``sqrt(20 dt)`` of a
+boundary, where the crossing law starts to move a bit (``coarse_far``
+with ``crossing``); the grid-only sampler and the fleet, which monitor the
+grid alone, draw only the agents whose grid points could reach the band.
 """
 
 import math
@@ -121,17 +126,29 @@ def periodic_fire_step(tau: np.ndarray, dt: float) -> np.ndarray:
     return np.ceil(tau / dt - EPS_REL).astype(np.int64)
 
 
-def coarse_far(delta: float, dt: float, coarse: int) -> float:
+def coarse_far(delta: float, dt: float, coarse: int, *, crossing: bool) -> float:
     """How far from the centre of the band ``[-delta, delta]`` both ends of
     a coarse step of ``coarse`` grid steps may lie before its grid points
-    are drawn: ``delta - sqrt(20 dt) - sqrt(20 coarse dt)``.
+    are drawn: ``delta - sqrt(20 coarse dt)``, or with ``crossing``
+    ``delta - sqrt(20 dt) - sqrt(20 coarse dt)``.
 
-    The bridge between two ends within ``far`` comes within ``sqrt(20 dt)``
-    of a boundary with probability below ``2 exp(-40)``, so none of its grid
-    points could reach the band, or be near enough to it for the crossing
-    law to move a bit.  The first-exit sampler and the fleet's level rule
-    both refine a coarse step only where an end lies beyond it."""
-    return delta - math.sqrt(20.0 * dt) - math.sqrt(20.0 * coarse * dt)
+    The Brownian bridge over ``coarse dt`` between two ends within ``delta
+    - sqrt(20 coarse dt) - m`` comes within ``m`` of a boundary with
+    probability below ``2 exp(-40)`` (the law of its maximum; Glasserman,
+    *Monte Carlo Methods in Financial Engineering*, 2004), for normal steps
+    of scale at most 1.  Without ``crossing`` (``m = 0``) none of its grid
+    points could reach the band: the draw test of every sampler monitored
+    on the grid alone, the fleet's level rule on coarse rows and lanes and
+    the grid-only first-exit sampler.  The bridge-corrected sampler gives
+    the crossing law to every entry with a grid point within ``sqrt(20
+    dt)`` of a boundary, so with ``crossing`` (``m = sqrt(20 dt)``) it
+    draws those grid points too.  ``driver.fleet_coarse_steps`` and
+    ``driver._lane_shape`` measure a band by ``far`` with ``crossing``, the
+    yardstick their edges and drawn shares were measured with, not by
+    either draw test."""
+    if crossing:
+        return delta - math.sqrt(20.0 * dt) - math.sqrt(20.0 * coarse * dt)
+    return delta - math.sqrt(20.0 * coarse * dt)
 
 
 def bridge_levels(coarse: int, dt: float):
@@ -191,12 +208,15 @@ def sample_first_passage_batch(
     Paths advance ``k = MAX_COARSE_STEPS`` grid steps at a time.  Each
     coarse step draws ``normals((m, n_agents))``, scaled by
     ``sqrt(k dt)``, for the coarse endpoints of the ``m`` live paths.  An
-    agent is refined when either endpoint lies beyond ``far = delta -
-    sqrt(20 dt) - sqrt(20 k dt)`` (agent 0 always, with
-    ``return_occupation``); for any other agent the bridge between the
-    endpoints comes within ``sqrt(20 dt)`` of a boundary with probability
-    below ``2 exp(-40)``, so none of its grid points could be seen leaving
-    the band or get the crossing law, and they are never drawn.  Then, for
+    agent is refined when either endpoint lies beyond ``far`` (agent 0
+    always, with ``return_occupation``): ``delta - sqrt(20 dt) - sqrt(20 k
+    dt)`` with ``bridge_correction``, where for any other agent the bridge
+    between the endpoints comes within ``sqrt(20 dt)`` of a boundary with
+    probability below ``2 exp(-40)``, so none of its grid points could be
+    seen leaving the band or get the crossing law, and ``delta - sqrt(20 k
+    dt)`` without, where the bridge reaches the band with probability below
+    ``2 exp(-40)`` (``coarse_far``); the grid points of any other agent are
+    never drawn.  Then, for
     the grid steps ``j = 1 .. k`` in turn: below ``k`` one normal per
     refined agent of each still-live path (path order, agents ascending)
     gives its grid point from the exact discrete bridge,
@@ -261,7 +281,7 @@ def _exit_block(stream, times, occupation, delta, dt, n_agents, bridge_correctio
     # a bridge crossing has probability < 1e-17 unless an endpoint is
     # within sqrt(20 dt) of a boundary, so only those entries get the law
     near_band = delta - np.sqrt(20.0 * dt)
-    far = coarse_far(delta, dt, coarse)
+    far = coarse_far(delta, dt, coarse, crossing=bridge_correction)
     coarse_sd = np.sqrt(coarse * dt)
     levels = bridge_levels(coarse, dt)
 

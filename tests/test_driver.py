@@ -26,7 +26,7 @@ from etclab import (
 )
 from etclab import driver
 from etclab.calibration import level_threshold
-from etclab.costs import TALLIES, grid_level_law
+from etclab.costs import TALLIES, grid_level_law, mean_exit_time
 from etclab.driver import run_trial_reference
 from etclab.triggering import coarse_far, periodic_fire_step
 
@@ -699,8 +699,8 @@ def test_coarse_chunk_budget_changes_only_rounding(monkeypatch, n):
 # rule keeps for larger fleets, trial 0 at horizon 20 s and seed 1729, in the
 # format of GOLDEN_N3
 GOLDEN_COARSE_LEVEL = {
-    "et-b": (B, Level(4.0), "6978.120328224237", (1, "26.002094502727363"), 12),
-    "et-bl": (BL, Level(3.5), "3465.6188758660624", (6, "18.377027022360057"), 6),
+    "et-b": (B, Level(4.0), "6863.133076182602", (1, "25.799243343396938"), 13),
+    "et-bl": (BL, Level(3.5), "3366.4091469422046", (7, "12.924925334562122"), 7),
 }
 
 
@@ -724,7 +724,7 @@ def test_coarse_level_rule():
         return driver.fleet_coarse_steps(quiet_config(n=3, scenario=B, scheme=Level(delta),
                                                       dt=DT, **kw))
     # at 4.0 both sides are exactly 3.0 in float64: the rule's edge
-    assert coarse_far(4.0, DT, 16) == 0.75 * 4.0 == 3.0
+    assert coarse_far(4.0, DT, 16, crossing=True) == 0.75 * 4.0 == 3.0
     assert [steps(d) for d in (5.0, 4.0, 3.5, 3.1, 3.0)] == [16, 16, 8, 8, 1]
     assert [steps(d) for d in (1.8839, 0.866, 0.7457)] == [1, 1, 1]
     assert steps(5.0, record_trajectory=True) == 1
@@ -780,8 +780,8 @@ def coarse_level(monkeypatch):
 # row, forced onto lanes, at horizon 20 s, and fleet-small's level cell on the
 # lanes of grid steps the rule gives it, at horizon 20 s
 GOLDEN_COARSE_LEVEL_PATHS = {
-    "lone-b": (B, Level(3.5), "0.0", (19, "380.5358162564269"), 19),
-    "in-row-bl": (BL, Level(1.2), "72.03488406633953", (39, "3.0372906190726794"), 39),
+    "lone-b": (B, Level(3.5), "0.0", (19, "386.191429909915"), 19),
+    "in-row-bl": (BL, Level(1.2), "66.84882021044015", (37, "3.7862107205889055"), 37),
     "grid-step-bl": (BL, Level(0.7457396748327672), "9.703954646588748",
                      (75, "1.6566066121022651"), 75),
 }
@@ -1273,12 +1273,14 @@ def test_trial_identical_alone_or_in_batch(lane_blocks):
     # stream, so a trial's tallies and events are the same alone, in its
     # group of the batch and in a batch of another size, whose last group
     # is partial; trials 0-7 of the coarse lane cell form a group, 8 and 9
-    # another, and so on for the grid-step lane cell's groups of 16
-    for cell, size in ((lane_config, 8), (grid_lane_config, 16)):
+    # another, and so on for the grid-step lane cell's groups of 16.  Which
+    # trials need a later block depends on their cycles' lengths: at seed 9
+    # trials 0 and 3 of the coarse cell share one, at seed 1 none did
+    for cell, size, seed in ((lane_config, 8, 9), (grid_lane_config, 16, 1)):
         trials = size + 2
         for record_events in (False, True):
             lane_blocks.clear()
-            config = cell(trials=trials, record_events=record_events)
+            config = cell(trials=trials, record_events=record_events, seed=seed)
             assert lane_group(config) == size
             grouped = [outcome(r) for r in run_trials(config)]
             assert all((events is not None) == record_events for _, events in grouped)
@@ -1288,7 +1290,7 @@ def test_trial_identical_alone_or_in_batch(lane_blocks):
                        for block in lane_blocks)
             assert [outcome(run_trial(config, i)) for i in range(trials)] == grouped
             for part in (trials - 1, 3):
-                batch = cell(trials=part, record_events=record_events)
+                batch = cell(trials=part, record_events=record_events, seed=seed)
                 assert [outcome(r) for r in run_trials(batch)] == grouped[:part]
 
 
@@ -1303,6 +1305,121 @@ def test_lane_group_identical_under_sign_flip(lane_blocks):
                    for r in driver._lane_cycles(config, range(size), noise_scale=-1.0)]
         assert flipped == [outcome(run_trial(config, i, noise_scale=-1.0)) for i in range(size)]
         assert flipped == [outcome(r) for r in run_trials(config)]
+
+
+class KeptBridges(driver._Bridges):
+    """A ``_Bridges`` that keeps a copy of the rows it was made on, which a
+    lane block reuses for its next round, and lists itself in ``made``."""
+
+    made = []
+
+    def __init__(self, rows, stream, k, dt, cols=None):
+        super().__init__(rows, stream, k, dt, cols)
+        self.kept = rows.copy()
+        streams = stream if isinstance(stream, list) else [stream]
+        self.log = streams[0].subkey == (0,)  # the log's points, not the search's
+        self.made.append(self)
+
+
+def replay_coarse_block(config, lanes, starts, width, made, out):
+    """Replay one coarse lane block from each round's rows and drawn points
+    and check its ``out`` per lane: the exit is the first drawn point beyond
+    the band, or else the bounding row's end; the initiators are exactly
+    the agents beyond it there; and every entry not drawn up to the exit
+    row reaches the band with probability below ``2 exp(-40)``."""
+    n, k, delta, horizon = config.n, driver.MAX_COARSE_STEPS, config.scheme.delta, config.steps
+    lengths, _, masks, e_pre = out[:4]
+    first = np.cumsum([0, *lanes])
+    total = int(first[-1])
+    reach = np.zeros(total, dtype=np.int64)
+    exited = np.zeros(total, dtype=bool)
+    live = np.arange(total)
+    t = 0
+    rounds = [b for b in made if not b.log]
+    logs = [b for b in made if b.log]
+    assert len(logs) == (len(rounds) if e_pre is not None else 0)
+    for index, bridges in enumerate(rounds):
+        w, m = width, live.size
+        assert bridges.kept.shape == (w + 1, m * n)
+        rows = bridges.kept.reshape(w + 1, m, n)
+        slot = bridges.slot.reshape(w, m, n)
+        # every grid point inside each row, NaN where it was not drawn
+        inner = np.full((w, m, n, k - 1), np.nan)
+        inner[slot >= 0] = bridges.store[:, slot[slot >= 0]].T
+        ends = (np.abs(rows[1:]) >= delta).any(axis=2)
+        bound = np.where(ends.any(axis=0), ends.argmax(axis=0), w)
+        step = np.arange(w)[:, None, None] * k + np.arange(1, k)
+        hits = np.where((np.abs(inner) >= delta).any(axis=2), step, w * k + 1)
+        at = np.minimum(hits.min(axis=(0, 2)), (bound + 1) * k)
+        gone = at <= w * k
+        # the exit row of each exited lane, the round's last row otherwise
+        last = np.where(gone, (at - 1) // k, w - 1)
+        a, b = rows[:-1], rows[1:]
+        reach_band = (np.exp(-2 * (delta - a) * (delta - b) / (k * config.dt))
+                      + np.exp(-2 * (delta + a) * (delta + b) / (k * config.dt)))
+        undrawn = (slot < 0) & (np.arange(w)[:, None] <= last)[:, :, None]
+        assert np.all(reach_band[undrawn] < 2 * math.exp(-40))
+        for i in np.flatnonzero(gone):
+            lane, r, j = live[i], (at[i] - 1) // k, at[i] - (at[i] - 1) // k * k
+            point = rows[r + 1, i] if j == k else inner[r, i, :, j - 1]
+            assert lengths[lane] == t + at[i]
+            assert np.array_equal(masks[lane], np.abs(point) >= delta)
+            if e_pre is not None:
+                drawn = ~np.isnan(point)
+                assert np.array_equal(e_pre[lane][drawn], point[drawn])
+                assert np.array_equal(np.abs(e_pre[lane]) >= delta, masks[lane])
+        reach[live[gone]] = t + at[gone]
+        exited[live[gone]] = True
+        t += w * k
+        going = ~gone
+        reach[live[going]] = t
+        # a lane stops once its earliest start plus its searched steps reach
+        # the horizon
+        earliest = np.concatenate([start + np.cumsum(reach[lo:hi]) - reach[lo:hi]
+                                   for start, lo, hi in zip(starts, first, first[1:])])
+        going &= earliest[live] + t < horizon
+        if index + 1 < len(rounds):  # the next round starts where the going lanes are
+            assert np.array_equal(rounds[index + 1].kept[0], rows[w, going].reshape(-1))
+        live = live[going]
+    assert not live.size
+    assert np.array_equal(lengths[~exited], np.full(np.count_nonzero(~exited), horizon + 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(1, 24), band=st.floats(0.25, 2.5), cycles=st.floats(0.3, 30.0),
+       trials=st.integers(1, 3), spare=st.sampled_from([1, 2]), logged=st.booleans(),
+       sign=st.sampled_from([1.0, -1.0]), seed=st.integers(0, 2**16))
+@example(n=24, band=0.25, cycles=30.0, trials=3, spare=1, logged=True, sign=1.0, seed=1)
+@example(n=20, band=1.6, cycles=20.0, trials=2, spare=1, logged=False, sign=-1.0, seed=2)
+def test_coarse_lanes_replay_from_their_draws(n, band, cycles, trials, spare, logged, sign, seed):
+    # every coarse lane round replayed from its rows and drawn points alone,
+    # on bands on both sides of the lane rule's edge (1.393 at dt 2e-3, here
+    # forced onto coarse lanes), at horizons of a few cycles that cut one,
+    # in groups of trials with later blocks, logged and unlogged, and under
+    # a sign flip
+    delta = band * 1.393
+    horizon = cycles * mean_exit_time(n) * delta**2
+    config = quiet_config(n=n, scenario=BL, scheme=Level(delta), dt=DT, horizon=horizon,
+                          trials=trials, seed=seed, record_events=logged)
+    blocks = []
+    lane_block = driver._lane_block
+
+    def recording_block(config, streams, lanes, starts, width, *args):
+        KeptBridges.made = []
+        out = lane_block(config, streams, lanes, starts, width, *args)
+        blocks.append((lanes, starts, width, KeptBridges.made, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(driver, "fleet_coarse_steps", lambda config: driver.MAX_COARSE_STEPS)
+        patch.setattr(driver, "LANE_SPARE", spare)
+        patch.setattr(driver, "_Bridges", KeptBridges)
+        patch.setattr(driver, "_lane_block", recording_block)
+        driver._lane_cycles(config, range(trials), noise_scale=sign)
+    assert blocks
+    for block in blocks:
+        replay_coarse_block(config, *block)
 
 
 def test_process_pool_matches_serial_trials():

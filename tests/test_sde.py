@@ -74,6 +74,14 @@ def test_scale_negates_and_silences():
     assert np.all(zero == 0.0)
 
 
+@pytest.mark.parametrize("scale", [2.0, -1.5, 1.0000001, float("inf"), float("nan")])
+def test_scale_beyond_one_is_rejected(scale):
+    # the coarse samplers' draw tests bound a bridge's reach for steps of
+    # unit variance; at scale 2 the bound per bridge is about exp(-10)
+    with pytest.raises(ValueError, match="noise scale"):
+        NoiseStream(7, scale=scale)
+
+
 def test_child_streams_are_independent():
     s = NoiseStream(12)
     a = s.child(1).normals(64)

@@ -487,10 +487,12 @@ def scalar_coarse_first_passage(stream, delta, dt, n, bridge, coarse, occupation
     ``coarse`` fine steps at a time: ``normals(n)`` for the coarse endpoints,
     then per fine step ``normals(m)`` for the interior point of the ``m``
     refined agents (none at the coarse endpoint) and one ``uniforms(1)``
-    when the bridge test runs."""
+    when the bridge test runs.  An agent is refined where an end lies
+    within ``sqrt(20 coarse dt)`` of a boundary, or with the bridge test of
+    ``delta - sqrt(20 dt)``."""
     lag = 0.5 if bridge else 0.0
     near_band = delta - math.sqrt(20.0 * dt)
-    far = near_band - math.sqrt(20.0 * coarse * dt)
+    far = (near_band if bridge else delta) - math.sqrt(20.0 * coarse * dt)
     x = np.zeros(n)
     occ = np.zeros(1)
     step = 0
