@@ -8,7 +8,7 @@ calibrate    the global level threshold for a target rate, verified by
 table1       the 4x4 grid of schemes x scenarios at reference rates
 sweep-n      ET vs TT under broadcast-plus-local info across n, with the
              ET/TT cost ratios at equal global rates (alias: ratio-curve)
-trajectory   one trial over --duration, dumped for plotting
+trajectory   one per-step trial over --duration, dumped for plotting
 selftest     fast internal consistency checks (exit 4 on failure)
 
 Every command writes a CSV (comma separators, '.' decimals) plus a
@@ -61,6 +61,7 @@ from .calibration import (
     calibrate_global_threshold,
     level_threshold,
 )
+from .checks import check_count
 from .control import Average, Fixed, InfoScenario, Leader
 from .costs import (
     GRID_EXIT_SHIFT,
@@ -389,14 +390,9 @@ def cmd_sweep_n(args, parser) -> int:
 
 def cmd_trajectory(args, parser) -> int:
     with _short_horizon_expected():  # a trajectory writes no estimate
-        config = _config(
-            args, parser,
-            horizon=args.duration,
-            trials=1,
-            record_trajectory=True,
-            trajectory_stride=args.stride,
-        )
-    result = run_trial(config, 0)
+        config = _config(args, parser, horizon=args.duration, trials=1)
+    _usage_checked(parser, check_count, "stride", args.stride)
+    result = run_trial_reference(config, 0, trajectory_stride=args.stride)
     n = args.n
     delta = args.delta if args.trigger == "level" else None
     header = (["t"] + [f"x{i + 1}" for i in range(n)]
@@ -407,7 +403,8 @@ def cmd_trajectory(args, parser) -> int:
         thr_hi = center + delta if delta is not None else None
         rows.append([t, *x.tolist(), *xhat.tolist(), flag, thr_lo, thr_hi])
     _write_csv(args.out, header, rows)
-    _write_manifest(args, "trajectory", fleet_coarse_steps=fleet_coarse_steps(config))
+    # the per-step reference's rows are grid steps
+    _write_manifest(args, "trajectory", fleet_coarse_steps=1)
     print(f"wrote {args.out}: {len(rows)} rows")
     return 0
 

@@ -33,7 +33,8 @@ rounding.  With every row one grid step, the path consumes the noise
 stream in exactly the same order as the plain per-step loop kept as
 ``run_trial_reference``, which steps, detects triggers and sums costs on
 its own and hands ``_settle`` one event at a time; the test suite
-compares the two.
+compares the two.  The reference alone records trajectories, which
+``etclab trajectory`` plots.
 
 A periodic schedule has no band to watch, so its deadlines are known
 before any noise is drawn, and only the cost needs every grid point.  So
@@ -89,9 +90,8 @@ path's grid points before it, whose number depends only on the cycles
 before it, so it is not length-biased.  Coarse rows and lanes, of grid steps
 too, are exact in law, not pathwise: their gates are the whole-law test
 of their exit steps and the grid level law's cost
-(``costs.grid_level_law``).  A trial that records a trajectory keeps one
-row per grid step under either rule and runs no lanes, and so do
-broadcast-only level trials on a narrower band.  Trials are
+(``costs.grid_level_law``).  Broadcast-only level trials on a narrower
+band keep one row per grid step.  Trials are
 embarrassingly parallel: each owns a substream keyed by its index, a
 batch runs them in groups of consecutive indices (of one trial each
 unless they run as lanes), and merges per-trial results in fixed index
@@ -179,8 +179,6 @@ class ScenarioConfig:
     trials: int = 8
     seed: int = 0
     record_events: bool = False
-    record_trajectory: bool = False
-    trajectory_stride: int = 50
 
     def __post_init__(self):
         check_count("agent count", self.n)
@@ -190,7 +188,6 @@ class ScenarioConfig:
             raise ValueError("horizon must cover at least one step")
         check_count("trials", self.trials)
         check_count("seed", self.seed, 0)
-        check_count("trajectory_stride", self.trajectory_stride)
         # the trial code branches on these types, so an unknown one would run as a different case
         for name, value, known in (("consensus rule", self.rule, (Average, Leader, Fixed)),
                                    ("scenario", self.scenario, (InfoScenario,)),
@@ -261,15 +258,11 @@ def fleet_coarse_steps(config: ScenarioConfig) -> int:
     ran 1.02x to 2.8x slower.  Lane blocks now span a group of trials
     (``_lane_shape``; ``BENCH_26.json``), which these bounds were not
     measured with.  Both rules depend on ``(n, delta, dt)`` alone.  A
-    trial that records a trajectory shows every stride row, so its rows are
-    grid steps under either rule.  A value of 1 does not say that a trial
-    runs no lanes: every broadcast-plus-local level trial that records no
-    trajectory runs as lanes, of grid steps where the value is 1
-    (``_runs_lanes``).
+    value of 1 does not say that a trial runs no lanes: every
+    broadcast-plus-local level trial runs as lanes, of grid steps where the
+    value is 1 (``_runs_lanes``).
     """
     scheme = config.scheme
-    if config.record_trajectory:
-        return 1
     if isinstance(scheme, Periodic):
         return int(periodic_fire_step(np.float64(scheme.period), config.dt))
     if config.scenario is InfoScenario.BROADCAST_LOCAL:
@@ -297,10 +290,11 @@ def _expected_interevent(config: "ScenarioConfig") -> float:
 class TrialResult:
     """Outcome of one trial: tallies plus optional event/trajectory logs.
 
-    Trajectory rows are ``(t, x, xhat, event_flag, threshold_center)``;
-    event rows carry the post-jump state and flag 1, stride rows the
-    current state and flag 0.  The threshold center is the last
-    consensus point for level schemes and NaN for periodic ones.
+    Only ``run_trial_reference`` records a trajectory.  Its rows are ``(t,
+    x, xhat, event_flag, threshold_center)``; event rows carry the
+    post-jump state and flag 1, stride rows the current state and flag 0.
+    The threshold center is the last consensus point for level schemes and
+    NaN for periodic ones.
     """
 
     accumulator: CostAccumulator
@@ -488,7 +482,7 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
     (``_CoarseRows.segment_rewards``), and ``_Fleet.tally`` counts the
     events at once and closes the renewal cycles.  A logged trial forms
     each event's consensus point from ``x = c_prev + e`` and logs the event,
-    and the trajectory rows, in order.
+    in order.
     """
     config = fleet.config
     broadcast_only = config.scenario is InfoScenario.BROADCAST
@@ -498,12 +492,9 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
         steps, points = [done + stop for stop in stops], None
     else:
         steps, points = (done + coarse_rows.times).tolist(), coarse_rows.points
-    trajectory = fleet.trajectory
-    stride = config.trajectory_stride
     span = len(rows) - 1
     # a run of event rows, settled without the loop when nothing is logged
-    run = (count and points is None and not fleet.logged and trajectory is None
-           and stops[-1] - stops[0] == count - 1)
+    run = count and points is None and not fleet.logged and stops[-1] - stops[0] == count - 1
     if run and (not broadcast_only or masks.all()):
         # every row from the first stop to the last is an event that resets
         # every agent, so each is a segment of its own, which its subtraction
@@ -534,12 +525,6 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
         for k, stop in enumerate([*stops, span + 1]):
             if k:
                 rows[start:stop] -= base
-            if trajectory is not None:
-                if k:
-                    fleet.log_state(done + start, rows[start], 1)
-                # an event row takes the place of its step's stride row
-                for j in range(start + 1 + (-(done + start + 1)) % stride, stop, stride):
-                    fleet.log_state(done + j, rows[j], 0)
             if k == count:
                 break
             mask = masks[k]
@@ -594,15 +579,15 @@ def _running_sum(rows: np.ndarray) -> None:
         np.cumsum(pairs, axis=0, out=pairs)
 
 
-def _level_events(rows: np.ndarray, delta: float, local: bool):
-    """``(stops, masks)`` of the level rule's events in a block of running
-    sums: the rows where some ``|rows[k] - base| >= delta``, ascending, and
-    per row the agents that reach it there.  ``base`` holds each agent's
-    running sum at its last reset: after an event, the whole event row
-    under broadcast-plus-local, the initiators' entries of it under
-    broadcast-only.  The rows are searched in ``LEVEL_LOOKAHEAD`` slices,
-    so an early hit stops a search early; the first hit of a slice is one
-    flat ``argmax`` over its row-major hit mask.
+def _level_events(rows: np.ndarray, delta: float):
+    """``(stops, masks)`` of the broadcast-only level rule's events in a
+    block of running sums: the rows where some ``|rows[k] - base| >=
+    delta``, ascending, and per row the agents that reach it there.
+    ``base`` holds each agent's running sum at its last reset, the
+    initiators' entries of their event row.  The rows are searched in
+    ``LEVEL_LOOKAHEAD`` slices, so an early hit stops a search early; the
+    first hit of a slice is one flat ``argmax`` over its row-major hit mask.
+    Broadcast-plus-local level trials run as lanes (``_runs_lanes``).
     """
     n = rows.shape[1]
     stops, masks = [], []
@@ -618,10 +603,7 @@ def _level_events(rows: np.ndarray, delta: float, local: bool):
         mask = hit[k].copy()  # not a view, which would keep the whole slice alive
         stops.append(start)
         masks.append(mask)
-        if local:
-            base = rows[start]
-        else:
-            np.copyto(base, rows[start], where=mask)
+        np.copyto(base, rows[start], where=mask)
         start += 1
     return stops, masks
 
@@ -1432,8 +1414,8 @@ def _lane_cycles(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> L
 
 def _runs_lanes(config: ScenarioConfig) -> bool:
     """Whether ``config``'s trials run as lanes of renewal cycles
-    (``_lane_cycles``): every broadcast-plus-local level trial that records
-    no trajectory, at any fleet size, threshold and horizon, on coarse rows
+    (``_lane_cycles``): every broadcast-plus-local level trial, at any
+    fleet size, threshold and horizon, on coarse rows
     where ``fleet_coarse_steps`` gives them and on rows of one grid step
     everywhere else.  Measured in alternating pairs of 8-trial batches
     against grid rows (``BENCH_28.json``, ``rule_table``; ``BENCH_29.json``,
@@ -1446,8 +1428,7 @@ def _runs_lanes(config: ScenarioConfig) -> bool:
     about 50 expected cycles, which no ``table1`` cell or benchmark workload
     holds, pay for one integrator per case.  On narrow bands past 20 agents
     they ran 0.78x to 1.02x."""
-    return (isinstance(config.scheme, Level) and config.scenario is InfoScenario.BROADCAST_LOCAL
-            and not config.record_trajectory)
+    return isinstance(config.scheme, Level) and config.scenario is InfoScenario.BROADCAST_LOCAL
 
 
 def _chunk_steps(n: int) -> int:
@@ -1487,9 +1468,9 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     broadcast-plus-local one runs as lanes of renewal cycles
     (``_lane_cycles``) with the same draws, as a group of one
     (``run_trials``), and on lanes of grid steps on a narrower band or in a
-    smaller fleet (``_runs_lanes``).  Under any other level rule, and in a
-    trial that records a trajectory, every row is one grid step and the
-    cost and reward sum its rows, exactly as ``run_trial_reference`` does.
+    smaller fleet (``_runs_lanes``).  On a broadcast-only level rule's
+    narrower band every row is one grid step and the cost and reward sum
+    its rows, exactly as ``run_trial_reference`` does.
     """
     if _runs_lanes(config):
         return _lane_cycles(config, [trial_index], noise_scale)[0]
@@ -1501,7 +1482,6 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     coarse = fleet_coarse_steps(config)
     chunk = _chunk_steps(n)
     if level:
-        local = config.scenario is InfoScenario.BROADCAST_LOCAL
         far = coarse_far(scheme.delta, dt, coarse, crossing=False)
         window = max(1, int(WINDOW_GAPS * _expected_interevent(config) / (coarse * dt)))
     else:
@@ -1524,12 +1504,10 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
                 if level and coarse > 1 else chunk)
 
     stream = NoiseStream(config.seed, trial_index, noise_scale)
-    fleet = _Fleet.start(config, trajectory=config.record_trajectory)
+    fleet = _Fleet.start(config)
     acc = fleet.acc
     acc.elapsed = _grid_time(steps_total, chunk, dt)
     log = stream.child(0) if fleet.logged and level and coarse > 1 else None  # _event_points
-    if fleet.trajectory is not None:
-        fleet.log_state(0, fleet.e, 0)
 
     # rows[k] follows the errors to the end of row k without resets: row 0
     # holds the current errors, each later row adds a step
@@ -1576,7 +1554,7 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
                 None if log is None else _Bridges(rows, log, k, dt))
             del bridges
         elif level:
-            stops, masks = _level_events(rows, scheme.delta, local)
+            stops, masks = _level_events(rows, scheme.delta)
         _settle(fleet, rows, stops, masks, done, coarse_rows)
         if coarse_rows is None:
             # left-endpoint rectangles: x'Lx = e'Le, since L annihilates c*1
@@ -1587,7 +1565,7 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
             done += int(coarse_rows.ends[-1])
         fleet.e = rows[-1]
 
-    return TrialResult(accumulator=acc, events=fleet.events, trajectory=fleet.trajectory)
+    return TrialResult(accumulator=acc, events=fleet.events)
 
 
 # ---------------------------------------------------------------------------
@@ -1595,7 +1573,8 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
 
 
 def run_trial_reference(
-    config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
+    config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0, *,
+    trajectory_stride: Optional[int] = None,
 ) -> TrialResult:
     """Per-step integrator that validates ``run_trial``.
 
@@ -1606,16 +1585,24 @@ def run_trial_reference(
     at; so comparing the two checks the chunked running sums and their
     resets, the trigger search and the deadline counters.  Trigger
     instants come out identical, cost tallies equal up to summation order.
-    Slow (pure Python loop); meant for short horizons.  Records no
-    trajectory.
+    Slow (pure Python loop); meant for short horizons.
+
+    With ``trajectory_stride`` it records the trajectory
+    (``TrialResult``): the row at step 0, a row at every multiple of the
+    stride, and a row at every event, which takes its step's stride row.
+    The trajectory moves no bit of the tallies or the events.
     """
+    if trajectory_stride is not None:
+        check_count("trajectory_stride", trajectory_stride)
     n = config.n
     dt = config.dt
     scheme = config.scheme
     level = isinstance(scheme, Level)
     stream = NoiseStream(config.seed, trial_index, noise_scale)
-    fleet = _Fleet.start(config)
+    fleet = _Fleet.start(config, trajectory=trajectory_stride is not None)
     acc = fleet.acc
+    if fleet.trajectory is not None:
+        fleet.log_state(0, fleet.e, 0)
 
     for step in range(1, config.steps + 1):
         e = fleet.e
@@ -1628,12 +1615,15 @@ def run_trial_reference(
         else:
             fired = np.zeros(n, dtype=bool)
             fired[_periodic_due(step, scheme, dt, n)] = True
-        if fired.any():
+        event = bool(fired.any())
+        if event:
             # the errors are the running sum of a one-row block: the row
             # settles in place
             _settle(fleet, fleet.e[None], [0], fired[None], step)
+        if fleet.trajectory is not None and (event or step % trajectory_stride == 0):
+            fleet.log_state(step, fleet.e, int(event))
 
-    return TrialResult(accumulator=acc, events=fleet.events)
+    return TrialResult(accumulator=acc, events=fleet.events, trajectory=fleet.trajectory)
 
 
 def _periodic_due(step: int, scheme: Periodic, dt: float, n: int) -> np.ndarray:

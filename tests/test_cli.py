@@ -124,6 +124,8 @@ def test_simulate_repeats_byte_identically(tmp_path):
                  "horizon must be finite, got inf", id="simulate-horizon-inf"),
     pytest.param(["trajectory", "--trigger", "level", "--delta", "1", "--duration", "nan"],
                  "horizon must be finite, got nan", id="trajectory-duration-nan"),
+    pytest.param(["trajectory", "--trigger", "level", "--delta", "1", "--stride", "0"],
+                 "stride must be >= 1, got 0", id="trajectory-stride"),
     pytest.param(["calibrate", "--target-t", "nan"], "target period must be finite, got nan",
                  id="calibrate-target-t-nan"),
     pytest.param(["calibrate", "--target-t", "inf"], "target period must be finite, got inf",
@@ -149,6 +151,7 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys, argv, message):
 
     monkeypatch.chdir(tmp_path)  # where a default --out would land
     monkeypatch.setattr(cli, "run_batch", no_work)
+    monkeypatch.setattr(cli, "run_trial_reference", no_work)
     # the calibrator checks every input before the sampler's first draw
     monkeypatch.setattr(etclab.calibration, "sample_first_passage_batch", no_work)
     with pytest.raises(SystemExit) as info:

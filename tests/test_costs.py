@@ -24,6 +24,7 @@ from etclab import (
     mean_exit_time,
     merge_accumulators,
     run_trial,
+    run_trial_reference,
     sample_first_passage_batch,
 )
 
@@ -227,8 +228,8 @@ CONFIG = dict(n=3, scenario=InfoScenario.BROADCAST, scheme=Level(0.5), horizon=1
     pytest.param(partial(ScenarioConfig, **CONFIG, trials=1.5), "trials",
                  id="config-trials-float"),
     pytest.param(partial(ScenarioConfig, **CONFIG, seed=1.5), "seed", id="config-seed-float"),
-    pytest.param(partial(ScenarioConfig, **CONFIG, trajectory_stride=2.5), "trajectory_stride",
-                 id="config-stride-float"),
+    pytest.param(partial(run_trial_reference, ScenarioConfig(**CONFIG), 0, trajectory_stride=2.5),
+                 "trajectory_stride", id="reference-stride-float"),
     pytest.param(partial(sample_first_passage_batch, NoiseStream(0), 10, 1.0, 1e-2,
                          n_agents=2.5), "n_agents", id="sampler-n-agents-float"),
     pytest.param(partial(j_tt_broadcast, 3, 0.5, -1e-3), "dt", id="j_tt-dt-negative"),

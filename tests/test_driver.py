@@ -18,6 +18,7 @@ from etclab import (
     Periodic,
     ScenarioConfig,
     consensus_cost_rows,
+    consensus_value,
     finalize,
     run_batch,
     run_trial,
@@ -26,7 +27,7 @@ from etclab import (
 )
 from etclab import driver
 from etclab.calibration import level_threshold
-from etclab.costs import TALLIES, grid_level_law, mean_exit_time
+from etclab.costs import GRID_EXIT_SHIFT, TALLIES, grid_level_law, mean_exit_time
 from etclab.driver import run_trial_reference
 from etclab.triggering import coarse_far, periodic_fire_step
 
@@ -101,20 +102,14 @@ def grid_rows(config):
     return 1
 
 
-def no_lanes(config):
-    """No trial as lanes of renewal cycles."""
-    return False
-
-
 @pytest.fixture
 def unit_rows(monkeypatch):
-    """Every row of a trial one grid step, and no trial as lanes of them, as
-    every row of the per-step reference is: the pathwise checks against it,
-    and the values pinned below from before periodic trials took coarse
-    steps and small broadcast-plus-local level fleets took lanes of grid
-    steps, hold on grid rows."""
+    """Every row of a trial one grid step, as every row of the per-step
+    reference is: the pathwise checks against it, and the values pinned
+    below from before periodic trials took coarse steps, hold on grid rows.
+    Broadcast-plus-local level trials run as lanes, which draw each cycle
+    apart; the grid-step lane replay is their pathwise check."""
     monkeypatch.setattr(driver, "fleet_coarse_steps", grid_rows)
-    monkeypatch.setattr(driver, "_runs_lanes", no_lanes)
 
 
 # --- fast integrator vs per-step reference ----------------------------------
@@ -125,11 +120,12 @@ def reference_case(n, scenario, scheme, **kw):
                         trials=1, seed=321, record_events=True, **kw)
 
 
-# one case per scheme family; each is checked as given and around knobs
-# drawn by hypothesis (the leader case runs the level rule under both scenarios)
+# one case per scheme family that runs on rows; each is checked as given and
+# around knobs drawn by hypothesis.  Broadcast-plus-local level trials run as
+# lanes, checked against per-step replays of their own draws
+# (test_grid_step_lanes_replay_from_their_draws)
 REFERENCE_CASES = {
     "level-broadcast": reference_case(3, B, Level(math.sqrt(1.5))),
-    "level-global": reference_case(3, BL, Level(1.04)),
     "periodic-sync-b": reference_case(3, B, Periodic(0.75)),
     "periodic-async": reference_case(3, B, Periodic(0.75, staggered_offsets(3, 0.75))),
     "periodic-sync-bl": reference_case(3, BL, Periodic(0.5)),
@@ -174,7 +170,6 @@ def knobs(draw):
         offsets=draw(st.lists(phase, min_size=12, max_size=12)),
         delta=draw(st.floats(2 * math.sqrt(dt), 1.2)),
         rule=draw(st.sampled_from([Average(), Leader(), Fixed(0.25)])),
-        local=draw(st.booleans()),
         steps=draw(st.integers(50, 1500)),
         seed=draw(st.integers(0, 2**32)),
     )
@@ -191,7 +186,7 @@ def variant(case, k):
     else:
         scheme = Level(k["delta"])
     if case == "leader-level":
-        scenario, rule = (BL if k["local"] else B), Leader()
+        rule = Leader()
     return quiet_config(n=n, scenario=scenario, scheme=scheme, rule=rule, dt=k["dt"],
                         horizon=k["steps"] * k["dt"], trials=1, seed=k["seed"],
                         record_events=True)
@@ -212,17 +207,17 @@ def test_fast_path_matches_reference(case, k):
     config = variant(case, k)
     fast = run_trial(config, 0)
     ref = run_trial_reference(config, 0)
-    # the unlogged path, which batches take, and a trajectory-only run form
-    # no event log, and the first forms no consensus point; neither may
-    # move a bit of the tallies
+    # the unlogged path, which batches take, forms no event log and no
+    # consensus point, and the reference's trajectory rows read the state
+    # alone; neither may move a bit of the tallies or the events
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # short horizons, as in variant()
         unlogged = run_trial(replace(config, record_events=False), 0)
-        traced = run_trial(replace(config, record_events=False, record_trajectory=True), 0)
-    assert unlogged.events is None and unlogged.trajectory is None
+    traced = run_trial_reference(config, 0, trajectory_stride=7)
+    assert unlogged.events is None and ref.trajectory is None
     assert traced.trajectory
     assert tallies(unlogged.accumulator) == tallies(fast.accumulator)
-    assert tallies(traced.accumulator) == tallies(fast.accumulator)
+    assert outcome(traced) == outcome(ref)
     assert [e.time for e in fast.events] == [e.time for e in ref.events]
     assert [e.initiators for e in fast.events] == [e.initiators for e in ref.events]
     assert [e.consensus_point for e in fast.events] == pytest.approx(
@@ -363,8 +358,8 @@ def test_deadline_gaps_stay_within_a_step_of_the_period(schedule):
 # cost pass, the one-call level search and the per-chunk deadline lookup, the
 # reward sums as the left-to-right sums, from 0.0, of the per-cycle rewards
 # that the accumulator once listed.  Below eight agents all of these sum in
-# the same order, so every bit must stay.  All run on grid rows (unit_rows):
-# the rule runs the et-bl cell as lanes of grid steps, pinned apart in
+# the same order, so every bit must stay.  All run on grid rows (unit_rows);
+# the et-bl cell runs as lanes of grid steps, pinned in
 # GOLDEN_COARSE_LEVEL_PATHS
 GOLDEN_N3 = {
     "tt-b": (B, Periodic(0.75), "48.96162428391842", (26, "8.734712845872789"), 26),
@@ -373,8 +368,6 @@ GOLDEN_N3 = {
     "et-b": (B, Level(math.sqrt(0.75)), "16.118768618654148",
              (30, "3.11462536574877"), 86),
     "tt-bl": (BL, Periodic(0.25), "16.363961270796985", (80, "2.580125691452508"), 80),
-    "et-bl": (BL, Level(0.7457396748327672), "9.65689229814993",
-              (81, "1.6440283739249801"), 81),
 }
 
 
@@ -394,8 +387,7 @@ def test_small_fleet_values_are_pinned(cell):
 
 
 # the same for n = 12, where the cost pass reduces rows with einsum; the b
-# cells keep the n = 3 schedules and the et-bl threshold is
-# sqrt(0.25 / mean_exit_time(12))
+# cells keep the n = 3 schedules
 GOLDEN_N12 = {
     "tt-b": (B, Periodic(0.75), "993.0571318905315", (26, "7.35314529967996"), 26),
     "tt-async-b": (B, Periodic(0.75, staggered_offsets(12, 0.75)), "1029.8204970048632",
@@ -403,8 +395,6 @@ GOLDEN_N12 = {
     "et-b": (B, Level(math.sqrt(0.75)), "338.4828365144528",
              (27, "2.60377932282761"), 300),
     "tt-bl": (BL, Periodic(0.25), "330.0384129080214", (80, "2.8911624021260036"), 80),
-    "et-bl": (BL, Level(1.0592486854593608), "329.21048995810844",
-              (78, "2.5111881431187233"), 78),
 }
 
 
@@ -719,35 +709,33 @@ def test_coarse_level_rule():
     # broadcast-only: rows of 16 grid steps iff far of 16 steps >= 3 delta / 4,
     # which at dt 2e-3 is delta >= 4.0, else of 8 iff far of 8 steps is, delta
     # >= 3.06: fleet-large's level cell on 16-step rows, not fleet-small's on
-    # coarse rows, and no trial that records a trajectory
-    def steps(delta, **kw):
+    # coarse rows
+    def steps(delta):
         return driver.fleet_coarse_steps(quiet_config(n=3, scenario=B, scheme=Level(delta),
-                                                      dt=DT, **kw))
+                                                      dt=DT))
     # at 4.0 both sides are exactly 3.0 in float64: the rule's edge
     assert coarse_far(4.0, DT, 16, crossing=True) == 0.75 * 4.0 == 3.0
     assert [steps(d) for d in (5.0, 4.0, 3.5, 3.1, 3.0)] == [16, 16, 8, 8, 1]
     assert [steps(d) for d in (1.8839, 0.866, 0.7457)] == [1, 1, 1]
-    assert steps(5.0, record_trajectory=True) == 1
 
 
 def test_lane_rule():
     # broadcast-plus-local: lanes of coarse rows iff at least LANE_AGENTS
     # agents and far >= 0.45 delta (delta >= 1.393 at dt 2e-3): fleet-large's
     # and table1's n = 50 level cells, not table1's n = 3 and 10 ones nor
-    # fleet-small's, and no trial that records a trajectory
-    def steps(n, delta, **kw):
+    # fleet-small's
+    def steps(n, delta):
         return driver.fleet_coarse_steps(quiet_config(n=n, scenario=BL, scheme=Level(delta),
-                                                      dt=DT, **kw))
+                                                      dt=DT))
     assert [steps(50, 1.8839), steps(50, level_threshold(50, 0.5))] == [8, 8]
     table1 = [steps(n, level_threshold(n, t)) for n, t in ((3, 0.25), (3, 0.5), (10, 0.5))]
     assert [*table1, steps(3, 0.7457396748327672)] == [1, 1, 1, 1]
     assert [steps(20, 1.4), steps(19, 5.0), steps(200, 1.38)] == [8, 1, 1]
-    assert steps(50, 1.8839, record_trajectory=True) == 1
 
-    # every broadcast-plus-local level trial that records no trajectory runs
-    # lanes, at any fleet size, threshold and horizon: of grid steps where
-    # the coarse rule gives none, as table1's n = 3 and 10 level cells and
-    # fleet-small's; broadcast-only and periodic rules run none
+    # every broadcast-plus-local level trial runs lanes, at any fleet size,
+    # threshold and horizon: of grid steps where the coarse rule gives none,
+    # as table1's n = 3 and 10 level cells and fleet-small's; broadcast-only
+    # and periodic rules run none
     def lanes(n, delta, scenario=BL, **kw):
         return driver._runs_lanes(quiet_config(n=n, scenario=scenario, scheme=Level(delta),
                                                dt=DT, **kw))
@@ -757,7 +745,6 @@ def test_lane_rule():
         True, True, True, True]
     assert [lanes(200, 1.38), lanes(20, 1.0), steps(20, 1.0)] == [True, True, 1]
     assert [lanes(20, 1.4), lanes(50, 1.8839), lanes(3, 1.0, B)] == [True, True, False]
-    assert not lanes(3, 1.0, record_trajectory=True)
     assert not driver._runs_lanes(quiet_config(n=3, scenario=BL, scheme=Periodic(0.25)))
     # fleet-large's cell keeps the shape that LANE_ENTRIES sets: a group of
     # 8 trials of 52 lanes in rounds of 6 rows
@@ -1088,8 +1075,7 @@ def test_chunk_budget_changes_only_rounding(monkeypatch, n):
     # a budget of five noise rows per chunk draws the same noise in smaller
     # blocks; each chunk restarts its running sums from the current errors,
     # so chunk boundaries move rounding only: trigger instants stay
-    cases = [(B, Level(1.0)), (BL, Level(1.5)), (BL, Periodic(0.25)),
-             (B, Periodic(0.8, staggered_offsets(n, 0.8)))]
+    cases = [(B, Level(1.0)), (BL, Periodic(0.25)), (B, Periodic(0.8, staggered_offsets(n, 0.8)))]
     blocks = []
 
     class RecordingStream(driver.NoiseStream):
@@ -1122,32 +1108,27 @@ def test_chunk_budget_changes_only_rounding(monkeypatch, n):
         assert np.array_equal(a.local_event_counts, b.local_event_counts)
 
 
-@pytest.mark.usefixtures("unit_rows")  # lanes, which both bl fleets would run, have no window
 @pytest.mark.parametrize("n", [3, 20])
 def test_search_window_changes_nothing(monkeypatch, n):
-    # the level search only reads the chunk's running sums, so its window
-    # length moves no bit of the events or the tallies
-    def run(scenario, scheme):
-        config = quiet_config(n=n, scenario=scenario, scheme=scheme, horizon=20.0,
-                              trials=1, seed=19, record_events=True)
-        return run_trial(config, 0)
-
-    for scenario, scheme in ((B, Level(1.0)), (BL, Level(1.5))):
-        default = run(scenario, scheme)
-        with monkeypatch.context() as patch:
-            patch.setattr(driver, "LEVEL_LOOKAHEAD", 7)
-            small = run(scenario, scheme)
-        assert len(default.events) > 20
-        for a, b in zip(small.events, default.events, strict=True):
-            assert (a.time, a.initiators, a.consensus_point) == (
-                b.time, b.initiators, b.consensus_point)
-            assert np.array_equal(a.x_pre, b.x_pre) and np.array_equal(a.x_post, b.x_post)
-        a, b = small.accumulator, default.accumulator
-        assert (a.integral_sum, a.elapsed, a.global_event_count) == (
-            b.integral_sum, b.elapsed, b.global_event_count)
-        assert (a.cycles, a.cycle_reward_sum, a.cycle_length_sum) == (
-            b.cycles, b.cycle_reward_sum, b.cycle_length_sum)
-        assert np.array_equal(a.local_event_counts, b.local_event_counts)
+    # the level search of grid rows only reads the chunk's running sums, so
+    # its window length moves no bit of the events or the tallies
+    config = quiet_config(n=n, scenario=B, scheme=Level(1.0), horizon=20.0, trials=1, seed=19,
+                          record_events=True)
+    assert driver.fleet_coarse_steps(config) == 1
+    default = run_trial(config, 0)
+    monkeypatch.setattr(driver, "LEVEL_LOOKAHEAD", 7)
+    small = run_trial(config, 0)
+    assert len(default.events) > 20
+    for a, b in zip(small.events, default.events, strict=True):
+        assert (a.time, a.initiators, a.consensus_point) == (
+            b.time, b.initiators, b.consensus_point)
+        assert np.array_equal(a.x_pre, b.x_pre) and np.array_equal(a.x_post, b.x_post)
+    a, b = small.accumulator, default.accumulator
+    assert (a.integral_sum, a.elapsed, a.global_event_count) == (
+        b.integral_sum, b.elapsed, b.global_event_count)
+    assert (a.cycles, a.cycle_reward_sum, a.cycle_length_sum) == (
+        b.cycles, b.cycle_reward_sum, b.cycle_length_sum)
+    assert np.array_equal(a.local_event_counts, b.local_event_counts)
 
 
 @pytest.mark.parametrize(
@@ -1422,6 +1403,166 @@ def test_coarse_lanes_replay_from_their_draws(n, band, cycles, trials, spare, lo
         replay_coarse_block(config, *block)
 
 
+class KeptStream(driver.NoiseStream):
+    """A ``NoiseStream`` that keeps a copy of every block of normals it
+    draws, in order."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.kept = []
+
+    def normals(self, shape, out=None):
+        draws = super().normals(shape, out=out)
+        self.kept.append(draws.copy())
+        return draws
+
+
+def per_trial_cumsum(values, lanes):
+    """The running sum of ``values`` within each trial's ``lanes[g]`` lanes."""
+    bounds = np.cumsum([0, *lanes])
+    return np.concatenate([np.cumsum(values[a:b]) for a, b in zip(bounds, bounds[1:])])
+
+
+def replay_grid_step_block(config, lanes, starts, width, draws):
+    """``(lengths, counted, masks, e_pre, costs, rewards)`` per lane of one
+    block of grid-step lanes, replayed one grid step at a time from the
+    normals ``draws[g]`` that trial ``g``'s stream gave each round.
+
+    A round ``t`` steps into the block advances ``max(width, t //
+    LANE_GROWTH)`` steps and draws each trial's live lanes side by side.  A
+    lane exits at its first step at which some ``|e| >= delta``; it stops
+    once its earliest start (its trial's start plus the lengths of the
+    trial's lanes before it, or the steps they were searched through while
+    live) plus its own searched steps reaches the horizon.  A cycle that
+    ends by the horizon counts its length, the one that crosses it its grid
+    points before the horizon, later ones none, and the cost and reward sum
+    ``x'Lx`` and ``e_0^2`` over the counted left endpoints."""
+    n, dt, delta, horizon = config.n, config.dt, config.scheme.delta, config.steps
+    total = sum(lanes)
+    trial = np.repeat(np.arange(len(lanes)), lanes)
+    rounds = [iter(kept) for kept in draws]
+    paths = [[np.zeros(n)] for _ in range(total)]  # each lane's errors, step by step
+    reach = np.zeros(total, dtype=np.int64)  # the exit, or the steps searched through
+    exited = np.zeros(total, dtype=bool)
+    live, t = np.arange(total), 0
+    while live.size:
+        w = max(width, t // driver.LANE_GROWTH)
+        for g in range(len(lanes)):
+            mine = live[trial[live] == g]
+            if not mine.size:
+                continue
+            noise = next(rounds[g])
+            assert noise.shape == (w, mine.size * n)
+            for j, lane in enumerate(mine):
+                path = paths[lane]
+                for step in range(w):
+                    path.append(path[-1] + noise[step, j * n : (j + 1) * n] * math.sqrt(dt))
+                    if np.any(np.abs(path[-1]) >= delta):
+                        reach[lane], exited[lane] = t + step + 1, True
+                        break
+        t += w
+        going = live[~exited[live]]
+        reach[going] = t
+        earliest = np.repeat(starts, lanes) + per_trial_cumsum(reach, lanes) - reach
+        live = going[earliest[going] + t < horizon]
+    assert all(next(kept, None) is None for kept in rounds)  # every draw was a round's
+    lengths = np.where(exited, reach, horizon + 1)
+    begin = np.repeat(starts, lanes) + per_trial_cumsum(lengths, lanes) - lengths
+    counted = np.where(begin + lengths <= horizon, lengths, np.maximum(horizon - begin, 0))
+    masks = np.zeros((total, n), dtype=bool)
+    e_pre = np.zeros((total, n))
+    costs, rewards = np.zeros(total), np.zeros(total)
+    for lane, path in enumerate(paths):
+        if exited[lane]:
+            e_pre[lane] = path[-1]
+            masks[lane] = np.abs(path[-1]) >= delta
+        for e in path[: counted[lane]]:
+            costs[lane] += ((e[:, None] - e) ** 2).sum() / 2  # x'Lx over ordered pairs
+            rewards[lane] += e[0] * e[0]
+    return lengths, counted, masks, e_pre, costs, rewards
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(1, 24), delta=st.floats(2 * math.sqrt(DT), 3.5), cycles=st.floats(0.3, 8.0),
+       trials=st.integers(1, 3), spare=st.sampled_from([1, 2]), logged=st.booleans(),
+       sign=st.sampled_from([1.0, -1.0]), rule=st.sampled_from([Average(), Leader(), Fixed(0.25)]),
+       seed=st.integers(0, 2**16))
+@example(n=3, delta=0.7457396748327672, cycles=8.0, trials=3, spare=1, logged=True, sign=1.0,
+         rule=Average(), seed=1)
+@example(n=12, delta=2 * math.sqrt(DT), cycles=0.3, trials=2, spare=2, logged=True, sign=-1.0,
+         rule=Leader(), seed=2)
+def test_grid_step_lanes_replay_from_their_draws(n, delta, cycles, trials, spare, logged, sign,
+                                                 rule, seed):
+    # every grid-step lane round replayed one step at a time from the normals
+    # its trials' streams drew, on bands from about 2 sqrt(dt) to 3.5 (forced
+    # onto grid steps where the rule would take coarse lanes), at horizons
+    # that cut a cycle, in groups of trials with later blocks, logged and
+    # unlogged, under a sign flip and under every consensus rule; then each
+    # trial's tallies and events from its replayed cycles.  A grid cycle
+    # lasts about m_n (delta + GRID_EXIT_SHIFT sqrt(dt))^2
+    cycle = mean_exit_time(n) * (delta + GRID_EXIT_SHIFT * math.sqrt(DT)) ** 2
+    horizon = max(cycles * cycle, 2 * DT)
+    config = quiet_config(n=n, scenario=BL, scheme=Level(delta), rule=rule, dt=DT,
+                          horizon=horizon, trials=trials, seed=seed, record_events=logged)
+    blocks = []
+    lane_block = driver._lane_block
+
+    def recording_block(config, streams, lanes, starts, width, *args):
+        before = [len(stream.kept) for stream in streams]
+        out = lane_block(config, streams, lanes, starts, width, *args)
+        blocks.append(([stream.trial_index for stream in streams], lanes, starts, width,
+                       [stream.kept[b:] for stream, b in zip(streams, before)], out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(driver, "fleet_coarse_steps", grid_rows)
+        patch.setattr(driver, "LANE_SPARE", spare)
+        patch.setattr(driver, "NoiseStream", KeptStream)
+        patch.setattr(driver, "_lane_block", recording_block)
+        results = driver._lane_cycles(config, range(trials), noise_scale=sign)
+    lanes_of = [[] for _ in range(trials)]  # each trial's replayed lanes, in order
+    ends = [0] * trials  # where each trial's last complete cycle ended
+    for indices, lanes, starts, width, draws, out in blocks:
+        assert list(starts) == [ends[g] for g in indices]
+        replay = replay_grid_step_block(config, lanes, starts, width, draws)
+        for got, expected in zip(out[:3], replay[:3]):
+            assert np.array_equal(got, expected)  # lengths, counted and initiators
+        if logged:
+            assert np.array_equal(out[3], replay[3])
+        else:
+            assert out[3] is None
+        assert out[4] == pytest.approx(replay[4], rel=1e-12)
+        assert out[5] == pytest.approx(replay[5], rel=1e-12)
+        bounds = np.cumsum([0, *lanes])
+        for g, a, b in zip(indices, bounds, bounds[1:]):
+            lanes_of[g] += zip(*(part[a:b] for part in replay))
+            complete = replay[0][a:b] == replay[1][a:b]
+            ends[g] += int(replay[0][a:b][complete].sum())
+    for result, replayed in zip(results, lanes_of):
+        acc, dt = result.accumulator, config.dt
+        complete = [c for c in replayed if c[0] == c[1]]
+        assert (acc.cycles, acc.global_event_count) == (len(complete), len(complete))
+        initiators = np.array([c[2] for c in complete], dtype=np.int64).reshape(-1, n)
+        assert acc.local_event_counts.tolist() == initiators.sum(axis=0).tolist()
+        assert acc.integral_sum == pytest.approx(sum(c[4] for c in replayed) * dt, rel=1e-12)
+        assert acc.cycle_reward_sum == pytest.approx(sum(c[5] for c in complete) * dt, rel=1e-12)
+        assert acc.cycle_length_sum == pytest.approx(sum(c[0] for c in complete) * dt, rel=1e-12)
+        assert acc.elapsed == pytest.approx(config.steps * dt, rel=1e-12)
+        if not logged:
+            assert result.events is None
+            continue
+        events, c_prev, step = [], 0.0, 0
+        for length, _, mask, e_pre, *_ in complete:
+            step += int(length)
+            x_pre = c_prev + e_pre
+            c = consensus_value(x_pre, c_prev, np.flatnonzero(mask), rule, BL)
+            events.append((step * dt, tuple(np.flatnonzero(mask).tolist()), c, x_pre.tolist(),
+                           [c] * n))
+            c_prev = c
+        assert outcome(result)[1] == events
+
+
 def test_process_pool_matches_serial_trials():
     # grid rows run a trial per group; the coarse lane cell's ten trials are
     # two groups, one per process, and so are the grid-step lane cell's
@@ -1619,9 +1760,8 @@ def test_reference_global_interevent_for_large_fleet():
 
 def test_trajectory_recording_shapes():
     config = quiet_config(n=3, scenario=BL, scheme=Level(1.0),
-                          horizon=20.0, trials=1, seed=15,
-                          record_trajectory=True, trajectory_stride=10)
-    run = run_trial(config, 0)
+                          horizon=20.0, trials=1, seed=15)
+    run = run_trial_reference(config, 0, trajectory_stride=10)
     assert run.trajectory is not None
     stride_rows = [r for r in run.trajectory if r[3] == 0]
     event_rows = [r for r in run.trajectory if r[3] == 1]

@@ -1,12 +1,15 @@
-"""The event protocol tallies events and renewal cycles in one place, and
-coarse rows form their cost in one place.
+"""The event protocol tallies events and renewal cycles in one place,
+coarse rows form their cost in one place, and one integrator records
+trajectories.
 
 ``_Fleet.tally`` counts the events and closes the renewal cycles for
 every integrator and for the lanes of renewal cycles alike, so a second
 copy of that bookkeeping would be a second event protocol to keep in
 step.  Likewise ``_row_sums`` is the one cost form of coarse rows, for
-chunks and lanes alike, so it alone calls ``_bridge_sums``.  The checks
-parse the package's sources and import nothing.
+chunks and lanes alike, so it alone calls ``_bridge_sums``, and
+``run_trial_reference`` alone logs trajectory rows (``_Fleet.log_state``),
+so the chunked integrator and the lanes carry no trajectory branch.  The
+checks parse the package's sources and import nothing.
 """
 
 import ast
@@ -16,9 +19,10 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "etclab").glob("
 
 
 def one_place_calls(path):
-    """``(function, what)`` for every ``close_cycle(`` and ``_bridge_sums(``
-    call and every write to an attribute ``global_event_count`` in
-    ``path``, with the dotted name of the function that makes it."""
+    """``(function, what)`` for every ``close_cycle(``, ``_bridge_sums(`` and
+    ``log_state(`` call and every write to an attribute
+    ``global_event_count`` in ``path``, with the dotted name of the function
+    that makes it."""
     found = []
 
     def visit(node, scope):
@@ -28,7 +32,7 @@ def one_place_calls(path):
             func = node.func
             name = (func.attr if isinstance(func, ast.Attribute)
                     else func.id if isinstance(func, ast.Name) else None)
-            if name in ("close_cycle", "_bridge_sums"):
+            if name in ("close_cycle", "_bridge_sums", "log_state"):
                 found.append((".".join(scope), name))
         targets = ([node.target] if isinstance(node, ast.AugAssign)
                    else node.targets if isinstance(node, ast.Assign) else [])
@@ -54,3 +58,7 @@ def test_only_the_fleet_tallies_events_and_cycles():
 
 def test_only_row_sums_forms_bridge_sums():
     assert found("_bridge_sums") == {("driver.py", "_row_sums", "_bridge_sums")}
+
+
+def test_only_the_reference_logs_trajectory_rows():
+    assert found("log_state") == {("driver.py", "run_trial_reference", "log_state")}

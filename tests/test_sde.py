@@ -9,7 +9,7 @@ from etclab import (
     NoiseStream,
     Periodic,
     ScenarioConfig,
-    run_trial,
+    run_trial_reference,
 )
 from etclab.driver import _Fleet, _settle
 
@@ -105,9 +105,8 @@ def test_nonpositive_dt_rejected():
 
 def test_drift_keeps_state_with_zero_increments():
     config = quiet_config(n=4, scenario=BL, scheme=Level(1.0), dt=0.002,
-                          horizon=1.0, trials=1, record_trajectory=True,
-                          trajectory_stride=50)
-    rows = run_trial(config, 0, noise_scale=0.0).trajectory
+                          horizon=1.0, trials=1)
+    rows = run_trial_reference(config, 0, noise_scale=0.0, trajectory_stride=50).trajectory
     assert [t for t, *_ in rows] == pytest.approx([0.1 * k for k in range(11)])
     for _, x, xhat, flag, _ in rows:
         assert flag == 0
@@ -116,12 +115,11 @@ def test_drift_keeps_state_with_zero_increments():
 
 def test_drift_telescopes_exactly():
     # with no triggers the state is the running sum of its increments,
-    # drawn in the stream's order (the horizon fits one search window)
+    # drawn one step at a time in the order of one block of the stream
     dt, steps = 0.002, 200
     config = quiet_config(n=3, scenario=B, scheme=Level(100.0), dt=dt,
-                          horizon=steps * dt, trials=1, seed=21,
-                          record_trajectory=True, trajectory_stride=1)
-    rows = run_trial(config, 0).trajectory
+                          horizon=steps * dt, trials=1, seed=21)
+    rows = run_trial_reference(config, 0, trajectory_stride=1).trajectory
     dws = NoiseStream(21, 0).normals((steps, 3)) * np.sqrt(dt)
     sequential = np.cumsum(dws, axis=0)
     assert len(rows) == steps + 1
@@ -150,8 +148,8 @@ def test_initial_state_is_consensus_at_zero():
     for scheme, scenario, center in ((Level(1.0), BL, 0.0),
                                      (Periodic(0.5), B, None)):
         config = quiet_config(n=5, scenario=scenario, scheme=scheme, horizon=1.0,
-                              trials=1, record_trajectory=True)
-        t, x, xhat, flag, thr = run_trial(config, 0).trajectory[0]
+                              trials=1)
+        t, x, xhat, flag, thr = run_trial_reference(config, 0, trajectory_stride=50).trajectory[0]
         assert (t, flag) == (0.0, 0)
         assert np.all(x == 0.0) and np.all(xhat == 0.0)
         assert thr == center if center is not None else np.isnan(thr)

@@ -45,21 +45,23 @@ class ScriptedStream:
 
 def scripted_events(monkeypatch, scenario, scheme, increments):
     """``(time, initiators)`` of every event when the fleet is driven by
-    ``increments`` (one row per step, dt = 1); both integrators agree.  The
-    fleet runs on grid rows, which replay the increments step by step: lanes
-    of renewal cycles, which a small broadcast-plus-local level fleet would
-    run, draw each cycle's steps apart."""
+    ``increments`` (one row per step, dt = 1), which the per-step reference
+    replays step by step.  Under broadcast-only information the chunked
+    integrator's grid rows replay them too, and both integrators agree.
+    Under broadcast-plus-local a level fleet runs as lanes of renewal
+    cycles, which draw each cycle's steps apart, so the reference runs
+    alone; the lanes' pathwise check is
+    ``tests/test_driver.py::test_grid_step_lanes_replay_from_their_draws``."""
     rows = np.asarray(increments, dtype=float)
     monkeypatch.setattr(driver, "NoiseStream", lambda *key: ScriptedStream(rows))
-    monkeypatch.setattr(driver, "_runs_lanes", lambda config: False)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         config = ScenarioConfig(n=rows.shape[1], scenario=scenario, scheme=scheme,
                                 dt=1.0, horizon=float(len(rows)), trials=1,
                                 record_events=True)
-    logs = [[(e.time, e.initiators) for e in run(config, 0).events]
-            for run in (run_trial, run_trial_reference)]
-    assert logs[0] == logs[1]
+    runs = (run_trial_reference,) if scenario is BL else (run_trial, run_trial_reference)
+    logs = [[(e.time, e.initiators) for e in run(config, 0).events] for run in runs]
+    assert logs[0] == logs[-1]
     return logs[0]
 
 
