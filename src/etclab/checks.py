@@ -21,8 +21,8 @@ def check_positive(name: str, value: float) -> None:
 
 def check_count(name: str, value, minimum: int = 1) -> None:
     """Raise ``ValueError`` unless ``value`` is an integer, Python or NumPy,
-    of at least ``minimum``."""
-    if not isinstance(value, numbers.Integral):
+    of at least ``minimum``; a ``bool`` is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         wanted = "a non-negative integer" if minimum == 0 else f">= {minimum}"

@@ -22,14 +22,14 @@ memory budget, drawn straight into one chunk buffer that the whole trial
 reuses, so memory stays bounded at any fleet size.  Per chunk the buffer
 becomes one running sum of the errors (``_running_sum``, which adds two
 agents at once as complex pairs, with ``np.cumsum``'s bits).  The chunk's
-events are found on the raw running sums: a level rule searches bounded
-windows against each agent's running sum at its last reset, and periodic
-schedules look up every deadline of the chunk at once
-(``_chunk_deadlines``).  Then ``_settle``, the one event protocol,
-settles them in order, one subtraction per segment between events, adds
-up agent 0's reward per segment and counts the events, and one cost pass
-covers the chunk's left endpoints.  Only chunk boundaries move its
-rounding.  With every row one grid step, the path consumes the noise
+events are found on the raw running sums: a level rule searches each
+agent's rows against its running sum at its last reset
+(``_column_events``), and periodic schedules look up every deadline of
+the chunk at once (``_chunk_deadlines``).  Then ``_settle``, the one event
+protocol, settles them in order, one subtraction per segment between
+events, adds up agent 0's reward per segment and counts the events, and
+one cost pass covers the chunk's left endpoints.  Only chunk boundaries
+move its rounding.  With every row one grid step, the path consumes the noise
 stream in exactly the same order as the plain per-step loop kept as
 ``run_trial_reference``, which steps, detects triggers and sums costs on
 its own and hands ``_settle`` one event at a time; the test suite
@@ -90,12 +90,21 @@ path's grid points before it, whose number depends only on the cycles
 before it, so it is not length-biased.  Coarse rows and lanes, of grid steps
 too, are exact in law, not pathwise: their gates are the whole-law test
 of their exit steps and the grid level law's cost
-(``costs.grid_level_law``).  Broadcast-only level trials on a narrower
-band keep one row per grid step.  Trials are
+(``costs.grid_level_law``).
+
+Broadcast-only level trials on a narrower band keep one row per grid
+step, and run in groups too (``_column_trials``).  Each agent triggers on
+its own error and an event resets the initiators alone, so each agent of
+each trial, a column, is a walk of its own, reset at the band.  Per chunk
+each trial draws its block from its own stream, one search finds the
+events of every column of the group (``_column_events``), and an unlogged
+group's blocks settle in one pass (``_subtract_bases``), with the bits of
+``_settle``'s loop, which settles a logged trial's block itself; agent
+0's rewards, the tallies and the cost stay per trial.  Trials are
 embarrassingly parallel: each owns a substream keyed by its index, a
 batch runs them in groups of consecutive indices (of one trial each
-unless they run as lanes), and merges per-trial results in fixed index
-order.
+unless they run as lanes or as columns), and merges per-trial results in
+fixed index order.
 """
 
 import os
@@ -137,12 +146,14 @@ __all__ = [
 # the noise block of a chunk holds at most CHUNK_BYTES (8 per draw), so
 # fleets beyond CHUNK_BYTES / (8 * CHUNK_STEPS) = 512 agents get fewer rows
 CHUNK_STEPS = 2048
-# the level rule searches for crossings in bounded windows so that a hit early
-# in a chunk does not scan the whole remainder
-LEVEL_LOOKAHEAD = 256
-# a round of the coarse level search covers about this many expected gaps
-# between an agent's events
+# a round of a level search covers about this many expected gaps between an
+# agent's events
 WINDOW_GAPS = 2.0
+# bytes a group of broadcast-only level trials on grid rows holds per entry
+# (row x agent) of its chunk (_column_group): the running sums and the NaN
+# rows after them, the bases that settle them, and the search's hit masks
+# and gathered rows; tracemalloc peaks read 15 to 32 from n = 3 to 1024
+COLUMN_BYTES = 32
 # lanes of broadcast-plus-local level cycles (_lane_cycles, _lane_shape): a
 # trial's block holds the expected cycles of the horizon left plus
 # LANE_SPARE, a group of trials shares rounds of about LANE_ENTRIES entries
@@ -308,16 +319,26 @@ def run_trials(config: ScenarioConfig, workers: int = 1) -> List[TrialResult]:
     The trials run in groups of consecutive indices.  A config that runs
     as lanes of renewal cycles groups as many as ``_lane_shape`` sets from
     the config alone, and each group shares its lane blocks
-    (``_lane_cycles``); every other config runs its trials one by one.
-    Either way a trial's result is ``run_trial``'s, bit for bit.
-    ``workers > 1`` fans the groups out over a process pool of at most
-    ``workers`` processes, and never more than there are groups or CPUs
-    this process may run on: a forking pool starts all of its processes
-    at once.
+    (``_lane_cycles``).  A broadcast-only level config on grid rows groups
+    as many as the chunk budget allows, but no more than give each worker
+    a group (``_column_group``), and each group shares its searches and
+    settle passes (``_column_trials``).  Every other config runs its trials
+    one by one.  Either way a trial's result is ``run_trial``'s, bit for
+    bit.  ``workers``, a positive integer, is checked at once; ``workers >
+    1`` fans the groups out over a process pool of at most ``workers``
+    processes, and never more than there are groups or CPUs this process
+    may run on: a forking pool starts all of its processes at once.
     """
-    size = _lane_shape(config)[0] if _runs_lanes(config) else 1
+    check_count("workers", workers)
+    workers = min(workers, _usable_cpus())
+    if _runs_lanes(config):
+        size = _lane_shape(config)[0]
+    elif _runs_columns(config):
+        size = _column_group(config, workers)
+    else:
+        size = 1
     groups = [range(i, min(i + size, config.trials)) for i in range(0, config.trials, size)]
-    workers = min(workers, len(groups), _usable_cpus())
+    workers = min(workers, len(groups))
     run = partial(_run_group, config)
     if workers > 1:
         import concurrent.futures
@@ -332,6 +353,8 @@ def run_trials(config: ScenarioConfig, workers: int = 1) -> List[TrialResult]:
 def _run_group(config: ScenarioConfig, indices: range) -> List[TrialResult]:
     if _runs_lanes(config):
         return _lane_cycles(config, indices)
+    if _runs_columns(config):
+        return _column_trials(config, indices)
     return [run_trial(config, i) for i in indices]
 
 
@@ -446,7 +469,7 @@ class _Fleet:
 
 
 def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
-            coarse_rows: Optional["_CoarseRows"] = None) -> None:
+            coarse_rows: Optional["_CoarseRows"] = None, settled: bool = False) -> None:
     """Settle, in event order, the events of a block of running sums.
 
     ``rows[k]`` is the state at the end of row ``k`` of the block, which
@@ -474,8 +497,10 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
     them.  If every such row holds an event but some reset only some
     agents, as a staggered schedule's do, a running maximum of the reset
     rows finds each entry's base, per slice of at most 4096 entries, with
-    one subtraction per slice.  Sparse events, as level events on grid rows
-    are, keep the loop.  Once the block holds errors, agent 0's renewal
+    one subtraction per slice.  Other sparse events keep the loop.
+    ``settled`` rows were settled already, with the loop's bits, by a group
+    of broadcast-only level trials on grid rows in one pass over the group
+    (``_subtract_bases``).  Once the block holds errors, agent 0's renewal
     reward is formed per segment in one pass: over grid rows it adds up over
     the segment's left endpoints (the last row's step belongs to the next
     block), over coarse rows it adds up the rows' ``_row_sums``
@@ -494,7 +519,8 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
         steps, points = (done + coarse_rows.times).tolist(), coarse_rows.points
     span = len(rows) - 1
     # a run of event rows, settled without the loop when nothing is logged
-    run = count and points is None and not fleet.logged and stops[-1] - stops[0] == count - 1
+    run = (not settled and count and points is None and not fleet.logged
+           and stops[-1] - stops[0] == count - 1)
     if run and (not broadcast_only or masks.all()):
         # every row from the first stop to the last is an event that resets
         # every agent, so each is a segment of its own, which its subtraction
@@ -519,7 +545,7 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
             part -= bases
             base = bases[-1]
         rows[stops[-1] + 1 :] -= base
-    else:
+    elif not settled:
         base = np.zeros(config.n)  # each agent's running sum at its last reset
         start = 0
         for k, stop in enumerate([*stops, span + 1]):
@@ -562,50 +588,139 @@ def _first_counts(offsets: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _running_sum(rows: np.ndarray) -> None:
-    """Turn the C-contiguous block ``rows`` into its running sum down the
-    rows, in place, bit for bit as ``np.cumsum(rows, axis=0)``.  Rows of at
-    least 1024 entries, as a lane round's are, are added one row to the
-    next: ``np.cumsum`` walks such a block column by column (on a 2-vCPU
-    Xeon, 7 rows of 20,800 entries took 0.35 ms against 0.04 ms).
-    Otherwise an even number of agents is summed as complex pairs of
-    neighbouring agents, so each dependent add advances two of them."""
-    if rows.shape[1] >= 1024:
-        for r in range(1, len(rows)):
-            np.add(rows[r - 1], rows[r], out=rows[r])
-    elif rows.shape[1] % 2:
-        np.cumsum(rows, axis=0, out=rows)
+    """Turn the block ``rows``, or each block of a stack of them, into its
+    running sum down the rows, in place, bit for bit as ``np.cumsum(rows,
+    axis=-2)``; each block's rows must be C-contiguous.  Rows of at least
+    1024 entries, as a lane round's are, are added one row to the next:
+    ``np.cumsum`` walks such a block column by column (on a 2-vCPU Xeon, 7
+    rows of 20,800 entries took 0.35 ms against 0.04 ms).  Otherwise an even
+    number of agents is summed as complex pairs of neighbouring agents, so
+    each dependent add advances two of them."""
+    if rows.shape[-1] >= 1024:
+        steps = np.moveaxis(rows, -2, 0)  # a view whose first axis runs down the rows
+        for r in range(1, len(steps)):
+            np.add(steps[r - 1], steps[r], out=steps[r])
+    elif rows.shape[-1] % 2:
+        np.cumsum(rows, axis=-2, out=rows)
     else:
         pairs = rows.view(np.complex128)
-        np.cumsum(pairs, axis=0, out=pairs)
+        np.cumsum(pairs, axis=-2, out=pairs)
 
 
-def _level_events(rows: np.ndarray, delta: float):
-    """``(stops, masks)`` of the broadcast-only level rule's events in a
-    block of running sums: the rows where some ``|rows[k] - base| >=
-    delta``, ascending, and per row the agents that reach it there.
-    ``base`` holds each agent's running sum at its last reset, the
-    initiators' entries of their event row.  The rows are searched in
-    ``LEVEL_LOOKAHEAD`` slices, so an early hit stops a search early; the
-    first hit of a slice is one flat ``argmax`` over its row-major hit mask.
-    Broadcast-plus-local level trials run as lanes (``_runs_lanes``).
+def _column_events(rows: np.ndarray, span: int, delta: float, window: int):
+    """``(col, at)`` of the broadcast-only level rule's events in a group's
+    running sums: per event its column ``g * n + i``, trial ``g``'s agent
+    ``i``, and its row, ordered by column and then by row.
+
+    ``rows[g, r]`` holds trial ``g``'s running sums at row ``r`` of its
+    block, rows 0 to ``span``, and NaN, which never reaches the band, in the
+    ``window - 1`` rows after.  An event resets its initiators alone, so
+    each column is on its own: its error is its running sum less its
+    running sum at its last event, ``base`` (0 before the first, row 0
+    holding the errors), and its next event is the first later row where
+    ``|rows - base| >= delta``.  One pass over the block in place gives
+    every column its first event.  Then the search runs in rounds: each
+    gathers every live column's ``window`` rows from the row after its last
+    event as one ``(columns, window)`` block and gives the column its first
+    hit there, or resumes it after them; a column whose rows run out drops
+    out.
     """
-    n = rows.shape[1]
-    stops, masks = [], []
+    trials, _, n = rows.shape
+    block = rows[:, 1 : span + 1]
+    hit = (block >= delta) | (block <= -delta)  # |x| >= delta, from 0
+    hit = hit.transpose(0, 2, 1).reshape(trials * n, span)
+    j = hit.argmax(axis=1)
+    live = np.flatnonzero(hit[np.arange(trials * n), j])
+    at = j[live] + 1
+    if not live.size:
+        return live, at
+    cols, ats = [live], [at]
+    sg, sr, si = (stride // rows.itemsize for stride in rows.strides)
+    # entry e of flat is rows[g, r, i] for e = g sg + r sr + i si, and
+    # windows[e] its column's window rows from there
+    entries = (trials - 1) * sg + span * sr + (n - 1) * si + 1
+    flat = np.lib.stride_tricks.as_strided(rows, (entries,), (rows.itemsize,), writeable=False)
+    windows = np.lib.stride_tricks.as_strided(rows, (entries, window),
+                                              (rows.itemsize, rows.strides[1]), writeable=False)
+    origin = live // n * sg + live % n * si  # each live column's row 0
+    base = flat[origin + at * sr]
+    start = at + 1
+    while True:
+        going = np.flatnonzero(start <= span)
+        live, origin, start, base = live[going], origin[going], start[going], base[going]
+        if not live.size:
+            break
+        dist = windows[origin + start * sr]
+        dist -= base[:, None]
+        np.abs(dist, out=dist)
+        hit = dist >= delta
+        j = hit.argmax(axis=1)
+        fired = np.flatnonzero(hit[np.arange(live.size), j])
+        at = start[fired] + j[fired]
+        cols.append(live[fired])
+        ats.append(at)
+        base[fired] = flat[origin[fired] + at * sr]
+        start += window
+        start[fired] = at + 1
+    col, at = np.concatenate(cols), np.concatenate(ats)
+    order = np.argsort(col, kind="stable")  # each column's events came in row order
+    return col[order], at[order]
+
+
+def _event_masks(col: np.ndarray, at: np.ndarray, length: int, n: int):
+    """``(keys, masks)`` of the events ``_column_events`` found in a group's
+    blocks of ``length`` rows of ``n`` agents: the rows that hold events as
+    ``g * length + row`` for trial ``g``, ascending, and per such row the
+    agents that fire there."""
+    if not col.size:
+        return col, np.zeros((0, n), dtype=bool)
+    keys, event = np.unique(col // n * length + at, return_inverse=True)
+    masks = np.zeros((keys.size, n), dtype=bool)
+    masks[event, col % n] = True
+    return keys, masks
+
+
+def _subtract_bases(buffer: np.ndarray, length: int, keys: np.ndarray, masks: np.ndarray) -> None:
+    """Settle in place a group's running sums, rows 0 to ``length - 1`` of
+    each trial's block in ``buffer``, from the events ``_event_masks`` gives
+    as ``(keys, masks)``: every entry less its agent's running sum at its
+    last event by then, none before the first.  That is the subtraction
+    ``_settle``'s loop makes segment by segment, so every bit stays.
+
+    Between two of a trial's event rows every agent keeps its base, so the
+    segments' bases come from a running maximum of the rows that reset each
+    agent, as in ``_settle``, over the events alone, and one ``np.repeat``
+    spreads them over the buffer's rows, each trial's first segment from
+    zeros and its last over the rows after its block too.  The buffer's
+    rows are taken in slices of ``CHUNK_BYTES / (64 n)``, each a segment
+    from its first row that carries the base, so that neither the bases
+    nor their spread grow with the block."""
+    if not keys.size:
+        return
+    trials, height, n = buffer.shape
+    # a view, the buffer being C-contiguous: trial g's row r is row g * height + r
+    rows = buffer.reshape(-1, n)
+    cuts = np.arange(0, len(rows), max(1, CHUNK_BYTES // (64 * n)))
+    trial, row = np.divmod(keys, length)
+    starts = np.concatenate((cuts, np.arange(trials) * height, trial * height + row))
+    order = np.argsort(starts, kind="stable")
+    starts = starts[order]
+    counts = np.diff(starts, append=len(rows))
+    # per segment the event it starts at, -1 at a trial's row 0 and -2 at a cut
+    event = np.concatenate((np.full(cuts.size, -2), np.full(trials, -1),
+                            np.arange(keys.size)))[order]
+    edges = [*np.flatnonzero(event == -2).tolist(), len(event)]
     base = np.zeros(n)
-    start = 1
-    while start < len(rows):
-        hit = np.abs(rows[start : start + LEVEL_LOOKAHEAD] - base) >= delta
-        k, agent = divmod(int(hit.argmax()), n)
-        if not hit[k, agent]:
-            start += LEVEL_LOOKAHEAD
-            continue
-        start += k
-        mask = hit[k].copy()  # not a view, which would keep the whole slice alive
-        stops.append(start)
-        masks.append(mask)
-        np.copyto(base, rows[start], where=mask)
-        start += 1
-    return stops, masks
+    for a, b in zip(edges, edges[1:]):
+        values = rows[starts[a:b]]
+        reset = masks[np.maximum(event[a:b], 0)]
+        values[event[a:b] == -1] = 0.0
+        reset[event[a:b] < 0] = (event[a:b] == -1)[event[a:b] < 0, None]
+        last = np.where(reset, np.arange(1, b - a + 1)[:, None], 0)
+        np.maximum.accumulate(last, axis=0, out=last)
+        bases = np.concatenate((base[None], values))[last, np.arange(n)]
+        rows[starts[a] : starts[a] + int(counts[a:b].sum())] -= np.repeat(bases, counts[a:b], axis=0)
+        base = bases[-1]
 
 
 class _Bridges:
@@ -1431,6 +1546,88 @@ def _runs_lanes(config: ScenarioConfig) -> bool:
     return isinstance(config.scheme, Level) and config.scenario is InfoScenario.BROADCAST_LOCAL
 
 
+def _runs_columns(config: ScenarioConfig) -> bool:
+    """Whether ``config``'s trials run as groups of columns
+    (``_column_trials``): every broadcast-only level trial on grid rows
+    (``fleet_coarse_steps`` of 1)."""
+    return (isinstance(config.scheme, Level) and config.scenario is InfoScenario.BROADCAST
+            and fleet_coarse_steps(config) == 1)
+
+
+def _column_group(config: ScenarioConfig, workers: int) -> int:
+    """The trials a group of ``config``'s columns holds (``_column_trials``):
+    as many as keep ``COLUMN_BYTES`` per entry of their chunks within
+    ``CHUNK_BYTES``, at least one, but no more than give each of ``workers``
+    processes a group."""
+    entries = (_chunk_steps(config.n) + 1) * config.n
+    fits = max(1, CHUNK_BYTES // (COLUMN_BYTES * entries))
+    return min(fits, -(-config.trials // workers))
+
+
+def _column_window(config: ScenarioConfig) -> int:
+    """The rows a round of ``_column_events`` gathers per column for
+    ``config``'s trials: about ``WINDOW_GAPS`` expected gaps between an
+    agent's events, but at most a quarter chunk, so that the NaN rows after
+    a block add at most a quarter to the group's buffer."""
+    expected = WINDOW_GAPS * _expected_interevent(config) / config.dt
+    return max(1, min(int(expected), _chunk_steps(config.n) // 4))
+
+
+def _column_trials(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> List[TrialResult]:
+    """Run the trials ``indices`` of a broadcast-only level config on grid
+    rows (``_runs_columns``) as one group, chunk by chunk.
+
+    Each trial draws its chunk from its own stream into its own block of
+    the group's buffer, at the chunk boundaries it has alone, and the
+    blocks turn into running sums (``_running_sum``).  One search then finds
+    the events of every column, a trial's agent, of the chunk
+    (``_column_events``), and an unlogged group's blocks settle in one pass
+    (``_subtract_bases``).  Each trial's fleet takes its events' rewards and
+    tallies through ``_settle``, whose loop settles a logged trial's block
+    itself, and its block's cost.  So a trial's results are the same alone
+    (``run_trial``), in any group and in any process.
+    """
+    n, dt = config.n, config.dt
+    steps_total = config.steps
+    delta = config.scheme.delta
+    chunk = _chunk_steps(n)
+    window = _column_window(config)
+    streams = [NoiseStream(config.seed, i, noise_scale) for i in indices]
+    fleets = [_Fleet.start(config) for _ in streams]
+    elapsed = _grid_time(steps_total, chunk, dt)
+    for fleet in fleets:
+        fleet.acc.elapsed = elapsed
+    settled = not fleets[0].logged  # a logged trial settles in _settle's loop
+    buffer = np.full((len(fleets), chunk + window, n), np.nan)
+    done = 0
+    while done < steps_total:
+        span = min(chunk, steps_total - done)
+        rows = buffer[:, : span + 1]
+        for block, stream, fleet in zip(rows, streams, fleets):
+            block[0] = fleet.e
+            stream.normals((span, n), out=block[1:])
+        if span < chunk:  # a shorter last chunk, once its errors are read
+            buffer[:, span + 1 : span + window] = np.nan
+        rows[:, 1:] *= np.sqrt(dt)
+        _running_sum(rows)
+        col, at = _column_events(buffer, span, delta, window)
+        keys, masks = _event_masks(col, at, span + 1, n)
+        if settled:
+            _subtract_bases(buffer, span + 1, keys, masks)
+        bounds = np.searchsorted(keys, np.arange(len(fleets) + 1) * (span + 1)).tolist()
+        stops = (keys % (span + 1)).tolist()
+        for block, fleet, a, b in zip(rows, fleets, bounds, bounds[1:]):
+            _settle(fleet, block, stops[a:b], masks[a:b], done, settled=settled)
+        # left-endpoint rectangles: x'Lx = e'Le, since L annihilates c*1; each
+        # trial's rows are summed on their own
+        costs = consensus_cost_rows(rows[:, :-1]).sum(axis=1)
+        for block, fleet, cost in zip(rows, fleets, costs.tolist()):
+            fleet.acc.integral_sum += cost * dt
+            fleet.e = block[-1]
+        done += span
+    return [TrialResult(accumulator=fleet.acc, events=fleet.events) for fleet in fleets]
+
+
 def _chunk_steps(n: int) -> int:
     """Grid rows per chunk: ``CHUNK_STEPS``, fewer past the chunk budget."""
     return min(CHUNK_STEPS, max(1, CHUNK_BYTES // (8 * n)))
@@ -1464,16 +1661,20 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
     enough band steps 16 grid steps a row (``2 * MAX_COARSE_STEPS``; from
     ``delta >= 4.0`` at ``dt = 2e-3``), or 8 (``MAX_COARSE_STEPS``; from
     ``delta >= 3.06``) on a narrower one, up to the horizon's last whole
-    coarse step and draws grid points only near the band; a
+    coarse step, whose grid steps it searches as columns
+    (``_column_events``), and draws grid points only near the band; a
     broadcast-plus-local one runs as lanes of renewal cycles
     (``_lane_cycles``) with the same draws, as a group of one
     (``run_trials``), and on lanes of grid steps on a narrower band or in a
     smaller fleet (``_runs_lanes``).  On a broadcast-only level rule's
-    narrower band every row is one grid step and the cost and reward sum
-    its rows, exactly as ``run_trial_reference`` does.
+    narrower band every row is one grid step, the trial runs as a group of
+    one (``_column_trials``), and the cost and reward sum its rows, exactly
+    as ``run_trial_reference`` does.
     """
     if _runs_lanes(config):
         return _lane_cycles(config, [trial_index], noise_scale)[0]
+    if _runs_columns(config):
+        return _column_trials(config, [trial_index], noise_scale)[0]
     n = config.n
     dt = config.dt
     steps_total = config.steps
@@ -1554,7 +1755,11 @@ def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0
                 None if log is None else _Bridges(rows, log, k, dt))
             del bridges
         elif level:
-            stops, masks = _level_events(rows, scheme.delta)
+            # the horizon's last grid steps after the last whole coarse row:
+            # each is one row of one grid step
+            stops, masks = _event_masks(*_column_events(rows[None], span, scheme.delta, 1),
+                                        span + 1, n)
+            stops = stops.tolist()
         _settle(fleet, rows, stops, masks, done, coarse_rows)
         if coarse_rows is None:
             # left-endpoint rectangles: x'Lx = e'Le, since L annihilates c*1

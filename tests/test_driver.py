@@ -97,6 +97,25 @@ def test_unknown_scenario_or_scheme_rejected_at_construction(field, value):
         quiet_config(**{**kw, field: value})
 
 
+@pytest.mark.parametrize("field", ["n", "trials", "seed"])
+def test_bool_is_not_a_count(field):
+    # True is an int to Python, but trials=True must not run one trial
+    kw = dict(n=3, scenario=B, scheme=Level(0.866), horizon=200.0, trials=2, seed=1)
+    with pytest.raises(ValueError, match=f"{'agent count' if field == 'n' else field} must be"):
+        quiet_config(**{**kw, field: True})
+
+
+@pytest.mark.parametrize("workers", [0, -1, 1.5, True, "2", None])
+def test_invalid_workers_rejected_at_once(workers):
+    # run_trials sizes its groups from the workers, and a bad value must
+    # fail there, before any trial or process pool starts: 0 and -1 ran
+    # serially, and 1.5 failed inside ProcessPoolExecutor
+    config = quiet_config(n=3, scenario=B, scheme=Level(0.866), horizon=1.0, trials=2, seed=1)
+    for run in (run_trials, run_batch):
+        with pytest.raises(ValueError, match="workers must be"):
+            run(config, workers=workers)
+
+
 def grid_rows(config):
     """One grid step a row, under either rule."""
     return 1
@@ -543,9 +562,11 @@ def test_dense_settle_matches_the_event_loop(monkeypatch, case, rows):
     # in a block whose every row from the first stop to the last holds an
     # event, _settle writes zeros when each resets every agent, and otherwise
     # subtracts each agent's base at its last reset in slices, in place of
-    # one subtraction per event; a logged fleet settles event by event, so
-    # marking the fleet logged for each call runs the loop on the same
-    # blocks, which must settle to the bit
+    # one subtraction per event; a broadcast-only level group on grid rows
+    # settles its blocks in one pass before _settle (_subtract_bases).  A
+    # logged fleet settles event by event, so marking the fleet logged for
+    # each call, without the group's pass, runs the loop on the same blocks,
+    # which must settle to the bit
     n, scenario, scheme, horizon = DENSE_CASES[case]
     config = quiet_config(n=n, scenario=scenario, scheme=scheme, dt=DT, horizon=horizon,
                           trials=1, seed=31)
@@ -554,21 +575,23 @@ def test_dense_settle_matches_the_event_loop(monkeypatch, case, rows):
     settle = driver._settle
 
     def run(loop):
-        settled, runs, tails = [], [], []
+        blocks, runs, tails = [], [], []
 
-        def recording_settle(fleet, block, stops, masks, done, coarse_rows=None):
+        def recording_settle(fleet, block, stops, masks, done, coarse_rows=None, settled=False):
             if stops:  # a block may end at the horizon before any deadline
                 runs.append((stops[-1] - stops[0] == len(stops) - 1, not np.all(masks)))
                 tails.append(stops[-1] < len(block) - 1)
             fleet.logged = loop
-            settle(fleet, block, stops, masks, done, coarse_rows)
+            settle(fleet, block, stops, masks, done, coarse_rows, settled and not loop)
             fleet.logged = False
-            settled.append(block.copy())
+            blocks.append(block.copy())
 
         with monkeypatch.context() as patch:
             patch.setattr(driver, "_settle", recording_settle)
+            if loop:
+                patch.setattr(driver, "_subtract_bases", lambda *args: None)
             acc = run_trial(config, 0).accumulator
-        return acc, settled, runs, tails
+        return acc, blocks, runs, tails
 
     fast, fast_rows, runs, tails = run(loop=False)
     slow, slow_rows, _, _ = run(loop=True)
@@ -1110,25 +1133,26 @@ def test_chunk_budget_changes_only_rounding(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [3, 20])
 def test_search_window_changes_nothing(monkeypatch, n):
-    # the level search of grid rows only reads the chunk's running sums, so
-    # its window length moves no bit of the events or the tallies
-    config = quiet_config(n=n, scenario=B, scheme=Level(1.0), horizon=20.0, trials=1, seed=19,
-                          record_events=True)
+    # the column search of grid rows only reads the chunk's running sums, and
+    # the NaN rows after a block never reach the band, so the rows a round
+    # gathers per column move no bit of the events or the tallies, logged or
+    # settled in the group's one pass: one row, a few, and past the chunk
+    config, unlogged = (quiet_config(n=n, scenario=B, scheme=Level(1.0), horizon=20.0, trials=1,
+                                     seed=19, record_events=logged) for logged in (True, False))
     assert driver.fleet_coarse_steps(config) == 1
-    default = run_trial(config, 0)
-    monkeypatch.setattr(driver, "LEVEL_LOOKAHEAD", 7)
-    small = run_trial(config, 0)
-    assert len(default.events) > 20
-    for a, b in zip(small.events, default.events, strict=True):
-        assert (a.time, a.initiators, a.consensus_point) == (
-            b.time, b.initiators, b.consensus_point)
-        assert np.array_equal(a.x_pre, b.x_pre) and np.array_equal(a.x_post, b.x_post)
-    a, b = small.accumulator, default.accumulator
-    assert (a.integral_sum, a.elapsed, a.global_event_count) == (
-        b.integral_sum, b.elapsed, b.global_event_count)
-    assert (a.cycles, a.cycle_reward_sum, a.cycle_length_sum) == (
-        b.cycles, b.cycle_reward_sum, b.cycle_length_sum)
-    assert np.array_equal(a.local_event_counts, b.local_event_counts)
+    default = run_trial(config, 0), run_trial(unlogged, 0)
+    assert len(default[0].events) > 20
+    assert 1 < driver._column_window(config) < driver.CHUNK_STEPS
+    for window in (1, 3, 3 * driver.CHUNK_STEPS):
+        monkeypatch.setattr(driver, "_column_window", lambda config: window)
+        logged, settled = run_trial(config, 0), run_trial(unlogged, 0)
+        for a, b in zip(logged.events, default[0].events, strict=True):
+            assert (a.time, a.initiators, a.consensus_point) == (
+                b.time, b.initiators, b.consensus_point)
+            assert np.array_equal(a.x_pre, b.x_pre) and np.array_equal(a.x_post, b.x_post)
+        assert tallies(logged.accumulator) == tallies(default[0].accumulator)
+        assert tallies(settled.accumulator) == tallies(default[1].accumulator)
+        assert tallies(settled.accumulator) == tallies(logged.accumulator)
 
 
 @pytest.mark.parametrize(
@@ -1157,6 +1181,30 @@ def test_trial_memory_stays_near_the_chunk_budget(scenario, scheme, horizon):
     finally:
         tracemalloc.stop()
     assert events > 10
+    assert peak <= 3 * driver.CHUNK_BYTES
+
+
+def test_column_group_memory_stays_near_the_chunk_budget():
+    # broadcast-only level trials on grid rows run in groups as large as
+    # COLUMN_BYTES per entry of their chunks allows within the chunk budget:
+    # the group's blocks, the bases that settle them and its search rounds
+    # must stay within one trial's bound
+    n = 20
+    rows = driver._chunk_steps(n)
+    config = quiet_config(n=n, scenario=B, scheme=Level(0.2), dt=DT, horizon=1.5 * rows * DT,
+                          trials=100, seed=3)
+    size = driver._column_group(config, 1)
+    assert size > 4
+    config = quiet_config(n=n, scenario=B, scheme=Level(0.2), dt=DT, horizon=1.5 * rows * DT,
+                          trials=size, seed=3)
+    tracemalloc.start()
+    try:
+        results = run_trials(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results) == size
+    assert min(r.accumulator.global_event_count for r in results) > 10
     assert peak <= 3 * driver.CHUNK_BYTES
 
 
@@ -1210,6 +1258,15 @@ def lane_config(**kw):
     return quiet_config(**{**LANE_CELL, **kw})
 
 
+# fleet-small's broadcast-only level cell at a short horizon, which runs on
+# grid rows in groups of columns (driver._column_trials)
+GRID_B_CELL = dict(n=3, scenario=B, scheme=Level(math.sqrt(0.75)), dt=DT, horizon=25.0, seed=1)
+
+
+def grid_b_config(**kw):
+    return quiet_config(**{**GRID_B_CELL, **kw})
+
+
 def grid_lane_config(**kw):
     return quiet_config(**{**GRID_LANE_CELL, **kw})
 
@@ -1244,7 +1301,7 @@ def lane_blocks(monkeypatch):
     return blocks
 
 
-def test_trial_identical_alone_or_in_batch(lane_blocks):
+def test_trial_identical_alone_or_in_batch(monkeypatch, lane_blocks):
     config = quiet_config(n=2, scenario=B, scheme=Level(1.0),
                           horizon=100.0, trials=3, seed=11)
     alone = run_trial(config, 2).accumulator.integral_sum
@@ -1273,6 +1330,35 @@ def test_trial_identical_alone_or_in_batch(lane_blocks):
             for part in (trials - 1, 3):
                 batch = cell(trials=part, record_events=record_events, seed=seed)
                 assert [outcome(r) for r in run_trials(batch)] == grouped[:part]
+    # broadcast-only level trials on grid rows run in groups of columns, one
+    # search and one settle pass per chunk over the group, each trial drawing
+    # from its own stream: fleet-small's cell gives the same tallies and
+    # events alone, in its group, in a batch of groups of two whose last is
+    # partial, and in a process pool
+    column_trials = driver._column_trials
+    groups = []
+
+    def recording_trials(config, indices, *args):
+        groups.append(list(indices))
+        return column_trials(config, indices, *args)
+
+    monkeypatch.setattr(driver, "_column_trials", recording_trials)
+    for record_events in (False, True):
+        config = grid_b_config(trials=4, record_events=record_events)
+        groups.clear()
+        grouped = [outcome(r) for r in run_trials(config)]
+        assert groups == [[0, 1, 2, 3]]
+        assert all((events is not None) == record_events for _, events in grouped)
+        assert [outcome(run_trial(config, i)) for i in range(4)] == grouped
+        with monkeypatch.context() as patch:
+            # a chunk budget for groups of two
+            entries = (driver._chunk_steps(3) + 1) * 3
+            patch.setattr(driver, "COLUMN_BYTES", driver.CHUNK_BYTES // (2 * entries))
+            groups.clear()
+            batch = grid_b_config(trials=3, record_events=record_events)
+            assert [outcome(r) for r in run_trials(batch)] == grouped[:3]
+            assert groups == [[0, 1], [2]]
+        assert [outcome(r) for r in run_trials(config, workers=2)] == grouped
 
 
 def test_lane_group_identical_under_sign_flip(lane_blocks):
@@ -1564,10 +1650,12 @@ def test_grid_step_lanes_replay_from_their_draws(n, delta, cycles, trials, spare
 
 
 def test_process_pool_matches_serial_trials():
-    # grid rows run a trial per group; the coarse lane cell's ten trials are
-    # two groups, one per process, and so are the grid-step lane cell's
-    # thirty; n = 3 under broadcast-plus-local information would run lanes,
-    # so the grid rows are broadcast-only
+    # broadcast-only level trials on grid rows run in groups of at most
+    # ceil(trials / workers), so three trials are groups of two and one, a
+    # process each; the coarse lane cell's ten trials are two groups, one per
+    # process, and so are the grid-step lane cell's thirty; n = 3 under
+    # broadcast-plus-local information would run lanes, so the grid rows are
+    # broadcast-only
     for config in (quiet_config(n=3, scenario=B, scheme=Level(1.0), horizon=50.0, trials=3,
                                 seed=13),
                    lane_config(trials=10, record_events=True),
