@@ -25,9 +25,11 @@ over coarse steps, and which ran as lanes, of coarse rows or of grid steps
 (``fleet_coarse_steps`` 1).  ``THREADS``
 (a positive integer, default 1) fans the trials of a batch out over
 processes by groups of trials, at most one process per group and per
-usable CPU: a group is one trial, or, where trials run as lanes of
-renewal cycles, the consecutive trials that share lane blocks, as many
-as the config sets.  Every batch config is made and usage-checked in one
+usable CPU: a group is the consecutive trials that share one chunk loop
+on rows, as many as the chunk budget allows but no more than give each
+process a group, or, where trials run as lanes of renewal cycles, that
+share lane blocks, as many as the config sets.  Every batch config is
+made and usage-checked in one
 place, and ``table1`` and ``sweep-n`` build every
 config before the first batch runs.  Their level thresholds come from
 the closed form ``level_threshold``, and both build their
@@ -200,6 +202,13 @@ def _usage_checked(parser, check, *args, **kwargs):
 
 
 def _scheme_from(args, parser):
+    # a flag the trigger does not use would run a scheme other than the one
+    # the command line, and the manifest, describe
+    unused = {"level": ("period", "offsets"), "periodic-sync": ("delta", "offsets"),
+              "periodic-async": ("delta",)}[args.trigger]
+    for flag in unused:
+        if getattr(args, flag) is not None:
+            parser.error(f"--trigger {args.trigger} does not use --{flag}")
     if args.trigger == "level":
         if args.delta is None:
             parser.error("--trigger level requires --delta")

@@ -17,19 +17,23 @@ broadcast-plus-local).  Costs and triggers read ``e`` alone, so the
 consensus point, the true states ``c + e`` and the estimates ``c`` are
 formed only in trials that log events or a trajectory.
 
-The production path takes the noise in chunks of rows sized from a
-memory budget, drawn straight into one chunk buffer that the whole trial
-reuses, so memory stays bounded at any fleet size.  Per chunk the buffer
+The production path runs a group of consecutive trials, one alone
+included, on rows or on lanes.  On rows (``_row_trials``) the group
+takes the noise in chunks of rows sized from a memory budget, each trial
+drawing its block from its own stream into one buffer that the group
+reuses, so memory stays bounded at any fleet size.  Per chunk each block
 becomes one running sum of the errors (``_running_sum``, which adds two
 agents at once as complex pairs, with ``np.cumsum``'s bits).  The chunk's
-events are found on the raw running sums: a level rule searches each
-agent's rows against its running sum at its last reset
-(``_column_events``), and periodic schedules look up every deadline of
-the chunk at once (``_chunk_deadlines``).  Then ``_settle``, the one event
-protocol, settles them in order, one subtraction per segment between
-events, adds up agent 0's reward per segment and counts the events, and
-one cost pass covers the chunk's left endpoints.  Only chunk boundaries
-move its rounding.  With every row one grid step, the path consumes the noise
+events are found on the raw running sums: periodic schedules look up
+every deadline of the chunk at once, for every trial (``_chunk_deadlines``),
+and a level rule searches each agent's rows against its running sum at
+its last reset (``_column_events``).  An unlogged group whose events
+reset at their rows settles its blocks in one pass (``_zero_fill`` or
+``_subtract_bases``); otherwise ``_settle``, the one event protocol,
+settles them in order, one subtraction per segment between events.  ``_settle`` adds up agent 0's
+reward per segment and counts the events either way, and one cost pass
+covers the chunk's left endpoints.  Only chunk boundaries move its
+rounding.  With every row one grid step, the path consumes the noise
 stream in exactly the same order as the plain per-step loop kept as
 ``run_trial_reference``, which steps, detects triggers and sums costs on
 its own and hands ``_settle`` one event at a time; the test suite
@@ -93,18 +97,14 @@ of their exit steps and the grid level law's cost
 (``costs.grid_level_law``).
 
 Broadcast-only level trials on a narrower band keep one row per grid
-step, and run in groups too (``_column_trials``).  Each agent triggers on
-its own error and an event resets the initiators alone, so each agent of
-each trial, a column, is a walk of its own, reset at the band.  Per chunk
-each trial draws its block from its own stream, one search finds the
-events of every column of the group (``_column_events``), and an unlogged
-group's blocks settle in one pass (``_subtract_bases``), with the bits of
-``_settle``'s loop, which settles a logged trial's block itself; agent
-0's rewards, the tallies and the cost stay per trial.  Trials are
-embarrassingly parallel: each owns a substream keyed by its index, a
-batch runs them in groups of consecutive indices (of one trial each
-unless they run as lanes or as columns), and merges per-trial results in
-fixed index order.
+step.  Each agent triggers on its own error and an event resets the
+initiators alone, so each agent of each trial, a column, is a walk of its
+own, reset at the band, and one search finds the events of every column
+of a group.  Trials are embarrassingly parallel: each owns a substream
+keyed by its index, a batch runs them in groups of consecutive indices,
+on rows or as lanes, and merges per-trial results in fixed index order;
+a trial's results are the same alone (``run_trial``), in any group and in
+any process.
 """
 
 import os
@@ -149,11 +149,11 @@ CHUNK_STEPS = 2048
 # a round of a level search covers about this many expected gaps between an
 # agent's events
 WINDOW_GAPS = 2.0
-# bytes a group of broadcast-only level trials on grid rows holds per entry
-# (row x agent) of its chunk (_column_group): the running sums and the NaN
+# bytes a group of trials on rows holds per entry (row x agent) of its chunk
+# (_row_group): the running sums and, on grid rows of a level rule, the NaN
 # rows after them, the bases that settle them, and the search's hit masks
 # and gathered rows; tracemalloc peaks read 15 to 32 from n = 3 to 1024
-COLUMN_BYTES = 32
+ROW_BYTES = 32
 # lanes of broadcast-plus-local level cycles (_lane_cycles, _lane_shape): a
 # trial's block holds the expected cycles of the horizon left plus
 # LANE_SPARE, a group of trials shares rounds of about LANE_ENTRIES entries
@@ -316,27 +316,22 @@ class TrialResult:
 def run_trials(config: ScenarioConfig, workers: int = 1) -> List[TrialResult]:
     """All trials of a batch, in trial-index order.
 
-    The trials run in groups of consecutive indices.  A config that runs
-    as lanes of renewal cycles groups as many as ``_lane_shape`` sets from
-    the config alone, and each group shares its lane blocks
-    (``_lane_cycles``).  A broadcast-only level config on grid rows groups
-    as many as the chunk budget allows, but no more than give each worker
-    a group (``_column_group``), and each group shares its searches and
-    settle passes (``_column_trials``).  Every other config runs its trials
-    one by one.  Either way a trial's result is ``run_trial``'s, bit for
-    bit.  ``workers``, a positive integer, is checked at once; ``workers >
-    1`` fans the groups out over a process pool of at most ``workers``
-    processes, and never more than there are groups or CPUs this process
-    may run on: a forking pool starts all of its processes at once.
+    The trials run in groups of consecutive indices, each trial drawing
+    from its own stream, so a trial's result is ``run_trial``'s, bit for
+    bit.  A config that runs as lanes of renewal cycles (``_runs_lanes``)
+    groups as many trials as ``_lane_shape`` sets from the config alone,
+    and each group shares its lane blocks (``_lane_cycles``).  Every other
+    config runs on rows, and groups as many trials as the chunk budget
+    allows, but no more than give each worker a group (``_row_group``);
+    each group shares its chunk loop (``_row_trials``).  ``workers``, a
+    positive integer, is checked at once; ``workers > 1`` fans the groups
+    out over a process pool of at most ``workers`` processes, and never
+    more than there are groups or CPUs this process may run on: a forking
+    pool starts all of its processes at once.
     """
     check_count("workers", workers)
     workers = min(workers, _usable_cpus())
-    if _runs_lanes(config):
-        size = _lane_shape(config)[0]
-    elif _runs_columns(config):
-        size = _column_group(config, workers)
-    else:
-        size = 1
+    size = _lane_shape(config)[0] if _runs_lanes(config) else _row_group(config, workers)
     groups = [range(i, min(i + size, config.trials)) for i in range(0, config.trials, size)]
     workers = min(workers, len(groups))
     run = partial(_run_group, config)
@@ -350,12 +345,9 @@ def run_trials(config: ScenarioConfig, workers: int = 1) -> List[TrialResult]:
     return [result for part in parts for result in part]
 
 
-def _run_group(config: ScenarioConfig, indices: range) -> List[TrialResult]:
-    if _runs_lanes(config):
-        return _lane_cycles(config, indices)
-    if _runs_columns(config):
-        return _column_trials(config, indices)
-    return [run_trial(config, i) for i in indices]
+def _run_group(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> List[TrialResult]:
+    run = _lane_cycles if _runs_lanes(config) else _row_trials
+    return run(config, indices, noise_scale)
 
 
 def _usable_cpus() -> int:
@@ -489,25 +481,17 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
     reset (the initiators, or everyone), so the rows from one event up to
     the next are errors once each agent's running sum at its last reset is
     subtracted: one subtraction per segment, in place, which also zeroes the
-    reset errors at the event row.  When nothing is logged and the events
-    reset to their stops' rows, two cases skip the loop, with the same
-    bits.  If every row from the first stop to the last holds an event that
-    resets every agent, as a periodic schedule's deadline rows do, those
-    rows are written as zeros and one subtraction covers the rows after
-    them.  If every such row holds an event but some reset only some
-    agents, as a staggered schedule's do, a running maximum of the reset
-    rows finds each entry's base, per slice of at most 4096 entries, with
-    one subtraction per slice.  Other sparse events keep the loop.
-    ``settled`` rows were settled already, with the loop's bits, by a group
-    of broadcast-only level trials on grid rows in one pass over the group
-    (``_subtract_bases``).  Once the block holds errors, agent 0's renewal
-    reward is formed per segment in one pass: over grid rows it adds up over
-    the segment's left endpoints (the last row's step belongs to the next
-    block), over coarse rows it adds up the rows' ``_row_sums``
+    reset errors at the event row.  A logged trial forms each event's
+    consensus point from ``x = c_prev + e`` and logs the event, in order.
+    ``settled`` rows hold errors already, with this loop's bits: an
+    unlogged group of trials on rows settles its blocks in one pass
+    (``_zero_fill``, ``_subtract_bases``), and the loop is skipped.  Once
+    the block holds errors, agent 0's renewal reward is formed per segment
+    in one pass: over grid rows it adds up over the segment's left
+    endpoints (the last row's step belongs to the next block), over coarse
+    rows it adds up the rows' ``_row_sums``
     (``_CoarseRows.segment_rewards``), and ``_Fleet.tally`` counts the
-    events at once and closes the renewal cycles.  A logged trial forms
-    each event's consensus point from ``x = c_prev + e`` and logs the event,
-    in order.
+    events at once and closes the renewal cycles.
     """
     config = fleet.config
     broadcast_only = config.scenario is InfoScenario.BROADCAST
@@ -518,34 +502,7 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
     else:
         steps, points = (done + coarse_rows.times).tolist(), coarse_rows.points
     span = len(rows) - 1
-    # a run of event rows, settled without the loop when nothing is logged
-    run = (not settled and count and points is None and not fleet.logged
-           and stops[-1] - stops[0] == count - 1)
-    if run and (not broadcast_only or masks.all()):
-        # every row from the first stop to the last is an event that resets
-        # every agent, so each is a segment of its own, which its subtraction
-        # zeroes (x - x is +0.0); the rows after the last stop take its base
-        last = stops[-1]
-        rows[last + 1 :] -= rows[last]
-        rows[stops[0] : last + 1] = 0.0
-    elif run:
-        # every row from the first stop to the last is an event, and some
-        # reset only some agents: per slice, a running maximum of the reset
-        # rows picks each entry's base, the carried one before the slice's
-        # first reset of its agent
-        n = config.n
-        events = rows[stops[0] : stops[-1] + 1]
-        base = np.zeros(n)  # each agent's running sum at its last reset
-        height = max(1, 4096 // n)
-        for a in range(0, count, height):
-            part = events[a : a + height]
-            reset = np.where(masks[a : a + height], np.arange(1, len(part) + 1)[:, None], 0)
-            np.maximum.accumulate(reset, axis=0, out=reset)
-            bases = np.concatenate((base[None], part))[reset, np.arange(n)]
-            part -= bases
-            base = bases[-1]
-        rows[stops[-1] + 1 :] -= base
-    elif not settled:
+    if not settled:
         base = np.zeros(config.n)  # each agent's running sum at its last reset
         start = 0
         for k, stop in enumerate([*stops, span + 1]):
@@ -680,19 +637,29 @@ def _event_masks(col: np.ndarray, at: np.ndarray, length: int, n: int):
     return keys, masks
 
 
+def _zero_fill(rows: np.ndarray, first: int, last: int) -> None:
+    """Settle in place a group's blocks ``rows`` whose rows ``first`` to
+    ``last`` each reset every agent, as synchronous deadline rows do, with
+    the bits of ``_settle``'s loop: a segment of one row is zeroed (``x -
+    x`` is ``+0.0``), and the rows after ``last`` take its base."""
+    rows[:, last + 1 :] -= rows[:, last : last + 1]
+    rows[:, first : last + 1] = 0.0
+
+
 def _subtract_bases(buffer: np.ndarray, length: int, keys: np.ndarray, masks: np.ndarray) -> None:
     """Settle in place a group's running sums, rows 0 to ``length - 1`` of
-    each trial's block in ``buffer``, from the events ``_event_masks`` gives
-    as ``(keys, masks)``: every entry less its agent's running sum at its
-    last event by then, none before the first.  That is the subtraction
-    ``_settle``'s loop makes segment by segment, so every bit stays.
+    each trial's block in ``buffer``, from the events ``(keys, masks)``, as
+    ``_event_masks`` gives them: every entry less its agent's running sum
+    at its last reset by then, none before the first.  That is the
+    subtraction ``_settle``'s loop makes segment by segment, so every bit
+    stays.
 
     Between two of a trial's event rows every agent keeps its base, so the
     segments' bases come from a running maximum of the rows that reset each
     agent, as in ``_settle``, over the events alone, and one ``np.repeat``
     spreads them over the buffer's rows, each trial's first segment from
     zeros and its last over the rows after its block too.  The buffer's
-    rows are taken in slices of ``CHUNK_BYTES / (64 n)``, each a segment
+    rows are taken in slices of ``CHUNK_BYTES / (128 n)``, each a segment
     from its first row that carries the base, so that neither the bases
     nor their spread grow with the block."""
     if not keys.size:
@@ -700,7 +667,7 @@ def _subtract_bases(buffer: np.ndarray, length: int, keys: np.ndarray, masks: np
     trials, height, n = buffer.shape
     # a view, the buffer being C-contiguous: trial g's row r is row g * height + r
     rows = buffer.reshape(-1, n)
-    cuts = np.arange(0, len(rows), max(1, CHUNK_BYTES // (64 * n)))
+    cuts = np.arange(0, len(rows), max(1, CHUNK_BYTES // (128 * n)))
     trial, row = np.divmod(keys, length)
     starts = np.concatenate((cuts, np.arange(trials) * height, trial * height + row))
     order = np.argsort(starts, kind="stable")
@@ -712,13 +679,18 @@ def _subtract_bases(buffer: np.ndarray, length: int, keys: np.ndarray, masks: np
     edges = [*np.flatnonzero(event == -2).tolist(), len(event)]
     base = np.zeros(n)
     for a, b in zip(edges, edges[1:]):
-        values = rows[starts[a:b]]
-        reset = masks[np.maximum(event[a:b], 0)]
-        values[event[a:b] == -1] = 0.0
-        reset[event[a:b] < 0] = (event[a:b] == -1)[event[a:b] < 0, None]
+        kind = event[a:b]
+        # the base carried into the slice, then the rows its segments start at
+        values = np.empty((b - a + 1, n))
+        values[0] = base
+        np.take(rows, starts[a:b], axis=0, out=values[1:])
+        values[1:][kind == -1] = 0.0
+        reset = masks[np.maximum(kind, 0)]
+        reset[kind < 0] = (kind == -1)[kind < 0, None]
         last = np.where(reset, np.arange(1, b - a + 1)[:, None], 0)
         np.maximum.accumulate(last, axis=0, out=last)
-        bases = np.concatenate((base[None], values))[last, np.arange(n)]
+        bases = values[last, np.arange(n)]
+        del values, reset, last  # before the spread, which is as large
         rows[starts[a] : starts[a] + int(counts[a:b].sum())] -= np.repeat(bases, counts[a:b], axis=0)
         base = bases[-1]
 
@@ -1546,85 +1518,171 @@ def _runs_lanes(config: ScenarioConfig) -> bool:
     return isinstance(config.scheme, Level) and config.scenario is InfoScenario.BROADCAST_LOCAL
 
 
-def _runs_columns(config: ScenarioConfig) -> bool:
-    """Whether ``config``'s trials run as groups of columns
-    (``_column_trials``): every broadcast-only level trial on grid rows
-    (``fleet_coarse_steps`` of 1)."""
-    return (isinstance(config.scheme, Level) and config.scenario is InfoScenario.BROADCAST
-            and fleet_coarse_steps(config) == 1)
+def _chunk_rows(config: ScenarioConfig) -> int:
+    """The rows a chunk of ``config``'s trials holds (``_row_trials``): a
+    level rule's chunk may draw every grid point of coarse rows (on a
+    narrow band every entry lies near it), so the budget bounds those, up
+    to ``CHUNK_STEPS`` coarse rows; a periodic rule's rows end at its
+    deadlines, of any phase, at most ``_chunk_steps`` of them, and this
+    estimate sizes its groups, whose buffer grows to the rows it needs."""
+    n, k = config.n, fleet_coarse_steps(config)
+    if isinstance(config.scheme, Level):
+        return max(1, min(CHUNK_STEPS * k, CHUNK_BYTES // (8 * n * k), config.steps // k))
+    phases = len(config.scheme.offsets) or 1
+    return min(_chunk_steps(n), phases * (config.steps // k + 1))
 
 
-def _column_group(config: ScenarioConfig, workers: int) -> int:
-    """The trials a group of ``config``'s columns holds (``_column_trials``):
-    as many as keep ``COLUMN_BYTES`` per entry of their chunks within
-    ``CHUNK_BYTES``, at least one, but no more than give each of ``workers``
-    processes a group."""
-    entries = (_chunk_steps(config.n) + 1) * config.n
-    fits = max(1, CHUNK_BYTES // (COLUMN_BYTES * entries))
+def _row_group(config: ScenarioConfig, workers: int) -> int:
+    """The trials a group on rows holds (``_row_trials``): as many as keep
+    ``ROW_BYTES`` per entry (``_chunk_rows`` times ``n``, every grid point
+    of coarse level rows counted) within ``CHUNK_BYTES``, at least one, but
+    no more than give each of ``workers`` processes a group."""
+    rows = _chunk_rows(config)
+    if isinstance(config.scheme, Level):
+        rows *= fleet_coarse_steps(config)
+    fits = max(1, CHUNK_BYTES // (ROW_BYTES * (rows + 1) * config.n))
     return min(fits, -(-config.trials // workers))
 
 
 def _column_window(config: ScenarioConfig) -> int:
     """The rows a round of ``_column_events`` gathers per column for
-    ``config``'s trials: about ``WINDOW_GAPS`` expected gaps between an
-    agent's events, but at most a quarter chunk, so that the NaN rows after
-    a block add at most a quarter to the group's buffer."""
+    ``config``'s trials on grid rows: about ``WINDOW_GAPS`` expected gaps
+    between an agent's events, but at most a quarter chunk, so that the NaN
+    rows after a block add at most a quarter to the group's buffer."""
     expected = WINDOW_GAPS * _expected_interevent(config) / config.dt
     return max(1, min(int(expected), _chunk_steps(config.n) // 4))
 
 
-def _column_trials(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> List[TrialResult]:
-    """Run the trials ``indices`` of a broadcast-only level config on grid
-    rows (``_runs_columns``) as one group, chunk by chunk.
-
-    Each trial draws its chunk from its own stream into its own block of
-    the group's buffer, at the chunk boundaries it has alone, and the
-    blocks turn into running sums (``_running_sum``).  One search then finds
-    the events of every column, a trial's agent, of the chunk
-    (``_column_events``), and an unlogged group's blocks settle in one pass
-    (``_subtract_bases``).  Each trial's fleet takes its events' rewards and
-    tallies through ``_settle``, whose loop settles a logged trial's block
-    itself, and its block's cost.  So a trial's results are the same alone
-    (``run_trial``), in any group and in any process.
-    """
-    n, dt = config.n, config.dt
-    steps_total = config.steps
-    delta = config.scheme.delta
+def _row_trials(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> List[TrialResult]:
+    """Run the trials ``indices`` of a config that runs on rows (every
+    config but ``_runs_lanes``'s) as one group, chunk by chunk, at chunk
+    boundaries that depend on the config alone.  Each trial draws its
+    block from its own stream; the events come from one deadline lookup
+    under a periodic rule (``_chunk_deadlines``), one search over the
+    group's columns on grid rows of a level rule (``_column_events``), or
+    each trial's own search on coarse level rows (``_coarse_level_events``,
+    ``_event_rows``, whose resets ``_settle``'s loop makes).  An unlogged
+    group whose events reset at their rows settles at once (``_zero_fill``
+    or ``_subtract_bases``); rewards, tallies (``_settle``) and the cost
+    stay per trial, so a trial's results are the same in any group."""
+    n, dt, scheme = config.n, config.dt, config.scheme
+    level = isinstance(scheme, Level)
+    coarse = fleet_coarse_steps(config)
     chunk = _chunk_steps(n)
-    window = _column_window(config)
+    step_var = noise_scale**2 * dt
     streams = [NoiseStream(config.seed, i, noise_scale) for i in indices]
     fleets = [_Fleet.start(config) for _ in streams]
-    elapsed = _grid_time(steps_total, chunk, dt)
+    elapsed = _grid_time(config.steps, chunk, dt)
     for fleet in fleets:
         fleet.acc.elapsed = elapsed
-    settled = not fleets[0].logged  # a logged trial settles in _settle's loop
-    buffer = np.full((len(fleets), chunk + window, n), np.nan)
-    done = 0
-    while done < steps_total:
-        span = min(chunk, steps_total - done)
-        rows = buffer[:, : span + 1]
-        for block, stream, fleet in zip(rows, streams, fleets):
-            block[0] = fleet.e
+    logged = fleets[0].logged
+    group = len(fleets)
+    # the rows a round of the column search gathers, the NaN rows after a
+    # block one fewer
+    window = _column_window(config) if level and coarse == 1 else 1
+    if level:
+        delta = scheme.delta
+        capacity = _chunk_rows(config)
+        far = coarse_far(delta, dt, coarse, crossing=False)
+        gaps = max(1, int(WINDOW_GAPS * _expected_interevent(config) / (coarse * dt)))
+        # the log's own points (_event_points)
+        logs = [stream.child(0) for stream in streams] if logged and coarse > 1 else None
+    else:
+        # without offsets there is one phase, which every agent shares
+        offsets = _phase_offsets(scheme, 1)
+        fire_counts = _first_counts(offsets, dt)
+        # grid steps whose deadlines a chunk looks up: room for a chunk of
+        # coarse rows, but at most CHUNK_BYTES / 8 grid steps over all phases
+        # once there are many, which bounds the counter values looked up, and
+        # at least one coarse step and one grid step more, the longest gap
+        # between two deadlines of a phase, so that every lookup holds one
+        reach = max(coarse + 1, min(coarse * chunk, max(chunk, CHUNK_BYTES // (8 * len(offsets)))))
+
+    buffer = np.empty(0)  # grown to the rows a chunk needs
+    e = np.zeros((group, n))  # each trial's errors at step done
+    done = 0  # completed steps
+    while done < config.steps:
+        left = config.steps - done
+        if level:
+            # coarse rows up to the horizon's last whole one, grid steps after it
+            k = coarse if left >= coarse else 1
+            span = min(capacity, left // k)
+        else:
+            grid = min(reach, left)
+            stops, masks = _chunk_deadlines(fire_counts, offsets, scheme.period, dt, done, grid,
+                                            chunk)
+            span, k = grid, 1
+            if coarse > 1:
+                # the rows end at the stops, and the trial's last chunk has
+                # one more to its end
+                ends = np.concatenate(([0], stops))
+                if ends[-1] < grid and grid == left and len(stops) < chunk:
+                    ends = np.append(ends, grid)
+                span = len(ends) - 1
+                k = np.diff(ends).astype(float)[:, None]
+        # view[g, r] follows trial g's errors to the end of row r without
+        # resets: row 0 holds the current errors, each later row adds a
+        # step; coarse rows keep their increments z after the buffer's rows
+        size = group * (span + window) * n
+        need = size + group * span * n if coarse > 1 else size
+        if buffer.size < need:
+            buffer = np.empty(need)
+        view = buffer[:size].reshape(group, span + window, n)
+        rows = view[:, : span + 1]
+        rows[:, 0] = e
+        for block, stream in zip(rows, streams):
             stream.normals((span, n), out=block[1:])
-        if span < chunk:  # a shorter last chunk, once its errors are read
-            buffer[:, span + 1 : span + window] = np.nan
-        rows[:, 1:] *= np.sqrt(dt)
+        view[:, span + 1 :] = np.nan
+        rows[:, 1:] *= np.sqrt(k * dt)  # a row of k grid steps
+        if coarse > 1:
+            z = buffer[size : size + group * span * n].reshape(group, span, n)
+            np.copyto(z, rows[:, 1:])
         _running_sum(rows)
-        col, at = _column_events(buffer, span, delta, window)
-        keys, masks = _event_masks(col, at, span + 1, n)
-        if settled:
-            _subtract_bases(buffer, span + 1, keys, masks)
-        bounds = np.searchsorted(keys, np.arange(len(fleets) + 1) * (span + 1)).tolist()
-        stops = (keys % (span + 1)).tolist()
-        for block, fleet, a, b in zip(rows, fleets, bounds, bounds[1:]):
-            _settle(fleet, block, stops[a:b], masks[a:b], done, settled=settled)
-        # left-endpoint rectangles: x'Lx = e'Le, since L annihilates c*1; each
-        # trial's rows are summed on their own
-        costs = consensus_cost_rows(rows[:, :-1]).sum(axis=1)
-        for block, fleet, cost in zip(rows, fleets, costs.tolist()):
+        # coarse level rows reset at the points the search drew, and the few
+        # grid rows after the last whole one settle sooner in _settle's loop
+        settled = not logged and not (level and coarse > 1)
+        if level and k > 1:
+            parts = []
+            for g, block in enumerate(rows):
+                bridges = _Bridges(block, streams[g], k, dt)
+                times, masks, resets = _coarse_level_events(bridges, delta, far, k, gaps)
+                log = None if logs is None else _Bridges(block, logs[g], k, dt)
+                parts.append((*_event_rows(bridges, z[g], times, resets, step_var, log), masks))
+            del bridges, log
+        elif level:
+            keys, masks = _event_masks(*_column_events(view, span, delta, window), span + 1, n)
+            if settled:
+                _subtract_bases(view, span + 1, keys, masks)
+            bounds = np.searchsorted(keys, np.arange(group + 1) * (span + 1)).tolist()
+            stops = (keys % (span + 1)).tolist()
+            parts = [(stops[a:b], None, masks[a:b]) for a, b in zip(bounds, bounds[1:])]
+        else:
+            count = len(stops)
+            masks = np.broadcast_to(masks, (count, n))
+            times = stops
+            if coarse > 1:
+                stops = np.arange(1, count + 1)
+            if settled and count and stops[-1] - stops[0] == count - 1 and masks.all():
+                _zero_fill(rows, stops[0], stops[-1])
+            elif settled:
+                keys = (np.arange(group)[:, None] * (span + 1) + stops).reshape(-1)
+                _subtract_bases(view, span + 1, keys, np.tile(masks, (group, 1)))
+            stops = stops.tolist()
+            parts = [(stops, _CoarseRows(ends, z[g], step_var, times) if coarse > 1 else None,
+                      masks) for g in range(group)]
+        for fleet, block, (stops, coarse_rows, masks) in zip(fleets, rows, parts):
+            _settle(fleet, block, stops, masks, done, coarse_rows, settled)
+        if parts[0][1] is None:
+            # left-endpoint rectangles: x'Lx = e'Le, since L annihilates c*1;
+            # each trial's rows are summed on their own
+            costs = consensus_cost_rows(rows[:, :-1]).sum(axis=1).tolist()
+            done += span
+        else:
+            costs = [coarse_rows.cost(block) for block, (_, coarse_rows, _) in zip(rows, parts)]
+            done += int(parts[0][1].ends[-1])
+        for fleet, cost in zip(fleets, costs):
             fleet.acc.integral_sum += cost * dt
-            fleet.e = block[-1]
-        done += span
+        e[:] = rows[:, -1]
     return [TrialResult(accumulator=fleet.acc, events=fleet.events) for fleet in fleets]
 
 
@@ -1645,132 +1703,17 @@ def _grid_time(steps: int, chunk: int, dt: float) -> float:
 
 
 def run_trial(config: ScenarioConfig, trial_index: int, noise_scale: float = 1.0) -> TrialResult:
-    """Simulate one trial, deterministic in ``(config, trial_index)``.
+    """Simulate one trial, deterministic in ``(config, trial_index)``: a
+    group of one, as lanes of renewal cycles (``_lane_cycles``,
+    ``_runs_lanes``) or on rows (``_row_trials``), whose result is the one
+    the trial gets in any group.  ``fleet_coarse_steps`` gives the grid
+    steps a row covers; on rows of one grid step a trial on rows follows
+    the per-step reference (``run_trial_reference``) pathwise.
 
     ``noise_scale`` is a diagnostic multiplier on the driving noise
     (-1 flips its sign, 0 silences it).
-
-    Under a periodic rule (``fleet_coarse_steps``) a chunk's rows end at
-    its first deadlines, of any phase, and the trial's last chunk has one
-    more row to its end; a chunk looks up deadlines over at least one grid
-    step more than the period, so the lookup always holds one.  A row of
-    ``k`` grid steps takes one ``N(0, k dt)`` draw per agent; the cost and
-    agent 0's reward over its grid points are their expectations given its
-    endpoints (``_bridge_sums``).  Event times, cycle lengths and the
-    elapsed time stay in grid steps.  A broadcast-only level rule on a wide
-    enough band steps 16 grid steps a row (``2 * MAX_COARSE_STEPS``; from
-    ``delta >= 4.0`` at ``dt = 2e-3``), or 8 (``MAX_COARSE_STEPS``; from
-    ``delta >= 3.06``) on a narrower one, up to the horizon's last whole
-    coarse step, whose grid steps it searches as columns
-    (``_column_events``), and draws grid points only near the band; a
-    broadcast-plus-local one runs as lanes of renewal cycles
-    (``_lane_cycles``) with the same draws, as a group of one
-    (``run_trials``), and on lanes of grid steps on a narrower band or in a
-    smaller fleet (``_runs_lanes``).  On a broadcast-only level rule's
-    narrower band every row is one grid step, the trial runs as a group of
-    one (``_column_trials``), and the cost and reward sum its rows, exactly
-    as ``run_trial_reference`` does.
     """
-    if _runs_lanes(config):
-        return _lane_cycles(config, [trial_index], noise_scale)[0]
-    if _runs_columns(config):
-        return _column_trials(config, [trial_index], noise_scale)[0]
-    n = config.n
-    dt = config.dt
-    steps_total = config.steps
-    scheme = config.scheme
-    level = isinstance(scheme, Level)
-    coarse = fleet_coarse_steps(config)
-    chunk = _chunk_steps(n)
-    if level:
-        far = coarse_far(scheme.delta, dt, coarse, crossing=False)
-        window = max(1, int(WINDOW_GAPS * _expected_interevent(config) / (coarse * dt)))
-    else:
-        # without offsets there is one phase, which every agent shares
-        offsets = _phase_offsets(scheme, 1)
-        fire_counts = _first_counts(offsets, dt)
-        # grid steps whose deadlines a chunk looks up: room for a chunk of
-        # coarse rows, but at most CHUNK_BYTES / 8 grid steps over all phases
-        # once there are many, which bounds the counter values looked up, and
-        # at least one coarse step and one grid step more, the longest gap
-        # between two deadlines of a phase, so that every lookup holds one
-        reach = max(coarse + 1, min(coarse * chunk, max(chunk, CHUNK_BYTES // (8 * len(offsets)))))
-
-    # rows per chunk: a chunk of coarse level rows may draw every grid point
-    # of its rows (on a narrow band every entry lies near it), so the budget
-    # bounds those; small fleets get up to CHUNK_STEPS coarse rows of grid
-    # steps each
-    capacity = (max(1, min(CHUNK_STEPS * coarse, CHUNK_BYTES // (8 * n * coarse),
-                           config.steps // coarse))
-                if level and coarse > 1 else chunk)
-
-    stream = NoiseStream(config.seed, trial_index, noise_scale)
-    fleet = _Fleet.start(config)
-    acc = fleet.acc
-    acc.elapsed = _grid_time(steps_total, chunk, dt)
-    log = stream.child(0) if fleet.logged and level and coarse > 1 else None  # _event_points
-
-    # rows[k] follows the errors to the end of row k without resets: row 0
-    # holds the current errors, each later row adds a step
-    buffer = np.empty((capacity + 1, n))
-    increments = np.empty((capacity, n)) if coarse > 1 else None
-    coarse_rows = None  # the chunk's coarse steps, unless its rows are grid steps
-    done = 0  # completed steps; fleet.e holds the errors at time done*dt
-    while done < steps_total:
-        left = steps_total - done
-        if level:
-            # coarse rows up to the horizon's last whole one, grid steps after it
-            k = coarse if left >= coarse else 1
-            span = min(capacity, left // k)
-            coarse_rows = None  # until the chunk's events are known
-        else:
-            grid = min(reach, left)
-            stops, masks = _chunk_deadlines(fire_counts, offsets, scheme.period, dt, done, grid,
-                                            chunk)
-            span, k = grid, 1
-            if coarse > 1:
-                # the rows end at the stops, and the trial's last chunk has
-                # one more to its end
-                ends = np.concatenate(([0], stops))
-                if ends[-1] < grid and grid == left and len(stops) < chunk:
-                    ends = np.append(ends, grid)
-                span = len(ends) - 1
-                coarse_rows = _CoarseRows(ends, increments[:span], noise_scale**2 * dt, stops)
-                k = coarse_rows.k[:, None]
-                stops = np.arange(1, len(stops) + 1)
-            stops = stops.tolist()
-            masks = np.broadcast_to(masks, (len(stops), n))
-        rows = buffer[: span + 1]
-        rows[0] = fleet.e
-        noise = stream.normals((span, n), out=rows[1:])
-        noise *= np.sqrt(k * dt)  # a row of k grid steps
-        if increments is not None:
-            np.copyto(increments[:span], noise)
-        _running_sum(rows)
-        if level and k > 1:
-            bridges = _Bridges(rows, stream, k, dt)
-            times, masks, resets = _coarse_level_events(bridges, scheme.delta, far, k, window)
-            stops, coarse_rows = _event_rows(
-                bridges, increments[:span], times, resets, noise_scale**2 * dt,
-                None if log is None else _Bridges(rows, log, k, dt))
-            del bridges
-        elif level:
-            # the horizon's last grid steps after the last whole coarse row:
-            # each is one row of one grid step
-            stops, masks = _event_masks(*_column_events(rows[None], span, scheme.delta, 1),
-                                        span + 1, n)
-            stops = stops.tolist()
-        _settle(fleet, rows, stops, masks, done, coarse_rows)
-        if coarse_rows is None:
-            # left-endpoint rectangles: x'Lx = e'Le, since L annihilates c*1
-            acc.integral_sum += float(consensus_cost_rows(rows[:-1]).sum()) * dt
-            done += span
-        else:
-            acc.integral_sum += coarse_rows.cost(rows) * dt
-            done += int(coarse_rows.ends[-1])
-        fleet.e = rows[-1]
-
-    return TrialResult(accumulator=acc, events=fleet.events)
+    return _run_group(config, [trial_index], noise_scale)[0]
 
 
 # ---------------------------------------------------------------------------

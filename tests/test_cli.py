@@ -139,6 +139,24 @@ def test_simulate_repeats_byte_identically(tmp_path):
     pytest.param(["sweep-n", "--target-t", "nan"], "target period must be finite, got nan",
                  id="sweep-n-target-t-nan"),
     pytest.param(["table1", "--dt", "nan"], "dt must be finite, got nan", id="table1-dt-nan"),
+    # a scheme flag the trigger does not use would run another scheme than
+    # the command line and its manifest describe
+    pytest.param(["simulate", "--trigger", "periodic-sync", "--period", "0.75",
+                  "--offsets", "0.1,0.2,0.3"], "--trigger periodic-sync does not use --offsets",
+                 id="simulate-sync-offsets"),
+    pytest.param(["simulate", "--trigger", "periodic-sync", "--period", "0.75", "--delta", "1"],
+                 "--trigger periodic-sync does not use --delta", id="simulate-sync-delta"),
+    pytest.param(["simulate", "--trigger", "periodic-async", "--period", "0.75", "--delta", "1"],
+                 "--trigger periodic-async does not use --delta", id="simulate-async-delta"),
+    pytest.param(["simulate", "--trigger", "level", "--delta", "1", "--period", "0.5"],
+                 "--trigger level does not use --period", id="simulate-level-period"),
+    pytest.param(["simulate", "--trigger", "level", "--delta", "1", "--offsets", "0.1"],
+                 "--trigger level does not use --offsets", id="simulate-level-offsets"),
+    pytest.param(["trajectory", "--trigger", "level", "--delta", "1", "--period", "0.5"],
+                 "--trigger level does not use --period", id="trajectory-level-period"),
+    pytest.param(["trajectory", "--trigger", "periodic-sync", "--period", "0.5",
+                  "--offsets", "0.1,0.2,0.3"], "--trigger periodic-sync does not use --offsets",
+                 id="trajectory-sync-offsets"),
     # trajectory runs one trial over --duration, so it takes neither flag
     pytest.param(["trajectory", "--horizon", "5"], "unrecognized arguments: --horizon 5",
                  id="trajectory-horizon"),

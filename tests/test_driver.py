@@ -3,6 +3,7 @@ import pickle
 import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -546,10 +547,10 @@ DENSE_CASES = {
     "horizon-between-deadlines": (4, BL, Periodic(0.25), 12.1),
     "staggered-b": (4, B, Periodic(0.75, staggered_offsets(4, 0.75)), 12.0),
     # a deadline on every step, each agent's on every other one: runs of
-    # 2048 rows, two slices of 4096 entries
+    # 2048 rows of partial resets
     "staggered-every-step-b": (4, B, Periodic(2 * DT, staggered_offsets(4, 2 * DT)), 12.0),
-    # more phases than a slice has rows, so a slice leaves agents unreset and
-    # carries their bases through
+    # more phases than a slice has rows (one row under 5-row chunks), so a
+    # slice leaves agents unreset and carries their bases through
     "staggered-many-phases-b": (80, B, Periodic(0.75, staggered_offsets(80, 0.75)), 3.0),
     # events on most rows; short chunks hold runs of them
     "level-b": (4, B, Level(1.5 * math.sqrt(DT)), 12.0),
@@ -559,14 +560,13 @@ DENSE_CASES = {
 @pytest.mark.parametrize("rows", [None, 5], ids=["default-chunk", "5-row-chunks"])
 @pytest.mark.parametrize("case", list(DENSE_CASES))
 def test_dense_settle_matches_the_event_loop(monkeypatch, case, rows):
-    # in a block whose every row from the first stop to the last holds an
-    # event, _settle writes zeros when each resets every agent, and otherwise
-    # subtracts each agent's base at its last reset in slices, in place of
-    # one subtraction per event; a broadcast-only level group on grid rows
-    # settles its blocks in one pass before _settle (_subtract_bases).  A
-    # logged fleet settles event by event, so marking the fleet logged for
-    # each call, without the group's pass, runs the loop on the same blocks,
-    # which must settle to the bit
+    # an unlogged group on rows settles its blocks before _settle: zeros
+    # where every row from the first stop to the last holds an event that
+    # resets every agent (_zero_fill), and otherwise each agent's base at
+    # its last reset in one pass (_subtract_bases), in place of one
+    # subtraction per event.  A logged fleet settles event by event, so
+    # marking the fleet logged for each call, without the group's pass,
+    # runs the loop on the same blocks, which must settle to the bit
     n, scenario, scheme, horizon = DENSE_CASES[case]
     config = quiet_config(n=n, scenario=scenario, scheme=scheme, dt=DT, horizon=horizon,
                           trials=1, seed=31)
@@ -590,6 +590,7 @@ def test_dense_settle_matches_the_event_loop(monkeypatch, case, rows):
             patch.setattr(driver, "_settle", recording_settle)
             if loop:
                 patch.setattr(driver, "_subtract_bases", lambda *args: None)
+                patch.setattr(driver, "_zero_fill", lambda *args: None)
             acc = run_trial(config, 0).accumulator
         return acc, blocks, runs, tails
 
@@ -610,56 +611,93 @@ def test_dense_settle_matches_the_event_loop(monkeypatch, case, rows):
         assert tails[-1]  # one chunk, whose rows end at the horizon after its last stop
 
 
-def random_block(rng):
-    """``(n, scenario, rows, stops, masks, done)``: a random block for
-    ``_settle``, a run of stops or sparse ones, with full or partial masks,
-    up to 5000 agents, beyond a slice's 4096 entries in one row."""
+def random_group(rng):
+    """``(n, scenario, rows, span, stops, masks, done)``: a random group of
+    one to four blocks of running sums for a group's settle, ``rows[g]``
+    block ``g``, rows 0 to ``span``, and up to three NaN rows after it, as on grid rows of a level
+    rule, with per block a run of stops or sparse ones, with full or
+    partial masks, up to 5000 agents; every block shares one run of stops
+    at times, as a deadline lookup's blocks do."""
     n = int(rng.choice([rng.integers(1, 9), rng.integers(9, 200), rng.integers(4000, 5001)]))
     span = int(rng.integers(1, max(2, min(600, 30_000 // n))))
-    if rng.random() < 0.5:
-        first = int(rng.integers(0, span + 1))
-        stops = list(range(first, int(rng.integers(first, span + 1)) + 1))
-    else:
-        count = int(rng.integers(0, span + 2) * rng.random())
-        stops = np.sort(rng.choice(span + 1, size=count, replace=False)).tolist()
-    count = len(stops)
-    if rng.random() < 0.5:
-        masks = np.ones((count, n), dtype=bool)
-    else:
-        masks = rng.random((count, n)) < rng.uniform(0.05, 0.95)
-        masks[np.arange(count), rng.integers(0, n, count)] = True  # an initiator per event
-    rows = np.cumsum(rng.normal(size=(span + 1, n)), axis=0)
-    return n, rng.choice([B, BL]), rows, stops, masks, int(rng.integers(8, 10**6))
+    group = int(rng.integers(1, 5))
+    stops, masks = [], []
+    for g in range(group):
+        if g and rng.random() < 0.3:  # the stops and masks of the block before
+            stops.append(stops[-1])
+            masks.append(masks[-1])
+            continue
+        if rng.random() < 0.5:
+            first = int(rng.integers(0, span + 1))
+            stops.append(list(range(first, int(rng.integers(first, span + 1)) + 1)))
+        else:
+            count = int(rng.integers(0, span + 2) * rng.random())
+            stops.append(np.sort(rng.choice(span + 1, size=count, replace=False)).tolist())
+        count = len(stops[-1])
+        if rng.random() < 0.5:
+            masks.append(np.ones((count, n), dtype=bool))
+        else:
+            mask = rng.random((count, n)) < rng.uniform(0.05, 0.95)
+            mask[np.arange(count), rng.integers(0, n, count)] = True  # an initiator per event
+            masks.append(mask)
+    rows = np.full((group, span + 1 + int(rng.integers(0, 4)), n), np.nan)
+    rows[:, : span + 1] = np.cumsum(rng.normal(size=(group, span + 1, n)), axis=1)
+    return n, rng.choice([B, BL]), rows, span, stops, masks, int(rng.integers(8, 10**6))
 
 
-def test_settle_matches_its_event_loop_on_random_blocks():
-    # unlogged, _settle zeroes runs of rows or subtracts in slices; a logged
-    # fleet settles event by event through the loop: every row and every
-    # tally, the open cycle's too, must agree
+def test_settle_matches_its_event_loop_on_random_blocks(monkeypatch):
+    # an unlogged group settles its blocks before _settle: in zeros when
+    # every block's rows from its first stop to its last, the same in every
+    # block, each reset every agent (_zero_fill), else in one pass
+    # (_subtract_bases), at times in slices of one row; a logged fleet
+    # settles each block event by event through _settle's loop.  Every row
+    # and every tally, the open cycle's too, must agree, and the NaN rows
+    # after a block stay NaN
     rng = np.random.default_rng(2024)
     seen = set()
-    for _ in range(500):
-        n, scenario, rows, stops, masks, done = random_block(rng)
+    for _ in range(400):
+        n, scenario, rows, span, stops, masks, done = random_group(rng)
+        group = len(stops)
         config = quiet_config(n=n, scenario=scenario, scheme=Level(1.0), trials=1)
-        settled = []
-        for logged in (False, True):
-            fleet = driver._Fleet.start(config)
-            fleet.logged = logged
-            fleet.cycle_reward, fleet.cycle_start = 0.25, done - 7
-            block = rows.copy()
-            driver._settle(fleet, block, stops, masks, done)
-            settled.append((block.tobytes(), tallies(fleet.acc), fleet.cycle_reward,
-                            fleet.cycle_start))
-        assert settled[0] == settled[1]
-        count = len(stops)
-        if not count:
-            continue
-        resets_all = scenario is BL or masks.all()
-        if stops[-1] - stops[0] == count - 1:
-            seen.add("zeros" if resets_all else "slices of one row" if n > 4096 else "slices")
-        else:
-            seen.add("loop")
-    assert seen == {"zeros", "slices", "slices of one row", "loop"}
+        # an event resets its initiators under broadcast-only, everyone else
+        resets = [m if scenario is B else np.ones_like(m) for m in masks]
+        run = (all(s == stops[0] for s in stops) and stops[0]
+               and stops[0][-1] - stops[0][0] == len(stops[0]) - 1
+               and all(r.all() for r in resets))
+        one_row = rng.random() < 0.25
+        fast = rows.copy()
+        with monkeypatch.context() as patch:
+            if one_row:
+                patch.setattr(driver, "CHUNK_BYTES", 128 * n)
+            if run:
+                driver._zero_fill(fast[:, : span + 1], stops[0][0], stops[0][-1])
+            else:
+                keys = np.concatenate([g * (span + 1) + np.array(s, dtype=np.int64)
+                                       for g, s in enumerate(stops)])
+                driver._subtract_bases(fast, span + 1, keys, np.concatenate(resets))
+        assert np.isnan(fast[:, span + 1 :]).all()
+        for g in range(group):
+            settled = []
+            for logged, block in ((False, fast[g, : span + 1]), (True, rows[g, : span + 1].copy())):
+                fleet = driver._Fleet.start(config)
+                fleet.logged = logged
+                fleet.cycle_reward, fleet.cycle_start = 0.25, done - 7
+                driver._settle(fleet, block, stops[g], masks[g], done, settled=not logged)
+                settled.append((block.tobytes(), tallies(fleet.acc), fleet.cycle_reward,
+                                fleet.cycle_start))
+            assert settled[0] == settled[1]
+        if run:
+            seen.add("zeros")
+        elif any(stops):
+            partly = any(not r.all() for r in resets)
+            runs = any(s and s[-1] - s[0] == len(s) - 1 for s in stops)
+            seen.add(("runs" if runs else "sparse") + (" partial" if partly else " full"))
+            if one_row and span > 1:
+                seen.add("slices of one row")
+            if group > 1:
+                seen.add("groups")
+    assert seen == {"zeros", "runs partial", "runs full", "sparse partial", "sparse full",
+                    "slices of one row", "groups"}
 
 
 @pytest.mark.parametrize("n", [3, 20])
@@ -1186,14 +1224,14 @@ def test_trial_memory_stays_near_the_chunk_budget(scenario, scheme, horizon):
 
 def test_column_group_memory_stays_near_the_chunk_budget():
     # broadcast-only level trials on grid rows run in groups as large as
-    # COLUMN_BYTES per entry of their chunks allows within the chunk budget:
+    # ROW_BYTES per entry of their chunks allows within the chunk budget:
     # the group's blocks, the bases that settle them and its search rounds
     # must stay within one trial's bound
     n = 20
     rows = driver._chunk_steps(n)
     config = quiet_config(n=n, scenario=B, scheme=Level(0.2), dt=DT, horizon=1.5 * rows * DT,
                           trials=100, seed=3)
-    size = driver._column_group(config, 1)
+    size = driver._row_group(config, 1)
     assert size > 4
     config = quiet_config(n=n, scenario=B, scheme=Level(0.2), dt=DT, horizon=1.5 * rows * DT,
                           trials=size, seed=3)
@@ -1205,6 +1243,32 @@ def test_column_group_memory_stays_near_the_chunk_budget():
         tracemalloc.stop()
     assert len(results) == size
     assert min(r.accumulator.global_event_count for r in results) > 10
+    assert peak <= 3 * driver.CHUNK_BYTES
+
+
+def test_periodic_group_memory_stays_near_the_chunk_budget():
+    # periodic trials on rows run in groups as large as ROW_BYTES per entry
+    # of their chunks allows too: a staggered schedule of twenty phases puts
+    # a deadline on most grid steps, so a chunk holds as many rows as a
+    # chunk of grid steps, and the group's blocks, increments and one
+    # settle pass over its partial resets must stay within one trial's bound
+    n = 20
+    rows = driver._chunk_steps(n)
+    scheme = Periodic(0.05, staggered_offsets(n, 0.05))
+    config = quiet_config(n=n, scenario=B, scheme=scheme, dt=DT, horizon=1.5 * rows * DT,
+                          trials=100, seed=3)
+    assert driver.fleet_coarse_steps(config) > 1
+    size = driver._row_group(config, 1)
+    assert size > 4
+    config = replace(config, trials=size)
+    tracemalloc.start()
+    try:
+        results = run_trials(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results) == size
+    assert min(r.accumulator.global_event_count for r in results) > rows
     assert peak <= 3 * driver.CHUNK_BYTES
 
 
@@ -1259,8 +1323,18 @@ def lane_config(**kw):
 
 
 # fleet-small's broadcast-only level cell at a short horizon, which runs on
-# grid rows in groups of columns (driver._column_trials)
+# grid rows in groups, one column search over the group per chunk
+# (driver._row_trials)
 GRID_B_CELL = dict(n=3, scenario=B, scheme=Level(math.sqrt(0.75)), dt=DT, horizon=25.0, seed=1)
+# periodic cells on rows, whose groups share one deadline lookup per chunk:
+# synchronous and staggered under broadcast-only information, and
+# synchronous under broadcast-plus-local
+PERIODIC_CELLS = {
+    "sync-b": dict(n=3, scenario=B, scheme=Periodic(0.75), dt=DT, horizon=25.0, seed=1),
+    "staggered-b": dict(n=3, scenario=B, scheme=Periodic(0.75, staggered_offsets(3, 0.75)),
+                        dt=DT, horizon=25.0, seed=1),
+    "sync-bl": dict(n=3, scenario=BL, scheme=Periodic(0.25), dt=DT, horizon=25.0, seed=1),
+}
 
 
 def grid_b_config(**kw):
@@ -1330,35 +1404,45 @@ def test_trial_identical_alone_or_in_batch(monkeypatch, lane_blocks):
             for part in (trials - 1, 3):
                 batch = cell(trials=part, record_events=record_events, seed=seed)
                 assert [outcome(r) for r in run_trials(batch)] == grouped[:part]
-    # broadcast-only level trials on grid rows run in groups of columns, one
-    # search and one settle pass per chunk over the group, each trial drawing
-    # from its own stream: fleet-small's cell gives the same tallies and
-    # events alone, in its group, in a batch of groups of two whose last is
-    # partial, and in a process pool
-    column_trials = driver._column_trials
+    # every other trial runs on rows in groups, one chunk loop over the
+    # group, each trial drawing from its own stream: broadcast-only level
+    # trials on grid rows share one column search and one settle pass per
+    # chunk, and periodic ones one deadline lookup and one settle pass, on
+    # coarse rows and on grid rows alike.  Each cell gives the same tallies
+    # and events alone, in its group, in a batch of groups of two whose last
+    # is partial, and in a process pool
+    row_trials = driver._row_trials
     groups = []
 
     def recording_trials(config, indices, *args):
         groups.append(list(indices))
-        return column_trials(config, indices, *args)
+        return row_trials(config, indices, *args)
 
-    monkeypatch.setattr(driver, "_column_trials", recording_trials)
-    for record_events in (False, True):
-        config = grid_b_config(trials=4, record_events=record_events)
-        groups.clear()
-        grouped = [outcome(r) for r in run_trials(config)]
-        assert groups == [[0, 1, 2, 3]]
-        assert all((events is not None) == record_events for _, events in grouped)
-        assert [outcome(run_trial(config, i)) for i in range(4)] == grouped
-        with monkeypatch.context() as patch:
-            # a chunk budget for groups of two
-            entries = (driver._chunk_steps(3) + 1) * 3
-            patch.setattr(driver, "COLUMN_BYTES", driver.CHUNK_BYTES // (2 * entries))
-            groups.clear()
-            batch = grid_b_config(trials=3, record_events=record_events)
-            assert [outcome(r) for r in run_trials(batch)] == grouped[:3]
-            assert groups == [[0, 1], [2]]
-        assert [outcome(r) for r in run_trials(config, workers=2)] == grouped
+    monkeypatch.setattr(driver, "_row_trials", recording_trials)
+    cells = [(grid_b_config, False)] + [
+        (partial(quiet_config, **kw), unit) for kw in PERIODIC_CELLS.values()
+        for unit in (False, True)]
+    for cell, unit in cells:
+        with monkeypatch.context() as rows:
+            if unit:
+                rows.setattr(driver, "fleet_coarse_steps", grid_rows)
+            for record_events in (False, True):
+                config = cell(trials=4, record_events=record_events)
+                assert driver.fleet_coarse_steps(config) == 1 or not unit
+                groups.clear()
+                grouped = [outcome(r) for r in run_trials(config)]
+                assert groups == [[0, 1, 2, 3]]
+                assert all((events is not None) == record_events for _, events in grouped)
+                assert [outcome(run_trial(config, i)) for i in range(4)] == grouped
+                with monkeypatch.context() as patch:
+                    # a chunk budget for groups of two
+                    entries = (driver._chunk_rows(config) + 1) * 3
+                    patch.setattr(driver, "ROW_BYTES", driver.CHUNK_BYTES // (2 * entries))
+                    groups.clear()
+                    batch = cell(trials=3, record_events=record_events)
+                    assert [outcome(r) for r in run_trials(batch)] == grouped[:3]
+                    assert groups == [[0, 1], [2]]
+                assert [outcome(r) for r in run_trials(config, workers=2)] == grouped
 
 
 def test_lane_group_identical_under_sign_flip(lane_blocks):
@@ -1650,14 +1734,17 @@ def test_grid_step_lanes_replay_from_their_draws(n, delta, cycles, trials, spare
 
 
 def test_process_pool_matches_serial_trials():
-    # broadcast-only level trials on grid rows run in groups of at most
-    # ceil(trials / workers), so three trials are groups of two and one, a
-    # process each; the coarse lane cell's ten trials are two groups, one per
+    # trials on rows run in groups of at most ceil(trials / workers), so
+    # three trials are groups of two and one, a process each, for
+    # broadcast-only level trials on grid rows and staggered periodic ones
+    # alike; the coarse lane cell's ten trials are two groups, one per
     # process, and so are the grid-step lane cell's thirty; n = 3 under
     # broadcast-plus-local information would run lanes, so the grid rows are
     # broadcast-only
     for config in (quiet_config(n=3, scenario=B, scheme=Level(1.0), horizon=50.0, trials=3,
                                 seed=13),
+                   quiet_config(n=3, scenario=B, scheme=Periodic(0.75, staggered_offsets(3, 0.75)),
+                                horizon=50.0, trials=3, seed=13),
                    lane_config(trials=10, record_events=True),
                    grid_lane_config(trials=30, record_events=True)):
         serial = run_trials(config, workers=1)

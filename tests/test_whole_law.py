@@ -133,11 +133,11 @@ def fleet_run(index: int):
     steps, masks, rewards, lengths = [], [], [], []
     settle, close_cycle = driver._settle, CostAccumulator.close_cycle
 
-    def recording_settle(fleet, rows, stops, chunk_masks, done, coarse_rows=None):
+    def recording_settle(fleet, rows, stops, chunk_masks, done, coarse_rows=None, settled=False):
         steps.append(done + (np.asarray(stops, dtype=np.int64) if coarse_rows is None
                              else coarse_rows.times))
         masks.append(np.asarray(chunk_masks, dtype=bool).reshape(len(stops), n))
-        return settle(fleet, rows, stops, chunk_masks, done, coarse_rows)
+        return settle(fleet, rows, stops, chunk_masks, done, coarse_rows, settled)
 
     def recording_close_cycle(acc, reward, length):
         rewards.append(reward)
