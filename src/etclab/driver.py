@@ -63,7 +63,8 @@ sqrt(20 k dt)`` of the agent's base (``triggering.coarse_far`` without
 margin for the bridge-corrected sampler's crossing law, with which
 fleet-large's level ops drew 1.46x as many entries under broadcast-only
 information and 2.1x as many under broadcast-plus-local
-(``BENCH_31.json``).  The search runs in rounds, per chunk
+(``BENCH_31.json``).  The search runs in rounds, per chunk, over every
+agent of the group at once, each read from its own last reset
 (``_coarse_level_events``).  An event inside a row leaves it coarse: its
 initiators reset at the points the search drew (``_event_rows``).  The
 cost and agent 0's reward take the drawn points as they are, and the
@@ -149,11 +150,20 @@ CHUNK_STEPS = 2048
 # a round of a level search covers about this many expected gaps between an
 # agent's events
 WINDOW_GAPS = 2.0
+# a window of the coarse level search reads at least this many entries over
+# its columns (_coarse_crossings)
+SCAN_ENTRIES = 4096
 # bytes a group of trials on rows holds per entry (row x agent) of its chunk
-# (_row_group): the running sums and, on grid rows of a level rule, the NaN
-# rows after them, the bases that settle them, and the search's hit masks
-# and gathered rows; tracemalloc peaks read 15 to 32 from n = 3 to 1024
+# (_chunk_bytes): on grid rows of a level rule the running sums, the NaN rows
+# after them, the bases that settle them, and the search's hit masks and
+# gathered rows (tracemalloc peaks read 15 to 32 from n = 3 to 1024); on
+# deadline rows the running sums and increments; on coarse level rows also
+# each entry's slot in the bridge store and the drawn grid points.  Rows that
+# form coarse cost terms (_row_terms) hold TERM_BYTES more per row
 ROW_BYTES = 32
+DEADLINE_BYTES = 16
+COARSE_BYTES = 24
+TERM_BYTES = 128
 # lanes of broadcast-plus-local level cycles (_lane_cycles, _lane_shape): a
 # trial's block holds the expected cycles of the horizon left plus
 # LANE_SPARE, a group of trials shares rounds of about LANE_ENTRIES entries
@@ -481,50 +491,62 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
     reset (the initiators, or everyone), so the rows from one event up to
     the next are errors once each agent's running sum at its last reset is
     subtracted: one subtraction per segment, in place, which also zeroes the
-    reset errors at the event row.  A logged trial forms each event's
-    consensus point from ``x = c_prev + e`` and logs the event, in order.
-    ``settled`` rows hold errors already, with this loop's bits: an
-    unlogged group of trials on rows settles its blocks in one pass
-    (``_zero_fill``, ``_subtract_bases``), and the loop is skipped.  Once
-    the block holds errors, agent 0's renewal reward is formed per segment
-    in one pass: over grid rows it adds up over the segment's left
-    endpoints (the last row's step belongs to the next block), over coarse
-    rows it adds up the rows' ``_row_sums``
-    (``_CoarseRows.segment_rewards``), and ``_Fleet.tally`` counts the
-    events at once and closes the renewal cycles.
+    reset errors at the event row (``_reset_segments``).  A logged trial
+    forms each event's consensus point from ``x = c_prev + e`` and logs the
+    event, in order.  ``settled`` rows hold errors already, with this
+    loop's bits, and the loop is skipped: a group of trials on rows settles
+    every block before it takes any block's rewards, since coarse rows form
+    the group's cost terms in one pass (``_CoarseRows``).  Once the block
+    holds errors, agent 0's renewal reward is formed per segment in one
+    pass: over grid rows it adds up over the segment's left endpoints (the
+    last row's step belongs to the next block), over coarse rows it adds up
+    the rows' ``_row_sums`` (``_CoarseRows.segment_rewards``), and
+    ``_Fleet.tally`` counts the events at once and closes the renewal
+    cycles.
     """
-    config = fleet.config
-    broadcast_only = config.scenario is InfoScenario.BROADCAST
-    count = len(stops)
-    masks = np.asarray(masks)
-    if coarse_rows is None:
-        steps, points = [done + stop for stop in stops], None
-    else:
-        steps, points = (done + coarse_rows.times).tolist(), coarse_rows.points
-    span = len(rows) - 1
     if not settled:
-        base = np.zeros(config.n)  # each agent's running sum at its last reset
-        start = 0
-        for k, stop in enumerate([*stops, span + 1]):
-            if k:
-                rows[start:stop] -= base
-            if k == count:
-                break
-            mask = masks[k]
-            point = rows[stop] if points is None else points[k]
-            if fleet.logged:
-                fleet.log_event(point - base, mask, steps[k])
-            np.copyto(base, point, where=mask if broadcast_only else True)
-            start = stop
+        _reset_segments(fleet, rows, stops, masks, done, coarse_rows)
+    masks = np.asarray(masks)
     if coarse_rows is None:
         # agent 0's reward per segment, over its left endpoints: the last
         # row's step belongs to the next block
+        span = len(rows) - 1
         lead = rows[:span, 0]
         bounds = [0, *stops, span]
         rewards = [float(lead[a:b] @ lead[a:b]) for a, b in zip(bounds, bounds[1:])]
     else:
-        rewards = coarse_rows.segment_rewards(rows, stops)
-    fleet.tally(steps, masks, rewards)
+        rewards = coarse_rows.segment_rewards(stops)
+    fleet.tally(_event_steps(stops, done, coarse_rows), masks, rewards)
+
+
+def _event_steps(stops: List[int], done: int, coarse_rows: Optional["_CoarseRows"]) -> List[int]:
+    """The grid steps of the events of a block after step ``done``."""
+    if coarse_rows is None:
+        return [done + stop for stop in stops]
+    return (done + coarse_rows.times).tolist()
+
+
+def _reset_segments(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
+                    coarse_rows: Optional["_CoarseRows"] = None) -> None:
+    """``_settle``'s loop: subtract from the rows from each event up to the
+    next every agent's running sum at its last reset, and log the events of
+    a logged trial in order."""
+    broadcast_only = fleet.config.scenario is InfoScenario.BROADCAST
+    points = None if coarse_rows is None else coarse_rows.points
+    steps = _event_steps(stops, done, coarse_rows) if fleet.logged else None
+    base = np.zeros(fleet.config.n)  # each agent's running sum at its last reset
+    start = 0
+    for k, stop in enumerate(stops):
+        if k:  # the rows before the first event hold errors already
+            rows[start:stop] -= base
+        mask = masks[k]
+        point = rows[stop] if points is None else points[k]
+        if fleet.logged:
+            fleet.log_event(point - base, mask, steps[k])
+        np.copyto(base, point, where=mask if broadcast_only else True)
+        start = stop
+    if stops:
+        rows[start:] -= base
 
 
 def _phase_offsets(scheme: Periodic, n: int) -> np.ndarray:
@@ -708,21 +730,27 @@ class _Bridges:
     alone, never on the entry's own grid points, so every drawn point
     follows the bridge law.
 
-    With ``cols``, the columns of ``rows`` belong to several trials:
-    ``stream`` is a list, and ``stream[g]`` draws the entries of columns
-    ``cols[g]`` to ``cols[g + 1]`` of every row, one ``normals((k - 1,
-    m_g))`` block for its ``m_g`` fresh ones in ascending order, as the
-    trial's own columns alone would draw them; ``store`` holds the blocks
-    one after another.
+    The entries may belong to several trials, each drawing from its own
+    stream: ``stream`` is then a list, and ``stream[g]`` draws trial
+    ``g``'s entries, one ``normals((k - 1, m_g))`` block for its ``m_g``
+    fresh ones in ascending order, as the trial's own entries alone would
+    draw them; ``store`` holds the blocks one after another.  With
+    ``cols`` (a lane round) trial ``g`` owns columns ``cols[g]`` to
+    ``cols[g + 1]`` of every row; otherwise (a group's chunk) ``rows``
+    holds one block of ``height`` rows per trial, one after another, and
+    no entry of a block's last row is ever drawn.
     """
 
-    def __init__(self, rows: np.ndarray, stream, k: int, dt: float, cols=None):
+    def __init__(self, rows: np.ndarray, stream, k: int, dt: float, cols=None, height=None):
         if cols is not None:
             busy = np.flatnonzero(np.diff(cols))
             if busy.size == 1:  # one stream draws every entry
                 stream, cols = stream[busy[0]], None
+        elif isinstance(stream, list) and len(stream) == 1:
+            stream = stream[0]
         self.rows = rows
         self.n = rows.shape[1]
+        self.height = len(rows) if height is None else height
         self.stream = stream
         self.cols = cols
         self.levels = bridge_levels(k, dt)[:-1]  # the end is a coarse point
@@ -735,13 +763,17 @@ class _Bridges:
         """``(new, noise)``: the ascending fresh entries ``new`` in the order
         they are drawn, and their standard normals, a column each."""
         levels = len(self.levels)
-        if self.cols is None:
+        if not isinstance(self.stream, list):
             return new, self.stream.normals((levels, new.size))
-        # a stable sort by stream keeps each stream's entries ascending
-        owner = np.searchsorted(self.cols, new % self.n, side="right") - 1
+        if self.cols is None:
+            owner = new // (self.height * self.n)  # ascending, as new is
+        else:
+            owner = np.searchsorted(self.cols, new % self.n, side="right") - 1
+            # a stable sort by stream keeps each stream's entries ascending
+            new = new[np.argsort(owner, kind="stable")]
         counts = np.bincount(owner, minlength=len(self.stream))
-        return new[np.argsort(owner, kind="stable")], np.concatenate(
-            [stream.normals((levels, c)) for stream, c in zip(self.stream, counts) if c], axis=1)
+        parts = [stream.normals((levels, c)) for stream, c in zip(self.stream, counts) if c]
+        return new, parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
     def draw(self, entries: np.ndarray) -> np.ndarray:
         """Draw the grid points of the ``entries`` not drawn yet, which must
@@ -754,9 +786,10 @@ class _Bridges:
             return slots
         count = self.count
         if count + m > self.store.shape[1]:
-            # at least double, but no more than this draw needs: a lane round
-            # draws once, and most of its entries at a time
-            size = max(2 * count, count + m)
+            # by half at least, but no more than this draw needs: a lane round
+            # draws once, and a group's chunk most of its entries in its
+            # first round
+            size = max(count + count // 2, count + m)
             grown = np.empty((len(self.levels), size))
             grown[:, :count] = self.store[:, :count]
             self.store = grown
@@ -778,106 +811,187 @@ class _Bridges:
         means ``a + z j / k``, a row each, with ``a`` the entry's start in
         ``rows`` and ``z`` its increment in ``increments``, laid out as the
         steps of ``rows``."""
-        k = len(self.levels) + 1
         # formed a grid point per row, an entry per column, and returned as
         # the transposed view
-        d = self.store.take(self.slot[entries], axis=1)
-        d -= (self.rows.reshape(-1)[entries]
-              + increments.reshape(-1)[entries] * (np.arange(1, k) / k)[:, None])
+        return self._less_means(self.store.take(self.slot[entries], axis=1), entries, increments)
+
+    def spend(self, increments: np.ndarray):
+        """``(entries, deviations)`` of every drawn entry, in ascending
+        order, formed in place of the store, which the bridges give up: they
+        serve no draw or lookup after."""
+        count = self.count
+        order = np.argsort(self.owner[:count])
+        d = self.store[:, :count]
+        for point in d:  # a row at a time, so that no second store is held
+            point[:] = point[order]
+        self.store = self.slot = None
+        entries = self.owner[order]
+        return entries, self._less_means(d, entries, increments)
+
+    def _less_means(self, d: np.ndarray, entries: np.ndarray, increments: np.ndarray):
+        # the means a row at a time, so that no second array as large is held
+        k = len(self.levels) + 1
+        a, z = self.rows.reshape(-1)[entries], increments.reshape(-1)[entries]
+        for t, point in enumerate(d, 1):
+            point -= a + z * (t / k)
         return d.T
 
 
-def _coarse_level_events(bridges: _Bridges, delta: float, far: float, k: int, window: int):
-    """``(times, masks, resets)`` of the level rule's events in a chunk of
-    coarse running sums: the grid points, counted from the chunk's start, at
-    which some agent's error reaches ``delta``, ascending, per event the
-    agents that reach it there, and ``(time, agent, jump)`` per reset, the
-    jump being the agent's running sum there less the one at its last reset.
+def _coarse_crossings(flat: np.ndarray, origin: np.ndarray, first: np.ndarray, hi: np.ndarray,
+                      base: np.ndarray, delta: float, far: float, n: int, width: int):
+    """``(stop, crossed, entries)`` of the columns of a coarse level search
+    round: column ``c``'s coarse point ``p`` is ``flat[origin[c] + p n]``,
+    and it is read from its point ``first[c]`` on.  ``stop[c]`` is its
+    first point after ``first[c]`` that lies ``delta`` or more from
+    ``base[c]``, or else ``hi[c]``, and ``crossed[c]`` says which;
+    ``entries`` lists, by their index into ``flat``, the column's steps
+    from ``first[c]`` up to ``stop[c]`` with an end beyond ``far`` of
+    ``base[c]``, column by column.
 
-    Each agent's error is its running sum minus its running sum at its last
-    reset, ``base``.  The search runs in rounds over up to ``window`` coarse
-    rows from the earliest point not yet searched.  An agent's first coarse
-    point beyond ``delta`` after the point it was last searched through
-    bounds its next event, and a round searches each agent's rows up to
-    there.  It draws the grid points of every entry of those rows with an
-    end beyond ``far`` of its agent's base (``_Bridges.draw``; any other
-    entry reaches the band with probability below ``2 exp(-40)``) and takes
-    each agent's first grid point in the band's complement after the point
-    it was searched through; that hit, or else the bounding crossing, is
-    the agent's event, which resets it alone: the search serves
-    broadcast-only information, where each agent watches its own error.
+    Each column reads its points in windows from where the last one ended,
+    ``width`` points at first and half as many again each time until it
+    stops, so a column reads a point about once; a window holds at least
+    ``SCAN_ENTRIES`` and at most ``CHUNK_BYTES / 64`` entries over the
+    columns still reading, as far as they reach.  A window is one strided
+    view of ``flat`` for every column, so it may run past a column's
+    ``hi`` into whatever follows, which is read but never counts: ``flat``
+    must run on for ``max(hi) n`` entries past the last column's point
+    ``max(hi)``."""
+    crossed = np.zeros(origin.size, dtype=bool)
+    found = []
+    todo = np.arange(origin.size)
+    at = first.copy()  # each column is read through its point at
+    while todo.size:
+        p = at[todo]
+        left = hi[todo] - p  # the points each column has left to read
+        # a few columns read more at once: a window's numpy calls cost the
+        # same however few points they read
+        width = max(1, min(max(width, SCAN_ENTRIES // todo.size), int(left.max()),
+                           CHUNK_BYTES // (64 * todo.size) - 1))
+        start = origin[todo] + p * n
+        # row e of windows is the width + 1 points of a column from entry e
+        windows = np.ndarray((flat.size - width * n, width + 1), flat.dtype, flat,
+                             strides=(flat.itemsize, n * flat.itemsize))
+        dist = windows[start]
+        dist -= base[todo, None]
+        np.abs(dist, out=dist)
+        over = dist >= delta
+        over[:, 0] = False  # the point p was searched through
+        j = over.argmax(axis=1)
+        hit = over[np.arange(todo.size), j]
+        hit &= j <= left  # no point past hi counts
+        read = np.where(hit, j, np.minimum(width, left))  # the points read past p
+        near = dist > far
+        need = near[:, :-1] | near[:, 1:]
+        need &= np.arange(width) < read[:, None]
+        r, c = np.divmod(np.flatnonzero(need), width)
+        found.append(start[r] + c * n)
+        at[todo] = p + read
+        crossed[todo[hit]] = True
+        todo = todo[~hit & (read < left)]
+        width += width // 2 + 1
+    return at, crossed, np.concatenate(found)
+
+
+def _coarse_level_events(bridges: _Bridges, delta: float, far: float, k: int, window: int,
+                         width: int, flat: np.ndarray):
+    """``(times, masks, resets)`` of the level rule's events in a chunk of
+    coarse running sums of a group of trials, ``bridges.rows``, a block of
+    ``bridges.height`` rows per trial: the grid points at which some
+    agent's error reaches ``delta``, ascending, as ``g H k + t`` for grid
+    point ``t`` of trial ``g``'s block of ``H`` rows, counted from the
+    chunk's start; per event the agents that reach it there; and ``(time,
+    agent, jump)`` per reset, the jump being the agent's running sum there
+    less the one at its last reset.
+
+    Each column, trial ``g``'s agent ``i``, is on its own: its error is its
+    running sum minus its running sum at its last reset, ``base``.  The
+    search runs in rounds, each over a window of up to ``window`` coarse
+    rows per trial from the trial's earliest point not yet searched.  A
+    column's first coarse point beyond ``delta`` after the point it was
+    last searched through bounds its next event, and a round reads each
+    column from that point's row to there, or to the window's end, and no
+    further (``_coarse_crossings``, in windows that start ``width`` points
+    wide).  It draws the grid points of every entry of those rows with an
+    end beyond ``far`` of its column's base (``_Bridges.draw``, one block
+    per trial and round, from the trial's stream; any other entry reaches
+    the band with probability below ``2 exp(-40)``) and takes each column's
+    first grid point in the band's complement after the point it was
+    searched through; that hit, or else the bounding crossing, is the
+    column's event, which resets it alone: the search serves broadcast-only
+    information, where each agent watches its own error.  Each trial's
+    rounds, windows and draws are the ones it makes alone.  ``flat`` starts
+    with ``bridges.rows``, flattened, and runs on for at least ``span n``
+    entries that are read but never count (``_coarse_crossings``).
     """
-    rows = bridges.rows
-    span, n = len(rows) - 1, rows.shape[1]
+    rows, n, height = bridges.rows, bridges.n, bridges.height
+    span = height - 1
     last = span * k
+    trials = len(rows) // height
+    columns = trials * n
+    col = np.arange(columns)
+    origin = col // n * (height * n) + col % n  # each column's point 0 in flat
     inner = np.arange(1, k)[:, None]  # the grid points inside a row
-    base = np.zeros(n)
+    base = np.zeros(columns)
     none = np.zeros(0, dtype=np.int64)
-    times, agents, jumps = [none], [none], [np.zeros(0)]
-    done = np.zeros(n, dtype=np.int64)  # each agent is searched through this point
+    times, cols, jumps = [none], [none], [np.zeros(0)]
+    done = np.zeros(columns, dtype=np.int64)  # each column is searched through this point
     while True:
-        live = np.flatnonzero(done < last)
+        # nonzero() over flatnonzero(): a round costs about 60 numpy calls, and
+        # with a column or two it serves one event
+        live = (done < last).nonzero()[0]
         if not live.size:
             break
-        whole = live.size == n
-        cols = slice(None) if whole else live
-        start = done[cols]
-        lo = int(start.min()) // k
-        hi = min(lo + window, span)
-        dist = rows[lo : hi + 1, cols] - base[cols]
-        np.abs(dist, out=dist)
-        row = np.arange(hi - lo)[:, None]
-        first = start // k - lo  # the row each agent starts in
-        later = first.any()  # some agent starts past the window's first row
-        over = dist[1:] >= delta
-        if later:
-            over &= row >= first
-        crossed = over.any(axis=0)
-        stop = np.where(crossed, over.argmax(axis=0) + 1, hi - lo)
-        # an agent's coarse crossing is its event unless a grid point before it is
-        ends = np.full(n, last + 1)
-        ends[live] = np.where(crossed, (lo + stop) * k, last + 1)
-        near = dist > far
-        need = near[:-1] | near[1:]
-        need &= row < stop
-        if later:
-            need &= row >= first
-        # the row-major entries, as np.nonzero(need) gives them
-        r, c = np.divmod(np.flatnonzero(need), need.shape[1])
-        entries = (r + lo) * n + (c if whole else live[c])
+        first = done[live] // k  # the row each column starts in
+        # each trial's window, from its earliest live column
+        trial = live // n
+        lo = np.full(trials, span)
+        np.minimum.at(lo, trial, first)
+        hi = np.minimum(lo + window, span)[trial]
+        stop, crossed, entries = _coarse_crossings(flat, origin[live], first, hi, base[live],
+                                                   delta, far, n, width)
+        # a live column's coarse crossing is its event unless a grid point
+        # before it is
+        ends = np.where(crossed, stop * k, last + 1)
         if entries.size:
-            agent = entries % n
+            entries.sort()  # each trial's entries row by row
+            row, agent = np.divmod(entries, n)
+            c = row // height * n + agent
+            row %= height
             slots = bridges.draw(entries)
-            hit = np.abs(bridges.store[:, slots] - base[agent]) >= delta
-            hit &= inner + (entries // n * k) > start[c]
-            h = np.flatnonzero(hit.any(axis=0))
+            hit = np.abs(bridges.store[:, slots] - base[c]) >= delta
+            # only the row a column starts in holds points it was searched through
+            early = (row * k < done[c]).nonzero()[0]
+            hit[:, early] &= inner + row[early] * k > done[c[early]]
+            h = hit.any(axis=0).nonzero()[0]
             if h.size:
-                # entries run row by row, so an agent's first hit comes first
-                who, once = np.unique(agent[h], return_index=True)
+                # a column's entries run row by row, so its first hit comes first
+                who, once = np.unique(c[h], return_index=True)
                 h = h[once]
                 j = hit[:, h].argmax(axis=0)
-                ends[who] = entries[h] // n * k + j + 1
-        done[live] = (lo + stop) * k
-        fired = np.flatnonzero(ends <= last)
-        if not fired.size:
+                ends[np.searchsorted(live, who)] = row[h] * k + j + 1
+        done[live] = stop * k
+        gone = (ends <= last).nonzero()[0]
+        if not gone.size:
             continue
-        at = ends[fired]
+        fired, at = live[gone], ends[gone]
         row, j = np.divmod(at, k)
-        new = rows[row, fired]
-        inside = np.flatnonzero(j)
+        point = origin[fired] + row * n
+        new = flat[point]
+        inside = j.nonzero()[0]
         if inside.size:
-            slots = bridges.draw(row[inside] * n + fired[inside])
+            slots = bridges.draw(point[inside])
             new[inside] = bridges.store[j[inside] - 1, slots]
-        times.append(at)
-        agents.append(fired)
+        times.append(fired // n * (height * k) + at)
+        cols.append(fired)
         jumps.append(new - base[fired])
         base[fired] = new
         done[fired] = at
-    times, agents, jumps = (np.concatenate(part) for part in (times, agents, jumps))
+    times, cols, jumps = (np.concatenate(part) for part in (times, cols, jumps))
     at, event = np.unique(times, return_inverse=True)
     masks = np.zeros((at.size, n), dtype=bool)
-    masks[event, agents] = True
-    return at, masks, (times, agents, jumps)
+    masks[event, cols % n] = True
+    return at, masks, (times, cols % n, jumps)
 
 
 def _event_points(bridges: _Bridges, entries: np.ndarray, j: np.ndarray,
@@ -906,29 +1020,32 @@ def _event_points(bridges: _Bridges, entries: np.ndarray, j: np.ndarray,
 def _event_rows(bridges: _Bridges, increments: np.ndarray, times: np.ndarray, resets,
                 step_var: float, log: Optional[_Bridges] = None):
     """``(stops, coarse_rows)`` for ``_settle`` of the level events and
-    ``resets`` that ``_coarse_level_events`` found in a chunk: each event
-    stops at the first coarse point from it on and resets to its
-    ``_event_points``.  The increments, updated in place, and the drawn
-    entries' deviations from their bridge means are the settled rows': a
-    reset at grid point ``j`` inside a row by ``J`` lowers the row's end by
-    ``J``, so its entry's increment is ``z - J`` and its drawn point ``t``
-    moves ``J (t / k - [t >= j])`` off the bridge mean."""
-    n, k = bridges.n, len(bridges.levels) + 1
-    drawn = np.sort(bridges.owner[: bridges.count])
-    d = bridges.deviations(drawn, increments)
-    at, agent, jump = resets
-    inner = at % k > 0
-    row, j = np.divmod(at[inner], k)
-    agent, jump = agent[inner], jump[inner]
-    np.subtract.at(increments, (row, agent), jump)
-    t = np.arange(1, k)
-    np.add.at(d, np.searchsorted(drawn, row * n + agent),
-              jump[:, None] * (t / k - (t >= j[:, None])))
+    ``resets`` that ``_coarse_level_events`` found in a chunk of one trial
+    or of a group's trials: each event stops at the first coarse point from
+    it on, a row of its trial's block, and resets to its ``_event_points``.
+    The increments, a row per row of ``bridges.rows`` but each block's last
+    (which it may hold too), updated in place, and the drawn entries'
+    deviations from their bridge means are the settled rows': a reset at
+    grid point ``j`` inside a row by ``J`` lowers the row's end by ``J``, so
+    its entry's increment is ``z - J`` and its drawn point ``t`` moves ``J
+    (t / k - [t >= j])`` off the bridge mean."""
+    n, k, height = bridges.n, len(bridges.levels) + 1, bridges.height
     row, j = np.divmod(times, k)
     points = _event_points(bridges, row[:, None] * n + np.arange(n), j[:, None], log)
-    ends = np.arange(len(bridges.rows)) * k
-    return (row + (j > 0)).tolist(), _CoarseRows(ends, increments, step_var, times,
-                                                 (*np.divmod(drawn, n), d), points)
+    drawn, d = bridges.spend(increments)
+    at, agent, jump = resets
+    inner = at % k > 0
+    reset_row, reset_j = np.divmod(at[inner], k)
+    agent, jump = agent[inner], jump[inner]
+    np.subtract.at(increments, (reset_row, agent), jump)
+    t = np.arange(1, k)
+    np.add.at(d, np.searchsorted(drawn, reset_row * n + agent),
+              jump[:, None] * (t / k - (t >= reset_j[:, None])))
+    trial, row = np.divmod(row, height)
+    bounds = np.searchsorted(trial, np.arange(len(bridges.rows) // height + 1))
+    return (row + (j > 0)).tolist(), _CoarseRows(
+        bridges.rows, np.arange(height) * k, increments, step_var, times - trial * (height * k),
+        (*np.divmod(drawn, n), d), points, bounds)
 
 
 def _chunk_deadlines(fire_counts, offsets, period, dt, done, span, limit):
@@ -1047,27 +1164,35 @@ def _row_terms(starts, increments, step_var, row, agent, d):
     # every operation runs along the entries
     d = d.T
     # d (2 m + d), formed in place on the bridge means m
-    own = starts.reshape(-1)[flat] + increments.reshape(-1)[flat] * jk
+    own = increments.reshape(-1)[flat] * jk
+    own += starts.reshape(-1)[flat]
     own *= 2
     own += d
     own *= d
     v = step_var * j * (k - j) / k
+    lead = agent == 0
+    lead_fixes = (own[:, lead] - v[:, None]).T
     first = np.flatnonzero(np.diff(row, prepend=-1))
     at = row[first]
     count = np.diff(np.append(first, row.size))
-    dsum = np.add.reduceat(d, first, axis=1)
-    cost = n * np.add.reduceat(own, first, axis=1)
+    # each (grid point, row) array is formed in place, and freed once used
+    cost = np.add.reduceat(own, first, axis=1)
+    del own
+    cost *= n
     cost -= (n - 1) * count * v[:, None]
     # (S + D)^2 - S^2 per inner grid point, with S the row's sum of means
-    s = sa[at] + sz[at] * jk
+    dsum = np.add.reduceat(d, first, axis=1)
+    s = sz[at] * jk
+    s += sa[at]
     s *= 2
     s += dsum
     s *= dsum
+    del dsum
     cost -= s
+    del s
     fixes = np.zeros((at.size, 2, k - 1))
     fixes[:, 0] = cost.T
-    lead = agent == 0
-    fixes[np.searchsorted(at, row[lead]), 1] = (own[:, lead] - v[:, None]).T
+    fixes[np.searchsorted(at, row[lead]), 1] = lead_fixes
     return terms, at, fixes
 
 
@@ -1093,48 +1218,81 @@ def _row_sums(k, terms, at, fixes, n, step_var, m=None):
 
 
 class _CoarseRows:
-    """The coarse rows of one chunk and its events: row ``r`` ends
-    ``ends[r]`` grid steps after the chunk's start, the step from row ``r``
-    to row ``r + 1`` is ``k[r]`` grid steps long and has the increments
-    ``increments[r]``, drawn with variance ``k[r] * step_var`` per agent,
-    and event ``e`` falls ``times[e]`` grid steps after the chunk's start,
-    on its stop's row or inside the step before it; ``points``, if given,
+    """The coarse rows of a chunk of one trial, or of a group's trials, and
+    their events.  ``rows`` holds the running sums at the coarse points, a
+    block of ``len(ends)`` rows per trial, one after another: row ``r`` of
+    a block ends ``ends[r]`` grid steps after the chunk's start, and the
+    step from row ``r`` to row ``r + 1`` is ``k[r]`` grid steps long and has
+    the increments in the same row of ``increments``, drawn with variance
+    ``k[r] * step_var`` per agent (``increments`` may hold a row for each
+    block's last row too, which counts for nothing).  The events of trial
+    ``g`` are ``bounds[g]`` to ``bounds[g + 1]`` (all of them by default):
+    event ``e`` falls ``times[e]`` grid steps after the chunk's start, on
+    its stop's row or inside the step before it; ``points``, if given,
     holds the running sums it resets to.
 
     ``refined``, if given, is ``(row, agent, d)`` for the entries of coarse
     steps whose grid points were drawn: per entry its row, its agent and its
     ``k - 1`` inner grid points minus their bridge means.  The cost and the
     reward then take those points as they are and the bridge law for the
-    rest, per row by ``_row_sums``, once the rows are settled.
+    rest, per row by ``_row_sums``, in one pass over every block once all
+    of them are settled; ``trial`` gives each trial its block's share.
     """
 
-    def __init__(self, ends: np.ndarray, increments: np.ndarray, step_var: float,
-                 times: np.ndarray, refined=(None, None, None), points=None):
+    def __init__(self, rows: np.ndarray, ends: np.ndarray, increments: np.ndarray,
+                 step_var: float, times: np.ndarray, refined=(None, None, None), points=None,
+                 bounds=None):
+        self.rows = rows
         self.ends = ends
         self.increments = increments
         self.k = np.diff(ends).astype(float)
         self.step_var = step_var
         self.refined = refined
         self.times, self.points = times, points
-        self._terms = self._sums = None  # _row_terms and _row_sums of the settled rows
+        self.bounds = [0, len(times)] if bounds is None else bounds
+        self._group, self._block = None, 0  # None: its own group, with no cycle to collect
+        # _row_terms and _row_sums of the group's settled rows, and this
+        # trial's share of them
+        self._whole = self._terms = self._sums = None
 
-    def _settled_sums(self, rows: np.ndarray):
+    def trial(self, g: int) -> "_CoarseRows":
+        """Trial ``g``'s rows and events, whose sums are its block's share of
+        the group's."""
+        a, b = self.bounds[g], self.bounds[g + 1]
+        part = _CoarseRows(self.rows, self.ends, self.increments, self.step_var, self.times[a:b],
+                           points=None if self.points is None else self.points[a:b])
+        part._group, part._block = self, g
+        return part
+
+    def _settled_sums(self):
         if self._sums is None:
-            self._terms = _row_terms(rows[:-1], self.increments, self.step_var, *self.refined)
-            self._sums = _row_sums(self.k, *self._terms, rows.shape[1], self.step_var)
+            group = self._group or self
+            if group._whole is None:
+                # every block's rows at once; a block's last row, if it has
+                # increments, counts for nothing
+                terms = _row_terms(group.rows[: len(group.increments)], group.increments,
+                                   group.step_var, *group.refined)
+                k = np.resize(np.append(group.k, 1.0), len(group.increments))
+                group._whole = terms, _row_sums(k, *terms, group.rows.shape[1], group.step_var)
+            (terms, at, fixes), sums = group._whole
+            start = self._block * len(self.ends)
+            rows = slice(start, start + len(self.k))
+            a, b = np.searchsorted(at, [rows.start, rows.stop])
+            self._terms = [t[rows] for t in terms], at[a:b] - start, fixes[a:b]
+            self._sums = [s[rows] for s in sums]
         return self._sums
 
-    def cost(self, rows: np.ndarray) -> float:
+    def cost(self) -> float:
         """Expected ``sum x'Lx`` over the grid points of the chunk's steps,
-        from the settled rows ``rows``, its post-reset errors."""
-        return float(self._settled_sums(rows)[0].sum())
+        from the settled rows, their post-reset errors."""
+        return float(self._settled_sums()[0].sum())
 
-    def segment_rewards(self, rows: np.ndarray, stops: List[int]) -> List[float]:
+    def segment_rewards(self, stops: List[int]) -> List[float]:
         """Expected ``sum e_0^2`` over the grid points from the chunk's start
         and from each event up to the next: the steps from one stop up to
         the next, and an event inside a step moves the step's sum from it on
         (less ``_row_sums`` of the step's first grid points) to the next."""
-        reward = self._settled_sums(rows)[1]
+        reward = self._settled_sums()[1]
         bounds = [0, *stops]
         # a zero past the end is the sum of an empty last segment
         sums = np.add.reduceat(np.append(reward, 0.0), bounds)
@@ -1144,7 +1302,7 @@ class _CoarseRows:
             row = np.asarray(stops)[inner] - 1
             terms, at, fixes = self._terms
             head = _row_sums(self.k[row], [t[row] for t in terms], np.arange(row.size),
-                             fixes[np.searchsorted(at, row)], rows.shape[1], self.step_var,
+                             fixes[np.searchsorted(at, row)], self.rows.shape[1], self.step_var,
                              self.times[inner] - self.ends[row])[1]
             tail = reward[row] - head
             sums[inner] -= tail
@@ -1534,14 +1692,34 @@ def _chunk_rows(config: ScenarioConfig) -> int:
 
 def _row_group(config: ScenarioConfig, workers: int) -> int:
     """The trials a group on rows holds (``_row_trials``): as many as keep
-    ``ROW_BYTES`` per entry (``_chunk_rows`` times ``n``, every grid point
-    of coarse level rows counted) within ``CHUNK_BYTES``, at least one, but
-    no more than give each of ``workers`` processes a group."""
-    rows = _chunk_rows(config)
-    if isinstance(config.scheme, Level):
-        rows *= fleet_coarse_steps(config)
-    fits = max(1, CHUNK_BYTES // (ROW_BYTES * (rows + 1) * config.n))
+    their chunks (``_chunk_bytes``) within ``CHUNK_BYTES``, at least one,
+    but no more than give each of ``workers`` processes a group.
+
+    Measured with tracemalloc, groups of eight trials peaked at (bytes per
+    entry of their chunks): on deadline rows 18.6 at n = 50 (``table1``'s
+    TT-bl, 2000 s), 29 at n = 10 and 59 at n = 3; on coarse level rows of
+    threshold 5 and 16 grid steps 29.9 at fleet-large's ``et-b`` cell (n =
+    50, 25 s: 8.9 MiB), 31.8 at 200 s, 40 at n = 200 and 1000 (the points of
+    each event's fleet) and 66 at n = 3, and at threshold 4, the rule's
+    edge, 45 to 49 at n = 12 and 20.  So a coarse level group may peak past
+    ``CHUNK_BYTES`` by about a tenth at n = 50 (fleet-large's eight trials
+    form one group) and by up to three fifths at a thousand agents."""
+    fits = max(1, CHUNK_BYTES // _chunk_bytes(config))
     return min(fits, -(-config.trials // workers))
+
+
+def _chunk_bytes(config: ScenarioConfig) -> int:
+    """The bytes a trial's chunk takes in a group on rows: ``_chunk_rows``
+    plus one rows of ``n`` entries, of ``ROW_BYTES`` each on grid rows of a
+    level rule, and on coarse rows, which form cost terms per row, of
+    ``DEADLINE_BYTES`` (deadline rows) or ``COARSE_BYTES`` (level rows)
+    each plus ``TERM_BYTES`` per row."""
+    rows, n = _chunk_rows(config) + 1, config.n
+    if isinstance(config.scheme, Level):
+        if fleet_coarse_steps(config) == 1:
+            return ROW_BYTES * rows * n
+        return (COARSE_BYTES * n + TERM_BYTES) * rows
+    return (DEADLINE_BYTES * n + TERM_BYTES) * rows
 
 
 def _column_window(config: ScenarioConfig) -> int:
@@ -1558,13 +1736,17 @@ def _row_trials(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> Li
     config but ``_runs_lanes``'s) as one group, chunk by chunk, at chunk
     boundaries that depend on the config alone.  Each trial draws its
     block from its own stream; the events come from one deadline lookup
-    under a periodic rule (``_chunk_deadlines``), one search over the
-    group's columns on grid rows of a level rule (``_column_events``), or
-    each trial's own search on coarse level rows (``_coarse_level_events``,
-    ``_event_rows``, whose resets ``_settle``'s loop makes).  An unlogged
-    group whose events reset at their rows settles at once (``_zero_fill``
-    or ``_subtract_bases``); rewards, tallies (``_settle``) and the cost
-    stay per trial, so a trial's results are the same in any group."""
+    under a periodic rule (``_chunk_deadlines``), or from one search over
+    the group's columns, trial ``g``'s agent ``i``, under a level rule: on
+    grid rows ``_column_events``, on coarse rows ``_coarse_level_events``,
+    whose grid points each trial draws from its own stream into one bridge
+    store, and ``_event_rows``, whose resets ``_settle``'s loop makes.  An
+    unlogged group whose events reset at their rows settles at once
+    (``_zero_fill`` or ``_subtract_bases``), any other through
+    ``_settle``'s loop, every block before any takes its rewards: coarse
+    rows form the cost terms of every row of the group in one pass
+    (``_CoarseRows``).  Rewards, tallies (``_settle``) and the cost stay per
+    trial, so a trial's results are the same in any group."""
     n, dt, scheme = config.n, config.dt, config.scheme
     level = isinstance(scheme, Level)
     coarse = fleet_coarse_steps(config)
@@ -1585,6 +1767,8 @@ def _row_trials(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> Li
         capacity = _chunk_rows(config)
         far = coarse_far(delta, dt, coarse, crossing=False)
         gaps = max(1, int(WINDOW_GAPS * _expected_interevent(config) / (coarse * dt)))
+        # the scan's first window per column: an eighth of an expected gap
+        width = max(1, gaps // 16)
         # the log's own points (_event_points)
         logs = [stream.child(0) for stream in streams] if logged and coarse > 1 else None
     else:
@@ -1622,9 +1806,10 @@ def _row_trials(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> Li
                 k = np.diff(ends).astype(float)[:, None]
         # view[g, r] follows trial g's errors to the end of row r without
         # resets: row 0 holds the current errors, each later row adds a
-        # step; coarse rows keep their increments z after the buffer's rows
+        # step; coarse rows keep their increments z after the buffer's rows,
+        # a row per row of the block, its last one zero
         size = group * (span + window) * n
-        need = size + group * span * n if coarse > 1 else size
+        need = 2 * size if coarse > 1 else size
         if buffer.size < need:
             buffer = np.empty(need)
         view = buffer[:size].reshape(group, span + window, n)
@@ -1635,32 +1820,37 @@ def _row_trials(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> Li
         view[:, span + 1 :] = np.nan
         rows[:, 1:] *= np.sqrt(k * dt)  # a row of k grid steps
         if coarse > 1:
-            z = buffer[size : size + group * span * n].reshape(group, span, n)
-            np.copyto(z, rows[:, 1:])
+            z = buffer[size:need].reshape(group, span + 1, n)
+            np.copyto(z[:, :span], rows[:, 1:])
+            z[:, span] = 0.0
         _running_sum(rows)
         # coarse level rows reset at the points the search drew, and the few
-        # grid rows after the last whole one settle sooner in _settle's loop
+        # grid rows after the last whole one settle sooner segment by segment
         settled = not logged and not (level and coarse > 1)
+        coarse_rows = None
         if level and k > 1:
-            parts = []
-            for g, block in enumerate(rows):
-                bridges = _Bridges(block, streams[g], k, dt)
-                times, masks, resets = _coarse_level_events(bridges, delta, far, k, gaps)
-                log = None if logs is None else _Bridges(block, logs[g], k, dt)
-                parts.append((*_event_rows(bridges, z[g], times, resets, step_var, log), masks))
+            # trial g's block is rows g (span + 1) to g (span + 1) + span
+            flat = view.reshape(-1, n)
+            bridges = _Bridges(flat, streams, k, dt, height=span + 1)
+            times, masks, resets = _coarse_level_events(bridges, delta, far, k, gaps, width,
+                                                        buffer[:need])
+            log = None if logs is None else _Bridges(flat, logs, k, dt, height=span + 1)
+            stops, coarse_rows = _event_rows(bridges, z.reshape(-1, n), times, resets,
+                                             step_var, log)
             del bridges, log
+            bounds = coarse_rows.bounds
         elif level:
             keys, masks = _event_masks(*_column_events(view, span, delta, window), span + 1, n)
             if settled:
                 _subtract_bases(view, span + 1, keys, masks)
             bounds = np.searchsorted(keys, np.arange(group + 1) * (span + 1)).tolist()
             stops = (keys % (span + 1)).tolist()
-            parts = [(stops[a:b], None, masks[a:b]) for a, b in zip(bounds, bounds[1:])]
         else:
             count = len(stops)
             masks = np.broadcast_to(masks, (count, n))
-            times = stops
             if coarse > 1:
+                coarse_rows = _CoarseRows(view.reshape(-1, n), ends, z.reshape(-1, n), step_var,
+                                          np.tile(stops, group), bounds=np.arange(group + 1) * count)
                 stops = np.arange(1, count + 1)
             if settled and count and stops[-1] - stops[0] == count - 1 and masks.all():
                 _zero_fill(rows, stops[0], stops[-1])
@@ -1668,21 +1858,37 @@ def _row_trials(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> Li
                 keys = (np.arange(group)[:, None] * (span + 1) + stops).reshape(-1)
                 _subtract_bases(view, span + 1, keys, np.tile(masks, (group, 1)))
             stops = stops.tolist()
-            parts = [(stops, _CoarseRows(ends, z[g], step_var, times) if coarse > 1 else None,
-                      masks) for g in range(group)]
-        for fleet, block, (stops, coarse_rows, masks) in zip(fleets, rows, parts):
-            _settle(fleet, block, stops, masks, done, coarse_rows, settled)
-        if parts[0][1] is None:
+            bounds = None
+        # each trial's stops, coarse rows and masks: under a level rule its
+        # share of the group's events, under a periodic one every deadline
+        parts = []
+        for g in range(group):
+            trial_rows = None if coarse_rows is None else coarse_rows.trial(g)
+            if bounds is None:
+                parts.append((stops, trial_rows, masks))
+            else:
+                a, b = bounds[g], bounds[g + 1]
+                parts.append((stops[a:b], trial_rows, masks[a:b]))
+        if not settled:
+            # every block settles before any takes its rewards: coarse rows
+            # form the group's cost terms in one pass
+            for fleet, block, (stops, trial_rows, masks) in zip(fleets, rows, parts):
+                _reset_segments(fleet, block, stops, masks, done, trial_rows)
+        for fleet, block, (stops, trial_rows, masks) in zip(fleets, rows, parts):
+            _settle(fleet, block, stops, masks, done, trial_rows, settled=True)
+        if coarse_rows is None:
             # left-endpoint rectangles: x'Lx = e'Le, since L annihilates c*1;
             # each trial's rows are summed on their own
             costs = consensus_cost_rows(rows[:, :-1]).sum(axis=1).tolist()
             done += span
         else:
-            costs = [coarse_rows.cost(block) for block, (_, coarse_rows, _) in zip(rows, parts)]
-            done += int(parts[0][1].ends[-1])
+            costs = [trial_rows.cost() for _, trial_rows, _ in parts]
+            done += int(coarse_rows.ends[-1])
         for fleet, cost in zip(fleets, costs):
             fleet.acc.integral_sum += cost * dt
         e[:] = rows[:, -1]
+        # the chunk's drawn points and cost terms go before the next chunk's
+        parts = coarse_rows = trial_rows = None
     return [TrialResult(accumulator=fleet.acc, events=fleet.events) for fleet in fleets]
 
 
@@ -1751,6 +1957,7 @@ def run_trial_reference(
     acc = fleet.acc
     if fleet.trajectory is not None:
         fleet.log_state(0, fleet.e, 0)
+    due = None if level else _deadline_rule(scheme, dt, n)
 
     for step in range(1, config.steps + 1):
         e = fleet.e
@@ -1762,7 +1969,7 @@ def run_trial_reference(
             fired = np.abs(fleet.e) >= scheme.delta
         else:
             fired = np.zeros(n, dtype=bool)
-            fired[_periodic_due(step, scheme, dt, n)] = True
+            fired[due(step)] = True
         event = bool(fired.any())
         if event:
             # the errors are the running sum of a one-row block: the row
@@ -1780,8 +1987,23 @@ def _periodic_due(step: int, scheme: Periodic, dt: float, n: int) -> np.ndarray:
     (``periodic_fire_step``, ``_first_counts``).  It looks up the last
     deadline due by ``step`` in exact arithmetic and its neighbours, which
     rounding may move onto ``step``."""
+    return _deadline_rule(scheme, dt, n)(step)
+
+
+def _deadline_rule(scheme: Periodic, dt: float, n: int):
+    """``_periodic_due`` of one schedule as a function of the grid step,
+    with its per-agent constants, the phases and their first deadline
+    counts, formed once."""
     offsets = _phase_offsets(scheme, n)
-    count = np.floor((step * dt + EPS_REL * dt - offsets) / scheme.period).astype(np.int64)
-    counts = count[:, None] + np.arange(-1, 2)
-    due = periodic_fire_step(offsets[:, None] + counts * scheme.period, dt) == step
-    return np.flatnonzero((due & (counts >= _first_counts(offsets, dt)[:, None])).any(axis=1))
+    phases = offsets[:, None]
+    first = _first_counts(offsets, dt)[:, None]
+    near = np.arange(-1, 2)
+    period = scheme.period
+
+    def due(step: int) -> np.ndarray:
+        count = np.floor((step * dt + EPS_REL * dt - offsets) / period).astype(np.int64)
+        counts = count[:, None] + near
+        hit = periodic_fire_step(phases + counts * period, dt) == step
+        return np.flatnonzero((hit & (counts >= first)).any(axis=1))
+
+    return due

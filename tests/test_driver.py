@@ -973,9 +973,6 @@ def test_drawn_terms_match_explicit_sums():
     drawn = np.union1d(drawn, [0, 3 * n])  # agent 0's entries among them
     bridges.draw(drawn)
     raw = rows.copy()
-    none = np.zeros(0, dtype=np.int64)
-    stops, coarse = driver._event_rows(bridges, increments, none, (none, none, np.zeros(0)), dt)
-    assert stops == []
     var = dt * np.arange(k) * (k - np.arange(k)) / k
     points = np.zeros((2, span, k))  # the cost and the reward per row and grid point
     for r in range(span):
@@ -988,8 +985,12 @@ def test_drawn_terms_match_explicit_sums():
                 spread[:, i] = 0.0
         points[0, r] = consensus_cost_rows(means) + (n - 1) * spread.sum(axis=1)
         points[1, r] = means[:, 0] ** 2 + spread[:, 0]
-    assert coarse.cost(rows) == pytest.approx(points[0].sum(), rel=1e-10)
-    assert coarse.segment_rewards(rows, [])[0] == pytest.approx(points[1].sum(), rel=1e-10)
+    # _event_rows spends the bridges' store, so the drawn points are read first
+    none = np.zeros(0, dtype=np.int64)
+    stops, coarse = driver._event_rows(bridges, increments, none, (none, none, np.zeros(0)), dt)
+    assert stops == []
+    assert coarse.cost() == pytest.approx(points[0].sum(), rel=1e-10)
+    assert coarse.segment_rewards([])[0] == pytest.approx(points[1].sum(), rel=1e-10)
     # per row over its first m grid points: all k, none, and random prefixes
     terms, at, fixes = driver._row_terms(rows[:-1], increments, dt, *coarse.refined)
     for m in (np.full(span, k), np.zeros(span, dtype=np.int64), rng.integers(0, k + 1, span)):
@@ -1046,9 +1047,9 @@ def test_row_sums_with_inner_resets_match_explicit_sums():
     fleet = driver._Fleet.start(quiet_config(n=n, scenario=B, scheme=Level(1.0), trials=1))
     driver._settle(fleet, rows, stops, masks, 0, coarse)
     assert np.allclose(rows, errors[::k], rtol=0, atol=1e-12)
-    assert coarse.cost(rows) == pytest.approx(cost.sum(), rel=1e-10)
+    assert coarse.cost() == pytest.approx(cost.sum(), rel=1e-10)
     bounds = [0, *times, span * k]
-    assert coarse.segment_rewards(rows, stops) == pytest.approx(
+    assert coarse.segment_rewards(stops) == pytest.approx(
         [reward[a:b].sum() for a, b in zip(bounds, bounds[1:])], rel=1e-10, abs=1e-12)
     assert fleet.acc.cycles == 1
     assert fleet.acc.cycle_reward_sum == pytest.approx(reward[: 2 * k + 5].sum() * dt, rel=1e-10)
@@ -1246,10 +1247,36 @@ def test_column_group_memory_stays_near_the_chunk_budget():
     assert peak <= 3 * driver.CHUNK_BYTES
 
 
+@pytest.mark.parametrize("n, chunks", [(50, 1.5), (1000, 2.5)])
+def test_coarse_group_memory_stays_near_the_chunk_budget(n, chunks):
+    # broadcast-only level trials on coarse rows run in groups as large as
+    # their chunks' bytes allow too (driver._chunk_bytes): the group's running
+    # sums and increments, its search rounds, the grid points its trials
+    # draw, the points of its events and its cost terms must stay within one
+    # trial's bound, at fifty agents over a chunk and a half of 1310 coarse
+    # rows and at a thousand over two and a half of 65
+    cell = partial(quiet_config, n=n, scenario=B, scheme=Level(5.0), dt=DT, seed=3)
+    config = cell(horizon=1e4, trials=100)
+    assert driver.fleet_coarse_steps(config) == 16
+    horizon = chunks * driver._chunk_rows(config) * 16 * DT
+    size = driver._row_group(cell(horizon=horizon, trials=100), 1)
+    assert size > 1
+    config = cell(horizon=horizon, trials=size)
+    tracemalloc.start()
+    try:
+        results = run_trials(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results) == size
+    assert min(r.accumulator.global_event_count for r in results) > 5
+    assert peak <= 3 * driver.CHUNK_BYTES
+
+
 def test_periodic_group_memory_stays_near_the_chunk_budget():
-    # periodic trials on rows run in groups as large as ROW_BYTES per entry
-    # of their chunks allows too: a staggered schedule of twenty phases puts
-    # a deadline on most grid steps, so a chunk holds as many rows as a
+    # periodic trials on rows run in groups as large as their chunks' bytes
+    # allow too (driver._chunk_bytes): a staggered schedule of twenty phases
+    # puts a deadline on most grid steps, so a chunk holds as many rows as a
     # chunk of grid steps, and the group's blocks, increments and one
     # settle pass over its partial resets must stay within one trial's bound
     n = 20
@@ -1326,6 +1353,16 @@ def lane_config(**kw):
 # grid rows in groups, one column search over the group per chunk
 # (driver._row_trials)
 GRID_B_CELL = dict(n=3, scenario=B, scheme=Level(math.sqrt(0.75)), dt=DT, horizon=25.0, seed=1)
+# broadcast-only level cells on coarse rows of 16 grid steps, whose groups
+# share one column search per chunk: twelve agents at threshold 4, as in
+# GOLDEN_COARSE_LEVEL, and twenty at 60 s, whose search window of two
+# expected gaps (1000 rows) is shorter than its chunk (1875 rows), so that a
+# trial's later windows start where its earliest column stands
+COARSE_B_CELLS = {
+    "coarse-b": dict(n=12, scenario=B, scheme=Level(4.0), dt=DT, horizon=20.0, seed=1729),
+    "coarse-b-short-window": dict(n=20, scenario=B, scheme=Level(4.0), dt=DT, horizon=60.0,
+                                  seed=5),
+}
 # periodic cells on rows, whose groups share one deadline lookup per chunk:
 # synchronous and staggered under broadcast-only information, and
 # synchronous under broadcast-plus-local
@@ -1406,8 +1443,8 @@ def test_trial_identical_alone_or_in_batch(monkeypatch, lane_blocks):
                 assert [outcome(r) for r in run_trials(batch)] == grouped[:part]
     # every other trial runs on rows in groups, one chunk loop over the
     # group, each trial drawing from its own stream: broadcast-only level
-    # trials on grid rows share one column search and one settle pass per
-    # chunk, and periodic ones one deadline lookup and one settle pass, on
+    # trials share one column search per chunk, and one settle pass on grid
+    # rows, and periodic ones one deadline lookup and one settle pass, on
     # coarse rows and on grid rows alike.  Each cell gives the same tallies
     # and events alone, in its group, in a batch of groups of two whose last
     # is partial, and in a process pool
@@ -1421,7 +1458,8 @@ def test_trial_identical_alone_or_in_batch(monkeypatch, lane_blocks):
     monkeypatch.setattr(driver, "_row_trials", recording_trials)
     cells = [(grid_b_config, False)] + [
         (partial(quiet_config, **kw), unit) for kw in PERIODIC_CELLS.values()
-        for unit in (False, True)]
+        for unit in (False, True)] + [
+        (partial(quiet_config, **kw), False) for kw in COARSE_B_CELLS.values()]
     for cell, unit in cells:
         with monkeypatch.context() as rows:
             if unit:
@@ -1429,6 +1467,8 @@ def test_trial_identical_alone_or_in_batch(monkeypatch, lane_blocks):
             for record_events in (False, True):
                 config = cell(trials=4, record_events=record_events)
                 assert driver.fleet_coarse_steps(config) == 1 or not unit
+                if isinstance(config.scheme, Level) and config.n > 3:
+                    assert driver.fleet_coarse_steps(config) == 16
                 groups.clear()
                 grouped = [outcome(r) for r in run_trials(config)]
                 assert groups == [[0, 1, 2, 3]]
@@ -1436,13 +1476,26 @@ def test_trial_identical_alone_or_in_batch(monkeypatch, lane_blocks):
                 assert [outcome(run_trial(config, i)) for i in range(4)] == grouped
                 with monkeypatch.context() as patch:
                     # a chunk budget for groups of two
-                    entries = (driver._chunk_rows(config) + 1) * 3
-                    patch.setattr(driver, "ROW_BYTES", driver.CHUNK_BYTES // (2 * entries))
+                    patch.setattr(driver, "_chunk_bytes", lambda config: driver.CHUNK_BYTES // 2)
                     groups.clear()
                     batch = cell(trials=3, record_events=record_events)
                     assert [outcome(r) for r in run_trials(batch)] == grouped[:3]
                     assert groups == [[0, 1], [2]]
                 assert [outcome(r) for r in run_trials(config, workers=2)] == grouped
+
+
+def test_coarse_search_window_is_the_trials():
+    # a round of the coarse search reads each column from its own last reset,
+    # but within its trial's window of two expected gaps from the trial's
+    # earliest live column, as a trial searched alone always did: which round
+    # finds a crossing, and so which call draws an entry, is pinned by the
+    # values of the short-window cell, whose window is shorter than its chunk
+    # (a window from each column's own start moved trial 0's integral to
+    # 61804.93897236726 with the same 69 events)
+    config = quiet_config(**COARSE_B_CELLS["coarse-b-short-window"], trials=2)
+    results = [r.accumulator for r in run_trials(config)]
+    assert [(repr(a.integral_sum), a.global_event_count) for a in results] == [
+        ("61474.725084729354", 69), ("68274.18892383092", 77)]
 
 
 def test_lane_group_identical_under_sign_flip(lane_blocks):
