@@ -158,11 +158,13 @@ SCAN_ENTRIES = 4096
 # after them, the bases that settle them, and the search's hit masks and
 # gathered rows (tracemalloc peaks read 15 to 32 from n = 3 to 1024); on
 # deadline rows the running sums and increments; on coarse level rows also
-# each entry's slot in the bridge store and the drawn grid points.  Rows that
+# each entry's slot in the bridge store and the drawn grid points, and
+# EVENT_BYTES per point of each event's fleet (_event_points).  Rows that
 # form coarse cost terms (_row_terms) hold TERM_BYTES more per row
 ROW_BYTES = 32
 DEADLINE_BYTES = 16
-COARSE_BYTES = 24
+COARSE_BYTES = 38
+EVENT_BYTES = 46
 TERM_BYTES = 128
 # lanes of broadcast-plus-local level cycles (_lane_cycles, _lane_shape): a
 # trial's block holds the expected cycles of the horizon left plus
@@ -806,35 +808,24 @@ class _Bridges:
         self.count = count + m
         return slots
 
-    def deviations(self, entries: np.ndarray, increments: np.ndarray) -> np.ndarray:
-        """The grid points 1 .. k - 1 of drawn ``entries`` minus their bridge
-        means ``a + z j / k``, a row each, with ``a`` the entry's start in
-        ``rows`` and ``z`` its increment in ``increments``, laid out as the
-        steps of ``rows``."""
-        # formed a grid point per row, an entry per column, and returned as
-        # the transposed view
-        return self._less_means(self.store.take(self.slot[entries], axis=1), entries, increments)
-
     def spend(self, increments: np.ndarray):
         """``(entries, deviations)`` of every drawn entry, in ascending
-        order, formed in place of the store, which the bridges give up: they
-        serve no draw or lookup after."""
-        count = self.count
+        order: its grid points 1 .. k - 1 minus their bridge means ``a + z j
+        / k``, a row each, with ``a`` the entry's start in ``rows`` and
+        ``z`` its increment in ``increments``, laid out as the steps of
+        ``rows``.  They are formed in place of the store, a grid point at a
+        time so that no second array as large is held, and the bridges give
+        the store up: they serve no draw or lookup after."""
+        count, k = self.count, len(self.levels) + 1
         order = np.argsort(self.owner[:count])
         d = self.store[:, :count]
-        for point in d:  # a row at a time, so that no second store is held
-            point[:] = point[order]
-        self.store = self.slot = None
         entries = self.owner[order]
-        return entries, self._less_means(d, entries, increments)
-
-    def _less_means(self, d: np.ndarray, entries: np.ndarray, increments: np.ndarray):
-        # the means a row at a time, so that no second array as large is held
-        k = len(self.levels) + 1
         a, z = self.rows.reshape(-1)[entries], increments.reshape(-1)[entries]
         for t, point in enumerate(d, 1):
+            point[:] = point[order]
             point -= a + z * (t / k)
-        return d.T
+        self.store = self.slot = None
+        return entries, d.T
 
 
 def _coarse_crossings(flat: np.ndarray, origin: np.ndarray, first: np.ndarray, hi: np.ndarray,
@@ -854,9 +845,21 @@ def _coarse_crossings(flat: np.ndarray, origin: np.ndarray, first: np.ndarray, h
     ``SCAN_ENTRIES`` and at most ``CHUNK_BYTES / 64`` entries over the
     columns still reading, as far as they reach.  A window is one strided
     view of ``flat`` for every column, so it may run past a column's
-    ``hi`` into whatever follows, which is read but never counts: ``flat``
-    must run on for ``max(hi) n`` entries past the last column's point
-    ``max(hi)``."""
+    ``hi`` into whatever follows, which is read but never counts; a window
+    that would run past ``flat``'s end reads its last entry there.  A lone
+    column reads its points up to ``hi`` at once, one slice of ``flat``: a
+    window's numpy calls would cost more than its points."""
+    if origin.size == 1:
+        start, left = int(origin[0] + first[0] * n), int(hi[0] - first[0])
+        dist = flat[start : start + left * n + 1 : n] - base[0]
+        np.abs(dist, out=dist)
+        over = dist[1:] >= delta
+        j = over.argmax()
+        crossed = over[j : j + 1]
+        read = j + 1 if crossed[0] else left
+        near = dist[: read + 1] > far
+        steps = (near[:-1] | near[1:]).nonzero()[0]
+        return first + read, crossed, start + steps * n
     crossed = np.zeros(origin.size, dtype=bool)
     found = []
     todo = np.arange(origin.size)
@@ -872,7 +875,10 @@ def _coarse_crossings(flat: np.ndarray, origin: np.ndarray, first: np.ndarray, h
         # row e of windows is the width + 1 points of a column from entry e
         windows = np.ndarray((flat.size - width * n, width + 1), flat.dtype, flat,
                              strides=(flat.itemsize, n * flat.itemsize))
-        dist = windows[start]
+        if start.max() < len(windows):
+            dist = windows[start]
+        else:  # a column near the end of the last block
+            dist = flat.take(start[:, None] + np.arange(width + 1) * n, mode="clip")
         dist -= base[todo, None]
         np.abs(dist, out=dist)
         over = dist >= delta
@@ -893,8 +899,7 @@ def _coarse_crossings(flat: np.ndarray, origin: np.ndarray, first: np.ndarray, h
     return at, crossed, np.concatenate(found)
 
 
-def _coarse_level_events(bridges: _Bridges, delta: float, far: float, k: int, window: int,
-                         width: int, flat: np.ndarray):
+def _coarse_level_events(bridges: _Bridges, delta: float, far: float, k: int, window: int):
     """``(times, masks, resets)`` of the level rule's events in a chunk of
     coarse running sums of a group of trials, ``bridges.rows``, a block of
     ``bridges.height`` rows per trial: the grid points at which some
@@ -911,20 +916,20 @@ def _coarse_level_events(bridges: _Bridges, delta: float, far: float, k: int, wi
     column's first coarse point beyond ``delta`` after the point it was
     last searched through bounds its next event, and a round reads each
     column from that point's row to there, or to the window's end, and no
-    further (``_coarse_crossings``, in windows that start ``width`` points
-    wide).  It draws the grid points of every entry of those rows with an
-    end beyond ``far`` of its column's base (``_Bridges.draw``, one block
-    per trial and round, from the trial's stream; any other entry reaches
-    the band with probability below ``2 exp(-40)``) and takes each column's
-    first grid point in the band's complement after the point it was
-    searched through; that hit, or else the bounding crossing, is the
+    further (``_coarse_crossings``, in windows that start an eighth of
+    ``window`` wide).  It draws the grid points of every entry of those
+    rows with an end beyond ``far`` of its column's base
+    (``_Bridges.draw``, one block per trial and round, from the trial's
+    stream; any other entry reaches the band with probability below ``2
+    exp(-40)``) and takes each column's first grid point in the band's
+    complement after the point it was searched through; that hit, or else the bounding crossing, is the
     column's event, which resets it alone: the search serves broadcast-only
     information, where each agent watches its own error.  Each trial's
-    rounds, windows and draws are the ones it makes alone.  ``flat`` starts
-    with ``bridges.rows``, flattened, and runs on for at least ``span n``
-    entries that are read but never count (``_coarse_crossings``).
+    rounds, windows and draws are the ones it makes alone.
     """
     rows, n, height = bridges.rows, bridges.n, bridges.height
+    flat = rows.reshape(-1)
+    width = max(1, window // 16)
     span = height - 1
     last = span * k
     trials = len(rows) // height
@@ -1463,8 +1468,7 @@ def _lane_block(config: ScenarioConfig, streams: List[NoiseStream], lanes: List[
                 e_pre[which] = _event_points(bridges, entries, j, log)
             # every row's terms and every drawn entry's corrections, row by
             # row, once the drawn points are freed
-            drawn = np.sort(bridges.owner[: bridges.count])
-            d = bridges.deviations(drawn, z)
+            drawn, d = bridges.spend(z)
             del bridges
             terms, row, fixes = _row_terms(rows[:-1].reshape(w * m, n), z, step_var,
                                            *np.divmod(drawn, n), d)
@@ -1555,7 +1559,9 @@ def _lane_shape(config: ScenarioConfig):
     the lane's ``n`` entries); a kept row holds two running sums (16
     bytes).  On coarse rows an entry holds its running sum, increment and
     distance (24 bytes) and, if drawn, its ``k - 1`` grid points three
-    times over (the bridge store, the deviations and ``_row_terms``' own);
+    times over (the bridge store, the deviations and ``_row_terms``' own;
+    ``_Bridges.spend`` forms the deviations in the store's place, so one
+    of the three is spare);
     a kept row holds its six terms, its start and its lane (64 bytes) and,
     if it holds drawn entries, their corrections to the cost and the reward
     at each grid point.  The drawn share of a round's entries is taken as
@@ -1697,13 +1703,19 @@ def _row_group(config: ScenarioConfig, workers: int) -> int:
 
     Measured with tracemalloc, groups of eight trials peaked at (bytes per
     entry of their chunks): on deadline rows 18.6 at n = 50 (``table1``'s
-    TT-bl, 2000 s), 29 at n = 10 and 59 at n = 3; on coarse level rows of
-    threshold 5 and 16 grid steps 29.9 at fleet-large's ``et-b`` cell (n =
-    50, 25 s: 8.9 MiB), 31.8 at 200 s, 40 at n = 200 and 1000 (the points of
-    each event's fleet) and 66 at n = 3, and at threshold 4, the rule's
-    edge, 45 to 49 at n = 12 and 20.  So a coarse level group may peak past
-    ``CHUNK_BYTES`` by about a tenth at n = 50 (fleet-large's eight trials
-    form one group) and by up to three fifths at a thousand agents."""
+    TT-bl, 2000 s), 29 at n = 10 and 59 at n = 3.  On coarse level rows a
+    trial added to a group (groups of two to eight, past the first expected
+    event) at threshold 5 and 16 grid steps 29.8 at fleet-large's ``et-b``
+    cell (n = 50, 25 s), 31.6 at 200 s, 36.8 at n = 200, 83.5 at n = 1000
+    (where a chunk holds 1.28 points of its events' fleets per entry) and
+    66.7 at n = 3 (the per-row terms); 38.5 to 47.1 at threshold 4, the
+    16-step rows' edge (n = 50 to 12), and 26.3 at threshold 8; on 8-step
+    rows at threshold 3.1 25.3 to 37.3 from n = 12 to 200, 59.5 at n = 3
+    and 89.6 at n = 1000 (1.67 points per entry).  ``COARSE_BYTES`` and
+    ``EVENT_BYTES`` bound them all, so from n = 1 to 1000 and threshold 3.1
+    to 8 the rule's groups peaked at 0.43 to 0.94 ``CHUNK_BYTES``
+    (fleet-large's eight trials run as two groups of four, 0.56), but where
+    a trial alone holds more: n = 1000 at threshold 3.1 peaked at 1.46."""
     fits = max(1, CHUNK_BYTES // _chunk_bytes(config))
     return min(fits, -(-config.trials // workers))
 
@@ -1713,12 +1725,16 @@ def _chunk_bytes(config: ScenarioConfig) -> int:
     plus one rows of ``n`` entries, of ``ROW_BYTES`` each on grid rows of a
     level rule, and on coarse rows, which form cost terms per row, of
     ``DEADLINE_BYTES`` (deadline rows) or ``COARSE_BYTES`` (level rows)
-    each plus ``TERM_BYTES`` per row."""
+    each plus ``TERM_BYTES`` per row; level rows add ``EVENT_BYTES`` per
+    point of the fleet at each expected event."""
     rows, n = _chunk_rows(config) + 1, config.n
     if isinstance(config.scheme, Level):
-        if fleet_coarse_steps(config) == 1:
+        k = fleet_coarse_steps(config)
+        if k == 1:
             return ROW_BYTES * rows * n
-        return (COARSE_BYTES * n + TERM_BYTES) * rows
+        # each agent's events a row, of n points each
+        points = n * n * k * config.dt / _expected_interevent(config)
+        return int((COARSE_BYTES * n + EVENT_BYTES * points + TERM_BYTES) * rows)
     return (DEADLINE_BYTES * n + TERM_BYTES) * rows
 
 
@@ -1767,8 +1783,6 @@ def _row_trials(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> Li
         capacity = _chunk_rows(config)
         far = coarse_far(delta, dt, coarse, crossing=False)
         gaps = max(1, int(WINDOW_GAPS * _expected_interevent(config) / (coarse * dt)))
-        # the scan's first window per column: an eighth of an expected gap
-        width = max(1, gaps // 16)
         # the log's own points (_event_points)
         logs = [stream.child(0) for stream in streams] if logged and coarse > 1 else None
     else:
@@ -1832,8 +1846,7 @@ def _row_trials(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> Li
             # trial g's block is rows g (span + 1) to g (span + 1) + span
             flat = view.reshape(-1, n)
             bridges = _Bridges(flat, streams, k, dt, height=span + 1)
-            times, masks, resets = _coarse_level_events(bridges, delta, far, k, gaps, width,
-                                                        buffer[:need])
+            times, masks, resets = _coarse_level_events(bridges, delta, far, k, gaps)
             log = None if logs is None else _Bridges(flat, logs, k, dt, height=span + 1)
             stops, coarse_rows = _event_rows(bridges, z.reshape(-1, n), times, resets,
                                              step_var, log)

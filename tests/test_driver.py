@@ -1247,20 +1247,23 @@ def test_column_group_memory_stays_near_the_chunk_budget():
     assert peak <= 3 * driver.CHUNK_BYTES
 
 
-@pytest.mark.parametrize("n, chunks", [(50, 1.5), (1000, 2.5)])
-def test_coarse_group_memory_stays_near_the_chunk_budget(n, chunks):
+@pytest.mark.parametrize("n, chunks, grouped", [(50, 1.5, True), (1000, 20, False)])
+def test_coarse_group_memory_stays_near_the_chunk_budget(n, chunks, grouped):
     # broadcast-only level trials on coarse rows run in groups as large as
     # their chunks' bytes allow too (driver._chunk_bytes): the group's running
     # sums and increments, its search rounds, the grid points its trials
     # draw, the points of its events and its cost terms must stay within one
     # trial's bound, at fifty agents over a chunk and a half of 1310 coarse
-    # rows and at a thousand over two and a half of 65
+    # rows, and at a thousand over twenty chunks of 65, past the expected
+    # time to a first event (25 s), where a chunk holds about one point of
+    # its events' fleets per entry, which a trial alone nearly fills the
+    # budget with
     cell = partial(quiet_config, n=n, scenario=B, scheme=Level(5.0), dt=DT, seed=3)
     config = cell(horizon=1e4, trials=100)
     assert driver.fleet_coarse_steps(config) == 16
     horizon = chunks * driver._chunk_rows(config) * 16 * DT
     size = driver._row_group(cell(horizon=horizon, trials=100), 1)
-    assert size > 1
+    assert (size > 1) == grouped
     config = cell(horizon=horizon, trials=size)
     tracemalloc.start()
     try:
@@ -1513,7 +1516,8 @@ def test_lane_group_identical_under_sign_flip(lane_blocks):
 
 class KeptBridges(driver._Bridges):
     """A ``_Bridges`` that keeps a copy of the rows it was made on, which a
-    lane block reuses for its next round, and lists itself in ``made``."""
+    lane block reuses for its next round, and of the drawn points and their
+    slots, which ``spend`` gives up, and lists itself in ``made``."""
 
     made = []
 
@@ -1523,6 +1527,12 @@ class KeptBridges(driver._Bridges):
         streams = stream if isinstance(stream, list) else [stream]
         self.log = streams[0].subkey == (0,)  # the log's points, not the search's
         self.made.append(self)
+
+    def spend(self, increments):
+        slot, store = self.slot, self.store.copy()
+        spent = super().spend(increments)
+        self.slot, self.store = slot, store
+        return spent
 
 
 def replay_coarse_block(config, lanes, starts, width, made, out):
