@@ -66,16 +66,29 @@ class CostAccumulator:
         if self.local_event_counts is None:
             self.local_event_counts = np.zeros(self.n, dtype=np.int64)
 
-    def close_cycle(self, reward: float, length: float) -> None:
-        self.cycles += 1
-        self.cycle_reward_sum += reward
-        self.cycle_length_sum += length
+    def close_cycle(self, reward, length) -> None:
+        """Close renewal cycles of rewards ``reward`` and lengths ``length``:
+        one of each, or equal-length arrays of them, in cycle order.  Each
+        running sum adds them one at a time, as ``np.cumsum`` over
+        ``[running sum, *values]`` does, so the sums take the same additions
+        in the same order whether the cycles come one by one or in bulk."""
+        reward, length = np.atleast_1d(reward), np.atleast_1d(length)
+        self.cycles += reward.size
+        self.cycle_reward_sum = _sequential_sum(self.cycle_reward_sum, reward)
+        self.cycle_length_sum = _sequential_sum(self.cycle_length_sum, length)
 
     def renewal_estimate(self) -> float:
         """Renewal-reward cost estimate from these cycles (NaN if none)."""
         if not self.cycles:
             return float("nan")
         return self.n * (self.n - 1) * self.cycle_reward_sum / self.cycle_length_sum
+
+
+def _sequential_sum(start: float, values: np.ndarray) -> float:
+    """``start`` plus ``values`` added one at a time, left to right."""
+    if not values.size:
+        return start
+    return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
 
 
 # every field of CostAccumulator but the agent count: what merging adds up

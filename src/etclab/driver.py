@@ -30,15 +30,18 @@ and a level rule searches each agent's rows against its running sum at
 its last reset (``_column_events``).  An unlogged group whose events
 reset at their rows settles its blocks in one pass (``_zero_fill`` or
 ``_subtract_bases``); otherwise ``_settle``, the one event protocol,
-settles them in order, one subtraction per segment between events.  ``_settle`` adds up agent 0's
-reward per segment and counts the events either way, and one cost pass
+settles them in order, one subtraction per segment between events.
+Either way ``_settle`` forms agent 0's reward per segment for the whole
+group at once and hands every trial's events and rewards to the group's
+pending store (``_Tally``), whose bulk close counts the events and closes
+the renewal cycles with the bits of a loop over the events; one cost pass
 covers the chunk's left endpoints.  Only chunk boundaries move its
 rounding.  With every row one grid step, the path consumes the noise
 stream in exactly the same order as the plain per-step loop kept as
 ``run_trial_reference``, which steps, detects triggers and sums costs on
-its own and hands ``_settle`` one event at a time; the test suite
-compares the two.  The reference alone records trajectories, which
-``etclab trajectory`` plots.
+its own, settles one event at a time and hands the same store agent 0's
+reward of every step; the test suite compares the two.  The reference
+alone records trajectories, which ``etclab trajectory`` plots.
 
 A periodic schedule has no band to watch, so its deadlines are known
 before any noise is drawn, and only the cost needs every grid point.  So
@@ -89,8 +92,8 @@ of a group of consecutive trials, as many as the config alone sets
 points, from the trial's own stream, and the search and the cost form
 run once over the group, so a trial's results are the same alone
 (``run_trial``), in any group and in any process.  The cycles hand their
-tallies to their trial's fleet in cycle order through ``_Fleet.tally``,
-as ``_settle`` does.  The cycle that crosses the horizon counts its own
+tallies to the group's pending store (``_Tally``) in cycle order, as
+``_settle`` does.  The cycle that crosses the horizon counts its own
 path's grid points before it, whose number depends only on the cycles
 before it, so it is not length-biased.  Coarse rows and lanes, of grid steps
 too, are exact in law, not pathwise: their gates are the whole-law test
@@ -166,6 +169,10 @@ DEADLINE_BYTES = 16
 COARSE_BYTES = 38
 EVENT_BYTES = 46
 TERM_BYTES = 128
+# bytes a group's pending store (_Tally) holds per reward with what its bulk
+# close forms (tracemalloc figures read 28 to 97, the most with a cycle per
+# reward, from n = 3 to 1000 on rows, lanes and the reference)
+PENDING_BYTES = 128
 # lanes of broadcast-plus-local level cycles (_lane_cycles, _lane_shape): a
 # trial's block holds the expected cycles of the horizon left plus
 # LANE_SPARE, a group of trials shares rounds of about LANE_ENTRIES entries
@@ -390,7 +397,8 @@ class _Fleet:
     estimate is ``c_prev``.  Costs and triggers read ``e`` alone, so
     ``c_prev`` is tracked only when ``logged``: when the trial records
     events or a trajectory.  ``cycle_reward`` and ``cycle_start``
-    describe the open renewal cycle.
+    describe the open renewal cycle as of the last flush of its group's
+    pending store (``_Tally``).
     """
 
     config: ScenarioConfig
@@ -412,32 +420,6 @@ class _Fleet:
         log = [] if trajectory else None
         logged = config.record_events or trajectory
         return cls(config, np.zeros(n), CostAccumulator(n), events, log, logged)
-
-    def tally(self, steps: List[int], masks, rewards: List[float]) -> None:
-        """Count the events at the grid steps ``steps``, ascending, each
-        fired by the agents in its row of the boolean array ``masks``, and
-        add agent 0's rewards to the renewal cycles: ``rewards[j]`` (times
-        ``dt``) ends at ``steps[j]``, where the open cycle closes on every
-        global event, or on agent 0's own events under broadcast-only; a
-        reward past the last step stays in the open cycle.  The one tally
-        of the event protocol, for ``_settle`` and the lanes alike."""
-        acc = self.acc
-        dt = self.config.dt
-        count = len(steps)
-        if count:
-            acc.local_event_counts += masks.sum(axis=0)
-            acc.global_event_count += count
-            if self.config.scenario is InfoScenario.BROADCAST:
-                closes = masks[:, 0].tolist()
-            else:
-                closes = [True] * count
-        for j, reward in enumerate(rewards):
-            self.cycle_reward += reward * dt
-            if j < count and closes[j]:
-                step = steps[j]
-                acc.close_cycle(self.cycle_reward, (step - self.cycle_start) * dt)
-                self.cycle_reward = 0.0
-                self.cycle_start = step
 
     def log_state(self, step: int, e: np.ndarray, flag: int) -> None:
         """Trajectory row ``(t, x, xhat, flag, threshold center)`` at ``step``."""
@@ -472,18 +454,199 @@ class _Fleet:
             )
 
 
-def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
-            coarse_rows: Optional["_CoarseRows"] = None, settled: bool = False) -> None:
-    """Settle, in event order, the events of a block of running sums.
+class _Tally:
+    """The pending store of a group's fleets, one trial's included, and
+    its bulk close: the one tally of the event protocol, for rows
+    (``_settle``), lanes (``_lane_cycles``) and the reference alike.
 
-    ``rows[k]`` is the state at the end of row ``k`` of the block, which
-    ends ``k`` grid steps after step ``done`` (``coarse_rows.ends[k]`` of
-    them when the rows are coarse steps), as a running sum from row 0,
-    which holds the errors, with no reset applied; the event at row
-    ``stops[j]`` (ascending) has the initiators ``masks[j]``, a boolean
-    row per event.  Coarse rows give each event's grid step and may give
-    the running sums it resets to in place of ``rows[stop]``
-    (``_CoarseRows``): an event inside a coarse row stops at its end.
+    ``pend`` counts the events of any of the group's trials and adds agent
+    0's rewards and the cycles the events close to the store; ``flush``
+    closes the renewal cycles of the whole group in one pass.  The store
+    flushes at the end of the group's trials (``results``) and once it
+    holds an eighth of ``CHUNK_BYTES`` at ``PENDING_BYTES`` per reward.  A
+    flush gives every sum the same additions in the same order as a loop
+    over the events would, wherever the flushes fall, so no bit depends on
+    them.
+    """
+
+    def __init__(self, fleets: List[_Fleet]):
+        self.fleets = fleets
+        config = fleets[0].config
+        self.dt = config.dt
+        self.broadcast_only = config.scenario is InfoScenario.BROADCAST
+        # per pend: rewards times dt, their bounds, closes and their steps
+        self.parts = []
+        self.held = 0  # rewards
+        self.counts = np.zeros((len(fleets), config.n), dtype=np.int64)
+        self.events = np.zeros(len(fleets), dtype=np.int64)
+
+    def pend(self, rewards, bounds, steps, masks, ends) -> None:
+        """Add agent 0's rewards ``rewards`` (times ``dt``), trial ``g``'s
+        ``bounds[g]`` to ``bounds[g + 1]`` in order, and the events at the
+        grid steps ``steps``, each fired by the agents in its row of the
+        boolean array ``masks``, to the store.  Event ``j`` ends at the
+        reward ``ends[j]``, ascending, where its trial's open cycle closes on
+        every global event, or on agent 0's own events under broadcast-only;
+        a trial's rewards after its last event stay in its open cycle."""
+        bounds = np.asarray(bounds)
+        ends = np.asarray(ends, dtype=np.int64)
+        steps = np.asarray(steps, dtype=np.int64)
+        if ends.size and bounds.size == 2:  # a group of one
+            self.events[0] += ends.size
+            self.counts[0] += masks.sum(axis=0)
+        elif ends.size:
+            # each trial's events, and how many of them each agent fires
+            mine = ends.searchsorted(bounds)
+            self.events += mine[1:] - mine[:-1]
+            busy = (mine[:-1] < mine[1:]).nonzero()[0]
+            if masks.size <= CHUNK_BYTES // 128:  # reduceat casts every mask to int64 first
+                self.counts[busy] += np.add.reduceat(masks, mine[busy], axis=0, dtype=np.int64)
+            else:
+                for g in busy.tolist():
+                    self.counts[g] += masks[mine[g] : mine[g + 1]].sum(axis=0)
+        if ends.size and self.broadcast_only:
+            closes = masks[:, 0]
+            ends, steps = ends[closes], steps[closes]
+        terms = np.multiply(rewards, self.dt)
+        self.parts.append((terms, bounds, ends, steps))
+        self.held += terms.size
+        if self.held * PENDING_BYTES >= CHUNK_BYTES // 8:
+            self.flush()
+
+    def flush(self) -> None:
+        """Close the pending renewal cycles of every trial of the group and
+        count its pending events.  A cycle's reward is its rewards added
+        one at a time, from its trial's carried ``cycle_reward`` for the
+        trial's first cycle and from 0.0 for the others (``_cycle_sums``);
+        its length is the grid steps from the cycle before it; and
+        ``CostAccumulator.close_cycle`` adds each trial's cycles one at a
+        time, as a loop over the events adds them."""
+        if not self.parts:
+            return
+        fleets = self.fleets
+        group = len(fleets)
+        if len(self.parts) == 1:
+            terms, bounds, ends, steps = self.parts[0]
+        else:
+            terms, bounds, ends, steps = zip(*self.parts)
+            sizes = [len(part) for part in terms]
+            offsets = np.add.accumulate(sizes) - sizes  # each part's first reward
+            ends = np.concatenate(ends) + offsets.repeat([len(part) for part in steps])
+            terms, steps = np.concatenate(terms), np.concatenate(steps)
+            if group == 1:
+                bounds = np.array([0, terms.size])
+            else:
+                # the rewards trial by trial, each trial's share of a part
+                # after its shares of the parts before it, and the closes
+                # with them
+                bounds = np.array(bounds)
+                shares = bounds[:, 1:] - bounds[:, :-1]
+                held = shares.sum(axis=0)
+                into = np.add.accumulate(held) - held + np.add.accumulate(shares) - shares
+                where = np.arange(terms.size) + (into - offsets[:, None] - bounds[:, :-1]).reshape(
+                    -1).repeat(shares.reshape(-1))
+                moved = np.empty_like(terms)
+                moved[where] = terms
+                terms = moved
+                by = where[ends].argsort()
+                ends, steps = where[ends][by], steps[by]
+                bounds = np.concatenate(([0], np.add.accumulate(held)))
+        self.parts, self.held = [], 0
+        # each trial's closes, then its open cycle, which ends at its last
+        # reward; trial g's closes are closed[g] to closed[g + 1]
+        last = bounds[1:] - 1
+        cuts = ends.searchsorted(last, side="right")
+        closed = [0, *cuts.tolist()]
+        tails = cuts + np.arange(group)
+        cycles = np.empty(ends.size + group, dtype=np.int64)
+        kept = np.ones(cycles.size, dtype=bool)
+        kept[tails] = False
+        cycles[kept] = ends
+        cycles[tails] = last
+        seeds = np.zeros(cycles.size)
+        seeds[[c + g for g, c in enumerate(closed[:-1])]] = [f.cycle_reward for f in fleets]
+        sums = _cycle_sums(terms, cycles, seeds)
+        prev = np.empty_like(steps)
+        prev[1:] = steps[:-1]
+        for g, fleet in enumerate(fleets):
+            if closed[g + 1] > closed[g]:
+                prev[closed[g]] = fleet.cycle_start
+        lengths = (steps - prev) * self.dt
+        for g, fleet in enumerate(fleets):
+            acc = fleet.acc
+            if self.events[g]:
+                acc.local_event_counts += self.counts[g]
+                acc.global_event_count += int(self.events[g])
+            a, b = closed[g], closed[g + 1]
+            if b > a:
+                acc.close_cycle(sums[a + g : b + g], lengths[a:b])
+                fleet.cycle_start = int(steps[b - 1])
+            fleet.cycle_reward = float(sums[b + g])
+        self.counts[:] = 0
+        self.events[:] = 0
+
+    def results(self) -> List[TrialResult]:
+        """The group's results in trial order, once the store is flushed."""
+        self.flush()
+        return [TrialResult(accumulator=f.acc, events=f.events, trajectory=f.trajectory)
+                for f in self.fleets]
+
+
+def _cycle_sums(terms: np.ndarray, ends: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """The rewards of the cycles that end at the ``terms`` ``ends``, in
+    order, the last at the last term: each cycle's terms from the one after
+    the last cycle's end, added one at a time from its ``seeds`` entry, as a
+    loop over the terms adds them.  A cycle may hold no term.
+
+    The cycles form a block, a row each, padded with zeros to the longest,
+    and one ``np.add.accumulate`` along its rows adds each row's terms in
+    order.  Where padding would more than quadruple the block, cycles of
+    ``2^(b - 1)`` to ``2^b - 1`` terms form a block of their own, which
+    padding at most doubles."""
+    length = ends - np.concatenate(([-1], ends[:-1]))
+    if int(length.max()) * length.size <= 4 * (terms.size + length.size):
+        return _padded_sums(terms, length, seeds)
+    sums = np.empty(ends.size)
+    size = np.frexp(length)[1]  # length in [2^(size - 1), 2^size)
+    owner = size.repeat(length)
+    for b in np.unique(size):
+        which = (size == b).nonzero()[0]
+        sums[which] = _padded_sums(terms[owner == b], length[which], seeds[which])
+    return sums
+
+
+def _padded_sums(terms: np.ndarray, length: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """``_cycle_sums`` of the cycles of ``length`` of the ``terms`` each, one
+    after another, in one padded block: a row per cycle, its seed first."""
+    width = int(length.max()) + 1
+    cycles = np.arange(length.size)
+    block = np.zeros((length.size, width))
+    block[:, 0] = seeds
+    # each term's entry: its cycle's row, one past its place in the cycle
+    at = (cycles * width + 1 - (np.add.accumulate(length) - length)).repeat(length)
+    at += np.arange(terms.size)
+    block.reshape(-1)[at] = terms
+    np.add.accumulate(block, axis=1, out=block)
+    return block[cycles, length]
+
+
+def _settle(tally: _Tally, rows: np.ndarray, stops, masks, done: int, bounds=None,
+            coarse_rows: Optional["_CoarseRows"] = None, settled: bool = False) -> None:
+    """Settle, in event order, the events of a group's blocks of running
+    sums, and hand the group's pending store each trial's event steps,
+    masks and agent 0's rewards (``_Tally.pend``).
+
+    ``rows[g]`` is trial ``g``'s block: its row ``k`` is the state at the
+    end of row ``k``, which ends ``k`` grid steps after step ``done``
+    (``coarse_rows.ends[k]`` of them when the rows are coarse steps), as a
+    running sum from row 0, which holds the errors, with no reset applied.
+    Trial ``g``'s events are ``bounds[g]`` to ``bounds[g + 1]`` of ``stops``
+    and ``masks`` (all of them by default, for a group of one): the event
+    at row ``stops[j]`` (ascending within a trial) has the initiators
+    ``masks[j]``, a boolean row per event.  Coarse rows give each event's
+    grid step and may give the running sums it resets to in place of the
+    stop's row (``_CoarseRows``): an event inside a coarse row stops at its
+    end.
 
     Broadcast-only: the initiators' estimates become their true states, the
     consensus point ``c`` is announced, and every agent jumps by ``c -
@@ -493,49 +656,55 @@ def _settle(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
     reset (the initiators, or everyone), so the rows from one event up to
     the next are errors once each agent's running sum at its last reset is
     subtracted: one subtraction per segment, in place, which also zeroes the
-    reset errors at the event row (``_reset_segments``).  A logged trial
-    forms each event's consensus point from ``x = c_prev + e`` and logs the
-    event, in order.  ``settled`` rows hold errors already, with this
-    loop's bits, and the loop is skipped: a group of trials on rows settles
-    every block before it takes any block's rewards, since coarse rows form
-    the group's cost terms in one pass (``_CoarseRows``).  Once the block
-    holds errors, agent 0's renewal reward is formed per segment in one
-    pass: over grid rows it adds up over the segment's left endpoints (the
-    last row's step belongs to the next block), over coarse rows it adds up
-    the rows' ``_row_sums`` (``_CoarseRows.segment_rewards``), and
-    ``_Fleet.tally`` counts the events at once and closes the renewal
-    cycles.
+    reset errors at the event row (``_reset_segments``, per trial).  A
+    logged trial forms each event's consensus point from ``x = c_prev + e``
+    and logs the event, in order.  ``settled`` rows hold errors already,
+    with that loop's bits, and the loop is skipped.
+
+    Once every block holds errors, agent 0's renewal reward is formed per
+    segment for the whole group at once: over grid rows one BLAS dot per
+    segment of its left endpoints (the last row's step belongs to the next
+    block), since the dot fixes the bits, in one comprehension per trial;
+    over coarse rows one ``np.add.reduceat`` over the group's
+    ``_row_sums`` (``_CoarseRows.segment_rewards``).
     """
+    stops, masks = np.asarray(stops, dtype=np.int64), np.asarray(masks)
+    bounds = [0, stops.size] if bounds is None else np.asarray(bounds).tolist()
+    steps = done + (stops if coarse_rows is None else coarse_rows.times)
+    cuts = stops.tolist() if coarse_rows is None or not settled else None
     if not settled:
-        _reset_segments(fleet, rows, stops, masks, done, coarse_rows)
-    masks = np.asarray(masks)
+        points = None if coarse_rows is None else coarse_rows.points
+        for fleet, block, a, b in zip(tally.fleets, rows, bounds, bounds[1:]):
+            _reset_segments(fleet, block, cuts[a:b], masks[a:b],
+                            steps[a:b].tolist() if fleet.logged else None,
+                            None if points is None else points[a:b])
     if coarse_rows is None:
-        # agent 0's reward per segment, over its left endpoints: the last
-        # row's step belongs to the next block
-        span = len(rows) - 1
-        lead = rows[:span, 0]
-        bounds = [0, *stops, span]
-        rewards = [float(lead[a:b] @ lead[a:b]) for a, b in zip(bounds, bounds[1:])]
+        # agent 0's errors over each segment's left endpoints, the last row's
+        # step belonging to the next block, each sliced once for its dot
+        span = rows.shape[1] - 1
+        rewards = []
+        for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            cut = [0, *cuts[a:b], span]
+            segments = map(rows[g, :span, 0].__getitem__, map(slice, cut, cut[1:]))
+            rewards += [float(lead.dot(lead)) for lead in segments]
     else:
         rewards = coarse_rows.segment_rewards(stops)
-    fleet.tally(_event_steps(stops, done, coarse_rows), masks, rewards)
+    # a trial's segments are its events' and one more: each event ends the
+    # segment before it, after the trials before it hold one more each
+    trials = np.arange(len(bounds))
+    ends = np.arange(stops.size)
+    if trials.size > 2:
+        ends += trials[:-1].repeat(np.subtract(bounds[1:], bounds[:-1]))
+    tally.pend(rewards, trials + bounds, steps, masks, ends)
 
 
-def _event_steps(stops: List[int], done: int, coarse_rows: Optional["_CoarseRows"]) -> List[int]:
-    """The grid steps of the events of a block after step ``done``."""
-    if coarse_rows is None:
-        return [done + stop for stop in stops]
-    return (done + coarse_rows.times).tolist()
-
-
-def _reset_segments(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, done: int,
-                    coarse_rows: Optional["_CoarseRows"] = None) -> None:
-    """``_settle``'s loop: subtract from the rows from each event up to the
-    next every agent's running sum at its last reset, and log the events of
-    a logged trial in order."""
+def _reset_segments(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, steps,
+                    points=None) -> None:
+    """``_settle``'s loop for one trial: subtract from the rows from each
+    event up to the next every agent's running sum at its last reset, which
+    is the event's row, or its row of ``points`` when given, and log the
+    events of a logged trial in order at their grid steps ``steps``."""
     broadcast_only = fleet.config.scenario is InfoScenario.BROADCAST
-    points = None if coarse_rows is None else coarse_rows.points
-    steps = _event_steps(stops, done, coarse_rows) if fleet.logged else None
     base = np.zeros(fleet.config.n)  # each agent's running sum at its last reset
     start = 0
     for k, stop in enumerate(stops):
@@ -1223,9 +1392,9 @@ def _row_sums(k, terms, at, fixes, n, step_var, m=None):
 
 
 class _CoarseRows:
-    """The coarse rows of a chunk of one trial, or of a group's trials, and
-    their events.  ``rows`` holds the running sums at the coarse points, a
-    block of ``len(ends)`` rows per trial, one after another: row ``r`` of
+    """The coarse rows of a chunk of a group's trials, one alone included,
+    and their events.  ``rows`` holds the running sums at the coarse points,
+    a block of ``len(ends)`` rows per trial, one after another: row ``r`` of
     a block ends ``ends[r]`` grid steps after the chunk's start, and the
     step from row ``r`` to row ``r + 1`` is ``k[r]`` grid steps long and has
     the increments in the same row of ``increments``, drawn with variance
@@ -1241,7 +1410,7 @@ class _CoarseRows:
     ``k - 1`` inner grid points minus their bridge means.  The cost and the
     reward then take those points as they are and the bridge law for the
     rest, per row by ``_row_sums``, in one pass over every block once all
-    of them are settled; ``trial`` gives each trial its block's share.
+    of them are settled.
     """
 
     def __init__(self, rows: np.ndarray, ends: np.ndarray, increments: np.ndarray,
@@ -1255,64 +1424,62 @@ class _CoarseRows:
         self.refined = refined
         self.times, self.points = times, points
         self.bounds = [0, len(times)] if bounds is None else bounds
-        self._group, self._block = None, 0  # None: its own group, with no cycle to collect
-        # _row_terms and _row_sums of the group's settled rows, and this
-        # trial's share of them
-        self._whole = self._terms = self._sums = None
-
-    def trial(self, g: int) -> "_CoarseRows":
-        """Trial ``g``'s rows and events, whose sums are its block's share of
-        the group's."""
-        a, b = self.bounds[g], self.bounds[g + 1]
-        part = _CoarseRows(self.rows, self.ends, self.increments, self.step_var, self.times[a:b],
-                           points=None if self.points is None else self.points[a:b])
-        part._group, part._block = self, g
-        return part
+        self._sums = None  # _row_terms and _row_sums of the settled rows
 
     def _settled_sums(self):
         if self._sums is None:
-            group = self._group or self
-            if group._whole is None:
-                # every block's rows at once; a block's last row, if it has
-                # increments, counts for nothing
-                terms = _row_terms(group.rows[: len(group.increments)], group.increments,
-                                   group.step_var, *group.refined)
-                k = np.resize(np.append(group.k, 1.0), len(group.increments))
-                group._whole = terms, _row_sums(k, *terms, group.rows.shape[1], group.step_var)
-            (terms, at, fixes), sums = group._whole
-            start = self._block * len(self.ends)
-            rows = slice(start, start + len(self.k))
-            a, b = np.searchsorted(at, [rows.start, rows.stop])
-            self._terms = [t[rows] for t in terms], at[a:b] - start, fixes[a:b]
-            self._sums = [s[rows] for s in sums]
+            # every block's rows at once; a block's last row, if it has
+            # increments, counts for nothing
+            terms = _row_terms(self.rows[: len(self.increments)], self.increments,
+                               self.step_var, *self.refined)
+            k = np.resize(np.append(self.k, 1.0), len(self.increments))
+            self._sums = terms, _row_sums(k, *terms, self.rows.shape[1], self.step_var)
         return self._sums
 
-    def cost(self) -> float:
-        """Expected ``sum x'Lx`` over the grid points of the chunk's steps,
-        from the settled rows, their post-reset errors."""
-        return float(self._settled_sums()[0].sum())
+    def costs(self) -> List[float]:
+        """Each trial's expected ``sum x'Lx`` over the grid points of the
+        chunk's steps, from the settled rows, their post-reset errors."""
+        cost = self._settled_sums()[1][0]
+        height, span = len(self.ends), len(self.k)
+        return [float(cost[g * height : g * height + span].sum())
+                for g in range(len(self.bounds) - 1)]
 
-    def segment_rewards(self, stops: List[int]) -> List[float]:
-        """Expected ``sum e_0^2`` over the grid points from the chunk's start
-        and from each event up to the next: the steps from one stop up to
-        the next, and an event inside a step moves the step's sum from it on
-        (less ``_row_sums`` of the step's first grid points) to the next."""
-        reward = self._settled_sums()[1]
-        bounds = [0, *stops]
-        # a zero past the end is the sum of an empty last segment
-        sums = np.add.reduceat(np.append(reward, 0.0), bounds)
+    def segment_rewards(self, stops) -> np.ndarray:
+        """Expected ``sum e_0^2`` over the grid points from each trial's
+        chunk start and from each of its events up to the next: trial
+        ``g``'s ``bounds[g + 1] - bounds[g] + 1`` segments follow the
+        segments of the trials before it.  The steps from one stop up to the
+        next add up in one ``np.add.reduceat`` over every block, each
+        block's last row zeroed as the sum of an empty last segment; an
+        event inside a step moves the step's sum from it on (less
+        ``_row_sums`` of the step's first grid points) to the next."""
+        (terms, at, fixes), (_, reward) = self._settled_sums()
+        height, span = len(self.ends), len(self.k)
+        trials = len(self.bounds) - 1
+        stops = np.asarray(stops, dtype=np.int64)
+        trial = np.repeat(np.arange(trials), np.diff(self.bounds))
+        values = np.zeros(trials * height)
+        values[: reward.size] = reward
+        values.reshape(trials, height)[:, span:] = 0.0
+        # each trial's first segment, and each event's
+        first = np.asarray(self.bounds[:-1]) + np.arange(trials)
+        event = np.arange(stops.size) + trial + 1
+        starts = np.empty(stops.size + trials, dtype=np.int64)
+        starts[first] = np.arange(trials) * height
+        starts[event] = trial * height + stops
+        sums = np.add.reduceat(values, starts)
+        sums[:-1][np.diff(starts) == 0] = 0.0  # reduceat sums no empty segment
         inner = np.flatnonzero(self.times != self.ends[stops])
         if inner.size:
-            sums[:-1][np.diff(bounds) == 0] = 0.0  # reduceat sums no empty segment
-            row = np.asarray(stops)[inner] - 1
-            terms, at, fixes = self._terms
-            head = _row_sums(self.k[row], [t[row] for t in terms], np.arange(row.size),
-                             fixes[np.searchsorted(at, row)], self.rows.shape[1], self.step_var,
+            row = stops[inner] - 1
+            flat = trial[inner] * height + row
+            head = _row_sums(self.k[row], [t[flat] for t in terms], np.arange(row.size),
+                             fixes[np.searchsorted(at, flat)], self.rows.shape[1], self.step_var,
                              self.times[inner] - self.ends[row])[1]
-            tail = reward[row] - head
-            sums[inner] -= tail
-            sums[inner + 1] += tail
-        return sums.tolist()
+            tail = reward[flat] - head
+            sums[event[inner] - 1] -= tail
+            sums[event[inner]] += tail
+        return sums
 
 
 def _per_trial_cumsum(values: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -1618,8 +1785,9 @@ def _lane_cycles(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> L
     one group of lane blocks (``_lane_block``), each trial drawing from its
     own stream, and hand each trial's fleet the tallies of each of its
     cycles that starts before the horizon, in cycle order: the event's log
-    when the trial logs events, the event counts and the cycle's reward
-    and length through ``_Fleet.tally``, as ``_settle`` does, and the cost.
+    when the trial logs events, the events and the cycles' rewards to the
+    group's pending store (``_Tally.pend``), as ``_settle`` does, and the
+    cost.
 
     Every trial of the group starts in the first block.  A trial whose
     lanes all end by the horizon joins the group's next block from the end
@@ -1633,34 +1801,42 @@ def _lane_cycles(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> L
     _, width, most, expected = _lane_shape(config)
     streams = [NoiseStream(config.seed, i, noise_scale) for i in indices]
     fleets = [_Fleet.start(config) for _ in streams]
+    tally = _Tally(fleets)
     elapsed = _grid_time(horizon, _chunk_steps(config.n), dt)
     for fleet in fleets:
         fleet.acc.elapsed = elapsed
     # the log's own points
     logs = [stream.child(0) for stream in streams] if fleets[0].logged else None
     starts = [0] * len(fleets)
-    pending = list(range(len(fleets)))
-    while pending:
-        lanes = [_block_lanes(horizon - starts[g], dt, expected, most) for g in pending]
+    running = list(range(len(fleets)))
+    while running:
+        lanes = [_block_lanes(horizon - starts[g], dt, expected, most) for g in running]
         lengths, counted, masks, e_pre, costs, rewards = _lane_block(
-            config, [streams[g] for g in pending], lanes, [starts[g] for g in pending], width,
-            noise_scale**2 * dt, None if logs is None else [logs[g] for g in pending])
+            config, [streams[g] for g in running], lanes, [starts[g] for g in running], width,
+            noise_scale**2 * dt, None if logs is None else [logs[g] for g in running])
         first = np.cumsum([0, *lanes])
-        going = []
-        for g, a, b in zip(pending, first, first[1:]):
+        # each trial's cycles that end by the horizon, its first lanes
+        held = np.zeros(len(fleets), dtype=np.int64)
+        cycles, steps, going = [], [], []
+        for g, a, b in zip(running, first, first[1:]):
             fleet = fleets[g]
             complete = int(np.count_nonzero(counted[a:b] == lengths[a:b]))
-            steps = (starts[g] + np.cumsum(lengths[a : a + complete])).tolist()
+            exits = starts[g] + np.cumsum(lengths[a : a + complete])
             if fleet.logged:
-                for i, step in enumerate(steps):
+                for i, step in enumerate(exits.tolist()):
                     fleet.log_event(e_pre[a + i], masks[a + i], step)
-            fleet.tally(steps, masks[a : a + complete], rewards[a : a + complete].tolist())
+            held[g] = complete
+            cycles.append(np.arange(a, a + complete))
+            steps.append(exits)
             fleet.acc.integral_sum += float(costs[a:b].sum()) * dt
-            if complete == b - a and steps[-1] < horizon:
-                starts[g] = steps[-1]
+            if complete == b - a and exits[-1] < horizon:
+                starts[g] = int(exits[-1])
                 going.append(g)
-        pending = going
-    return [TrialResult(accumulator=fleet.acc, events=fleet.events) for fleet in fleets]
+        cycles = np.concatenate(cycles)
+        tally.pend(rewards[cycles], np.concatenate(([0], np.cumsum(held))), np.concatenate(steps),
+                   masks[cycles], np.arange(cycles.size))
+        running = going
+    return tally.results()
 
 
 def _runs_lanes(config: ScenarioConfig) -> bool:
@@ -1761,7 +1937,9 @@ def _row_trials(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> Li
     (``_zero_fill`` or ``_subtract_bases``), any other through
     ``_settle``'s loop, every block before any takes its rewards: coarse
     rows form the cost terms of every row of the group in one pass
-    (``_CoarseRows``).  Rewards, tallies (``_settle``) and the cost stay per
+    (``_CoarseRows``).  ``_settle`` takes each chunk's rewards for the whole
+    group and hands them to one pending store (``_Tally``), which closes
+    each trial's cycles from its own rewards alone, and the cost stays per
     trial, so a trial's results are the same in any group."""
     n, dt, scheme = config.n, config.dt, config.scheme
     level = isinstance(scheme, Level)
@@ -1770,6 +1948,7 @@ def _row_trials(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> Li
     step_var = noise_scale**2 * dt
     streams = [NoiseStream(config.seed, i, noise_scale) for i in indices]
     fleets = [_Fleet.start(config) for _ in streams]
+    tally = _Tally(fleets)
     elapsed = _grid_time(config.steps, chunk, dt)
     for fleet in fleets:
         fleet.acc.elapsed = elapsed
@@ -1856,53 +2035,38 @@ def _row_trials(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> Li
             keys, masks = _event_masks(*_column_events(view, span, delta, window), span + 1, n)
             if settled:
                 _subtract_bases(view, span + 1, keys, masks)
-            bounds = np.searchsorted(keys, np.arange(group + 1) * (span + 1)).tolist()
-            stops = (keys % (span + 1)).tolist()
+            bounds = np.searchsorted(keys, np.arange(group + 1) * (span + 1))
+            stops = keys % (span + 1)
         else:
+            # every trial has every deadline
             count = len(stops)
-            masks = np.broadcast_to(masks, (count, n))
+            masks = np.tile(np.broadcast_to(masks, (count, n)), (group, 1))
+            bounds = np.arange(group + 1) * count
             if coarse > 1:
                 coarse_rows = _CoarseRows(view.reshape(-1, n), ends, z.reshape(-1, n), step_var,
-                                          np.tile(stops, group), bounds=np.arange(group + 1) * count)
+                                          np.tile(stops, group), bounds=bounds)
                 stops = np.arange(1, count + 1)
             if settled and count and stops[-1] - stops[0] == count - 1 and masks.all():
                 _zero_fill(rows, stops[0], stops[-1])
             elif settled:
                 keys = (np.arange(group)[:, None] * (span + 1) + stops).reshape(-1)
-                _subtract_bases(view, span + 1, keys, np.tile(masks, (group, 1)))
-            stops = stops.tolist()
-            bounds = None
-        # each trial's stops, coarse rows and masks: under a level rule its
-        # share of the group's events, under a periodic one every deadline
-        parts = []
-        for g in range(group):
-            trial_rows = None if coarse_rows is None else coarse_rows.trial(g)
-            if bounds is None:
-                parts.append((stops, trial_rows, masks))
-            else:
-                a, b = bounds[g], bounds[g + 1]
-                parts.append((stops[a:b], trial_rows, masks[a:b]))
-        if not settled:
-            # every block settles before any takes its rewards: coarse rows
-            # form the group's cost terms in one pass
-            for fleet, block, (stops, trial_rows, masks) in zip(fleets, rows, parts):
-                _reset_segments(fleet, block, stops, masks, done, trial_rows)
-        for fleet, block, (stops, trial_rows, masks) in zip(fleets, rows, parts):
-            _settle(fleet, block, stops, masks, done, trial_rows, settled=True)
+                _subtract_bases(view, span + 1, keys, masks)
+            stops = np.tile(stops, group)
+        _settle(tally, rows, stops, masks, done, bounds, coarse_rows, settled)
         if coarse_rows is None:
             # left-endpoint rectangles: x'Lx = e'Le, since L annihilates c*1;
             # each trial's rows are summed on their own
             costs = consensus_cost_rows(rows[:, :-1]).sum(axis=1).tolist()
             done += span
         else:
-            costs = [trial_rows.cost() for _, trial_rows, _ in parts]
+            costs = coarse_rows.costs()
             done += int(coarse_rows.ends[-1])
         for fleet, cost in zip(fleets, costs):
             fleet.acc.integral_sum += cost * dt
         e[:] = rows[:, -1]
         # the chunk's drawn points and cost terms go before the next chunk's
-        parts = coarse_rows = trial_rows = None
-    return [TrialResult(accumulator=fleet.acc, events=fleet.events) for fleet in fleets]
+        coarse_rows = None
+    return tally.results()
 
 
 def _chunk_steps(n: int) -> int:
@@ -1947,12 +2111,15 @@ def run_trial_reference(
 
     It shares the event protocol, the error coordinates and the cost form
     with the fast path but does its own stepping (one draw per agent per
-    step), trigger detection and per-step cost and reward summation, and
-    hands ``_settle`` one event at a time, a block of the one row it fires
-    at; so comparing the two checks the chunked running sums and their
-    resets, the trigger search and the deadline counters.  Trigger
-    instants come out identical, cost tallies equal up to summation order.
-    Slow (pure Python loop); meant for short horizons.
+    step), trigger detection and per-step cost summation.  It settles one
+    event at a time, a block of the one row it fires at
+    (``_reset_segments``), and hands its tally (``_Tally``) agent 0's
+    reward of every step and the events, a chunk of steps at a time, so
+    that each cycle's reward adds up step by step; so comparing the two
+    checks the chunked running sums and their resets, the trigger search
+    and the deadline counters.  Trigger instants come out identical, cost
+    tallies equal up to summation order.  Slow (pure Python loop); meant
+    for short horizons.
 
     With ``trajectory_stride`` it records the trajectory
     (``TrialResult``): the row at step 0, a row at every multiple of the
@@ -1967,31 +2134,41 @@ def run_trial_reference(
     level = isinstance(scheme, Level)
     stream = NoiseStream(config.seed, trial_index, noise_scale)
     fleet = _Fleet.start(config, trajectory=trajectory_stride is not None)
+    tally = _Tally([fleet])
     acc = fleet.acc
     if fleet.trajectory is not None:
         fleet.log_state(0, fleet.e, 0)
     due = None if level else _deadline_rule(scheme, dt, n)
+    chunk = _chunk_steps(n)
+    for first in range(1, config.steps + 1, chunk):
+        # agent 0's reward per step and the chunk's events, each at the
+        # reward of its step, handed to the tally at the chunk's end
+        rewards, steps, masks, ends = [], [], [], []
+        for step in range(first, min(first + chunk, config.steps + 1)):
+            e = fleet.e
+            acc.integral_sum += float(consensus_cost_rows(e)) * dt
+            acc.elapsed += dt
+            rewards.append(e[0] * e[0])
+            fleet.e = e + stream.normals(n) * np.sqrt(dt)
+            if level:
+                fired = np.abs(fleet.e) >= scheme.delta
+            else:
+                fired = np.zeros(n, dtype=bool)
+                fired[due(step)] = True
+            event = bool(fired.any())
+            if event:
+                # the errors are the running sum of a one-row block: the
+                # row settles in place
+                _reset_segments(fleet, fleet.e[None], [0], fired[None], [step])
+                steps.append(step)
+                masks.append(fired)
+                ends.append(len(rewards) - 1)
+            if fleet.trajectory is not None and (event or step % trajectory_stride == 0):
+                fleet.log_state(step, fleet.e, int(event))
+        tally.pend(rewards, [0, len(rewards)], steps,
+                   np.array(masks, dtype=bool).reshape(len(steps), n), ends)
 
-    for step in range(1, config.steps + 1):
-        e = fleet.e
-        acc.integral_sum += float(consensus_cost_rows(e)) * dt
-        acc.elapsed += dt
-        fleet.cycle_reward += e[0] * e[0] * dt
-        fleet.e = e + stream.normals(n) * np.sqrt(dt)
-        if level:
-            fired = np.abs(fleet.e) >= scheme.delta
-        else:
-            fired = np.zeros(n, dtype=bool)
-            fired[due(step)] = True
-        event = bool(fired.any())
-        if event:
-            # the errors are the running sum of a one-row block: the row
-            # settles in place
-            _settle(fleet, fleet.e[None], [0], fired[None], step)
-        if fleet.trajectory is not None and (event or step % trajectory_stride == 0):
-            fleet.log_state(step, fleet.e, int(event))
-
-    return TrialResult(accumulator=acc, events=fleet.events, trajectory=fleet.trajectory)
+    return tally.results()[0]
 
 
 def _periodic_due(step: int, scheme: Periodic, dt: float, n: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from etclab import (
     ScenarioConfig,
     consensus_value,
 )
-from etclab.driver import _Fleet, _settle
+from etclab.driver import _Fleet, _settle, _Tally
 from etclab.graph import consensus_cost_rows
 
 B = InfoScenario.BROADCAST
@@ -36,11 +36,13 @@ def start(x, scenario, rule=Average(), c_prev=0.0):
 
 def settle(fleet, initiators, step):
     """Settle the one event that ``initiators`` fire at the end of ``step``, at
-    the fleet's current errors, as the reference integrator does; returns the
-    index of the agents it resets."""
+    the fleet's current errors, as a group of one whose block is that one
+    row, and close its tally; returns the index of the agents it resets."""
     mask = np.zeros(fleet.config.n, dtype=bool)
     mask[initiators] = True
-    _settle(fleet, fleet.e[None], [0], mask[None], step)
+    tally = _Tally([fleet])
+    _settle(tally, fleet.e[None, None], [0], mask[None], step)
+    tally.flush()
     return initiators if fleet.config.scenario is B else slice(None)
 
 

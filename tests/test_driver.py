@@ -577,12 +577,14 @@ def test_dense_settle_matches_the_event_loop(monkeypatch, case, rows):
     def run(loop):
         blocks, runs, tails = [], [], []
 
-        def recording_settle(fleet, block, stops, masks, done, coarse_rows=None, settled=False):
-            if stops:  # a block may end at the horizon before any deadline
+        def recording_settle(tally, rows, stops, masks, done, bounds=None, coarse_rows=None,
+                             settled=False):
+            (fleet,), (block,) = tally.fleets, rows  # a group of one
+            if len(stops):  # a block may end at the horizon before any deadline
                 runs.append((stops[-1] - stops[0] == len(stops) - 1, not np.all(masks)))
                 tails.append(stops[-1] < len(block) - 1)
             fleet.logged = loop
-            settle(fleet, block, stops, masks, done, coarse_rows, settled and not loop)
+            settle(tally, rows, stops, masks, done, bounds, coarse_rows, settled and not loop)
             fleet.logged = False
             blocks.append(block.copy())
 
@@ -682,7 +684,9 @@ def test_settle_matches_its_event_loop_on_random_blocks(monkeypatch):
                 fleet = driver._Fleet.start(config)
                 fleet.logged = logged
                 fleet.cycle_reward, fleet.cycle_start = 0.25, done - 7
-                driver._settle(fleet, block, stops[g], masks[g], done, settled=not logged)
+                tally = driver._Tally([fleet])
+                driver._settle(tally, block[None], stops[g], masks[g], done, settled=not logged)
+                tally.flush()
                 settled.append((block.tobytes(), tallies(fleet.acc), fleet.cycle_reward,
                                 fleet.cycle_start))
             assert settled[0] == settled[1]
@@ -989,7 +993,7 @@ def test_drawn_terms_match_explicit_sums():
     none = np.zeros(0, dtype=np.int64)
     stops, coarse = driver._event_rows(bridges, increments, none, (none, none, np.zeros(0)), dt)
     assert stops == []
-    assert coarse.cost() == pytest.approx(points[0].sum(), rel=1e-10)
+    assert coarse.costs() == pytest.approx([points[0].sum()], rel=1e-10)
     assert coarse.segment_rewards([])[0] == pytest.approx(points[1].sum(), rel=1e-10)
     # per row over its first m grid points: all k, none, and random prefixes
     terms, at, fixes = driver._row_terms(rows[:-1], increments, dt, *coarse.refined)
@@ -1045,17 +1049,20 @@ def test_row_sums_with_inner_resets_match_explicit_sums():
                                        dt)
     assert stops == [2, 3, 4, 5, 5]
     fleet = driver._Fleet.start(quiet_config(n=n, scenario=B, scheme=Level(1.0), trials=1))
-    driver._settle(fleet, rows, stops, masks, 0, coarse)
+    tally = driver._Tally([fleet])
+    driver._settle(tally, rows[None], stops, masks, 0, coarse_rows=coarse)
+    tally.flush()
     assert np.allclose(rows, errors[::k], rtol=0, atol=1e-12)
-    assert coarse.cost() == pytest.approx(cost.sum(), rel=1e-10)
+    assert coarse.costs() == pytest.approx([cost.sum()], rel=1e-10)
     bounds = [0, *times, span * k]
-    assert coarse.segment_rewards(stops) == pytest.approx(
+    assert coarse.segment_rewards(stops).tolist() == pytest.approx(
         [reward[a:b].sum() for a, b in zip(bounds, bounds[1:])], rel=1e-10, abs=1e-12)
     assert fleet.acc.cycles == 1
     assert fleet.acc.cycle_reward_sum == pytest.approx(reward[: 2 * k + 5].sum() * dt, rel=1e-10)
     for m in (np.full(span, k), rng.integers(0, k + 1, span)):
         prefix = np.arange(k) < m[:, None]
-        for sums, explicit in zip(driver._row_sums(k, *coarse._terms, n, dt, m), (cost, reward)):
+        for sums, explicit in zip(driver._row_sums(k, *coarse._settled_sums()[0], n, dt, m),
+                                  (cost, reward)):
             assert sums == pytest.approx((explicit.reshape(span, k) * prefix).sum(axis=1),
                                          rel=1e-10, abs=1e-12)
 

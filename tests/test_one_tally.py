@@ -2,10 +2,10 @@
 coarse rows form their cost in one place, and one integrator records
 trajectories.
 
-``_Fleet.tally`` counts the events and closes the renewal cycles for
-every integrator and for the lanes of renewal cycles alike, so a second
-copy of that bookkeeping would be a second event protocol to keep in
-step.  Likewise ``_row_sums`` is the one cost form of coarse rows, for
+``_Tally.flush``, the bulk close of a group's pending store, counts the
+events and closes the renewal cycles for every integrator and for the
+lanes of renewal cycles alike, so a second copy of that bookkeeping
+would be a second event protocol to keep in step.  Likewise ``_row_sums`` is the one cost form of coarse rows, for
 chunks and lanes alike, so it alone calls ``_bridge_sums``, and
 ``run_trial_reference`` alone logs trajectory rows (``_Fleet.log_state``),
 so the chunked integrator and the lanes carry no trajectory branch.  The
@@ -52,8 +52,8 @@ def found(*whats):
 
 def test_only_the_fleet_tallies_events_and_cycles():
     assert found("close_cycle", "global_event_count") == {
-        ("driver.py", "_Fleet.tally", "close_cycle"),
-        ("driver.py", "_Fleet.tally", "global_event_count")}
+        ("driver.py", "_Tally.flush", "close_cycle"),
+        ("driver.py", "_Tally.flush", "global_event_count")}
 
 
 def test_only_row_sums_forms_bridge_sums():

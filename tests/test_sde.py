@@ -11,7 +11,7 @@ from etclab import (
     ScenarioConfig,
     run_trial_reference,
 )
-from etclab.driver import _Fleet, _settle
+from etclab.driver import _Fleet, _settle, _Tally
 
 B = InfoScenario.BROADCAST
 BL = InfoScenario.BROADCAST_LOCAL
@@ -33,7 +33,7 @@ def fire(x, initiators, scenario, c_prev):
     fleet.e = np.asarray(x, dtype=float) - c_prev
     mask = np.zeros(len(x), dtype=bool)
     mask[initiators] = True
-    _settle(fleet, fleet.e[None], [0], mask[None], 1)
+    _settle(_Tally([fleet]), fleet.e[None, None], [0], mask[None], 1)
     return fleet.events[0]
 
 

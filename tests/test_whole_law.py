@@ -121,10 +121,11 @@ def fleet_run(index: int):
     long as ``driver.fleet_coarse_steps`` makes it, which must be its
     ``RULE_STEPS``, and as lanes under broadcast-plus-local information
     (``driver._runs_lanes``).  Under broadcast-only information the event steps and initiators
-    are read off the calls to ``driver._settle``, the one event protocol;
-    under broadcast-plus-local every event closes agent 0's cycle, so the
-    gaps are the cycle lengths that ``CostAccumulator.close_cycle`` records.
-    The rewards are read off the cycles it closes."""
+    are read off the calls to ``driver._settle``, the one event protocol,
+    which settles each chunk of the group; under broadcast-plus-local every
+    event closes agent 0's cycle, so the gaps are the cycle lengths that
+    ``CostAccumulator.close_cycle`` records, in bulk.  The rewards are read
+    off the cycles it closes, which must be every cycle the trial counts."""
     h, n, scenario = FLEET_POINTS[index]
     delta = math.sqrt(DT / h)
     watchers = n if scenario is BL else 1
@@ -133,15 +134,17 @@ def fleet_run(index: int):
     steps, masks, rewards, lengths = [], [], [], []
     settle, close_cycle = driver._settle, CostAccumulator.close_cycle
 
-    def recording_settle(fleet, rows, stops, chunk_masks, done, coarse_rows=None, settled=False):
+    def recording_settle(tally, rows, stops, chunk_masks, done, bounds=None, coarse_rows=None,
+                         settled=False):
         steps.append(done + (np.asarray(stops, dtype=np.int64) if coarse_rows is None
                              else coarse_rows.times))
         masks.append(np.asarray(chunk_masks, dtype=bool).reshape(len(stops), n))
-        return settle(fleet, rows, stops, chunk_masks, done, coarse_rows, settled)
+        return settle(tally, rows, stops, chunk_masks, done, bounds, coarse_rows, settled)
 
     def recording_close_cycle(acc, reward, length):
-        rewards.append(reward)
-        lengths.append(length)
+        # the bulk close hands over a trial's pending cycles at once
+        rewards.extend(np.atleast_1d(reward).tolist())
+        lengths.extend(np.atleast_1d(length).tolist())
         return close_cycle(acc, reward, length)
 
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
@@ -155,7 +158,8 @@ def fleet_run(index: int):
             assert driver._runs_lanes(config) == (scenario is BL)
         patch.setattr(driver, "_settle", recording_settle)
         patch.setattr(CostAccumulator, "close_cycle", recording_close_cycle)
-        run_trial(config, index)
+        acc = run_trial(config, index).accumulator
+    assert len(rewards) == len(lengths) == acc.cycles
     if scenario is BL:
         gaps = [np.rint(np.array(lengths) / DT).astype(np.int64)]
     else:
