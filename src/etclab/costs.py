@@ -74,8 +74,8 @@ class CostAccumulator:
         in the same order whether the cycles come one by one or in bulk."""
         reward, length = np.atleast_1d(reward), np.atleast_1d(length)
         self.cycles += reward.size
-        self.cycle_reward_sum = _sequential_sum(self.cycle_reward_sum, reward)
-        self.cycle_length_sum = _sequential_sum(self.cycle_length_sum, length)
+        self.cycle_reward_sum = sequential_sum(self.cycle_reward_sum, reward)
+        self.cycle_length_sum = sequential_sum(self.cycle_length_sum, length)
 
     def renewal_estimate(self) -> float:
         """Renewal-reward cost estimate from these cycles (NaN if none)."""
@@ -84,7 +84,7 @@ class CostAccumulator:
         return self.n * (self.n - 1) * self.cycle_reward_sum / self.cycle_length_sum
 
 
-def _sequential_sum(start: float, values: np.ndarray) -> float:
+def sequential_sum(start: float, values: np.ndarray) -> float:
     """``start`` plus ``values`` added one at a time, left to right."""
     if not values.size:
         return start

@@ -121,7 +121,14 @@ import numpy as np
 
 from .checks import check_count, check_positive
 from .control import Average, ConsensusRule, Fixed, InfoScenario, Leader, consensus_value
-from .costs import GRID_EXIT_SHIFT, CostAccumulator, CostReport, finalize, mean_exit_time
+from .costs import (
+    GRID_EXIT_SHIFT,
+    CostAccumulator,
+    CostReport,
+    finalize,
+    mean_exit_time,
+    sequential_sum,
+)
 from .graph import consensus_cost_rows
 from .sde import NoiseStream
 from .triggering import (
@@ -398,7 +405,11 @@ class _Fleet:
     ``c_prev`` is tracked only when ``logged``: when the trial records
     events or a trajectory.  ``cycle_reward`` and ``cycle_start``
     describe the open renewal cycle as of the last flush of its group's
-    pending store (``_Tally``).
+    pending store (``_Tally``): the store keeps the trial's event steps,
+    which events close agent 0's cycle, its rewards and its event counts,
+    and its bulk close adds each cycle's rewards one at a time from the
+    carried ``cycle_reward``, so the sums keep the bits of a loop over the
+    events wherever the flushes fall.
     """
 
     config: ScenarioConfig
@@ -520,7 +531,8 @@ class _Tally:
         trial's first cycle and from 0.0 for the others (``_cycle_sums``);
         its length is the grid steps from the cycle before it; and
         ``CostAccumulator.close_cycle`` adds each trial's cycles one at a
-        time, as a loop over the events adds them."""
+        time, as a loop over the events adds them.  With no pending close,
+        each trial's rewards are added to its open cycle's alone."""
         if not self.parts:
             return
         fleets = self.fleets
@@ -552,6 +564,17 @@ class _Tally:
                 ends, steps = where[ends][by], steps[by]
                 bounds = np.concatenate(([0], np.add.accumulate(held)))
         self.parts, self.held = [], 0
+        for fleet, counts, events in zip(fleets, self.counts, self.events.tolist()):
+            if events:
+                fleet.acc.local_event_counts += counts
+                fleet.acc.global_event_count += events
+        self.counts[:] = 0
+        self.events[:] = 0
+        if not ends.size:
+            # no cycle closes: each trial's rewards extend its open cycle
+            for fleet, a, b in zip(fleets, bounds.tolist(), bounds[1:].tolist()):
+                fleet.cycle_reward = sequential_sum(fleet.cycle_reward, terms[a:b])
+            return
         # each trial's closes, then its open cycle, which ends at its last
         # reward; trial g's closes are closed[g] to closed[g + 1]
         last = bounds[1:] - 1
@@ -573,17 +596,11 @@ class _Tally:
                 prev[closed[g]] = fleet.cycle_start
         lengths = (steps - prev) * self.dt
         for g, fleet in enumerate(fleets):
-            acc = fleet.acc
-            if self.events[g]:
-                acc.local_event_counts += self.counts[g]
-                acc.global_event_count += int(self.events[g])
             a, b = closed[g], closed[g + 1]
             if b > a:
-                acc.close_cycle(sums[a + g : b + g], lengths[a:b])
+                fleet.acc.close_cycle(sums[a + g : b + g], lengths[a:b])
                 fleet.cycle_start = int(steps[b - 1])
             fleet.cycle_reward = float(sums[b + g])
-        self.counts[:] = 0
-        self.events[:] = 0
 
     def results(self) -> List[TrialResult]:
         """The group's results in trial order, once the store is flushed."""

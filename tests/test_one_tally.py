@@ -5,11 +5,12 @@ trajectories.
 ``_Tally.flush``, the bulk close of a group's pending store, counts the
 events and closes the renewal cycles for every integrator and for the
 lanes of renewal cycles alike, so a second copy of that bookkeeping
-would be a second event protocol to keep in step.  Likewise ``_row_sums`` is the one cost form of coarse rows, for
-chunks and lanes alike, so it alone calls ``_bridge_sums``, and
-``run_trial_reference`` alone logs trajectory rows (``_Fleet.log_state``),
-so the chunked integrator and the lanes carry no trajectory branch.  The
-checks parse the package's sources and import nothing.
+would be a second event protocol to keep in step.  Likewise
+``_row_sums`` is the one cost form of coarse rows, for chunks and lanes
+alike, so it alone calls ``_bridge_sums``, and ``run_trial_reference``
+alone logs trajectory rows (``_Fleet.log_state``), so the chunked
+integrator and the lanes carry no trajectory branch.  The checks parse
+the package's sources and import nothing.
 """
 
 import ast
