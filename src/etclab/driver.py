@@ -177,9 +177,13 @@ COARSE_BYTES = 38
 EVENT_BYTES = 46
 TERM_BYTES = 128
 # bytes a group's pending store (_Tally) holds per reward with what its bulk
-# close forms (tracemalloc figures read 28 to 97, the most with a cycle per
-# reward, from n = 3 to 1000 on rows, lanes and the reference)
-PENDING_BYTES = 128
+# close forms, besides each event's mask, which it holds and copies once
+# (tracemalloc figures read 22 to 127, the most with a cycle per reward,
+# from n = 3 to 1000 on rows, lanes and the reference)
+PENDING_BYTES = 160
+# the pending store's budget, an eighth of the chunk budget, set when the
+# module loads: a smaller chunk budget moves chunk boundaries, not flushes
+PENDING_BUDGET = CHUNK_BYTES // 8
 # lanes of broadcast-plus-local level cycles (_lane_cycles, _lane_shape): a
 # trial's block holds the expected cycles of the horizon left plus
 # LANE_SPARE, a group of trials shares rounds of about LANE_ENTRIES entries
@@ -405,11 +409,11 @@ class _Fleet:
     ``c_prev`` is tracked only when ``logged``: when the trial records
     events or a trajectory.  ``cycle_reward`` and ``cycle_start``
     describe the open renewal cycle as of the last flush of its group's
-    pending store (``_Tally``): the store keeps the trial's event steps,
-    which events close agent 0's cycle, its rewards and its event counts,
-    and its bulk close adds each cycle's rewards one at a time from the
-    carried ``cycle_reward``, so the sums keep the bits of a loop over the
-    events wherever the flushes fall.
+    pending store (``_Tally``): the store keeps the trial's rewards, event
+    steps and masks, and its bulk close counts the events and adds each
+    cycle's rewards one at a time from the carried ``cycle_reward``, so the
+    sums keep the bits of a loop over the events wherever the flushes
+    fall.
     """
 
     config: ScenarioConfig
@@ -470,14 +474,15 @@ class _Tally:
     its bulk close: the one tally of the event protocol, for rows
     (``_settle``), lanes (``_lane_cycles``) and the reference alike.
 
-    ``pend`` counts the events of any of the group's trials and adds agent
-    0's rewards and the cycles the events close to the store; ``flush``
-    closes the renewal cycles of the whole group in one pass.  The store
-    flushes at the end of the group's trials (``results``) and once it
-    holds an eighth of ``CHUNK_BYTES`` at ``PENDING_BYTES`` per reward.  A
-    flush gives every sum the same additions in the same order as a loop
-    over the events would, wherever the flushes fall, so no bit depends on
-    them.
+    ``pend`` keeps a trial's rewards and events as they come, one part
+    per call; ``flush`` counts the events and closes the renewal cycles of
+    the whole group in one pass, its parts taken trial by trial.  The store
+    flushes at the end of the group's trials (``results``) and once its
+    rewards, at ``PENDING_BYTES`` each and twice the ``n`` bytes of the
+    mask of the one event each ends at most, since a flush copies the masks
+    once, reach ``PENDING_BUDGET``, an eighth of ``CHUNK_BYTES``.  A flush
+    gives every sum the same additions in the same order as a loop over the
+    events would, wherever the flushes fall, so no bit depends on them.
     """
 
     def __init__(self, fleets: List[_Fleet]):
@@ -485,116 +490,76 @@ class _Tally:
         config = fleets[0].config
         self.dt = config.dt
         self.broadcast_only = config.scenario is InfoScenario.BROADCAST
-        # per pend: rewards times dt, their bounds, closes and their steps
-        self.parts = []
+        self.parts = [[] for _ in fleets]  # per trial, per pend
         self.held = 0  # rewards
-        self.counts = np.zeros((len(fleets), config.n), dtype=np.int64)
-        self.events = np.zeros(len(fleets), dtype=np.int64)
+        self.bound = PENDING_BUDGET // (PENDING_BYTES + 2 * config.n)
 
-    def pend(self, rewards, bounds, steps, masks, ends) -> None:
-        """Add agent 0's rewards ``rewards`` (times ``dt``), trial ``g``'s
-        ``bounds[g]`` to ``bounds[g + 1]`` in order, and the events at the
-        grid steps ``steps``, each fired by the agents in its row of the
-        boolean array ``masks``, to the store.  Event ``j`` ends at the
-        reward ``ends[j]``, ascending, where its trial's open cycle closes on
-        every global event, or on agent 0's own events under broadcast-only;
-        a trial's rewards after its last event stay in its open cycle."""
-        bounds = np.asarray(bounds)
-        ends = np.asarray(ends, dtype=np.int64)
-        steps = np.asarray(steps, dtype=np.int64)
-        if ends.size and bounds.size == 2:  # a group of one
-            self.events[0] += ends.size
-            self.counts[0] += masks.sum(axis=0)
-        elif ends.size:
-            # each trial's events, and how many of them each agent fires
-            mine = ends.searchsorted(bounds)
-            self.events += mine[1:] - mine[:-1]
-            busy = (mine[:-1] < mine[1:]).nonzero()[0]
-            if masks.size <= CHUNK_BYTES // 128:  # reduceat casts every mask to int64 first
-                self.counts[busy] += np.add.reduceat(masks, mine[busy], axis=0, dtype=np.int64)
-            else:
-                for g in busy.tolist():
-                    self.counts[g] += masks[mine[g] : mine[g + 1]].sum(axis=0)
-        if ends.size and self.broadcast_only:
-            closes = masks[:, 0]
-            ends, steps = ends[closes], steps[closes]
-        terms = np.multiply(rewards, self.dt)
-        self.parts.append((terms, bounds, ends, steps))
-        self.held += terms.size
-        if self.held * PENDING_BYTES >= CHUNK_BYTES // 8:
+    def pend(self, g: int, rewards, steps, masks, ends=None) -> None:
+        """Add trial ``g``'s agent 0's rewards ``rewards`` (times ``dt``), in
+        order, and its events at the grid steps ``steps``, each fired by
+        the agents in its row of the boolean array ``masks``, to the store.
+        Event ``j`` ends at the reward ``ends[j]`` (``j`` by default),
+        ascending, where the trial's open cycle closes on every global
+        event, or on agent 0's own events under broadcast-only; the rewards
+        after the last event stay in the open cycle."""
+        self.parts[g].append((rewards, steps, masks, ends))
+        self.held += len(rewards)
+        if self.held >= self.bound:
             self.flush()
 
     def flush(self) -> None:
-        """Close the pending renewal cycles of every trial of the group and
-        count its pending events.  A cycle's reward is its rewards added
-        one at a time, from its trial's carried ``cycle_reward`` for the
-        trial's first cycle and from 0.0 for the others (``_cycle_sums``);
-        its length is the grid steps from the cycle before it; and
-        ``CostAccumulator.close_cycle`` adds each trial's cycles one at a
-        time, as a loop over the events adds them.  With no pending close,
-        each trial's rewards are added to its open cycle's alone."""
-        if not self.parts:
+        """Count the pending events of every trial of the group and close
+        its pending renewal cycles in one pass.  A cycle's reward is its
+        rewards added one at a time, from its trial's carried
+        ``cycle_reward`` for the trial's first cycle and from 0.0 for the
+        others (``_cycle_sums``); its length is the grid steps from the
+        cycle before it; and ``CostAccumulator.close_cycle`` adds each
+        trial's cycles one at a time, as a loop over the events adds them.
+        A trial's rewards after its last close stay in its open cycle."""
+        if not any(self.parts):
             return
         fleets = self.fleets
-        group = len(fleets)
-        if len(self.parts) == 1:
-            terms, bounds, ends, steps = self.parts[0]
+        # every trial's parts in order, trial by trial, and the parts that
+        # hold events, whose rewards count from the first part's first
+        held = [sum(len(part[0]) for part in trial) for trial in self.parts]
+        events = [sum(len(part[1]) for part in trial) for trial in self.parts]
+        rewards, steps, masks, ends = zip(*(part for trial in self.parts for part in trial))
+        self.parts, self.held = [[] for _ in fleets], 0
+        terms = np.multiply(np.concatenate(rewards), self.dt)
+        busy = [i for i, part in enumerate(steps) if len(part)]
+        if busy:
+            sizes = [len(part) for part in rewards]
+            offsets = np.add.accumulate(sizes) - sizes
+            ends = np.concatenate([np.arange(len(steps[i])) if ends[i] is None else ends[i]
+                                   for i in busy])
+            ends += offsets[busy].repeat([len(steps[i]) for i in busy])
+            steps = np.concatenate([steps[i] for i in busy], dtype=np.int64)
+            masks = np.concatenate([masks[i] for i in busy])
+            first = 0
+            for fleet, count in zip(fleets, events):
+                if count:
+                    fleet.acc.local_event_counts += masks[first : first + count].sum(axis=0)
+                    fleet.acc.global_event_count += count
+                    first += count
+            if self.broadcast_only:
+                closes = masks[:, 0]
+                ends, steps = ends[closes], steps[closes]
         else:
-            terms, bounds, ends, steps = zip(*self.parts)
-            sizes = [len(part) for part in terms]
-            offsets = np.add.accumulate(sizes) - sizes  # each part's first reward
-            ends = np.concatenate(ends) + offsets.repeat([len(part) for part in steps])
-            terms, steps = np.concatenate(terms), np.concatenate(steps)
-            if group == 1:
-                bounds = np.array([0, terms.size])
-            else:
-                # the rewards trial by trial, each trial's share of a part
-                # after its shares of the parts before it, and the closes
-                # with them
-                bounds = np.array(bounds)
-                shares = bounds[:, 1:] - bounds[:, :-1]
-                held = shares.sum(axis=0)
-                into = np.add.accumulate(held) - held + np.add.accumulate(shares) - shares
-                where = np.arange(terms.size) + (into - offsets[:, None] - bounds[:, :-1]).reshape(
-                    -1).repeat(shares.reshape(-1))
-                moved = np.empty_like(terms)
-                moved[where] = terms
-                terms = moved
-                by = where[ends].argsort()
-                ends, steps = where[ends][by], steps[by]
-                bounds = np.concatenate(([0], np.add.accumulate(held)))
-        self.parts, self.held = [], 0
-        for fleet, counts, events in zip(fleets, self.counts, self.events.tolist()):
-            if events:
-                fleet.acc.local_event_counts += counts
-                fleet.acc.global_event_count += events
-        self.counts[:] = 0
-        self.events[:] = 0
-        if not ends.size:
-            # no cycle closes: each trial's rewards extend its open cycle
-            for fleet, a, b in zip(fleets, bounds.tolist(), bounds[1:].tolist()):
-                fleet.cycle_reward = sequential_sum(fleet.cycle_reward, terms[a:b])
-            return
+            ends = steps = np.zeros(0, dtype=np.int64)
         # each trial's closes, then its open cycle, which ends at its last
-        # reward; trial g's closes are closed[g] to closed[g + 1]
-        last = bounds[1:] - 1
+        # reward: trial g's closes are closed[g] to closed[g + 1], and its
+        # cycles are those and its open one, g places on
+        last = np.add.accumulate(held) - 1
         cuts = ends.searchsorted(last, side="right")
         closed = [0, *cuts.tolist()]
-        tails = cuts + np.arange(group)
-        cycles = np.empty(ends.size + group, dtype=np.int64)
-        kept = np.ones(cycles.size, dtype=bool)
-        kept[tails] = False
-        cycles[kept] = ends
-        cycles[tails] = last
-        seeds = np.zeros(cycles.size)
+        seeds = np.zeros(ends.size + len(fleets))
         seeds[[c + g for g, c in enumerate(closed[:-1])]] = [f.cycle_reward for f in fleets]
-        sums = _cycle_sums(terms, cycles, seeds)
-        prev = np.empty_like(steps)
-        prev[1:] = steps[:-1]
-        for g, fleet in enumerate(fleets):
-            if closed[g + 1] > closed[g]:
-                prev[closed[g]] = fleet.cycle_start
-        lengths = (steps - prev) * self.dt
+        sums = _cycle_sums(terms, np.insert(ends, cuts, last), seeds)
+        starts = np.concatenate(([0], steps[:-1]))
+        for fleet, a, b in zip(fleets, closed, closed[1:]):
+            if b > a:
+                starts[a] = fleet.cycle_start
+        lengths = (steps - starts) * self.dt
         for g, fleet in enumerate(fleets):
             a, b = closed[g], closed[g + 1]
             if b > a:
@@ -617,8 +582,10 @@ def _cycle_sums(terms: np.ndarray, ends: np.ndarray, seeds: np.ndarray) -> np.nd
 
     The cycles form a block, a row each, padded with zeros to the longest,
     and one ``np.add.accumulate`` along its rows adds each row's terms in
-    order.  Where padding would more than quadruple the block, cycles of
-    ``2^(b - 1)`` to ``2^b - 1`` terms form a block of their own, which
+    order.  The block may take four times the entries of its terms and
+    seeds, 32 bytes each, which keeps it within ``PENDING_BYTES`` per held
+    reward (``_Tally``): where padding would more than quadruple it, cycles
+    of ``2^(b - 1)`` to ``2^b - 1`` terms form a block of their own, which
     padding at most doubles."""
     length = ends - np.concatenate(([-1], ends[:-1]))
     if int(length.max()) * length.size <= 4 * (terms.size + length.size):
@@ -679,11 +646,12 @@ def _settle(tally: _Tally, rows: np.ndarray, stops, masks, done: int, bounds=Non
     with that loop's bits, and the loop is skipped.
 
     Once every block holds errors, agent 0's renewal reward is formed per
-    segment for the whole group at once: over grid rows one BLAS dot per
-    segment of its left endpoints (the last row's step belongs to the next
-    block), since the dot fixes the bits, in one comprehension per trial;
-    over coarse rows one ``np.add.reduceat`` over the group's
-    ``_row_sums`` (``_CoarseRows.segment_rewards``).
+    segment: over grid rows one BLAS dot per segment of its left endpoints
+    (the last row's step belongs to the next block), since the dot fixes
+    the bits, in one comprehension per trial; over coarse rows one
+    ``np.add.reduceat`` over the group's ``_row_sums`` for the whole group
+    (``_CoarseRows.segment_rewards``).  Each trial's rewards, event steps
+    and masks go to the store in one ``pend``.
     """
     stops, masks = np.asarray(stops, dtype=np.int64), np.asarray(masks)
     bounds = [0, stops.size] if bounds is None else np.asarray(bounds).tolist()
@@ -695,24 +663,20 @@ def _settle(tally: _Tally, rows: np.ndarray, stops, masks, done: int, bounds=Non
             _reset_segments(fleet, block, cuts[a:b], masks[a:b],
                             steps[a:b].tolist() if fleet.logged else None,
                             None if points is None else points[a:b])
-    if coarse_rows is None:
-        # agent 0's errors over each segment's left endpoints, the last row's
-        # step belonging to the next block, each sliced once for its dot
-        span = rows.shape[1] - 1
-        rewards = []
-        for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
+    span = rows.shape[1] - 1
+    rewards = None if coarse_rows is None else coarse_rows.segment_rewards(stops)
+    for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if rewards is None:
+            # agent 0's errors over each segment's left endpoints, the last
+            # row's step belonging to the next block, each sliced once for
+            # its dot
             cut = [0, *cuts[a:b], span]
             segments = map(rows[g, :span, 0].__getitem__, map(slice, cut, cut[1:]))
-            rewards += [float(lead.dot(lead)) for lead in segments]
-    else:
-        rewards = coarse_rows.segment_rewards(stops)
-    # a trial's segments are its events' and one more: each event ends the
-    # segment before it, after the trials before it hold one more each
-    trials = np.arange(len(bounds))
-    ends = np.arange(stops.size)
-    if trials.size > 2:
-        ends += trials[:-1].repeat(np.subtract(bounds[1:], bounds[:-1]))
-    tally.pend(rewards, trials + bounds, steps, masks, ends)
+            part = [float(lead.dot(lead)) for lead in segments]
+        else:
+            # a trial's segments are its events' and one more
+            part = rewards[a + g : b + g + 1]
+        tally.pend(g, part, steps[a:b], masks[a:b])
 
 
 def _reset_segments(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, steps,
@@ -1833,8 +1797,7 @@ def _lane_cycles(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> L
             noise_scale**2 * dt, None if logs is None else [logs[g] for g in running])
         first = np.cumsum([0, *lanes])
         # each trial's cycles that end by the horizon, its first lanes
-        held = np.zeros(len(fleets), dtype=np.int64)
-        cycles, steps, going = [], [], []
+        going = []
         for g, a, b in zip(running, first, first[1:]):
             fleet = fleets[g]
             complete = int(np.count_nonzero(counted[a:b] == lengths[a:b]))
@@ -1842,16 +1805,11 @@ def _lane_cycles(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> L
             if fleet.logged:
                 for i, step in enumerate(exits.tolist()):
                     fleet.log_event(e_pre[a + i], masks[a + i], step)
-            held[g] = complete
-            cycles.append(np.arange(a, a + complete))
-            steps.append(exits)
+            tally.pend(g, rewards[a : a + complete], exits, masks[a : a + complete])
             fleet.acc.integral_sum += float(costs[a:b].sum()) * dt
             if complete == b - a and exits[-1] < horizon:
                 starts[g] = int(exits[-1])
                 going.append(g)
-        cycles = np.concatenate(cycles)
-        tally.pend(rewards[cycles], np.concatenate(([0], np.cumsum(held))), np.concatenate(steps),
-                   masks[cycles], np.arange(cycles.size))
         running = going
     return tally.results()
 
@@ -2182,8 +2140,7 @@ def run_trial_reference(
                 ends.append(len(rewards) - 1)
             if fleet.trajectory is not None and (event or step % trajectory_stride == 0):
                 fleet.log_state(step, fleet.e, int(event))
-        tally.pend(rewards, [0, len(rewards)], steps,
-                   np.array(masks, dtype=bool).reshape(len(steps), n), ends)
+        tally.pend(0, rewards, steps, np.array(masks), ends)
 
     return tally.results()[0]
 

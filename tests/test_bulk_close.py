@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etclab import InfoScenario, Level, ScenarioConfig, driver
+from etclab import InfoScenario, Level, Periodic, ScenarioConfig, driver, staggered_offsets
 from etclab.costs import CostAccumulator, TALLIES
 
 B = InfoScenario.BROADCAST
@@ -97,20 +97,13 @@ def test_bulk_close_matches_the_event_loop(scenario, group, flush_between):
         acc, state = CostAccumulator(n), [carried, start]
         loop_tally(acc, state, scenario, rewards, steps, masks, ends)
         expected.append((acc, state))
-    # two pends, every trial's rewards cut at its own point, each event in
+    # two pends per trial, its rewards cut at its own point, each event in
     # the pend that holds its reward
     for part in (0, 1):
-        rewards, steps, masks, ends, sizes = [], [], [], [], [0]
-        for r, s, m, e, _, _, cut in trials:
+        for g, (r, s, m, e, _, _, cut) in enumerate(trials):
             lo, hi = (0, cut) if part == 0 else (cut, r.size)
             mine = (e >= lo) & (e < hi)
-            ends.append(e[mine] - lo + sum(sizes))
-            rewards.append(r[lo:hi])
-            steps.append(s[mine])
-            masks.append(m[mine])
-            sizes.append(hi - lo)
-        tally.pend(np.concatenate(rewards), np.cumsum(sizes), np.concatenate(steps),
-                   np.concatenate(masks).reshape(-1, n), np.concatenate(ends))
+            tally.pend(g, r[lo:hi], s[mine], m[mine], e[mine] - lo)
         if part == 0 and flush_between:
             tally.flush()
     tally.flush()
@@ -124,17 +117,18 @@ def test_bulk_close_matches_the_event_loop(scenario, group, flush_between):
 def test_pending_store_stays_within_its_bound(monkeypatch):
     # 200 agents on a band of 0.5 hold an event on about 3 grid steps of 4,
     # so a chunk of 2048 grid rows hands the store about 1500 rewards: it
-    # flushes every few chunks, once its rewards at PENDING_BYTES each fill
-    # an eighth of CHUNK_BYTES, and what it holds and what its bulk close
-    # forms stay within that count
-    config = quiet_config(n=200, scenario=B, scheme=Level(0.5), dt=DT, horizon=80.0, trials=1,
+    # flushes every second chunk, once its rewards at PENDING_BYTES each and
+    # twice the mask of an event each fill PENDING_BUDGET, and what it holds
+    # and what its bulk close forms stay within that count
+    config = quiet_config(n=200, scenario=B, scheme=Level(0.5), dt=DT, horizon=30.0, trials=1,
                           seed=3)
-    bound = driver.CHUNK_BYTES // 8
+    bound = driver.PENDING_BUDGET
     flush = driver._Tally.flush
     seen = []
 
     def traced_flush(tally):
-        held, (before, peak) = tally.held * driver.PENDING_BYTES, tracemalloc.get_traced_memory()
+        held = tally.held * (driver.PENDING_BYTES + 2 * config.n)
+        before, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         flush(tally)
         current, working = tracemalloc.get_traced_memory()
@@ -147,9 +141,9 @@ def test_pending_store_stays_within_its_bound(monkeypatch):
         peak = max(tracemalloc.get_traced_memory()[1], *(s[3] for s in seen))
     finally:
         tracemalloc.stop()
-    assert acc.global_event_count > 30_000
-    assert len(seen) >= 4  # several flushes before the trial's end
-    for held, freed, working, _ in seen:
+    assert acc.global_event_count > 10_000
+    assert sum(held > 0 for held, *_ in seen) >= 4  # several flushes before the trial's end
+    for held, freed, working, _ in filter(lambda flushed: flushed[0], seen):
         assert held < 2 * bound  # one chunk past the bound at most
         assert freed + working <= held
     # the accumulator keeps its fixed size
@@ -157,3 +151,29 @@ def test_pending_store_stays_within_its_bound(monkeypatch):
     assert all(np.ndim(getattr(acc, name)) == 0 for name in TALLIES
                if name != "local_event_counts")
     assert peak <= 3 * driver.CHUNK_BYTES
+
+
+def test_a_flush_at_every_pend_moves_no_bit(monkeypatch):
+    # rows of grid steps and of deadlines, coarse level rows, lanes and the
+    # reference, each run with the store flushing at every pend and at its
+    # default bound
+    cases = [
+        (B, Level(0.866), 3, 20.0),
+        (B, Periodic(0.75, staggered_offsets(3, 0.75)), 3, 20.0),
+        (BL, Periodic(0.25), 3, 20.0),
+        (B, Level(4.5), 50, 10.0),
+        (BL, Level(0.8), 3, 20.0),
+    ]
+
+    def outcomes(config, reference):
+        results = [*driver.run_trials(config), driver.run_trial_reference(reference, 0)]
+        return [[repr(np.asarray(getattr(r.accumulator, name)).tolist()) for name in TALLIES]
+                for r in results]
+
+    for scenario, scheme, n, horizon in cases:
+        config, reference = (quiet_config(n=n, scenario=scenario, scheme=scheme, dt=DT,
+                                          horizon=h, trials=2, seed=11) for h in (horizon, 4.0))
+        default = outcomes(config, reference)
+        with monkeypatch.context() as patch:
+            patch.setattr(driver, "PENDING_BUDGET", 0)
+            assert outcomes(config, reference) == default
