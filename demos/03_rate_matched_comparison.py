@@ -24,7 +24,6 @@ from etclab import (
     ScenarioConfig,
     j_et_broadcast,
     j_tt_broadcast,
-    j_tt_broadcast_local,
     local_to_global_period,
     run_batch,
 )
@@ -65,4 +64,4 @@ for n in (3, 10):
 print(f"\n(rate conversion used above: local period {3 * 0.5} s -> "
       f"global {local_to_global_period(3, 3 * 0.5)} s for n=3)")
 print(f"analytic oracle for the last row: {j_tt_broadcast(10, 5.0):.1f} vs "
-      f"{j_tt_broadcast_local(10, 0.5):.1f}")
+      f"{j_tt_broadcast(10, 0.5):.1f}")

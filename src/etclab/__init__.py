@@ -57,7 +57,8 @@ from .triggering import (
 )
 
 # the former per-scenario scheme names, kept only for perfbench/workloads.py;
-# ROADMAP item 8 deletes them together with j_tt_broadcast_local
+# ROADMAP item 8 deletes them together with costs' alias of the
+# broadcast-plus-local periodic oracle
 PeriodicSync = PeriodicAsync = Periodic
 LevelBroadcast = LevelGlobal = Level
 

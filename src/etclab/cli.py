@@ -71,7 +71,6 @@ from .costs import (
     grid_level_law,
     j_et_broadcast,
     j_tt_broadcast,
-    j_tt_broadcast_local,
     local_to_global_period,
     mean_exit_time,
 )
@@ -320,7 +319,7 @@ def cmd_table1(args, parser) -> int:
         tt_bl, et_bl = _bl_pair(args, parser, n, target)
         plan += [(n, target, "TT", "b", tt_b, j_tt_broadcast(n, n * target)),
                  (n, target, "ET", "b", et_b, j_et_broadcast(n, et_b.scheme.delta)),
-                 (n, target, "TT", "bl", tt_bl, j_tt_broadcast_local(n, target)),
+                 (n, target, "TT", "bl", tt_bl, j_tt_broadcast(n, target)),
                  (n, target, "ET", "bl", et_bl, None)]
     header = ["n", "target_global_T", "scheme", "scenario", "delta", "j_sim",
               "j_analytic", "mean_global_T", "ci"]
@@ -382,7 +381,7 @@ def cmd_sweep_n(args, parser) -> int:
         rep_tt, rep_et = (run_batch(config, workers=args.workers) for config in (tt, et))
         diff = rep_et.j_time_avg - rep_tt.j_time_avg
         rows.append([n, target, et.scheme.delta, rep_tt.j_time_avg, rep_et.j_time_avg,
-                     j_tt_broadcast_local(n, target), diff,
+                     j_tt_broadcast(n, target), diff,
                      _welch_ci95(rep_et.j_trials, rep_tt.j_trials),
                      rep_et.mean_global_interevent,
                      "yes" if diff < 0 else "no",
@@ -425,7 +424,7 @@ def cmd_selftest(args, parser) -> int:
         checks.append(ok)
         print(f"[selftest] {name}: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
 
-    gap = j_tt_broadcast(10, 10 * 0.5) / j_tt_broadcast_local(10, 0.5)
+    gap = j_tt_broadcast(10, 10 * 0.5) / j_tt_broadcast(10, 0.5)
     check("information gap identity", gap == 10, f"(gap={gap})")
     ratio = j_et_broadcast(7, 1.3) / j_tt_broadcast(7, 1.3**2)
     check("consistency ratio identity", abs(ratio - 1 / 3) < 1e-12, f"(ratio={ratio})")

@@ -196,6 +196,8 @@ def j_et_broadcast(n: int, delta: float) -> float:
     return n * (n - 1) * delta * delta / 6.0
 
 
+# kept only for perfbench/workloads.py; everything else calls j_tt_broadcast
+# with the global period
 def j_tt_broadcast_local(n: int, global_period: float) -> float:
     """Long-run cost of the periodic scheme under broadcast-plus-local
     information: ``n (n - 1) * T / 2`` with ``T`` the global period, the

@@ -27,19 +27,20 @@ agents at once as complex pairs, with ``np.cumsum``'s bits).  The chunk's
 events are found on the raw running sums: periodic schedules look up
 every deadline of the chunk at once, for every trial (``_chunk_deadlines``),
 and a level rule searches each agent's rows against its running sum at
-its last reset (``_column_events``).  An unlogged group whose events
-reset at their rows settles its blocks in one pass (``_zero_fill`` or
-``_subtract_bases``); otherwise ``_settle``, the one event protocol,
-settles them in order, one subtraction per segment between events.
-Either way ``_settle`` forms agent 0's reward per segment for the whole
-group at once and hands every trial's events and rewards to the group's
-pending store (``_Tally``), whose bulk close counts the events and closes
-the renewal cycles with the bits of a loop over the events; one cost pass
-covers the chunk's left endpoints.  Only chunk boundaries move its
-rounding.  With every row one grid step, the path consumes the noise
-stream in exactly the same order as the plain per-step loop kept as
-``run_trial_reference``, which steps, detects triggers and sums costs on
-its own, settles one event at a time and hands the same store agent 0's
+its last reset (``_column_events``).  ``_settle``, the one event
+protocol, settles every group's blocks, logged or not, in one pass with
+the bits of a loop over the events (``_subtract_bases``, which zeroes
+the rows of unlogged synchronous deadlines, ``_zero_fill``), logs the
+events of a logged trial from their errors before the reset, forms agent
+0's reward per segment for the whole group at once and hands every
+trial's events and rewards to the group's pending store (``_Tally``),
+whose bulk close counts the events and closes the renewal cycles with
+the bits of a loop over the events; one cost pass covers the chunk's
+left endpoints.  Only chunk boundaries move its rounding.  With every
+row one grid step, the path consumes the noise stream in exactly the
+same order as the plain per-step loop kept as ``run_trial_reference``,
+which steps, detects triggers and sums costs on its own, zeroes the
+errors of each event as it fires and hands the same store agent 0's
 reward of every step; the test suite compares the two.  The reference
 alone records trajectories, which ``etclab trajectory`` plots.
 
@@ -614,23 +615,25 @@ def _padded_sums(terms: np.ndarray, length: np.ndarray, seeds: np.ndarray) -> np
     return block[cycles, length]
 
 
-def _settle(tally: _Tally, rows: np.ndarray, stops, masks, done: int, bounds=None,
-            coarse_rows: Optional["_CoarseRows"] = None, settled: bool = False) -> None:
-    """Settle, in event order, the events of a group's blocks of running
-    sums, and hand the group's pending store each trial's event steps,
-    masks and agent 0's rewards (``_Tally.pend``).
+def _settle(tally: _Tally, buffer: np.ndarray, length: int, keys, masks, done: int,
+            coarse_rows: Optional["_CoarseRows"] = None) -> None:
+    """Settle the events of a group's blocks of running sums in one pass
+    (``_subtract_bases``), log them in a logged trial, and hand the group's
+    pending store each trial's event steps, masks and agent 0's rewards
+    (``_Tally.pend``).
 
-    ``rows[g]`` is trial ``g``'s block: its row ``k`` is the state at the
-    end of row ``k``, which ends ``k`` grid steps after step ``done``
-    (``coarse_rows.ends[k]`` of them when the rows are coarse steps), as a
-    running sum from row 0, which holds the errors, with no reset applied.
-    Trial ``g``'s events are ``bounds[g]`` to ``bounds[g + 1]`` of ``stops``
-    and ``masks`` (all of them by default, for a group of one): the event
-    at row ``stops[j]`` (ascending within a trial) has the initiators
-    ``masks[j]``, a boolean row per event.  Coarse rows give each event's
-    grid step and may give the running sums it resets to in place of the
-    stop's row (``_CoarseRows``): an event inside a coarse row stops at its
-    end.
+    ``buffer[g]`` holds trial ``g``'s block in its rows 0 to ``length -
+    1``: its row ``k`` is the state at the end of row ``k``, which ends
+    ``k`` grid steps after step ``done`` (``coarse_rows.ends[k]`` of them
+    when the rows are coarse steps), as a running sum from row 0, which
+    holds the errors, with no reset applied; any rows after it hold NaN.
+    The events are ``(keys, masks)`` as ``_event_masks`` gives them: event
+    ``j``, at row ``r`` of trial ``g``'s block, has the key ``keys[j] = g *
+    length + r``, ascending, and the initiators ``masks[j]``, a boolean row
+    per event.
+    Coarse rows give each event's grid step and may give the running sums
+    it resets to in place of its row's (``_CoarseRows``): an event inside a
+    coarse row stops at its end, so several events may share a key.
 
     Broadcast-only: the initiators' estimates become their true states, the
     consensus point ``c`` is announced, and every agent jumps by ``c -
@@ -639,11 +642,10 @@ def _settle(tally: _Tally, rows: np.ndarray, stops, masks, done: int, bounds=Non
     to ``c``.  In error coordinates both zero the errors of the agents they
     reset (the initiators, or everyone), so the rows from one event up to
     the next are errors once each agent's running sum at its last reset is
-    subtracted: one subtraction per segment, in place, which also zeroes the
-    reset errors at the event row (``_reset_segments``, per trial).  A
-    logged trial forms each event's consensus point from ``x = c_prev + e``
-    and logs the event, in order.  ``settled`` rows hold errors already,
-    with that loop's bits, and the loop is skipped.
+    subtracted, which the pass does for every block at once.  A logged
+    trial forms each event's consensus point from ``x = c_prev + e``, its
+    errors before the reset as the pass returns them, and logs the event,
+    in order.
 
     Once every block holds errors, agent 0's renewal reward is formed per
     segment: over grid rows one BLAS dot per segment of its left endpoints
@@ -653,52 +655,34 @@ def _settle(tally: _Tally, rows: np.ndarray, stops, masks, done: int, bounds=Non
     (``_CoarseRows.segment_rewards``).  Each trial's rewards, event steps
     and masks go to the store in one ``pend``.
     """
-    stops, masks = np.asarray(stops, dtype=np.int64), np.asarray(masks)
-    bounds = [0, stops.size] if bounds is None else np.asarray(bounds).tolist()
+    keys, masks = np.asarray(keys, dtype=np.int64), np.asarray(masks)
+    fleets = tally.fleets
+    bounds = keys.searchsorted(np.arange(len(fleets) + 1) * length).tolist()
+    stops = keys % length
     steps = done + (stops if coarse_rows is None else coarse_rows.times)
-    cuts = stops.tolist() if coarse_rows is None or not settled else None
-    if not settled:
-        points = None if coarse_rows is None else coarse_rows.points
-        for fleet, block, a, b in zip(tally.fleets, rows, bounds, bounds[1:]):
-            _reset_segments(fleet, block, cuts[a:b], masks[a:b],
-                            steps[a:b].tolist() if fleet.logged else None,
-                            None if points is None else points[a:b])
-    span = rows.shape[1] - 1
+    logged = fleets[0].logged
+    e_pre = _subtract_bases(buffer, length, keys,
+                            masks if tally.broadcast_only else np.broadcast_to(True, masks.shape),
+                            None if coarse_rows is None else coarse_rows.points, logged)
+    if logged:
+        for fleet, a, b in zip(fleets, bounds, bounds[1:]):
+            for j, step in enumerate(steps[a:b].tolist(), a):
+                fleet.log_event(e_pre[j], masks[j], step)
+    span = length - 1
     rewards = None if coarse_rows is None else coarse_rows.segment_rewards(stops)
+    cuts = stops.tolist() if rewards is None else None
     for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
         if rewards is None:
             # agent 0's errors over each segment's left endpoints, the last
             # row's step belonging to the next block, each sliced once for
             # its dot
             cut = [0, *cuts[a:b], span]
-            segments = map(rows[g, :span, 0].__getitem__, map(slice, cut, cut[1:]))
+            segments = map(buffer[g, :span, 0].__getitem__, map(slice, cut, cut[1:]))
             part = [float(lead.dot(lead)) for lead in segments]
         else:
             # a trial's segments are its events' and one more
             part = rewards[a + g : b + g + 1]
         tally.pend(g, part, steps[a:b], masks[a:b])
-
-
-def _reset_segments(fleet: _Fleet, rows: np.ndarray, stops: List[int], masks, steps,
-                    points=None) -> None:
-    """``_settle``'s loop for one trial: subtract from the rows from each
-    event up to the next every agent's running sum at its last reset, which
-    is the event's row, or its row of ``points`` when given, and log the
-    events of a logged trial in order at their grid steps ``steps``."""
-    broadcast_only = fleet.config.scenario is InfoScenario.BROADCAST
-    base = np.zeros(fleet.config.n)  # each agent's running sum at its last reset
-    start = 0
-    for k, stop in enumerate(stops):
-        if k:  # the rows before the first event hold errors already
-            rows[start:stop] -= base
-        mask = masks[k]
-        point = rows[stop] if points is None else points[k]
-        if fleet.logged:
-            fleet.log_event(point - base, mask, steps[k])
-        np.copyto(base, point, where=mask if broadcast_only else True)
-        start = stop
-    if stops:
-        rows[start:] -= base
 
 
 def _phase_offsets(scheme: Periodic, n: int) -> np.ndarray:
@@ -814,35 +798,47 @@ def _event_masks(col: np.ndarray, at: np.ndarray, length: int, n: int):
 def _zero_fill(rows: np.ndarray, first: int, last: int) -> None:
     """Settle in place a group's blocks ``rows`` whose rows ``first`` to
     ``last`` each reset every agent, as synchronous deadline rows do, with
-    the bits of ``_settle``'s loop: a segment of one row is zeroed (``x -
+    the bits of ``_subtract_bases``: a segment of one row is zeroed (``x -
     x`` is ``+0.0``), and the rows after ``last`` take its base."""
     rows[:, last + 1 :] -= rows[:, last : last + 1]
     rows[:, first : last + 1] = 0.0
 
 
-def _subtract_bases(buffer: np.ndarray, length: int, keys: np.ndarray, masks: np.ndarray) -> None:
+def _subtract_bases(buffer: np.ndarray, length: int, keys: np.ndarray, masks: np.ndarray,
+                    points: Optional[np.ndarray] = None, logged: bool = False):
     """Settle in place a group's running sums, rows 0 to ``length - 1`` of
     each trial's block in ``buffer``, from the events ``(keys, masks)``, as
-    ``_event_masks`` gives them: every entry less its agent's running sum
-    at its last reset by then, none before the first.  That is the
-    subtraction ``_settle``'s loop makes segment by segment, so every bit
-    stays.
+    ``_settle`` takes them, ``masks`` the agents each event resets: every
+    entry less its agent's running sum at its last reset by then, none
+    before the first, which is the running sum at the event's row, or its
+    row of ``points`` when given.  With ``logged``, return each event's
+    errors before its reset: its running sum less the one each agent was
+    last reset to before it.  Every bit is the one a loop over the events
+    in order gives: subtract the base from the rows up to the event, reset
+    the base, go on.
 
     Between two of a trial's event rows every agent keeps its base, so the
-    segments' bases come from a running maximum of the rows that reset each
-    agent, as in ``_settle``, over the events alone, and one ``np.repeat``
-    spreads them over the buffer's rows, each trial's first segment from
-    zeros and its last over the rows after its block too.  The buffer's
-    rows are taken in slices of ``CHUNK_BYTES / (128 n)``, each a segment
-    from its first row that carries the base, so that neither the bases
-    nor their spread grow with the block."""
-    if not keys.size:
-        return
+    segments' bases come from a running maximum of the events that reset
+    each agent, over the events alone, and one ``np.repeat`` spreads them
+    over the buffer's rows, each trial's first segment from zeros and its
+    last over the rows after its block too.  The buffer's rows are taken in
+    slices of ``CHUNK_BYTES / (128 n)``, each a segment from its first row
+    that carries the base, so that neither the bases nor their spread grow
+    with the block.  Rows of unlogged events without ``points`` that each
+    reset every agent, the same rows in every block, as synchronous
+    deadline rows are, are zeroed instead (``_zero_fill``)."""
     trials, height, n = buffer.shape
+    e_pre = np.empty((keys.size, n)) if logged else None
+    if not keys.size:
+        return e_pre
+    trial, row = np.divmod(keys, length)
+    if points is None and not logged and masks.all() and np.array_equal(
+            keys, (np.arange(trials)[:, None] * length + np.arange(row[0], row[-1] + 1)).ravel()):
+        _zero_fill(buffer, row[0], row[-1])
+        return None
     # a view, the buffer being C-contiguous: trial g's row r is row g * height + r
     rows = buffer.reshape(-1, n)
     cuts = np.arange(0, len(rows), max(1, CHUNK_BYTES // (128 * n)))
-    trial, row = np.divmod(keys, length)
     starts = np.concatenate((cuts, np.arange(trials) * height, trial * height + row))
     order = np.argsort(starts, kind="stable")
     starts = starts[order]
@@ -854,19 +850,28 @@ def _subtract_bases(buffer: np.ndarray, length: int, keys: np.ndarray, masks: np
     base = np.zeros(n)
     for a, b in zip(edges, edges[1:]):
         kind = event[a:b]
-        # the base carried into the slice, then the rows its segments start at
+        # the base carried into the slice, then the rows its segments start
+        # at, or the points their events reset to
         values = np.empty((b - a + 1, n))
         values[0] = base
         np.take(rows, starts[a:b], axis=0, out=values[1:])
         values[1:][kind == -1] = 0.0
+        events = (kind >= 0).nonzero()[0]
+        if points is not None:
+            values[1 + events] = points[kind[events]]
         reset = masks[np.maximum(kind, 0)]
         reset[kind < 0] = (kind == -1)[kind < 0, None]
         last = np.where(reset, np.arange(1, b - a + 1)[:, None], 0)
         np.maximum.accumulate(last, axis=0, out=last)
         bases = values[last, np.arange(n)]
+        if logged:
+            # the base each event meets: its segment's predecessor's, or the
+            # one carried into the slice
+            e_pre[kind[events]] = values[1 + events] - np.vstack((base, bases))[events]
         del values, reset, last  # before the spread, which is as large
         rows[starts[a] : starts[a] + int(counts[a:b].sum())] -= np.repeat(bases, counts[a:b], axis=0)
         base = bases[-1]
+    return e_pre
 
 
 class _Bridges:
@@ -1907,10 +1912,10 @@ def _row_trials(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> Li
     the group's columns, trial ``g``'s agent ``i``, under a level rule: on
     grid rows ``_column_events``, on coarse rows ``_coarse_level_events``,
     whose grid points each trial draws from its own stream into one bridge
-    store, and ``_event_rows``, whose resets ``_settle``'s loop makes.  An
-    unlogged group whose events reset at their rows settles at once
-    (``_zero_fill`` or ``_subtract_bases``), any other through
-    ``_settle``'s loop, every block before any takes its rewards: coarse
+    store, and ``_event_rows``, which gives the points its events reset
+    to.  Each branch gives one set of events for the group, ``(keys,
+    masks)`` as ``_event_masks`` gives them, and ``_settle`` settles every
+    block in one pass, logged or not, before any takes its rewards: coarse
     rows form the cost terms of every row of the group in one pass
     (``_CoarseRows``).  ``_settle`` takes each chunk's rewards for the whole
     group and hands them to one pending store (``_Tally``), which closes
@@ -1992,9 +1997,6 @@ def _row_trials(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> Li
             np.copyto(z[:, :span], rows[:, 1:])
             z[:, span] = 0.0
         _running_sum(rows)
-        # coarse level rows reset at the points the search drew, and the few
-        # grid rows after the last whole one settle sooner segment by segment
-        settled = not logged and not (level and coarse > 1)
         coarse_rows = None
         if level and k > 1:
             # trial g's block is rows g (span + 1) to g (span + 1) + span
@@ -2005,29 +2007,19 @@ def _row_trials(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> Li
             stops, coarse_rows = _event_rows(bridges, z.reshape(-1, n), times, resets,
                                              step_var, log)
             del bridges, log
-            bounds = coarse_rows.bounds
+            keys = np.repeat(np.arange(group) * (span + 1), np.diff(coarse_rows.bounds)) + stops
         elif level:
             keys, masks = _event_masks(*_column_events(view, span, delta, window), span + 1, n)
-            if settled:
-                _subtract_bases(view, span + 1, keys, masks)
-            bounds = np.searchsorted(keys, np.arange(group + 1) * (span + 1))
-            stops = keys % (span + 1)
         else:
             # every trial has every deadline
             count = len(stops)
-            masks = np.tile(np.broadcast_to(masks, (count, n)), (group, 1))
-            bounds = np.arange(group + 1) * count
             if coarse > 1:
                 coarse_rows = _CoarseRows(view.reshape(-1, n), ends, z.reshape(-1, n), step_var,
-                                          np.tile(stops, group), bounds=bounds)
+                                          np.tile(stops, group), bounds=np.arange(group + 1) * count)
                 stops = np.arange(1, count + 1)
-            if settled and count and stops[-1] - stops[0] == count - 1 and masks.all():
-                _zero_fill(rows, stops[0], stops[-1])
-            elif settled:
-                keys = (np.arange(group)[:, None] * (span + 1) + stops).reshape(-1)
-                _subtract_bases(view, span + 1, keys, masks)
-            stops = np.tile(stops, group)
-        _settle(tally, rows, stops, masks, done, bounds, coarse_rows, settled)
+            keys = (np.arange(group)[:, None] * (span + 1) + stops).reshape(-1)
+            masks = np.tile(np.broadcast_to(masks, (count, n)), (group, 1))
+        _settle(tally, view, span + 1, keys, masks, done, coarse_rows)
         if coarse_rows is None:
             # left-endpoint rectangles: x'Lx = e'Le, since L annihilates c*1;
             # each trial's rows are summed on their own
@@ -2086,11 +2078,12 @@ def run_trial_reference(
 
     It shares the event protocol, the error coordinates and the cost form
     with the fast path but does its own stepping (one draw per agent per
-    step), trigger detection and per-step cost summation.  It settles one
-    event at a time, a block of the one row it fires at
-    (``_reset_segments``), and hands its tally (``_Tally``) agent 0's
-    reward of every step and the events, a chunk of steps at a time, so
-    that each cycle's reward adds up step by step; so comparing the two
+    step), trigger detection and per-step cost summation.  It settles each
+    event as it fires: it logs the event at the errors it fires at, when
+    the trial is logged, and sets the errors it resets to ``0.0``, the
+    bits of ``x - x``.  It hands its tally (``_Tally``) agent 0's reward of
+    every step and the events, a chunk of steps at a time, so that each
+    cycle's reward adds up step by step; so comparing the two
     checks the chunked running sums and their resets, the trigger search
     and the deadline counters.  Trigger instants come out identical, cost
     tallies equal up to summation order.  Slow (pure Python loop); meant
@@ -2107,6 +2100,7 @@ def run_trial_reference(
     dt = config.dt
     scheme = config.scheme
     level = isinstance(scheme, Level)
+    broadcast_only = config.scenario is InfoScenario.BROADCAST
     stream = NoiseStream(config.seed, trial_index, noise_scale)
     fleet = _Fleet.start(config, trajectory=trajectory_stride is not None)
     tally = _Tally([fleet])
@@ -2132,9 +2126,10 @@ def run_trial_reference(
                 fired[due(step)] = True
             event = bool(fired.any())
             if event:
-                # the errors are the running sum of a one-row block: the
-                # row settles in place
-                _reset_segments(fleet, fleet.e[None], [0], fired[None], [step])
+                if fleet.logged:
+                    fleet.log_event(fleet.e, fired, step)
+                # an event zeroes the errors it resets
+                fleet.e[fired if broadcast_only else slice(None)] = 0.0
                 steps.append(step)
                 masks.append(fired)
                 ends.append(len(rewards) - 1)
@@ -2145,19 +2140,14 @@ def run_trial_reference(
     return tally.results()[0]
 
 
-def _periodic_due(step: int, scheme: Periodic, dt: float, n: int) -> np.ndarray:
-    """Agents with a deadline at grid step ``step``, stateless; the fast
-    path counts deadlines per agent instead, by the same rules
-    (``periodic_fire_step``, ``_first_counts``).  It looks up the last
-    deadline due by ``step`` in exact arithmetic and its neighbours, which
-    rounding may move onto ``step``."""
-    return _deadline_rule(scheme, dt, n)(step)
-
-
 def _deadline_rule(scheme: Periodic, dt: float, n: int):
-    """``_periodic_due`` of one schedule as a function of the grid step,
-    with its per-agent constants, the phases and their first deadline
-    counts, formed once."""
+    """The agents with a deadline at a grid step, as a stateless function
+    of the step, of one schedule, whose per-agent constants, the phases and
+    their first deadline counts, are formed once; the fast path counts
+    deadlines per agent instead, by the same rules (``periodic_fire_step``,
+    ``_first_counts``).  It looks up the last deadline due by the step in
+    exact arithmetic and its neighbours, which rounding may move onto the
+    step."""
     offsets = _phase_offsets(scheme, n)
     phases = offsets[:, None]
     first = _first_counts(offsets, dt)[:, None]

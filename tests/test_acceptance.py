@@ -30,7 +30,6 @@ from etclab import (
     grid_level_law,
     j_et_broadcast,
     j_tt_broadcast,
-    j_tt_broadcast_local,
     run_trial,
     run_trials,
     sample_first_passage_batch,
@@ -150,7 +149,7 @@ def test_criterion_4_consistency_ratio():
 
 def test_criterion_5_information_gap():
     exact = all(
-        j_tt_broadcast(n, n * t) / j_tt_broadcast_local(n, t) == n
+        j_tt_broadcast(n, n * t) / j_tt_broadcast(n, t) == n
         for n in (2, 3, 10, 50)
         for t in (0.25, 0.5, 2.0)
     )

@@ -41,7 +41,7 @@ def settle(fleet, initiators, step):
     mask = np.zeros(fleet.config.n, dtype=bool)
     mask[initiators] = True
     tally = _Tally([fleet])
-    _settle(tally, fleet.e[None, None], [0], mask[None], step)
+    _settle(tally, fleet.e[None, None], 1, [0], mask[None], step)
     tally.flush()
     return initiators if fleet.config.scenario is B else slice(None)
 

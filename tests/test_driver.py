@@ -557,16 +557,39 @@ DENSE_CASES = {
 }
 
 
+def loop_settle(buffer, length, keys, masks, points=None, logged=False):
+    """The per-event loop that ``driver._subtract_bases`` replaces, kept as
+    its oracle: per trial, subtract from the rows from each event up to
+    the next every agent's running sum at its last reset, then reset the
+    agents in the event's row of ``masks`` to its row's running sum, or to
+    its row of ``points`` when given; with ``logged``, return each event's
+    errors before its reset, its running sum less every agent's base."""
+    trials, _, n = buffer.shape
+    keys = np.asarray(keys)
+    e_pre = np.empty((keys.size, n))
+    for g in range(trials):
+        base = np.zeros(n)  # each agent's running sum at its last reset
+        start = 0
+        for j in np.flatnonzero(keys // length == g):
+            stop = keys[j] % length
+            buffer[g, start:stop] -= base
+            point = buffer[g, stop] if points is None else points[j]
+            e_pre[j] = point - base
+            np.copyto(base, point, where=masks[j])
+            start = stop
+        buffer[g, start:] -= base
+    return e_pre if logged else None
+
+
 @pytest.mark.parametrize("rows", [None, 5], ids=["default-chunk", "5-row-chunks"])
 @pytest.mark.parametrize("case", list(DENSE_CASES))
 def test_dense_settle_matches_the_event_loop(monkeypatch, case, rows):
-    # an unlogged group on rows settles its blocks before _settle: zeros
-    # where every row from the first stop to the last holds an event that
-    # resets every agent (_zero_fill), and otherwise each agent's base at
-    # its last reset in one pass (_subtract_bases), in place of one
-    # subtraction per event.  A logged fleet settles event by event, so
-    # marking the fleet logged for each call, without the group's pass,
-    # runs the loop on the same blocks, which must settle to the bit
+    # a group on rows settles its blocks in one pass: zeros where every row
+    # from the first stop to the last holds an event that resets every
+    # agent (_zero_fill), and otherwise each agent's base at its last reset
+    # (_subtract_bases), in place of one subtraction per event.  Running the
+    # trial again with the pass replaced by the per-event loop kept here
+    # (loop_settle) settles the same blocks, which must agree to the bit
     n, scenario, scheme, horizon = DENSE_CASES[case]
     config = quiet_config(n=n, scenario=scenario, scheme=scheme, dt=DT, horizon=horizon,
                           trials=1, seed=31)
@@ -577,22 +600,19 @@ def test_dense_settle_matches_the_event_loop(monkeypatch, case, rows):
     def run(loop):
         blocks, runs, tails = [], [], []
 
-        def recording_settle(tally, rows, stops, masks, done, bounds=None, coarse_rows=None,
-                             settled=False):
-            (fleet,), (block,) = tally.fleets, rows  # a group of one
+        def recording_settle(tally, buffer, length, keys, masks, done, coarse_rows=None):
+            (block,) = buffer[:, :length]  # a group of one
+            stops = np.asarray(keys) % length
             if len(stops):  # a block may end at the horizon before any deadline
                 runs.append((stops[-1] - stops[0] == len(stops) - 1, not np.all(masks)))
                 tails.append(stops[-1] < len(block) - 1)
-            fleet.logged = loop
-            settle(tally, rows, stops, masks, done, bounds, coarse_rows, settled and not loop)
-            fleet.logged = False
+            settle(tally, buffer, length, keys, masks, done, coarse_rows)
             blocks.append(block.copy())
 
         with monkeypatch.context() as patch:
             patch.setattr(driver, "_settle", recording_settle)
             if loop:
-                patch.setattr(driver, "_subtract_bases", lambda *args: None)
-                patch.setattr(driver, "_zero_fill", lambda *args: None)
+                patch.setattr(driver, "_subtract_bases", loop_settle)
             acc = run_trial(config, 0).accumulator
         return acc, blocks, runs, tails
 
@@ -613,13 +633,14 @@ def test_dense_settle_matches_the_event_loop(monkeypatch, case, rows):
         assert tails[-1]  # one chunk, whose rows end at the horizon after its last stop
 
 
-def random_group(rng):
+def random_group(rng, shared=False):
     """``(n, scenario, rows, span, stops, masks, done)``: a random group of
     one to four blocks of running sums for a group's settle, ``rows[g]``
     block ``g``, rows 0 to ``span``, and up to three NaN rows after it, as on grid rows of a level
     rule, with per block a run of stops or sparse ones, with full or
     partial masks, up to 5000 agents; every block shares one run of stops
-    at times, as a deadline lookup's blocks do."""
+    at times, as a deadline lookup's blocks do.  With ``shared``, sparse
+    stops may repeat, as events inside one coarse row share its end."""
     n = int(rng.choice([rng.integers(1, 9), rng.integers(9, 200), rng.integers(4000, 5001)]))
     span = int(rng.integers(1, max(2, min(600, 30_000 // n))))
     group = int(rng.integers(1, 5))
@@ -634,7 +655,7 @@ def random_group(rng):
             stops.append(list(range(first, int(rng.integers(first, span + 1)) + 1)))
         else:
             count = int(rng.integers(0, span + 2) * rng.random())
-            stops.append(np.sort(rng.choice(span + 1, size=count, replace=False)).tolist())
+            stops.append(np.sort(rng.choice(span + 1, size=count, replace=shared)).tolist())
         count = len(stops[-1])
         if rng.random() < 0.5:
             masks.append(np.ones((count, n), dtype=bool))
@@ -647,48 +668,75 @@ def random_group(rng):
     return n, rng.choice([B, BL]), rows, span, stops, masks, int(rng.integers(8, 10**6))
 
 
+def logged_events(fleet):
+    """Every field of ``fleet``'s logged events, the arrays as bytes."""
+    return [(e.time, e.initiators, e.consensus_point, e.is_global, e.x_pre.tobytes(),
+             e.x_post.tobytes(), e.xhat_pre.tobytes(), e.xhat_post.tobytes())
+            for e in fleet.events or ()]
+
+
 def test_settle_matches_its_event_loop_on_random_blocks(monkeypatch):
-    # an unlogged group settles its blocks before _settle: in zeros when
-    # every block's rows from its first stop to its last, the same in every
-    # block, each reset every agent (_zero_fill), else in one pass
-    # (_subtract_bases), at times in slices of one row; a logged fleet
-    # settles each block event by event through _settle's loop.  Every row
-    # and every tally, the open cycle's too, must agree, and the NaN rows
-    # after a block stay NaN
+    # a group settles its blocks in one pass (_subtract_bases): in zeros
+    # when every block's rows from its first stop to its last, the same in
+    # every block, each reset every agent and nothing is logged
+    # (_zero_fill), else from a running maximum over the events, at times
+    # in slices of one row.  Coarse rows reset at points of their own,
+    # several events sharing a stop row, and a logged group takes each
+    # event's errors before its reset.  The per-event loop kept here
+    # (loop_settle) is its oracle: every row and every error before a
+    # reset, and through _settle every tally, the open cycle's too, and
+    # every logged event must agree, and the NaN rows after a block stay NaN
     rng = np.random.default_rng(2024)
     seen = set()
+    zero_fill = driver._zero_fill
+    zeroed = []
+    monkeypatch.setattr(driver, "_zero_fill", lambda *args: zeroed.append(zero_fill(*args)))
     for _ in range(400):
-        n, scenario, rows, span, stops, masks, done = random_group(rng)
+        coarse = rng.random() < 0.25
+        n, scenario, rows, span, stops, masks, done = random_group(rng, shared=coarse)
         group = len(stops)
-        config = quiet_config(n=n, scenario=scenario, scheme=Level(1.0), trials=1)
+        logged = rng.random() < 0.3
+        keys = np.concatenate([g * (span + 1) + np.array(s, dtype=np.int64)
+                               for g, s in enumerate(stops)])
         # an event resets its initiators under broadcast-only, everyone else
-        resets = [m if scenario is B else np.ones_like(m) for m in masks]
-        run = (all(s == stops[0] for s in stops) and stops[0]
-               and stops[0][-1] - stops[0][0] == len(stops[0]) - 1
-               and all(r.all() for r in resets))
+        resets = np.concatenate([m if scenario is B else np.ones_like(m) for m in masks])
+        # the running sums coarse rows reset to, at grid points inside their rows
+        points = rows[0, : span + 1].take(keys % (span + 1), axis=0) + rng.normal(
+            size=(keys.size, n)) if coarse else None
+        run = (not coarse and not logged and all(s == stops[0] for s in stops) and stops[0]
+               and stops[0][-1] - stops[0][0] == len(stops[0]) - 1 and resets.all())
         one_row = rng.random() < 0.25
-        fast = rows.copy()
+        fast, slow = rows.copy(), rows.copy()
+        zeroed.clear()
         with monkeypatch.context() as patch:
             if one_row:
                 patch.setattr(driver, "CHUNK_BYTES", 128 * n)
-            if run:
-                driver._zero_fill(fast[:, : span + 1], stops[0][0], stops[0][-1])
-            else:
-                keys = np.concatenate([g * (span + 1) + np.array(s, dtype=np.int64)
-                                       for g, s in enumerate(stops)])
-                driver._subtract_bases(fast, span + 1, keys, np.concatenate(resets))
+            e_fast = driver._subtract_bases(fast, span + 1, keys, resets, points, logged)
+        e_slow = loop_settle(slow, span + 1, keys, resets, points, logged)
+        assert len(zeroed) == bool(run)
+        assert fast.tobytes() == slow.tobytes()
         assert np.isnan(fast[:, span + 1 :]).all()
-        for g in range(group):
+        assert (e_fast is None) == (not logged)
+        if logged:
+            assert e_fast.tobytes() == e_slow.tobytes()
+        if not coarse:
+            config = quiet_config(n=n, scenario=scenario, scheme=Level(1.0), trials=1,
+                                  record_events=logged)
             settled = []
-            for logged, block in ((False, fast[g, : span + 1]), (True, rows[g, : span + 1].copy())):
-                fleet = driver._Fleet.start(config)
-                fleet.logged = logged
-                fleet.cycle_reward, fleet.cycle_start = 0.25, done - 7
-                tally = driver._Tally([fleet])
-                driver._settle(tally, block[None], stops[g], masks[g], done, settled=not logged)
+            for loop in (False, True):
+                fleets = [driver._Fleet.start(config) for _ in stops]
+                for fleet in fleets:
+                    fleet.cycle_reward, fleet.cycle_start = 0.25, done - 7
+                tally = driver._Tally(fleets)
+                block = rows.copy()
+                with monkeypatch.context() as patch:
+                    if loop:
+                        patch.setattr(driver, "_subtract_bases", loop_settle)
+                    driver._settle(tally, block, span + 1, keys, np.concatenate(masks), done)
                 tally.flush()
-                settled.append((block.tobytes(), tallies(fleet.acc), fleet.cycle_reward,
-                                fleet.cycle_start))
+                settled.append((block.tobytes(), [
+                    (tallies(f.acc), f.cycle_reward, f.cycle_start, logged_events(f))
+                    for f in fleets]))
             assert settled[0] == settled[1]
         if run:
             seen.add("zeros")
@@ -700,8 +748,12 @@ def test_settle_matches_its_event_loop_on_random_blocks(monkeypatch):
                 seen.add("slices of one row")
             if group > 1:
                 seen.add("groups")
+            if coarse and np.any(np.diff(keys) == 0):
+                seen.add("points, shared stops")
+            if logged:
+                seen.add("logged")
     assert seen == {"zeros", "runs partial", "runs full", "sparse partial", "sparse full",
-                    "slices of one row", "groups"}
+                    "slices of one row", "groups", "points, shared stops", "logged"}
 
 
 @pytest.mark.parametrize("n", [3, 20])
@@ -1050,7 +1102,7 @@ def test_row_sums_with_inner_resets_match_explicit_sums():
     assert stops == [2, 3, 4, 5, 5]
     fleet = driver._Fleet.start(quiet_config(n=n, scenario=B, scheme=Level(1.0), trials=1))
     tally = driver._Tally([fleet])
-    driver._settle(tally, rows[None], stops, masks, 0, coarse_rows=coarse)
+    driver._settle(tally, rows[None], len(rows), stops, masks, 0, coarse)
     tally.flush()
     assert np.allclose(rows, errors[::k], rtol=0, atol=1e-12)
     assert coarse.costs() == pytest.approx([cost.sum()], rel=1e-10)

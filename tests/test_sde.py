@@ -33,7 +33,7 @@ def fire(x, initiators, scenario, c_prev):
     fleet.e = np.asarray(x, dtype=float) - c_prev
     mask = np.zeros(len(x), dtype=bool)
     mask[initiators] = True
-    _settle(_Tally([fleet]), fleet.e[None, None], [0], mask[None], 1)
+    _settle(_Tally([fleet]), fleet.e[None, None], 1, [0], mask[None], 1)
     return fleet.events[0]
 
 

@@ -20,7 +20,7 @@ from etclab import (
     staggered_offsets,
 )
 from etclab import driver, triggering
-from etclab.driver import _periodic_due
+from etclab.driver import _deadline_rule
 
 B = InfoScenario.BROADCAST
 BL = InfoScenario.BROADCAST_LOCAL
@@ -130,23 +130,23 @@ def test_level_threshold_must_be_positive():
 
 
 def test_periodic_sync_fires_everyone_on_multiples():
-    fired = _periodic_due(500, Periodic(0.5), 0.002, 3)
+    fired = _deadline_rule(Periodic(0.5), 0.002, 3)(500)
     assert list(fired) == [0, 1, 2]
 
 
 def test_periodic_async_fires_at_phase():
     scheme = Periodic(0.75, (0.0, 0.25, 0.5))
-    assert list(_periodic_due(5, scheme, 0.05, 3)) == [1]
+    assert list(_deadline_rule(scheme, 0.05, 3)(5)) == [1]
 
 
 def test_periodic_quiet_between_deadlines():
     scheme = Periodic(0.75, (0.0, 0.25, 0.5))
-    assert _periodic_due(6, scheme, 0.05, 3).size == 0
+    assert _deadline_rule(scheme, 0.05, 3)(6).size == 0
 
 
 def test_periodic_no_firing_at_time_zero_phase():
     # agents with offset 0 are initialized as just-triggered
-    assert _periodic_due(1, Periodic(0.5), 0.002, 2).size == 0
+    assert _deadline_rule(Periodic(0.5), 0.002, 2)(1).size == 0
 
 
 def test_periodic_matches_deadline_accumulator():
@@ -155,7 +155,7 @@ def test_periodic_matches_deadline_accumulator():
     dt = 0.004
     fired_log = {}
     for step in range(1, 501):
-        fired = _periodic_due(step, scheme, dt, 3)
+        fired = _deadline_rule(scheme, dt, 3)(step)
         for agent in fired:
             fired_log.setdefault(int(agent), []).append(step)
     for agent, offset in enumerate(scheme.offsets):

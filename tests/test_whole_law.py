@@ -134,12 +134,11 @@ def fleet_run(index: int):
     steps, masks, rewards, lengths = [], [], [], []
     settle, close_cycle = driver._settle, CostAccumulator.close_cycle
 
-    def recording_settle(tally, rows, stops, chunk_masks, done, bounds=None, coarse_rows=None,
-                         settled=False):
-        steps.append(done + (np.asarray(stops, dtype=np.int64) if coarse_rows is None
+    def recording_settle(tally, buffer, length, keys, chunk_masks, done, coarse_rows=None):
+        steps.append(done + (np.asarray(keys, dtype=np.int64) % length if coarse_rows is None
                              else coarse_rows.times))
-        masks.append(np.asarray(chunk_masks, dtype=bool).reshape(len(stops), n))
-        return settle(tally, rows, stops, chunk_masks, done, bounds, coarse_rows, settled)
+        masks.append(np.asarray(chunk_masks, dtype=bool).reshape(len(keys), n))
+        return settle(tally, buffer, length, keys, chunk_masks, done, coarse_rows)
 
     def recording_close_cycle(acc, reward, length):
         # the bulk close hands over a trial's pending cycles at once
