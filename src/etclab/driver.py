@@ -34,15 +34,16 @@ the rows of unlogged synchronous deadlines, ``_zero_fill``), logs the
 events of a logged trial from their errors before the reset, forms agent
 0's reward per segment for the whole group at once and hands every
 trial's events and rewards to the group's pending store (``_Tally``),
-whose bulk close counts the events and closes the renewal cycles with
-the bits of a loop over the events; one cost pass covers the chunk's
-left endpoints.  Only chunk boundaries move its rounding.  With every
-row one grid step, the path consumes the noise stream in exactly the
-same order as the plain per-step loop kept as ``run_trial_reference``,
-which steps, detects triggers and sums costs on its own, zeroes the
-errors of each event as it fires and hands the same store agent 0's
-reward of every step; the test suite compares the two.  The reference
-alone records trajectories, which ``etclab trajectory`` plots.
+whose bulk close counts the events and sums every renewal cycle in one
+pass with the bits of a loop over the events; one cost pass covers the
+chunk's left endpoints.  Only chunk boundaries move its rounding.  With
+every row one grid step, the path consumes the noise stream in exactly
+the same order as the plain per-step loop kept as
+``run_trial_reference``, which steps, detects triggers and sums costs on
+its own, zeroes the errors of each event as it fires and hands the same
+store agent 0's reward per segment, its squares added step by step; the
+test suite compares the two.  The reference alone records trajectories,
+which ``etclab trajectory`` plots.
 
 A periodic schedule has no band to watch, so its deadlines are known
 before any noise is drawn, and only the cost needs every grid point.  So
@@ -179,8 +180,9 @@ EVENT_BYTES = 46
 TERM_BYTES = 128
 # bytes a group's pending store (_Tally) holds per reward with what its bulk
 # close forms, besides each event's mask, which it holds and copies once
-# (tracemalloc figures read 22 to 127, the most with a cycle per reward,
-# from n = 3 to 1000 on rows, lanes and the reference)
+# (tracemalloc over flushes of more than 1000 rewards read 3 to 118, the most
+# with a cycle per reward, from n = 3 to 1000 on rows, lanes and the
+# reference, each such flush within 0.76 of its share of PENDING_BUDGET)
 PENDING_BYTES = 160
 # the pending store's budget, an eighth of the chunk budget, set when the
 # module loads: a smaller chunk budget moves chunk boundaries, not flushes
@@ -476,14 +478,17 @@ class _Tally:
     (``_settle``), lanes (``_lane_cycles``) and the reference alike.
 
     ``pend`` keeps a trial's rewards and events as they come, one part
-    per call; ``flush`` counts the events and closes the renewal cycles of
-    the whole group in one pass, its parts taken trial by trial.  The store
-    flushes at the end of the group's trials (``results``) and once its
-    rewards, at ``PENDING_BYTES`` each and twice the ``n`` bytes of the
-    mask of the one event each ends at most, since a flush copies the masks
-    once, reach ``PENDING_BUDGET``, an eighth of ``CHUNK_BYTES``.  A flush
-    gives every sum the same additions in the same order as a loop over the
-    events would, wherever the flushes fall, so no bit depends on them.
+    per call, one reward per segment from every integrator: a part's event
+    ``j`` ends at its reward ``j``, and rows and the reference pend one
+    more, the segment after the last event, which stays in the open cycle.
+    ``flush`` counts the events and closes the renewal cycles of the whole
+    group in one pass, its parts taken trial by trial.  The store flushes
+    at the end of the group's trials (``results``) and once its rewards, at
+    ``PENDING_BYTES`` each and twice the ``n`` bytes of the mask of the one
+    event each ends at most, since a flush copies the masks once, reach
+    ``PENDING_BUDGET``, an eighth of ``CHUNK_BYTES``.  A flush gives every
+    sum the same additions in the same order as a loop over the events
+    would, wherever the flushes fall, so no bit depends on them.
     """
 
     def __init__(self, fleets: List[_Fleet]):
@@ -495,15 +500,15 @@ class _Tally:
         self.held = 0  # rewards
         self.bound = PENDING_BUDGET // (PENDING_BYTES + 2 * config.n)
 
-    def pend(self, g: int, rewards, steps, masks, ends=None) -> None:
-        """Add trial ``g``'s agent 0's rewards ``rewards`` (times ``dt``), in
-        order, and its events at the grid steps ``steps``, each fired by
-        the agents in its row of the boolean array ``masks``, to the store.
-        Event ``j`` ends at the reward ``ends[j]`` (``j`` by default),
-        ascending, where the trial's open cycle closes on every global
-        event, or on agent 0's own events under broadcast-only; the rewards
-        after the last event stay in the open cycle."""
-        self.parts[g].append((rewards, steps, masks, ends))
+    def pend(self, g: int, rewards, steps, masks) -> None:
+        """Add trial ``g``'s agent 0's rewards ``rewards`` (times ``dt``), one
+        per segment, in order, and its events at the grid steps ``steps``,
+        each fired by the agents in its row of the boolean array ``masks``,
+        to the store.  Event ``j`` ends at the reward ``j``, where the
+        trial's open cycle closes on every global event, or on agent 0's own
+        events under broadcast-only; the rewards after the last event stay
+        in the open cycle."""
+        self.parts[g].append((rewards, steps, masks))
         self.held += len(rewards)
         if self.held >= self.bound:
             self.flush()
@@ -520,20 +525,18 @@ class _Tally:
         if not any(self.parts):
             return
         fleets = self.fleets
-        # every trial's parts in order, trial by trial, and the parts that
-        # hold events, whose rewards count from the first part's first
+        # every trial's parts in order, trial by trial; a part's event j ends
+        # at its reward j, counted from the first part's first
         held = [sum(len(part[0]) for part in trial) for trial in self.parts]
         events = [sum(len(part[1]) for part in trial) for trial in self.parts]
-        rewards, steps, masks, ends = zip(*(part for trial in self.parts for part in trial))
+        rewards, steps, masks = zip(*(part for trial in self.parts for part in trial))
         self.parts, self.held = [[] for _ in fleets], 0
         terms = np.multiply(np.concatenate(rewards), self.dt)
         busy = [i for i, part in enumerate(steps) if len(part)]
         if busy:
             sizes = [len(part) for part in rewards]
             offsets = np.add.accumulate(sizes) - sizes
-            ends = np.concatenate([np.arange(len(steps[i])) if ends[i] is None else ends[i]
-                                   for i in busy])
-            ends += offsets[busy].repeat([len(steps[i]) for i in busy])
+            ends = np.concatenate([offsets[i] + np.arange(len(steps[i])) for i in busy])
             steps = np.concatenate([steps[i] for i in busy], dtype=np.int64)
             masks = np.concatenate([masks[i] for i in busy])
             first = 0
@@ -581,38 +584,13 @@ def _cycle_sums(terms: np.ndarray, ends: np.ndarray, seeds: np.ndarray) -> np.nd
     the last cycle's end, added one at a time from its ``seeds`` entry, as a
     loop over the terms adds them.  A cycle may hold no term.
 
-    The cycles form a block, a row each, padded with zeros to the longest,
-    and one ``np.add.accumulate`` along its rows adds each row's terms in
-    order.  The block may take four times the entries of its terms and
-    seeds, 32 bytes each, which keeps it within ``PENDING_BYTES`` per held
-    reward (``_Tally``): where padding would more than quadruple it, cycles
-    of ``2^(b - 1)`` to ``2^b - 1`` terms form a block of their own, which
-    padding at most doubles."""
+    ``np.add.at``, unbuffered, adds each term to its cycle's sum one at a
+    time in the terms' order, so each cycle takes the loop's additions in
+    its order, in one call for every cycle, whatever their lengths."""
     length = ends - np.concatenate(([-1], ends[:-1]))
-    if int(length.max()) * length.size <= 4 * (terms.size + length.size):
-        return _padded_sums(terms, length, seeds)
-    sums = np.empty(ends.size)
-    size = np.frexp(length)[1]  # length in [2^(size - 1), 2^size)
-    owner = size.repeat(length)
-    for b in np.unique(size):
-        which = (size == b).nonzero()[0]
-        sums[which] = _padded_sums(terms[owner == b], length[which], seeds[which])
+    sums = seeds.copy()
+    np.add.at(sums, np.arange(length.size).repeat(length), terms)
     return sums
-
-
-def _padded_sums(terms: np.ndarray, length: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """``_cycle_sums`` of the cycles of ``length`` of the ``terms`` each, one
-    after another, in one padded block: a row per cycle, its seed first."""
-    width = int(length.max()) + 1
-    cycles = np.arange(length.size)
-    block = np.zeros((length.size, width))
-    block[:, 0] = seeds
-    # each term's entry: its cycle's row, one past its place in the cycle
-    at = (cycles * width + 1 - (np.add.accumulate(length) - length)).repeat(length)
-    at += np.arange(terms.size)
-    block.reshape(-1)[at] = terms
-    np.add.accumulate(block, axis=1, out=block)
-    return block[cycles, length]
 
 
 def _settle(tally: _Tally, buffer: np.ndarray, length: int, keys, masks, done: int,
@@ -1785,14 +1763,7 @@ def _lane_cycles(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> L
     dt = config.dt
     horizon = config.steps
     _, width, most, expected = _lane_shape(config)
-    streams = [NoiseStream(config.seed, i, noise_scale) for i in indices]
-    fleets = [_Fleet.start(config) for _ in streams]
-    tally = _Tally(fleets)
-    elapsed = _grid_time(horizon, _chunk_steps(config.n), dt)
-    for fleet in fleets:
-        fleet.acc.elapsed = elapsed
-    # the log's own points
-    logs = [stream.child(0) for stream in streams] if fleets[0].logged else None
+    streams, fleets, tally, logs = _group_start(config, indices, noise_scale)
     starts = [0] * len(fleets)
     running = list(range(len(fleets)))
     while running:
@@ -1817,6 +1788,22 @@ def _lane_cycles(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> L
                 going.append(g)
         running = going
     return tally.results()
+
+
+def _group_start(config: ScenarioConfig, indices, noise_scale: float):
+    """A group's start, for rows (``_row_trials``) and lanes
+    (``_lane_cycles``) alike: each trial's stream and fleet, the fleets'
+    pending store (``_Tally``), with every fleet's elapsed time set, and,
+    when the trials log, each stream's child for the points that only the
+    log draws (``_event_points``, ``_lane_block``), which draws nothing
+    from the stream."""
+    streams = [NoiseStream(config.seed, i, noise_scale) for i in indices]
+    fleets = [_Fleet.start(config) for _ in streams]
+    elapsed = _grid_time(config.steps, _chunk_steps(config.n), config.dt)
+    for fleet in fleets:
+        fleet.acc.elapsed = elapsed
+    logs = [stream.child(0) for stream in streams] if fleets[0].logged else None
+    return streams, fleets, _Tally(fleets), logs
 
 
 def _runs_lanes(config: ScenarioConfig) -> bool:
@@ -1926,13 +1913,7 @@ def _row_trials(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> Li
     coarse = fleet_coarse_steps(config)
     chunk = _chunk_steps(n)
     step_var = noise_scale**2 * dt
-    streams = [NoiseStream(config.seed, i, noise_scale) for i in indices]
-    fleets = [_Fleet.start(config) for _ in streams]
-    tally = _Tally(fleets)
-    elapsed = _grid_time(config.steps, chunk, dt)
-    for fleet in fleets:
-        fleet.acc.elapsed = elapsed
-    logged = fleets[0].logged
+    streams, fleets, tally, logs = _group_start(config, indices, noise_scale)
     group = len(fleets)
     # the rows a round of the column search gathers, the NaN rows after a
     # block one fewer
@@ -1942,8 +1923,6 @@ def _row_trials(config: ScenarioConfig, indices, noise_scale: float = 1.0) -> Li
         capacity = _chunk_rows(config)
         far = coarse_far(delta, dt, coarse, crossing=False)
         gaps = max(1, int(WINDOW_GAPS * _expected_interevent(config) / (coarse * dt)))
-        # the log's own points (_event_points)
-        logs = [stream.child(0) for stream in streams] if logged and coarse > 1 else None
     else:
         # without offsets there is one phase, which every agent shares
         offsets = _phase_offsets(scheme, 1)
@@ -2081,13 +2060,13 @@ def run_trial_reference(
     step), trigger detection and per-step cost summation.  It settles each
     event as it fires: it logs the event at the errors it fires at, when
     the trial is logged, and sets the errors it resets to ``0.0``, the
-    bits of ``x - x``.  It hands its tally (``_Tally``) agent 0's reward of
-    every step and the events, a chunk of steps at a time, so that each
-    cycle's reward adds up step by step; so comparing the two
-    checks the chunked running sums and their resets, the trigger search
-    and the deadline counters.  Trigger instants come out identical, cost
-    tallies equal up to summation order.  Slow (pure Python loop); meant
-    for short horizons.
+    bits of ``x - x``.  It hands its tally (``_Tally``) agent 0's reward
+    per segment, as the fast path does, its squares added step by step up
+    to each event and to the end of each chunk of steps, with the chunk's
+    events; so comparing the two checks the chunked running sums and their
+    resets, the trigger search and the deadline counters.  Trigger instants
+    come out identical, cost tallies equal up to summation order.  Slow
+    (pure Python loop); meant for short horizons.
 
     With ``trajectory_stride`` it records the trajectory
     (``TrialResult``): the row at step 0, a row at every multiple of the
@@ -2110,14 +2089,16 @@ def run_trial_reference(
     due = None if level else _deadline_rule(scheme, dt, n)
     chunk = _chunk_steps(n)
     for first in range(1, config.steps + 1, chunk):
-        # agent 0's reward per step and the chunk's events, each at the
-        # reward of its step, handed to the tally at the chunk's end
-        rewards, steps, masks, ends = [], [], [], []
+        # agent 0's reward per segment, its squares added step by step, and
+        # the chunk's events, each ending its segment, handed to the tally
+        # at the chunk's end with the segment after the last event
+        rewards, steps, masks = [], [], []
+        reward = 0.0
         for step in range(first, min(first + chunk, config.steps + 1)):
             e = fleet.e
             acc.integral_sum += float(consensus_cost_rows(e)) * dt
             acc.elapsed += dt
-            rewards.append(e[0] * e[0])
+            reward += e[0] * e[0]
             fleet.e = e + stream.normals(n) * np.sqrt(dt)
             if level:
                 fired = np.abs(fleet.e) >= scheme.delta
@@ -2130,12 +2111,14 @@ def run_trial_reference(
                     fleet.log_event(fleet.e, fired, step)
                 # an event zeroes the errors it resets
                 fleet.e[fired if broadcast_only else slice(None)] = 0.0
+                rewards.append(reward)
+                reward = 0.0
                 steps.append(step)
                 masks.append(fired)
-                ends.append(len(rewards) - 1)
             if fleet.trajectory is not None and (event or step % trajectory_stride == 0):
                 fleet.log_state(step, fleet.e, int(event))
-        tally.pend(0, rewards, steps, np.array(masks), ends)
+        rewards.append(reward)
+        tally.pend(0, rewards, steps, np.array(masks))
 
     return tally.results()[0]
 

@@ -1,23 +1,27 @@
 """The bulk close of renewal cycles keeps every bit of the per-event loop.
 
 ``driver._Tally`` holds a group's pending rewards and events and closes
-them in one pass (``flush``).  Its oracle is the loop it replaced, kept
-here: per trial, each reward times ``dt`` is added to the open cycle in
+them in one pass (``flush``).  Every integrator pends one reward per
+segment: a part's event ``j`` ends at its reward ``j``, and rows and the
+reference pend one more reward, the segment after the last event, which
+lanes do not.  The oracle is the loop the close replaced, kept here: per
+trial and part, each reward times ``dt`` is added to the open cycle in
 order, and an event that closes agent 0's cycle (every event under
 broadcast-plus-local, agent 0's own under broadcast-only) closes it with
 the cycle's reward and its length in grid steps times ``dt``, adding both
 to the running sums one at a time.  The two must agree exactly, for any
 number of rewards and events, any pattern of closing events, a carried
 reward and cycle start, zero rewards, several trials in one store, and a
-flush between any two pends.  The pending store itself must stay within
-its bound on a config with an event on most grid steps.
+flush after any pend; and on the shapes of many one-reward cycles, a few
+long ones and cycles that hold no reward.  The pending store itself must
+stay within its bound on a config with an event on most grid steps.
 """
 
 import tracemalloc
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etclab import InfoScenario, Level, Periodic, ScenarioConfig, driver, staggered_offsets
@@ -34,46 +38,64 @@ def quiet_config(**kw):
         return ScenarioConfig(**kw)
 
 
-def loop_tally(acc, state, scenario, rewards, steps, masks, ends):
-    """The per-event loop: add the rewards ``rewards`` (times ``DT``) to the
-    open cycle one by one, and close it at each closing event, event ``j``
-    ending at ``rewards[ends[j]]``.  ``state`` is ``[cycle_reward,
-    cycle_start]``."""
-    if len(steps):
-        acc.local_event_counts += masks.sum(axis=0)
-        acc.global_event_count += len(steps)
-    closing = {int(end): (int(step), bool(mask[0]) or scenario is BL)
-               for end, step, mask in zip(ends, steps, masks)}
-    for j, reward in enumerate(rewards):
-        state[0] += reward * DT
-        step, closes = closing.get(j, (None, False))
-        if closes:
-            acc.cycles += 1
-            acc.cycle_reward_sum += state[0]
-            acc.cycle_length_sum += (step - state[1]) * DT
-            state[0] = 0.0
-            state[1] = step
+def loop_tally(acc, state, scenario, parts):
+    """The per-event loop over a trial's ``parts``, each ``(rewards, steps,
+    masks)``: add each reward (times ``DT``) to the open cycle one by one,
+    and close it at each closing event, a part's event ``j`` ending at its
+    reward ``j``.  ``state`` is ``[cycle_reward, cycle_start]``."""
+    for rewards, steps, masks in parts:
+        if len(steps):
+            acc.local_event_counts += masks.sum(axis=0)
+            acc.global_event_count += len(steps)
+        for j, reward in enumerate(rewards):
+            state[0] += reward * DT
+            if j < len(steps) and (masks[j, 0] or scenario is BL):
+                acc.cycles += 1
+                acc.cycle_reward_sum += state[0]
+                acc.cycle_length_sum += (int(steps[j]) - state[1]) * DT
+                state[0] = 0.0
+                state[1] = int(steps[j])
+
+
+def shaped_trial(rng, n, cuts, trailing, carried=0.0, start=0, zeros=0.0, closing=1.0,
+                 flushes=0.0):
+    """A trial of events split into parts at ``cuts`` (part ``i`` holds
+    events ``cuts[i - 1]`` to ``cuts[i]``, from 0, so ``cuts[-1]`` is the
+    event count), each part one reward per event and ``trailing`` more, a
+    share ``zeros`` of them exact zeros; agent 0 fires a share ``closing``
+    of the events (or the events where the boolean array ``closing`` is
+    set), and a flush follows each part with probability ``flushes``."""
+    events = cuts[-1]
+    steps = start + np.cumsum(rng.integers(1, 400, events))
+    masks = rng.random((events, n)) < rng.choice([0.2, 0.5, 1.0])
+    if n > 1:
+        masks[np.arange(events), rng.integers(1, n, events)] = True  # an initiator each
+    masks[:, 0] = rng.random(events) < closing if np.isscalar(closing) else closing
+    masks[:, 0] |= ~masks.any(axis=1)
+    parts = []
+    for lo, hi in zip([0, *cuts[:-1]], cuts):
+        count = hi - lo + trailing
+        # rewards of any magnitude
+        rewards = rng.exponential(size=count) * 10.0 ** rng.uniform(-12, 3, count)
+        rewards[rng.random(count) < zeros] = 0.0
+        parts.append((rewards, steps[lo:hi], masks[lo:hi]))
+    return parts, carried, start, (rng.random(len(parts)) < flushes).tolist()
 
 
 @st.composite
 def trial_segments(draw, n):
-    """A trial's rewards, events of ``n`` agents and carried open cycle,
-    and where its pends split."""
-    count = draw(st.integers(0, 500))
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    # rewards of any magnitude, a share of them exact zeros
-    rewards = rng.exponential(size=count) * 10.0 ** rng.uniform(-12, 3, count)
-    rewards[rng.random(count) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
-    # events end at a random subset of the rewards, at rising grid steps
-    ends = np.flatnonzero(rng.random(count) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])))
-    start = draw(st.integers(0, 10**6))
-    steps = start + np.cumsum(rng.integers(1, 400, ends.size))
-    masks = rng.random((ends.size, n)) < draw(st.sampled_from([0.2, 0.5, 1.0]))
-    masks[np.arange(ends.size), rng.integers(0, n, ends.size)] = True  # an initiator each
+    """A trial's parts, carried open cycle and flushes, as ``shaped_trial``
+    gives them: up to 500 events in one to four parts, shaped as rows and
+    the reference pend them (a reward after each part's last event) or as
+    lanes do (none)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    events = draw(st.integers(0, 500))
+    cuts = sorted(rng.integers(0, events + 1, draw(st.integers(0, 3))).tolist()) + [events]
     carried = draw(st.sampled_from([0.0, float(rng.exponential())]))
-    cut = draw(st.integers(0, count))
-    return rewards, steps, masks, ends, carried, start, cut
+    return shaped_trial(rng, n, cuts, draw(st.sampled_from([1, 0])), carried,
+                        draw(st.integers(0, 10**6)), draw(st.sampled_from([0.0, 0.3, 1.0])),
+                        draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
+                        draw(st.sampled_from([0.0, 0.5, 1.0])))
 
 
 @st.composite
@@ -84,28 +106,39 @@ def groups(draw):
     return n, draw(st.lists(trial_segments(n), min_size=1, max_size=3))
 
 
+RNG = np.random.default_rng(5)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(scenario=st.sampled_from([B, BL]), group=groups(), flush_between=st.booleans())
-def test_bulk_close_matches_the_event_loop(scenario, group, flush_between):
+@given(scenario=st.sampled_from([B, BL]), group=groups())
+# 8192 cycles of one reward each, as lanes close them, in one flush
+@example(scenario=BL, group=(2, [shaped_trial(RNG, 2, [8192], 0, carried=0.5, start=7)]))
+# three cycles of 500 rewards and an open one of the reward after them
+@example(scenario=B, group=(2, [shaped_trial(RNG, 2, [1500], 1,
+                                             closing=np.arange(1500) % 500 == 499)]))
+# cycles that hold no reward: a trial with no part, a lanes part that
+# closes at its last reward and an empty one, beside a trial of rows
+@example(scenario=BL, group=(3, [([], 0.75, 40, []),
+                                 shaped_trial(RNG, 3, [0, 5, 5], 0, carried=0.25, flushes=1.0),
+                                 shaped_trial(RNG, 3, [0, 3], 1, zeros=1.0)]))
+def test_bulk_close_matches_the_event_loop(scenario, group):
     n, trials = group
     config = quiet_config(n=n, scenario=scenario, scheme=Level(1.0), dt=DT, trials=1)
     fleets = [driver._Fleet.start(config) for _ in trials]
     tally = driver._Tally(fleets)
     expected = []
-    for fleet, (rewards, steps, masks, ends, carried, start, _) in zip(fleets, trials):
+    for fleet, (parts, carried, start, _) in zip(fleets, trials):
         fleet.cycle_reward, fleet.cycle_start = carried, start
         acc, state = CostAccumulator(n), [carried, start]
-        loop_tally(acc, state, scenario, rewards, steps, masks, ends)
+        loop_tally(acc, state, scenario, parts)
         expected.append((acc, state))
-    # two pends per trial, its rewards cut at its own point, each event in
-    # the pend that holds its reward
-    for part in (0, 1):
-        for g, (r, s, m, e, _, _, cut) in enumerate(trials):
-            lo, hi = (0, cut) if part == 0 else (cut, r.size)
-            mine = (e >= lo) & (e < hi)
-            tally.pend(g, r[lo:hi], s[mine], m[mine], e[mine] - lo)
-        if part == 0 and flush_between:
-            tally.flush()
+    # the trials' parts in turn, each trial's in order, a flush after any
+    for i in range(max(len(parts) for parts, *_ in trials)):
+        for g, (parts, _, _, flushes) in enumerate(trials):
+            if i < len(parts):
+                tally.pend(g, *parts[i])
+                if flushes[i]:
+                    tally.flush()
     tally.flush()
     for fleet, (acc, state) in zip(fleets, expected):
         got = [np.asarray(getattr(fleet.acc, name)).tolist() for name in TALLIES]

@@ -5,7 +5,8 @@ form their cost in one place, and one integrator records trajectories.
 ``_Tally.flush``, the bulk close of a group's pending store, counts the
 events and closes the renewal cycles for every integrator and for the
 lanes of renewal cycles alike, so a second copy of that bookkeeping
-would be a second event protocol to keep in step.  Likewise
+would be a second event protocol to keep in step; it alone sums the
+cycles' rewards (``_cycle_sums``).  Likewise
 ``_row_sums`` is the one cost form of coarse rows, for chunks and lanes
 alike, so it alone calls ``_bridge_sums``, and ``run_trial_reference``
 alone logs trajectory rows (``_Fleet.log_state``), so the chunked
@@ -25,9 +26,9 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "etclab").glob("
 
 
 def one_place_calls(path):
-    """``(function, what)`` for every ``close_cycle(``, ``_bridge_sums(``,
-    ``log_state(``, ``log_event(``, ``_subtract_bases(`` and ``_zero_fill(``
-    call and every write to an attribute
+    """``(function, what)`` for every ``close_cycle(``, ``_cycle_sums(``,
+    ``_bridge_sums(``, ``log_state(``, ``log_event(``, ``_subtract_bases(``
+    and ``_zero_fill(`` call and every write to an attribute
     ``global_event_count`` in ``path``, with the dotted name of the function
     that makes it."""
     found = []
@@ -39,7 +40,7 @@ def one_place_calls(path):
             func = node.func
             name = (func.attr if isinstance(func, ast.Attribute)
                     else func.id if isinstance(func, ast.Name) else None)
-            if name in ("close_cycle", "_bridge_sums", "log_state", "log_event",
+            if name in ("close_cycle", "_cycle_sums", "_bridge_sums", "log_state", "log_event",
                         "_subtract_bases", "_zero_fill"):
                 found.append((".".join(scope), name))
         targets = ([node.target] if isinstance(node, ast.AugAssign)
@@ -62,6 +63,10 @@ def test_only_the_fleet_tallies_events_and_cycles():
     assert found("close_cycle", "global_event_count") == {
         ("driver.py", "_Tally.flush", "close_cycle"),
         ("driver.py", "_Tally.flush", "global_event_count")}
+
+
+def test_only_the_bulk_close_sums_cycles():
+    assert found("_cycle_sums") == {("driver.py", "_Tally.flush", "_cycle_sums")}
 
 
 def test_only_row_sums_forms_bridge_sums():

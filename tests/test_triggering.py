@@ -42,6 +42,11 @@ class ScriptedStream:
         out[...] = draws
         return out
 
+    def child(self, key):
+        """The derived stream of a logged trial's own points, which grid
+        rows never draw from: it replays nothing."""
+        return ScriptedStream(np.zeros(0))
+
 
 def scripted_events(monkeypatch, scenario, scheme, increments):
     """``(time, initiators)`` of every event when the fleet is driven by
