@@ -147,7 +147,7 @@ def test_bulk_close_matches_the_event_loop(scenario, group):
         assert type(fleet.acc.cycle_reward_sum) is float and type(fleet.acc.cycles) is int
 
 
-def test_pending_store_stays_within_its_bound(monkeypatch):
+def test_pending_store_stays_within_its_bound(monkeypatch, peak_bytes):
     # 200 agents on a band of 0.5 hold an event on about 3 grid steps of 4,
     # so a chunk of 2048 grid rows hands the store about 1500 rewards: it
     # flushes every second chunk, once its rewards at PENDING_BYTES each and
@@ -168,12 +168,8 @@ def test_pending_store_stays_within_its_bound(monkeypatch):
         seen.append((held, before - current, working - before, peak))
 
     monkeypatch.setattr(driver._Tally, "flush", traced_flush)
-    tracemalloc.start()
-    try:
-        acc = driver.run_trial(config, 0).accumulator
-        peak = max(tracemalloc.get_traced_memory()[1], *(s[3] for s in seen))
-    finally:
-        tracemalloc.stop()
+    acc, peak = peak_bytes(lambda: driver.run_trial(config, 0).accumulator)
+    peak = max(peak, *(s[3] for s in seen))
     assert acc.global_event_count > 10_000
     assert sum(held > 0 for held, *_ in seen) >= 4  # several flushes before the trial's end
     for held, freed, working, _ in filter(lambda flushed: flushed[0], seen):

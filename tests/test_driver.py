@@ -1,6 +1,5 @@
 import math
 import pickle
-import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -1128,8 +1127,8 @@ def test_row_sums_with_inner_resets_match_explicit_sums():
                          ids=["level-broadcast", "level-broadcast-16", "level-global",
                               "every-row-an-event", "lane-group", "grid-step-lane-group",
                               "grid-step-lane-group-1000"])
-def test_coarse_level_memory_stays_near_the_chunk_budget(monkeypatch, scenario, delta, n, horizon,
-                                                         bound, forced, rows):
+def test_coarse_level_memory_stays_near_the_chunk_budget(monkeypatch, peak_bytes, scenario, delta,
+                                                         n, horizon, bound, forced, rows):
     # a chunk may draw every grid point of its coarse rows, so its rows are
     # sized from the budget as grid steps are (131 coarse rows of 8 grid
     # steps at n = 1000, or 65 of the 16 the rule takes at threshold 5):
@@ -1154,12 +1153,8 @@ def test_coarse_level_memory_stays_near_the_chunk_budget(monkeypatch, scenario, 
     group = driver._lane_shape(config)[0] if scenario is BL else 1
     config = quiet_config(n=n, scenario=scenario, scheme=Level(delta), dt=DT, horizon=horizon,
                           trials=group, seed=3)
-    tracemalloc.start()
-    try:
-        events = sum(r.accumulator.global_event_count for r in run_trials(config))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    events, peak = peak_bytes(
+        lambda: sum(r.accumulator.global_event_count for r in run_trials(config)))
     assert events > 5
     assert peak <= bound * driver.CHUNK_BYTES
 
@@ -1262,7 +1257,7 @@ def test_search_window_changes_nothing(monkeypatch, n):
     ids=["level-global", "level-broadcast", "sync-every-step", "async-every-step",
          "async-every-other-step", "async-long-period"],
 )
-def test_trial_memory_stays_near_the_chunk_budget(scenario, scheme, horizon):
+def test_trial_memory_stays_near_the_chunk_budget(peak_bytes, scenario, scheme, horizon):
     # beyond the chunk buffer a trial holds a level search window and one
     # mask row per event; a period of one or two steps puts an event in every
     # row or every other, which must not cost a grid of deadlines per agent
@@ -1272,17 +1267,12 @@ def test_trial_memory_stays_near_the_chunk_budget(scenario, scheme, horizon):
     rows = driver.CHUNK_BYTES // (8 * n)
     config = quiet_config(n=n, scenario=scenario, scheme=scheme, dt=DT,
                           horizon=horizon or 1.5 * rows * DT, trials=1, seed=3)
-    tracemalloc.start()
-    try:
-        events = run_trial(config, 0).accumulator.global_event_count
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    events, peak = peak_bytes(lambda: run_trial(config, 0).accumulator.global_event_count)
     assert events > 10
     assert peak <= 3 * driver.CHUNK_BYTES
 
 
-def test_column_group_memory_stays_near_the_chunk_budget():
+def test_column_group_memory_stays_near_the_chunk_budget(peak_bytes):
     # broadcast-only level trials on grid rows run in groups as large as
     # ROW_BYTES per entry of their chunks allows within the chunk budget:
     # the group's blocks, the bases that settle them and its search rounds
@@ -1295,19 +1285,14 @@ def test_column_group_memory_stays_near_the_chunk_budget():
     assert size > 4
     config = quiet_config(n=n, scenario=B, scheme=Level(0.2), dt=DT, horizon=1.5 * rows * DT,
                           trials=size, seed=3)
-    tracemalloc.start()
-    try:
-        results = run_trials(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    results, peak = peak_bytes(lambda: run_trials(config))
     assert len(results) == size
     assert min(r.accumulator.global_event_count for r in results) > 10
     assert peak <= 3 * driver.CHUNK_BYTES
 
 
 @pytest.mark.parametrize("n, chunks, grouped", [(50, 1.5, True), (1000, 20, False)])
-def test_coarse_group_memory_stays_near_the_chunk_budget(n, chunks, grouped):
+def test_coarse_group_memory_stays_near_the_chunk_budget(peak_bytes, n, chunks, grouped):
     # broadcast-only level trials on coarse rows run in groups as large as
     # their chunks' bytes allow too (driver._chunk_bytes): the group's running
     # sums and increments, its search rounds, the grid points its trials
@@ -1324,18 +1309,13 @@ def test_coarse_group_memory_stays_near_the_chunk_budget(n, chunks, grouped):
     size = driver._row_group(cell(horizon=horizon, trials=100), 1)
     assert (size > 1) == grouped
     config = cell(horizon=horizon, trials=size)
-    tracemalloc.start()
-    try:
-        results = run_trials(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    results, peak = peak_bytes(lambda: run_trials(config))
     assert len(results) == size
     assert min(r.accumulator.global_event_count for r in results) > 5
     assert peak <= 3 * driver.CHUNK_BYTES
 
 
-def test_periodic_group_memory_stays_near_the_chunk_budget():
+def test_periodic_group_memory_stays_near_the_chunk_budget(peak_bytes):
     # periodic trials on rows run in groups as large as their chunks' bytes
     # allow too (driver._chunk_bytes): a staggered schedule of twenty phases
     # puts a deadline on most grid steps, so a chunk holds as many rows as a
@@ -1350,12 +1330,7 @@ def test_periodic_group_memory_stays_near_the_chunk_budget():
     size = driver._row_group(config, 1)
     assert size > 4
     config = replace(config, trials=size)
-    tracemalloc.start()
-    try:
-        results = run_trials(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    results, peak = peak_bytes(lambda: run_trials(config))
     assert len(results) == size
     assert min(r.accumulator.global_event_count for r in results) > rows
     assert peak <= 3 * driver.CHUNK_BYTES

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +13,7 @@ from etclab import (
     NoiseStream,
     Periodic,
     ScenarioConfig,
+    level_threshold,
     run_trial,
     run_trial_reference,
     sample_first_passage_batch,
@@ -442,7 +442,7 @@ def test_passage_batch_matches_dense_reference(band, dt, n, samples, sign, bridg
     assert np.array_equal(got[1], want[1])
 
 
-def test_passage_memory_stays_near_the_chunk_budget(monkeypatch):
+def test_passage_memory_stays_near_the_chunk_budget(monkeypatch, peak_bytes):
     # paths are stepped in blocks of CHUNK_BYTES // (8 n); a call sixteen
     # blocks long must hold a few blocks' worth (its two outputs take one),
     # not the sixteen of each working array, and draw as the reference
@@ -450,13 +450,8 @@ def test_passage_memory_stays_near_the_chunk_budget(monkeypatch):
     n, rows, blocks = 32, 256, 16
     monkeypatch.setattr(triggering, "CHUNK_BYTES", rows * 8 * n)
     monkeypatch.setattr(triggering, "MAX_COARSE_STEPS", 1)  # every step a fine step
-    tracemalloc.start()
-    try:
-        times, occupation = sample_first_passage_batch(
-            NoiseStream(5), rows * blocks, 1.0, 1e-2, n_agents=n, return_occupation=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (times, occupation), peak = peak_bytes(lambda: sample_first_passage_batch(
+        NoiseStream(5), rows * blocks, 1.0, 1e-2, n_agents=n, return_occupation=True))
     assert peak <= 8 * triggering.CHUNK_BYTES
     stream = NoiseStream(5)
     want = [dense_first_passage_batch(stream, rows, 1.0, 1e-2, n, True) for _ in range(blocks)]
@@ -465,7 +460,7 @@ def test_passage_memory_stays_near_the_chunk_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("dt, coarse", [(1e-3, None), (3.4e-3, None), (1e-2, 8)])
-def test_coarse_passage_memory_stays_near_the_chunk_budget(monkeypatch, dt, coarse):
+def test_coarse_passage_memory_stays_near_the_chunk_budget(monkeypatch, peak_bytes, dt, coarse):
     # the bound above with coarse steps of MAX_COARSE_STEPS, unless
     # ``coarse`` sets it: at dt 3.4e-3 nearly every agent is refined, at
     # dt 1e-2 with K = 8 every agent is.  A call sixteen blocks long must
@@ -474,19 +469,54 @@ def test_coarse_passage_memory_stays_near_the_chunk_budget(monkeypatch, dt, coar
     if coarse is not None:
         monkeypatch.setattr(triggering, "MAX_COARSE_STEPS", coarse)
     monkeypatch.setattr(triggering, "CHUNK_BYTES", rows * 8 * n)
-    tracemalloc.start()
-    try:
-        times, occupation = sample_first_passage_batch(
-            NoiseStream(5), rows * blocks, 1.0, dt, n_agents=n, return_occupation=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (times, occupation), peak = peak_bytes(lambda: sample_first_passage_batch(
+        NoiseStream(5), rows * blocks, 1.0, dt, n_agents=n, return_occupation=True))
     assert peak <= 8 * triggering.CHUNK_BYTES
     stream = NoiseStream(5)
     want = [sample_first_passage_batch(stream, rows, 1.0, dt, n_agents=n, return_occupation=True)
             for _ in range(blocks)]
     assert np.array_equal(times, np.concatenate([w[0] for w in want]))
     assert np.array_equal(occupation, np.concatenate([w[1] for w in want]))
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("occupation", [False, True])
+@pytest.mark.parametrize("bridge", [True, False])
+@pytest.mark.parametrize("n", [1, 3, 50])
+def test_coarse_step_pieces_keep_every_bit(monkeypatch, n, bridge, occupation, blocks):
+    # each coarse step is formed in pieces of _PIECE_BYTES, drawn one after
+    # another and compacted forward in place: pieces of one row and of seven
+    # rows, over one block or over blocks of 32 paths, must give the exit
+    # times and occupation integrals of the default piece, which holds a
+    # whole block here, bit for bit
+    samples, dt = 80, 1e-3
+    delta = level_threshold(n, 0.5)  # far lies inside the band: some entries refined, some not
+    if blocks > 1:
+        monkeypatch.setattr(triggering, "CHUNK_BYTES", 32 * 8 * n)
+    assert triggering._PIECE_BYTES // (8 * n) >= samples
+
+    def draw():
+        return np.asarray(sample_first_passage_batch(
+            NoiseStream(17, subkey=(n,)), samples, delta, dt, n_agents=n,
+            bridge_correction=bridge, return_occupation=occupation))
+
+    want = draw()
+    for piece_rows in (1, 7):
+        monkeypatch.setattr(triggering, "_PIECE_BYTES", piece_rows * 8 * n)
+        assert np.array_equal(draw(), want), piece_rows
+
+
+@pytest.mark.parametrize("n, limit", [(50, 6000 * 50 * 8), (200, triggering.CHUNK_BYTES)])
+def test_passage_memory_at_the_calibrate_shape(peak_bytes, n, limit):
+    # the calibrator's verification run draws 6000 bridge-corrected exits at
+    # dt 2e-3: beyond its block of coarse points the sampler holds one piece
+    # and the refined entries, so at fifty agents, one block of 6000 rows,
+    # it peaks within two such blocks, and at two hundred, a block of
+    # CHUNK_BYTES and a second of the rest, within two CHUNK_BYTES
+    times, peak = peak_bytes(lambda: sample_first_passage_batch(
+        NoiseStream(1729).child(n), 6000, level_threshold(n, 0.5), 2e-3, n_agents=n))
+    assert np.isfinite(times).all()
+    assert peak <= 2 * limit
 
 
 def scalar_coarse_first_passage(stream, delta, dt, n, bridge, coarse, occupation):
